@@ -14,8 +14,6 @@ The layers, bottom to top:
 - :mod:`perihall.sqrtq` - exact arithmetic in Q(sqrt q).
 - :mod:`perihall.hall` - structure constants, products, straightening.
 - :mod:`perihall.checks` - identity verification harnesses.
-- :mod:`perihall.catalog` - structure constant export/import.
-- :mod:`perihall.cli` - command line front end.
 """
 
 __version__ = "0.1.0"

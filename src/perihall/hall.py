@@ -1,23 +1,23 @@
 """Hall algebra of a periodic triangulated category, exactly.
 
-Structure constants live in Q adjoined a square root of q. Each one is
-a morphism count divided by an automorphism order, times a half-power
-of q coming from a ratio of alternating hom-size products. Two dual
-counting recipes compute the same constant, one enumerating morphisms
-out of the first factor, the other morphisms into the second; the
-engine picks whichever hom space is smaller and a verification harness
-compares the two.
+Structure constants live in Q adjoined a square root of q. The product
+u_x * u_y is read off one enumeration: the morphisms y[-1] -> x grouped
+by the class l of their cone. This is the Riedtmann-type form of the
+derived Hall number (Toen, math/0501343; Xiao-Xu, "Hall algebras
+associated to triangulated categories", math/0608144):
+
+    F_xy^l = |Hom(y[-1], x)_l| * |Aut l| / (|Aut x| |Aut y|) * q^(k/2),
+    k = {l,l} - {x,x} - {y,y} - {y,x} - 2 hom(y, x),
+
+where {a,b} is :meth:`HallEngine.brace_exponent` and hom is the oracle's
+hom dimension. The dual counts, which fiber Hom(x, l) or Hom(l, y)
+instead, live in :mod:`perihall.checks` and are compared there.
 
 The engine is generic over the category: anything exposing the oracle
 surface (period, field size, object keys, shifts, direct sums, hom
 dimensions, automorphism orders, and morphism counts fibered by cone
 class) can be multiplied. The 3-periodic quiver category is the main
 instance; tests also run a 5-periodic semisimple one.
-
-A deliberately broken mode is available for validating the test
-harnesses themselves: the first interesting structure constant gets
-shifted by one, on one counting side only, and every downstream
-identity is expected to notice.
 """
 
 from __future__ import annotations
@@ -160,16 +160,13 @@ class PBWExpression:
 class HallEngine:
     """Exact structure constants and products over a category oracle."""
 
-    def __init__(self, oracle: CategoryOracle, fault_inject: bool = False):
+    def __init__(self, oracle: CategoryOracle):
         self.oracle = oracle
         self.t = oracle.t
         self.q = oracle.q
         if self.t % 2 == 0 or self.t < 3:
             raise ValueError("the period must be an odd number at least 3")
-        self.fault_inject = fault_inject
-        self._fault_target: Optional[Tuple[Key, Key, Key, str]] = None
         self._brace_cache: Dict[Tuple[Key, Key], int] = {}
-        self._hall_cache: Dict[Tuple[Key, Key, Key, str], HallValue] = {}
         self._mult_cache: Dict[Tuple[Key, Key], HallVector] = {}
         self._pbw_cache: Dict[Key, PBWExpression] = {}
         self._pbw_active: set = set()
@@ -191,59 +188,22 @@ class HallEngine:
 
     def hall_number(self, x: Key, y: Key, l: Key) -> HallValue:
         """The structure constant of u_l in u_x * u_y."""
-        side = self._preferred_side(x, y, l)
-        return self.hall_number_via(x, y, l, side)
+        return self.multiply(x, y).coeff(l)
 
-    def _preferred_side(self, x: Key, y: Key, l: Key) -> str:
-        return "from_x" if self.oracle.hom_dim(x, l) <= self.oracle.hom_dim(l, y) else "to_y"
-
-    def hall_number_via(self, x: Key, y: Key, l: Key, side: str) -> HallValue:
-        """One counting recipe by name: "from_x" fibers the morphisms
-        x -> l over cone class y, "to_y" fibers l -> y over the cone
-        class x shifted once."""
-        ck = (x, y, l, side)
-        hit = self._hall_cache.get(ck)
-        if hit is None:
-            if side == "from_x":
-                count = self.oracle.fiber_counts(x, l).get(y, 0)
-                aut = self.oracle.aut_order(x)
-                e = self.brace_exponent(x, l) - self.brace_exponent(x, x)
-            elif side == "to_y":
-                count = self.oracle.fiber_counts(l, y).get(self.oracle.shift_key(x, 1), 0)
-                aut = self.oracle.aut_order(y)
-                e = self.brace_exponent(l, y) - self.brace_exponent(y, y)
-            else:
-                raise ValueError(f"unknown side {side!r}")
-            value = HallValue.sqrt_q_power(e, self.q) * HallValue(Fraction(count, aut), Fraction(0), self.q)
-            if not value.is_zero() and value.monomial_exponent() is None:
-                raise AssertionError(f"structure constant {value} is not a monomial in sqrt(q)")
-            self._hall_cache[ck] = hit = value
-        return self._maybe_fault(x, y, l, side, hit)
-
-    def hall_number_checked(self, x: Key, y: Key, l: Key) -> HallValue:
-        """The structure constant with both counting recipes evaluated
-        and compared; raises if they ever disagree."""
-        a = self.hall_number_via(x, y, l, "from_x")
-        b = self.hall_number_via(x, y, l, "to_y")
-        if a != b:
-            raise AssertionError(f"dual counts disagree on {(x, y, l)}: {a} vs {b}")
-        return a
-
-    def _maybe_fault(self, x: Key, y: Key, l: Key, side: str, value: HallValue) -> HallValue:
-        if not self.fault_inject:
-            return value
-        zero = self.oracle.zero_key
-        if self._fault_target is None:
-            if (
-                side == self._preferred_side(x, y, l)
-                and x != zero
-                and y != zero
-                and not value.is_zero()
-                and value != HallValue.one(self.q)
-            ):
-                self._fault_target = (x, y, l, side)
-        if self._fault_target == (x, y, l, side):
-            return value + HallValue.one(self.q)
+    def _structure_constant(self, x: Key, y: Key, l: Key, count: int) -> HallValue:
+        """F_xy^l from the number of morphisms y[-1] -> x with cone l."""
+        o = self.oracle
+        k = (
+            self.brace_exponent(l, l)
+            - self.brace_exponent(x, x)
+            - self.brace_exponent(y, y)
+            - self.brace_exponent(y, x)
+            - 2 * o.hom_dim(y, x)
+        )
+        ratio = Fraction(count * o.aut_order(l), o.aut_order(x) * o.aut_order(y))
+        value = HallValue.sqrt_q_power(k, self.q) * HallValue.of(ratio, self.q)
+        if not value.is_zero() and value.monomial_exponent() is None:
+            raise AssertionError(f"structure constant {value} is not a monomial in sqrt(q)")
         return value
 
     # -- products -----------------------------------------------------
@@ -260,19 +220,16 @@ class HallEngine:
         The support is exactly the set of cones of morphisms from y
         shifted back once into x; the zero morphism contributes the
         direct sum, so the product of nonzero classes is never zero.
+        Every coefficient is read off the same fiber counts.
         """
         k = (x, y)
-        hit = None if self.fault_inject else self._mult_cache.get(k)
+        hit = self._mult_cache.get(k)
         if hit is None:
-            support = self.oracle.fiber_counts(self.oracle.shift_key(y, -1), x)
-            coeffs = {}
-            for l in support:
-                v = self.hall_number(x, y, l)
-                if not v.is_zero():
-                    coeffs[l] = v
-            hit = HallVector(self.q, coeffs)
-            if not self.fault_inject:
-                self._mult_cache[k] = hit
+            fibers = self.oracle.fiber_counts(self.oracle.shift_key(y, -1), x)
+            hit = HallVector(
+                self.q, {l: self._structure_constant(x, y, l, n) for l, n in fibers.items()}
+            )
+            self._mult_cache[k] = hit
         return hit
 
     def multiply_vectors(self, a: HallVector, b: HallVector) -> HallVector:

@@ -3,6 +3,13 @@ from fractions import Fraction
 import pytest
 
 from perihall.category import PeriodicContext
+from perihall.checks import (
+    FaultyEngine,
+    build_quiver_engine,
+    check_associativity,
+    check_symmetry,
+    hall_number_via,
+)
 from perihall.gfp import FieldSpec
 from perihall.hall import HallEngine, HallVector
 from perihall.quiver import line_quiver
@@ -76,13 +83,33 @@ def test_unit_is_two_sided():
         assert eng.hall_number(pctx.zero_key, key, key) == HallValue.one(eng.q)
 
 
-def test_dual_counting_recipes_agree_on_the_point_quiver():
-    eng = a1_engine()
-    keys = eng.oracle.enumerate_objects((1,))
+def assert_engine_matches_dual_recipes(eng, keys):
+    """Every coefficient of every product over keys, read off the
+    Hom(y[-1], x) fibers, equals both counts over Hom(x, l) and Hom(l, y)."""
     for x in keys:
         for y in keys:
-            for l in eng.multiply(x, y).support:
-                assert eng.hall_number_checked(x, y, l) == eng.hall_number(x, y, l)
+            prod = eng.multiply(x, y)
+            for l in prod.support:
+                for side in ("from_x", "to_y"):
+                    assert prod.coeff(l) == hall_number_via(eng, x, y, l, side), (x, y, l, side)
+
+
+def test_dual_counting_recipes_agree_on_the_point_quiver():
+    for p in (2, 3):
+        eng = a1_engine(p)
+        assert_engine_matches_dual_recipes(eng, eng.oracle.enumerate_objects((1,)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_engine_matches_dual_recipes_on_line_quivers(n):
+    eng = HallEngine(PeriodicContext(RepContext(line_quiver(n), FieldSpec(2))))
+    assert_engine_matches_dual_recipes(eng, eng.oracle.enumerate_objects((1,) * n)[:12])
+
+
+@pytest.mark.parametrize("t", [3, 5, 7])
+def test_engine_matches_dual_recipes_on_semisimple(t):
+    cat = SemisimplePeriodic(t, 2)
+    assert_engine_matches_dual_recipes(HallEngine(cat), cat.enumerate_objects(2)[:16])
 
 
 def test_associativity_spot_checks():
@@ -250,23 +277,34 @@ def test_engine_rejects_even_period():
 
 
 def test_fault_injection_changes_one_constant():
-    honest = a1_engine()
-    faulty = HallEngine(honest.oracle, fault_inject=True)
-    pctx = honest.oracle
+    pctx, faulty = build_quiver_engine(line_quiver(1), 2, fault_inject=True)
+    assert isinstance(faulty, FaultyEngine)
+    honest = HallEngine(pctx)
     s = pctx.module_key(pctx.ctx.simple("1"))
+    s1 = pctx.shift_key(s, 1)
     ss = pctx.direct_sum_key(s, s)
-    good = honest.multiply(s, s).coeff(ss)
-    bad = faulty.multiply(s, s).coeff(ss)
-    assert bad == good + HallValue.one(2)
-    # the two counting recipes now disagree on the poisoned triple
-    with pytest.raises(AssertionError):
-        faulty.hall_number_checked(s, s, ss)
+    good = honest.multiply(s, s)
+    bad = faulty.multiply(s, s)
+    assert faulty.target == (s, s, ss)
+    assert bad.coeff(ss) == good.coeff(ss) + HallValue.one(2)
+    assert faulty.hall_number(s, s, ss) == bad.coeff(ss)
+    # no other product moves
+    keys = pctx.enumerate_objects((1,))
+    for x in keys:
+        for y in keys:
+            if (x, y) != (s, s):
+                assert faulty.multiply(x, y) == honest.multiply(x, y)
+    # the symmetry harness flags the poisoned triple against both recipes
+    report = check_symmetry(faulty, [s], [(0, 0, 0)])
+    assert not report.passed
+    assert len(report.failures) == 2
+    where = f"{pctx.format_key(s)}, {pctx.format_key(s)} -> {pctx.format_key(ss)}"
+    assert all(f.endswith(where) for f in report.failures)
+    assert check_symmetry(honest, [s], [(0, 0, 0)]).passed
     # and associativity breaks downstream, on a triple where the
     # poisoned constant enters one side only
-    s1 = pctx.shift_key(s, 1)
-    left = faulty.multiply_vectors(faulty.multiply(s, s), faulty.vector(s1))
-    right = faulty.multiply_vectors(faulty.vector(s), faulty.multiply(s, s1))
-    assert left != right
+    assert not check_associativity(faulty, [s, s1], [(0, 0, 1)]).passed
+    assert check_associativity(honest, [s, s1], [(0, 0, 1)]).passed
 
 
 def test_hall_vector_algebra():

@@ -203,7 +203,6 @@ def test_aut_orders_a2():
 
 
 def test_aut_formula_agrees_with_enumeration():
-    # force the closed-form path with a tiny enumeration limit
     cases = [
         (ctx_a1(2), lambda c: c.direct_sum([s1(c), s1(c)])[0]),
         (ctx_a1(3), lambda c: c.direct_sum([s1(c), s1(c)])[0]),
@@ -211,12 +210,15 @@ def test_aut_formula_agrees_with_enumeration():
         (ctx_a2(2), lambda c: c.direct_sum([p1(c), s1(c), s2(c)])[0]),
         (ctx_a2(3), lambda c: c.direct_sum([s1(c), s1(c), s2(c)])[0]),
     ]
-    for make_ctx, build in cases:
-        enum_ctx = make_ctx
-        formula_ctx = RepContext(enum_ctx.quiver, enum_ctx.field, aut_enum_limit=1)
-        x_enum = build(enum_ctx)
-        x_formula = build(formula_ctx)
-        assert enum_ctx.aut_order(x_enum) == formula_ctx.aut_order(x_formula)
+    for ctx, build in cases:
+        x = build(ctx)
+        basis = ctx.hom_basis(x, x)
+        p = ctx.field.p
+        units = sum(
+            ctx.map_from_coeffs(basis, coeffs).is_iso()
+            for coeffs in itertools.product(range(p), repeat=len(basis))
+        )
+        assert ctx.aut_order(x) == units
 
 
 def test_aut_order_of_zero():
@@ -234,6 +236,21 @@ def test_ext_dims_a2():
     assert ctx.ext1_dim(s1(ctx), s1(ctx)) == 0
     assert ctx.ext1_dim(p1(ctx), s2(ctx)) == 0
     assert ctx.ext1_dim(s2(ctx), p1(ctx)) == 0
+
+
+def test_ext1_matches_euler_form_on_a3():
+    # hom - ext1 = euler form on every pair of reps of A3 up to (1,1,1),
+    # and each Ext^1 basis cocycle has unit coordinates
+    ctx = RepContext(A3, FieldSpec(2))
+    reps = ctx.enumerate_reps((1, 1, 1))
+    assert len(reps) ** 2 == 169
+    for x in reps:
+        for y in reps:
+            basis = ctx.ext1_basis(x, y)
+            assert ctx.hom_dim(x, y) - len(basis) == ctx.euler_form(x, y), (x.dims, y.dims)
+            for k, e in enumerate(basis):
+                unit = tuple(int(i == k) for i in range(len(basis)))
+                assert ctx.ext_class_coords(x, y, e.cocycle) == unit
 
 
 def test_extension_total_nonsplit():
