@@ -4,8 +4,9 @@ Objects here are finite multisets of (module class, shift) pairs; every
 cycle complex normalizes to one. The context realizes objects as direct
 sums of wrapped module resolutions, computes morphism spaces blockwise
 between the wrapped summands, counts morphisms by the class of their
-cone, and knows automorphism group orders both by direct enumeration
-and through a closed formula that tests cross-check against each other.
+cone, and computes automorphism group orders by a layered closed
+formula; :func:`perihall.checks.aut_order_by_enumeration` recounts them
+by enumeration.
 
 Keys are plain sorted tuples, one (class_id, shift) entry per
 indecomposable summand, so they hash and compare cheaply and the empty
@@ -87,9 +88,6 @@ class BlockHomSpace:
                 block = space.rep_map(chunk)
                 f = f.add(self.source.projections[i].then(block).then(self.target.injections[j]))
         return f
-
-    def zero_class(self) -> Tuple[int, ...]:
-        return tuple([0] * self.dim)
 
     def enumerate_classes(self, cap: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
         p = self.pctx.q
@@ -288,17 +286,3 @@ class PeriodicContext:
                 order *= self.q ** self.ctx.ext1_dim(layers[s], layers[(s + 1) % PERIOD])
             self._aut_cache[key] = hit = order
         return hit
-
-    def aut_order_by_enumeration(self, key: ObjKey, cap: Optional[int] = None) -> int:
-        """|Aut| by walking every endomorphism class and testing
-        invertibility through contractibility of its cone."""
-        space = self.hom_space(key, key)
-        count = 0
-        for coords in space.enumerate_classes(cap):
-            if self.is_iso_class(space.rep_map(coords)):
-                count += 1
-        return count
-
-    def is_iso_class(self, f: ChainMap) -> bool:
-        """A morphism is invertible exactly when its cone is zero."""
-        return self.cone_key(f) == ()

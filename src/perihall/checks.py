@@ -1,7 +1,8 @@
 """Verification harnesses for the periodic Hall engine.
 
 Every closed formula the engine relies on (its one-enumeration product
-formula against both dual counting recipes, the square-root sizes of
+formula against both dual counting recipes, dim Ext^1 from the Euler
+form, the layered automorphism count, the square-root sizes of
 composition images, the block normal form of triangles, the
 straightening relations) is re-derived here by brute enumeration on
 small instances and compared exactly. :class:`FaultyEngine` carries one
@@ -19,7 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .category import PeriodicContext
+from .category import ObjKey, PeriodicContext
+from .gfp import Subspace
 from .hall import HallEngine, HallVector
 from .periodic import (
     ChainMap,
@@ -30,6 +32,7 @@ from .periodic import (
     mapping_cone,
     normal_pieces,
 )
+from .reps import Rep, RepContext
 from .sqrtq import HallValue
 
 Key = Tuple
@@ -121,6 +124,30 @@ def hall_number_via(engine: HallEngine, x: Key, y: Key, l: Key, side: str) -> Ha
     else:
         raise ValueError(f"unknown side {side!r}")
     return HallValue.sqrt_q_power(e, engine.q) * HallValue.of(Fraction(count, aut), engine.q)
+
+
+def ext1_dim_literal(ctx: RepContext, x: Rep, y: Rep) -> int:
+    """dim Ext^1(x, y) counted literally through the minimal projective
+    resolution 0 -> P1 -> P0 -> x -> 0: the cocycles Hom(P1, y) modulo
+    the coboundaries P1 -> P0 -> y. The engine reads the same number off
+    the Euler form."""
+    res = ctx.proj_resolution(x)
+    cocycles = ctx.hom_basis(res.p1, y)
+    if not cocycles:
+        return 0
+    ambient = len(cocycles[0].flat())
+    coboundaries = [res.d.then(phi).flat() for phi in ctx.hom_basis(res.p0, y)]
+    return len(cocycles) - Subspace(ctx.field, ambient, coboundaries).dim
+
+
+def aut_order_by_enumeration(pctx: PeriodicContext, key: ObjKey, cap: Optional[int] = None) -> int:
+    """|Aut| by walking every endomorphism class of the object: a
+    morphism is invertible exactly when its cone is zero. The engine
+    uses the layered formula of :meth:`PeriodicContext.aut_order`."""
+    space = pctx.hom_space(key, key)
+    return sum(
+        1 for coords in space.enumerate_classes(cap) if pctx.cone_key(space.rep_map(coords)) == pctx.zero_key
+    )
 
 
 def _fmt(engine: HallEngine, key: Key) -> str:
@@ -250,6 +277,12 @@ def check_decorated_symmetry(
     weighted by automorphisms and brace factors, counted from either end.
     Instances whose two enumerated hom spaces together exceed ``exp_cap``
     dimensions are skipped and counted as skipped_cap.
+
+    Both sides are literal morphism counts; the engine is read only for
+    the support of u_x * u_y, never for a coefficient. So this harness
+    cannot see a wrong structure constant (it passes on
+    :class:`FaultyEngine`); :func:`check_symmetry` and
+    :func:`check_associativity` are the ones that compare coefficients.
     """
     report = CheckReport("decorated symmetry")
     ctx = pctx.ctx

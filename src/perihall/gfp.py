@@ -185,18 +185,6 @@ class MatrixFp:
 
     __matmul__ = mul
 
-    def pow(self, e: int) -> "MatrixFp":
-        if self.nrows != self.ncols:
-            raise ValueError("pow needs a square matrix")
-        r = MatrixFp.identity(self.field, self.nrows)
-        b = self
-        while e:
-            if e & 1:
-                r = r.mul(b)
-            b = b.mul(b)
-            e >>= 1
-        return r
-
     def transpose(self) -> "MatrixFp":
         if not self.rows:
             return MatrixFp(self.field, [[] for _ in range(self.ncols)], ncols=0)
@@ -230,11 +218,6 @@ class MatrixFp:
         if stacked is None:
             raise ValueError("empty grid")
         return stacked
-
-    def submatrix(self, row_range: Tuple[int, int], col_range: Tuple[int, int]) -> "MatrixFp":
-        r0, r1 = row_range
-        c0, c1 = col_range
-        return MatrixFp(self.field, [row[c0:c1] for row in self.rows[r0:r1]], ncols=c1 - c0)
 
     def _check_shape(self, other: "MatrixFp") -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -429,7 +412,3 @@ class Subspace:
         for c, x in zip(self._free, coords):
             out[c] = int(x) % p
         return out
-
-    def coefficients_of(self, v: Sequence[int]) -> Optional[List[int]]:
-        """Coefficients of v in the stored basis, or None if outside."""
-        return self.basis.solve(list(v))

@@ -17,9 +17,9 @@ the chain-level objects.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .gfp import FieldSpec, MatrixFp, Subspace
+from .gfp import MatrixFp, Subspace
 from .reps import BudgetExceeded, Rep, RepContext, RepMap
 
 __all__ = [
@@ -355,18 +355,12 @@ class HomSpace:
             comps.append(acc)
         return ChainMap(self.source, self.target, comps, check=False)
 
-    def zero_class(self) -> Tuple[int, ...]:
-        return tuple([0] * self.dim)
-
     def enumerate_classes(self, cap: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
         limit = cap if cap is not None else self.ctx.enum_cap
         total = self.ctx.field.p**self.dim
         if total > limit:
             raise BudgetExceeded(f"class enumeration of size {total} exceeds cap {limit}")
         yield from itertools.product(range(self.ctx.field.p), repeat=self.dim)
-
-    def is_homotopic(self, f: ChainMap, g: ChainMap) -> bool:
-        return self.class_coords(f) == self.class_coords(g)
 
     def is_null_homotopic(self, f: ChainMap) -> bool:
         return not any(self.class_coords(f))

@@ -9,10 +9,8 @@ makes the whole package deterministic.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 __all__ = ["Arrow", "Quiver", "line_quiver"]
 
@@ -103,20 +101,7 @@ class Quiver:
             total -= x[self._vindex[a.source]] * y[self._vindex[a.target]]
         return total
 
-    def symmetrized_euler_form(self, x: Sequence[int], y: Sequence[int]) -> int:
-        return self.euler_form(x, y) + self.euler_form(y, x)
-
     # -- identity -----------------------------------------------------
-
-    def canonical_dict(self) -> Dict:
-        return {
-            "vertices": list(self.vertices),
-            "arrows": [{"name": a.name, "source": a.source, "target": a.target} for a in self.arrows],
-        }
-
-    def fingerprint(self) -> str:
-        blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Quiver) and other.vertices == self.vertices and other.arrows == self.arrows

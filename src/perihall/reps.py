@@ -7,10 +7,11 @@ dim(u) x dim(w) and acts on row vectors from the right.
 
 The module provides the abelian-category toolkit (hom spaces, kernels,
 images, cokernels), Krull-Schmidt decomposition with explicit
-isomorphism witnesses, minimal projective resolutions and Ext^1 with
-transport, plus the counting utilities the Hall layer sits on
-(automorphism group orders, representative enumeration, classical
-submodule counts).
+isomorphism witnesses, minimal projective resolutions and dim Ext^1,
+plus the counting utilities the Hall layer sits on (automorphism group
+orders, representative enumeration, classical submodule counts). The
+path algebra of an acyclic quiver is hereditary, so dim Ext^1 is read
+off the Euler form rather than built from cocycles.
 
 State that must be shared between calls (iso-class registry, caches)
 lives in :class:`RepContext`; representations themselves are plain
@@ -20,8 +21,8 @@ values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gfp import FieldSpec, MatrixFp, Subspace
 from .quiver import Quiver
@@ -30,10 +31,8 @@ __all__ = [
     "Rep",
     "RepMap",
     "RepContext",
-    "Factorization",
     "Decomposition",
     "Resolution",
-    "ExtClass",
     "BudgetExceeded",
 ]
 
@@ -80,9 +79,6 @@ class Rep:
         dims = [0] * len(quiver.vertices)
         dims[quiver.vertex_index(vertex)] = 1
         return cls(field, quiver, dims, {})
-
-    def dim_at(self, vertex: str) -> int:
-        return self.dims[self.quiver.vertex_index(vertex)]
 
     @property
     def total_dim(self) -> int:
@@ -190,19 +186,6 @@ class RepMap:
 
 
 @dataclass
-class Factorization:
-    """Kernel / image / cokernel data of a morphism f: X -> Y."""
-
-    kernel: Rep
-    kernel_incl: RepMap  # ker -> X
-    image: Rep
-    image_incl: RepMap  # im -> Y
-    image_proj: RepMap  # X -> im, with image_proj then image_incl == f
-    cokernel: Rep
-    cokernel_proj: RepMap  # Y -> coker
-
-
-@dataclass
 class Decomposition:
     """Indecomposable summands with an explicit direct-sum witness."""
 
@@ -222,20 +205,6 @@ class Resolution:
     p0: Rep
     d: RepMap  # P1 -> P0, injective
     eps: RepMap  # P0 -> X, projective cover
-    p0_mults: Tuple[int, ...]  # multiplicity of P(v) per vertex
-    p1_mults: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ExtClass:
-    """An element of Ext^1(x, y) stored as a cocycle P1 -> y."""
-
-    x_key: Tuple
-    y_key: Tuple
-    cocycle: RepMap  # resolution(x).p1 -> y
-
-    def is_zero_cocycle(self) -> bool:
-        return self.cocycle.is_zero()
 
 
 def _direct_sum(field: FieldSpec, quiver: Quiver, reps: Sequence[Rep]) -> Tuple[Rep, List[RepMap], List[RepMap]]:
@@ -299,9 +268,7 @@ class RepContext:
         self._class_of_content: Dict[Tuple, int] = {}
         self._classes: List[Rep] = []  # class id -> canonical representative
         self._resolution_cache: Dict[Tuple, Resolution] = {}
-        self._ext_cache: Dict[Tuple, List[ExtClass]] = {}
         self._projective_cache: Dict[str, Rep] = {}
-        self._indec_cert: Dict[Tuple, bool] = {}
 
     # -- elementary constructions ------------------------------------
 
@@ -409,9 +376,6 @@ class RepContext:
     def hom_dim(self, x: Rep, y: Rep) -> int:
         return len(self.hom_basis(x, y))
 
-    def end_dim(self, x: Rep) -> int:
-        return len(self.hom_basis(x, x))
-
     def map_from_coeffs(self, basis: Sequence[RepMap], coeffs: Sequence[int]) -> RepMap:
         if not basis:
             raise ValueError("empty basis")
@@ -421,21 +385,6 @@ class RepContext:
             if c % self.field.p:
                 acc = acc.add(b.scale(c))
         return acc
-
-    def all_homs(self, x: Rep, y: Rep) -> Iterator[RepMap]:
-        """Every morphism x -> y, deterministically ordered.
-
-        Count is q^hom_dim; guarded by the context cap.
-        """
-        basis = self.hom_basis(x, y)
-        total = self.field.p ** len(basis)
-        if total > self.enum_cap:
-            raise BudgetExceeded(f"hom enumeration of size {total} exceeds cap {self.enum_cap}")
-        if not basis:
-            yield RepMap.zero_map(x, y)
-            return
-        for coeffs in itertools.product(range(self.field.p), repeat=len(basis)):
-            yield self.map_from_coeffs(basis, coeffs)
 
     # -- kernels, images, cokernels ----------------------------------
 
@@ -524,13 +473,6 @@ class RepContext:
                 raise ValueError("map does not kill the kernel of the projection")
             comps.append(g)
         return RepMap(proj.target, f.target, comps, check=False)
-
-    def factorize(self, f: RepMap) -> Factorization:
-        ker, kincl = self.kernel(f)
-        im, iincl = self.image(f)
-        iproj = self.corestrict(f, iincl)
-        cok, cproj = self.cokernel(f)
-        return Factorization(ker, kincl, im, iincl, iproj, cok, cproj)
 
     # -- isomorphism and decomposition -------------------------------
 
@@ -662,7 +604,6 @@ class RepContext:
     def _find_split(self, x: Rep) -> Optional[Tuple[Rep, RepMap, Rep, RepMap]]:
         basis = self.hom_basis(x, x)
         if len(basis) == 1:
-            self._indec_cert[x.key()] = True
             return None
         for e in self._candidate_endos(x):
             split = self._fitting_split(x, e)
@@ -679,7 +620,6 @@ class RepContext:
             split = self._fitting_split(x, e)
             if split is not None:
                 return split
-        self._indec_cert[x.key()] = True
         return None
 
     def is_indecomposable(self, x: Rep) -> bool:
@@ -701,7 +641,7 @@ class RepContext:
             self._aut_cache[ck] = hit
         return hit
 
-    def _aut_order_formula(self, x: Rep, end_dim: int) -> int:
+    def _aut_order_formula(self, x: Rep, dim_end: int) -> int:
         p = self.field.p
         dec = self.decompose(x)
         # group summands into iso classes
@@ -721,7 +661,7 @@ class RepContext:
             qk = p ** d_k
             for i in range(m):
                 gl_product *= qk**m - qk**i
-        rad_dim = end_dim - diag
+        rad_dim = dim_end - diag
         if rad_dim < 0:
             raise AssertionError("radical dimension negative; decomposition bug")
         return (p**rad_dim) * gl_product
@@ -775,30 +715,24 @@ class RepContext:
     def class_count(self) -> int:
         return len(self._classes)
 
-    def class_ids_of(self, x: Rep) -> Tuple[int, ...]:
-        """Sorted class ids of the indecomposable summands of x."""
-        return tuple(sorted(self.class_id(s) for s in self.decompose(x).summands))
-
     # -- projective resolutions and Ext ------------------------------
 
-    def _top_dims(self, x: Rep) -> Tuple[List[int], List[Subspace]]:
+    def _radicals(self, x: Rep) -> List[Subspace]:
+        """The radical of x at each vertex: the span of the arrow images
+        landing there."""
         q = self.quiver
         rads = []
-        tops = []
         for i, v in enumerate(q.vertices):
             rows: List[List[int]] = []
             for a in q.arrows_into(v):
-                u = q.vertex_index(a.source)
                 rows.extend(x.mats[a.name].rows)
-            sub = Subspace(self.field, x.dims[i], rows)
-            rads.append(sub)
-            tops.append(sub.codim)
-        return tops, rads
+            rads.append(Subspace(self.field, x.dims[i], rows))
+        return rads
 
-    def _cover_map(self, x: Rep) -> Tuple[Rep, RepMap, Tuple[int, ...]]:
+    def _cover_map(self, x: Rep) -> Tuple[Rep, RepMap]:
         """Projective cover P -> x via top representatives."""
         q = self.quiver
-        tops, rads = self._top_dims(x)
+        rads = self._radicals(x)
         gens: List[Tuple[str, List[int]]] = []  # (vertex, representative in X_v)
         for i, v in enumerate(q.vertices):
             for c in rads[i].free_columns:
@@ -806,7 +740,7 @@ class RepContext:
                 unit[c] = 1
                 gens.append((v, unit))
         pieces = [self.projective(v) for v, _ in gens]
-        p0, injs, _ = self.direct_sum(pieces)
+        p0, _, _ = self.direct_sum(pieces)
         # map each projective piece into x: generator path e_v |-> rep,
         # longer path p*a |-> (image so far) @ X_a
         piece_maps = []
@@ -838,15 +772,12 @@ class RepContext:
                 acc = MatrixFp.zeros(self.field, 0, x.dims[i])
             comps.append(acc)
         eps = RepMap(p0, x, comps, check=False)
-        mults = [0] * len(q.vertices)
-        for v, _ in gens:
-            mults[q.vertex_index(v)] += 1
         # surjectivity: the cover hits a complement of the radical at
         # every vertex, so by graded Nakayama it hits everything
         for i in range(len(q.vertices)):
             if comps[i].rank() != x.dims[i]:
                 raise AssertionError("projective cover failed to surject")
-        return p0, eps, tuple(mults)
+        return p0, eps
 
     def proj_resolution(self, x: Rep) -> Resolution:
         """Minimal projective resolution 0 -> P1 -> P0 -> x -> 0."""
@@ -854,160 +785,27 @@ class RepContext:
         hit = self._resolution_cache.get(ck)
         if hit is not None:
             return hit
-        p0, eps, p0_mults = self._cover_map(x)
+        p0, eps = self._cover_map(x)
         ker, kincl = self.kernel(eps)
-        p1, cover, p1_mults = self._cover_map(ker)
+        p1, cover = self._cover_map(ker)
         if p1.total_dim != ker.total_dim:
             # over a hereditary algebra the kernel is projective, so its
             # cover must be an isomorphism
             raise AssertionError("first syzygy is not projective; quiver not hereditary?")
         d = cover.then(kincl)
-        res = Resolution(x, p1, p0, d, eps, p0_mults, p1_mults)
+        res = Resolution(x, p1, p0, d, eps)
         self._resolution_cache[ck] = res
         return res
 
-    def ext1_basis(self, x: Rep, y: Rep) -> List[ExtClass]:
-        """Canonical basis of Ext^1(x, y) = Hom(P1(x), y) / coboundaries,
-        as cocycles P1(x) -> y: the first Hom(P1(x), y) basis maps that
-        are independent modulo the coboundaries and the maps kept before."""
-        ck = (x.key(), y.key())
-        hit = self._ext_cache.get(ck)
-        if hit is not None:
-            return hit
-        res = self.proj_resolution(x)
-        hom_p1 = self.hom_basis(res.p1, y)
-        out: List[ExtClass] = []
-        if hom_p1:
-            amb = len(hom_p1[0].flat())
-            span = [res.d.then(phi).flat() for phi in self.hom_basis(res.p0, y)]
-            sub = Subspace(self.field, amb, span)
-            for phi in hom_p1:
-                if not sub.contains(phi.flat()):
-                    span.append(phi.flat())
-                    sub = Subspace(self.field, amb, span)
-                    out.append(ExtClass(x.key(), y.key(), phi))
-        self._ext_cache[ck] = out
-        return out
-
     def ext1_dim(self, x: Rep, y: Rep) -> int:
-        return len(self.ext1_basis(x, y))
+        """dim Ext^1(x, y) = dim Hom(x, y) - <x, y>.
 
-    def ext_class_coords(self, x: Rep, y: Rep, cocycle: RepMap) -> Tuple[int, ...]:
-        """Coordinates of a cocycle in the canonical Ext^1 basis."""
-        basis = self.ext1_basis(x, y)
-        if not basis:
-            return ()
-        res = self.proj_resolution(x)
-        amb = len(cocycle.flat())
-        sub = Subspace(self.field, amb, [res.d.then(phi).flat() for phi in self.hom_basis(res.p0, y)])
-        kept = MatrixFp(self.field, [sub.reduce(e.cocycle.flat()) for e in basis], ncols=amb)
-        coords = kept.solve(sub.reduce(cocycle.flat()))
-        if coords is None:
-            raise ValueError("map P1 -> y is not a cocycle of this pair")
-        return tuple(coords)
-
-    def ext_transport(
-        self,
-        e: ExtClass,
-        x_rep: Rep,
-        y_rep: Rep,
-        pre: Optional[RepMap] = None,
-        post: Optional[RepMap] = None,
-    ) -> ExtClass:
-        """Pull back along pre: x' -> x and push forward along
-        post: y -> y'. Either may be None."""
-        cocycle = e.cocycle
-        new_x = x_rep
-        if pre is not None:
-            res_x = self.proj_resolution(x_rep)
-            res_xp = self.proj_resolution(pre.source)
-            f0 = self._lift_through_cover(pre, res_xp, res_x)
-            # f1 solves f1 @ d == d' @ f0 componentwise
-            comps = []
-            for i in range(len(self.quiver.vertices)):
-                rhs = res_xp.d.comps[i].mul(f0.comps[i])
-                sol = res_x.d.comps[i].solve_matrix(rhs)
-                if sol is None:
-                    raise AssertionError("syzygy lift failed")
-                comps.append(sol)
-            f1 = RepMap(res_xp.p1, res_x.p1, comps, check=False)
-            cocycle = f1.then(cocycle)
-            new_x = pre.source
-        if post is not None:
-            cocycle = cocycle.then(post)
-        return ExtClass(new_x.key(), (post.target if post is not None else y_rep).key(), cocycle)
-
-    def _lift_through_cover(self, f: RepMap, res_src: Resolution, res_tgt: Resolution) -> RepMap:
-        """Lift f: x' -> x to P0(x') -> P0(x) over the covers."""
-        q = self.quiver
-        # generator rows of P0(x'): one per projective piece, the empty path
-        target = res_tgt.p0
-        want = res_src.eps.then(f)  # P0(x') -> x
-        comps_rows: List[List[List[int]]] = [[] for _ in q.vertices]
-        # reconstruct piece layout of res_src.p0 from multiplicities
-        pieces: List[str] = []
-        for i, v in enumerate(q.vertices):
-            pieces.extend([v] * res_src.p0_mults[i])
-        # iterate pieces in direct-sum order, tracking row offsets per vertex
-        offs = [0] * len(q.vertices)
-        gen_images: List[Tuple[str, List[int]]] = []
-        for v in pieces:
-            vi = q.vertex_index(v)
-            gen_row = offs[vi]  # empty path is first in paths_from order
-            wvec = want.comps[vi].rows[gen_row]
-            sol = res_tgt.eps.comps[vi].solve(wvec)
-            if sol is None:
-                raise AssertionError("cover lift failed; eps not surjective?")
-            gen_images.append((v, sol))
-            for w in q.vertices:
-                wi = q.vertex_index(w)
-                count = sum(1 for pth in q.paths_from(v) if (pth[-1].target if pth else v) == w)
-                offs[wi] += count
-        # now extend each generator image to a map P(v) -> P0(x)
-        piece_maps = []
-        for v, genvec in gen_images:
-            piece = self.projective(v)
-            paths = q.paths_from(v)
-            by_end: Dict[str, List[Tuple]] = {w: [] for w in q.vertices}
-            for pth in paths:
-                end = pth[-1].target if pth else v
-                by_end[end].append(pth)
-            vec_of: Dict[Tuple, List[int]] = {(): genvec}
-            for pth in paths:
-                if pth:
-                    vec_of[pth] = MatrixFp(self.field, [vec_of[pth[:-1]]]).mul(target.mats[pth[-1].name]).rows[0]
-            comps = []
-            for i, w in enumerate(q.vertices):
-                rows = [vec_of[pth] for pth in by_end[w]]
-                comps.append(MatrixFp(self.field, rows, ncols=target.dims[i]) if rows else MatrixFp.zeros(self.field, 0, target.dims[i]))
-            piece_maps.append(RepMap(piece, target, comps, check=False))
-        comps = []
-        for i in range(len(q.vertices)):
-            acc = None
-            for pm in piece_maps:
-                c = pm.comps[i]
-                acc = c if acc is None else acc.vstack(c)
-            if acc is None:
-                acc = MatrixFp.zeros(self.field, 0, target.dims[i])
-            comps.append(acc)
-        return RepMap(res_src.p0, target, comps, check=False)
-
-    def extension_total(self, e: ExtClass, x: Rep, y: Rep) -> Tuple[Rep, RepMap, RepMap]:
-        """The middle term of the extension of x by y along e.
-
-        Returns (M, incl, proj) with an exact sequence
-        0 -> y -incl-> M -proj-> x -> 0.
-        """
-        res = self.proj_resolution(x)
-        ysum, injs, projs = self.direct_sum([y, res.p0])
-        # j: P1 -> y (+) P0, p |-> (c(p), -d(p))
-        j = e.cocycle.then(injs[0]).add(res.d.then(injs[1]).neg())
-        m, proj_to_m = self.cokernel(j)
-        incl = injs[0].then(proj_to_m)
-        # proj: M -> x descends (0, eps) through proj_to_m
-        zero_then_eps = projs[1].then(res.eps)
-        proj = self.descend(zero_then_eps, proj_to_m)
-        return m, incl, proj
+        The path algebra of an acyclic quiver is hereditary (the quiver
+        constructor rejects oriented cycles), so Ext^2 and above vanish
+        and the Euler form is exactly hom minus ext. The literal count,
+        Hom(P1(x), y) modulo coboundaries, is kept as a cross-check in
+        :func:`perihall.checks.ext1_dim_literal`."""
+        return self.hom_dim(x, y) - self.euler_form(x, y)
 
     # -- enumeration --------------------------------------------------
 

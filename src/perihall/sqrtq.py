@@ -100,9 +100,6 @@ class HallValue:
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
-    def is_rational(self) -> bool:
-        return not self.b
-
     def as_pair(self) -> Tuple[Fraction, Fraction]:
         return (self.a, self.b)
 
@@ -199,10 +196,6 @@ class HallValue:
         mag = abs(self.b)
         bpart = f"sqrt({self.q})" if mag == 1 else f"{mag}*sqrt({self.q})"
         return f"{self.a} {sign} {bpart}"
-
-    def approx(self) -> float:
-        """Float approximation, for display only."""
-        return float(self.a) + float(self.b) * math.sqrt(self.q)
 
 
 def sqrt_of_q_power(x: Fraction, q: int) -> "HallValue":

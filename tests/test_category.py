@@ -1,6 +1,7 @@
 import pytest
 
 from perihall.category import PeriodicContext
+from perihall.checks import aut_order_by_enumeration
 from perihall.gfp import FieldSpec
 from perihall.periodic import ChainMap, chain_hom_space
 from perihall.quiver import line_quiver
@@ -125,7 +126,7 @@ def test_aut_orders_against_enumeration(a1, a2):
         for key in pctx.enumerate_objects(bound):
             if pctx.total_dim(key) > 2:
                 continue
-            assert pctx.aut_order(key) == pctx.aut_order_by_enumeration(key), key
+            assert pctx.aut_order(key) == aut_order_by_enumeration(pctx, key), key
 
 
 def test_aut_order_frozen_values(a1, a2):
@@ -145,7 +146,7 @@ def test_aut_order_odd_prime():
     assert pctx.aut_order(s) == 2
     ss = pctx.direct_sum_key(s, s)
     assert pctx.aut_order(ss) == 48
-    assert pctx.aut_order_by_enumeration(ss) == 48
+    assert aut_order_by_enumeration(pctx, ss) == 48
 
 
 def test_components_and_dvec(a2):

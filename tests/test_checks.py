@@ -3,6 +3,13 @@ import pytest
 from perihall.checks import (
     build_quiver_engine,
     check_classical_comparison,
+    check_cone_well_defined,
+    check_decorated_symmetry,
+    check_hom_dimensions,
+    check_orbit_normal_form,
+    check_pbw_round_trip,
+    check_relations,
+    check_stable_images,
     check_symmetry,
     graded_triples,
     hall_number_via,
@@ -41,3 +48,72 @@ def test_dual_recipe_names_are_checked():
     pctx, engine = build_quiver_engine(line_quiver(1), 2)
     with pytest.raises(ValueError):
         hall_number_via(engine, pctx.zero_key, pctx.zero_key, pctx.zero_key, "sideways")
+
+
+def test_hom_dimensions_harness_sees_a_wrong_ext1(monkeypatch):
+    pctx, _ = build_quiver_engine(line_quiver(3), 2)
+    keys = pctx.enumerate_objects((1, 1, 1))[:40]
+    report = check_hom_dimensions(pctx, keys, literal_limit=200)
+    assert report.passed, report.summary()
+    assert report.details["literal pairs"] == 200
+
+    pctx, _ = build_quiver_engine(line_quiver(3), 2)
+    keys = pctx.enumerate_objects((1, 1, 1))[:40]
+    honest = pctx.ctx.ext1_dim
+    monkeypatch.setattr(pctx.ctx, "ext1_dim", lambda x, y: honest(x, y) + (honest(x, y) > 0))
+    report = check_hom_dimensions(pctx, keys, literal_limit=200)
+    assert not report.passed
+
+
+def test_relations_harness_catches_the_fault():
+    for fault_inject in (False, True):
+        pctx, engine = build_quiver_engine(line_quiver(2), 2, fault_inject=fault_inject)
+        modules = [pctx.module_key(r) for r in pctx.ctx.enumerate_reps((1, 1))]
+        report = check_relations(engine, pctx, modules)
+        assert report.checked > 0
+        assert report.passed is not fault_inject, report.summary()
+
+
+def _a2_scope():
+    pctx, engine = build_quiver_engine(line_quiver(2), 2)
+    return pctx, engine, pctx.enumerate_objects((1, 1))[:12]
+
+
+def test_cone_well_defined_harness_passes_on_a2():
+    pctx, _, keys = _a2_scope()
+    pairs = [(x, y) for x in keys for y in keys]
+    report = check_cone_well_defined(pctx, keys, pairs, morphism_target=40)
+    assert report.passed, report.summary()
+    assert report.details["morphisms"] == 40
+    assert report.details["triangles"] > 0
+
+
+def test_pbw_round_trip_harness_passes_on_a2():
+    _, engine, keys = _a2_scope()
+    report = check_pbw_round_trip(engine, keys)
+    assert report.passed, report.summary()
+    assert report.checked == 12
+
+
+def test_stable_images_harness_passes_on_a1():
+    pctx, engine = build_quiver_engine(line_quiver(1), 2)
+    report = check_stable_images(pctx, engine, pctx.enumerate_objects((1,)), target=40, exp_cap=4)
+    assert report.passed, report.summary()
+    assert report.checked == 40
+
+
+def test_orbit_normal_form_harness_passes_on_a1():
+    pctx, engine = build_quiver_engine(line_quiver(1), 2)
+    report = check_orbit_normal_form(pctx, engine, pctx.enumerate_objects((1,)), target=10)
+    assert report.passed, report.summary()
+    assert report.checked == 10
+
+
+def test_decorated_symmetry_passes_on_a1():
+    # the harness reads only product supports, so it cannot see the
+    # faulty engine's wrong coefficient; this pins the honest PASS only
+    pctx, engine = build_quiver_engine(line_quiver(1), 2)
+    keys = pctx.enumerate_objects((1,))
+    report = check_decorated_symmetry(pctx, engine, keys, target=30, exp_cap=5)
+    assert report.passed, report.summary()
+    assert report.checked == 30

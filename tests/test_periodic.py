@@ -199,7 +199,7 @@ def test_cone_class_ignores_homotopy_representative():
         base = piece_classes(ctx, normal_pieces(ctx, mapping_cone(ctx, f)[0]))
         for seed in ((1,), (1, 0, 1), (1, 1, 1, 0, 1)):
             g = f.add(h.random_boundary(seed))
-            assert h.is_homotopic(f, g)
+            assert h.class_coords(g) == h.class_coords(f)
             assert piece_classes(ctx, normal_pieces(ctx, mapping_cone(ctx, g)[0])) == base
 
 

@@ -35,9 +35,3 @@ def test_euler_form():
     assert q.euler_form((1, 0), (0, 1)) == -1
     assert q.euler_form((0, 1), (1, 0)) == 0
     assert q.euler_form((1, 1), (1, 1)) == 1
-    assert q.symmetrized_euler_form((1, 0), (0, 1)) == -1
-
-
-def test_fingerprint_stability():
-    assert line_quiver(2).fingerprint() == line_quiver(2).fingerprint()
-    assert line_quiver(2).fingerprint() != line_quiver(3).fingerprint()
