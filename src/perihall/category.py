@@ -8,6 +8,12 @@ cone, and computes automorphism group orders by a layered closed
 formula; :func:`perihall.checks.aut_order_by_enumeration` recounts them
 by enumeration.
 
+Morphisms are counted one orbit of the scalar action at a time: the
+zero morphism x -> m has cone x[1] + m, read off the keys, and
+cone(c f) is isomorphic to cone(f) for c in F_q^*, so one cone is
+classified per line of Hom(x, m) and counted with weight q - 1;
+:func:`perihall.checks.fiber_counts_literal` classifies every morphism.
+
 Keys are plain sorted tuples, one (class_id, shift) entry per
 indecomposable summand, so they hash and compare cheaply and the empty
 tuple is the zero object.
@@ -89,12 +95,29 @@ class BlockHomSpace:
                 f = f.add(self.source.projections[i].then(block).then(self.target.injections[j]))
         return f
 
-    def enumerate_classes(self, cap: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
+    def _check_budget(self, cap: Optional[int]) -> None:
         p = self.pctx.q
         limit = cap if cap is not None else self.pctx.ctx.enum_cap
         if p**self.dim > limit:
-            raise BudgetExceeded(f"{p**self.dim} morphism classes exceed cap {limit}")
-        yield from itertools.product(range(p), repeat=self.dim)
+            fmt = self.pctx.format_key
+            raise BudgetExceeded(
+                f"{p**self.dim} morphism classes {fmt(self.source.key)} -> {fmt(self.target.key)}"
+                f" exceed cap {limit}"
+            )
+
+    def enumerate_classes(self, cap: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
+        self._check_budget(cap)
+        yield from itertools.product(range(self.pctx.q), repeat=self.dim)
+
+    def enumerate_lines(self, cap: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
+        """One nonzero class per line through the origin: the coordinates
+        whose first nonzero entry is 1, in lexicographic order. The cap
+        applies to the whole space, as in :meth:`enumerate_classes`."""
+        self._check_budget(cap)
+        for lead in range(self.dim - 1, -1, -1):
+            head = (0,) * lead + (1,)
+            for tail in itertools.product(range(self.pctx.q), repeat=self.dim - 1 - lead):
+                yield head + tail
 
 
 class PeriodicContext:
@@ -258,15 +281,21 @@ class PeriodicContext:
 
         The returned dict maps the object key of the cone to the number
         of morphisms producing it; values sum to q**hom_dim(x, m).
+        The zero morphism's cone x[1] + m is read off the keys. For c in
+        F_q^*, (id_x[1], c id_m) is a chain isomorphism cone(f) ->
+        cone(c f), so one morphism per line, first nonzero coordinate 1,
+        is classified and counts q - 1 times. The cap bounds
+        q**hom_dim(x, m).
         """
         k = (x, m)
         hit = self._fiber_cache.get(k)
         if hit is None:
-            space = self.hom_space(x, m)
-            hit = {}
-            for coords in space.enumerate_classes(cap):
-                ck = self.cone_key(space.rep_map(coords))
-                hit[ck] = hit.get(ck, 0) + 1
+            hit = {self.direct_sum_key(self.shift_key(x, 1), m): 1}
+            if self.hom_dim(x, m):
+                space = self.hom_space(x, m)
+                for coords in space.enumerate_lines(cap):
+                    ck = self.cone_key(space.rep_map(coords))
+                    hit[ck] = hit.get(ck, 0) + self.q - 1
             self._fiber_cache[k] = hit
         return hit
 

@@ -359,7 +359,10 @@ class HomSpace:
         limit = cap if cap is not None else self.ctx.enum_cap
         total = self.ctx.field.p**self.dim
         if total > limit:
-            raise BudgetExceeded(f"class enumeration of size {total} exceeds cap {limit}")
+            raise BudgetExceeded(
+                f"class enumeration of size {total} exceeds cap {limit}: slot dimension vectors"
+                f" {[s.dims for s in self.source.slots]} -> {[s.dims for s in self.target.slots]}"
+            )
         yield from itertools.product(range(self.ctx.field.p), repeat=self.dim)
 
     def is_null_homotopic(self, f: ChainMap) -> bool:

@@ -1,11 +1,11 @@
 import pytest
 
 from perihall.category import PeriodicContext
-from perihall.checks import aut_order_by_enumeration
+from perihall.checks import aut_order_by_enumeration, fiber_counts_literal
 from perihall.gfp import FieldSpec
 from perihall.periodic import ChainMap, chain_hom_space
 from perihall.quiver import line_quiver
-from perihall.reps import RepContext
+from perihall.reps import BudgetExceeded, RepContext
 
 
 @pytest.fixture
@@ -119,6 +119,56 @@ def test_fiber_counts_total_mass(a2):
     # one nonzero class, and its cone is the shifted projective cover
     p1 = a2.module_key(a2.ctx.projective("1"))
     assert counts[a2.shift_key(p1, 1)] == 1
+
+
+@pytest.mark.parametrize(
+    "n, p, bound, first, hom_cap",
+    [
+        (1, 3, (1,), 8, None),
+        (1, 5, (1,), 8, None),
+        (1, 7, (1,), 8, None),
+        (2, 2, (1, 1), 20, 2),
+        (2, 3, (1, 1), 16, 2),
+        (3, 2, (1, 1, 1), 20, 2),
+    ],
+)
+def test_fiber_counts_match_the_literal_count(n, p, bound, first, hom_cap, monkeypatch):
+    # one cone per scalar line, the zero morphism's read off the keys:
+    # the counts must equal classifying every morphism, and only the
+    # q^d - 1 nonzero morphisms up to scalars may be classified
+    pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)))
+    keys = pctx.enumerate_objects(bound)[:first]
+    cones = []
+    honest = pctx.cone_key
+    monkeypatch.setattr(pctx, "cone_key", lambda f: cones.append(f) or honest(f))
+    checked = 0
+    for x in keys:
+        for m in keys:
+            d = pctx.hom_dim(x, m)
+            if hom_cap is not None and d > hom_cap:
+                continue
+            before = len(cones)
+            counts = pctx.fiber_counts(x, m)
+            assert len(cones) - before == (p**d - 1) // (p - 1)
+            assert counts == fiber_counts_literal(pctx, x, m), (x, m)
+            checked += 1
+    assert checked >= len(keys) ** 2 // 2
+
+
+def test_budget_errors_name_their_objects(a2):
+    s1 = a2.module_key(a2.ctx.simple("1"))
+    s2 = a2.module_key(a2.ctx.simple("2"))
+    x = a2.direct_sum_key(s1, a2.shift_key(s2, 1))
+    y = a2.direct_sum_key(s1, s2)
+    assert a2.hom_dim(x, y) > 0
+    with pytest.raises(BudgetExceeded) as err:
+        a2.fiber_counts(x, y, cap=1)
+    assert f"{a2.format_key(x)} -> {a2.format_key(y)}" in str(err.value)
+    source, target = a2.realize(x).total, a2.realize(y).total
+    with pytest.raises(BudgetExceeded) as err:
+        next(chain_hom_space(a2.ctx, source, target).enumerate_classes(cap=1))
+    slots = [[s.dims for s in c.slots] for c in (source, target)]
+    assert f"{slots[0]} -> {slots[1]}" in str(err.value)
 
 
 def test_aut_orders_against_enumeration(a1, a2):

@@ -94,6 +94,15 @@ def test_pbw_round_trip_harness_passes_on_a2():
     assert report.passed, report.summary()
     assert report.checked == 12
 
+    # the round trip holds by construction for any bilinear product that
+    # answers the same on every call, so it PASSes on the faulty engine
+    # too, even though the wrong constant changes an expansion here
+    pctx, faulty = build_quiver_engine(line_quiver(2), 2, fault_inject=True)
+    report = check_pbw_round_trip(faulty, pctx.enumerate_objects((1, 1))[:12])
+    assert report.passed, report.summary()
+    assert faulty.target is not None
+    assert any(engine.pbw_expand(k).terms != faulty.pbw_expand(k).terms for k in keys)
+
 
 def test_stable_images_harness_passes_on_a1():
     pctx, engine = build_quiver_engine(line_quiver(1), 2)
