@@ -8,6 +8,12 @@ cone, and computes automorphism group orders by a layered closed
 formula; :func:`perihall.checks.aut_order_by_enumeration` recounts them
 by enumeration.
 
+The scalars ``hom_dim`` and ``aut_order`` never build a module: they
+read a table of (dim Hom, dim Ext^1) per pair of class ids, filled once
+per pair, and weight it by the multiplicities in the keys;
+``aut_order`` also reads each class's residue degree, cached per class
+id. :func:`perihall.checks.aut_order_by_layers` builds the layers.
+
 Morphisms are counted one orbit of the scalar action at a time: the
 zero morphism x -> m has cone x[1] + m, read off the keys, and
 cone(c f) is isomorphic to cone(f) for c in F_q^*, so one cone is
@@ -22,6 +28,7 @@ tuple is the zero object.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .periodic import (
@@ -35,7 +42,8 @@ from .periodic import (
     normal_pieces,
     wrap_module,
 )
-from .reps import BudgetExceeded, Rep, RepContext
+from .gfp import MatrixFp
+from .reps import BudgetExceeded, Rep, RepContext, RepMap
 
 __all__ = ["ObjKey", "PeriodicContext", "RealizedObject", "BlockHomSpace"]
 
@@ -64,6 +72,14 @@ class BlockHomSpace:
     coordinates of all (source part, target part) blocks; reading a
     morphism off against the blocks and reassembling it round-trips
     exactly, not just up to homotopy.
+
+    The representative of a class is linear in its coordinates, so the
+    ``dim`` basis chain maps on the realized totals are assembled once
+    (projection, block representative, injection) and kept as flat
+    entry lists per (slot, vertex) component; :meth:`rep_map` is then
+    one linear combination mod q.
+    :func:`perihall.checks.rep_map_blockwise` assembles every
+    representative block by block.
     """
 
     def __init__(self, pctx: "PeriodicContext", source: RealizedObject, target: RealizedObject):
@@ -76,6 +92,10 @@ class BlockHomSpace:
                 self.blocks.append((i, j, pctx.block_space(pa, pb)))
         self._block_dims = [b[2].dim for b in self.blocks]
         self.dim = sum(self._block_dims)
+        # per slot, per vertex: (nrows, ncols, entry columns), where
+        # entry column e holds entry e of each basis map; None marks a
+        # component that vanishes on every basis map
+        self._basis: Optional[List[list]] = None
 
     def class_of(self, f: ChainMap) -> Tuple[int, ...]:
         out: List[int] = []
@@ -84,16 +104,45 @@ class BlockHomSpace:
             out.extend(space.class_coords(comp))
         return tuple(out)
 
-    def rep_map(self, coords: Sequence[int]) -> ChainMap:
-        f = ChainMap.zero(self.source.total, self.target.total)
-        pos = 0
+    def _build_basis(self) -> None:
+        """The basis chain maps, one per unit coordinate vector, stored
+        entry-major per (slot, vertex) component."""
+        maps = []
         for (i, j, space), d in zip(self.blocks, self._block_dims):
-            chunk = coords[pos : pos + d]
-            pos += d
-            if any(chunk):
-                block = space.rep_map(chunk)
-                f = f.add(self.source.projections[i].then(block).then(self.target.injections[j]))
-        return f
+            for k in range(d):
+                unit = [0] * d
+                unit[k] = 1
+                block = space.rep_map(unit)
+                maps.append(self.source.projections[i].then(block).then(self.target.injections[j]))
+        basis = []
+        for s in range(PERIOD):
+            slot = []
+            for v, (nr, nc) in enumerate(zip(self.source.total.slots[s].dims, self.target.total.slots[s].dims)):
+                flats = [m.comps[s].comps[v].flat() for m in maps]
+                cols = list(zip(*flats)) if flats else []
+                slot.append((nr, nc, cols if any(any(col) for col in cols) else None))
+            basis.append(slot)
+        self._basis = basis
+
+    def rep_map(self, coords: Sequence[int]) -> ChainMap:
+        """The chain map representing the class with these coordinates."""
+        if self._basis is None:
+            self._build_basis()
+        p = self.pctx.q
+        field = self.pctx.ctx.field
+        source, target = self.source.total, self.target.total
+        comps = []
+        for s in range(PERIOD):
+            mats = []
+            for nr, nc, cols in self._basis[s]:
+                if cols is None:
+                    rows = [[0] * nc for _ in range(nr)]
+                else:
+                    flat = [sum(map(operator.mul, coords, col)) % p for col in cols]
+                    rows = [flat[r * nc : (r + 1) * nc] for r in range(nr)]
+                mats.append(MatrixFp._trusted(field, rows, nc))
+            comps.append(RepMap(source.slots[s], target.slots[s], mats, check=False))
+        return ChainMap(source, target, comps, check=False)
 
     def _check_budget(self, cap: Optional[int]) -> None:
         p = self.pctx.q
@@ -132,6 +181,8 @@ class PeriodicContext:
         self._hom_cache: Dict[Tuple[ObjKey, ObjKey], BlockHomSpace] = {}
         self._fiber_cache: Dict[Tuple[ObjKey, ObjKey], Dict[ObjKey, int]] = {}
         self._aut_cache: Dict[ObjKey, int] = {}
+        self._pair_cache: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        self._residue_cache: Dict[int, int] = {}
 
     @property
     def q(self) -> int:
@@ -257,19 +308,26 @@ class PeriodicContext:
             self._hom_cache[k] = hit
         return hit
 
+    def _class_pair(self, a: int, b: int) -> Tuple[int, int]:
+        """(dim Hom, dim Ext^1) from the class with id a to the class
+        with id b, computed once per pair."""
+        k = (a, b)
+        hit = self._pair_cache.get(k)
+        if hit is None:
+            ra, rb = self.ctx.class_rep(a), self.ctx.class_rep(b)
+            self._pair_cache[k] = hit = (self.ctx.hom_dim(ra, rb), self.ctx.ext1_dim(ra, rb))
+        return hit
+
     def hom_dim(self, x: ObjKey, y: ObjKey) -> int:
         """Covering formula: summand pairs contribute their module hom,
         their extension space, or nothing, by shift residue."""
         total = 0
-        for cid_a, sa in x:
-            ra = self.ctx.class_rep(cid_a)
-            for cid_b, sb in y:
-                rb = self.ctx.class_rep(cid_b)
+        ys = _multiplicities(y)
+        for (cid_a, sa), ma in _multiplicities(x):
+            for (cid_b, sb), mb in ys:
                 r = (sb - sa) % PERIOD
-                if r == 0:
-                    total += self.ctx.hom_dim(ra, rb)
-                elif r == 1:
-                    total += self.ctx.ext1_dim(ra, rb)
+                if r < 2:
+                    total += ma * mb * self._class_pair(cid_a, cid_b)[r]
         return total
 
     def cone_key(self, f: ChainMap) -> ObjKey:
@@ -301,17 +359,49 @@ class PeriodicContext:
 
     # -- automorphisms ------------------------------------------------
 
+    def _residue_degree(self, cid: int) -> int:
+        """dim over F_q of End(I)/rad for the indecomposable class cid."""
+        hit = self._residue_cache.get(cid)
+        if hit is None:
+            self._residue_cache[cid] = hit = self.ctx.residue_field_degree(self.ctx.class_rep(cid))
+        return hit
+
     def aut_order(self, key: ObjKey) -> int:
         """|Aut| through the layered formula: shift layers contribute
         their module automorphisms, and the strictly lower triangle of
         maps between consecutive shifts is a square-zero ideal, so it
-        contributes a free factor of q per extension dimension."""
+        contributes a free factor of q per extension dimension.
+
+        A layer with m_k copies of the class k has the Krull-Schmidt
+        unit count: GL_{m_k} over the residue field of each class,
+        times q to the dimension of the radical of its endomorphism
+        ring. Every dimension is read off the class-pair table;
+        :func:`perihall.checks.aut_order_by_layers` builds the layers."""
         hit = self._aut_cache.get(key)
         if hit is None:
-            layers = [self.part_rep(key, s) for s in range(PERIOD)]
+            q = self.q
+            counted = _multiplicities(key)
+            layers = [[(cid, m) for (cid, s), m in counted if s == sh] for sh in range(PERIOD)]
             order = 1
             for s in range(PERIOD):
-                order *= self.ctx.aut_order(layers[s])
-                order *= self.q ** self.ctx.ext1_dim(layers[s], layers[(s + 1) % PERIOD])
+                layer, above = layers[s], layers[(s + 1) % PERIOD]
+                end_dim = diag = ext_dim = 0
+                for cid_a, ma in layer:
+                    d = self._residue_degree(cid_a)
+                    diag += ma * ma * d
+                    qd = q**d
+                    for i in range(ma):
+                        order *= qd**ma - qd**i
+                    end_dim += sum(ma * mb * self._class_pair(cid_a, cid_b)[0] for cid_b, mb in layer)
+                    ext_dim += sum(ma * mb * self._class_pair(cid_a, cid_b)[1] for cid_b, mb in above)
+                if end_dim < diag:
+                    raise AssertionError("radical dimension negative; class-pair table bug")
+                order *= q ** (end_dim - diag + ext_dim)
             self._aut_cache[key] = hit = order
         return hit
+
+
+def _multiplicities(key: ObjKey) -> List[Tuple[Tuple[int, int], int]]:
+    """Each distinct (class_id, shift) entry of a sorted key with the
+    number of times it occurs."""
+    return [(part, len(list(run))) for part, run in itertools.groupby(key)]

@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .category import ObjKey, PeriodicContext
+from .category import BlockHomSpace, ObjKey, PeriodicContext
 from .gfp import Subspace
 from .hall import HallEngine, HallVector
 from .periodic import (
+    PERIOD,
     ChainMap,
     CycleComplex,
     HomSpace,
@@ -148,6 +149,36 @@ def aut_order_by_enumeration(pctx: PeriodicContext, key: ObjKey, cap: Optional[i
     return sum(
         1 for coords in space.enumerate_classes(cap) if pctx.cone_key(space.rep_map(coords)) == pctx.zero_key
     )
+
+
+def aut_order_by_layers(pctx: PeriodicContext, key: ObjKey) -> int:
+    """|Aut| from the module layers themselves: the direct sum at each
+    shift, its Krull-Schmidt unit count by
+    :meth:`perihall.reps.RepContext.aut_order`, and q to the dim Ext^1
+    from each layer to the next. The engine reads the same factors off
+    its class-pair table."""
+    layers = [pctx.part_rep(key, s) for s in range(PERIOD)]
+    order = 1
+    for s in range(PERIOD):
+        order *= pctx.ctx.aut_order(layers[s])
+        order *= pctx.q ** pctx.ctx.ext1_dim(layers[s], layers[(s + 1) % PERIOD])
+    return order
+
+
+def rep_map_blockwise(space: BlockHomSpace, coords: Sequence[int]) -> ChainMap:
+    """The representative of a class of a block hom space, assembled
+    block by block: each block's representative, between the projection
+    onto its source part and the injection of its target part. The
+    engine combines precomputed basis maps instead."""
+    f = ChainMap.zero(space.source.total, space.target.total)
+    pos = 0
+    for i, j, block_space in space.blocks:
+        chunk = coords[pos : pos + block_space.dim]
+        pos += block_space.dim
+        if any(chunk):
+            block = block_space.rep_map(chunk)
+            f = f.add(space.source.projections[i].then(block).then(space.target.injections[j]))
+    return f
 
 
 def fiber_counts_literal(
@@ -518,7 +549,6 @@ def _invertible_classes(
 
 def check_orbit_normal_form(
     pctx: PeriodicContext,
-    engine: HallEngine,
     keys: Sequence[Key],
     target: int = 50,
     hom_cap: int = 6,
@@ -535,9 +565,8 @@ def check_orbit_normal_form(
       over orbits of |End| / (image size * |Aut|) of the split summand.
 
     Only the context's fiber counts, automorphism orders and hom spaces
-    are read; the engine is never asked for a product coefficient, so
-    the harness cannot see a wrong structure constant and its test is
-    PASS-only by design.
+    are read, never a product coefficient, so the harness cannot see a
+    wrong structure constant and its test is PASS-only by design.
     """
     report = CheckReport("triangle orbit normal form")
     for z in keys:
@@ -558,7 +587,7 @@ def check_orbit_normal_form(
                     continue
                 if pctx.hom_dim(pctx.shift_key(z, 1), l) > hom_cap:
                     continue
-                _orbit_instance(pctx, engine, report, z, l, m)
+                _orbit_instance(pctx, report, z, l, m)
                 if report.checked >= target:
                     return report
     return report
@@ -566,7 +595,6 @@ def check_orbit_normal_form(
 
 def _orbit_instance(
     pctx: PeriodicContext,
-    engine: HallEngine,
     report: CheckReport,
     z: Key,
     l: Key,

@@ -9,6 +9,13 @@ the right. A linear map F_p^m -> F_p^n is an m x n matrix M, it sends v
 to v @ M, and "f then g" composes as mat(f) @ mat(g). Consequently
 ``kernel_basis`` returns the *left* kernel {v : v M = 0} and ``solve``
 finds v with v M = b.
+
+The public ``MatrixFp(...)`` constructor reduces every entry mod p and
+checks the shape. Results of the package's own arithmetic (zeros,
+identities, sums, products, stacks, row reductions, solutions) are
+freshly built lists that are already reduced, so they go through the
+internal ``MatrixFp._trusted`` instead, which stores the rows as given.
+No result shares a row list with an operand.
 """
 
 from __future__ import annotations
@@ -93,15 +100,27 @@ class MatrixFp:
             self.ncols = ncols
         self._key = None
 
+    @classmethod
+    def _trusted(cls, field: FieldSpec, rows: List[List[int]], ncols: int) -> "MatrixFp":
+        """Wrap freshly built rows, already reduced mod p and of length
+        ncols, without copying or checking them."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        m._key = None
+        return m
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "MatrixFp":
-        return cls(field, [[0] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._trusted(field, [[0] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "MatrixFp":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        return cls._trusted(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def from_flat(cls, field: FieldSpec, flat: Sequence[int], nrows: int, ncols: int) -> "MatrixFp":
@@ -144,29 +163,29 @@ class MatrixFp:
     def add(self, other: "MatrixFp") -> "MatrixFp":
         self._check_shape(other)
         p = self.field.p
-        return MatrixFp(
+        return MatrixFp._trusted(
             self.field,
             [[(a + b) % p for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols,
+            self.ncols,
         )
 
     def sub(self, other: "MatrixFp") -> "MatrixFp":
         self._check_shape(other)
         p = self.field.p
-        return MatrixFp(
+        return MatrixFp._trusted(
             self.field,
             [[(a - b) % p for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols,
+            self.ncols,
         )
 
     def neg(self) -> "MatrixFp":
         p = self.field.p
-        return MatrixFp(self.field, [[(-a) % p for a in row] for row in self.rows], ncols=self.ncols)
+        return MatrixFp._trusted(self.field, [[(-a) % p for a in row] for row in self.rows], self.ncols)
 
     def scale(self, c: int) -> "MatrixFp":
         p = self.field.p
         c %= p
-        return MatrixFp(self.field, [[(c * a) % p for a in row] for row in self.rows], ncols=self.ncols)
+        return MatrixFp._trusted(self.field, [[(c * a) % p for a in row] for row in self.rows], self.ncols)
 
     def mul(self, other: "MatrixFp") -> "MatrixFp":
         """Matrix product; under the row convention this composes
@@ -181,28 +200,28 @@ class MatrixFp:
                 out.append([sum(a * b for a, b in zip(row, col)) % p for col in bt])
             else:
                 out.append([0] * other.ncols)
-        return MatrixFp(self.field, out, ncols=other.ncols)
+        return MatrixFp._trusted(self.field, out, other.ncols)
 
     __matmul__ = mul
 
     def transpose(self) -> "MatrixFp":
         if not self.rows:
-            return MatrixFp(self.field, [[] for _ in range(self.ncols)], ncols=0)
-        return MatrixFp(self.field, [list(col) for col in zip(*self.rows)], ncols=self.nrows)
+            return MatrixFp._trusted(self.field, [[] for _ in range(self.ncols)], 0)
+        return MatrixFp._trusted(self.field, [list(col) for col in zip(*self.rows)], self.nrows)
 
     def hstack(self, other: "MatrixFp") -> "MatrixFp":
         if self.nrows != other.nrows:
             raise ValueError("hstack row mismatch")
-        return MatrixFp(
+        return MatrixFp._trusted(
             self.field,
             [ra + rb for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols + other.ncols,
+            self.ncols + other.ncols,
         )
 
     def vstack(self, other: "MatrixFp") -> "MatrixFp":
         if self.ncols != other.ncols:
             raise ValueError("vstack col mismatch")
-        return MatrixFp(self.field, self.rows + other.rows, ncols=self.ncols)
+        return MatrixFp._trusted(self.field, [r[:] for r in self.rows] + [r[:] for r in other.rows], self.ncols)
 
     @staticmethod
     def block(field: FieldSpec, grid: Sequence[Sequence["MatrixFp"]]) -> "MatrixFp":
@@ -229,21 +248,21 @@ class MatrixFp:
         """Reduced row echelon form and its pivot columns."""
         rows = self.copy_rows()
         pivots = _rref_in_place(rows, self.ncols, self.field)
-        return MatrixFp(self.field, rows, ncols=self.ncols), pivots
+        return MatrixFp._trusted(self.field, rows, self.ncols), pivots
 
     def rref_with_transform(self) -> Tuple["MatrixFp", Tuple[int, ...], "MatrixFp"]:
         """As rref(), plus an invertible T with T @ self == rref."""
         n = self.nrows
         aug = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.rows)]
         if not aug:
-            return self, (), MatrixFp(self.field, [], ncols=0)
+            return self, (), MatrixFp._trusted(self.field, [], 0)
         pivots = _rref_in_place(aug, self.ncols, self.field)
         red = [row[: self.ncols] for row in aug]
         t = [row[self.ncols :] for row in aug]
         return (
-            MatrixFp(self.field, red, ncols=self.ncols),
+            MatrixFp._trusted(self.field, red, self.ncols),
             pivots,
-            MatrixFp(self.field, t, ncols=n),
+            MatrixFp._trusted(self.field, t, n),
         )
 
     def rank(self) -> int:
@@ -255,17 +274,17 @@ class MatrixFp:
         _, pivots, t = self.rref_with_transform()
         ker_rows = t.rows[len(pivots) :]
         if not ker_rows:
-            return MatrixFp(self.field, [], ncols=self.nrows)
+            return MatrixFp._trusted(self.field, [], self.nrows)
         rows = [r[:] for r in ker_rows]
         _rref_in_place(rows, self.nrows, self.field)
         rows = [r for r in rows if any(r)]
-        return MatrixFp(self.field, rows, ncols=self.nrows)
+        return MatrixFp._trusted(self.field, rows, self.nrows)
 
     def row_space_basis(self) -> "MatrixFp":
         """Canonical (rref) basis of the row space, i.e. of the image of
         the map v |-> v @ self."""
         red, pivots = self.rref()
-        return MatrixFp(self.field, red.rows[: len(pivots)], ncols=self.ncols)
+        return MatrixFp._trusted(self.field, red.rows[: len(pivots)], self.ncols)
 
     def solve(self, b: Sequence[int]) -> Optional[List[int]]:
         """One v with v @ self == b, or None. Free coordinates are 0."""
@@ -296,7 +315,7 @@ class MatrixFp:
             if any(v):
                 return None
             out.append(coeffs)
-        return MatrixFp(self.field, out, ncols=self.nrows)
+        return MatrixFp._trusted(self.field, out, self.nrows)
 
     def solve_right(self, b: "MatrixFp") -> Optional["MatrixFp"]:
         """One X with self @ X == b, or None. Dual of solve_matrix."""
@@ -367,7 +386,7 @@ class Subspace:
         red, pivots = m.rref()
         self.field = field
         self.ambient = ambient
-        self.basis = MatrixFp(field, red.rows[: len(pivots)], ncols=ambient)
+        self.basis = MatrixFp._trusted(field, red.rows[: len(pivots)], ambient)
         self.pivots = pivots
         self._free = tuple(c for c in range(ambient) if c not in set(pivots))
 

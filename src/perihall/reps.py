@@ -226,7 +226,7 @@ def _direct_sum(field: FieldSpec, quiver: Quiver, reps: Sequence[Rep]) -> Tuple[
             post = dims[w] - pre - r.dims[w]
             for row in block.rows:
                 rows.append([0] * pre + row + [0] * post)
-        mats[a.name] = MatrixFp(field, rows, ncols=dims[w])
+        mats[a.name] = MatrixFp._trusted(field, rows, dims[w])
     total = Rep(field, quiver, dims, mats)
     injections = []
     projections = []
@@ -656,7 +656,7 @@ class RepContext:
         diag = 0
         gl_product = 1
         for rep, m in classes:
-            d_k = self._residue_field_degree(rep)
+            d_k = self.residue_field_degree(rep)
             diag += m * m * d_k
             qk = p ** d_k
             for i in range(m):
@@ -666,7 +666,7 @@ class RepContext:
             raise AssertionError("radical dimension negative; decomposition bug")
         return (p**rad_dim) * gl_product
 
-    def _residue_field_degree(self, indec: Rep) -> int:
+    def residue_field_degree(self, indec: Rep) -> int:
         """dim over F_p of End(I)/rad for an indecomposable I."""
         basis = self.hom_basis(indec, indec)
         d = len(basis)

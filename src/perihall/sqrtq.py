@@ -8,11 +8,18 @@ radicands are such powers and a violation means a bug upstream).
 
 When q happens to be a perfect square the value is normalized so that
 the irrational part is 0; for prime q that branch is dead, but it keeps
-the type honest for composite prime powers fed in by tests.
+the type honest for composite prime powers fed in by tests. Whether q
+is a perfect square is decided once per q. Sums, differences and
+products of normalized values are normalized again (for square q every
+irrational part is 0), so arithmetic builds its results without
+re-checking, and ``__mul__`` skips the zero terms of the product
+formula when an operand is rational or both are pure multiples of
+sqrt(q).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -21,12 +28,17 @@ __all__ = ["HallValue", "q_power_exponent", "sqrt_of_q_power"]
 
 Rat = Union[int, Fraction]
 
+_ZERO = Fraction(0)
 
-def _isqrt_exact(n: int) -> Optional[int]:
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
+
+@functools.lru_cache(maxsize=None)
+def _root_of(q: int) -> Optional[int]:
+    """The integer square root of q when q is a perfect square, else
+    None; validates q and is computed once per q."""
+    if q < 2:
+        raise ValueError(f"q must be at least 2, got {q}")
+    r = math.isqrt(q)
+    return r if r * r == q else None
 
 
 def q_power_exponent(x: Fraction, q: int) -> Optional[int]:
@@ -59,18 +71,27 @@ class HallValue:
     __slots__ = ("a", "b", "q")
 
     def __init__(self, a: Rat, b: Rat, q: int):
-        if q < 2:
-            raise ValueError(f"q must be at least 2, got {q}")
-        a = Fraction(a)
-        b = Fraction(b)
-        root = _isqrt_exact(q)
+        root = _root_of(q)
+        if type(a) is not Fraction:
+            a = Fraction(a)
+        if type(b) is not Fraction:
+            b = Fraction(b)
         if root is not None and b:
             # q is a perfect square, fold the irrational part away
             a += b * root
-            b = Fraction(0)
+            b = _ZERO
         self.a = a
         self.b = b
         self.q = q
+
+    @classmethod
+    def _new(cls, a: Fraction, b: Fraction, q: int) -> "HallValue":
+        """Wrap parts that are Fractions already and normalized for q."""
+        v = object.__new__(cls)
+        v.a = a
+        v.b = b
+        v.q = q
+        return v
 
     # -- constructors -------------------------------------------------
 
@@ -92,8 +113,8 @@ class HallValue:
         half, odd = divmod(k, 2)  # floor division, odd in {0, 1}
         base = Fraction(q) ** half
         if not odd:
-            return cls(base, 0, q)
-        return cls(0, base, q)
+            return cls(base, _ZERO, q)
+        return cls(_ZERO, base, q)
 
     # -- structure ----------------------------------------------------
 
@@ -129,27 +150,32 @@ class HallValue:
 
     def __add__(self, other: Union["HallValue", Rat]) -> "HallValue":
         o = self._coerce(other)
-        return HallValue(self.a + o.a, self.b + o.b, self.q)
+        return HallValue._new(self.a + o.a, self.b + o.b, self.q)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["HallValue", Rat]) -> "HallValue":
         o = self._coerce(other)
-        return HallValue(self.a - o.a, self.b - o.b, self.q)
+        return HallValue._new(self.a - o.a, self.b - o.b, self.q)
 
     def __rsub__(self, other: Union["HallValue", Rat]) -> "HallValue":
         return self._coerce(other).__sub__(self)
 
     def __neg__(self) -> "HallValue":
-        return HallValue(-self.a, -self.b, self.q)
+        return HallValue._new(-self.a, -self.b, self.q)
 
     def __mul__(self, other: Union["HallValue", Rat]) -> "HallValue":
         o = self._coerce(other)
-        return HallValue(
-            self.a * o.a + self.b * o.b * self.q,
-            self.a * o.b + self.b * o.a,
-            self.q,
-        )
+        a, b, c, d, q = self.a, self.b, o.a, o.b, self.q
+        if not b and not d:
+            return HallValue._new(a * c, _ZERO, q)
+        if not a and not c:
+            return HallValue._new(b * d * q, _ZERO, q)
+        if not d:
+            return HallValue._new(a * c, b * c, q)
+        if not b:
+            return HallValue._new(a * c, a * d, q)
+        return HallValue._new(a * c + b * d * q, a * d + b * c, q)
 
     __rmul__ = __mul__
 
@@ -163,9 +189,9 @@ class HallValue:
             # nonzero rationals, so reaching here means q is square and
             # normalization failed, which is a bug
             raise ArithmeticError("degenerate conjugate norm")
-        conj = HallValue(o.a, -o.b, self.q)
+        conj = HallValue._new(o.a, -o.b, self.q)
         num = self * conj
-        return HallValue(num.a / norm, num.b / norm, self.q)
+        return HallValue._new(num.a / norm, num.b / norm, self.q)
 
     def __rtruediv__(self, other: Union["HallValue", Rat]) -> "HallValue":
         return self._coerce(other).__truediv__(self)

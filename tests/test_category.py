@@ -1,11 +1,18 @@
 import pytest
 
 from perihall.category import PeriodicContext
-from perihall.checks import aut_order_by_enumeration, fiber_counts_literal
-from perihall.gfp import FieldSpec
+from perihall.checks import (
+    aut_order_by_enumeration,
+    aut_order_by_layers,
+    fiber_counts_literal,
+    rep_map_blockwise,
+)
+from perihall.gfp import FieldSpec, MatrixFp
 from perihall.periodic import ChainMap, chain_hom_space
-from perihall.quiver import line_quiver
-from perihall.reps import BudgetExceeded, RepContext
+from perihall.quiver import Arrow, Quiver, line_quiver
+from perihall.reps import BudgetExceeded, Rep, RepContext
+
+KRONECKER = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
 
 
 @pytest.fixture
@@ -71,6 +78,36 @@ def test_block_coordinates_round_trip(a2):
     space = a2.hom_space(x, x)
     for coords in space.enumerate_classes():
         assert space.class_of(space.rep_map(coords)) == coords
+
+
+@pytest.mark.parametrize(
+    "quiver, p, bound, first",
+    [
+        (line_quiver(1), 3, (1,), None),
+        (line_quiver(2), 2, (1, 1), 20),
+        (line_quiver(2), 3, (1, 1), 16),
+        (line_quiver(3), 2, (1, 1, 1), 20),
+        # basis maps with entries q - 1 that overlap, so the
+        # combination must reduce mod q
+        (KRONECKER, 3, (1, 1), 30),
+    ],
+    ids=["A1-p3", "A2-p2", "A2-p3", "A3-p2", "kronecker-p3"],
+)
+def test_rep_map_matches_the_blockwise_assembly(quiver, p, bound, first):
+    # the flat combination of basis maps must reproduce, entry for
+    # entry, the representative assembled block by block
+    pctx = PeriodicContext(RepContext(quiver, FieldSpec(p)))
+    keys = pctx.enumerate_objects(bound)[:first]
+    spaces = 0
+    for x in keys:
+        for m in keys:
+            if pctx.hom_dim(x, m) > 3:
+                continue
+            space = pctx.hom_space(x, m)
+            for coords in space.enumerate_classes():
+                assert space.rep_map(coords).key() == rep_map_blockwise(space, coords).key(), (x, m, coords)
+            spaces += 1
+    assert spaces >= len(keys) ** 2 // 2
 
 
 def test_cone_of_zero_map_is_sum_with_shift(a2):
@@ -177,6 +214,36 @@ def test_aut_orders_against_enumeration(a1, a2):
             if pctx.total_dim(key) > 2:
                 continue
             assert pctx.aut_order(key) == aut_order_by_enumeration(pctx, key), key
+
+
+def test_aut_orders_against_the_layered_recipe():
+    # the class-pair formula against direct sums of the layers, on
+    # scopes with repeated classes in a layer and with extensions
+    # between consecutive layers
+    repeated = extended = 0
+    for n, p, bound, first in ((1, 3, (2,), None), (2, 2, (2, 2), 200), (3, 2, (1, 1, 1), 200)):
+        pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)))
+        for key in pctx.enumerate_objects(bound)[:first]:
+            assert pctx.aut_order(key) == aut_order_by_layers(pctx, key), key
+            layers = pctx.components(key)
+            repeated += len(set(key)) < len(key)
+            extended += any(pctx.hom_dim(layers[s], pctx.shift_key(layers[(s + 1) % 3], 1)) for s in range(3))
+    assert repeated and extended
+
+
+def test_aut_order_reads_the_residue_degree():
+    # on line quivers every indecomposable has End = F_q; the Kronecker
+    # module (I, A) with A irreducible over F_2 has End = F_4
+    f2 = FieldSpec(2)
+    pctx = PeriodicContext(RepContext(KRONECKER, f2))
+    r = Rep(f2, KRONECKER, (2, 2), {"a": MatrixFp.identity(f2, 2), "b": MatrixFp(f2, [[0, 1], [1, 1]])})
+    k = pctx.module_key(r)
+    s = pctx.module_key(pctx.ctx.simple("1"))
+    assert pctx.aut_order(k) == 3 == aut_order_by_enumeration(pctx, k)
+    assert pctx.aut_order(pctx.direct_sum_key(k, k)) == 15 * 12  # |GL_2(F_4)|
+    for other in (k, pctx.shift_key(k, 1), pctx.shift_key(s, 2)):
+        key = pctx.direct_sum_key(k, other)
+        assert pctx.aut_order(key) == aut_order_by_layers(pctx, key), key
 
 
 def test_aut_order_frozen_values(a1, a2):

@@ -112,8 +112,8 @@ def test_stable_images_harness_passes_on_a1():
 
 
 def test_orbit_normal_form_harness_passes_on_a1():
-    pctx, engine = build_quiver_engine(line_quiver(1), 2)
-    report = check_orbit_normal_form(pctx, engine, pctx.enumerate_objects((1,)), target=10)
+    pctx, _ = build_quiver_engine(line_quiver(1), 2)
+    report = check_orbit_normal_form(pctx, pctx.enumerate_objects((1,)), target=10)
     assert report.passed, report.summary()
     assert report.checked == 10
 

@@ -148,3 +148,67 @@ def test_row_space_membership(m):
     for row in m.rows:
         assert s.contains(row)
     assert s.dim == m.rank()
+
+
+def test_results_never_share_rows_with_operands():
+    a = MatrixFp(F3, [[2, 1, 0], [1, 2, 2]])
+    b = MatrixFp(F3, [[1, 1, 2], [0, 2, 1]])
+    c = MatrixFp(F3, [[1, 0], [2, 1], [1, 1]])
+    before = [m.copy_rows() for m in (a, b, c)]
+    results = [a.vstack(b), a.hstack(b), a.rref()[0], a.transpose(), a.mul(c), MatrixFp.block(F3, [[a], [b]])]
+    for r in results:
+        for row in r.rows:
+            for j in range(len(row)):
+                row[j] = (row[j] + 1) % 3
+    assert [m.rows for m in (a, b, c)] == before
+
+
+@st.composite
+def operands(draw):
+    # a and b share a shape, c composes with a; entries start unreduced
+    p = draw(st.sampled_from([2, 3, 5]))
+    n, m, k = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def mat(r, s):
+        flat = draw(st.lists(st.integers(-3 * p, 3 * p), min_size=r * s, max_size=r * s))
+        return MatrixFp.from_flat(FieldSpec(p), flat, r, s)
+
+    return mat(n, m), mat(n, m), mat(m, k), draw(st.integers(-2 * p, 2 * p))
+
+
+@given(operands())
+def test_arithmetic_results_stay_reduced(ops):
+    a, b, c, s = ops
+    p = a.field.p
+    # b a^T is one solution X of X a == b a^T a
+    sol = a.solve_matrix(b.mul(a.transpose()).mul(a))
+    assert sol is not None
+    results = [
+        a.add(b),
+        a.sub(b),
+        a.neg(),
+        a.scale(s),
+        a.mul(c),
+        a.transpose(),
+        a.hstack(b),
+        a.vstack(b),
+        a.rref()[0],
+        *a.rref_with_transform()[::2],
+        a.kernel_basis(),
+        a.row_space_basis(),
+        sol,
+        MatrixFp.zeros(a.field, 2, 3),
+        MatrixFp.identity(a.field, 3),
+    ]
+    for r in results:
+        assert r.nrows == len(r.rows)
+        assert all(len(row) == r.ncols for row in r.rows)
+        assert all(x in range(p) for row in r.rows for x in row)
+
+
+def test_public_constructor_reduces_and_checks():
+    assert MatrixFp(F3, [[4, -1]]).rows == [[1, 2]]
+    with pytest.raises(ValueError):
+        MatrixFp(F3, [[1, 2], [1]])
+    with pytest.raises(ValueError):
+        MatrixFp(F3, [[1, 2]], ncols=3)

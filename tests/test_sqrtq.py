@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from perihall import sqrtq
 from perihall.sqrtq import HallValue, q_power_exponent, sqrt_of_q_power
 
 
@@ -24,6 +25,44 @@ def test_perfect_square_normalization():
     v = HallValue(1, 1, 4)  # sqrt(4) = 2 folds into the rational part
     assert v.a == 3 and v.b == 0
     assert HallValue.sqrt_q_power(1, 9) == HallValue(3, 0, 9)
+
+
+def test_perfect_square_fold_on_the_first_construction():
+    # whether q is a square is decided once per q; the fold must hold
+    # on the construction that decides it
+    sqrtq._root_of.cache_clear()
+    v = HallValue(1, 1, 4)
+    assert (v.a, v.b) == (3, 0)
+    sqrtq._root_of.cache_clear()
+    r = HallValue.sqrt_q_power(1, 9)
+    assert (r.a, r.b) == (3, 0)
+    assert HallValue(0, 1, 9) * HallValue(0, 2, 9) == HallValue(18, 0, 9)
+    assert HallValue(1, 0, 4).b == 0 and HallValue(2, 5, 4).a == 12
+    with pytest.raises(ValueError):
+        HallValue(1, 0, 1)
+
+
+def _general_product(x, y):
+    return HallValue(x.a * y.a + x.b * y.b * x.q, x.a * y.b + x.b * y.a, x.q)
+
+
+def shaped(q):
+    rats = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+    return st.one_of(
+        st.just(HallValue.zero(q)),
+        rats.map(lambda a: HallValue(a, 0, q)),
+        rats.map(lambda b: HallValue(0, b, q)),
+        st.tuples(rats, rats).map(lambda ab: HallValue(ab[0], ab[1], q)),
+    )
+
+
+@given(st.sampled_from([2, 3, 5]).flatmap(lambda q: st.tuples(shaped(q), shaped(q))))
+def test_mul_fast_paths_match_the_general_formula(xy):
+    # rational x rational, sqrt x sqrt, mixed and zero operands
+    x, y = xy
+    got = x * y
+    assert got == _general_product(x, y)
+    assert type(got.a) is Fraction and type(got.b) is Fraction
 
 
 @given(hv(), hv())
