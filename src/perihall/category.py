@@ -1,12 +1,19 @@
 """The 3-periodic category built on cycle complexes.
 
-Objects here are finite multisets of (module class, shift) pairs; every
-cycle complex normalizes to one. The context realizes objects as direct
-sums of wrapped module resolutions, computes morphism spaces blockwise
-between the wrapped summands, counts morphisms by the class of their
-cone, and computes automorphism group orders by a layered closed
-formula; :func:`perihall.checks.aut_order_by_enumeration` recounts them
-by enumeration.
+Objects here are finite multisets of (indecomposable class, shift)
+pairs; every cycle complex normalizes to one. By Krull-Schmidt a module
+placed at one shift is the multiset of its summand class ids,
+:meth:`perihall.reps.RepContext.summand_ids`, so ``module_key`` tags
+those ids with the shift, ``normalize`` joins the module keys of the
+three normal-form pieces, and ``enumerate_objects`` keys each module of
+the bound once and joins one module key per shift.
+
+The context realizes objects as direct sums of wrapped module
+resolutions, computes morphism spaces blockwise between the wrapped
+summands, counts morphisms by the class of their cone, and computes
+automorphism group orders by a layered closed formula;
+:func:`perihall.checks.aut_order_by_enumeration` recounts them by
+enumeration.
 
 The scalars ``hom_dim`` and ``aut_order`` never build a module: they
 read a table of (dim Hom, dim Ext^1) per pair of class ids, filled once
@@ -42,7 +49,7 @@ from .periodic import (
     normal_pieces,
     wrap_module,
 )
-from .gfp import MatrixFp
+from .gfp import MatrixFp, gl_order
 from .reps import BudgetExceeded, Rep, RepContext, RepMap
 
 __all__ = ["ObjKey", "PeriodicContext", "RealizedObject", "BlockHomSpace"]
@@ -54,12 +61,10 @@ class RealizedObject:
     """An object key together with its concrete complex and the chain
     maps onto and out of each wrapped summand."""
 
-    __slots__ = ("key", "parts", "total", "injections", "projections")
+    __slots__ = ("key", "total", "injections", "projections")
 
-    def __init__(self, key: ObjKey, parts: Sequence[Tuple[int, int]], total: CycleComplex,
-                 injections: Sequence[ChainMap], projections: Sequence[ChainMap]):
+    def __init__(self, key: ObjKey, total: CycleComplex, injections: Sequence[ChainMap], projections: Sequence[ChainMap]):
         self.key = key
-        self.parts = tuple(parts)
         self.total = total
         self.injections = tuple(injections)
         self.projections = tuple(projections)
@@ -87,8 +92,8 @@ class BlockHomSpace:
         self.source = source
         self.target = target
         self.blocks: List[Tuple[int, int, HomSpace]] = []
-        for i, pa in enumerate(source.parts):
-            for j, pb in enumerate(target.parts):
+        for i, pa in enumerate(source.key):
+            for j, pb in enumerate(target.key):
                 self.blocks.append((i, j, pctx.block_space(pa, pb)))
         self._block_dims = [b[2].dim for b in self.blocks]
         self.dim = sum(self._block_dims)
@@ -195,10 +200,10 @@ class PeriodicContext:
     # -- object keys --------------------------------------------------
 
     def module_key(self, rep: Rep, shift: int = 0) -> ObjKey:
-        """The object key of a module placed at the given shift."""
+        """The object key of a module placed at the given shift: its
+        summand class ids, each tagged with the shift."""
         shift %= PERIOD
-        cids = [self.ctx.class_id(s) for s in self.ctx.decompose(rep).summands]
-        return tuple(sorted((cid, shift) for cid in cids))
+        return tuple((cid, shift) for cid in self.ctx.summand_ids(rep))
 
     def shift_key(self, key: ObjKey, n: int = 1) -> ObjKey:
         return tuple(sorted((cid, (s + n) % PERIOD) for cid, s in key))
@@ -249,18 +254,15 @@ class PeriodicContext:
 
     def enumerate_objects(self, bound: Sequence[int]) -> List[ObjKey]:
         """All objects whose shift-s layer has dimension vector at most
-        ``bound`` for each s, ordered by total dimension then key."""
-        classes = [self.ctx.class_id(r) for r in self.ctx.enumerate_reps(bound)]
-        keys = set()
-        for triple in itertools.product(classes, repeat=PERIOD):
-            parts: List[Tuple[int, int]] = []
-            for s, cid in enumerate(triple):
-                rep = self.ctx.class_rep(cid)
-                if rep.total_dim:
-                    for sub in self.ctx.decompose(rep).summands:
-                        parts.append((self.ctx.class_id(sub), s))
-            keys.add(tuple(sorted(parts)))
-        return sorted(keys, key=lambda k: (self.total_dim(k), k))
+        ``bound`` for each s, ordered by total dimension then key.
+
+        Each module of the bound is keyed once; an object is one module
+        key per shift, and distinct modules have distinct keys."""
+        modules = [self.module_key(r) for r in self.ctx.enumerate_reps(bound)]
+        layers = [[self.shift_key(k, s) for k in modules] for s in range(PERIOD)]
+        keys = [self.direct_sum_key(*triple) for triple in itertools.product(*layers)]
+        size = [self.ctx.class_rep(cid).total_dim for cid in range(self.ctx.class_count())]
+        return sorted(keys, key=lambda k: (sum(size[cid] for cid, _ in k), k))
 
     # -- realization and normalization --------------------------------
 
@@ -277,18 +279,13 @@ class PeriodicContext:
         if hit is None:
             complexes = [self.wrap_part(part) for part in key]
             total, injs, projs = direct_sum_complexes(self.ctx, complexes)
-            hit = RealizedObject(key, key, total, injs, projs)
+            hit = RealizedObject(key, total, injs, projs)
             self._realize_cache[key] = hit
         return hit
 
     def normalize(self, c: CycleComplex) -> ObjKey:
         pieces = normal_pieces(self.ctx, c)
-        parts: List[Tuple[int, int]] = []
-        for s, piece in enumerate(pieces):
-            if piece.total_dim:
-                for sub in self.ctx.decompose(piece).summands:
-                    parts.append((self.ctx.class_id(sub), s))
-        return tuple(sorted(parts))
+        return self.direct_sum_key(*(self.module_key(piece, s) for s, piece in enumerate(pieces)))
 
     # -- morphisms ----------------------------------------------------
 
@@ -389,9 +386,7 @@ class PeriodicContext:
                 for cid_a, ma in layer:
                     d = self._residue_degree(cid_a)
                     diag += ma * ma * d
-                    qd = q**d
-                    for i in range(ma):
-                        order *= qd**ma - qd**i
+                    order *= gl_order(ma, q**d)
                     end_dim += sum(ma * mb * self._class_pair(cid_a, cid_b)[0] for cid_b, mb in layer)
                     ext_dim += sum(ma * mb * self._class_pair(cid_a, cid_b)[1] for cid_b, mb in above)
                 if end_dim < diag:

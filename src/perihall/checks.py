@@ -2,13 +2,14 @@
 
 Every closed formula the engine relies on (its one-enumeration product
 formula against both dual counting recipes, dim Ext^1 from the Euler
-form, the layered automorphism count, the square-root sizes of
-composition images, the block normal form of triangles, the
-straightening relations) is re-derived here by brute enumeration on
-small instances and compared exactly. :class:`FaultyEngine` carries one
-wrong structure constant, so a test can show that a harness notices. Each harness
-returns a CheckReport rather than raising, so the test suite and the
-command line can both run them and print one verdict per property.
+form, iso classes from Krull-Schmidt types, the layered automorphism
+count, the square-root sizes of composition images, the block normal
+form of triangles, the straightening relations) is re-derived here by
+brute enumeration on small instances and compared exactly.
+:class:`FaultyEngine` carries one wrong structure constant, so a test
+can show that a harness notices. Each harness returns a CheckReport
+rather than raising, so the test suite and the command line can both
+run them and print one verdict per property.
 
 The harnesses are deterministic: instance selection walks objects in
 graded enumeration order and all caps are explicit parameters.
@@ -33,7 +34,7 @@ from .periodic import (
     mapping_cone,
     normal_pieces,
 )
-from .reps import Rep, RepContext
+from .reps import Rep, RepContext, RepMap
 from .sqrtq import HallValue
 
 Key = Tuple
@@ -139,6 +140,58 @@ def ext1_dim_literal(ctx: RepContext, x: Rep, y: Rep) -> int:
     ambient = len(cocycles[0].flat())
     coboundaries = [res.d.then(phi).flat() for phi in ctx.hom_basis(res.p0, y)]
     return len(cocycles) - Subspace(ctx.field, ambient, coboundaries).dim
+
+
+def iso_between(ctx: RepContext, x: Rep, y: Rep) -> Optional[RepMap]:
+    """An isomorphism x -> y, or None, with an explicit witness.
+
+    For indecomposables a basis sweep settles it: the non-invertible
+    maps between indecomposables form a proper subspace whenever an iso
+    exists, and a basis cannot sit inside a proper subspace. For
+    decomposables the summand matching builds a block witness. The
+    engine compares :meth:`perihall.reps.RepContext.summand_ids`
+    instead."""
+    if x.dims != y.dims:
+        return None
+    if x.key() == y.key():
+        return RepMap.identity(x)
+    if x.total_dim == 0:
+        return RepMap.identity(x)
+    direct = next((h for h in ctx.hom_basis(x, y) if h.is_iso()), None)
+    if direct is not None:
+        return direct
+    dx = ctx.decompose(x)
+    dy = ctx.decompose(y)
+    if len(dx.summands) != len(dy.summands):
+        return None
+    if len(dx.summands) == 1:
+        return None  # both indecomposable, basis sweep already failed
+    used = [False] * len(dy.summands)
+    pieces: List[RepMap] = []
+    for sx in dx.summands:
+        found = None
+        for j, sy in enumerate(dy.summands):
+            if used[j] or sx.dims != sy.dims:
+                continue
+            w = iso_between(ctx, sx, sy)
+            if w is not None:
+                found = (j, w)
+                break
+        if found is None:
+            return None
+        used[found[0]] = True
+        pieces.append(found[1].then(dy.injections[found[0]].then(dy.iso)))
+    # assemble sum(dx) -> y from the matched pieces, then precompose
+    comps = []
+    for i in range(len(ctx.quiver.vertices)):
+        acc = None
+        for piece in pieces:
+            c = piece.comps[i]
+            acc = c if acc is None else acc.vstack(c)
+        comps.append(acc)
+    sum_to_y = RepMap(dx.sum_rep, y, comps, check=False)
+    witness = dx.iso.inverse().then(sum_to_y)
+    return witness if witness.is_iso() else None
 
 
 def aut_order_by_enumeration(pctx: PeriodicContext, key: ObjKey, cap: Optional[int] = None) -> int:
@@ -708,12 +761,12 @@ def _orbit_instance(
         orbits.append(orbit)
 
     # Block decomposition data of the two endpoint models.
-    l_models = [pctx.wrap_part(pt) for pt in Lr.parts]
-    z_models = [pctx.wrap_part(pt) for pt in Zr.parts]
+    l_models = [pctx.wrap_part(pt) for pt in Lr.key]
+    z_models = [pctx.wrap_part(pt) for pt in Zr.key]
     z1_models = [mod.shift(1) for mod in z_models]
-    z1_parts = [(cid, (s + 1) % pctx.t) for cid, s in Zr.parts]
+    z1_parts = [(cid, (s + 1) % pctx.t) for cid, s in Zr.key]
     z1_projs = [pr.shift(1) for pr in Zr.projections]
-    nl, nz = len(Lr.parts), len(Zr.parts)
+    nl, nz = len(Lr.key), len(Zr.key)
     split_pairs: List[Tuple[Key, Key]] = []
     ok = True
     for orbit in orbits:
@@ -749,8 +802,8 @@ def _orbit_instance(
                 ctx,
                 l_models,
                 z1_models,
-                Lr.parts,
-                Zr.parts,
+                Lr.key,
+                Zr.key,
                 z1_parts,
                 comps,
                 comp_zero,
@@ -997,8 +1050,8 @@ def check_cone_well_defined(
             report.fail(f"triple shift not the identity at {pctx.format_key(key)}")
         base = normal_pieces(ctx, model)
         rot = normal_pieces(ctx, model.shift(1))
-        base_ids = [ctx.class_id(r) for r in base]
-        rot_ids = [ctx.class_id(r) for r in rot]
+        base_ids = [ctx.summand_ids(r) for r in base]
+        rot_ids = [ctx.summand_ids(r) for r in rot]
         if rot_ids != [base_ids[2], base_ids[0], base_ids[1]]:
             report.fail(f"rotation equivariance at {pctx.format_key(key)}")
 

@@ -26,6 +26,7 @@ __all__ = [
     "FieldSpec",
     "MatrixFp",
     "Subspace",
+    "gl_order",
 ]
 
 
@@ -76,6 +77,14 @@ class FieldSpec:
 
     def __repr__(self) -> str:
         return f"FieldSpec({self.p})"
+
+
+def gl_order(m: int, q: int) -> int:
+    """|GL_m(F_q)|."""
+    out = 1
+    for i in range(m):
+        out *= q**m - q**i
+    return out
 
 
 class MatrixFp:

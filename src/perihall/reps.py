@@ -6,16 +6,24 @@ to every arrow. Everything follows the row convention from
 dim(u) x dim(w) and acts on row vectors from the right.
 
 The module provides the abelian-category toolkit (hom spaces, kernels,
-images, cokernels), Krull-Schmidt decomposition with explicit
-isomorphism witnesses, minimal projective resolutions and dim Ext^1,
-plus the counting utilities the Hall layer sits on (automorphism group
+images, cokernels), Krull-Schmidt decomposition with an explicit
+direct-sum witness, minimal projective resolutions and dim Ext^1, plus
+the counting utilities the Hall layer sits on (automorphism group
 orders, representative enumeration, classical submodule counts). The
 path algebra of an acyclic quiver is hereditary, so dim Ext^1 is read
 off the Euler form rather than built from cocycles.
 
-State that must be shared between calls (iso-class registry, caches)
-lives in :class:`RepContext`; representations themselves are plain
-values.
+Iso classes follow Krull-Schmidt. The class registry holds
+indecomposables only, each with an integer id, and a module's iso class
+is the sorted tuple of the class ids of its indecomposable summands,
+:meth:`RepContext.summand_ids`; the zero module's is the empty tuple.
+That tuple is the one place an iso class is decided: isomorphism tests,
+representative enumeration and automorphism counts all read it.
+:func:`perihall.checks.iso_between` builds an explicit isomorphism by
+matching summands.
+
+State that must be shared between calls (class registry, caches) lives
+in :class:`RepContext`; representations themselves are plain values.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .gfp import FieldSpec, MatrixFp, Subspace
+from .gfp import FieldSpec, MatrixFp, Subspace, gl_order
 from .quiver import Quiver
 
 __all__ = [
@@ -249,8 +257,9 @@ def _direct_sum(field: FieldSpec, quiver: Quiver, reps: Sequence[Rep]) -> Tuple[
 class RepContext:
     """Shared state for one (quiver, field) pair.
 
-    Holds the iso-class registry and every cache. All enumeration caps
-    live here and exceeding one raises :class:`BudgetExceeded`.
+    Holds the registry of indecomposable classes and every cache. All
+    enumeration caps live here and exceeding one raises
+    :class:`BudgetExceeded`.
     """
 
     def __init__(
@@ -389,41 +398,16 @@ class RepContext:
     # -- kernels, images, cokernels ----------------------------------
 
     def kernel(self, f: RepMap) -> Tuple[Rep, RepMap]:
-        q = self.quiver
-        x = f.source
-        incl_comps = [c.kernel_basis() for c in f.comps]
-        dims = [k.nrows for k in incl_comps]
-        mats = {}
-        for a in q.arrows:
-            u = q.vertex_index(a.source)
-            w = q.vertex_index(a.target)
-            # induced arrow: solve K_a @ incl_w == incl_u @ X_a
-            rhs = incl_comps[u].mul(x.mats[a.name])
-            ka = incl_comps[w].solve_matrix(rhs) if dims[u] else MatrixFp.zeros(self.field, 0, dims[w])
-            if ka is None:
-                raise AssertionError("kernel is not arrow-stable; convention bug")
-            mats[a.name] = ka
-        ker = Rep(self.field, q, dims, mats)
-        incl = RepMap(ker, x, incl_comps, check=False)
-        return ker, incl
+        built = self.subrep_from_rows(f.source, [c.kernel_basis() for c in f.comps])
+        if built is None:
+            raise AssertionError("kernel is not arrow-stable; convention bug")
+        return built
 
     def image(self, f: RepMap) -> Tuple[Rep, RepMap]:
-        q = self.quiver
-        y = f.target
-        incl_comps = [c.row_space_basis() for c in f.comps]
-        dims = [m.nrows for m in incl_comps]
-        mats = {}
-        for a in q.arrows:
-            u = q.vertex_index(a.source)
-            w = q.vertex_index(a.target)
-            rhs = incl_comps[u].mul(y.mats[a.name])
-            ia = incl_comps[w].solve_matrix(rhs) if dims[u] else MatrixFp.zeros(self.field, 0, dims[w])
-            if ia is None:
-                raise AssertionError("image is not arrow-stable; convention bug")
-            mats[a.name] = ia
-        im = Rep(self.field, q, dims, mats)
-        incl = RepMap(im, y, incl_comps, check=False)
-        return im, incl
+        built = self.subrep_from_rows(f.target, [c.row_space_basis() for c in f.comps])
+        if built is None:
+            raise AssertionError("image is not arrow-stable; convention bug")
+        return built
 
     def cokernel(self, f: RepMap) -> Tuple[Rep, RepMap]:
         q = self.quiver
@@ -477,63 +461,26 @@ class RepContext:
     # -- isomorphism and decomposition -------------------------------
 
     def _iso_among_basis(self, x: Rep, y: Rep) -> Optional[RepMap]:
+        """An isomorphism x -> y among the basis of Hom(x, y), or None.
+
+        Complete for indecomposables: the non-invertible maps between
+        them form a proper subspace whenever an iso exists, and a basis
+        cannot sit inside a proper subspace."""
         for h in self.hom_basis(x, y):
             if h.is_iso():
                 return h
         return None
 
-    def iso_between(self, x: Rep, y: Rep) -> Optional[RepMap]:
-        """An isomorphism x -> y, or None.
-
-        For indecomposables a basis sweep settles it: the non-invertible
-        maps between indecomposables form a proper subspace whenever an
-        iso exists, and a basis cannot sit inside a proper subspace. For
-        decomposables the summand matching builds a block witness.
-        """
-        if x.dims != y.dims:
-            return None
-        if x.key() == y.key():
-            return RepMap.identity(x)
-        if x.total_dim == 0:
-            return RepMap.identity(x)
-        direct = self._iso_among_basis(x, y)
-        if direct is not None:
-            return direct
-        dx = self.decompose(x)
-        dy = self.decompose(y)
-        if len(dx.summands) != len(dy.summands):
-            return None
-        if len(dx.summands) == 1:
-            return None  # both indecomposable, basis sweep already failed
-        used = [False] * len(dy.summands)
-        pieces: List[RepMap] = []
-        for sx in dx.summands:
-            found = None
-            for j, sy in enumerate(dy.summands):
-                if used[j] or sx.dims != sy.dims:
-                    continue
-                w = self.iso_between(sx, sy)
-                if w is not None:
-                    found = (j, w)
-                    break
-            if found is None:
-                return None
-            used[found[0]] = True
-            pieces.append(found[1].then(dy.injections[found[0]].then(dy.iso)))
-        # assemble sum(dx) -> y from the matched pieces, then precompose
-        comps = []
-        for i in range(len(self.quiver.vertices)):
-            acc = None
-            for piece in pieces:
-                c = piece.comps[i]
-                acc = c if acc is None else acc.vstack(c)
-            comps.append(acc)
-        sum_to_y = RepMap(dx.sum_rep, y, comps, check=False)
-        witness = dx.iso.inverse().then(sum_to_y)
-        return witness if witness.is_iso() else None
+    def summand_ids(self, x: Rep) -> Tuple[int, ...]:
+        """The Krull-Schmidt type of x: the sorted class ids of its
+        indecomposable summands, empty for the zero module. Two modules
+        are isomorphic exactly when these agree."""
+        if not x.total_dim:
+            return ()
+        return tuple(sorted(self.class_id(s) for s in self.decompose(x).summands))
 
     def is_isomorphic(self, x: Rep, y: Rep) -> bool:
-        return self.iso_between(x, y) is not None
+        return x.dims == y.dims and self.summand_ids(x) == self.summand_ids(y)
 
     def _fitting_split(self, x: Rep, e: RepMap) -> Optional[Tuple[Rep, RepMap, Rep, RepMap]]:
         """Split x along a non-nilpotent, non-invertible endomorphism."""
@@ -643,24 +590,13 @@ class RepContext:
 
     def _aut_order_formula(self, x: Rep, dim_end: int) -> int:
         p = self.field.p
-        dec = self.decompose(x)
-        # group summands into iso classes
-        classes: List[Tuple[Rep, int]] = []
-        for s in dec.summands:
-            for i, (rep, m) in enumerate(classes):
-                if self.is_isomorphic(rep, s):
-                    classes[i] = (rep, m + 1)
-                    break
-            else:
-                classes.append((s, 1))
         diag = 0
         gl_product = 1
-        for rep, m in classes:
-            d_k = self.residue_field_degree(rep)
+        for cid, run in itertools.groupby(self.summand_ids(x)):
+            m = len(list(run))
+            d_k = self.residue_field_degree(self.class_rep(cid))
             diag += m * m * d_k
-            qk = p ** d_k
-            for i in range(m):
-                gl_product *= qk**m - qk**i
+            gl_product *= gl_order(m, p**d_k)
         rad_dim = dim_end - diag
         if rad_dim < 0:
             raise AssertionError("radical dimension negative; decomposition bug")
@@ -691,19 +627,25 @@ class RepContext:
     # -- iso-class registry ------------------------------------------
 
     def class_id(self, x: Rep) -> int:
-        """Registry id of the iso class of x (registering if new).
+        """Registry id of the iso class of the indecomposable x
+        (registering it if new).
 
-        Ids follow first-discovery order; the graded enumeration in
-        :meth:`enumerate_reps` seeds them deterministically.
+        The registry holds indecomposables only, each represented by the
+        first module of its class seen; ids follow that discovery order.
+        A new content key is matched by the basis sweep of
+        :meth:`_iso_among_basis`. A zero or decomposable module raises
+        ``ValueError``: its iso class is :meth:`summand_ids`.
         """
         ck = x.key()
         hit = self._class_of_content.get(ck)
         if hit is not None:
             return hit
         for cid, rep in enumerate(self._classes):
-            if rep.dims == x.dims and self.is_isomorphic(rep, x):
+            if rep.dims == x.dims and self._iso_among_basis(rep, x) is not None:
                 self._class_of_content[ck] = cid
                 return cid
+        if not self.is_indecomposable(x):
+            raise ValueError(f"class_id needs an indecomposable module, got {x!r}; use summand_ids")
         cid = len(self._classes)
         self._classes.append(x)
         self._class_of_content[ck] = cid
@@ -810,55 +752,42 @@ class RepContext:
     # -- enumeration --------------------------------------------------
 
     def enumerate_reps(self, bound: Sequence[int]) -> List[Rep]:
-        """Canonical representatives of every iso class with dimension
-        vector at most ``bound``, graded by total dimension, then
-        dimension vector lex order, then discovery order.
+        """One representative of every iso class with dimension vector at
+        most ``bound``, graded by total dimension, then dimension vector
+        lex order, then the order of arrow matrices.
+
+        Every tuple of arrow matrices is a candidate; the first candidate
+        of each Krull-Schmidt type (:meth:`summand_ids`) is kept. Each
+        indecomposable is first met as a candidate of its own dimension
+        vector, so it is registered by it and the registry ids follow the
+        same graded order.
         """
         q = self.quiver
-        nv = len(q.vertices)
         bound = tuple(int(b) for b in bound)
-        if len(bound) != nv:
+        if len(bound) != len(q.vertices):
             raise ValueError("bound length mismatch")
         dimvecs = sorted(
             itertools.product(*(range(b + 1) for b in bound)),
             key=lambda d: (sum(d), d),
         )
+        seen = set()
         out: List[Rep] = []
         for dims in dimvecs:
-            found: List[Rep] = []
-            total_mats = 1
-            for a in q.arrows:
-                du = dims[q.vertex_index(a.source)]
-                dw = dims[q.vertex_index(a.target)]
-                total_mats *= self.field.p ** (du * dw)
-            if total_mats > self.enum_cap:
-                raise BudgetExceeded(f"representation enumeration at {dims} needs {total_mats} candidates")
-            shapes = []
-            for a in q.arrows:
-                du = dims[q.vertex_index(a.source)]
-                dw = dims[q.vertex_index(a.target)]
-                shapes.append((a.name, du, dw))
-            entry_counts = [du * dw for _, du, dw in shapes]
-            for flat in itertools.product(range(self.field.p), repeat=sum(entry_counts)):
+            shapes = [(a.name, dims[q.vertex_index(a.source)], dims[q.vertex_index(a.target)]) for a in q.arrows]
+            entries = sum(du * dw for _, du, dw in shapes)
+            if self.field.p**entries > self.enum_cap:
+                raise BudgetExceeded(f"representation enumeration at {dims} needs {self.field.p**entries} candidates")
+            for flat in itertools.product(range(self.field.p), repeat=entries):
                 mats = {}
                 pos = 0
-                for (name, du, dw), cnt in zip(shapes, entry_counts):
-                    mats[name] = MatrixFp.from_flat(self.field, flat[pos : pos + cnt], du, dw)
-                    pos += cnt
+                for name, du, dw in shapes:
+                    mats[name] = MatrixFp.from_flat(self.field, flat[pos : pos + du * dw], du, dw)
+                    pos += du * dw
                 cand = Rep(self.field, q, dims, mats)
-                profile = tuple(cand.mats[a.name].rank() for a in q.arrows)
-                is_new = True
-                for prev in found:
-                    if profile != tuple(prev.mats[a.name].rank() for a in q.arrows):
-                        continue
-                    if self.is_isomorphic(prev, cand):
-                        is_new = False
-                        break
-                if is_new:
-                    found.append(cand)
-            for r in found:
-                self.class_id(r)  # seed the registry in graded order
-            out.extend(found)
+                ids = self.summand_ids(cand)
+                if ids not in seen:
+                    seen.add(ids)
+                    out.append(cand)
         return out
 
     # -- classical Hall counts ---------------------------------------

@@ -13,17 +13,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["gl_order", "rank_count", "SemisimplePeriodic"]
+from .gfp import gl_order
+
+__all__ = ["rank_count", "SemisimplePeriodic"]
 
 SsKey = Tuple[int, ...]
-
-
-def gl_order(m: int, q: int) -> int:
-    """|GL_m(F_q)|."""
-    out = 1
-    for i in range(m):
-        out *= q**m - q**i
-    return out
 
 
 def gauss_binomial(n: int, k: int, q: int) -> int:

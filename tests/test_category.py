@@ -25,6 +25,15 @@ def a2(request):
     return PeriodicContext(RepContext(line_quiver(2), FieldSpec(2)))
 
 
+@pytest.mark.parametrize("n, bound, indecomposables", [(2, (2, 2), 3), (3, (1, 1, 1), 6)])
+def test_registry_holds_only_indecomposables(n, bound, indecomposables):
+    pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(2)))
+    pctx.enumerate_objects(bound)
+    ctx = pctx.ctx
+    assert ctx.class_count() == indecomposables
+    assert all(ctx.is_indecomposable(ctx.class_rep(cid)) for cid in range(indecomposables))
+
+
 def test_object_counts(a1, a2):
     assert len(a1.enumerate_objects((1,))) == 8
     assert len(a2.enumerate_objects((1, 1))) == 125

@@ -1,0 +1,42 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from perihall.category import PeriodicContext
+from perihall.gfp import FieldSpec, MatrixFp
+from perihall.quiver import Arrow, Quiver
+from perihall.reps import Rep, RepContext
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "exactness.py"
+
+
+@pytest.fixture(scope="module")
+def exactness():
+    spec = importlib.util.spec_from_file_location("exactness", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_of_a1_p2(exactness):
+    digest = exactness.digest_scope(1, 2, (1,), 8)
+    assert digest["objects"] == ["0", "1@0", "1@1", "1@2", "1@0+1@1", "1@0+1@2", "1@1+1@2", "1@0+1@1+1@2"]
+    assert len(digest["products"]) == len(digest["fibers"]) == 64
+    label, terms = digest["products"][9]
+    assert label == "1@0 * 1@0"
+    assert terms == [["1@0+1@0", "0 3/2"]]  # q^(-1/2) (q + 1), the classical Hall number
+    assert digest["aut_orders"]["1@0+1@0"] == 6  # |GL_2(F_2)|
+    # a fresh engine writes the same digest
+    assert exactness.digest_scope(1, 2, (1,), 8) == digest
+
+
+def test_canon_refuses_shared_dimension_vectors(exactness):
+    f2 = FieldSpec(2)
+    kronecker = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
+    pctx = PeriodicContext(RepContext(kronecker, f2))
+    one = MatrixFp(f2, [[1]])
+    canon = exactness.Canon(pctx)
+    assert canon.key(pctx.module_key(Rep(f2, kronecker, (1, 1), {"a": one}))) == "1,1@0"
+    with pytest.raises(AssertionError, match="share dimension vector"):
+        canon.key(pctx.module_key(Rep(f2, kronecker, (1, 1), {"b": one})))

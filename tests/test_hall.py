@@ -10,11 +10,11 @@ from perihall.checks import (
     check_symmetry,
     hall_number_via,
 )
-from perihall.gfp import FieldSpec
+from perihall.gfp import FieldSpec, gl_order
 from perihall.hall import HallEngine, HallVector
 from perihall.quiver import line_quiver
 from perihall.reps import RepContext
-from perihall.semisimple import SemisimplePeriodic, gl_order, rank_count
+from perihall.semisimple import SemisimplePeriodic, rank_count
 from perihall.sqrtq import HallValue
 
 

@@ -25,14 +25,14 @@ def a2_modules(ctx):
 
 
 def piece_classes(ctx, pieces):
-    return tuple(ctx.class_id(p) for p in pieces)
+    return tuple(ctx.summand_ids(p) for p in pieces)
 
 
 def test_stalk_slots_carry_expected_shifts():
     ctx = a2_ctx()
     s1, _, _ = a2_modules(ctx)
-    zero_id = ctx.class_id(ctx.zero_rep())
-    sid = ctx.class_id(s1)
+    zero_id = ctx.summand_ids(ctx.zero_rep())
+    sid = ctx.summand_ids(s1)
     # slot 0 holds shift 0, slot 2 holds shift 1, slot 1 holds shift 2
     assert piece_classes(ctx, normal_pieces(ctx, CycleComplex.stalk(ctx, s1, 0))) == (sid, zero_id, zero_id)
     assert piece_classes(ctx, normal_pieces(ctx, CycleComplex.stalk(ctx, s1, 2))) == (zero_id, sid, zero_id)
@@ -68,14 +68,14 @@ def test_wrap_of_projective_is_stalk():
 
 def test_normalize_wrap_round_trip_all_small_classes():
     ctx = a2_ctx()
-    zero_id = ctx.class_id(ctx.zero_rep())
+    zero_id = ctx.summand_ids(ctx.zero_rep())
     for rep in ctx.enumerate_reps((1, 1)):
         for s in range(3):
             pieces = normal_pieces(ctx, wrap_module(ctx, rep, s))
             got = piece_classes(ctx, pieces)
             expected = [zero_id, zero_id, zero_id]
             if rep.total_dim:
-                expected[s] = ctx.class_id(rep)
+                expected[s] = ctx.summand_ids(rep)
             assert got == tuple(expected)
 
 
@@ -132,7 +132,7 @@ def test_contractible_cone_vanishes_in_normal_form():
     s1, _, _ = a2_modules(ctx)
     w = wrap_module(ctx, s1)
     cone, incl, proj = mapping_cone(ctx, ChainMap.identity(w))
-    zero_id = ctx.class_id(ctx.zero_rep())
+    zero_id = ctx.summand_ids(ctx.zero_rep())
     assert piece_classes(ctx, normal_pieces(ctx, cone)) == (zero_id, zero_id, zero_id)
     # maps into a contractible complex are null-homotopic but the chain
     # space itself is bigger
@@ -165,7 +165,7 @@ def test_cone_of_zero_map_is_direct_sum():
     b = wrap_module(ctx, s1)
     cone, _, _ = mapping_cone(ctx, ChainMap.zero(a, b))
     got = piece_classes(ctx, normal_pieces(ctx, cone))
-    assert got == (ctx.class_id(s1), ctx.class_id(s2), ctx.class_id(ctx.zero_rep()))
+    assert got == (ctx.summand_ids(s1), ctx.summand_ids(s2), ctx.summand_ids(ctx.zero_rep()))
 
 
 def test_cone_of_extension_morphism():
@@ -181,8 +181,8 @@ def test_cone_of_extension_morphism():
         f = h.rep_map((1,))
         assert not h.is_null_homotopic(f)
         cone, _, _ = mapping_cone(ctx, f)
-        zero_id = ctx.class_id(ctx.zero_rep())
-        assert piece_classes(ctx, normal_pieces(ctx, cone)) == (zero_id, ctx.class_id(p1), zero_id)
+        zero_id = ctx.summand_ids(ctx.zero_rep())
+        assert piece_classes(ctx, normal_pieces(ctx, cone)) == (zero_id, ctx.summand_ids(p1), zero_id)
 
 
 def test_cone_class_ignores_homotopy_representative():
@@ -224,7 +224,7 @@ def test_direct_sum_complex_maps_are_chain_maps():
         ChainMap(total, part, projs[k].comps)
         assert injs[k].then(projs[k]).key() == ChainMap.identity(part).key()
     got = piece_classes(ctx, normal_pieces(ctx, total))
-    assert got == (ctx.class_id(s1), ctx.class_id(s2), ctx.class_id(ctx.zero_rep()))
+    assert got == (ctx.summand_ids(s1), ctx.summand_ids(s2), ctx.summand_ids(ctx.zero_rep()))
 
 
 def test_identity_iso_found():

@@ -3,14 +3,15 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from perihall.checks import ext1_dim_literal
+from perihall.checks import ext1_dim_literal, iso_between
 from perihall.gfp import FieldSpec, MatrixFp
-from perihall.quiver import line_quiver
+from perihall.quiver import Arrow, Quiver, line_quiver
 from perihall.reps import Rep, RepContext, RepMap
 
 A1 = line_quiver(1)
 A2 = line_quiver(2)
 A3 = line_quiver(3)
+KRONECKER = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
 
 
 def ctx_a1(p=2, **kw):
@@ -166,7 +167,7 @@ def test_nontrivial_iso_detected():
     twisted = Rep(ctx.field, A2, (1, 1), {"a1": MatrixFp(ctx.field, [[2]])})
     assert ctx.is_isomorphic(twisted, p1(ctx))
     assert not ctx.is_isomorphic(twisted, ctx.direct_sum([s1(ctx), s2(ctx)])[0])
-    w = ctx.iso_between(twisted, p1(ctx))
+    w = iso_between(ctx, twisted, p1(ctx))
     assert w is not None and w.is_iso()
     RepMap(twisted, p1(ctx), w.comps, check=True)
 
@@ -175,6 +176,61 @@ def test_iso_distinguishes_extension_from_sum():
     ctx = ctx_a2()
     split = ctx.direct_sum([s1(ctx), s2(ctx)])[0]
     assert not ctx.is_isomorphic(split, p1(ctx))
+
+
+def _base_changed(ctx, x):
+    """A copy of x with different matrices, transported along a fixed
+    non-identity automorphism g of every vertex space: the arrow u -> w
+    becomes g_u^-1 X_a g_w, so g itself is an iso x -> copy."""
+    p = ctx.field.p
+    g = []
+    for d in x.dims:
+        rows = [[(p - 1 if j == i else 1 if j == i + 1 else 0) for j in range(d)] for i in range(d)]
+        g.append(MatrixFp(ctx.field, rows, ncols=d))
+    q = x.quiver
+    mats = {
+        a.name: g[q.vertex_index(a.source)].inverse().mul(x.mats[a.name]).mul(g[q.vertex_index(a.target)])
+        for a in q.arrows
+    }
+    moved = Rep(ctx.field, q, x.dims, mats)
+    RepMap(x, moved, g, check=True)
+    return moved
+
+
+@pytest.mark.parametrize(
+    "quiver, p, bound, classes",
+    [(A2, 2, (2, 2), 14), (A2, 3, (2, 2), 14), (A3, 2, (1, 1, 1), 13), (KRONECKER, 3, (2, 2), 46)],
+    ids=["A2-p2", "A2-p3", "A3-p2", "kronecker-p3"],
+)
+def test_is_isomorphic_agrees_with_the_witness_recipe(quiver, p, bound, classes):
+    # Krull-Schmidt types against the summand-matching witness of
+    # checks.iso_between, on every pair of class representatives and on
+    # a base-changed copy of each against every representative (over F_2
+    # a vertex of dimension 1 has no other automorphism, so on A3 at p=2
+    # the copies equal the originals)
+    ctx = RepContext(quiver, FieldSpec(p))
+    reps = ctx.enumerate_reps(bound)
+    assert len(reps) == classes
+    moved = [_base_changed(ctx, r) for r in reps]
+    for i, x in enumerate(reps + moved):
+        for j, y in enumerate(reps):
+            w = iso_between(ctx, x, y)
+            assert ctx.is_isomorphic(x, y) == (w is not None) == (i % len(reps) == j), (x, y)
+            if w is not None:
+                assert w.is_iso()
+                RepMap(x, y, w.comps, check=True)
+
+
+def test_class_id_takes_indecomposables_only():
+    ctx = ctx_a2()
+    split = ctx.direct_sum([s1(ctx), s2(ctx)])[0]
+    for x in (ctx.zero_rep(), split):
+        with pytest.raises(ValueError):
+            ctx.class_id(x)
+    assert ctx.class_count() == 0
+    assert ctx.summand_ids(ctx.zero_rep()) == ()
+    assert ctx.summand_ids(split) == tuple(sorted((ctx.class_id(s1(ctx)), ctx.class_id(s2(ctx)))))
+    assert ctx.class_count() == 2
 
 
 def test_class_registry_stable():
