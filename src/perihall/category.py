@@ -261,8 +261,7 @@ class PeriodicContext:
         modules = [self.module_key(r) for r in self.ctx.enumerate_reps(bound)]
         layers = [[self.shift_key(k, s) for k in modules] for s in range(PERIOD)]
         keys = [self.direct_sum_key(*triple) for triple in itertools.product(*layers)]
-        size = [self.ctx.class_rep(cid).total_dim for cid in range(self.ctx.class_count())]
-        return sorted(keys, key=lambda k: (sum(size[cid] for cid, _ in k), k))
+        return sorted(keys, key=lambda k: (self.total_dim(k), k))
 
     # -- realization and normalization --------------------------------
 

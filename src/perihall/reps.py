@@ -13,14 +13,16 @@ orders, representative enumeration, classical submodule counts). The
 path algebra of an acyclic quiver is hereditary, so dim Ext^1 is read
 off the Euler form rather than built from cocycles.
 
-Iso classes follow Krull-Schmidt. The class registry holds
-indecomposables only, each with an integer id, and a module's iso class
-is the sorted tuple of the class ids of its indecomposable summands,
-:meth:`RepContext.summand_ids`; the zero module's is the empty tuple.
-That tuple is the one place an iso class is decided: isomorphism tests,
-representative enumeration and automorphism counts all read it.
-:func:`perihall.checks.iso_between` builds an explicit isomorphism by
-matching summands.
+Iso classes follow Krull-Schmidt. Every indecomposable class gets an
+integer id, and a module's iso class is the sorted tuple of the class
+ids of its indecomposable summands, :meth:`RepContext.summand_ids`; the
+zero module's is the empty tuple. That tuple is the one place an iso
+class is decided: isomorphism tests, representative enumeration and
+automorphism counts all read it. The registry also lists the zero and
+decomposable classes that :meth:`RepContext.enumerate_reps` meets,
+found by their tuple and never by an isomorphism test; object keys name
+indecomposable ids only. :func:`perihall.checks.iso_between` builds an
+explicit isomorphism by matching summands.
 
 State that must be shared between calls (class registry, caches) lives
 in :class:`RepContext`; representations themselves are plain values.
@@ -257,9 +259,8 @@ def _direct_sum(field: FieldSpec, quiver: Quiver, reps: Sequence[Rep]) -> Tuple[
 class RepContext:
     """Shared state for one (quiver, field) pair.
 
-    Holds the registry of indecomposable classes and every cache. All
-    enumeration caps live here and exceeding one raises
-    :class:`BudgetExceeded`.
+    Holds the iso-class registry and every cache. All enumeration caps
+    live here and exceeding one raises :class:`BudgetExceeded`.
     """
 
     def __init__(
@@ -276,6 +277,7 @@ class RepContext:
         self._aut_cache: Dict[Tuple, int] = {}
         self._class_of_content: Dict[Tuple, int] = {}
         self._classes: List[Rep] = []  # class id -> canonical representative
+        self._class_of_type: Dict[Tuple[int, ...], int] = {}  # summand ids -> id of a listed zero or decomposable class
         self._resolution_cache: Dict[Tuple, Resolution] = {}
         self._projective_cache: Dict[str, Rep] = {}
 
@@ -630,22 +632,23 @@ class RepContext:
         """Registry id of the iso class of the indecomposable x
         (registering it if new).
 
-        The registry holds indecomposables only, each represented by the
-        first module of its class seen; ids follow that discovery order.
-        A new content key is matched by the basis sweep of
-        :meth:`_iso_among_basis`. A zero or decomposable module raises
-        ``ValueError``: its iso class is :meth:`summand_ids`.
+        Each class is represented by the first module of it seen; ids
+        follow that discovery order. A zero or decomposable module raises
+        ``ValueError``: its iso class is :meth:`summand_ids`. A new
+        content key is matched by the basis sweep of
+        :meth:`_iso_among_basis`, which is complete for the indecomposable
+        x and finds no iso to a listed decomposable class.
         """
         ck = x.key()
         hit = self._class_of_content.get(ck)
         if hit is not None:
             return hit
+        if not self.is_indecomposable(x):
+            raise ValueError(f"class_id needs an indecomposable module, got {x!r}; use summand_ids")
         for cid, rep in enumerate(self._classes):
             if rep.dims == x.dims and self._iso_among_basis(rep, x) is not None:
                 self._class_of_content[ck] = cid
                 return cid
-        if not self.is_indecomposable(x):
-            raise ValueError(f"class_id needs an indecomposable module, got {x!r}; use summand_ids")
         cid = len(self._classes)
         self._classes.append(x)
         self._class_of_content[ck] = cid
@@ -759,8 +762,9 @@ class RepContext:
         Every tuple of arrow matrices is a candidate; the first candidate
         of each Krull-Schmidt type (:meth:`summand_ids`) is kept. Each
         indecomposable is first met as a candidate of its own dimension
-        vector, so it is registered by it and the registry ids follow the
-        same graded order.
+        vector and registered by it; each kept zero or decomposable
+        candidate is listed in the registry under its type. Registry ids
+        thus follow the same graded order.
         """
         q = self.quiver
         bound = tuple(int(b) for b in bound)
@@ -788,6 +792,9 @@ class RepContext:
                 if ids not in seen:
                     seen.add(ids)
                     out.append(cand)
+                    if len(ids) != 1 and ids not in self._class_of_type:
+                        self._class_of_type[ids] = len(self._classes)
+                        self._classes.append(cand)
         return out
 
     # -- classical Hall counts ---------------------------------------

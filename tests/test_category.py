@@ -25,13 +25,19 @@ def a2(request):
     return PeriodicContext(RepContext(line_quiver(2), FieldSpec(2)))
 
 
-@pytest.mark.parametrize("n, bound, indecomposables", [(2, (2, 2), 3), (3, (1, 1, 1), 6)])
-def test_registry_holds_only_indecomposables(n, bound, indecomposables):
+@pytest.mark.parametrize("n, bound, classes, indecomposables", [(2, (2, 2), 14, 3), (3, (1, 1, 1), 13, 6)])
+def test_keys_name_indecomposables_only(n, bound, classes, indecomposables):
+    # the registry lists every class enumerate_reps meets, in its order
+    # and once however often it runs; object keys name only the
+    # indecomposable ones
     pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(2)))
-    pctx.enumerate_objects(bound)
+    keys = pctx.enumerate_objects(bound)
     ctx = pctx.ctx
-    assert ctx.class_count() == indecomposables
-    assert all(ctx.is_indecomposable(ctx.class_rep(cid)) for cid in range(indecomposables))
+    assert [ctx.class_rep(cid) for cid in range(ctx.class_count())] == ctx.enumerate_reps(bound)
+    assert ctx.class_count() == classes
+    indec = {cid for cid in range(classes) if ctx.is_indecomposable(ctx.class_rep(cid))}
+    assert len(indec) == indecomposables
+    assert {cid for k in keys for cid, _ in k} == indec
 
 
 def test_object_counts(a1, a2):

@@ -199,7 +199,7 @@ def _base_changed(ctx, x):
 
 @pytest.mark.parametrize(
     "quiver, p, bound, classes",
-    [(A2, 2, (2, 2), 14), (A2, 3, (2, 2), 14), (A3, 2, (1, 1, 1), 13), (KRONECKER, 3, (2, 2), 46)],
+    [(A2, 2, (2, 2), 14), (A2, 3, (2, 2), 14), (A3, 2, (1, 1, 1), 13), (KRONECKER, 3, (1, 2), 15)],
     ids=["A2-p2", "A2-p3", "A3-p2", "kronecker-p3"],
 )
 def test_is_isomorphic_agrees_with_the_witness_recipe(quiver, p, bound, classes):
@@ -231,6 +231,11 @@ def test_class_id_takes_indecomposables_only():
     assert ctx.summand_ids(ctx.zero_rep()) == ()
     assert ctx.summand_ids(split) == tuple(sorted((ctx.class_id(s1(ctx)), ctx.class_id(s2(ctx)))))
     assert ctx.class_count() == 2
+    # enumerate_reps lists S1 + S2 in the registry; class_id still refuses it
+    assert split in ctx.enumerate_reps((1, 1))
+    assert any(ctx.class_rep(cid) == split for cid in range(ctx.class_count()))
+    with pytest.raises(ValueError):
+        ctx.class_id(split)
 
 
 def test_class_registry_stable():

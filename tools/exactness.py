@@ -19,9 +19,9 @@ Each ``(class_id, shift)`` summand is written as ``dims@shift`` by the
 benchmark's ``Canon`` (``perfbench/workloads.py``), so two versions of
 the engine that number classes differently give the same file when
 their results agree. On a quiver of type A an indecomposable is fixed by
-its dimension vector; ``Canon`` refuses a scope where two classes share
-one. Comparing the digests of two commits (``cmp a.json b.json``)
-checks that a change kept every result.
+its dimension vector; ``Canon`` refuses a scope where two classes named
+in its keys share one. Comparing the digests of two commits
+(``cmp a.json b.json``) checks that a change kept every result.
 """
 
 from __future__ import annotations
