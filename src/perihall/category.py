@@ -4,8 +4,7 @@ Objects here are finite multisets of (indecomposable class, shift)
 pairs; every cycle complex normalizes to one. By Krull-Schmidt a module
 placed at one shift is the multiset of its summand class ids,
 :meth:`perihall.reps.RepContext.summand_ids`, so ``module_key`` tags
-those ids with the shift, ``normalize`` joins the module keys of the
-three normal-form pieces, and ``enumerate_objects`` keys each module of
+those ids with the shift and ``enumerate_objects`` keys each module of
 the bound once and joins one module key per shift.
 
 The context realizes objects as direct sums of wrapped module
@@ -21,11 +20,27 @@ per pair, and weight it by the multiplicities in the keys;
 ``aut_order`` also reads each class's residue degree, cached per class
 id. :func:`perihall.checks.aut_order_by_layers` builds the layers.
 
-Morphisms are counted one orbit of the scalar action at a time: the
-zero morphism x -> m has cone x[1] + m, read off the keys, and
-cone(c f) is isomorphic to cone(f) for c in F_q^*, so one cone is
-classified per line of Hom(x, m) and counted with weight q - 1;
-:func:`perihall.checks.fiber_counts_literal` classifies every morphism.
+Cones are classified without being built. The test objects T are the
+pairs (indecomposable class, shift). For a morphism f: x -> m with cone
+C, the long exact Hom sequence of x -> m -> C -> x[1] gives
+
+    dim Hom(T, C) = hom(T, m) - rk Hom(T, f) + hom(T[-1], x) - rk Hom(T[-1], f),
+
+and by Auslander's theorem this hom vector fixes C: it is H times the
+multiplicity vector of C, where H[T][U] = hom_dim(T, U) is invertible
+(:class:`HomVectors`). The ranks come from the composition tensor
+Hom(T, a) x Hom(a, b) -> Hom(T, b), built once per triple of parts from
+block representatives and class coordinates. Listing every
+indecomposable needs a quiver of type A (a disjoint union of paths),
+where they are the modules of dimension at most one at each vertex;
+any other quiver is refused. Morphisms are counted one orbit of the
+scalar action at a time: the zero morphism x -> m has cone x[1] + m,
+read off the keys, and cone(c f) is isomorphic to cone(f) for c in
+F_q^*, so one rank profile is computed per line of Hom(x, m) and
+counted with weight q - 1. :func:`perihall.checks.cone_key_literal`
+builds and reduces a cone, and
+:func:`perihall.checks.fiber_counts_literal` classifies every morphism
+that way.
 
 Keys are plain sorted tuples, one (class_id, shift) entry per
 indecomposable summand, so they hash and compare cheaply and the empty
@@ -36,6 +51,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .periodic import (
@@ -45,16 +62,16 @@ from .periodic import (
     HomSpace,
     chain_hom_space,
     direct_sum_complexes,
-    mapping_cone,
-    normal_pieces,
     wrap_module,
 )
-from .gfp import MatrixFp, gl_order
-from .reps import BudgetExceeded, Rep, RepContext, RepMap
+from .gfp import gl_order, rank_rows
+from .quiver import Quiver
+from .reps import BudgetExceeded, Rep, RepContext
 
-__all__ = ["ObjKey", "PeriodicContext", "RealizedObject", "BlockHomSpace"]
+__all__ = ["ObjKey", "PeriodicContext", "RealizedObject", "BlockHomSpace", "HomVectors"]
 
 ObjKey = Tuple[Tuple[int, int], ...]
+Part = Tuple[int, int]
 
 
 class RealizedObject:
@@ -73,18 +90,10 @@ class RealizedObject:
 class BlockHomSpace:
     """Hom between two realized objects, assembled summand by summand.
 
-    Morphism classes are indexed by the concatenation of the class
-    coordinates of all (source part, target part) blocks; reading a
-    morphism off against the blocks and reassembling it round-trips
-    exactly, not just up to homotopy.
-
-    The representative of a class is linear in its coordinates, so the
-    ``dim`` basis chain maps on the realized totals are assembled once
-    (projection, block representative, injection) and kept as flat
-    entry lists per (slot, vertex) component; :meth:`rep_map` is then
-    one linear combination mod q.
-    :func:`perihall.checks.rep_map_blockwise` assembles every
-    representative block by block.
+    There is one block per (source part, target part), in that order;
+    the coordinates of a morphism are the concatenation of its class
+    coordinates in each block's space. :func:`perihall.checks.block_morphisms`
+    builds the representative of every class.
     """
 
     def __init__(self, pctx: "PeriodicContext", source: RealizedObject, target: RealizedObject):
@@ -95,83 +104,62 @@ class BlockHomSpace:
         for i, pa in enumerate(source.key):
             for j, pb in enumerate(target.key):
                 self.blocks.append((i, j, pctx.block_space(pa, pb)))
-        self._block_dims = [b[2].dim for b in self.blocks]
-        self.dim = sum(self._block_dims)
-        # per slot, per vertex: (nrows, ncols, entry columns), where
-        # entry column e holds entry e of each basis map; None marks a
-        # component that vanishes on every basis map
-        self._basis: Optional[List[list]] = None
+        self.dim = sum(b[2].dim for b in self.blocks)
 
-    def class_of(self, f: ChainMap) -> Tuple[int, ...]:
-        out: List[int] = []
-        for i, j, space in self.blocks:
-            comp = self.source.injections[i].then(f).then(self.target.projections[j])
-            out.extend(space.class_coords(comp))
-        return tuple(out)
 
-    def _build_basis(self) -> None:
-        """The basis chain maps, one per unit coordinate vector, stored
-        entry-major per (slot, vertex) component."""
-        maps = []
-        for (i, j, space), d in zip(self.blocks, self._block_dims):
-            for k in range(d):
-                unit = [0] * d
-                unit[k] = 1
-                block = space.rep_map(unit)
-                maps.append(self.source.projections[i].then(block).then(self.target.injections[j]))
-        basis = []
-        for s in range(PERIOD):
-            slot = []
-            for v, (nr, nc) in enumerate(zip(self.source.total.slots[s].dims, self.target.total.slots[s].dims)):
-                flats = [m.comps[s].comps[v].flat() for m in maps]
-                cols = list(zip(*flats)) if flats else []
-                slot.append((nr, nc, cols if any(any(col) for col in cols) else None))
-            basis.append(slot)
-        self._basis = basis
+class HomVectors:
+    """The test objects, their hom matrix, and the decode of cones.
 
-    def rep_map(self, coords: Sequence[int]) -> ChainMap:
-        """The chain map representing the class with these coordinates."""
-        if self._basis is None:
-            self._build_basis()
-        p = self.pctx.q
-        field = self.pctx.ctx.field
-        source, target = self.source.total, self.target.total
-        comps = []
-        for s in range(PERIOD):
-            mats = []
-            for nr, nc, cols in self._basis[s]:
-                if cols is None:
-                    rows = [[0] * nc for _ in range(nr)]
-                else:
-                    flat = [sum(map(operator.mul, coords, col)) % p for col in cols]
-                    rows = [flat[r * nc : (r + 1) * nc] for r in range(nr)]
-                mats.append(MatrixFp._trusted(field, rows, nc))
-            comps.append(RepMap(source.slots[s], target.slots[s], mats, check=False))
-        return ChainMap(source, target, comps, check=False)
+    The test objects are the pairs (indecomposable class, shift), in
+    sorted order. The hom vector of an object x, dim Hom(T, x) for each
+    test object T, is H times the multiplicity vector of x, where
+    H[T][U] = hom_dim(T, U). Auslander's theorem makes H invertible;
+    H^-1 = inverse / denominator, with ``inverse`` an integer matrix and
+    ``denominator`` the least common denominator of H^-1.
+    """
 
-    def _check_budget(self, cap: Optional[int]) -> None:
-        p = self.pctx.q
-        limit = cap if cap is not None else self.pctx.ctx.enum_cap
-        if p**self.dim > limit:
-            fmt = self.pctx.format_key
-            raise BudgetExceeded(
-                f"{p**self.dim} morphism classes {fmt(self.source.key)} -> {fmt(self.target.key)}"
-                f" exceed cap {limit}"
-            )
+    def __init__(self, pctx: "PeriodicContext", ids: Sequence[int]):
+        self.parts: Tuple[Part, ...] = tuple((cid, s) for cid in sorted(ids) for s in range(PERIOD))
+        self.index: Dict[Part, int] = {part: t for t, part in enumerate(self.parts)}
+        n = len(self.parts)
+        self.matrix = [[pctx.hom_dim((t,), (u,)) for u in self.parts] for t in self.parts]
+        inv = _rational_inverse(self.matrix)
+        self.denominator = lcm(*(v.denominator for row in inv for v in row))
+        self.inverse = [[int(v * self.denominator) for v in row] for row in inv]
+        # the test objects T with Hom(T, U) != 0, per U
+        self.sees = [frozenset(t for t in range(n) if self.matrix[t][u]) for u in range(n)]
+        # the numerators of the multiplicities lost when the hom vector
+        # drops by one at T and at T[1]
+        nxt = [self.index[(cid, (s + 1) % PERIOD)] for cid, s in self.parts]
+        self._drops = []
+        for t in range(n):
+            col = [self.inverse[u][t] + self.inverse[u][nxt[t]] for u in range(n)]
+            self._drops.append([(u, w) for u, w in enumerate(col) if w])
 
-    def enumerate_classes(self, cap: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
-        self._check_budget(cap)
-        yield from itertools.product(range(self.pctx.q), repeat=self.dim)
-
-    def enumerate_lines(self, cap: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
-        """One nonzero class per line through the origin: the coordinates
-        whose first nonzero entry is 1, in lexicographic order. The cap
-        applies to the whole space, as in :meth:`enumerate_classes`."""
-        self._check_budget(cap)
-        for lead in range(self.dim - 1, -1, -1):
-            head = (0,) * lead + (1,)
-            for tail in itertools.product(range(self.pctx.q), repeat=self.dim - 1 - lead):
-                yield head + tail
+    def cone_key(self, zero: ObjKey, ranks: Sequence[Tuple[int, int]]) -> ObjKey:
+        """The key of the cone C of a morphism f: x -> m, from the key
+        x[1] + m of the zero morphism's cone and the ranks r_T of
+        Hom(T, f), as (index of T, r_T) pairs: dim Hom(T, C) is
+        dim Hom(T, x[1] + m) - r_T - r_{T[-1]}. Every multiplicity must
+        come out a nonnegative integer."""
+        d = self.denominator
+        num: Dict[int, int] = {}
+        for part in zero:
+            u = self.index[part]
+            num[u] = num.get(u, 0) + d
+        for t, r in ranks:
+            if r:
+                for u, w in self._drops[t]:
+                    num[u] = num.get(u, 0) - r * w
+        key: List[Part] = []
+        for u in sorted(num):
+            mult, rest = divmod(num[u], d)
+            if rest or mult < 0:
+                raise AssertionError(
+                    f"cone of rank profile {list(ranks)} has multiplicity {num[u]}/{d} of {self.parts[u]}"
+                )
+            key.extend([self.parts[u]] * mult)
+        return tuple(key)
 
 
 class PeriodicContext:
@@ -188,6 +176,8 @@ class PeriodicContext:
         self._aut_cache: Dict[ObjKey, int] = {}
         self._pair_cache: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self._residue_cache: Dict[int, int] = {}
+        self._compose_cache: Dict[Tuple[Part, Part, Part], Tuple[Tuple[Tuple[int, ...], ...], ...]] = {}
+        self._hom_vectors: Optional[HomVectors] = None
 
     @property
     def q(self) -> int:
@@ -263,7 +253,7 @@ class PeriodicContext:
         keys = [self.direct_sum_key(*triple) for triple in itertools.product(*layers)]
         return sorted(keys, key=lambda k: (self.total_dim(k), k))
 
-    # -- realization and normalization --------------------------------
+    # -- realization --------------------------------------------------
 
     def wrap_part(self, part: Tuple[int, int]) -> CycleComplex:
         hit = self._wrap_cache.get(part)
@@ -281,10 +271,6 @@ class PeriodicContext:
             hit = RealizedObject(key, total, injs, projs)
             self._realize_cache[key] = hit
         return hit
-
-    def normalize(self, c: CycleComplex) -> ObjKey:
-        pieces = normal_pieces(self.ctx, c)
-        return self.direct_sum_key(*(self.module_key(piece, s) for s, piece in enumerate(pieces)))
 
     # -- morphisms ----------------------------------------------------
 
@@ -326,9 +312,88 @@ class PeriodicContext:
                     total += ma * mb * self._class_pair(cid_a, cid_b)[r]
         return total
 
-    def cone_key(self, f: ChainMap) -> ObjKey:
-        cone, _, _ = mapping_cone(self.ctx, f)
-        return self.normalize(cone)
+    def check_budget(self, x: ObjKey, y: ObjKey, dim: int, cap: Optional[int] = None) -> None:
+        """Refuse to walk the q**dim morphism classes x -> y beyond the cap
+        (by default the context's ``enum_cap``), naming both objects."""
+        limit = cap if cap is not None else self.ctx.enum_cap
+        if self.q**dim > limit:
+            raise BudgetExceeded(
+                f"{self.q**dim} morphism classes {self.format_key(x)} -> {self.format_key(y)} exceed cap {limit}"
+            )
+
+    def hom_vectors(self) -> HomVectors:
+        """The test objects and the decode of hom vectors, built once.
+
+        On a quiver of type A every indecomposable has dimension at most
+        one at each vertex, so ``enumerate_reps((1,) * n)`` lists them
+        all; any other quiver raises ``NotImplementedError``."""
+        if self._hom_vectors is None:
+            quiver = self.ctx.quiver
+            if not _is_type_a(quiver):
+                arrows = ", ".join(f"{a.name}: {a.source}->{a.target}" for a in quiver.arrows)
+                raise NotImplementedError(
+                    "cones are classified by hom vectors against every indecomposable, which are listed"
+                    f" only for quivers of type A (disjoint unions of paths), not for arrows {arrows}"
+                )
+            ids = []
+            for rep in self.ctx.enumerate_reps((1,) * len(quiver.vertices)):
+                summands = self.ctx.summand_ids(rep)
+                if len(summands) == 1:
+                    ids.append(summands[0])
+            self._hom_vectors = HomVectors(self, ids)
+        return self._hom_vectors
+
+    def _composition(self, t: Part, a: Part, b: Part) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        """The composition Hom(t, a) x Hom(a, b) -> Hom(t, b) in block
+        class coordinates: entry [u][k] is the class of basis map u of
+        Hom(t, a) followed by basis map k of Hom(a, b)."""
+        k3 = (t, a, b)
+        hit = self._compose_cache.get(k3)
+        if hit is None:
+            ta, ab, tb = self.block_space(t, a), self.block_space(a, b), self.block_space(t, b)
+            lefts = [ta.rep_map(_unit(ta.dim, u)) for u in range(ta.dim)]
+            rights = [ab.rep_map(_unit(ab.dim, k)) for k in range(ab.dim)]
+            hit = tuple(tuple(tb.class_coords(left.then(right)) for right in rights) for left in lefts)
+            self._compose_cache[k3] = hit
+        return hit
+
+    def _rank_forms(self, x: ObjKey, m: ObjKey, hv: HomVectors) -> List[Tuple[int, int, List[List[Tuple[int, ...]]]]]:
+        """For each test object T on which Hom(T, f) can be nonzero, the
+        matrix of Hom(T, f) as a linear function of the coordinates of
+        f: (index of T, columns, one coefficient vector per entry, row
+        by row). Rows run over a basis of Hom(T, x), columns over one
+        of Hom(T, m), both block by block."""
+        hm = hv.matrix
+        xi = [hv.index[a] for a in x]
+        mi = [hv.index[b] for b in m]
+        offsets: Dict[Tuple[int, int], int] = {}
+        seen = set()
+        dim = 0
+        for i, a in enumerate(xi):
+            for j, b in enumerate(mi):
+                if hm[a][b]:
+                    offsets[i, j] = dim
+                    dim += hm[a][b]
+                    seen |= hv.sees[a] & hv.sees[b]
+        forms = []
+        for t in sorted(seen):
+            trow, part = hm[t], hv.parts[t]
+            rows = [(i, u) for i, a in enumerate(xi) for u in range(trow[a])]
+            cols = [(j, v) for j, b in enumerate(mi) for v in range(trow[b])]
+            matrix = []
+            for i, u in rows:
+                entries = []
+                for j, v in cols:
+                    vec = [0] * dim
+                    off = offsets.get((i, j))
+                    if off is not None:
+                        for k, coords in enumerate(self._composition(part, x[i], m[j])[u]):
+                            vec[off + k] = coords[v]
+                    entries.append(tuple(vec))
+                matrix.append(entries)
+            if any(any(vec) for entries in matrix for vec in entries):
+                forms.append((t, len(cols), matrix))
+        return forms
 
     def fiber_counts(self, x: ObjKey, m: ObjKey, cap: Optional[int] = None) -> Dict[ObjKey, int]:
         """How many morphisms x -> m have each cone class.
@@ -340,16 +405,44 @@ class PeriodicContext:
         cone(c f), so one morphism per line, first nonzero coordinate 1,
         is classified and counts q - 1 times. The cap bounds
         q**hom_dim(x, m).
+
+        A line f is classified by its rank profile, never built: the
+        ranks of Hom(T, f) for every test object T, read off the cached
+        composition tensors. Its cone C has the hom vector
+
+            dim Hom(T, C) = hom(T, m) - rk Hom(T, f) + hom(T[-1], x) - rk Hom(T[-1], f),
+
+        which fixes C by Auslander's theorem; :meth:`HomVectors.cone_key`
+        decodes it. One key is decoded per distinct rank profile, in
+        order of first appearance. Only quivers of type A are served
+        (see :meth:`hom_vectors`); :func:`perihall.checks.cone_key_literal`
+        builds and reduces the cone instead.
         """
         k = (x, m)
         hit = self._fiber_cache.get(k)
         if hit is None:
-            hit = {self.direct_sum_key(self.shift_key(x, 1), m): 1}
-            if self.hom_dim(x, m):
-                space = self.hom_space(x, m)
-                for coords in space.enumerate_lines(cap):
-                    ck = self.cone_key(space.rep_map(coords))
-                    hit[ck] = hit.get(ck, 0) + self.q - 1
+            zero = self.direct_sum_key(self.shift_key(x, 1), m)
+            hit = {zero: 1}
+            dim = self.hom_dim(x, m)
+            if dim:
+                self.check_budget(x, m, dim, cap)
+                hv = self.hom_vectors()
+                forms = self._rank_forms(x, m, hv)
+                p = self.q
+                profiles: Dict[Tuple[int, ...], int] = {}
+                for coords in _lines(p, dim):
+                    ranks = tuple(
+                        rank_rows(
+                            [[sum(map(operator.mul, coords, vec)) % p for vec in entries] for entries in matrix],
+                            cols,
+                            p,
+                        )
+                        for _, cols, matrix in forms
+                    )
+                    profiles[ranks] = profiles.get(ranks, 0) + p - 1
+                for ranks, count in profiles.items():
+                    ck = hv.cone_key(zero, [(form[0], r) for form, r in zip(forms, ranks)])
+                    hit[ck] = hit.get(ck, 0) + count
             self._fiber_cache[k] = hit
         return hit
 
@@ -399,3 +492,66 @@ def _multiplicities(key: ObjKey) -> List[Tuple[Tuple[int, int], int]]:
     """Each distinct (class_id, shift) entry of a sorted key with the
     number of times it occurs."""
     return [(part, len(list(run))) for part, run in itertools.groupby(key)]
+
+
+def _unit(dim: int, k: int) -> Tuple[int, ...]:
+    """The k-th unit vector of length dim."""
+    return tuple(1 if i == k else 0 for i in range(dim))
+
+
+def _lines(q: int, dim: int) -> Iterator[Tuple[int, ...]]:
+    """One nonzero vector of F_q^dim per line through the origin: the
+    vectors whose first nonzero entry is 1, in lexicographic order."""
+    for lead in range(dim - 1, -1, -1):
+        head = (0,) * lead + (1,)
+        for tail in itertools.product(range(q), repeat=dim - 1 - lead):
+            yield head + tail
+
+
+def _rational_inverse(matrix: Sequence[Sequence[int]]) -> List[List[Fraction]]:
+    """The inverse over Q of an integer matrix, by Gauss-Jordan; raises
+    when the matrix is singular. Entries stay ints until a pivot
+    divides them, and only the nonzero entries of a pivot row are
+    eliminated, as the hom matrices are sparse."""
+    n = len(matrix)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if aug[r][c]), None)
+        if pivot is None:
+            raise AssertionError("the hom matrix of the test objects is singular; Auslander decode impossible")
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        if aug[c][c] != 1:
+            inv = Fraction(1) / aug[c][c]
+            aug[c] = [v * inv for v in aug[c]]
+        prow = aug[c]
+        support = [j for j, w in enumerate(prow) if w]
+        for r in range(n):
+            f = aug[r][c]
+            if r != c and f:
+                row = aug[r]
+                for j in support:
+                    row[j] -= f * prow[j]
+    return [[Fraction(v) for v in row[n:]] for row in aug]
+
+
+def _is_type_a(quiver: Quiver) -> bool:
+    """Whether the underlying graph is a disjoint union of paths: no
+    vertex meets more than two arrows and no arrow closes a cycle (two
+    parallel arrows close one)."""
+    degree = {v: 0 for v in quiver.vertices}
+    root = {v: v for v in quiver.vertices}
+
+    def find(v: str) -> str:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a in quiver.arrows:
+        degree[a.source] += 1
+        degree[a.target] += 1
+        ra, rb = find(a.source), find(a.target)
+        if ra == rb:
+            return False
+        root[ra] = rb
+    return all(d <= 2 for d in degree.values())
+

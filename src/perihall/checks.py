@@ -1,11 +1,12 @@
 """Verification harnesses for the periodic Hall engine.
 
 Every closed formula the engine relies on (its one-enumeration product
-formula against both dual counting recipes, dim Ext^1 from the Euler
-form, iso classes from Krull-Schmidt types, the layered automorphism
-count, the square-root sizes of composition images, the block normal
-form of triangles, the straightening relations) is re-derived here by
-brute enumeration on small instances and compared exactly.
+formula against both dual counting recipes, cone classes from Hom
+ranks against built and reduced cones, dim Ext^1 from the Euler form,
+iso classes from Krull-Schmidt types, the layered automorphism count,
+the square-root sizes of composition images, the block normal form of
+triangles, the straightening relations) is re-derived here by brute
+enumeration on small instances and compared exactly.
 :class:`FaultyEngine` carries one wrong structure constant, so a test
 can show that a harness notices. Each harness returns a CheckReport
 rather than raising, so the test suite and the command line can both
@@ -17,12 +18,14 @@ graded enumeration order and all caps are explicit parameters.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .category import BlockHomSpace, ObjKey, PeriodicContext
-from .gfp import Subspace
+from .category import BlockHomSpace, ObjKey, PeriodicContext, _unit
+from .gfp import MatrixFp, Subspace
 from .hall import HallEngine, HallVector
 from .periodic import (
     PERIOD,
@@ -199,9 +202,7 @@ def aut_order_by_enumeration(pctx: PeriodicContext, key: ObjKey, cap: Optional[i
     morphism is invertible exactly when its cone is zero. The engine
     uses the layered formula of :meth:`PeriodicContext.aut_order`."""
     space = pctx.hom_space(key, key)
-    return sum(
-        1 for coords in space.enumerate_classes(cap) if pctx.cone_key(space.rep_map(coords)) == pctx.zero_key
-    )
+    return sum(1 for _, f in block_morphisms(space, cap) if cone_key_literal(pctx, f) == pctx.zero_key)
 
 
 def aut_order_by_layers(pctx: PeriodicContext, key: ObjKey) -> int:
@@ -218,11 +219,82 @@ def aut_order_by_layers(pctx: PeriodicContext, key: ObjKey) -> int:
     return order
 
 
+def complex_key(pctx: PeriodicContext, c: CycleComplex) -> ObjKey:
+    """The object key of a cycle complex: the pieces of its normal form,
+    each keyed by its summand class ids at its shift."""
+    pieces = normal_pieces(pctx.ctx, c)
+    return pctx.direct_sum_key(*(pctx.module_key(piece, s) for s, piece in enumerate(pieces)))
+
+
+def cone_key_literal(pctx: PeriodicContext, f: ChainMap) -> ObjKey:
+    """The object key of the cone of f, by building the mapping cone and
+    reducing it to normal form. The engine reads it off the ranks of
+    Hom(T, f) instead (:meth:`PeriodicContext.fiber_counts`)."""
+    cone, _, _ = mapping_cone(pctx.ctx, f)
+    return complex_key(pctx, cone)
+
+
+def block_coords(space: BlockHomSpace, f: ChainMap) -> Tuple[int, ...]:
+    """The coordinates of the class of f, read off block by block."""
+    out: List[int] = []
+    for i, j, block_space in space.blocks:
+        comp = space.source.injections[i].then(f).then(space.target.projections[j])
+        out.extend(block_space.class_coords(comp))
+    return tuple(out)
+
+
+def block_morphisms(space: BlockHomSpace, cap: Optional[int] = None) -> Iterator[Tuple[Tuple[int, ...], ChainMap]]:
+    """Every morphism class of a block hom space, coordinates in
+    lexicographic order, with its representative chain map. The cap
+    bounds the number of classes, as in
+    :meth:`PeriodicContext.check_budget`.
+
+    The representative is linear in the coordinates, so the basis chain
+    maps on the realized totals (projection, block representative,
+    injection) are assembled once, as flat entry columns per (slot,
+    vertex) component, and each class is one linear combination mod q.
+    :func:`rep_map_blockwise` assembles each representative block by
+    block."""
+    pctx = space.pctx
+    pctx.check_budget(space.source.key, space.target.key, space.dim, cap)
+    p = pctx.q
+    field = pctx.ctx.field
+    source, target = space.source.total, space.target.total
+    maps = []
+    for i, j, block_space in space.blocks:
+        for k in range(block_space.dim):
+            block = block_space.rep_map(_unit(block_space.dim, k))
+            maps.append(space.source.projections[i].then(block).then(space.target.injections[j]))
+    # per slot, per vertex: (nrows, ncols, entry columns), where entry
+    # column e holds entry e of each basis map; None marks a component
+    # that vanishes on every basis map
+    basis = []
+    for s in range(PERIOD):
+        slot = []
+        for v, (nr, nc) in enumerate(zip(source.slots[s].dims, target.slots[s].dims)):
+            cols = list(zip(*(m.comps[s].comps[v].flat() for m in maps))) if maps else []
+            slot.append((nr, nc, cols if any(any(col) for col in cols) else None))
+        basis.append(slot)
+    for coords in itertools.product(range(p), repeat=space.dim):
+        comps = []
+        for s in range(PERIOD):
+            mats = []
+            for nr, nc, cols in basis[s]:
+                if cols is None:
+                    rows = [[0] * nc for _ in range(nr)]
+                else:
+                    flat = [sum(map(operator.mul, coords, col)) % p for col in cols]
+                    rows = [flat[r * nc : (r + 1) * nc] for r in range(nr)]
+                mats.append(MatrixFp._trusted(field, rows, nc))
+            comps.append(RepMap(source.slots[s], target.slots[s], mats, check=False))
+        yield coords, ChainMap(source, target, comps, check=False)
+
+
 def rep_map_blockwise(space: BlockHomSpace, coords: Sequence[int]) -> ChainMap:
     """The representative of a class of a block hom space, assembled
     block by block: each block's representative, between the projection
-    onto its source part and the injection of its target part. The
-    engine combines precomputed basis maps instead."""
+    onto its source part and the injection of its target part.
+    :func:`block_morphisms` combines precomputed basis maps instead."""
     f = ChainMap.zero(space.source.total, space.target.total)
     pos = 0
     for i, j, block_space in space.blocks:
@@ -237,14 +309,13 @@ def rep_map_blockwise(space: BlockHomSpace, coords: Sequence[int]) -> ChainMap:
 def fiber_counts_literal(
     pctx: PeriodicContext, x: ObjKey, m: ObjKey, cap: Optional[int] = None
 ) -> Dict[ObjKey, int]:
-    """Morphisms x -> m counted by cone class, one cone per morphism.
-    The engine's :meth:`PeriodicContext.fiber_counts` classifies one
-    morphism per scalar line and reads the zero morphism's cone off the
-    keys."""
-    space = pctx.hom_space(x, m)
+    """Morphisms x -> m counted by cone class, one built cone per
+    morphism. The engine's :meth:`PeriodicContext.fiber_counts`
+    classifies one morphism per scalar line by its rank profile and
+    reads the zero morphism's cone off the keys."""
     counts: Dict[ObjKey, int] = {}
-    for coords in space.enumerate_classes(cap):
-        ck = pctx.cone_key(space.rep_map(coords))
+    for _, f in block_morphisms(pctx.hom_space(x, m), cap):
+        ck = cone_key_literal(pctx, f)
         counts[ck] = counts.get(ck, 0) + 1
     return counts
 
@@ -394,7 +465,7 @@ def check_decorated_symmetry(
         picked = []
         for coords in space.enumerate_classes():
             f = space.rep_map(coords)
-            if pctx.cone_key(f) == want:
+            if cone_key_literal(pctx, f) == want:
                 picked.append(f)
         return picked
 
@@ -421,7 +492,7 @@ def check_decorated_symmetry(
                             left_leg = projs[0].then(mm)
                             for ff in good_f:
                                 comb = left_leg.add(projs[1].then(ff))
-                                ck = pctx.cone_key(comb)
+                                ck = cone_key_literal(pctx, comb)
                                 lhs_counts[ck] = lhs_counts.get(ck, 0) + 1
                         candidates: Dict[Key, None] = {}
                         for ck in lhs_counts:
@@ -448,7 +519,7 @@ def check_decorated_symmetry(
                                 first_leg = fp.then(injs[0])
                                 for mp in survivors(hs_mp, z1):
                                     comb = first_leg.add(mp.then(injs[1]).neg())
-                                    if pctx.cone_key(comb) == l:
+                                    if cone_key_literal(pctx, comb) == l:
                                         rhs_count += 1
                             lhs_count = lhs_counts.get(pctx.shift_key(lp, 1), 0)
                             lhs_val = HallValue.sqrt_q_power(
@@ -518,7 +589,7 @@ def check_stable_images(
             for pc in hs_phi.enumerate_classes():
                 phi = hs_phi.rep_map(pc)
                 cone, _, _ = mapping_cone(ctx, phi)
-                m = pctx.normalize(cone)
+                m = complex_key(pctx, cone)
                 n_map = phi.shift(1).neg()
                 image_into_l = {end_l.class_coords(n_map.then(s)) for s in s_reps}
                 image_into_z = {end_z1.class_coords(s.then(n_map)) for s in s_reps}
@@ -544,10 +615,6 @@ def check_stable_images(
     return report
 
 
-def _unit_coords(dim: int, k: int) -> Tuple[int, ...]:
-    return tuple(1 if t == k else 0 for t in range(dim))
-
-
 def _compose_table(space: HomSpace, images: List[Tuple[int, ...]], p: int):
     """Closure applying a precomputed linear action to class coordinates."""
     out_dim = space.dim
@@ -565,7 +632,7 @@ def _compose_table(space: HomSpace, images: List[Tuple[int, ...]], p: int):
 
 def _pre_table(space: HomSpace, op: ChainMap, p: int):
     images = [
-        space.class_coords(op.then(space.rep_map(_unit_coords(space.dim, k))))
+        space.class_coords(op.then(space.rep_map(_unit(space.dim, k))))
         for k in range(space.dim)
     ]
     return _compose_table(space, images, p)
@@ -573,7 +640,7 @@ def _pre_table(space: HomSpace, op: ChainMap, p: int):
 
 def _post_table(space: HomSpace, op: ChainMap, p: int):
     images = [
-        space.class_coords(space.rep_map(_unit_coords(space.dim, k)).then(op))
+        space.class_coords(space.rep_map(_unit(space.dim, k)).then(op))
         for k in range(space.dim)
     ]
     return _compose_table(space, images, p)
@@ -587,7 +654,7 @@ def _invertible_classes(
     reps = {}
     for coords in space.enumerate_classes():
         f = space.rep_map(coords)
-        if pctx.cone_key(f) == pctx.zero_key:
+        if cone_key_literal(pctx, f) == pctx.zero_key:
             isos.append(coords)
             reps[coords] = f
     ident = space.class_coords(ChainMap.identity(model))
@@ -680,7 +747,7 @@ def _orbit_instance(
     elemset = set()
     for fc in F.enumerate_classes():
         f_rep = F.rep_map(fc)
-        if pctx.cone_key(f_rep) != l:
+        if cone_key_literal(pctx, f_rep) != l:
             continue
         cone, incl, proj = mapping_cone(ctx, f_rep)
         hs_cl = chain_hom_space(ctx, cone, Lm)
@@ -690,7 +757,7 @@ def _orbit_instance(
         psi0 = None
         for coords in hs_cl.enumerate_classes():
             cand = hs_cl.rep_map(coords)
-            if pctx.cone_key(cand) == zero:
+            if cone_key_literal(pctx, cand) == zero:
                 psi0 = cand
                 break
         if psi0 is None:
@@ -784,7 +851,7 @@ def _orbit_instance(
                     sp = chain_hom_space(ctx, l_models[qi], z1_models[pj])
                     comps[(qi, pj)] = comp
                     comp_zero[(qi, pj)] = sp.is_null_homotopic(comp)
-                    comp_iso[(qi, pj)] = pctx.cone_key(comp) == zero
+                    comp_iso[(qi, pj)] = cone_key_literal(pctx, comp) == zero
             f_from_zero = [
                 chain_hom_space(ctx, z_models[pi], Mm).is_null_homotopic(
                     Zr.injections[pi].then(f_rep)
@@ -923,7 +990,7 @@ def _find_block_partition(
                         diag = diag.add(
                             s_projs[a].then(comps[(qi, pj)]).then(t_injs[b])
                         )
-                if pctx.cone_key(diag) != pctx.zero_key:
+                if cone_key_literal(pctx, diag) != pctx.zero_key:
                     continue
             l1_key = tuple(sorted(l_parts[qi] for qi in q1))
             z1_key = tuple(sorted(z_parts[pj] for pj in p1))
@@ -1041,12 +1108,12 @@ def check_cone_well_defined(
     for key in keys:
         model = pctx.realize(key).total
         report.checked += 1
-        if pctx.normalize(model) != key:
+        if complex_key(pctx, model) != key:
             report.fail(f"normal form round trip at {pctx.format_key(key)}")
             continue
-        if pctx.normalize(model.shift(1)) != pctx.shift_key(key, 1):
+        if complex_key(pctx, model.shift(1)) != pctx.shift_key(key, 1):
             report.fail(f"shifted normal form at {pctx.format_key(key)}")
-        if pctx.normalize(model.shift(1).shift(1).shift(1)) != key:
+        if complex_key(pctx, model.shift(1).shift(1).shift(1)) != key:
             report.fail(f"triple shift not the identity at {pctx.format_key(key)}")
         base = normal_pieces(ctx, model)
         rot = normal_pieces(ctx, model.shift(1))
@@ -1075,27 +1142,27 @@ def check_cone_well_defined(
             lit = chain_hom_space(ctx, Xm, Ym)
             if lit.dim == 0:
                 continue
-            picks = [_unit_coords(lit.dim, k) for k in range(lit.dim)]
+            picks = [_unit(lit.dim, k) for k in range(lit.dim)]
             picks.append(tuple(1 for _ in range(lit.dim)))
             for coords in picks:
                 if sampled >= morphism_target:
                     break
                 f = lit.rep_map(coords)
-                base_cone = pctx.cone_key(f)
+                base_cone = cone_key_literal(pctx, f)
                 wobble = lit.random_boundary([1 + (sampled % 3), 2, 1])
-                if pctx.cone_key(f.add(wobble)) != base_cone:
+                if cone_key_literal(pctx, f.add(wobble)) != base_cone:
                     report.fail(
                         f"cone class moved under homotopy at {pctx.format_key(x)}"
                         f" -> {pctx.format_key(y)}"
                     )
                 padded_t, injs, _ = direct_sum_complexes(ctx, [Ym, pad])
-                if pctx.cone_key(f.then(injs[0])) != base_cone:
+                if cone_key_literal(pctx, f.then(injs[0])) != base_cone:
                     report.fail(
                         f"cone class moved under target padding at"
                         f" {pctx.format_key(x)} -> {pctx.format_key(y)}"
                     )
                 _, _, projs = direct_sum_complexes(ctx, [Xm, pad])
-                if pctx.cone_key(projs[0].then(f)) != base_cone:
+                if cone_key_literal(pctx, projs[0].then(f)) != base_cone:
                     report.fail(
                         f"cone class moved under source padding at"
                         f" {pctx.format_key(x)} -> {pctx.format_key(y)}"

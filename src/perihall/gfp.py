@@ -27,6 +27,7 @@ __all__ = [
     "MatrixFp",
     "Subspace",
     "gl_order",
+    "rank_rows",
 ]
 
 
@@ -275,8 +276,7 @@ class MatrixFp:
         )
 
     def rank(self) -> int:
-        rows = self.copy_rows()
-        return len(_rref_in_place(rows, self.ncols, self.field))
+        return rank_rows(self.copy_rows(), self.ncols, self.field.p)
 
     def kernel_basis(self) -> "MatrixFp":
         """Canonical basis, as rows, of {v : v @ self == 0}."""
@@ -343,6 +343,27 @@ class MatrixFp:
         if len(pivots) != self.nrows:
             raise ValueError("matrix is singular")
         return t
+
+
+def rank_rows(rows: List[List[int]], ncols: int, p: int) -> int:
+    """Rank over F_p of the matrix with these rows, entries in [0, p),
+    by forward elimination. Consumes the list and its rows."""
+    if len(rows) <= 1 or ncols == 1:
+        return 1 if any(map(any, rows)) else 0
+    rank = 0
+    while rows:
+        row = rows.pop()
+        c = next((c for c, v in enumerate(row) if v), None)
+        if c is None:
+            continue
+        rank += 1
+        inv = pow(row[c], p - 2, p)
+        for other in rows:
+            if other[c]:
+                f = other[c] * inv % p
+                for j in range(c, ncols):
+                    other[j] = (other[j] - f * row[j]) % p
+    return rank
 
 
 def _rref_in_place(rows: List[List[int]], ncols: int, field: FieldSpec) -> Tuple[int, ...]:

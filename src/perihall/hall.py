@@ -17,7 +17,10 @@ The engine is generic over the category: anything exposing the oracle
 surface (period, field size, object keys, shifts, direct sums, hom
 dimensions, automorphism orders, and morphism counts fibered by cone
 class) can be multiplied. The 3-periodic quiver category is the main
-instance; tests also run a 5-periodic semisimple one.
+instance; tests also run a 5-periodic semisimple one. Its morphism
+counts, and so its products, are served only for quivers of type A
+(disjoint unions of paths); on any other quiver
+:func:`perihall.checks.fiber_counts_literal` counts the fibers.
 """
 
 from __future__ import annotations
@@ -158,7 +161,12 @@ class PBWExpression:
 
 
 class HallEngine:
-    """Exact structure constants and products over a category oracle."""
+    """Exact structure constants and products over a category oracle.
+
+    Over :class:`perihall.category.PeriodicContext` the fibers, and so
+    the products, exist only for quivers of type A; other quivers raise
+    ``NotImplementedError``, and
+    :func:`perihall.checks.fiber_counts_literal` counts their fibers."""
 
     def __init__(self, oracle: CategoryOracle):
         self.oracle = oracle

@@ -4,7 +4,8 @@ A quiver here is a finite directed graph with named vertices and named
 arrows, required to be acyclic so the path algebra is finite dimensional
 and hereditary. Vertex order is the declaration order and is the order
 every matrix-valued structure downstream iterates in, which is what
-makes the whole package deterministic.
+makes the whole package deterministic. Hall products are served only
+for quivers of type A (see :mod:`perihall.category`).
 """
 
 from __future__ import annotations

@@ -485,16 +485,21 @@ class RepContext:
         return x.dims == y.dims and self.summand_ids(x) == self.summand_ids(y)
 
     def _fitting_split(self, x: Rep, e: RepMap) -> Optional[Tuple[Rep, RepMap, Rep, RepMap]]:
-        """Split x along a non-nilpotent, non-invertible endomorphism."""
+        """Split x along a non-nilpotent, non-invertible endomorphism.
+
+        The image of the stable power has total dimension the sum of the
+        ranks of its vertex components, so a nilpotent or invertible e
+        is rejected before any subrepresentation is built."""
         n = max(1, x.total_dim)
         power = e
         steps = 1
         while steps < n:
             power = power.then(power)
             steps *= 2
-        im, iincl = self.image(power)
-        if im.total_dim == 0 or im.total_dim == x.total_dim:
+        rank = sum(c.rank() for c in power.comps)
+        if rank == 0 or rank == x.total_dim:
             return None
+        im, iincl = self.image(power)
         ker, kincl = self.kernel(power)
         if ker.total_dim + im.total_dim != x.total_dim:
             return None

@@ -1,9 +1,14 @@
 import pytest
 
+from perihall import category
 from perihall.category import PeriodicContext
 from perihall.checks import (
     aut_order_by_enumeration,
     aut_order_by_layers,
+    block_coords,
+    block_morphisms,
+    complex_key,
+    cone_key_literal,
     fiber_counts_literal,
     rep_map_blockwise,
 )
@@ -55,7 +60,7 @@ def test_enumeration_is_graded_and_stable(a2):
 
 def test_realize_normalize_round_trip(a2):
     for key in a2.enumerate_objects((1, 1)):
-        assert a2.normalize(a2.realize(key).total) == key
+        assert complex_key(a2, a2.realize(key).total) == key
 
 
 def test_shift_key_matches_complex_shift(a2):
@@ -63,7 +68,7 @@ def test_shift_key_matches_complex_shift(a2):
     p1 = a2.ctx.projective("1")
     for key in (a2.module_key(s1), a2.direct_sum_key(a2.module_key(p1), a2.module_key(s1, 1))):
         for n in range(1, 4):
-            assert a2.normalize(a2.realize(key).total.shift(n)) == a2.shift_key(key, n)
+            assert complex_key(a2, a2.realize(key).total.shift(n)) == a2.shift_key(key, n)
     assert a2.shift_key(a2.module_key(s1), 3) == a2.module_key(s1)
 
 
@@ -91,8 +96,8 @@ def test_block_coordinates_round_trip(a2):
     s2 = a2.ctx.simple("2")
     x = a2.direct_sum_key(a2.module_key(s1), a2.module_key(s2, 1))
     space = a2.hom_space(x, x)
-    for coords in space.enumerate_classes():
-        assert space.class_of(space.rep_map(coords)) == coords
+    for coords, f in block_morphisms(space):
+        assert block_coords(space, f) == coords
 
 
 @pytest.mark.parametrize(
@@ -119,8 +124,8 @@ def test_rep_map_matches_the_blockwise_assembly(quiver, p, bound, first):
             if pctx.hom_dim(x, m) > 3:
                 continue
             space = pctx.hom_space(x, m)
-            for coords in space.enumerate_classes():
-                assert space.rep_map(coords).key() == rep_map_blockwise(space, coords).key(), (x, m, coords)
+            for coords, f in block_morphisms(space):
+                assert f.key() == rep_map_blockwise(space, coords).key(), (x, m, coords)
             spaces += 1
     assert spaces >= len(keys) ** 2 // 2
 
@@ -135,7 +140,7 @@ def test_cone_of_zero_map_is_sum_with_shift(a2):
     ]
     for akey, bkey in pairs:
         f = ChainMap.zero(a2.realize(akey).total, a2.realize(bkey).total)
-        assert a2.cone_key(f) == a2.direct_sum_key(bkey, a2.shift_key(akey, 1))
+        assert cone_key_literal(a2, f) == a2.direct_sum_key(bkey, a2.shift_key(akey, 1))
 
 
 def test_fiber_counts_on_the_point_quiver(a1):
@@ -185,26 +190,92 @@ def test_fiber_counts_total_mass(a2):
     ],
 )
 def test_fiber_counts_match_the_literal_count(n, p, bound, first, hom_cap, monkeypatch):
-    # one cone per scalar line, the zero morphism's read off the keys:
-    # the counts must equal classifying every morphism, and only the
-    # q^d - 1 nonzero morphisms up to scalars may be classified
+    # one rank profile per scalar line, the zero morphism's cone read
+    # off the keys: the counts must equal building the cone of every
+    # morphism, only the (q^d - 1)/(q - 1) lines may be profiled, and
+    # no object is realized on the way
     pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)))
     keys = pctx.enumerate_objects(bound)[:first]
-    cones = []
-    honest = pctx.cone_key
-    monkeypatch.setattr(pctx, "cone_key", lambda f: cones.append(f) or honest(f))
+    lines = []
+    honest_lines = category._lines
+    monkeypatch.setattr(category, "_lines", lambda q, dim: (lines.append(c) or c for c in honest_lines(q, dim)))
+    realized = []
+    honest_realize = pctx.realize
+    monkeypatch.setattr(pctx, "realize", lambda key: realized.append(key) or honest_realize(key))
     checked = 0
     for x in keys:
         for m in keys:
             d = pctx.hom_dim(x, m)
             if hom_cap is not None and d > hom_cap:
                 continue
-            before = len(cones)
+            before, built = len(lines), len(realized)
             counts = pctx.fiber_counts(x, m)
-            assert len(cones) - before == (p**d - 1) // (p - 1)
+            assert len(lines) - before == (p**d - 1) // (p - 1)
+            assert len(realized) == built
             assert counts == fiber_counts_literal(pctx, x, m), (x, m)
             checked += 1
     assert checked >= len(keys) ** 2 // 2
+
+
+@pytest.mark.parametrize("n, objects", [(1, 8), (2, 125), (3, 2197)])
+@pytest.mark.parametrize("p", [2, 3])
+def test_hom_vectors_decode_every_object(n, p, objects):
+    # H[T][U] = hom_dim(T, U) over the test objects is invertible with
+    # a denominator dividing 2; the hom vectors of the objects of bound
+    # (1,...,1) are distinct, and H^-1 maps each back to its object
+    pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)))
+    hv = pctx.hom_vectors()
+    size = len(hv.parts)
+    assert size == 3 * n * (n + 1) // 2
+    assert 2 % hv.denominator == 0
+    for t in range(size):
+        for u in range(size):
+            entry = sum(hv.matrix[t][k] * hv.inverse[k][u] for k in range(size))
+            assert entry == (hv.denominator if t == u else 0)
+    keys = pctx.enumerate_objects((1,) * n)
+    assert len(keys) == objects
+    vectors = set()
+    for key in keys:
+        vec = [sum(hv.matrix[t][hv.index[part]] for part in key) for t in range(size)]
+        vectors.add(tuple(vec))
+        decoded = [sum(hv.inverse[u][t] * vec[t] for t in range(size)) for u in range(size)]
+        assert decoded == [hv.denominator * key.count(part) for part in hv.parts], key
+    assert len(vectors) == objects
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rank_profiles_match_the_literal_count_on_a_sink(p):
+    # the orientation 1 -> 2 <- 3, which the line quivers never take
+    sink = Quiver(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "3", "2")])
+    pctx = PeriodicContext(RepContext(sink, FieldSpec(p)))
+    keys = pctx.enumerate_objects((1, 1, 1))[:20]
+    extensions = 0
+    for x in keys:
+        for m in keys:
+            counts = pctx.fiber_counts(x, m)
+            assert counts == fiber_counts_literal(pctx, x, m), (x, m)
+            extensions += len(counts) > 1
+    assert extensions
+
+
+@pytest.mark.parametrize(
+    "quiver",
+    [
+        KRONECKER,
+        # a vertex meeting three arrows (D4), and a triangle (affine A2)
+        Quiver(["1", "2", "3", "4"], [Arrow("a", "1", "4"), Arrow("b", "2", "4"), Arrow("c", "3", "4")]),
+        Quiver(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3"), Arrow("c", "1", "3")]),
+    ],
+    ids=["kronecker", "d4", "triangle"],
+)
+def test_fiber_counts_refuse_quivers_not_of_type_a(quiver):
+    pctx = PeriodicContext(RepContext(quiver, FieldSpec(2)))
+    s1 = pctx.module_key(pctx.ctx.simple("1"))
+    s2 = pctx.module_key(pctx.ctx.simple("2"))
+    # a pair without morphisms needs no classification
+    assert pctx.fiber_counts(s1, s2) == {pctx.direct_sum_key(pctx.shift_key(s1, 1), s2): 1}
+    with pytest.raises(NotImplementedError, match="type A"):
+        pctx.fiber_counts(s1, s1)
 
 
 def test_budget_errors_name_their_objects(a2):
