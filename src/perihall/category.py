@@ -20,6 +20,20 @@ per pair, and weight it by the multiplicities in the keys;
 ``aut_order`` also reads each class's residue degree, cached per class
 id. :func:`perihall.checks.aut_order_by_layers` builds the layers.
 
+The brace exponent {x,y} = -hom(x[1], y) + hom(x[2], y) - hom(x[3], y),
+the alternating sum over one period, reads the same table. It is
+bilinear, so it is a sum over pairs of parts (a, s_a) of x and (b, s_b)
+of y. The covering formula gives hom((a, s_a + i), (b, s_b)) as
+Hom(a, b), Ext^1(a, b) or 0 when s_b - s_a - i is 0, 1 or 2 mod 3, so
+with r = (s_b - s_a) mod 3 the shifts i = 1, 2, 3 see the residues r - 1,
+r - 2 and r, and one pair contributes
+
+    beta(r) = -hom_{r-1} + hom_{r-2} - hom_r,   hom_0 = Hom, hom_1 = Ext^1, hom_2 = 0,
+
+indices mod 3, that is Ext^1 - Hom at r = 0, -(Hom + Ext^1) at r = 1 and
+Hom - Ext^1 at r = 2. :func:`perihall.checks.brace_exponent_by_shifts`
+takes the alternating sum of ``hom_dim`` literally.
+
 Cones are classified without being built. The test objects T are the
 pairs (indecomposable class, shift). For a morphism f: x -> m with cone
 C, the long exact Hom sequence of x -> m -> C -> x[1] gives
@@ -174,6 +188,7 @@ class PeriodicContext:
         self._hom_cache: Dict[Tuple[ObjKey, ObjKey], BlockHomSpace] = {}
         self._fiber_cache: Dict[Tuple[ObjKey, ObjKey], Dict[ObjKey, int]] = {}
         self._aut_cache: Dict[ObjKey, int] = {}
+        self._brace_cache: Dict[Tuple[ObjKey, ObjKey], int] = {}
         self._pair_cache: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self._residue_cache: Dict[int, int] = {}
         self._compose_cache: Dict[Tuple[Part, Part, Part], Tuple[Tuple[Tuple[int, ...], ...], ...]] = {}
@@ -246,12 +261,16 @@ class PeriodicContext:
         """All objects whose shift-s layer has dimension vector at most
         ``bound`` for each s, ordered by total dimension then key.
 
-        Each module of the bound is keyed once; an object is one module
-        key per shift, and distinct modules have distinct keys."""
-        modules = [self.module_key(r) for r in self.ctx.enumerate_reps(bound)]
-        layers = [[self.shift_key(k, s) for k in modules] for s in range(PERIOD)]
-        keys = [self.direct_sum_key(*triple) for triple in itertools.product(*layers)]
-        return sorted(keys, key=lambda k: (self.total_dim(k), k))
+        Each module of the bound is keyed once, with its total
+        dimension; an object is one module key per shift, and distinct
+        modules have distinct keys."""
+        modules = [(self.module_key(r), r.total_dim) for r in self.ctx.enumerate_reps(bound)]
+        layers = [[(self.shift_key(k, s), d) for k, d in modules] for s in range(PERIOD)]
+        objects = sorted(
+            (d0 + d1 + d2, self.direct_sum_key(k0, k1, k2))
+            for (k0, d0), (k1, d1), (k2, d2) in itertools.product(*layers)
+        )
+        return [key for _, key in objects]
 
     # -- realization --------------------------------------------------
 
@@ -311,6 +330,26 @@ class PeriodicContext:
                 if r < 2:
                     total += ma * mb * self._class_pair(cid_a, cid_b)[r]
         return total
+
+    def brace_exponent(self, x: ObjKey, y: ObjKey) -> int:
+        """{x,y}: e with q**e equal to the alternating product of
+        |Hom(x[i], y)| over i from 1 to 3, signs starting at -1, summed
+        over part pairs by the shift residue r (module docstring): Ext^1
+        - Hom at r = 0, -(Hom + Ext^1) at r = 1, Hom - Ext^1 at r = 2.
+        Cached per key pair."""
+        k = (x, y)
+        hit = self._brace_cache.get(k)
+        if hit is None:
+            total = 0
+            ys = _multiplicities(y)
+            for (cid_a, sa), ma in _multiplicities(x):
+                for (cid_b, sb), mb in ys:
+                    hom, ext = self._class_pair(cid_a, cid_b)
+                    r = (sb - sa) % PERIOD
+                    beta = ext - hom if r == 0 else -(hom + ext) if r == 1 else hom - ext
+                    total += ma * mb * beta
+            self._brace_cache[k] = hit = total
+        return hit
 
     def check_budget(self, x: ObjKey, y: ObjKey, dim: int, cap: Optional[int] = None) -> None:
         """Refuse to walk the q**dim morphism classes x -> y beyond the cap

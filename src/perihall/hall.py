@@ -9,9 +9,17 @@ associated to triangulated categories", math/0608144):
     F_xy^l = |Hom(y[-1], x)_l| * |Aut l| / (|Aut x| |Aut y|) * q^(k/2),
     k = {l,l} - {x,x} - {y,y} - {y,x} - 2 hom(y, x),
 
-where {a,b} is :meth:`HallEngine.brace_exponent` and hom is the oracle's
-hom dimension. The dual counts, which fiber Hom(x, l) or Hom(l, y)
-instead, live in :mod:`perihall.checks` and are compared there.
+where hom is the oracle's hom dimension and {a,b} is the oracle's
+``brace_exponent``: the e with q^e equal to the alternating product of
+the hom sizes |Hom(a[i], b)|, i from 1 to the period, signs starting
+at -1. Each oracle answers it from its own tables;
+:func:`perihall.checks.brace_exponent_by_shifts` takes the alternating
+sum literally. Only {l,l}, |Aut l| and the fiber count depend on the
+cone l, so a product computes the rest of k and |Aut x| |Aut y| once
+and builds each constant as the monomial ratio * q^floor(k/2), times
+sqrt(q) when k is odd. The dual counts, which fiber Hom(x, l) or
+Hom(l, y) instead, live in :mod:`perihall.checks` and are compared
+there.
 
 The engine is generic over the category: anything exposing the oracle
 surface (period, field size, object keys, shifts, direct sums, hom
@@ -56,6 +64,11 @@ class CategoryOracle(Protocol):
 
     def hom_dim(self, x: Key, y: Key) -> int: ...
 
+    def brace_exponent(self, x: Key, y: Key) -> int:
+        """e with q**e equal to the alternating product of the hom sizes
+        |Hom(x[i], y)| for i from 1 to the period, signs starting at -1."""
+        ...
+
     def aut_order(self, key: Key) -> int: ...
 
     def fiber_counts(self, x: Key, m: Key, cap: Optional[int] = None) -> Dict[Key, int]:
@@ -92,9 +105,6 @@ class HallVector:
             w = out.get(k)
             out[k] = v if w is None else w + v
         return HallVector(self.q, out)
-
-    def sub(self, other: "HallVector") -> "HallVector":
-        return self.add(other.scale(HallValue.of(-1, self.q)))
 
     def scale(self, c: HallValue) -> "HallVector":
         return HallVector(self.q, {k: v * c for k, v in self.coeffs.items()})
@@ -174,45 +184,13 @@ class HallEngine:
         self.q = oracle.q
         if self.t % 2 == 0 or self.t < 3:
             raise ValueError("the period must be an odd number at least 3")
-        self._brace_cache: Dict[Tuple[Key, Key], int] = {}
         self._mult_cache: Dict[Tuple[Key, Key], HallVector] = {}
         self._pbw_cache: Dict[Key, PBWExpression] = {}
         self._pbw_active: set = set()
 
-    # -- scalars ------------------------------------------------------
-
-    def brace_exponent(self, x: Key, y: Key) -> int:
-        """e with q**e equal to the alternating product of the hom sizes
-        |Hom(x[i], y)| for i from 1 to the period, signs starting at -1."""
-        k = (x, y)
-        hit = self._brace_cache.get(k)
-        if hit is None:
-            e = 0
-            for i in range(1, self.t + 1):
-                h = self.oracle.hom_dim(self.oracle.shift_key(x, i), y)
-                e += h if i % 2 == 0 else -h
-            self._brace_cache[k] = hit = e
-        return hit
-
     def hall_number(self, x: Key, y: Key, l: Key) -> HallValue:
         """The structure constant of u_l in u_x * u_y."""
         return self.multiply(x, y).coeff(l)
-
-    def _structure_constant(self, x: Key, y: Key, l: Key, count: int) -> HallValue:
-        """F_xy^l from the number of morphisms y[-1] -> x with cone l."""
-        o = self.oracle
-        k = (
-            self.brace_exponent(l, l)
-            - self.brace_exponent(x, x)
-            - self.brace_exponent(y, y)
-            - self.brace_exponent(y, x)
-            - 2 * o.hom_dim(y, x)
-        )
-        ratio = Fraction(count * o.aut_order(l), o.aut_order(x) * o.aut_order(y))
-        value = HallValue.sqrt_q_power(k, self.q) * HallValue.of(ratio, self.q)
-        if not value.is_zero() and value.monomial_exponent() is None:
-            raise AssertionError(f"structure constant {value} is not a monomial in sqrt(q)")
-        return value
 
     # -- products -----------------------------------------------------
 
@@ -228,24 +206,44 @@ class HallEngine:
         The support is exactly the set of cones of morphisms from y
         shifted back once into x; the zero morphism contributes the
         direct sum, so the product of nonzero classes is never zero.
-        Every coefficient is read off the same fiber counts.
+        Every coefficient is read off the same fiber counts, with the
+        part of the exponent and the denominator that do not depend on
+        the cone computed once.
         """
         k = (x, y)
         hit = self._mult_cache.get(k)
         if hit is None:
-            fibers = self.oracle.fiber_counts(self.oracle.shift_key(y, -1), x)
-            hit = HallVector(
-                self.q, {l: self._structure_constant(x, y, l, n) for l, n in fibers.items()}
-            )
-            self._mult_cache[k] = hit
+            o = self.oracle
+            q = self.q
+            brace = o.brace_exponent
+            base = -brace(x, x) - brace(y, y) - brace(y, x) - 2 * o.hom_dim(y, x)
+            den = o.aut_order(x) * o.aut_order(y)
+            coeffs: Dict[Key, HallValue] = {}
+            for l, count in o.fiber_counts(o.shift_key(y, -1), x).items():
+                half, odd = divmod(base + brace(l, l), 2)  # floor division
+                num = count * o.aut_order(l)
+                ratio = Fraction(num * q**half, den) if half >= 0 else Fraction(num, den * q**-half)
+                value = HallValue(0, ratio, q) if odd else HallValue(ratio, 0, q)
+                if value.monomial_exponent() is None:
+                    raise AssertionError(f"structure constant {value} is not a monomial in sqrt(q)")
+                coeffs[l] = value
+            self._mult_cache[k] = hit = HallVector(q, coeffs)
         return hit
 
     def multiply_vectors(self, a: HallVector, b: HallVector) -> HallVector:
-        out = HallVector(self.q)
+        """a * b, every term added into one dict; a pair whose scalar
+        is 1 adds its product's coefficients unscaled."""
+        out: Dict[Key, HallValue] = {}
         for kx, vx in a.items():
             for ky, vy in b.items():
-                out = out.add(self.multiply(kx, ky).scale(vx * vy))
-        return out
+                c = vx if _is_one(vy) else vy if _is_one(vx) else vx * vy
+                terms = self.multiply(kx, ky).coeffs.items()
+                if not _is_one(c):
+                    terms = [(l, v * c) for l, v in terms]
+                for l, v in terms:
+                    w = out.get(l)
+                    out[l] = v if w is None else w + v
+        return HallVector(self.q, out)
 
     # -- straightening into ordered products --------------------------
 
@@ -284,3 +282,7 @@ class HallEngine:
             return expr
         finally:
             self._pbw_active.discard(key)
+
+
+def _is_one(v: HallValue) -> bool:
+    return v.a == 1 and not v.b

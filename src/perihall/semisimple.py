@@ -88,6 +88,19 @@ class SemisimplePeriodic:
     def hom_dim(self, x: SsKey, y: SsKey) -> int:
         return sum(a * b for a, b in zip(x, y))
 
+    def brace_exponent(self, x: SsKey, y: SsKey) -> int:
+        """{x,y}: e with q**e equal to the alternating product of
+        |Hom(x[i], y)| over i from 1 to t, signs starting at -1. The
+        layer s of x meets the layer s + d of y at the shift i = d, or
+        i = t when d = 0, so the pair weighs x_s y_{s+d} with sign
+        (-1)^d for 0 < d < t and -1 for d = 0."""
+        t = self.t
+        total = 0
+        for d in range(t):
+            sign = 1 if d and d % 2 == 0 else -1
+            total += sign * sum(x[s] * y[(s + d) % t] for s in range(t))
+        return total
+
     def aut_order(self, key: SsKey) -> int:
         out = 1
         for m in key:

@@ -1,6 +1,7 @@
 import pytest
 
 from perihall.checks import (
+    brace_exponent_by_shifts,
     build_quiver_engine,
     check_classical_comparison,
     check_cone_well_defined,
@@ -15,6 +16,7 @@ from perihall.checks import (
     hall_number_via,
 )
 from perihall.quiver import line_quiver
+from perihall.semisimple import SemisimplePeriodic
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -126,3 +128,23 @@ def test_decorated_symmetry_passes_on_a1():
     report = check_decorated_symmetry(pctx, engine, keys, target=30, exp_cap=5)
     assert report.passed, report.summary()
     assert report.checked == 30
+
+
+def _brace_mismatches(oracle, keys):
+    return [(x, y) for x in keys for y in keys if oracle.brace_exponent(x, y) != brace_exponent_by_shifts(oracle, x, y)]
+
+
+@pytest.mark.parametrize(
+    "n, p, bound, count",
+    [(1, 3, (1,), None), (2, 2, (1, 1), 60), (2, 3, (1, 1), 60), (3, 2, (1, 1, 1), 60)],
+)
+def test_brace_table_matches_the_alternating_sum(n, p, bound, count):
+    pctx, _ = build_quiver_engine(line_quiver(n), p)
+    keys = pctx.enumerate_objects(bound)[:count]
+    assert _brace_mismatches(pctx, keys) == []
+
+
+@pytest.mark.parametrize("t, bound", [(3, 2), (5, 1), (7, 1)])
+def test_semisimple_brace_closed_form_matches_the_alternating_sum(t, bound):
+    cat = SemisimplePeriodic(t, 2)
+    assert _brace_mismatches(cat, cat.enumerate_objects(bound)) == []

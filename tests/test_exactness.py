@@ -1,4 +1,6 @@
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,26 @@ def test_digest_of_a1_p2(exactness):
     assert digest["aut_orders"]["1@0+1@0"] == 6  # |GL_2(F_2)|
     # a fresh engine writes the same digest
     assert exactness.digest_scope(1, 2, (1,), 8) == digest
+
+
+# sha256(json.dumps(scope, sort_keys=True))[:16] of each scope's digest,
+# as ``tools/exactness.py`` prints it; a changed structure constant, fiber
+# dict, aut order or object order changes one of them
+PINNED = {
+    "A1 p=2": "d2c3326ca1de4e18",
+    "A1 p=3": "4f99757549518ab3",
+    "A2 p=2": "97982dd5604156aa",
+    "A2 p=3": "76f9a62c8c3e7ddf",
+    "A3 p=2": "bd1af39f17bdf7c7",
+    "A2 p=2 bound (2,2)": "fbf16010387f102e",
+}
+
+
+def test_standard_scope_digests_are_pinned(exactness):
+    assert [scope[0] for scope in exactness.SCOPES] == list(PINNED)
+    for name, n, p, bound, count in exactness.SCOPES:
+        blob = json.dumps(exactness.digest_scope(n, p, bound, count), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest()[:16] == PINNED[name], name
 
 
 def test_canon_refuses_shared_dimension_vectors(exactness):

@@ -222,7 +222,7 @@ def test_five_periodic_square():
         cat = SemisimplePeriodic(5, q)
         eng = HallEngine(cat)
         s = cat.object((1, 0, 0, 0, 0))
-        assert eng.brace_exponent(s, s) == -1
+        assert eng.oracle.brace_exponent(s, s) == -1
         prod = eng.multiply(s, s)
         ss = cat.object((2, 0, 0, 0, 0))
         assert prod.support == (ss,)
@@ -313,6 +313,33 @@ def test_hall_vector_algebra():
     w = u.add(v)
     assert w.support == (("b",),)
     assert w.coeff(("a",)).is_zero()
-    assert u.sub(u).is_zero()
+    assert u.add(u.scale(HallValue.of(-1, 2))).is_zero()
     assert v.scale(HallValue.zero(2)).is_zero()
     assert repr(HallVector(2)) == "0"
+
+
+def test_multiply_vectors_matches_the_pairwise_recipe():
+    eng = a2_engine()
+    keys = eng.oracle.enumerate_objects((1, 1))[1:9]
+    rational, root = HallValue.of(Fraction(-2, 3), 2), HallValue(0, Fraction(1, 2), 2)
+    mixed = HallValue(Fraction(5, 4), -3, 2)
+    a = HallVector(2, {keys[0]: rational, keys[1]: root, keys[2]: mixed})
+    b = HallVector(2, {keys[3]: HallValue.one(2), keys[4]: mixed, keys[5]: root})
+    expected = HallVector(2)
+    for kx, vx in a.items():
+        for ky, vy in b.items():
+            expected = expected.add(eng.multiply(kx, ky).scale(vx * vy))
+    assert eng.multiply_vectors(a, b) == expected
+    assert eng.multiply_vectors(eng.unit(), b) == b
+
+    # u_x (u_y - c u_z), where u_x u_y and u_x u_z share the term l
+    # and c makes it cancel
+    x, y, z = keys[7], keys[6], keys[7]
+    shared = [l for l in eng.multiply(x, y).coeffs if l in eng.multiply(x, z).coeffs]
+    assert len(shared) == 1
+    l = shared[0]
+    c = eng.multiply(x, y).coeff(l) / eng.multiply(x, z).coeff(l)
+    diff = HallVector(2, {y: HallValue.one(2), z: -c})
+    got = eng.multiply_vectors(eng.vector(x), diff)
+    assert l not in got.coeffs
+    assert got == eng.multiply(x, y).add(eng.multiply(x, z).scale(-c))
