@@ -16,10 +16,17 @@ at -1. Each oracle answers it from its own tables;
 :func:`perihall.checks.brace_exponent_by_shifts` takes the alternating
 sum literally. Only {l,l}, |Aut l| and the fiber count depend on the
 cone l, so a product computes the rest of k and |Aut x| |Aut y| once
-and builds each constant as the monomial ratio * q^floor(k/2), times
-sqrt(q) when k is odd. The dual counts, which fiber Hom(x, l) or
+and builds each constant from ints with
+:meth:`perihall.sqrtq.HallValue.monomial`, which folds sqrt(q) when q
+is a perfect square. The dual counts, which fiber Hom(x, l) or
 Hom(l, y) instead, live in :mod:`perihall.checks` and are compared
 there.
+
+Sums of products are single-pass: ``multiply_vectors`` and
+``PBWExpression.evaluate`` add every scaled term into one dict, in the
+operands' insertion order, and build one vector at the end. Vector
+equality compares dicts and every printer sorts, so the order changes
+no value.
 
 The engine is generic over the category: anything exposing the oracle
 surface (period, field size, object keys, shifts, direct sums, hom
@@ -33,7 +40,7 @@ counts, and so its products, are served only for quivers of type A
 
 from __future__ import annotations
 
-from fractions import Fraction
+import functools
 from typing import Dict, Hashable, List, Optional, Protocol, Sequence, Tuple
 
 from .sqrtq import HallValue
@@ -86,11 +93,12 @@ class HallVector:
         self.coeffs: Dict[Key, HallValue] = {}
         if coeffs:
             for k, v in coeffs.items():
-                if not v.is_zero():
+                if v.n or v.m:
                     self.coeffs[k] = v
 
     def coeff(self, key: Key) -> HallValue:
-        return self.coeffs.get(key, HallValue.zero(self.q))
+        v = self.coeffs.get(key)
+        return _zero(self.q) if v is None else v
 
     @property
     def support(self) -> Tuple[Key, ...]:
@@ -158,13 +166,15 @@ class PBWExpression:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def evaluate(self, engine: "HallEngine") -> HallVector:
-        total = HallVector(self.q)
-        for factors, coeff in self.items():
+        """The combination in the Hall algebra, every term's product
+        added into one dict."""
+        out: Dict[Key, HallValue] = {}
+        for factors, coeff in self.terms.items():
             acc = engine.unit()
             for s, layer in zip(range(engine.t - 1, -1, -1), factors):
                 acc = engine.multiply_vectors(acc, engine.vector(engine.oracle.shift_key(layer, s)))
-            total = total.add(acc.scale(coeff))
-        return total
+            _add_scaled(out, acc.coeffs, coeff)
+        return HallVector(self.q, out)
 
     def __repr__(self) -> str:
         return " + ".join(f"({v})*{list(k)}" for k, v in self.items()) or "0"
@@ -184,6 +194,7 @@ class HallEngine:
         self.q = oracle.q
         if self.t % 2 == 0 or self.t < 3:
             raise ValueError("the period must be an odd number at least 3")
+        self._one = HallValue.one(self.q)
         self._mult_cache: Dict[Tuple[Key, Key], HallVector] = {}
         self._pbw_cache: Dict[Key, PBWExpression] = {}
         self._pbw_active: set = set()
@@ -195,7 +206,7 @@ class HallEngine:
     # -- products -----------------------------------------------------
 
     def vector(self, key: Key) -> HallVector:
-        return HallVector(self.q, {key: HallValue.one(self.q)})
+        return HallVector(self.q, {key: self._one})
 
     def unit(self) -> HallVector:
         return self.vector(self.oracle.zero_key)
@@ -220,11 +231,8 @@ class HallEngine:
             den = o.aut_order(x) * o.aut_order(y)
             coeffs: Dict[Key, HallValue] = {}
             for l, count in o.fiber_counts(o.shift_key(y, -1), x).items():
-                half, odd = divmod(base + brace(l, l), 2)  # floor division
-                num = count * o.aut_order(l)
-                ratio = Fraction(num * q**half, den) if half >= 0 else Fraction(num, den * q**-half)
-                value = HallValue(0, ratio, q) if odd else HallValue(ratio, 0, q)
-                if value.monomial_exponent() is None:
+                value = HallValue.monomial(count * o.aut_order(l), den, base + brace(l, l), q)
+                if value.n and value.m:
                     raise AssertionError(f"structure constant {value} is not a monomial in sqrt(q)")
                 coeffs[l] = value
             self._mult_cache[k] = hit = HallVector(q, coeffs)
@@ -234,15 +242,10 @@ class HallEngine:
         """a * b, every term added into one dict; a pair whose scalar
         is 1 adds its product's coefficients unscaled."""
         out: Dict[Key, HallValue] = {}
-        for kx, vx in a.items():
-            for ky, vy in b.items():
+        for kx, vx in a.coeffs.items():
+            for ky, vy in b.coeffs.items():
                 c = vx if _is_one(vy) else vy if _is_one(vx) else vx * vy
-                terms = self.multiply(kx, ky).coeffs.items()
-                if not _is_one(c):
-                    terms = [(l, v * c) for l, v in terms]
-                for l, v in terms:
-                    w = out.get(l)
-                    out[l] = v if w is None else w + v
+                _add_scaled(out, self.multiply(kx, ky).coeffs, c)
         return HallVector(self.q, out)
 
     # -- straightening into ordered products --------------------------
@@ -271,7 +274,7 @@ class HallEngine:
             lead = prod.coeff(key)
             if lead.is_zero():
                 raise RuntimeError(f"straightening lost its leading term on {key!r}")
-            inv = HallValue.one(self.q) / lead
+            inv = self._one / lead
             expr = PBWExpression(self.q)
             expr.add_term(factors, inv)
             for other, coeff in prod.items():
@@ -285,4 +288,22 @@ class HallEngine:
 
 
 def _is_one(v: HallValue) -> bool:
-    return v.a == 1 and not v.b
+    return v.n == 1 and v.d == 1 and not v.m
+
+
+def _add_scaled(out: Dict[Key, HallValue], coeffs: Dict[Key, HallValue], c: HallValue) -> None:
+    """Add c times each coefficient into ``out``, skipping the scaling
+    when c is 1."""
+    terms = coeffs.items()
+    if not _is_one(c):
+        terms = [(l, v * c) for l, v in terms]
+    for l, v in terms:
+        w = out.get(l)
+        out[l] = v if w is None else w + v
+
+
+@functools.lru_cache(maxsize=None)
+def _zero(q: int) -> HallValue:
+    """The zero of Q(sqrt q) that every vector hands out; values are
+    never mutated, so one per q is shared."""
+    return HallValue.zero(q)

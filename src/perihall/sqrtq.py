@@ -1,20 +1,23 @@
 """Exact arithmetic in Q(sqrt q).
 
 Structure constants of the periodic Hall algebra are sums a + b*sqrt(q)
-with rational a, b. This module keeps them exact: no floats, division by
-conjugation, and square roots only of quantities that are literal powers
-of q (anything else is a hard error, since the theory promises the
-radicands are such powers and a violation means a bug upstream).
+with rational a, b. This module keeps them exact: no floats, and
+division by conjugation.
+
+A value is stored as four ints ``(n, m, d, q)``, meaning
+(n + m*sqrt(q)) / d, with d > 0 and gcd(n, m, d) = 1. That normal form
+is unique, so equality compares ints, and every result is normalized
+by one three-argument ``math.gcd``. The rational and irrational parts
+``a = n/d`` and ``b = m/d`` are read-only properties that build
+``Fraction`` values on demand; nothing on the arithmetic path does.
 
 When q happens to be a perfect square the value is normalized so that
-the irrational part is 0; for prime q that branch is dead, but it keeps
-the type honest for composite prime powers fed in by tests. Whether q
-is a perfect square is decided once per q. Sums, differences and
-products of normalized values are normalized again (for square q every
-irrational part is 0), so arithmetic builds its results without
-re-checking, and ``__mul__`` skips the zero terms of the product
-formula when an operand is rational or both are pure multiples of
-sqrt(q).
+m = 0; for prime q that branch is dead, but it keeps the type honest
+for composite prime powers fed in by tests. Whether q is a perfect
+square is decided once per q. Sums, differences, products and
+quotients of normalized values keep m = 0 for square q, so only the
+two constructors that take an irrational part, ``HallValue(a, b, q)``
+and :meth:`HallValue.monomial`, fold it.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ import math
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-__all__ = ["HallValue", "q_power_exponent", "sqrt_of_q_power"]
+__all__ = ["HallValue"]
 
 Rat = Union[int, Fraction]
 
-_ZERO = Fraction(0)
+_gcd = math.gcd
 
 
 @functools.lru_cache(maxsize=None)
@@ -41,85 +44,84 @@ def _root_of(q: int) -> Optional[int]:
     return r if r * r == q else None
 
 
-def q_power_exponent(x: Fraction, q: int) -> Optional[int]:
-    """The integer e with x == q**e, or None if x is not such a power."""
-    if x <= 0:
-        return None
-    num, den = x.numerator, x.denominator
-    if den == 1:
-        e = 0
-        while num > 1:
-            if num % q:
-                return None
-            num //= q
-            e += 1
-        return e if num == 1 else None
-    if num != 1:
-        return None
-    e = 0
-    while den > 1:
-        if den % q:
-            return None
-        den //= q
-        e += 1
-    return -e
-
-
 class HallValue:
-    """An element a + b*sqrt(q) of Q(sqrt q), exact."""
+    """An element (n + m*sqrt(q)) / d of Q(sqrt q), exact, with d > 0
+    and gcd(n, m, d) = 1."""
 
-    __slots__ = ("a", "b", "q")
+    __slots__ = ("n", "m", "d", "q")
 
     def __init__(self, a: Rat, b: Rat, q: int):
         root = _root_of(q)
-        if type(a) is not Fraction:
+        if not isinstance(a, (int, Fraction)):
             a = Fraction(a)
-        if type(b) is not Fraction:
+        if not isinstance(b, (int, Fraction)):
             b = Fraction(b)
-        if root is not None and b:
+        n, m, d = a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
+        if root is not None and m:
             # q is a perfect square, fold the irrational part away
-            a += b * root
-            b = _ZERO
-        self.a = a
-        self.b = b
+            n += m * root
+            m = 0
+        g = _gcd(n, m, d)
+        self.n = n // g
+        self.m = m // g
+        self.d = d // g
         self.q = q
-
-    @classmethod
-    def _new(cls, a: Fraction, b: Fraction, q: int) -> "HallValue":
-        """Wrap parts that are Fractions already and normalized for q."""
-        v = object.__new__(cls)
-        v.a = a
-        v.b = b
-        v.q = q
-        return v
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, q: int) -> "HallValue":
-        return cls(0, 0, q)
+        _root_of(q)
+        return _new(0, 0, 1, q)
 
     @classmethod
     def one(cls, q: int) -> "HallValue":
-        return cls(1, 0, q)
+        _root_of(q)
+        return _new(1, 0, 1, q)
 
     @classmethod
     def of(cls, x: Rat, q: int) -> "HallValue":
         return cls(x, 0, q)
 
     @classmethod
+    def monomial(cls, num: int, den: int, k: int, q: int) -> "HallValue":
+        """(num / den) * q**(k/2) for ints num, den != 0 and k of either
+        parity and sign, folded when q is a perfect square."""
+        root = _root_of(q)
+        if not den:
+            raise ZeroDivisionError("monomial with denominator 0")
+        half, odd = divmod(k, 2)  # floor division, odd in {0, 1}
+        if half >= 0:
+            num *= q**half
+        else:
+            den *= q**-half
+        if den < 0:
+            num, den = -num, -den
+        if not odd:
+            return _new(num, 0, den, q)
+        if root is not None:
+            return _new(num * root, 0, den, q)
+        return _new(0, num, den, q)
+
+    @classmethod
     def sqrt_q_power(cls, k: int, q: int) -> "HallValue":
         """q**(k/2) for an integer k of either parity and sign."""
-        half, odd = divmod(k, 2)  # floor division, odd in {0, 1}
-        base = Fraction(q) ** half
-        if not odd:
-            return cls(base, _ZERO, q)
-        return cls(_ZERO, base, q)
+        return cls.monomial(1, 1, k, q)
 
     # -- structure ----------------------------------------------------
 
+    @property
+    def a(self) -> Fraction:
+        """The rational part n/d."""
+        return Fraction(self.n, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient m/d of sqrt(q)."""
+        return Fraction(self.m, self.d)
+
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        return not self.n and not self.m
 
     def as_pair(self) -> Tuple[Fraction, Fraction]:
         return (self.a, self.b)
@@ -131,9 +133,9 @@ class HallValue:
         rational factor r is returned as-is; k records only the parity
         contribution (0 for rational values, 1 for pure sqrt multiples).
         """
-        if self.a and self.b:
+        if self.n and self.m:
             return None
-        if self.b:
+        if self.m:
             return (self.b, 1)
         return (self.a, 0)
 
@@ -143,68 +145,82 @@ class HallValue:
                 raise ValueError(f"mixed base fields q={self.q} and q={other.q}")
             return other
         if isinstance(other, (int, Fraction)):
-            return HallValue(other, 0, self.q)
+            return _new(other.numerator, 0, other.denominator, self.q)
         raise TypeError(f"cannot combine HallValue with {type(other).__name__}")
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: Union["HallValue", Rat]) -> "HallValue":
-        o = self._coerce(other)
-        return HallValue._new(self.a + o.a, self.b + o.b, self.q)
+        if type(other) is not HallValue or other.q != self.q:
+            other = self._coerce(other)
+        d, e = self.d, other.d
+        if d == e:
+            return _new(self.n + other.n, self.m + other.m, d, self.q)
+        return _new(self.n * e + other.n * d, self.m * e + other.m * d, d * e, self.q)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["HallValue", Rat]) -> "HallValue":
-        o = self._coerce(other)
-        return HallValue._new(self.a - o.a, self.b - o.b, self.q)
+        if type(other) is not HallValue or other.q != self.q:
+            other = self._coerce(other)
+        d, e = self.d, other.d
+        if d == e:
+            return _new(self.n - other.n, self.m - other.m, d, self.q)
+        return _new(self.n * e - other.n * d, self.m * e - other.m * d, d * e, self.q)
 
     def __rsub__(self, other: Union["HallValue", Rat]) -> "HallValue":
         return self._coerce(other).__sub__(self)
 
     def __neg__(self) -> "HallValue":
-        return HallValue._new(-self.a, -self.b, self.q)
+        return _new(-self.n, -self.m, self.d, self.q)
 
     def __mul__(self, other: Union["HallValue", Rat]) -> "HallValue":
-        o = self._coerce(other)
-        a, b, c, d, q = self.a, self.b, o.a, o.b, self.q
-        if not b and not d:
-            return HallValue._new(a * c, _ZERO, q)
-        if not a and not c:
-            return HallValue._new(b * d * q, _ZERO, q)
-        if not d:
-            return HallValue._new(a * c, b * c, q)
-        if not b:
-            return HallValue._new(a * c, a * d, q)
-        return HallValue._new(a * c + b * d * q, a * d + b * c, q)
+        if type(other) is not HallValue or other.q != self.q:
+            other = self._coerce(other)
+        n1, m1, n2, m2 = self.n, self.m, other.n, other.m
+        if not m1 and not m2:
+            return _new(n1 * n2, 0, self.d * other.d, self.q)
+        return _new(n1 * n2 + m1 * m2 * self.q, n1 * m2 + m1 * n2, self.d * other.d, self.q)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Union["HallValue", Rat]) -> "HallValue":
-        o = self._coerce(other)
-        norm = o.a * o.a - o.b * o.b * self.q
+        if type(other) is not HallValue or other.q != self.q:
+            other = self._coerce(other)
+        n1, m1, n2, m2, q = self.n, self.m, other.n, other.m, self.q
+        # (n1 + m1 r)/d1 / ((n2 + m2 r)/d2)
+        #   = d2 (n1 + m1 r)(n2 - m2 r) / (d1 (n2^2 - q m2^2))
+        norm = n2 * n2 - m2 * m2 * q
         if not norm:
-            if o.is_zero():
+            if other.is_zero():
                 raise ZeroDivisionError("division by zero HallValue")
-            # a^2 == q b^2 with q not a perfect square is impossible for
-            # nonzero rationals, so reaching here means q is square and
+            # n^2 == q m^2 with q not a perfect square is impossible for
+            # nonzero ints, so reaching here means q is square and
             # normalization failed, which is a bug
             raise ArithmeticError("degenerate conjugate norm")
-        conj = HallValue._new(o.a, -o.b, self.q)
-        num = self * conj
-        return HallValue._new(num.a / norm, num.b / norm, self.q)
+        d2 = other.d
+        n = (n1 * n2 - m1 * m2 * q) * d2
+        m = (m1 * n2 - n1 * m2) * d2
+        d = self.d * norm
+        if d < 0:
+            n, m, d = -n, -m, -d
+        return _new(n, m, d, q)
 
     def __rtruediv__(self, other: Union["HallValue", Rat]) -> "HallValue":
         return self._coerce(other).__truediv__(self)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
         if isinstance(other, HallValue):
-            return self.q == other.q and self.a == other.a and self.b == other.b
+            return self.q == other.q and self.n == other.n and self.m == other.m and self.d == other.d
+        if isinstance(other, (int, Fraction)):
+            return not self.m and self.n == other.numerator and self.d == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.q, self.a, self.b))
+        if not self.m:
+            # equal to a rational, so hash like it
+            return hash(Fraction(self.n, self.d))
+        return hash((self.q, self.n, self.m, self.d))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -213,25 +229,32 @@ class HallValue:
         return f"HallValue({self.a!s}, {self.b!s}, q={self.q})"
 
     def __str__(self) -> str:
-        if not self.b:
+        if not self.m:
             return str(self.a)
-        bpart = f"sqrt({self.q})" if self.b == 1 else f"{self.b}*sqrt({self.q})"
-        if not self.a:
+        b = self.b
+        bpart = f"sqrt({self.q})" if b == 1 else f"{b}*sqrt({self.q})"
+        if not self.n:
             return bpart
-        sign = "+" if self.b > 0 else "-"
-        mag = abs(self.b)
+        sign = "+" if b > 0 else "-"
+        mag = abs(b)
         bpart = f"sqrt({self.q})" if mag == 1 else f"{mag}*sqrt({self.q})"
         return f"{self.a} {sign} {bpart}"
 
 
-def sqrt_of_q_power(x: Fraction, q: int) -> "HallValue":
-    """Exact square root of x, which must be a literal power of q.
+_alloc = object.__new__
 
-    The bracket ratios that feed the structure constants are guaranteed
-    to be powers of q; feeding anything else in is an upstream bug, so
-    this raises instead of approximating.
-    """
-    e = q_power_exponent(Fraction(x), q)
-    if e is None:
-        raise ArithmeticError(f"radicand {x} is not a power of {q}")
-    return HallValue.sqrt_q_power(e, q)
+
+def _new(n: int, m: int, d: int, q: int) -> HallValue:
+    """(n + m*sqrt(q)) / d in normal form, for d > 0, parts folded for
+    a square q and a q already validated."""
+    g = _gcd(n, m, d)
+    if g != 1:
+        n //= g
+        m //= g
+        d //= g
+    v = _alloc(HallValue)
+    v.n = n
+    v.m = m
+    v.d = d
+    v.q = q
+    return v

@@ -11,7 +11,7 @@ from perihall.checks import (
     hall_number_via,
 )
 from perihall.gfp import FieldSpec, gl_order
-from perihall.hall import HallEngine, HallVector
+from perihall.hall import HallEngine, HallVector, PBWExpression
 from perihall.quiver import line_quiver
 from perihall.reps import RepContext
 from perihall.semisimple import SemisimplePeriodic, rank_count
@@ -343,3 +343,51 @@ def test_multiply_vectors_matches_the_pairwise_recipe():
     got = eng.multiply_vectors(eng.vector(x), diff)
     assert l not in got.coeffs
     assert got == eng.multiply(x, y).add(eng.multiply(x, z).scale(-c))
+
+
+def test_evaluate_matches_the_pairwise_recipe():
+    eng = a2_engine()
+    pctx = eng.oracle
+    zero = pctx.zero_key
+
+    def factors(key):
+        comps = pctx.components(key)
+        return tuple(comps[s] for s in range(eng.t - 1, -1, -1))
+
+    def product(fs):
+        acc = eng.unit()
+        for s, layer in zip(range(eng.t - 1, -1, -1), fs):
+            acc = eng.multiply_vectors(acc, eng.vector(pctx.shift_key(layer, s)))
+        return acc
+
+    objs = pctx.enumerate_objects((1, 1))[1:]
+    rational, root = HallValue.of(Fraction(-2, 3), 2), HallValue(0, Fraction(1, 2), 2)
+    mixed = HallValue(Fraction(5, 4), -3, 2)
+    # the layers of x multiply to a combination with a zero-object term;
+    # the empty product (the unit) gets the coefficient that cancels it
+    x = next(k for k in objs if zero in product(factors(k)).coeffs)
+    others = [k for k in objs if zero not in product(factors(k)).coeffs][:6]
+    terms = {factors(x): mixed, factors(zero): -mixed * product(factors(x)).coeff(zero)}
+    for k, c in zip(others, [rational, root, mixed] * 2):
+        terms[factors(k)] = c
+    expr = PBWExpression(2, terms)
+    expected = HallVector(2)
+    for fs, coeff in expr.items():
+        expected = expected.add(product(fs).scale(coeff))
+    assert zero not in expected.coeffs
+    assert len(expected.coeffs) >= 7
+    assert expr.evaluate(eng) == expected
+
+
+@pytest.mark.parametrize("t, q", [(3, 4), (5, 9)])
+def test_products_over_a_square_q_are_rational(t, q):
+    # sqrt(q) is an integer, so every odd power of it folds into the
+    # rational part of the constant
+    cat = SemisimplePeriodic(t, q)
+    eng = HallEngine(cat)
+    keys = cat.enumerate_objects(2)[:15]
+    for x in keys:
+        for y in keys:
+            for l, c in eng.multiply(x, y).coeffs.items():
+                assert c.b == 0, (x, y, l, c)
+    assert check_associativity(eng, keys[:6]).passed

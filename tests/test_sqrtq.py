@@ -1,10 +1,12 @@
+import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from perihall import sqrtq
-from perihall.sqrtq import HallValue, q_power_exponent, sqrt_of_q_power
+from perihall.sqrtq import HallValue
 
 
 def hv(q=2):
@@ -42,8 +44,27 @@ def test_perfect_square_fold_on_the_first_construction():
         HallValue(1, 0, 1)
 
 
+# reference arithmetic on (a, b) Fraction pairs, meaning a + b*sqrt(q)
+def _pair_add(x, y, q):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _pair_sub(x, y, q):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _pair_mul(x, y, q):
+    return (x[0] * y[0] + x[1] * y[1] * q, x[0] * y[1] + x[1] * y[0])
+
+
+def _pair_div(x, y, q):
+    norm = y[0] * y[0] - y[1] * y[1] * q
+    num = _pair_mul(x, (y[0], -y[1]), q)
+    return (num[0] / norm, num[1] / norm)
+
+
 def _general_product(x, y):
-    return HallValue(x.a * y.a + x.b * y.b * x.q, x.a * y.b + x.b * y.a, x.q)
+    return HallValue(*_pair_mul(x.as_pair(), y.as_pair(), x.q), x.q)
 
 
 def shaped(q):
@@ -90,24 +111,6 @@ def test_mixed_base_rejected():
         HallValue(1, 0, 2) + HallValue(1, 0, 3)
 
 
-def test_q_power_exponent():
-    assert q_power_exponent(Fraction(8), 2) == 3
-    assert q_power_exponent(Fraction(1, 9), 3) == -2
-    assert q_power_exponent(Fraction(1), 7) == 0
-    assert q_power_exponent(Fraction(6), 2) is None
-    assert q_power_exponent(Fraction(2, 3), 2) is None
-    assert q_power_exponent(Fraction(-4), 2) is None
-
-
-def test_sqrt_of_q_power():
-    assert sqrt_of_q_power(Fraction(4), 2) == HallValue(2, 0, 2)
-    assert sqrt_of_q_power(Fraction(1, 2), 2) == HallValue(0, Fraction(1, 2), 2)
-    v = sqrt_of_q_power(Fraction(8), 2)
-    assert v * v == HallValue(8, 0, 2)
-    with pytest.raises(ArithmeticError):
-        sqrt_of_q_power(Fraction(12), 2)
-
-
 def test_monomial_exponent():
     assert HallValue(0, Fraction(3, 2), 2).monomial_exponent() == (Fraction(3, 2), 1)
     assert HallValue(5, 0, 2).monomial_exponent() == (Fraction(5), 0)
@@ -118,3 +121,65 @@ def test_str_forms():
     assert str(HallValue(0, 1, 2)) == "sqrt(2)"
     assert str(HallValue(1, -1, 2)) == "1 - sqrt(2)"
     assert str(HallValue(Fraction(3, 2), 0, 2)) == "3/2"
+
+
+def _normal(v):
+    return v.d > 0 and math.gcd(v.n, v.m, v.d) == 1
+
+
+@given(
+    st.sampled_from([2, 3, 4, 5]).flatmap(lambda q: st.tuples(st.just(q), shaped(q), shaped(q))),
+    st.sampled_from([
+        (operator.add, _pair_add),
+        (operator.sub, _pair_sub),
+        (operator.mul, _pair_mul),
+        (operator.truediv, _pair_div),
+    ]),
+)
+def test_int_arithmetic_matches_the_fraction_formulas(qxy, ops):
+    q, x, y = qxy
+    op, ref = ops
+    if op is operator.truediv and y.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            op(x, y)
+        return
+    got = op(x, y)
+    want = ref(x.as_pair(), y.as_pair(), q)
+    assert got.as_pair() == want
+    assert _normal(got)
+    # the normal form is unique: the same value built from its parts
+    # has the same ints
+    again = HallValue(*want, q)
+    assert got == again
+    assert (got.n, got.m, got.d) == (again.n, again.m, again.d)
+    assert hash(got) == hash(again)
+
+
+@given(st.sampled_from([2, 3, 4, 5]).flatmap(shaped))
+def test_constructed_values_are_normal(v):
+    assert _normal(v)
+    assert _normal(-v)
+    assert HallValue(*v.as_pair(), v.q) == v
+
+
+def test_monomial_folds_and_matches_powers():
+    assert HallValue.monomial(3, 4, 3, 2) == HallValue(0, Fraction(3, 2), 2)
+    assert HallValue.monomial(3, 4, -3, 2) == HallValue(0, Fraction(3, 16), 2)
+    assert HallValue.monomial(-6, 4, 2, 5) == HallValue(Fraction(-15, 2), 0, 5)
+    assert HallValue.monomial(2, -6, 0, 3) == HallValue(Fraction(-1, 3), 0, 3)
+    assert HallValue.monomial(5, 3, -1, 4) == HallValue(Fraction(5, 6), 0, 4)
+    assert HallValue.monomial(1, 1, 3, 9) == HallValue(27, 0, 9)
+    with pytest.raises(ZeroDivisionError):
+        HallValue.monomial(1, 0, 1, 2)
+    with pytest.raises(ValueError):
+        HallValue.monomial(1, 1, 1, 1)
+
+
+def test_equal_values_hash_equal():
+    assert len({1, HallValue.one(2)}) == 1
+    assert len({Fraction(1, 2), HallValue.of(Fraction(1, 2), 3)}) == 1
+    assert hash(HallValue(1, 0, 2)) == hash(1)
+    assert hash(HallValue(Fraction(-3, 4), 0, 5)) == hash(Fraction(-3, 4))
+    r = HallValue(0, 1, 2)
+    assert hash(r * r) == hash(HallValue(2, 0, 2)) == hash(2)
+    assert hash(HallValue(1, 1, 4)) == hash(3)
