@@ -9,10 +9,11 @@ the bound once and joins one module key per shift.
 
 The context realizes objects as direct sums of wrapped module
 resolutions, computes morphism spaces blockwise between the wrapped
-summands, counts morphisms by the class of their cone, and computes
-automorphism group orders by a layered closed formula;
-:func:`perihall.checks.aut_order_by_enumeration` recounts them by
-enumeration.
+summands, counts morphisms by the class of their cone, and counts
+automorphisms as the units of the finite algebra End(x), the same
+Krull-Schmidt unit count :meth:`perihall.reps.RepContext.aut_order`
+applies to modules; :func:`perihall.checks.aut_order_by_enumeration`
+recounts them by enumeration.
 
 The scalars ``hom_dim`` and ``aut_order`` never build a module: they
 read a table of (dim Hom, dim Ext^1) per pair of class ids, filled once
@@ -78,7 +79,7 @@ from .periodic import (
     direct_sum_complexes,
     wrap_module,
 )
-from .gfp import gl_order, rank_rows
+from .gfp import rank_rows, unit_group_order
 from .quiver import Quiver
 from .reps import BudgetExceeded, Rep, RepContext
 
@@ -351,10 +352,10 @@ class PeriodicContext:
             self._brace_cache[k] = hit = total
         return hit
 
-    def check_budget(self, x: ObjKey, y: ObjKey, dim: int, cap: Optional[int] = None) -> None:
-        """Refuse to walk the q**dim morphism classes x -> y beyond the cap
-        (by default the context's ``enum_cap``), naming both objects."""
-        limit = cap if cap is not None else self.ctx.enum_cap
+    def check_budget(self, x: ObjKey, y: ObjKey, dim: int) -> None:
+        """Refuse to walk the q**dim morphism classes x -> y beyond the
+        context's ``enum_cap``, naming both objects."""
+        limit = self.ctx.enum_cap
         if self.q**dim > limit:
             raise BudgetExceeded(
                 f"{self.q**dim} morphism classes {self.format_key(x)} -> {self.format_key(y)} exceed cap {limit}"
@@ -434,7 +435,7 @@ class PeriodicContext:
                 forms.append((t, len(cols), matrix))
         return forms
 
-    def fiber_counts(self, x: ObjKey, m: ObjKey, cap: Optional[int] = None) -> Dict[ObjKey, int]:
+    def fiber_counts(self, x: ObjKey, m: ObjKey) -> Dict[ObjKey, int]:
         """How many morphisms x -> m have each cone class.
 
         The returned dict maps the object key of the cone to the number
@@ -442,8 +443,8 @@ class PeriodicContext:
         The zero morphism's cone x[1] + m is read off the keys. For c in
         F_q^*, (id_x[1], c id_m) is a chain isomorphism cone(f) ->
         cone(c f), so one morphism per line, first nonzero coordinate 1,
-        is classified and counts q - 1 times. The cap bounds
-        q**hom_dim(x, m).
+        is classified and counts q - 1 times. The context's ``enum_cap``
+        bounds q**hom_dim(x, m).
 
         A line f is classified by its rank profile, never built: the
         ranks of Hom(T, f) for every test object T, read off the cached
@@ -464,7 +465,7 @@ class PeriodicContext:
             hit = {zero: 1}
             dim = self.hom_dim(x, m)
             if dim:
-                self.check_budget(x, m, dim, cap)
+                self.check_budget(x, m, dim)
                 hv = self.hom_vectors()
                 forms = self._rank_forms(x, m, hv)
                 p = self.q
@@ -495,35 +496,16 @@ class PeriodicContext:
         return hit
 
     def aut_order(self, key: ObjKey) -> int:
-        """|Aut| through the layered formula: shift layers contribute
-        their module automorphisms, and the strictly lower triangle of
-        maps between consecutive shifts is a square-zero ideal, so it
-        contributes a free factor of q per extension dimension.
-
-        A layer with m_k copies of the class k has the Krull-Schmidt
-        unit count: GL_{m_k} over the residue field of each class,
-        times q to the dimension of the radical of its endomorphism
-        ring. Every dimension is read off the class-pair table;
+        """|Aut| as the unit count of the finite algebra End(key)
+        (:func:`perihall.gfp.unit_group_order`): dim End is
+        ``hom_dim(key, key)``, and by Krull-Schmidt its semisimple
+        quotient has one block GL_m over the residue field of each
+        distinct (class, shift) part of multiplicity m. Cached per key;
         :func:`perihall.checks.aut_order_by_layers` builds the layers."""
         hit = self._aut_cache.get(key)
         if hit is None:
-            q = self.q
-            counted = _multiplicities(key)
-            layers = [[(cid, m) for (cid, s), m in counted if s == sh] for sh in range(PERIOD)]
-            order = 1
-            for s in range(PERIOD):
-                layer, above = layers[s], layers[(s + 1) % PERIOD]
-                end_dim = diag = ext_dim = 0
-                for cid_a, ma in layer:
-                    d = self._residue_degree(cid_a)
-                    diag += ma * ma * d
-                    order *= gl_order(ma, q**d)
-                    end_dim += sum(ma * mb * self._class_pair(cid_a, cid_b)[0] for cid_b, mb in layer)
-                    ext_dim += sum(ma * mb * self._class_pair(cid_a, cid_b)[1] for cid_b, mb in above)
-                if end_dim < diag:
-                    raise AssertionError("radical dimension negative; class-pair table bug")
-                order *= q ** (end_dim - diag + ext_dim)
-            self._aut_cache[key] = hit = order
+            blocks = [(m, self._residue_degree(cid)) for (cid, _), m in _multiplicities(key)]
+            self._aut_cache[key] = hit = unit_group_order(self.q, self.hom_dim(key, key), blocks)
         return hit
 
 

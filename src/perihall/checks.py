@@ -208,20 +208,20 @@ def iso_between(ctx: RepContext, x: Rep, y: Rep) -> Optional[RepMap]:
     return witness if witness.is_iso() else None
 
 
-def aut_order_by_enumeration(pctx: PeriodicContext, key: ObjKey, cap: Optional[int] = None) -> int:
+def aut_order_by_enumeration(pctx: PeriodicContext, key: ObjKey) -> int:
     """|Aut| by walking every endomorphism class of the object: a
     morphism is invertible exactly when its cone is zero. The engine
-    uses the layered formula of :meth:`PeriodicContext.aut_order`."""
+    counts the units of End(key) instead (:meth:`PeriodicContext.aut_order`)."""
     space = pctx.hom_space(key, key)
-    return sum(1 for _, f in block_morphisms(space, cap) if cone_key_literal(pctx, f) == pctx.zero_key)
+    return sum(1 for _, f in block_morphisms(space) if cone_key_literal(pctx, f) == pctx.zero_key)
 
 
 def aut_order_by_layers(pctx: PeriodicContext, key: ObjKey) -> int:
     """|Aut| from the module layers themselves: the direct sum at each
     shift, its Krull-Schmidt unit count by
     :meth:`perihall.reps.RepContext.aut_order`, and q to the dim Ext^1
-    from each layer to the next. The engine reads the same factors off
-    its class-pair table."""
+    from each layer to the next, a square-zero ideal of End. The engine
+    counts the units of End(key) in one step off its class-pair table."""
     layers = [pctx.part_rep(key, s) for s in range(PERIOD)]
     order = 1
     for s in range(PERIOD):
@@ -254,11 +254,11 @@ def block_coords(space: BlockHomSpace, f: ChainMap) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def block_morphisms(space: BlockHomSpace, cap: Optional[int] = None) -> Iterator[Tuple[Tuple[int, ...], ChainMap]]:
+def block_morphisms(space: BlockHomSpace) -> Iterator[Tuple[Tuple[int, ...], ChainMap]]:
     """Every morphism class of a block hom space, coordinates in
-    lexicographic order, with its representative chain map. The cap
-    bounds the number of classes, as in
-    :meth:`PeriodicContext.check_budget`.
+    lexicographic order, with its representative chain map. The
+    context's ``enum_cap`` bounds the number of classes
+    (:meth:`PeriodicContext.check_budget`).
 
     The representative is linear in the coordinates, so the basis chain
     maps on the realized totals (projection, block representative,
@@ -267,7 +267,7 @@ def block_morphisms(space: BlockHomSpace, cap: Optional[int] = None) -> Iterator
     :func:`rep_map_blockwise` assembles each representative block by
     block."""
     pctx = space.pctx
-    pctx.check_budget(space.source.key, space.target.key, space.dim, cap)
+    pctx.check_budget(space.source.key, space.target.key, space.dim)
     p = pctx.q
     field = pctx.ctx.field
     source, target = space.source.total, space.target.total
@@ -317,15 +317,13 @@ def rep_map_blockwise(space: BlockHomSpace, coords: Sequence[int]) -> ChainMap:
     return f
 
 
-def fiber_counts_literal(
-    pctx: PeriodicContext, x: ObjKey, m: ObjKey, cap: Optional[int] = None
-) -> Dict[ObjKey, int]:
+def fiber_counts_literal(pctx: PeriodicContext, x: ObjKey, m: ObjKey) -> Dict[ObjKey, int]:
     """Morphisms x -> m counted by cone class, one built cone per
     morphism. The engine's :meth:`PeriodicContext.fiber_counts`
     classifies one morphism per scalar line by its rank profile and
     reads the zero morphism's cone off the keys."""
     counts: Dict[ObjKey, int] = {}
-    for _, f in block_morphisms(pctx.hom_space(x, m), cap):
+    for _, f in block_morphisms(pctx.hom_space(x, m)):
         ck = cone_key_literal(pctx, f)
         counts[ck] = counts.get(ck, 0) + 1
     return counts

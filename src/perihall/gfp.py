@@ -28,6 +28,7 @@ __all__ = [
     "Subspace",
     "gl_order",
     "rank_rows",
+    "unit_group_order",
 ]
 
 
@@ -86,6 +87,22 @@ def gl_order(m: int, q: int) -> int:
     for i in range(m):
         out *= q**m - q**i
     return out
+
+
+def unit_group_order(q: int, dim: int, blocks: Iterable[Tuple[int, int]]) -> int:
+    """The number of units of a finite F_q-algebra of dimension ``dim``
+    whose semisimple quotient is the product of the matrix rings
+    M_m(F_{q^d}) over (m, d) in ``blocks``: the radical is a nilpotent
+    ideal of dimension dim - sum m^2 d, so every unit is a unit of the
+    quotient times 1 plus a radical element."""
+    rad_dim = dim
+    order = 1
+    for m, d in blocks:
+        rad_dim -= m * m * d
+        order *= gl_order(m, q**d)
+    if rad_dim < 0:
+        raise AssertionError(f"radical dimension negative ({rad_dim}); the blocks exceed the algebra")
+    return q**rad_dim * order
 
 
 class MatrixFp:
@@ -325,13 +342,6 @@ class MatrixFp:
                 return None
             out.append(coeffs)
         return MatrixFp._trusted(self.field, out, self.nrows)
-
-    def solve_right(self, b: "MatrixFp") -> Optional["MatrixFp"]:
-        """One X with self @ X == b, or None. Dual of solve_matrix."""
-        if b.nrows != self.nrows:
-            raise ValueError("solve_right shape mismatch")
-        xt = self.transpose().solve_matrix(b.transpose())
-        return None if xt is None else xt.transpose()
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows

@@ -78,7 +78,7 @@ class CategoryOracle(Protocol):
 
     def aut_order(self, key: Key) -> int: ...
 
-    def fiber_counts(self, x: Key, m: Key, cap: Optional[int] = None) -> Dict[Key, int]:
+    def fiber_counts(self, x: Key, m: Key) -> Dict[Key, int]:
         """Morphism counts x -> m grouped by the class of the cone."""
         ...
 

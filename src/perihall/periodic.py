@@ -1,11 +1,18 @@
-"""3-cycle complexes of quiver representations.
+"""Cycle complexes of quiver representations, of period ``PERIOD`` = 3.
 
-A 3-cycle complex has three slots of representations arranged in a
+A cycle complex has ``PERIOD`` slots of representations arranged in a
 cycle, with a differential from each slot to the next and consecutive
-composites vanishing. Slot i carries stalk shift (3 - i) % 3: a module
-sitting alone in slot 0 is "the module", in slot 2 it is the module
-shifted once, in slot 1 shifted twice. Shifting a complex by one rotates
-the slots and negates every differential.
+composites vanishing. Slot i carries stalk shift -i mod ``PERIOD``: a
+module sitting alone in slot 0 is "the module", in the last slot it is
+the module shifted once. Shifting a complex by n rotates the slots by n
+mod ``PERIOD`` and negates every differential when that residue is odd.
+
+A module is wrapped as its minimal projective resolution: the cover P0
+in slot 0, the syzygy P1 in the last slot, and the resolution map
+P1 -> P0 as the differential closing the cycle. The path algebra is
+hereditary, so a periodic complex of projectives is the sum of its
+shifted homology: its normal form carries, at shift s, the homology
+ker d_i / im d_{i-1} at slot i = -s mod ``PERIOD``.
 
 Morphisms are slotwise representation maps commuting with the
 differentials; two are identified when they differ by a boundary
@@ -60,24 +67,19 @@ class CycleComplex:
 
     @classmethod
     def stalk(cls, ctx: RepContext, rep: Rep, slot: int) -> "CycleComplex":
-        zero = ctx.zero_rep()
-        slots = [zero, zero, zero]
+        slots = [ctx.zero_rep()] * PERIOD
         slots[slot % PERIOD] = rep
         diffs = [RepMap.zero_map(slots[i], slots[(i + 1) % PERIOD]) for i in range(PERIOD)]
         return cls(ctx, slots, diffs, check=False)
 
     def shift(self, n: int = 1) -> "CycleComplex":
-        """Rotate slots by n and negate differentials n times."""
+        """Rotate the slots by n mod ``PERIOD``; the differentials rotate
+        with them and are negated when that residue is odd."""
         n %= PERIOD
-        out = self
-        for _ in range(n):
-            slots = (out.slots[1], out.slots[2], out.slots[0])
-            diffs = (out.diffs[1].neg(), out.diffs[2].neg(), out.diffs[0].neg())
-            out = CycleComplex(out.ctx, slots, diffs, check=False)
-        return out
-
-    def total_dim(self) -> int:
-        return sum(s.total_dim for s in self.slots)
+        diffs = self.diffs[n:] + self.diffs[:n]
+        if n % 2:
+            diffs = tuple(d.neg() for d in diffs)
+        return CycleComplex(self.ctx, self.slots[n:] + self.slots[:n], diffs, check=False)
 
     def key(self) -> Tuple:
         if self._key is None:
@@ -166,16 +168,10 @@ class ChainMap:
         return ChainMap(self.source, self.target, [m.scale(c) for m in self.comps], check=False)
 
     def shift(self, n: int = 1) -> "ChainMap":
+        """The same map between the shifted complexes, its components
+        rotated with their slots."""
         n %= PERIOD
-        out = self
-        for _ in range(n):
-            out = ChainMap(
-                out.source.shift(1),
-                out.target.shift(1),
-                (out.comps[1], out.comps[2], out.comps[0]),
-                check=False,
-            )
-        return out
+        return ChainMap(self.source.shift(n), self.target.shift(n), self.comps[n:] + self.comps[:n], check=False)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
@@ -427,49 +423,36 @@ def mapping_cone(ctx: RepContext, u: ChainMap) -> Tuple[CycleComplex, ChainMap, 
     return cone, incl, proj
 
 
-def normal_pieces(ctx: RepContext, c: CycleComplex) -> Tuple[Rep, Rep, Rep]:
-    """Module pieces of the normal form of c: (shift 0, shift 1, shift 2).
+def normal_pieces(ctx: RepContext, c: CycleComplex) -> Tuple[Rep, ...]:
+    """Module pieces of the normal form of c, indexed by shift.
 
-    The recipe: with differentials d0: X0 -> X1, d1: X1 -> X2,
-    d2: X2 -> X0, form K = ker d0, C = coker d1, the middle subquotient
-    H = ker d1 / im d0, and the induced map g: C -> K coming from d2.
-    The normal form is coker(g) at shift 0, ker(g) at shift 1, H at
-    shift 2.
+    Over a hereditary algebra a periodic complex of projectives is the
+    sum of its shifted homology, so the piece at shift s is the homology
+    ker d_i / im d_{i-1} at slot i = -s mod ``PERIOD``.
     """
-    d0, d1, d2 = c.diffs
-    k_rep, k_incl = ctx.kernel(d0)
-    c_rep, c_proj = ctx.cokernel(d1)
-    # middle subquotient
-    k2_rep, k2_incl = ctx.kernel(d1)
-    into_k2 = ctx.corestrict(d0, k2_incl)
-    h_rep, _ = ctx.cokernel(into_k2)
-    # induced map on the ends
-    to_k = ctx.corestrict(d2, k_incl)  # X2 -> K
-    g = ctx.descend(to_k, c_proj)  # C -> K
-    coker_g, _ = ctx.cokernel(g)
-    ker_g, _ = ctx.kernel(g)
-    return coker_g, ker_g, h_rep
+    pieces = []
+    for s in range(PERIOD):
+        i = -s % PERIOD
+        _, incl = ctx.kernel(c.diffs[i])
+        homology, _ = ctx.cokernel(ctx.corestrict(c.diffs[i - 1], incl))
+        pieces.append(homology)
+    return tuple(pieces)
 
 
 def wrap_module(ctx: RepContext, rep: Rep, shift: int = 0) -> CycleComplex:
     """The standard complex carrying a module at the given shift.
 
     A projective module becomes a stalk in slot 0; anything else sits as
-    its minimal resolution, cover in slot 0 and syzygy in slot 2 with
-    the resolution map connecting them. Shifting then rotates the result
-    into place.
+    its minimal resolution, cover in slot 0 and syzygy in the last slot
+    with the resolution map connecting them. Shifting then rotates the
+    result into place.
     """
     res = ctx.proj_resolution(rep)
     if res.p1.is_zero():
         base = CycleComplex.stalk(ctx, res.p0, 0)
     else:
-        zero = ctx.zero_rep()
-        slots = (res.p0, zero, res.p1)
-        diffs = (
-            RepMap.zero_map(res.p0, zero),
-            RepMap.zero_map(zero, res.p1),
-            res.d,
-        )
+        slots = [res.p0] + [ctx.zero_rep()] * (PERIOD - 2) + [res.p1]
+        diffs = [RepMap.zero_map(slots[i], slots[i + 1]) for i in range(PERIOD - 1)] + [res.d]
         base = CycleComplex(ctx, slots, diffs, check=False)
     return base.shift(shift)
 

@@ -11,7 +11,11 @@ direct-sum witness, minimal projective resolutions and dim Ext^1, plus
 the counting utilities the Hall layer sits on (automorphism group
 orders, representative enumeration, classical submodule counts). The
 path algebra of an acyclic quiver is hereditary, so dim Ext^1 is read
-off the Euler form rather than built from cocycles.
+off the Euler form rather than built from cocycles. |Aut x| is the
+number of units of the finite algebra End(x), counted from dim End(x)
+and the Krull-Schmidt blocks of its semisimple quotient by
+:func:`perihall.gfp.unit_group_order`, the count the periodic category
+applies to its objects too.
 
 Iso classes follow Krull-Schmidt. Every indecomposable class gets an
 integer id, and a module's iso class is the sorted tuple of the class
@@ -34,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .gfp import FieldSpec, MatrixFp, Subspace, gl_order
+from .gfp import FieldSpec, MatrixFp, Subspace, unit_group_order
 from .quiver import Quiver
 
 __all__ = [
@@ -450,16 +454,6 @@ class RepContext:
             comps.append(g)
         return RepMap(f.source, incl.source, comps, check=False)
 
-    def descend(self, f: RepMap, proj: RepMap) -> RepMap:
-        """Factor f: X -> Y through a quotient proj: X -> Q."""
-        comps = []
-        for fc, pc in zip(f.comps, proj.comps):
-            g = pc.solve_right(fc)
-            if g is None:
-                raise ValueError("map does not kill the kernel of the projection")
-            comps.append(g)
-        return RepMap(proj.target, f.target, comps, check=False)
-
     # -- isomorphism and decomposition -------------------------------
 
     def _iso_among_basis(self, x: Rep, y: Rep) -> Optional[RepMap]:
@@ -507,12 +501,7 @@ class RepContext:
 
     def _candidate_endos(self, x: Rep) -> Iterator[RepMap]:
         basis = self.hom_basis(x, x)
-        for b in basis:
-            yield b
-        for i, bi in enumerate(basis):
-            for j, bj in enumerate(basis):
-                if i != j:
-                    yield bi.then(bj)
+        yield from basis
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 yield basis[i].add(basis[j])
@@ -567,7 +556,8 @@ class RepContext:
         total = self.field.p ** len(basis)
         if total > self.enum_cap:
             raise BudgetExceeded(
-                f"cannot certify indecomposability: endomorphism space has {total} points, cap {self.enum_cap}"
+                f"cannot certify indecomposability of the module of dimension vector {x.dims}:"
+                f" endomorphism space has {total} points, cap {self.enum_cap}"
             )
         for coeffs in itertools.product(range(self.field.p), repeat=len(basis)):
             e = self.map_from_coeffs(basis, coeffs)
@@ -584,30 +574,21 @@ class RepContext:
     # -- automorphism counting ---------------------------------------
 
     def aut_order(self, x: Rep) -> int:
-        """|Aut(x)|, exact, by the Krull-Schmidt unit-group formula:
-        residue general linear groups over the summand division algebras
-        times the radical count. The tests cross-check it against an
-        enumeration of End(x)."""
+        """|Aut(x)|, exact, as the unit count of the finite algebra
+        End(x) (:func:`perihall.gfp.unit_group_order`): by Krull-Schmidt
+        its semisimple quotient has one block GL_m over the residue field
+        of each summand class of multiplicity m. The tests cross-check it
+        against an enumeration of End(x)."""
         ck = x.key()
         hit = self._aut_cache.get(ck)
         if hit is None:
-            hit = self._aut_order_formula(x, len(self.hom_basis(x, x))) if x.total_dim else 1
+            blocks = [
+                (len(list(run)), self.residue_field_degree(self.class_rep(cid)))
+                for cid, run in itertools.groupby(self.summand_ids(x))
+            ]
+            hit = unit_group_order(self.field.p, self.hom_dim(x, x), blocks)
             self._aut_cache[ck] = hit
         return hit
-
-    def _aut_order_formula(self, x: Rep, dim_end: int) -> int:
-        p = self.field.p
-        diag = 0
-        gl_product = 1
-        for cid, run in itertools.groupby(self.summand_ids(x)):
-            m = len(list(run))
-            d_k = self.residue_field_degree(self.class_rep(cid))
-            diag += m * m * d_k
-            gl_product *= gl_order(m, p**d_k)
-        rad_dim = dim_end - diag
-        if rad_dim < 0:
-            raise AssertionError("radical dimension negative; decomposition bug")
-        return (p**rad_dim) * gl_product
 
     def residue_field_degree(self, indec: Rep) -> int:
         """dim over F_p of End(I)/rad for an indecomposable I."""
@@ -616,7 +597,10 @@ class RepContext:
         p = self.field.p
         total = p**d
         if total > self.enum_cap:
-            raise BudgetExceeded(f"endomorphism ring of indecomposable too large to profile ({total})")
+            raise BudgetExceeded(
+                f"endomorphism ring of the indecomposable of dimension vector {indec.dims} has {total} points,"
+                f" too many to profile: cap {self.enum_cap}"
+            )
         units = 0
         for coeffs in itertools.product(range(p), repeat=d):
             if self.map_from_coeffs(basis, coeffs).is_iso():
@@ -856,7 +840,10 @@ class RepContext:
         for s in spaces:
             total *= len(s)
         if total > self.enum_cap:
-            raise BudgetExceeded(f"subspace tuple enumeration of size {total} exceeds cap")
+            raise BudgetExceeded(
+                f"subspace tuple enumeration of size {total} for submodules of dimension vector {x.dims}"
+                f" of the module of dimension vector {l.dims} exceeds cap {self.enum_cap}"
+            )
         for combo in itertools.product(*spaces):
             built = self.subrep_from_rows(l, combo)
             if built is None:

@@ -11,7 +11,7 @@ constant for constant).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .gfp import gl_order
 
@@ -107,7 +107,7 @@ class SemisimplePeriodic:
             out *= gl_order(m, self._q)
         return out
 
-    def fiber_counts(self, x: SsKey, m: SsKey, cap: Optional[int] = None) -> Dict[SsKey, int]:
+    def fiber_counts(self, x: SsKey, m: SsKey) -> Dict[SsKey, int]:
         """Morphism counts x -> m by cone class, from rank profiles.
 
         A morphism is a tuple of matrices; its cone keeps the cokernel

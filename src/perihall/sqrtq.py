@@ -126,19 +126,6 @@ class HallValue:
     def as_pair(self) -> Tuple[Fraction, Fraction]:
         return (self.a, self.b)
 
-    def monomial_exponent(self) -> Optional[Tuple[Fraction, int]]:
-        """If the value is r * q**(k/2), return (r, k); else None.
-
-        "Monomial" means exactly one of the two parts is nonzero. The
-        rational factor r is returned as-is; k records only the parity
-        contribution (0 for rational values, 1 for pure sqrt multiples).
-        """
-        if self.n and self.m:
-            return None
-        if self.m:
-            return (self.b, 1)
-        return (self.a, 0)
-
     def _coerce(self, other: Union["HallValue", Rat]) -> "HallValue":
         if isinstance(other, HallValue):
             if other.q != self.q:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from perihall.gfp import FieldSpec, MatrixFp, Subspace
+from perihall.gfp import FieldSpec, MatrixFp, Subspace, gl_order, unit_group_order
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -212,3 +212,23 @@ def test_public_constructor_reduces_and_checks():
         MatrixFp(F3, [[1, 2], [1]])
     with pytest.raises(ValueError):
         MatrixFp(F3, [[1, 2]], ncols=3)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_unit_group_order_counts_units(q):
+    assert unit_group_order(q, 4, [(2, 1)]) == gl_order(2, q)  # M_2(F_q)
+    assert unit_group_order(q, 2, [(1, 2)]) == q * q - 1  # F_{q^2}
+    assert unit_group_order(q, 2, [(1, 1)]) == q * (q - 1)  # F_q[x]/x^2
+    assert unit_group_order(q, 0, []) == 1
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_unit_group_order_matches_invertible_matrices(field):
+    p = field.p
+    units = sum(MatrixFp.from_flat(field, flat, 2, 2).is_invertible() for flat in itertools.product(range(p), repeat=4))
+    assert unit_group_order(p, 4, [(2, 1)]) == units
+
+
+def test_unit_group_order_refuses_a_negative_radical():
+    with pytest.raises(AssertionError, match="radical dimension negative"):
+        unit_group_order(2, 3, [(2, 1)])

@@ -162,7 +162,7 @@ def test_hall_numbers_are_monomials():
     for x in keys:
         for y in keys[:8]:
             for l, v in eng.multiply(x, y).items():
-                assert v.monomial_exponent() is not None
+                assert not (v.n and v.m)
 
 
 def test_pbw_single_term_on_the_point_quiver():

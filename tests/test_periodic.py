@@ -8,6 +8,7 @@ from perihall.periodic import (
     normal_pieces,
     wrap_module,
 )
+from perihall.category import PeriodicContext
 from perihall.gfp import FieldSpec
 from perihall.quiver import line_quiver
 from perihall.reps import RepContext
@@ -93,6 +94,40 @@ def test_triple_shift_is_identity_on_normal_forms():
     ctx2 = a2_ctx(p=2)
     w = wrap_module(ctx2, ctx2.simple("1"))
     assert w.shift(1).shift(1).shift(1).key() == w.key()
+
+
+def single_shift(c):
+    """One literal rotation: slot i + 1 moves to slot i and every
+    differential is negated."""
+    return CycleComplex(c.ctx, c.slots[1:] + c.slots[:1], [d.neg() for d in c.diffs[1:] + c.diffs[:1]])
+
+
+def single_shift_map(f):
+    return ChainMap(single_shift(f.source), single_shift(f.target), f.comps[1:] + f.comps[:1])
+
+
+def test_shift_by_n_is_n_single_shifts():
+    # over F_3 a negated differential differs from the original; shift(n)
+    # reads n mod 3, since three literal rotations negate every differential
+    ctx = a2_ctx(p=3)
+    s1, s2, _ = a2_modules(ctx)
+    f = chain_hom_space(ctx, wrap_module(ctx, s1), wrap_module(ctx, s2, 1)).rep_map((1,))
+    cone = mapping_cone(ctx, f)[0]
+    a3 = PeriodicContext(RepContext(line_quiver(3), FieldSpec(3)))
+    realized = next(
+        c for c in (a3.realize(k).total for k in reversed(a3.enumerate_objects((1, 1, 1))))
+        if sum(not d.is_zero() for d in c.diffs) > 1
+    )
+    for c in (wrap_module(ctx, s1), realized, cone):
+        expected = c
+        for n in range(6):
+            assert c.shift(n) == expected, n
+            expected = c if n % 3 == 2 else single_shift(expected)
+    expected = f
+    for n in range(6):
+        got = f.shift(n)
+        assert (got.source, got.target, got.key()) == (expected.source, expected.target, expected.key()), n
+        expected = f if n % 3 == 2 else single_shift_map(expected)
 
 
 def test_rotation_equivariance_of_normal_form():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from perihall.checks import ext1_dim_literal, iso_between
 from perihall.gfp import FieldSpec, MatrixFp
 from perihall.quiver import Arrow, Quiver, line_quiver
-from perihall.reps import Rep, RepContext, RepMap
+from perihall.reps import BudgetExceeded, Rep, RepContext, RepMap
 
 A1 = line_quiver(1)
 A2 = line_quiver(2)
@@ -292,6 +292,23 @@ def test_aut_formula_agrees_with_enumeration():
 def test_aut_order_of_zero():
     ctx = ctx_a2()
     assert ctx.aut_order(ctx.zero_rep()) == 1
+
+
+def test_budget_errors_name_their_module():
+    # the Kronecker module (I, A) with A irreducible over F_2 has
+    # End = F_4: every basis candidate is a unit, so certifying it
+    # indecomposable walks all 4 endomorphisms, as does profiling it
+    f2 = FieldSpec(2)
+    r = Rep(f2, KRONECKER, (2, 2), {"a": MatrixFp.identity(f2, 2), "b": MatrixFp(f2, [[0, 1], [1, 1]])})
+    ctx = RepContext(KRONECKER, f2, enum_cap=2)
+    with pytest.raises(BudgetExceeded, match=r"indecomposability of the module of dimension vector \(2, 2\)"):
+        ctx.decompose(r)
+    with pytest.raises(BudgetExceeded, match=r"indecomposable of dimension vector \(2, 2\)"):
+        ctx.residue_field_degree(r)
+    # a submodule of dimension (0, 1) sits on one of the 3 lines of F_2^2
+    top = Rep(f2, KRONECKER, (2, 1), {})
+    with pytest.raises(BudgetExceeded, match=r"dimension vector \(0, 1\) of the module of dimension vector \(2, 2\)"):
+        ctx.classical_hall_g(ctx.simple("2"), top, r)
 
 
 # -- Ext^1 -----------------------------------------------------------

@@ -111,12 +111,6 @@ def test_mixed_base_rejected():
         HallValue(1, 0, 2) + HallValue(1, 0, 3)
 
 
-def test_monomial_exponent():
-    assert HallValue(0, Fraction(3, 2), 2).monomial_exponent() == (Fraction(3, 2), 1)
-    assert HallValue(5, 0, 2).monomial_exponent() == (Fraction(5), 0)
-    assert HallValue(1, 1, 2).monomial_exponent() is None
-
-
 def test_str_forms():
     assert str(HallValue(0, 1, 2)) == "sqrt(2)"
     assert str(HallValue(1, -1, 2)) == "1 - sqrt(2)"
