@@ -1,19 +1,27 @@
-"""The 3-periodic category built on cycle complexes.
+"""The 3-periodic category of a quiver, computed from module data.
 
 Objects here are finite multisets of (indecomposable class, shift)
-pairs; every cycle complex normalizes to one. By Krull-Schmidt a module
+pairs; every 3-periodic complex of projectives is isomorphic to the sum
+of its shifted homology, so it normalizes to one. By Krull-Schmidt a module
 placed at one shift is the multiset of its summand class ids,
 :meth:`perihall.reps.RepContext.summand_ids`, so ``module_key`` tags
 those ids with the shift and ``enumerate_objects`` keys each module of
 the bound once and joins one module key per shift.
 
-The context realizes objects as direct sums of wrapped module
-resolutions, computes morphism spaces blockwise between the wrapped
-summands, counts morphisms by the class of their cone, and counts
-automorphisms as the units of the finite algebra End(x), the same
-Krull-Schmidt unit count :meth:`perihall.reps.RepContext.aut_order`
-applies to modules; :func:`perihall.checks.aut_order_by_enumeration`
-recounts them by enumeration.
+Morphisms are module data. By the covering formula, Hom((a, s_a),
+(b, s_b)) is Hom(a, b), Ext^1(a, b) or 0 at the shift residue
+r = (s_b - s_a) mod 3 of 0, 1 or 2, and Hom between two objects is the
+sum of these blocks over their pairs of parts. Bases and compositions
+come from Ringel's exact sequence for the two classes
+(:class:`perihall.reps.HomExt`): Hom is ker delta and Ext^1 coker delta,
+maps compose, a map acts on an Ext^1 class from either side arrow by
+arrow, and Ext^1 after Ext^1 lands in Ext^2 = 0. The context counts
+morphisms by the class of their cone, and counts automorphisms as the
+units of the finite algebra End(x), the same Krull-Schmidt unit count
+:meth:`perihall.reps.RepContext.aut_order` applies to modules. No cycle
+complex is built here: :mod:`perihall.periodic` realizes objects as
+complexes of wrapped resolutions, and the harnesses recount against it,
+:func:`perihall.checks.aut_order_by_enumeration` for instance.
 
 The scalars ``hom_dim`` and ``aut_order`` never build a module: they
 read a table of (dim Hom, dim Ext^1) per pair of class ids, filled once
@@ -44,8 +52,10 @@ C, the long exact Hom sequence of x -> m -> C -> x[1] gives
 and by Auslander's theorem this hom vector fixes C: it is H times the
 multiplicity vector of C, where H[T][U] = hom_dim(T, U) is invertible
 (:class:`HomVectors`). The ranks come from the composition tensor
-Hom(T, a) x Hom(a, b) -> Hom(T, b), built once per triple of parts from
-block representatives and class coordinates. Listing every
+Hom(T, a) x Hom(a, b) -> Hom(T, b), built once per triple of classes
+and pair of residues from module bases;
+:func:`perihall.checks.composition_by_chains` builds it from chain maps
+modulo homotopy. Listing every
 indecomposable needs a quiver of type A (a disjoint union of paths),
 where they are the modules of dimension at most one at each vertex;
 any other quiver is refused. Morphisms are counted one orbit of the
@@ -68,58 +78,21 @@ import itertools
 import operator
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .periodic import (
-    PERIOD,
-    ChainMap,
-    CycleComplex,
-    HomSpace,
-    chain_hom_space,
-    direct_sum_complexes,
-    wrap_module,
-)
 from .gfp import rank_rows, unit_group_order
 from .quiver import Quiver
-from .reps import BudgetExceeded, Rep, RepContext
+from .reps import BudgetExceeded, HomExt, Rep, RepContext
 
-__all__ = ["ObjKey", "PeriodicContext", "RealizedObject", "BlockHomSpace", "HomVectors"]
+if TYPE_CHECKING:
+    from .periodic import BlockHomSpace
+
+__all__ = ["PERIOD", "ObjKey", "PeriodicContext", "HomVectors"]
+
+PERIOD = 3
 
 ObjKey = Tuple[Tuple[int, int], ...]
 Part = Tuple[int, int]
-
-
-class RealizedObject:
-    """An object key together with its concrete complex and the chain
-    maps onto and out of each wrapped summand."""
-
-    __slots__ = ("key", "total", "injections", "projections")
-
-    def __init__(self, key: ObjKey, total: CycleComplex, injections: Sequence[ChainMap], projections: Sequence[ChainMap]):
-        self.key = key
-        self.total = total
-        self.injections = tuple(injections)
-        self.projections = tuple(projections)
-
-
-class BlockHomSpace:
-    """Hom between two realized objects, assembled summand by summand.
-
-    There is one block per (source part, target part), in that order;
-    the coordinates of a morphism are the concatenation of its class
-    coordinates in each block's space. :func:`perihall.checks.block_morphisms`
-    builds the representative of every class.
-    """
-
-    def __init__(self, pctx: "PeriodicContext", source: RealizedObject, target: RealizedObject):
-        self.pctx = pctx
-        self.source = source
-        self.target = target
-        self.blocks: List[Tuple[int, int, HomSpace]] = []
-        for i, pa in enumerate(source.key):
-            for j, pb in enumerate(target.key):
-                self.blocks.append((i, j, pctx.block_space(pa, pb)))
-        self.dim = sum(b[2].dim for b in self.blocks)
 
 
 class HomVectors:
@@ -183,16 +156,13 @@ class PeriodicContext:
     def __init__(self, ctx: RepContext):
         self.ctx = ctx
         self.t = PERIOD
-        self._wrap_cache: Dict[Tuple[int, int], CycleComplex] = {}
-        self._block_cache: Dict[Tuple[Tuple[int, int], Tuple[int, int]], HomSpace] = {}
-        self._realize_cache: Dict[ObjKey, RealizedObject] = {}
-        self._hom_cache: Dict[Tuple[ObjKey, ObjKey], BlockHomSpace] = {}
         self._fiber_cache: Dict[Tuple[ObjKey, ObjKey], Dict[ObjKey, int]] = {}
         self._aut_cache: Dict[ObjKey, int] = {}
         self._brace_cache: Dict[Tuple[ObjKey, ObjKey], int] = {}
         self._pair_cache: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self._residue_cache: Dict[int, int] = {}
-        self._compose_cache: Dict[Tuple[Part, Part, Part], Tuple[Tuple[Tuple[int, ...], ...], ...]] = {}
+        self._hom_ext_cache: Dict[Tuple[int, int], HomExt] = {}
+        self._compose_cache: Dict[Tuple[int, int, int, int, int], Tuple[Tuple[Tuple[int, ...], ...], ...]] = {}
         self._hom_vectors: Optional[HomVectors] = None
 
     @property
@@ -220,13 +190,6 @@ class PeriodicContext:
             merged.extend(k)
         return tuple(sorted(merged))
 
-    def part_rep(self, key: ObjKey, shift: int) -> Rep:
-        """The module sitting at one shift of an object."""
-        reps = [self.ctx.class_rep(cid) for cid, s in key if s == shift]
-        if not reps:
-            return self.ctx.zero_rep()
-        return self.ctx.direct_sum(reps)[0]
-
     def components(self, key: ObjKey) -> Tuple[ObjKey, ObjKey, ObjKey]:
         """Split an object into its three pure-shift module layers, each
         returned as an object key concentrated at shift 0."""
@@ -237,14 +200,6 @@ class PeriodicContext:
 
     def total_dim(self, key: ObjKey) -> int:
         return sum(self.ctx.class_rep(cid).total_dim for cid, _ in key)
-
-    def dvec_mod2(self, key: ObjKey) -> Tuple[int, ...]:
-        nv = len(self.ctx.quiver.vertices)
-        acc = [0] * nv
-        for cid, _ in key:
-            for i, d in enumerate(self.ctx.class_rep(cid).dims):
-                acc[i] = (acc[i] + d) % 2
-        return tuple(acc)
 
     def format_key(self, key: ObjKey) -> str:
         if not key:
@@ -273,42 +228,17 @@ class PeriodicContext:
         )
         return [key for _, key in objects]
 
-    # -- realization --------------------------------------------------
-
-    def wrap_part(self, part: Tuple[int, int]) -> CycleComplex:
-        hit = self._wrap_cache.get(part)
-        if hit is None:
-            cid, s = part
-            hit = wrap_module(self.ctx, self.ctx.class_rep(cid), s)
-            self._wrap_cache[part] = hit
-        return hit
-
-    def realize(self, key: ObjKey) -> RealizedObject:
-        hit = self._realize_cache.get(key)
-        if hit is None:
-            complexes = [self.wrap_part(part) for part in key]
-            total, injs, projs = direct_sum_complexes(self.ctx, complexes)
-            hit = RealizedObject(key, total, injs, projs)
-            self._realize_cache[key] = hit
-        return hit
-
     # -- morphisms ----------------------------------------------------
 
-    def block_space(self, part_a: Tuple[int, int], part_b: Tuple[int, int]) -> HomSpace:
-        k = (part_a, part_b)
-        hit = self._block_cache.get(k)
-        if hit is None:
-            hit = chain_hom_space(self.ctx, self.wrap_part(part_a), self.wrap_part(part_b))
-            self._block_cache[k] = hit
-        return hit
-
     def hom_space(self, x: ObjKey, y: ObjKey) -> BlockHomSpace:
-        k = (x, y)
-        hit = self._hom_cache.get(k)
-        if hit is None:
-            hit = BlockHomSpace(self, self.realize(x), self.realize(y))
-            self._hom_cache[k] = hit
-        return hit
+        """Hom(x, y) recounted at chain level: a
+        :class:`perihall.periodic.BlockHomSpace` between the realized
+        objects, built afresh per call. The engine never calls it;
+        ``hom_dim`` gives the same dimension."""
+        # imported here, off the engine's import graph, for the perfbench End-dimension check
+        from .periodic import ChainModel
+
+        return ChainModel(self).hom_space(x, y)
 
     def _class_pair(self, a: int, b: int) -> Tuple[int, int]:
         """(dim Hom, dim Ext^1) from the class with id a to the class
@@ -383,18 +313,53 @@ class PeriodicContext:
             self._hom_vectors = HomVectors(self, ids)
         return self._hom_vectors
 
-    def _composition(self, t: Part, a: Part, b: Part) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-        """The composition Hom(t, a) x Hom(a, b) -> Hom(t, b) in block
-        class coordinates: entry [u][k] is the class of basis map u of
-        Hom(t, a) followed by basis map k of Hom(a, b)."""
-        k3 = (t, a, b)
-        hit = self._compose_cache.get(k3)
+    def _hom_ext(self, a: int, b: int) -> HomExt:
+        """Hom and Ext^1 from the class with id a to the class with id b,
+        off one delta per pair. The lengths of the bases must be the
+        (dim Hom, dim Ext^1) of the class-pair table that the rank forms
+        lay their blocks out by."""
+        k = (a, b)
+        hit = self._hom_ext_cache.get(k)
         if hit is None:
-            ta, ab, tb = self.block_space(t, a), self.block_space(a, b), self.block_space(t, b)
-            lefts = [ta.rep_map(_unit(ta.dim, u)) for u in range(ta.dim)]
-            rights = [ab.rep_map(_unit(ab.dim, k)) for k in range(ab.dim)]
-            hit = tuple(tuple(tb.class_coords(left.then(right)) for right in rights) for left in lefts)
-            self._compose_cache[k3] = hit
+            hit = self.ctx.hom_ext(self.ctx.class_rep(a), self.ctx.class_rep(b))
+            if (len(hit.hom), hit.ext_dim) != self._class_pair(a, b):
+                raise AssertionError(
+                    f"classes {a} -> {b}: bases of lengths {(len(hit.hom), hit.ext_dim)},"
+                    f" class-pair table {self._class_pair(a, b)}"
+                )
+            self._hom_ext_cache[k] = hit
+        return hit
+
+    def _composition(self, t: Part, a: Part, b: Part) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        """The composition Hom(t, a) x Hom(a, b) -> Hom(t, b) in module
+        coordinates: entry [u][k] is the coordinate vector of basis map u
+        of Hom(t, a) followed by basis map k of Hom(a, b).
+
+        By the covering formula a Hom space between parts is the module
+        Hom, Ext^1 or 0 at shift residue 0, 1 or 2, with the bases of
+        :class:`perihall.reps.HomExt`. The residues (r_ta, r_ab) pick the
+        composition: Hom after Hom composes the maps, a map followed by
+        an Ext^1 class pulls the class back along it, an Ext^1 class
+        followed by a map pushes it forward, and Ext^1 after Ext^1 lands
+        in Ext^2 = 0. Computed once per triple of classes and residues."""
+        (ct, st), (ca, sa), (cb, sb) = t, a, b
+        r_ta, r_ab = (sa - st) % PERIOD, (sb - sa) % PERIOD
+        k5 = (ct, ca, cb, r_ta, r_ab)
+        hit = self._compose_cache.get(k5)
+        if hit is None:
+            ta, ab, tb = self._hom_ext(ct, ca), self._hom_ext(ca, cb), self._hom_ext(ct, cb)
+            if (r_ta, r_ab) == (0, 0):
+                hit = tuple(tuple(tb.hom_coords(f.then(g)) for g in ab.hom) for f in ta.hom)
+            elif (r_ta, r_ab) == (0, 1):
+                hit = tuple(tuple(tb.ext_coords(ab.pullback(f, k)) for k in range(ab.ext_dim)) for f in ta.hom)
+            elif (r_ta, r_ab) == (1, 0):
+                hit = tuple(tuple(tb.ext_coords(ta.pushforward(u, g)) for g in ab.hom) for u in range(ta.ext_dim))
+            else:
+                # Ext^1 after Ext^1 lands in Ext^2 = 0, and a space at
+                # residue 2 is 0: every entry is the empty vector
+                dims = ((len(ta.hom), ta.ext_dim, 0)[r_ta], (len(ab.hom), ab.ext_dim, 0)[r_ab])
+                hit = (((),) * dims[1],) * dims[0]
+            self._compose_cache[k5] = hit
         return hit
 
     def _rank_forms(self, x: ObjKey, m: ObjKey, hv: HomVectors) -> List[Tuple[int, int, List[List[Tuple[int, ...]]]]]:
@@ -513,11 +478,6 @@ def _multiplicities(key: ObjKey) -> List[Tuple[Tuple[int, int], int]]:
     """Each distinct (class_id, shift) entry of a sorted key with the
     number of times it occurs."""
     return [(part, len(list(run))) for part, run in itertools.groupby(key)]
-
-
-def _unit(dim: int, k: int) -> Tuple[int, ...]:
-    """The k-th unit vector of length dim."""
-    return tuple(1 if i == k else 0 for i in range(dim))
 
 
 def _lines(q: int, dim: int) -> Iterator[Tuple[int, ...]]:

@@ -2,11 +2,13 @@
 
 Every closed formula the engine relies on (its one-enumeration product
 formula against both dual counting recipes, cone classes from Hom
-ranks against built and reduced cones, dim Ext^1 from the Euler form,
-iso classes from Krull-Schmidt types, the layered automorphism count,
-the square-root sizes of composition images, the block normal form of
-triangles, the straightening relations) is re-derived here by brute
-enumeration on small instances and compared exactly.
+ranks against built and reduced cones, composition tensors from module
+data against chain maps modulo homotopy (:mod:`perihall.periodic`),
+dim Ext^1 from the Euler form, iso classes from Krull-Schmidt types,
+the layered automorphism count, the square-root sizes of composition
+images, the block normal form of triangles, the straightening
+relations) is re-derived here by brute enumeration on small instances
+and compared exactly.
 :class:`FaultyEngine` carries one wrong structure constant, so a test
 can show that a harness notices. Each harness returns a CheckReport
 rather than raising, so the test suite and the command line can both
@@ -24,20 +26,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .category import BlockHomSpace, ObjKey, PeriodicContext, _unit
+from .category import PERIOD, ObjKey, Part, PeriodicContext
 from .gfp import MatrixFp, Subspace
 from .hall import HallEngine, HallVector
 from .periodic import (
-    PERIOD,
+    BlockHomSpace,
     ChainMap,
+    ChainModel,
     CycleComplex,
     HomSpace,
     chain_hom_space,
     direct_sum_complexes,
     mapping_cone,
     normal_pieces,
+    proj_resolution,
 )
-from .reps import Rep, RepContext, RepMap
+from .reps import BudgetExceeded, Rep, RepContext, RepMap
 from .sqrtq import HallValue
 
 Key = Tuple
@@ -147,7 +151,7 @@ def ext1_dim_literal(ctx: RepContext, x: Rep, y: Rep) -> int:
     resolution 0 -> P1 -> P0 -> x -> 0: the cocycles Hom(P1, y) modulo
     the coboundaries P1 -> P0 -> y. The engine reads the same number off
     the Euler form."""
-    res = ctx.proj_resolution(x)
+    res = proj_resolution(ctx, x)
     cocycles = ctx.hom_basis(res.p1, y)
     if not cocycles:
         return 0
@@ -208,12 +212,31 @@ def iso_between(ctx: RepContext, x: Rep, y: Rep) -> Optional[RepMap]:
     return witness if witness.is_iso() else None
 
 
-def aut_order_by_enumeration(pctx: PeriodicContext, key: ObjKey) -> int:
+def part_rep(pctx: PeriodicContext, key: ObjKey, shift: int) -> Rep:
+    """The module sitting at one shift of an object: the direct sum of
+    the class representatives of its parts there."""
+    reps = [pctx.ctx.class_rep(cid) for cid, s in key if s == shift]
+    if not reps:
+        return pctx.ctx.zero_rep()
+    return pctx.ctx.direct_sum(reps)[0]
+
+
+def dvec_mod2(pctx: PeriodicContext, key: ObjKey) -> Tuple[int, ...]:
+    """The dimension vector of an object's parts, summed over all shifts,
+    mod 2."""
+    acc = [0] * len(pctx.ctx.quiver.vertices)
+    for cid, _ in key:
+        for i, d in enumerate(pctx.ctx.class_rep(cid).dims):
+            acc[i] = (acc[i] + d) % 2
+    return tuple(acc)
+
+
+def aut_order_by_enumeration(chains: ChainModel, key: ObjKey) -> int:
     """|Aut| by walking every endomorphism class of the object: a
     morphism is invertible exactly when its cone is zero. The engine
     counts the units of End(key) instead (:meth:`PeriodicContext.aut_order`)."""
-    space = pctx.hom_space(key, key)
-    return sum(1 for _, f in block_morphisms(space) if cone_key_literal(pctx, f) == pctx.zero_key)
+    pctx = chains.pctx
+    return sum(1 for _, f in block_morphisms(chains.hom_space(key, key)) if cone_key_literal(pctx, f) == pctx.zero_key)
 
 
 def aut_order_by_layers(pctx: PeriodicContext, key: ObjKey) -> int:
@@ -222,7 +245,7 @@ def aut_order_by_layers(pctx: PeriodicContext, key: ObjKey) -> int:
     :meth:`perihall.reps.RepContext.aut_order`, and q to the dim Ext^1
     from each layer to the next, a square-zero ideal of End. The engine
     counts the units of End(key) in one step off its class-pair table."""
-    layers = [pctx.part_rep(key, s) for s in range(PERIOD)]
+    layers = [part_rep(pctx, key, s) for s in range(PERIOD)]
     order = 1
     for s in range(PERIOD):
         order *= pctx.ctx.aut_order(layers[s])
@@ -243,6 +266,11 @@ def cone_key_literal(pctx: PeriodicContext, f: ChainMap) -> ObjKey:
     Hom(T, f) instead (:meth:`PeriodicContext.fiber_counts`)."""
     cone, _, _ = mapping_cone(pctx.ctx, f)
     return complex_key(pctx, cone)
+
+
+def _unit(dim: int, k: int) -> Tuple[int, ...]:
+    """The k-th unit vector of length dim."""
+    return tuple(1 if i == k else 0 for i in range(dim))
 
 
 def block_coords(space: BlockHomSpace, f: ChainMap) -> Tuple[int, ...]:
@@ -317,16 +345,29 @@ def rep_map_blockwise(space: BlockHomSpace, coords: Sequence[int]) -> ChainMap:
     return f
 
 
-def fiber_counts_literal(pctx: PeriodicContext, x: ObjKey, m: ObjKey) -> Dict[ObjKey, int]:
+def fiber_counts_literal(chains: ChainModel, x: ObjKey, m: ObjKey) -> Dict[ObjKey, int]:
     """Morphisms x -> m counted by cone class, one built cone per
     morphism. The engine's :meth:`PeriodicContext.fiber_counts`
     classifies one morphism per scalar line by its rank profile and
     reads the zero morphism's cone off the keys."""
     counts: Dict[ObjKey, int] = {}
-    for _, f in block_morphisms(pctx.hom_space(x, m)):
-        ck = cone_key_literal(pctx, f)
+    for _, f in block_morphisms(chains.hom_space(x, m)):
+        ck = cone_key_literal(chains.pctx, f)
         counts[ck] = counts.get(ck, 0) + 1
     return counts
+
+
+def composition_by_chains(chains: ChainModel, t: Part, a: Part, b: Part) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """The composition Hom(t, a) x Hom(a, b) -> Hom(t, b) of three parts
+    at chain level, in block class coordinates: entry [u][k] is the class
+    of the representative of basis class u of Hom(t, a) followed by that
+    of basis class k of Hom(a, b). The engine reads the same tensor off
+    module data (:meth:`PeriodicContext._composition`); the two agree up
+    to one nonzero scalar per basis vector."""
+    ta, ab, tb = chains.block_space(t, a), chains.block_space(a, b), chains.block_space(t, b)
+    lefts = [ta.rep_map(_unit(ta.dim, u)) for u in range(ta.dim)]
+    rights = [ab.rep_map(_unit(ab.dim, k)) for k in range(ab.dim)]
+    return tuple(tuple(tb.class_coords(left.then(right)) for right in rights) for left in lefts)
 
 
 def _fmt(engine: HallEngine, key: Key) -> str:
@@ -465,6 +506,7 @@ def check_decorated_symmetry(
     """
     report = CheckReport("decorated symmetry")
     ctx = pctx.ctx
+    chains = ChainModel(pctx)
     q = pctx.q
 
     brace = engine.oracle.brace_exponent
@@ -486,9 +528,9 @@ def check_decorated_symmetry(
                         report.bump("skipped_cap")
                         continue
                     for z1 in pctx.fiber_counts(m, l):
-                        Mm = pctx.realize(m).total
-                        Xm = pctx.realize(x).total
-                        Lm = pctx.realize(l).total
+                        Mm = chains.realize(m).total
+                        Xm = chains.realize(x).total
+                        Lm = chains.realize(l).total
                         total, injs, projs = direct_sum_complexes(ctx, [Mm, Xm])
                         mx = pctx.direct_sum_key(m, x)
                         hs_m = chain_hom_space(ctx, Mm, Lm)
@@ -519,7 +561,7 @@ def check_decorated_symmetry(
                             if pctx.hom_dim(lp, m) + pctx.hom_dim(lp, x) > exp_cap:
                                 report.bump("skipped_cap")
                                 continue
-                            Lpm = pctx.realize(lp).total
+                            Lpm = chains.realize(lp).total
                             hs_fp = chain_hom_space(ctx, Lpm, Mm)
                             hs_mp = chain_hom_space(ctx, Lpm, Xm)
                             rhs_count = 0
@@ -573,6 +615,7 @@ def check_stable_images(
     constant and its test is PASS-only by design."""
     report = CheckReport("stable image sizes")
     ctx = pctx.ctx
+    chains = ChainModel(pctx)
     q = pctx.q
 
     brace = engine.oracle.brace_exponent
@@ -584,8 +627,8 @@ def check_stable_images(
                 continue
             if pctx.hom_dim(pctx.shift_key(z, 1), l) > exp_cap:
                 continue
-            Zm = pctx.realize(z).total
-            Lm1 = pctx.realize(lm1).total
+            Zm = chains.realize(z).total
+            Lm1 = chains.realize(lm1).total
             hs_phi = chain_hom_space(ctx, Lm1, Zm)
             Ls = Lm1.shift(1)
             Z1 = Zm.shift(1)
@@ -731,9 +774,10 @@ def _orbit_instance(
     q = pctx.q
     p = q
     zero = pctx.zero_key
-    Zr = pctx.realize(z)
-    Mr = pctx.realize(m)
-    Lr = pctx.realize(l)
+    chains = ChainModel(pctx)
+    Zr = chains.realize(z)
+    Mr = chains.realize(m)
+    Lr = chains.realize(l)
     Zm, Mm, Lm = Zr.total, Mr.total, Lr.total
     Z1 = Zm.shift(1)
     F = chain_hom_space(ctx, Zm, Mm)
@@ -835,8 +879,8 @@ def _orbit_instance(
         orbits.append(orbit)
 
     # Block decomposition data of the two endpoint models.
-    l_models = [pctx.wrap_part(pt) for pt in Lr.key]
-    z_models = [pctx.wrap_part(pt) for pt in Zr.key]
+    l_models = [chains.wrap_part(pt) for pt in Lr.key]
+    z_models = [chains.wrap_part(pt) for pt in Zr.key]
     z1_models = [mod.shift(1) for mod in z_models]
     z1_parts = [(cid, (s + 1) % pctx.t) for cid, s in Zr.key]
     z1_projs = [pr.shift(1) for pr in Zr.projections]
@@ -1010,6 +1054,59 @@ def _find_block_partition(
 # ----------------------------------------------------------------------
 
 
+def _subspaces(field, n: int, r: int) -> Iterator[MatrixFp]:
+    """All r-dimensional subspaces of F_p^n as canonical rref rows."""
+    if r == 0:
+        yield MatrixFp.zeros(field, 0, n)
+        return
+    p = field.p
+    for pivots in itertools.combinations(range(n), r):
+        free_positions = []
+        for i, pc in enumerate(pivots):
+            for c in range(pc + 1, n):
+                if c not in pivots:
+                    free_positions.append((i, c))
+        for vals in itertools.product(range(p), repeat=len(free_positions)):
+            rows = [[0] * n for _ in range(r)]
+            for i, pc in enumerate(pivots):
+                rows[i][pc] = 1
+            for (i, c), v in zip(free_positions, vals):
+                rows[i][c] = v
+            yield MatrixFp(field, rows, ncols=n)
+
+
+def classical_hall_g(ctx: RepContext, x: Rep, y: Rep, l: Rep) -> int:
+    """Number of subrepresentations U of l with U iso x and l/U iso y.
+
+    This is the classical Hall number attached to short exact
+    sequences 0 -> x -> l -> y -> 0 (sub on the left), counted by
+    enumerating subspace tuples within the context's ``enum_cap``.
+    """
+    if any(xd + yd != ld for xd, yd, ld in zip(x.dims, y.dims, l.dims)):
+        return 0
+    count = 0
+    spaces = [list(_subspaces(ctx.field, l.dims[i], x.dims[i])) for i in range(len(l.dims))]
+    total = 1
+    for s in spaces:
+        total *= len(s)
+    if total > ctx.enum_cap:
+        raise BudgetExceeded(
+            f"subspace tuple enumeration of size {total} for submodules of dimension vector {x.dims}"
+            f" of the module of dimension vector {l.dims} exceeds cap {ctx.enum_cap}"
+        )
+    for combo in itertools.product(*spaces):
+        built = ctx.subrep_from_rows(l, combo)
+        if built is None:
+            continue
+        sub, incl = built
+        if not ctx.is_isomorphic(sub, x):
+            continue
+        quot, _ = ctx.cokernel(incl)
+        if ctx.is_isomorphic(quot, y):
+            count += 1
+    return count
+
+
 def check_classical_comparison(
     pctx: PeriodicContext,
     engine: HallEngine,
@@ -1044,7 +1141,7 @@ def check_classical_comparison(
                 if any(s for _, s in lk):
                     report.fail(f"product leaves the module layer at {where}")
                     continue
-                g = ctx.classical_hall_g(x_rep, y_rep, pctx.part_rep(lk, 0))
+                g = classical_hall_g(ctx, x_rep, y_rep, part_rep(pctx, lk, 0))
                 expected = HallValue.sqrt_q_power(-e, q) * g
                 got = prod.coeff(lk)
                 if g:
@@ -1066,11 +1163,12 @@ def check_hom_dimensions(
     chain-map-modulo-homotopy computation on the whole complexes."""
     report = CheckReport("hom dimension agreement")
     ctx = pctx.ctx
+    chains = ChainModel(pctx)
     dims = [pctx.total_dim(k) for k in keys]
     for x in keys:
         for y in keys:
             covering = pctx.hom_dim(x, y)
-            blockwise = pctx.hom_space(x, y).dim
+            blockwise = chains.hom_space(x, y).dim
             report.checked += 1
             if covering != blockwise:
                 report.fail(
@@ -1084,7 +1182,7 @@ def check_hom_dimensions(
         pairs = pairs[:literal_limit]
     for _, i, j in pairs:
         x, y = keys[i], keys[j]
-        literal = chain_hom_space(ctx, pctx.realize(x).total, pctx.realize(y).total).dim
+        literal = chain_hom_space(ctx, chains.realize(x).total, chains.realize(y).total).dim
         report.bump("literal pairs")
         if literal != pctx.hom_dim(x, y):
             report.fail(
@@ -1111,9 +1209,10 @@ def check_cone_well_defined(
     PASS-only by design."""
     report = CheckReport("cone well-definedness")
     ctx = pctx.ctx
+    chains = ChainModel(pctx)
 
     for key in keys:
-        model = pctx.realize(key).total
+        model = chains.realize(key).total
         report.checked += 1
         if complex_key(pctx, model) != key:
             report.fail(f"normal form round trip at {pctx.format_key(key)}")
@@ -1134,7 +1233,7 @@ def check_cone_well_defined(
     sampled = 0
     if pad_source is not None:
         pad = mapping_cone(
-            ctx, ChainMap.identity(pctx.realize(pad_source).total)
+            ctx, ChainMap.identity(chains.realize(pad_source).total)
         )[0]
         dims = [pctx.total_dim(k) for k in keys]
         order = sorted(
@@ -1144,8 +1243,8 @@ def check_cone_well_defined(
             if sampled >= morphism_target:
                 break
             x, y = keys[i], keys[j]
-            Xm = pctx.realize(x).total
-            Ym = pctx.realize(y).total
+            Xm = chains.realize(x).total
+            Ym = chains.realize(y).total
             lit = chain_hom_space(ctx, Xm, Ym)
             if lit.dim == 0:
                 continue
@@ -1180,10 +1279,10 @@ def check_cone_well_defined(
 
     triangles = 0
     for x, y in pairs:
-        dx = pctx.dvec_mod2(x)
-        dy = pctx.dvec_mod2(y)
+        dx = dvec_mod2(pctx, x)
+        dy = dvec_mod2(pctx, y)
         for l in pctx.fiber_counts(pctx.shift_key(y, -1), x):
-            dl = pctx.dvec_mod2(l)
+            dl = dvec_mod2(pctx, l)
             triangles += 1
             report.checked += 1
             if any((a + b - c) % 2 for a, b, c in zip(dx, dy, dl)):

@@ -1,4 +1,12 @@
-"""Cycle complexes of quiver representations, of period ``PERIOD`` = 3.
+"""The chain-level reference model: cycle complexes of quiver
+representations, of period ``PERIOD`` = 3.
+
+Production never calls this module: :mod:`perihall.category` reads
+every Hom space and composition off module data (Ringel's sequence,
+:class:`perihall.reps.HomExt`). The harnesses in :mod:`perihall.checks`
+and the tests recount the engine's numbers here, literally, and
+:meth:`perihall.category.PeriodicContext.hom_space` keeps one
+chain-level count for the benchmark's End-dimension check.
 
 A cycle complex has ``PERIOD`` slots of representations arranged in a
 cycle, with a differential from each slot to the next and consecutive
@@ -7,12 +15,14 @@ module sitting alone in slot 0 is "the module", in the last slot it is
 the module shifted once. Shifting a complex by n rotates the slots by n
 mod ``PERIOD`` and negates every differential when that residue is odd.
 
-A module is wrapped as its minimal projective resolution: the cover P0
-in slot 0, the syzygy P1 in the last slot, and the resolution map
-P1 -> P0 as the differential closing the cycle. The path algebra is
-hereditary, so a periodic complex of projectives is the sum of its
-shifted homology: its normal form carries, at shift s, the homology
-ker d_i / im d_{i-1} at slot i = -s mod ``PERIOD``.
+A module is wrapped as its minimal projective resolution
+(:func:`proj_resolution`): the cover P0 in slot 0, the syzygy P1 in the
+last slot, and the resolution map P1 -> P0 as the differential closing
+the cycle. The path algebra is hereditary, so a periodic complex of
+projectives is the sum of its shifted homology: its normal form carries,
+at shift s, the homology ker d_i / im d_{i-1} at slot i = -s mod
+``PERIOD``. :class:`ChainModel` realizes object keys as direct sums of
+wrapped parts and computes Hom between them block by block.
 
 Morphisms are slotwise representation maps commuting with the
 differentials; two are identified when they differ by a boundary
@@ -24,25 +34,33 @@ the chain-level objects.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .category import PERIOD, ObjKey, Part
 from .gfp import MatrixFp, Subspace
 from .reps import BudgetExceeded, Rep, RepContext, RepMap
+
+if TYPE_CHECKING:
+    from .category import PeriodicContext
 
 __all__ = [
     "CycleComplex",
     "ChainMap",
     "Homotopy",
     "HomSpace",
+    "Resolution",
+    "RealizedObject",
+    "BlockHomSpace",
+    "ChainModel",
     "chain_hom_space",
     "direct_sum_complexes",
     "mapping_cone",
     "normal_pieces",
+    "proj_resolution",
     "wrap_module",
     "find_homotopy_iso",
 ]
-
-PERIOD = 3
 
 
 class CycleComplex:
@@ -439,6 +457,94 @@ def normal_pieces(ctx: RepContext, c: CycleComplex) -> Tuple[Rep, ...]:
     return tuple(pieces)
 
 
+@dataclass
+class Resolution:
+    """A minimal projective resolution 0 -> P1 -> P0 -> X -> 0."""
+
+    x: Rep
+    p1: Rep
+    p0: Rep
+    d: RepMap  # P1 -> P0, injective
+    eps: RepMap  # P0 -> X, projective cover
+
+
+def _radicals(ctx: RepContext, x: Rep) -> List[Subspace]:
+    """The radical of x at each vertex: the span of the arrow images
+    landing there."""
+    q = ctx.quiver
+    rads = []
+    for i, v in enumerate(q.vertices):
+        rows: List[List[int]] = []
+        for a in q.arrows_into(v):
+            rows.extend(x.mats[a.name].rows)
+        rads.append(Subspace(ctx.field, x.dims[i], rows))
+    return rads
+
+
+def _cover_map(ctx: RepContext, x: Rep) -> Tuple[Rep, RepMap]:
+    """Projective cover P -> x via top representatives."""
+    q = ctx.quiver
+    rads = _radicals(ctx, x)
+    gens: List[Tuple[str, List[int]]] = []  # (vertex, representative in X_v)
+    for i, v in enumerate(q.vertices):
+        for c in rads[i].free_columns:
+            unit = [0] * x.dims[i]
+            unit[c] = 1
+            gens.append((v, unit))
+    pieces = [ctx.projective(v) for v, _ in gens]
+    p0, _, _ = ctx.direct_sum(pieces)
+    # map each projective piece into x: generator path e_v |-> rep,
+    # longer path p*a |-> (image so far) @ X_a
+    piece_maps = []
+    for (v, repvec), piece in zip(gens, pieces):
+        comps = []
+        paths = q.paths_from(v)
+        by_end: Dict[str, List[Tuple]] = {w: [] for w in q.vertices}
+        for pth in paths:
+            end = pth[-1].target if pth else v
+            by_end[end].append(pth)
+        vec_of: Dict[Tuple, List[int]] = {(): repvec}
+        for pth in paths:
+            if pth:
+                prefix = pth[:-1]
+                a = pth[-1]
+                prev = vec_of[prefix]
+                vec_of[pth] = MatrixFp(ctx.field, [prev]).mul(x.mats[a.name]).rows[0]
+        for i, w in enumerate(q.vertices):
+            rows = [vec_of[pth] for pth in by_end[w]]
+            comps.append(MatrixFp(ctx.field, rows, ncols=x.dims[i]) if rows else MatrixFp.zeros(ctx.field, 0, x.dims[i]))
+        piece_maps.append(RepMap(piece, x, comps, check=False))
+    comps = []
+    for i in range(len(q.vertices)):
+        acc = None
+        for pm in piece_maps:
+            c = pm.comps[i]
+            acc = c if acc is None else acc.vstack(c)
+        if acc is None:
+            acc = MatrixFp.zeros(ctx.field, 0, x.dims[i])
+        comps.append(acc)
+    eps = RepMap(p0, x, comps, check=False)
+    # surjectivity: the cover hits a complement of the radical at
+    # every vertex, so by graded Nakayama it hits everything
+    for i in range(len(q.vertices)):
+        if comps[i].rank() != x.dims[i]:
+            raise AssertionError("projective cover failed to surject")
+    return p0, eps
+
+
+def proj_resolution(ctx: RepContext, x: Rep) -> Resolution:
+    """Minimal projective resolution 0 -> P1 -> P0 -> x -> 0."""
+    p0, eps = _cover_map(ctx, x)
+    ker, kincl = ctx.kernel(eps)
+    p1, cover = _cover_map(ctx, ker)
+    if p1.total_dim != ker.total_dim:
+        # over a hereditary algebra the kernel is projective, so its
+        # cover must be an isomorphism
+        raise AssertionError("first syzygy is not projective; quiver not hereditary?")
+    d = cover.then(kincl)
+    return Resolution(x, p1, p0, d, eps)
+
+
 def wrap_module(ctx: RepContext, rep: Rep, shift: int = 0) -> CycleComplex:
     """The standard complex carrying a module at the given shift.
 
@@ -447,7 +553,7 @@ def wrap_module(ctx: RepContext, rep: Rep, shift: int = 0) -> CycleComplex:
     with the resolution map connecting them. Shifting then rotates the
     result into place.
     """
-    res = ctx.proj_resolution(rep)
+    res = proj_resolution(ctx, rep)
     if res.p1.is_zero():
         base = CycleComplex.stalk(ctx, res.p0, 0)
     else:
@@ -477,3 +583,76 @@ def find_homotopy_iso(ctx: RepContext, a: CycleComplex, b: CycleComplex, cap: in
             if ends_a.class_coords(f.then(g)) == id_a and ends_b.class_coords(g.then(f)) == id_b:
                 return f
     return None
+
+
+class RealizedObject:
+    """An object key together with its concrete complex and the chain
+    maps onto and out of each wrapped summand."""
+
+    __slots__ = ("key", "total", "injections", "projections")
+
+    def __init__(self, key: ObjKey, total: CycleComplex, injections: Sequence[ChainMap], projections: Sequence[ChainMap]):
+        self.key = key
+        self.total = total
+        self.injections = tuple(injections)
+        self.projections = tuple(projections)
+
+
+class BlockHomSpace:
+    """Hom between two realized objects, assembled summand by summand.
+
+    There is one block per (source part, target part), in that order;
+    the coordinates of a morphism are the concatenation of its class
+    coordinates in each block's space. :func:`perihall.checks.block_morphisms`
+    builds the representative of every class.
+    """
+
+    def __init__(self, model: "ChainModel", source: RealizedObject, target: RealizedObject):
+        self.pctx = model.pctx
+        self.source = source
+        self.target = target
+        self.blocks: List[Tuple[int, int, HomSpace]] = []
+        for i, pa in enumerate(source.key):
+            for j, pb in enumerate(target.key):
+                self.blocks.append((i, j, model.block_space(pa, pb)))
+        self.dim = sum(b[2].dim for b in self.blocks)
+
+
+class ChainModel:
+    """The objects of a :class:`perihall.category.PeriodicContext` as
+    cycle complexes: each (class, shift) part wrapped as the minimal
+    resolution of its class representative, an object key realized as
+    the direct sum of its parts, and Hom between two keys one block per
+    pair of parts. Wrapped parts, block spaces and realized keys are
+    cached for the life of the model."""
+
+    def __init__(self, pctx: "PeriodicContext"):
+        self.pctx = pctx
+        self.ctx = pctx.ctx
+        self._wrap_cache: Dict[Part, CycleComplex] = {}
+        self._block_cache: Dict[Tuple[Part, Part], HomSpace] = {}
+        self._realize_cache: Dict[ObjKey, RealizedObject] = {}
+
+    def wrap_part(self, part: Part) -> CycleComplex:
+        hit = self._wrap_cache.get(part)
+        if hit is None:
+            cid, s = part
+            self._wrap_cache[part] = hit = wrap_module(self.ctx, self.ctx.class_rep(cid), s)
+        return hit
+
+    def realize(self, key: ObjKey) -> RealizedObject:
+        hit = self._realize_cache.get(key)
+        if hit is None:
+            total, injs, projs = direct_sum_complexes(self.ctx, [self.wrap_part(part) for part in key])
+            self._realize_cache[key] = hit = RealizedObject(key, total, injs, projs)
+        return hit
+
+    def block_space(self, part_a: Part, part_b: Part) -> HomSpace:
+        k = (part_a, part_b)
+        hit = self._block_cache.get(k)
+        if hit is None:
+            self._block_cache[k] = hit = chain_hom_space(self.ctx, self.wrap_part(part_a), self.wrap_part(part_b))
+        return hit
+
+    def hom_space(self, x: ObjKey, y: ObjKey) -> BlockHomSpace:
+        return BlockHomSpace(self, self.realize(x), self.realize(y))

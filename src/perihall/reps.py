@@ -7,11 +7,11 @@ dim(u) x dim(w) and acts on row vectors from the right.
 
 The module provides the abelian-category toolkit (hom spaces, kernels,
 images, cokernels), Krull-Schmidt decomposition with an explicit
-direct-sum witness, minimal projective resolutions and dim Ext^1, plus
-the counting utilities the Hall layer sits on (automorphism group
-orders, representative enumeration, classical submodule counts). The
+direct-sum witness, Hom and Ext^1 with their bases from Ringel's exact
+sequence (:class:`HomExt`), plus the counting utilities the Hall layer
+sits on (automorphism group orders, representative enumeration). The
 path algebra of an acyclic quiver is hereditary, so dim Ext^1 is read
-off the Euler form rather than built from cocycles. |Aut x| is the
+off the Euler form wherever no basis is needed. |Aut x| is the
 number of units of the finite algebra End(x), counted from dim End(x)
 and the Krull-Schmidt blocks of its semisimple quotient by
 :func:`perihall.gfp.unit_group_order`, the count the periodic category
@@ -46,7 +46,7 @@ __all__ = [
     "RepMap",
     "RepContext",
     "Decomposition",
-    "Resolution",
+    "HomExt",
     "BudgetExceeded",
 ]
 
@@ -210,17 +210,6 @@ class Decomposition:
     projections: List[RepMap]  # sum_rep -> summand
 
 
-@dataclass
-class Resolution:
-    """A minimal projective resolution 0 -> P1 -> P0 -> X -> 0."""
-
-    x: Rep
-    p1: Rep
-    p0: Rep
-    d: RepMap  # P1 -> P0, injective
-    eps: RepMap  # P0 -> X, projective cover
-
-
 def _direct_sum(field: FieldSpec, quiver: Quiver, reps: Sequence[Rep]) -> Tuple[Rep, List[RepMap], List[RepMap]]:
     nv = len(quiver.vertices)
     dims = [0] * nv
@@ -260,6 +249,76 @@ def _direct_sum(field: FieldSpec, quiver: Quiver, reps: Sequence[Rep]) -> Tuple[
     return total, injections, projections
 
 
+class HomExt:
+    """Hom and Ext^1 between two representations, from Ringel's exact
+    sequence ("Representations of K-species and bimodules", J. Algebra
+    41, 1976)
+
+        0 -> Hom(x, y) -> (+)_v Hom(x_v, y_v) -delta-> (+)_a Hom(x_s(a), y_t(a)) -> Ext^1(x, y) -> 0,
+
+    delta(f)_a = f_s(a) Y_a - X_a f_t(a) in the row convention; the path
+    algebra is hereditary, so Ext^1 is the whole cokernel.
+
+    ``hom`` is the rref basis of ker delta (:meth:`RepContext.hom_basis`),
+    so the coordinates of a map are its flat entries at the leading
+    columns of the basis. ``image`` is im delta in the flat arrow
+    coordinates of :meth:`RepContext._delta`; Ext^1 is its quotient, with
+    basis the unit vectors at the free columns. A class is handled
+    through a cocycle, one matrix x_s(a) -> y_t(a) per arrow. Maps act on
+    cocycles arrow by arrow from either side, and both actions carry
+    im delta into im delta, so they act on Ext^1.
+    """
+
+    __slots__ = ("x", "y", "hom", "image", "_lead", "_ends")
+
+    def __init__(self, x: Rep, y: Rep, hom: List[RepMap], image: Subspace):
+        q = x.quiver
+        self.x = x
+        self.y = y
+        self.hom = hom
+        self.image = image
+        self._lead = tuple(next(i for i, v in enumerate(f.flat()) if v) for f in hom)
+        self._ends = [(q.vertex_index(a.source), q.vertex_index(a.target)) for a in q.arrows]
+
+    @property
+    def ext_dim(self) -> int:
+        return self.image.codim
+
+    def hom_coords(self, f: RepMap) -> Tuple[int, ...]:
+        """The coordinates of a map x -> y in ``hom``."""
+        flat = f.flat()
+        return tuple(flat[i] for i in self._lead)
+
+    def ext_cocycle(self, k: int) -> List[MatrixFp]:
+        """The cocycle of the k-th basis class of Ext^1(x, y)."""
+        flat = [0] * self.image.ambient
+        flat[self.image.free_columns[k]] = 1
+        out = []
+        pos = 0
+        for u, w in self._ends:
+            rows, cols = self.x.dims[u], self.y.dims[w]
+            out.append(MatrixFp.from_flat(self.x.field, flat[pos : pos + rows * cols], rows, cols))
+            pos += rows * cols
+        return out
+
+    def ext_coords(self, cocycle: Sequence[MatrixFp]) -> Tuple[int, ...]:
+        """The coordinates in Ext^1(x, y) of the class of a cocycle."""
+        flat: List[int] = []
+        for m in cocycle:
+            flat.extend(m.flat())
+        return self.image.quotient_coords(flat)
+
+    def pullback(self, f: RepMap, k: int) -> List[MatrixFp]:
+        """Basis class k pulled back along f: t -> x, the cocycle
+        f_s(a) xi_a of Ext^1(t, y)."""
+        return [f.comps[u].mul(xi) for (u, _), xi in zip(self._ends, self.ext_cocycle(k))]
+
+    def pushforward(self, k: int, g: RepMap) -> List[MatrixFp]:
+        """Basis class k pushed forward along g: y -> b, the cocycle
+        xi_a g_t(a) of Ext^1(x, b)."""
+        return [xi.mul(g.comps[w]) for (_, w), xi in zip(self._ends, self.ext_cocycle(k))]
+
+
 class RepContext:
     """Shared state for one (quiver, field) pair.
 
@@ -282,7 +341,6 @@ class RepContext:
         self._class_of_content: Dict[Tuple, int] = {}
         self._classes: List[Rep] = []  # class id -> canonical representative
         self._class_of_type: Dict[Tuple[int, ...], int] = {}  # summand ids -> id of a listed zero or decomposable class
-        self._resolution_cache: Dict[Tuple, Resolution] = {}
         self._projective_cache: Dict[str, Rep] = {}
 
     # -- elementary constructions ------------------------------------
@@ -323,12 +381,13 @@ class RepContext:
 
     # -- hom spaces ---------------------------------------------------
 
-    def hom_basis(self, x: Rep, y: Rep) -> List[RepMap]:
-        """Canonical basis of Hom(x, y)."""
-        ck = (x.key(), y.key())
-        hit = self._hom_cache.get(ck)
-        if hit is not None:
-            return hit
+    def _delta(self, x: Rep, y: Rep) -> Tuple[List[List[int]], int, List[int]]:
+        """Ringel's map delta for the pair x, y (:class:`HomExt`) as a
+        matrix acting on row vectors: one row per entry of
+        (+)_v Hom(x_v, y_v), vertex by vertex and row-major, and one
+        column per entry of (+)_a Hom(x_s(a), y_t(a)), arrow by arrow and
+        row-major. Returns the rows, the column count and the first row
+        of each vertex's block."""
         q = self.quiver
         nv = len(q.vertices)
         # unknown layout: components in vertex order, row-major entries
@@ -372,14 +431,31 @@ class RepContext:
                     for i in range(x.dims[u]):
                         if xa.rows[i][i2]:
                             row[base + i * dyw + k] = (row[base + i * dyw + k] - xa.rows[i][i2]) % p
-        if nunk == 0:
-            basis: List[RepMap] = []
-        else:
-            m = MatrixFp(self.field, rows, ncols=eq_cols)
-            ker = m.kernel_basis()
-            basis = [self._unflatten_map(x, y, krow, offsets) for krow in ker.rows]
-        self._hom_cache[ck] = basis
-        return basis
+        return rows, eq_cols, offsets
+
+    def hom_basis(self, x: Rep, y: Rep) -> List[RepMap]:
+        """Canonical basis of Hom(x, y): the rref basis of ker delta."""
+        ck = (x.key(), y.key())
+        hit = self._hom_cache.get(ck)
+        if hit is None:
+            self._hom_cache[ck] = hit = self._kernel_maps(x, y, *self._delta(x, y))
+        return hit
+
+    def _kernel_maps(self, x: Rep, y: Rep, rows: List[List[int]], ncols: int, offsets: Sequence[int]) -> List[RepMap]:
+        if not rows:
+            return []
+        ker = MatrixFp(self.field, rows, ncols=ncols).kernel_basis()
+        return [self._unflatten_map(x, y, krow, offsets) for krow in ker.rows]
+
+    def hom_ext(self, x: Rep, y: Rep) -> "HomExt":
+        """Hom(x, y) and Ext^1(x, y) off one delta. The Hom basis is
+        :meth:`hom_basis`'s and shares its cache."""
+        rows, ncols, offsets = self._delta(x, y)
+        ck = (x.key(), y.key())
+        hom = self._hom_cache.get(ck)
+        if hom is None:
+            self._hom_cache[ck] = hom = self._kernel_maps(x, y, rows, ncols, offsets)
+        return HomExt(x, y, hom, Subspace(self.field, ncols, rows))
 
     def _unflatten_map(self, x: Rep, y: Rep, flat: Sequence[int], offsets: Sequence[int]) -> RepMap:
         comps = []
@@ -649,87 +725,7 @@ class RepContext:
     def class_count(self) -> int:
         return len(self._classes)
 
-    # -- projective resolutions and Ext ------------------------------
-
-    def _radicals(self, x: Rep) -> List[Subspace]:
-        """The radical of x at each vertex: the span of the arrow images
-        landing there."""
-        q = self.quiver
-        rads = []
-        for i, v in enumerate(q.vertices):
-            rows: List[List[int]] = []
-            for a in q.arrows_into(v):
-                rows.extend(x.mats[a.name].rows)
-            rads.append(Subspace(self.field, x.dims[i], rows))
-        return rads
-
-    def _cover_map(self, x: Rep) -> Tuple[Rep, RepMap]:
-        """Projective cover P -> x via top representatives."""
-        q = self.quiver
-        rads = self._radicals(x)
-        gens: List[Tuple[str, List[int]]] = []  # (vertex, representative in X_v)
-        for i, v in enumerate(q.vertices):
-            for c in rads[i].free_columns:
-                unit = [0] * x.dims[i]
-                unit[c] = 1
-                gens.append((v, unit))
-        pieces = [self.projective(v) for v, _ in gens]
-        p0, _, _ = self.direct_sum(pieces)
-        # map each projective piece into x: generator path e_v |-> rep,
-        # longer path p*a |-> (image so far) @ X_a
-        piece_maps = []
-        for (v, repvec), piece in zip(gens, pieces):
-            comps = []
-            paths = q.paths_from(v)
-            by_end: Dict[str, List[Tuple]] = {w: [] for w in q.vertices}
-            for pth in paths:
-                end = pth[-1].target if pth else v
-                by_end[end].append(pth)
-            vec_of: Dict[Tuple, List[int]] = {(): repvec}
-            for pth in paths:
-                if pth:
-                    prefix = pth[:-1]
-                    a = pth[-1]
-                    prev = vec_of[prefix]
-                    vec_of[pth] = MatrixFp(self.field, [prev]).mul(x.mats[a.name]).rows[0]
-            for i, w in enumerate(q.vertices):
-                rows = [vec_of[pth] for pth in by_end[w]]
-                comps.append(MatrixFp(self.field, rows, ncols=x.dims[i]) if rows else MatrixFp.zeros(self.field, 0, x.dims[i]))
-            piece_maps.append(RepMap(piece, x, comps, check=False))
-        comps = []
-        for i in range(len(q.vertices)):
-            acc = None
-            for pm in piece_maps:
-                c = pm.comps[i]
-                acc = c if acc is None else acc.vstack(c)
-            if acc is None:
-                acc = MatrixFp.zeros(self.field, 0, x.dims[i])
-            comps.append(acc)
-        eps = RepMap(p0, x, comps, check=False)
-        # surjectivity: the cover hits a complement of the radical at
-        # every vertex, so by graded Nakayama it hits everything
-        for i in range(len(q.vertices)):
-            if comps[i].rank() != x.dims[i]:
-                raise AssertionError("projective cover failed to surject")
-        return p0, eps
-
-    def proj_resolution(self, x: Rep) -> Resolution:
-        """Minimal projective resolution 0 -> P1 -> P0 -> x -> 0."""
-        ck = x.key()
-        hit = self._resolution_cache.get(ck)
-        if hit is not None:
-            return hit
-        p0, eps = self._cover_map(x)
-        ker, kincl = self.kernel(eps)
-        p1, cover = self._cover_map(ker)
-        if p1.total_dim != ker.total_dim:
-            # over a hereditary algebra the kernel is projective, so its
-            # cover must be an isomorphism
-            raise AssertionError("first syzygy is not projective; quiver not hereditary?")
-        d = cover.then(kincl)
-        res = Resolution(x, p1, p0, d, eps)
-        self._resolution_cache[ck] = res
-        return res
+    # -- Ext ----------------------------------------------------------
 
     def ext1_dim(self, x: Rep, y: Rep) -> int:
         """dim Ext^1(x, y) = dim Hom(x, y) - <x, y>.
@@ -786,28 +782,6 @@ class RepContext:
                         self._classes.append(cand)
         return out
 
-    # -- classical Hall counts ---------------------------------------
-
-    def _subspaces(self, n: int, r: int) -> Iterator[MatrixFp]:
-        """All r-dimensional subspaces of F_p^n as canonical rref rows."""
-        if r == 0:
-            yield MatrixFp.zeros(self.field, 0, n)
-            return
-        p = self.field.p
-        for pivots in itertools.combinations(range(n), r):
-            free_positions = []
-            for i, pc in enumerate(pivots):
-                for c in range(pc + 1, n):
-                    if c not in pivots:
-                        free_positions.append((i, c))
-            for vals in itertools.product(range(p), repeat=len(free_positions)):
-                rows = [[0] * n for _ in range(r)]
-                for i, pc in enumerate(pivots):
-                    rows[i][pc] = 1
-                for (i, c), v in zip(free_positions, vals):
-                    rows[i][c] = v
-                yield MatrixFp(self.field, rows, ncols=n)
-
     def subrep_from_rows(self, l: Rep, row_bases: Sequence[MatrixFp]) -> Optional[Tuple[Rep, RepMap]]:
         """The subrepresentation of l spanned by the given row bases, or
         None if the spans are not arrow-stable."""
@@ -825,36 +799,6 @@ class RepContext:
         sub = Rep(self.field, q, dims, mats)
         incl = RepMap(sub, l, list(row_bases), check=False)
         return sub, incl
-
-    def classical_hall_g(self, x: Rep, y: Rep, l: Rep) -> int:
-        """Number of subrepresentations U of l with U iso x and l/U iso y.
-
-        This is the classical Hall number attached to short exact
-        sequences 0 -> x -> l -> y -> 0 (sub on the left).
-        """
-        if any(xd + yd != ld for xd, yd, ld in zip(x.dims, y.dims, l.dims)):
-            return 0
-        count = 0
-        spaces = [list(self._subspaces(l.dims[i], x.dims[i])) for i in range(len(l.dims))]
-        total = 1
-        for s in spaces:
-            total *= len(s)
-        if total > self.enum_cap:
-            raise BudgetExceeded(
-                f"subspace tuple enumeration of size {total} for submodules of dimension vector {x.dims}"
-                f" of the module of dimension vector {l.dims} exceeds cap {self.enum_cap}"
-            )
-        for combo in itertools.product(*spaces):
-            built = self.subrep_from_rows(l, combo)
-            if built is None:
-                continue
-            sub, incl = built
-            if not self.is_isomorphic(sub, x):
-                continue
-            quot, _ = self.cokernel(incl)
-            if self.is_isomorphic(quot, y):
-                count += 1
-        return count
 
     # -- numerical forms ----------------------------------------------
 

@@ -1,6 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from perihall import category
+from perihall import category, periodic
 from perihall.category import PeriodicContext
 from perihall.checks import (
     aut_order_by_enumeration,
@@ -8,16 +12,22 @@ from perihall.checks import (
     block_coords,
     block_morphisms,
     complex_key,
+    composition_by_chains,
     cone_key_literal,
+    dvec_mod2,
     fiber_counts_literal,
     rep_map_blockwise,
 )
 from perihall.gfp import FieldSpec, MatrixFp
-from perihall.periodic import ChainMap, chain_hom_space
+from perihall.hall import HallEngine
+from perihall.periodic import ChainMap, ChainModel, CycleComplex, chain_hom_space
 from perihall.quiver import Arrow, Quiver, line_quiver
 from perihall.reps import BudgetExceeded, Rep, RepContext
 
 KRONECKER = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
+# orientations the line quivers never take: a sink, and a zigzag
+SINK_A3 = Quiver(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "3", "2")])
+ZIGZAG_A4 = Quiver(["1", "2", "3", "4"], [Arrow("a", "1", "2"), Arrow("b", "3", "2"), Arrow("c", "3", "4")])
 
 
 @pytest.fixture
@@ -60,7 +70,7 @@ def test_enumeration_is_graded_and_stable(a2):
 
 def test_realize_normalize_round_trip(a2):
     for key in a2.enumerate_objects((1, 1)):
-        assert complex_key(a2, a2.realize(key).total) == key
+        assert complex_key(a2, ChainModel(a2).realize(key).total) == key
 
 
 def test_shift_key_matches_complex_shift(a2):
@@ -68,7 +78,7 @@ def test_shift_key_matches_complex_shift(a2):
     p1 = a2.ctx.projective("1")
     for key in (a2.module_key(s1), a2.direct_sum_key(a2.module_key(p1), a2.module_key(s1, 1))):
         for n in range(1, 4):
-            assert complex_key(a2, a2.realize(key).total.shift(n)) == a2.shift_key(key, n)
+            assert complex_key(a2, ChainModel(a2).realize(key).total.shift(n)) == a2.shift_key(key, n)
     assert a2.shift_key(a2.module_key(s1), 3) == a2.module_key(s1)
 
 
@@ -83,11 +93,12 @@ def test_hom_dim_three_ways(a2):
         a2.direct_sum_key(a2.module_key(s1), a2.module_key(s2)),
         (),
     ]
+    chains = ChainModel(a2)
     for x in keys:
         for y in keys:
             covering = a2.hom_dim(x, y)
             blockwise = a2.hom_space(x, y).dim
-            literal = chain_hom_space(a2.ctx, a2.realize(x).total, a2.realize(y).total).dim
+            literal = chain_hom_space(a2.ctx, chains.realize(x).total, chains.realize(y).total).dim
             assert covering == blockwise == literal, (x, y)
 
 
@@ -118,12 +129,13 @@ def test_rep_map_matches_the_blockwise_assembly(quiver, p, bound, first):
     # entry, the representative assembled block by block
     pctx = PeriodicContext(RepContext(quiver, FieldSpec(p)))
     keys = pctx.enumerate_objects(bound)[:first]
+    chains = ChainModel(pctx)
     spaces = 0
     for x in keys:
         for m in keys:
             if pctx.hom_dim(x, m) > 3:
                 continue
-            space = pctx.hom_space(x, m)
+            space = chains.hom_space(x, m)
             for coords, f in block_morphisms(space):
                 assert f.key() == rep_map_blockwise(space, coords).key(), (x, m, coords)
             spaces += 1
@@ -138,8 +150,9 @@ def test_cone_of_zero_map_is_sum_with_shift(a2):
         (a2.module_key(s1, 2), a2.module_key(s1)),
         ((), a2.module_key(p1, 1)),
     ]
+    chains = ChainModel(a2)
     for akey, bkey in pairs:
-        f = ChainMap.zero(a2.realize(akey).total, a2.realize(bkey).total)
+        f = ChainMap.zero(chains.realize(akey).total, chains.realize(bkey).total)
         assert cone_key_literal(a2, f) == a2.direct_sum_key(bkey, a2.shift_key(akey, 1))
 
 
@@ -193,28 +206,114 @@ def test_fiber_counts_match_the_literal_count(n, p, bound, first, hom_cap, monke
     # one rank profile per scalar line, the zero morphism's cone read
     # off the keys: the counts must equal building the cone of every
     # morphism, only the (q^d - 1)/(q - 1) lines may be profiled, and
-    # no object is realized on the way
+    # no cycle complex is built on the way
     pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)))
     keys = pctx.enumerate_objects(bound)[:first]
     lines = []
     honest_lines = category._lines
     monkeypatch.setattr(category, "_lines", lambda q, dim: (lines.append(c) or c for c in honest_lines(q, dim)))
-    realized = []
-    honest_realize = pctx.realize
-    monkeypatch.setattr(pctx, "realize", lambda key: realized.append(key) or honest_realize(key))
+    complexes = []
+    honest_init = CycleComplex.__init__
+    monkeypatch.setattr(CycleComplex, "__init__", lambda c, *args, **kw: complexes.append(c) or honest_init(c, *args, **kw))
+    chains = ChainModel(pctx)
     checked = 0
     for x in keys:
         for m in keys:
             d = pctx.hom_dim(x, m)
             if hom_cap is not None and d > hom_cap:
                 continue
-            before, built = len(lines), len(realized)
+            before, built = len(lines), len(complexes)
             counts = pctx.fiber_counts(x, m)
             assert len(lines) - before == (p**d - 1) // (p - 1)
-            assert len(realized) == built
-            assert counts == fiber_counts_literal(pctx, x, m), (x, m)
+            assert len(complexes) == built
+            assert counts == fiber_counts_literal(chains, x, m), (x, m)
             checked += 1
+    assert complexes
     assert checked >= len(keys) ** 2 // 2
+
+
+@pytest.mark.parametrize("n, p, first", [(2, 3, 16), (3, 2, 25)])
+def test_multiply_never_enters_the_chain_model(n, p, first, monkeypatch):
+    # cold products on fresh contexts, with every entry into the chain
+    # layer raising: the engine reads Hom spaces and compositions off
+    # module data alone
+    def refuse(*args, **kw):
+        raise AssertionError("the op path entered the chain model")
+
+    for name in ("chain_hom_space", "wrap_module", "mapping_cone", "normal_pieces", "proj_resolution"):
+        monkeypatch.setattr(periodic, name, refuse)
+    for cls in (periodic.CycleComplex, periodic.HomSpace):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)))
+    engine = HallEngine(pctx)
+    keys = pctx.enumerate_objects((1,) * n)[:first]
+    nonzero = sum(len(engine.multiply(x, y).support) for x in keys for y in keys)
+    assert nonzero >= len(keys) ** 2
+
+
+def test_the_engine_modules_do_not_load_the_chain_model():
+    # the op path imports no chain-level code; only hom_space reaches it,
+    # through a function-level import
+    src = Path(category.__file__).resolve().parents[1]
+    code = "import sys, perihall.hall, perihall.category; print('perihall.periodic' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def _signs_match(entries):
+    """Whether one sign per Hom space between parts turns every module
+    entry m into the chain entry c. Rescaling the basis vectors of
+    Hom(t, a), Hom(a, b) and Hom(t, b) by l_ta, l_ab, l_tb turns m into
+    m l_ta l_ab / l_tb; over F_3 the nonzero scalars are the signs, so
+    this is a linear system over F_2 in the exponents of -1."""
+    index = {}
+    columns, rhs = [], []
+    for spaces, m, c in entries:
+        if bool(m) != bool(c):
+            return False
+        if m:
+            column = {}
+            for space in spaces:
+                u = index.setdefault(space, len(index))
+                column[u] = column.get(u, 0) + 1
+            columns.append(column)
+            rhs.append(int(m != c))
+    if not columns:
+        return True
+    system = MatrixFp(FieldSpec(2), [[col.get(u, 0) % 2 for col in columns] for u in range(len(index))], ncols=len(columns))
+    return system.solve(rhs) is not None
+
+
+@pytest.mark.parametrize(
+    "quiver, p",
+    [(line_quiver(n), p) for n in (1, 2, 3, 4) for p in (2, 3)] + [(SINK_A3, 3), (ZIGZAG_A4, 3)],
+    ids=[f"A{n}-p{p}" for n in (1, 2, 3, 4) for p in (2, 3)] + ["A3-sink-p3", "A4-zigzag-p3"],
+)
+def test_module_composition_matches_the_chain_level_tensor(quiver, p):
+    # Hom from Ringel's sequence and its Yoneda action against chain maps
+    # modulo homotopy, on every triple of test objects. On type A every
+    # Hom space between parts has dimension at most one, and the tensors
+    # agree up to one nonzero scalar per space: exactly over F_2, up to
+    # consistent signs over F_3, so every rank of Hom(T, f) agrees
+    pctx = PeriodicContext(RepContext(quiver, FieldSpec(p)))
+    chains = ChainModel(pctx)
+    parts = pctx.hom_vectors().parts
+    entries = []
+    for t in parts:
+        for a in parts:
+            for b in parts:
+                got = pctx._composition(t, a, b)
+                want = composition_by_chains(chains, t, a, b)
+                assert [[len(v) for v in row] for row in got] == [[len(v) for v in row] for row in want], (t, a, b)
+                assert len(got) <= 1 and all(len(row) <= 1 and all(len(v) <= 1 for v in row) for row in got)
+                for g_row, w_row in zip(got, want):
+                    for g_vec, w_vec in zip(g_row, w_row):
+                        for m, c in zip(g_vec, w_vec):
+                            entries.append((((t, a), (a, b), (t, b)), m, c))
+    assert entries
+    if p == 2:
+        assert all(m == c for _, m, c in entries)
+    assert _signs_match(entries)
 
 
 @pytest.mark.parametrize("n, objects", [(1, 8), (2, 125), (3, 2197)])
@@ -246,14 +345,14 @@ def test_hom_vectors_decode_every_object(n, p, objects):
 @pytest.mark.parametrize("p", [2, 3])
 def test_rank_profiles_match_the_literal_count_on_a_sink(p):
     # the orientation 1 -> 2 <- 3, which the line quivers never take
-    sink = Quiver(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "3", "2")])
-    pctx = PeriodicContext(RepContext(sink, FieldSpec(p)))
+    pctx = PeriodicContext(RepContext(SINK_A3, FieldSpec(p)))
     keys = pctx.enumerate_objects((1, 1, 1))[:20]
+    chains = ChainModel(pctx)
     extensions = 0
     for x in keys:
         for m in keys:
             counts = pctx.fiber_counts(x, m)
-            assert counts == fiber_counts_literal(pctx, x, m), (x, m)
+            assert counts == fiber_counts_literal(chains, x, m), (x, m)
             extensions += len(counts) > 1
     assert extensions
 
@@ -288,7 +387,8 @@ def test_budget_errors_name_their_objects(a2):
     with pytest.raises(BudgetExceeded) as err:
         a2.fiber_counts(x, y)
     assert f"{a2.format_key(x)} -> {a2.format_key(y)}" in str(err.value)
-    source, target = a2.realize(x).total, a2.realize(y).total
+    chains = ChainModel(a2)
+    source, target = chains.realize(x).total, chains.realize(y).total
     with pytest.raises(BudgetExceeded) as err:
         next(chain_hom_space(a2.ctx, source, target).enumerate_classes(cap=1))
     slots = [[s.dims for s in c.slots] for c in (source, target)]
@@ -297,10 +397,11 @@ def test_budget_errors_name_their_objects(a2):
 
 def test_aut_orders_against_enumeration(a1, a2):
     for pctx, bound in ((a1, (1,)), (a2, (1, 1))):
+        chains = ChainModel(pctx)
         for key in pctx.enumerate_objects(bound):
             if pctx.total_dim(key) > 2:
                 continue
-            assert pctx.aut_order(key) == aut_order_by_enumeration(pctx, key), key
+            assert pctx.aut_order(key) == aut_order_by_enumeration(chains, key), key
 
 
 def test_aut_orders_against_the_layered_recipe():
@@ -326,7 +427,7 @@ def test_aut_order_reads_the_residue_degree():
     r = Rep(f2, KRONECKER, (2, 2), {"a": MatrixFp.identity(f2, 2), "b": MatrixFp(f2, [[0, 1], [1, 1]])})
     k = pctx.module_key(r)
     s = pctx.module_key(pctx.ctx.simple("1"))
-    assert pctx.aut_order(k) == 3 == aut_order_by_enumeration(pctx, k)
+    assert pctx.aut_order(k) == 3 == aut_order_by_enumeration(ChainModel(pctx), k)
     assert pctx.aut_order(pctx.direct_sum_key(k, k)) == 15 * 12  # |GL_2(F_4)|
     for other in (k, pctx.shift_key(k, 1), pctx.shift_key(s, 2)):
         key = pctx.direct_sum_key(k, other)
@@ -350,7 +451,7 @@ def test_aut_order_odd_prime():
     assert pctx.aut_order(s) == 2
     ss = pctx.direct_sum_key(s, s)
     assert pctx.aut_order(ss) == 48
-    assert aut_order_by_enumeration(pctx, ss) == 48
+    assert aut_order_by_enumeration(ChainModel(pctx), ss) == 48
 
 
 def test_components_and_dvec(a2):
@@ -361,8 +462,8 @@ def test_components_and_dvec(a2):
     assert comps[0] == s1
     assert comps[1] == ()
     assert comps[2] == p1
-    assert a2.dvec_mod2(key) == (0, 1)
-    assert a2.dvec_mod2(a2.direct_sum_key(key, key)) == (0, 0)
+    assert dvec_mod2(a2, key) == (0, 1)
+    assert dvec_mod2(a2, a2.direct_sum_key(key, key)) == (0, 0)
 
 
 def test_format_key(a2):

@@ -8,6 +8,7 @@ from perihall.checks import (
     build_quiver_engine,
     check_associativity,
     check_symmetry,
+    classical_hall_g,
     hall_number_via,
 )
 from perihall.gfp import FieldSpec, gl_order
@@ -150,7 +151,7 @@ def test_module_triples_match_classical_counts():
         for yk, yr in reps.items():
             for lk, lr in reps.items():
                 f = eng.hall_number(xk, yk, lk)
-                g = ctx.classical_hall_g(xr, yr, lr)
+                g = classical_hall_g(ctx, xr, yr, lr)
                 twist = HallValue.sqrt_q_power(-ctx.euler_form(xr, yr), eng.q)
                 assert f == twist * HallValue.of(g, eng.q), (xk, yk, lk)
 

@@ -1,5 +1,6 @@
 from perihall.periodic import (
     ChainMap,
+    ChainModel,
     CycleComplex,
     chain_hom_space,
     direct_sum_complexes,
@@ -114,8 +115,9 @@ def test_shift_by_n_is_n_single_shifts():
     f = chain_hom_space(ctx, wrap_module(ctx, s1), wrap_module(ctx, s2, 1)).rep_map((1,))
     cone = mapping_cone(ctx, f)[0]
     a3 = PeriodicContext(RepContext(line_quiver(3), FieldSpec(3)))
+    chains = ChainModel(a3)
     realized = next(
-        c for c in (a3.realize(k).total for k in reversed(a3.enumerate_objects((1, 1, 1))))
+        c for c in (chains.realize(k).total for k in reversed(a3.enumerate_objects((1, 1, 1))))
         if sum(not d.is_zero() for d in c.diffs) > 1
     )
     for c in (wrap_module(ctx, s1), realized, cone):
