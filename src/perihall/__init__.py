@@ -7,7 +7,8 @@ The layers, bottom to top:
 - :mod:`perihall.quiver` - finite acyclic quivers; :mod:`perihall.reps`
   and the chain-level model work on any of them.
 - :mod:`perihall.reps` - quiver representations: hom spaces, kernels and
-  cokernels, Krull-Schmidt decomposition, Hom and Ext^1 bases from
+  cokernels, Krull-Schmidt decomposition into summands and their
+  inclusions, Hom and Ext^1 bases from
   Ringel's exact sequence.
 - :mod:`perihall.category` - the 3-periodic category itself: objects as
   shifted module sums, hom tables, compositions from module data, cone

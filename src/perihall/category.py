@@ -24,8 +24,8 @@ complexes of wrapped resolutions, and the harnesses recount against it,
 :func:`perihall.checks.aut_order_by_enumeration` for instance.
 
 The scalars ``hom_dim`` and ``aut_order`` never build a module: they
-read a table of (dim Hom, dim Ext^1) per pair of class ids, filled once
-per pair, and weight it by the multiplicities in the keys;
+read a table of (dim Hom, dim Ext^1) per pair of class ids, the lengths
+of the pair's Ringel bases, and weight it by the multiplicities in the keys;
 ``aut_order`` also reads each class's residue degree, cached per class
 id. :func:`perihall.checks.aut_order_by_layers` builds the layers.
 
@@ -242,12 +242,13 @@ class PeriodicContext:
 
     def _class_pair(self, a: int, b: int) -> Tuple[int, int]:
         """(dim Hom, dim Ext^1) from the class with id a to the class
-        with id b, computed once per pair."""
+        with id b: the lengths of the bases of :meth:`_hom_ext`, so the
+        rank forms and the composition tensors read one record."""
         k = (a, b)
         hit = self._pair_cache.get(k)
         if hit is None:
-            ra, rb = self.ctx.class_rep(a), self.ctx.class_rep(b)
-            self._pair_cache[k] = hit = (self.ctx.hom_dim(ra, rb), self.ctx.ext1_dim(ra, rb))
+            he = self._hom_ext(a, b)
+            self._pair_cache[k] = hit = (len(he.hom), he.ext_dim)
         return hit
 
     def hom_dim(self, x: ObjKey, y: ObjKey) -> int:
@@ -315,19 +316,11 @@ class PeriodicContext:
 
     def _hom_ext(self, a: int, b: int) -> HomExt:
         """Hom and Ext^1 from the class with id a to the class with id b,
-        off one delta per pair. The lengths of the bases must be the
-        (dim Hom, dim Ext^1) of the class-pair table that the rank forms
-        lay their blocks out by."""
+        off one delta per pair."""
         k = (a, b)
         hit = self._hom_ext_cache.get(k)
         if hit is None:
-            hit = self.ctx.hom_ext(self.ctx.class_rep(a), self.ctx.class_rep(b))
-            if (len(hit.hom), hit.ext_dim) != self._class_pair(a, b):
-                raise AssertionError(
-                    f"classes {a} -> {b}: bases of lengths {(len(hit.hom), hit.ext_dim)},"
-                    f" class-pair table {self._class_pair(a, b)}"
-                )
-            self._hom_ext_cache[k] = hit
+            self._hom_ext_cache[k] = hit = self.ctx.hom_ext(self.ctx.class_rep(a), self.ctx.class_rep(b))
         return hit
 
     def _composition(self, t: Part, a: Part, b: Part) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:

@@ -20,6 +20,7 @@ graded enumeration order and all caps are explicit parameters.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -166,9 +167,11 @@ def iso_between(ctx: RepContext, x: Rep, y: Rep) -> Optional[RepMap]:
     For indecomposables a basis sweep settles it: the non-invertible
     maps between indecomposables form a proper subspace whenever an iso
     exists, and a basis cannot sit inside a proper subspace. For
-    decomposables the summand matching builds a block witness. The
-    engine compares :meth:`perihall.reps.RepContext.summand_ids`
-    instead."""
+    decomposables the summands and their inclusions give the witness:
+    each summand of x is matched to one of y, and at every vertex the
+    witness is the inverse of the stacked inclusions of x times the
+    stacked matched isos into y. The engine compares
+    :meth:`perihall.reps.RepContext.summand_ids` instead."""
     if x.dims != y.dims:
         return None
     if x.key() == y.key():
@@ -198,17 +201,13 @@ def iso_between(ctx: RepContext, x: Rep, y: Rep) -> Optional[RepMap]:
         if found is None:
             return None
         used[found[0]] = True
-        pieces.append(found[1].then(dy.injections[found[0]].then(dy.iso)))
-    # assemble sum(dx) -> y from the matched pieces, then precompose
+        pieces.append(found[1].then(dy.inclusions[found[0]]))
     comps = []
     for i in range(len(ctx.quiver.vertices)):
-        acc = None
-        for piece in pieces:
-            c = piece.comps[i]
-            acc = c if acc is None else acc.vstack(c)
-        comps.append(acc)
-    sum_to_y = RepMap(dx.sum_rep, y, comps, check=False)
-    witness = dx.iso.inverse().then(sum_to_y)
+        stacked_x = functools.reduce(MatrixFp.vstack, (incl.comps[i] for incl in dx.inclusions))
+        stacked_y = functools.reduce(MatrixFp.vstack, (piece.comps[i] for piece in pieces))
+        comps.append(stacked_x.inverse().mul(stacked_y))
+    witness = RepMap(x, y, comps, check=False)
     return witness if witness.is_iso() else None
 
 

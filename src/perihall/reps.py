@@ -6,8 +6,8 @@ to every arrow. Everything follows the row convention from
 dim(u) x dim(w) and acts on row vectors from the right.
 
 The module provides the abelian-category toolkit (hom spaces, kernels,
-images, cokernels), Krull-Schmidt decomposition with an explicit
-direct-sum witness, Hom and Ext^1 with their bases from Ringel's exact
+images, cokernels), Krull-Schmidt decomposition into summands and
+their inclusions, Hom and Ext^1 with their bases from Ringel's exact
 sequence (:class:`HomExt`), plus the counting utilities the Hall layer
 sits on (automorphism group orders, representative enumeration). The
 path algebra of an acyclic quiver is hereditary, so dim Ext^1 is read
@@ -201,13 +201,11 @@ class RepMap:
 
 @dataclass
 class Decomposition:
-    """Indecomposable summands with an explicit direct-sum witness."""
+    """Indecomposable summands and their inclusions into the module; at
+    every vertex the stacked inclusions form an invertible matrix."""
 
     summands: List[Rep]
-    iso: RepMap  # direct_sum(summands) -> original, invertible
-    sum_rep: Rep
-    injections: List[RepMap]  # summand -> sum_rep
-    projections: List[RepMap]  # sum_rep -> summand
+    inclusions: List[RepMap]  # summand -> module
 
 
 def _direct_sum(field: FieldSpec, quiver: Quiver, reps: Sequence[Rep]) -> Tuple[Rep, List[RepMap], List[RepMap]]:
@@ -555,11 +553,13 @@ class RepContext:
         return x.dims == y.dims and self.summand_ids(x) == self.summand_ids(y)
 
     def _fitting_split(self, x: Rep, e: RepMap) -> Optional[Tuple[Rep, RepMap, Rep, RepMap]]:
-        """Split x along a non-nilpotent, non-invertible endomorphism.
+        """Split x along a non-nilpotent, non-invertible endomorphism into
+        the image and kernel of its stable power, with their inclusions.
 
         The image of the stable power has total dimension the sum of the
         ranks of its vertex components, so a nilpotent or invertible e
-        is rejected before any subrepresentation is built."""
+        is rejected before any subrepresentation is built. By Fitting's
+        lemma the stacked inclusions are invertible at every vertex."""
         n = max(1, x.total_dim)
         power = e
         steps = 1
@@ -571,8 +571,8 @@ class RepContext:
             return None
         im, iincl = self.image(power)
         ker, kincl = self.kernel(power)
-        if ker.total_dim + im.total_dim != x.total_dim:
-            return None
+        if not all(ic.vstack(kc).is_invertible() for ic, kc in zip(iincl.comps, kincl.comps)):
+            raise AssertionError(f"Fitting split of the module of dimension vector {x.dims} is not a direct sum")
         return im, iincl, ker, kincl
 
     def _candidate_endos(self, x: Rep) -> Iterator[RepMap]:
@@ -583,7 +583,7 @@ class RepContext:
                 yield basis[i].add(basis[j])
 
     def decompose(self, x: Rep) -> Decomposition:
-        """Indecomposable summands of x with an explicit witness."""
+        """Indecomposable summands of x and their inclusions into x."""
         ck = x.key()
         hit = self._decomp_cache.get(ck)
         if hit is not None:
@@ -594,31 +594,15 @@ class RepContext:
 
     def _decompose_uncached(self, x: Rep) -> Decomposition:
         if x.total_dim == 0:
-            s, inj, proj = self.direct_sum([])
-            return Decomposition([], RepMap.identity(x), s, inj, proj)
+            return Decomposition([], [])
         split = self._find_split(x)
         if split is None:
-            s, inj, proj = self.direct_sum([x])
-            return Decomposition([x], RepMap.identity(x), s, inj, proj)
+            return Decomposition([x], [RepMap.identity(x)])
         im, iincl, ker, kincl = split
         d_im = self.decompose(im)
         d_ker = self.decompose(ker)
-        summands = d_im.summands + d_ker.summands
-        s, inj, proj = self.direct_sum(summands)
-        # per-summand maps into x, through the split half each came from
-        pieces = [d_im.injections[i].then(d_im.iso).then(iincl) for i in range(len(d_im.summands))]
-        pieces += [d_ker.injections[i].then(d_ker.iso).then(kincl) for i in range(len(d_ker.summands))]
-        comps = []
-        for i in range(len(self.quiver.vertices)):
-            acc = None
-            for k in range(len(summands)):
-                c = proj[k].comps[i].mul(pieces[k].comps[i])
-                acc = c if acc is None else acc.add(c)
-            comps.append(acc)
-        iso = RepMap(s, x, comps, check=False)
-        if not iso.is_iso():
-            raise AssertionError("decomposition witness failed to be invertible")
-        return Decomposition(summands, iso, s, inj, proj)
+        inclusions = [i.then(iincl) for i in d_im.inclusions] + [k.then(kincl) for k in d_ker.inclusions]
+        return Decomposition(d_im.summands + d_ker.summands, inclusions)
 
     def _find_split(self, x: Rep) -> Optional[Tuple[Rep, RepMap, Rep, RepMap]]:
         basis = self.hom_basis(x, x)

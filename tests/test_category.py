@@ -251,6 +251,26 @@ def test_multiply_never_enters_the_chain_model(n, p, first, monkeypatch):
     assert nonzero >= len(keys) ** 2
 
 
+def test_the_op_path_builds_no_direct_sum(monkeypatch):
+    # a decomposition is its summands and their inclusions: enumerating
+    # objects, multiplying them and typing modules never assemble a sum
+    def refuse(*args, **kw):
+        raise AssertionError("the op path built a direct sum")
+
+    monkeypatch.setattr(RepContext, "direct_sum", refuse)
+    for n, bound, first in ((2, (2, 2), 40), (3, (1, 1, 1), 25)):
+        pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(2)))
+        engine = HallEngine(pctx)
+        keys = pctx.enumerate_objects(bound)[:first]
+        assert len(keys) == first
+        nonzero = sum(len(engine.multiply(x, y).support) for x in keys for y in keys)
+        assert nonzero >= len(keys) ** 2
+    # the Kronecker modules of dimension at most (1, 1) at p=3: zero, S1,
+    # S2, S1 + S2 and one indecomposable per point of P^1(F_3)
+    ctx = RepContext(KRONECKER, FieldSpec(3))
+    assert len({ctx.summand_ids(r) for r in ctx.enumerate_reps((1, 1))}) == 8
+
+
 def test_the_engine_modules_do_not_load_the_chain_model():
     # the op path imports no chain-level code; only hom_space reaches it,
     # through a function-level import

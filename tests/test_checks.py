@@ -61,8 +61,13 @@ def test_hom_dimensions_harness_sees_a_wrong_ext1(monkeypatch):
 
     pctx, _ = build_quiver_engine(line_quiver(3), 2)
     keys = pctx.enumerate_objects((1, 1, 1))[:40]
-    honest = pctx.ctx.ext1_dim
-    monkeypatch.setattr(pctx.ctx, "ext1_dim", lambda x, y: honest(x, y) + (honest(x, y) > 0))
+    honest = pctx._class_pair
+
+    def wrong_ext1(a, b):
+        hom, ext = honest(a, b)
+        return hom, ext + (ext > 0)
+
+    monkeypatch.setattr(pctx, "_class_pair", wrong_ext1)
     report = check_hom_dimensions(pctx, keys, literal_limit=200)
     assert not report.passed
 

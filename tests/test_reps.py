@@ -142,8 +142,24 @@ def test_decompose_simple_sum():
     x, _, _ = ctx.direct_sum([p1(ctx), s1(ctx), s2(ctx)])
     dec = ctx.decompose(x)
     assert sorted(s.dims for s in dec.summands) == [(0, 1), (1, 0), (1, 1)]
-    assert dec.iso.is_iso()
-    assert dec.iso.source == dec.sum_rep
+    for s, incl in zip(dec.summands, dec.inclusions):
+        assert incl.source == s and incl.target == x
+        RepMap(s, x, incl.comps, check=True)
+    for i in range(len(x.dims)):
+        stacked = MatrixFp.zeros(ctx.field, 0, x.dims[i])
+        for incl in dec.inclusions:
+            stacked = stacked.vstack(incl.comps[i])
+        assert stacked.is_invertible()
+
+
+def test_decompose_refuses_a_split_that_is_not_a_direct_sum(monkeypatch):
+    # a kernel that returns the image: the two halves of the Fitting split
+    # of S + S overlap, so the per-vertex check must raise
+    monkeypatch.setattr(RepContext, "kernel", RepContext.image)
+    ctx = ctx_a1()
+    x, _, _ = ctx.direct_sum([s1(ctx), s1(ctx)])
+    with pytest.raises(AssertionError):
+        ctx.decompose(x)
 
 
 def test_decompose_square_of_simple():
