@@ -23,25 +23,31 @@ complex is built here: :mod:`perihall.periodic` realizes objects as
 complexes of wrapped resolutions, and the harnesses recount against it,
 :func:`perihall.checks.aut_order_by_enumeration` for instance.
 
-The scalars ``hom_dim`` and ``aut_order`` never build a module: they
-read a table of (dim Hom, dim Ext^1) per pair of class ids, the lengths
-of the pair's Ringel bases, and weight it by the multiplicities in the keys;
-``aut_order`` also reads each class's residue degree, cached per class
-id. :func:`perihall.checks.aut_order_by_layers` builds the layers.
+The scalars ``hom_dim``, ``brace_exponent`` and ``aut_order`` never
+build a module. They read one cached entry per pair of distinct parts
+(class id, shift): the pair's hom dimension and its brace share
+beta(r), both linear in the (dim Hom, dim Ext^1) of the two classes,
+the lengths of their Ringel bases, with coefficients from two
+per-residue tables. The runs of equal parts of each key are cached too
+and weigh the entries by multiplicity; ``aut_order`` also reads each
+class's residue degree, cached per class id.
+:func:`perihall.checks.aut_order_by_layers` builds the layers.
 
 The brace exponent {x,y} = -hom(x[1], y) + hom(x[2], y) - hom(x[3], y),
-the alternating sum over one period, reads the same table. It is
-bilinear, so it is a sum over pairs of parts (a, s_a) of x and (b, s_b)
-of y. The covering formula gives hom((a, s_a + i), (b, s_b)) as
-Hom(a, b), Ext^1(a, b) or 0 when s_b - s_a - i is 0, 1 or 2 mod 3, so
-with r = (s_b - s_a) mod 3 the shifts i = 1, 2, 3 see the residues r - 1,
-r - 2 and r, and one pair contributes
+the alternating sum over one period t = 3, is bilinear, so it is a sum
+over pairs of parts (a, s_a) of x and (b, s_b) of y. The covering
+formula gives hom((a, s_a), (b, s_b)) as hom_r with r = (s_b - s_a)
+mod t, where hom_0 = Hom(a, b), hom_1 = Ext^1(a, b) and every other
+hom_r = 0 (``_covering_table``). Shifting a by i moves the residue to
+r - i, so one pair contributes
 
-    beta(r) = -hom_{r-1} + hom_{r-2} - hom_r,   hom_0 = Hom, hom_1 = Ext^1, hom_2 = 0,
+    beta_t(r) = sum over i from 1 to t of (-1)^i hom_{(r - i) mod t},
 
-indices mod 3, that is Ext^1 - Hom at r = 0, -(Hom + Ext^1) at r = 1 and
-Hom - Ext^1 at r = 2. :func:`perihall.checks.brace_exponent_by_shifts`
-takes the alternating sum of ``hom_dim`` literally.
+built once per t as one (Hom coefficient, Ext^1 coefficient) pair per
+residue (``_brace_table``). At t = 3 that is Ext^1 - Hom at r = 0,
+-(Hom + Ext^1) at r = 1 and Hom - Ext^1 at r = 2.
+:func:`perihall.checks.brace_exponent_by_shifts` takes the alternating
+sum of ``hom_dim`` literally.
 
 Cones are classified without being built. The test objects T are the
 pairs (indecomposable class, shift). For a morphism f: x -> m with cone
@@ -74,6 +80,7 @@ tuple is the zero object.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from fractions import Fraction
@@ -159,7 +166,8 @@ class PeriodicContext:
         self._fiber_cache: Dict[Tuple[ObjKey, ObjKey], Dict[ObjKey, int]] = {}
         self._aut_cache: Dict[ObjKey, int] = {}
         self._brace_cache: Dict[Tuple[ObjKey, ObjKey], int] = {}
-        self._pair_cache: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        self._part_pairs: Dict[Tuple[Part, Part], Tuple[int, int]] = {}
+        self._runs_cache: Dict[ObjKey, List[Tuple[Part, int]]] = {}
         self._residue_cache: Dict[int, int] = {}
         self._hom_ext_cache: Dict[Tuple[int, int], HomExt] = {}
         self._compose_cache: Dict[Tuple[int, int, int, int, int], Tuple[Tuple[Tuple[int, ...], ...], ...]] = {}
@@ -244,43 +252,58 @@ class PeriodicContext:
         """(dim Hom, dim Ext^1) from the class with id a to the class
         with id b: the lengths of the bases of :meth:`_hom_ext`, so the
         rank forms and the composition tensors read one record."""
+        he = self._hom_ext(a, b)
+        return len(he.hom), he.ext_dim
+
+    def _part_pair(self, a: Part, b: Part) -> Tuple[int, int]:
+        """(dim Hom(a, b), beta(r)) for two parts, at their shift residue
+        r = (s_b - s_a) mod t: the covering table picks Hom, Ext^1 or 0
+        for the first and the brace table weighs them for the second
+        (module docstring). Cached per part pair."""
         k = (a, b)
-        hit = self._pair_cache.get(k)
+        hit = self._part_pairs.get(k)
         if hit is None:
-            he = self._hom_ext(a, b)
-            self._pair_cache[k] = hit = (len(he.hom), he.ext_dim)
+            hom, ext = self._class_pair(a[0], b[0])
+            r = (b[1] - a[1]) % self.t
+            (h0, e0), (h1, e1) = _covering_table(self.t)[r], _brace_table(self.t)[r]
+            self._part_pairs[k] = hit = (h0 * hom + e0 * ext, h1 * hom + e1 * ext)
+        return hit
+
+    def _runs(self, key: ObjKey) -> List[Tuple[Part, int]]:
+        """Each distinct part of a sorted key with the number of times it
+        occurs, cached per key."""
+        hit = self._runs_cache.get(key)
+        if hit is None:
+            self._runs_cache[key] = hit = [(part, len(list(run))) for part, run in itertools.groupby(key)]
         return hit
 
     def hom_dim(self, x: ObjKey, y: ObjKey) -> int:
         """Covering formula: summand pairs contribute their module hom,
-        their extension space, or nothing, by shift residue."""
+        their extension space, or nothing, by shift residue; one
+        part-pair lookup per pair of distinct parts."""
+        pairs = self._part_pairs
+        ys = self._runs(y)
         total = 0
-        ys = _multiplicities(y)
-        for (cid_a, sa), ma in _multiplicities(x):
-            for (cid_b, sb), mb in ys:
-                r = (sb - sa) % PERIOD
-                if r < 2:
-                    total += ma * mb * self._class_pair(cid_a, cid_b)[r]
+        for a, ma in self._runs(x):
+            for b, mb in ys:
+                total += ma * mb * (pairs.get((a, b)) or self._part_pair(a, b))[0]
         return total
 
     def brace_exponent(self, x: ObjKey, y: ObjKey) -> int:
         """{x,y}: e with q**e equal to the alternating product of
-        |Hom(x[i], y)| over i from 1 to 3, signs starting at -1, summed
-        over part pairs by the shift residue r (module docstring): Ext^1
-        - Hom at r = 0, -(Hom + Ext^1) at r = 1, Hom - Ext^1 at r = 2.
-        Cached per key pair."""
+        |Hom(x[i], y)| over i from 1 to t, signs starting at -1, summed
+        over part pairs of beta(r) from the brace table (module
+        docstring). Cached per key pair."""
         k = (x, y)
         hit = self._brace_cache.get(k)
         if hit is None:
-            total = 0
-            ys = _multiplicities(y)
-            for (cid_a, sa), ma in _multiplicities(x):
-                for (cid_b, sb), mb in ys:
-                    hom, ext = self._class_pair(cid_a, cid_b)
-                    r = (sb - sa) % PERIOD
-                    beta = ext - hom if r == 0 else -(hom + ext) if r == 1 else hom - ext
-                    total += ma * mb * beta
-            self._brace_cache[k] = hit = total
+            pairs = self._part_pairs
+            ys = self._runs(y)
+            hit = 0
+            for a, ma in self._runs(x):
+                for b, mb in ys:
+                    hit += ma * mb * (pairs.get((a, b)) or self._part_pair(a, b))[1]
+            self._brace_cache[k] = hit
         return hit
 
     def check_budget(self, x: ObjKey, y: ObjKey, dim: int) -> None:
@@ -462,15 +485,36 @@ class PeriodicContext:
         :func:`perihall.checks.aut_order_by_layers` builds the layers."""
         hit = self._aut_cache.get(key)
         if hit is None:
-            blocks = [(m, self._residue_degree(cid)) for (cid, _), m in _multiplicities(key)]
+            blocks = [(m, self._residue_degree(cid)) for (cid, _), m in self._runs(key)]
             self._aut_cache[key] = hit = unit_group_order(self.q, self.hom_dim(key, key), blocks)
         return hit
 
 
-def _multiplicities(key: ObjKey) -> List[Tuple[Tuple[int, int], int]]:
-    """Each distinct (class_id, shift) entry of a sorted key with the
-    number of times it occurs."""
-    return [(part, len(list(run))) for part, run in itertools.groupby(key)]
+@functools.lru_cache(maxsize=None)
+def _covering_table(t: int) -> Tuple[Tuple[int, int], ...]:
+    """The covering formula per shift residue r = (s_b - s_a) mod t:
+    hom((a, s_a), (b, s_b)) = hom_r with hom_0 = Hom(a, b),
+    hom_1 = Ext^1(a, b) and every other hom_r = 0, as one (Hom
+    coefficient, Ext^1 coefficient) pair per r."""
+    return tuple((int(r == 0), int(r == 1)) for r in range(t))
+
+
+@functools.lru_cache(maxsize=None)
+def _brace_table(t: int) -> Tuple[Tuple[int, int], ...]:
+    """beta_t(r) = sum over i from 1 to t of (-1)^i hom_{(r - i) mod t},
+    one part pair's share of the brace exponent, as one (Hom
+    coefficient, Ext^1 coefficient) pair per residue r, read off
+    :func:`_covering_table`."""
+    cover = _covering_table(t)
+    rows = []
+    for r in range(t):
+        hom = ext = 0
+        for i in range(1, t + 1):
+            h, e = cover[(r - i) % t]
+            hom += (-1) ** i * h
+            ext += (-1) ** i * e
+        rows.append((hom, ext))
+    return tuple(rows)
 
 
 def _lines(q: int, dim: int) -> Iterator[Tuple[int, ...]]:

@@ -1414,8 +1414,9 @@ def check_pbw_round_trip(engine: HallEngine, keys: Sequence[Key]) -> CheckReport
     bilinear and answers the same on every call, right or wrong:
     expanding x writes u_x = (P - sum_l c_l u_l) / c_x, where P is the
     ordered product of the layers and c its coefficients, and evaluating
-    the expansion recomputes P with the same products and, by induction
-    on the smaller l, gives u_l back for each pbw_expand(l). So this
+    the expansion reads the same P (``HallEngine.layer_product``) and,
+    by induction on the smaller l, gives u_l back for each
+    pbw_expand(l). So this
     harness cannot see a wrong structure constant (it passes on
     :class:`FaultyEngine`); :func:`check_symmetry` and
     :func:`check_associativity` are the ones that do. It checks that

@@ -26,7 +26,9 @@ Sums of products are single-pass: ``multiply_vectors`` and
 ``PBWExpression.evaluate`` add every scaled term into one dict, in the
 operands' insertion order, and build one vector at the end. Vector
 equality compares dicts and every printer sorts, so the order changes
-no value.
+no value. The ordered product of a PBW term's layer generators is
+computed once per factor tuple (``HallEngine.layer_product``), and
+``pbw_expand`` and ``evaluate`` share it.
 
 The engine is generic over the category: anything exposing the oracle
 surface (period, field size, object keys, shifts, direct sums, hom
@@ -166,14 +168,12 @@ class PBWExpression:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def evaluate(self, engine: "HallEngine") -> HallVector:
-        """The combination in the Hall algebra, every term's product
-        added into one dict."""
+        """The combination in the Hall algebra: each term's cached
+        :meth:`HallEngine.layer_product`, scaled and added into one
+        dict."""
         out: Dict[Key, HallValue] = {}
         for factors, coeff in self.terms.items():
-            acc = engine.unit()
-            for s, layer in zip(range(engine.t - 1, -1, -1), factors):
-                acc = engine.multiply_vectors(acc, engine.vector(engine.oracle.shift_key(layer, s)))
-            _add_scaled(out, acc.coeffs, coeff)
+            _add_scaled(out, engine.layer_product(factors).coeffs, coeff)
         return HallVector(self.q, out)
 
     def __repr__(self) -> str:
@@ -196,6 +196,7 @@ class HallEngine:
             raise ValueError("the period must be an odd number at least 3")
         self._one = HallValue.one(self.q)
         self._mult_cache: Dict[Tuple[Key, Key], HallVector] = {}
+        self._layer_cache: Dict[Tuple[Key, ...], HallVector] = {}
         self._pbw_cache: Dict[Key, PBWExpression] = {}
         self._pbw_active: set = set()
 
@@ -250,6 +251,25 @@ class HallEngine:
 
     # -- straightening into ordered products --------------------------
 
+    def layer_product(self, factors: Tuple[Key, ...]) -> HallVector:
+        """The ordered product of the shifted layer generators of a PBW
+        term, ``factors[i]`` at shift t - 1 - i, highest shift first.
+        Zero layers are skipped and the fold starts at the first
+        generator left, since u_0 is exactly the unit: u_0 * u_y and
+        u_y * u_0 have k = 0 and the fiber {y: 1}. Cached per factor
+        tuple, so ``pbw_expand`` and ``PBWExpression.evaluate`` share
+        each product."""
+        hit = self._layer_cache.get(factors)
+        if hit is None:
+            o = self.oracle
+            shifts = range(self.t - 1, -1, -1)
+            gens = [self.vector(o.shift_key(layer, s)) for s, layer in zip(shifts, factors) if layer != o.zero_key]
+            hit = gens[0] if gens else self.unit()
+            for gen in gens[1:]:
+                hit = self.multiply_vectors(hit, gen)
+            self._layer_cache[factors] = hit
+        return hit
+
     def pbw_expand(self, key: Key) -> PBWExpression:
         """Write u_key as a combination of ordered products of
         pure-shift layer generators, highest shift first.
@@ -268,9 +288,7 @@ class HallEngine:
         try:
             comps = self.oracle.components(key)
             factors = tuple(comps[s] for s in range(self.t - 1, -1, -1))
-            prod = self.unit()
-            for s in range(self.t - 1, -1, -1):
-                prod = self.multiply_vectors(prod, self.vector(self.oracle.shift_key(comps[s], s)))
+            prod = self.layer_product(factors)
             lead = prod.coeff(key)
             if lead.is_zero():
                 raise RuntimeError(f"straightening lost its leading term on {key!r}")

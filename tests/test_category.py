@@ -191,6 +191,20 @@ def test_fiber_counts_total_mass(a2):
     assert counts[a2.shift_key(p1, 1)] == 1
 
 
+def test_brace_table_rows():
+    # t = 3: Ext^1 - Hom at r = 0, -(Hom + Ext^1) at r = 1, Hom - Ext^1 at r = 2,
+    # as (Hom coefficient, Ext^1 coefficient) pairs
+    assert category._brace_table(3) == ((-1, 1), (-1, -1), (1, -1))
+    # t = 5 against the literal sum over one period, with hom_0 = Hom,
+    # hom_1 = Ext^1 and hom_2 = hom_3 = hom_4 = 0
+    rows = category._brace_table(5)
+    assert len(rows) == 5
+    for hom, ext in [(1, 0), (0, 1), (2, 3)]:
+        homs = [hom, ext, 0, 0, 0]
+        for r, (ch, ce) in enumerate(rows):
+            assert ch * hom + ce * ext == sum((-1) ** i * homs[(r - i) % 5] for i in range(1, 6)), (r, hom, ext)
+
+
 @pytest.mark.parametrize(
     "n, p, bound, first, hom_cap",
     [

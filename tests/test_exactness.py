@@ -7,7 +7,8 @@ import pytest
 
 from perihall.category import PeriodicContext
 from perihall.gfp import FieldSpec, MatrixFp
-from perihall.quiver import Arrow, Quiver
+from perihall.hall import HallEngine
+from perihall.quiver import Arrow, Quiver, line_quiver
 from perihall.reps import Rep, RepContext
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "exactness.py"
@@ -51,6 +52,26 @@ def test_standard_scope_digests_are_pinned(exactness):
     for name, n, p, bound, count in exactness.SCOPES:
         blob = json.dumps(exactness.digest_scope(n, p, bound, count), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest()[:16] == PINNED[name], name
+
+
+def pbw_digest(exactness, n, p, bound, count):
+    """sha256(json.dumps(...))[:16] of ``pbw_expand(x).terms`` for the first
+    ``count`` objects of ``bound`` on A_n over F_p, on a fresh engine: each
+    term's layers as Canon keys and its coefficient's ``as_pair()``, in
+    the expansion's insertion order."""
+    pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)))
+    engine = HallEngine(pctx)
+    canon = exactness.Canon(pctx)
+    out = []
+    for x in pctx.enumerate_objects(bound)[:count]:
+        terms = engine.pbw_expand(x).terms.items()
+        out.append([canon.key(x), [[[canon.key(layer) for layer in fs], "%s %s" % c.as_pair()] for fs, c in terms]])
+    return hashlib.sha256(json.dumps(out).encode()).hexdigest()[:16]
+
+
+def test_pbw_expansions_are_pinned(exactness):
+    assert pbw_digest(exactness, 2, 2, (2, 2), 40) == "679fb4257fd5d79a"
+    assert pbw_digest(exactness, 1, 3, (1,), None) == "4e0cd2ae96f51ce2"
 
 
 def test_canon_refuses_shared_dimension_vectors(exactness):

@@ -346,6 +346,15 @@ def test_multiply_vectors_matches_the_pairwise_recipe():
     assert got == eng.multiply(x, y).add(eng.multiply(x, z).scale(-c))
 
 
+def unit_fold(eng, fs):
+    """The ordered product of a PBW term's shifted layers, folded
+    pairwise from the unit, every layer multiplied in."""
+    acc = eng.unit()
+    for s, layer in zip(range(eng.t - 1, -1, -1), fs):
+        acc = eng.multiply_vectors(acc, eng.vector(eng.oracle.shift_key(layer, s)))
+    return acc
+
+
 def test_evaluate_matches_the_pairwise_recipe():
     eng = a2_engine()
     pctx = eng.oracle
@@ -356,10 +365,7 @@ def test_evaluate_matches_the_pairwise_recipe():
         return tuple(comps[s] for s in range(eng.t - 1, -1, -1))
 
     def product(fs):
-        acc = eng.unit()
-        for s, layer in zip(range(eng.t - 1, -1, -1), fs):
-            acc = eng.multiply_vectors(acc, eng.vector(pctx.shift_key(layer, s)))
-        return acc
+        return unit_fold(eng, fs)
 
     objs = pctx.enumerate_objects((1, 1))[1:]
     rational, root = HallValue.of(Fraction(-2, 3), 2), HallValue(0, Fraction(1, 2), 2)
@@ -378,6 +384,28 @@ def test_evaluate_matches_the_pairwise_recipe():
     assert zero not in expected.coeffs
     assert len(expected.coeffs) >= 7
     assert expr.evaluate(eng) == expected
+
+
+def test_evaluate_reuses_the_expansions_layer_products(monkeypatch):
+    # pbw_expand caches the layer product of every term it writes, so
+    # evaluating the expansions multiplies nothing, and each cached
+    # product is the unit fold of its layers
+    eng = a2_engine()
+    keys = eng.oracle.enumerate_objects((2, 2))[:40]
+    exprs = [eng.pbw_expand(x) for x in keys]
+    calls = []
+    for name in ("multiply", "multiply_vectors"):
+        honest = getattr(eng, name)
+        monkeypatch.setattr(eng, name, lambda *args, _name=name, _f=honest: calls.append(_name) or _f(*args))
+    for x, expr in zip(keys, exprs):
+        assert expr.evaluate(eng) == eng.vector(x)
+    assert calls == []
+    monkeypatch.undo()
+    cached = eng._layer_cache
+    assert {fs for expr in exprs for fs in expr.terms} <= set(cached)
+    assert any(len(prod.coeffs) > 1 for prod in cached.values())
+    for fs, prod in cached.items():
+        assert prod == unit_fold(eng, fs), fs
 
 
 @pytest.mark.parametrize("t, q", [(3, 4), (5, 9)])
