@@ -1,5 +1,7 @@
-"""Exact Hall algebra arithmetic for 3-periodic quiver representation
-categories over prime fields.
+"""Exact Hall algebra arithmetic for odd-periodic quiver representation
+categories over prime fields. The period is
+:attr:`perihall.category.PeriodicContext.t`, 3 by default; the tests also
+run t = 5 and 7, and only the chain-level model stays 3-periodic.
 
 The layers, bottom to top:
 
@@ -10,7 +12,7 @@ The layers, bottom to top:
   cokernels, Krull-Schmidt decomposition into summands and their
   inclusions, Hom and Ext^1 bases from
   Ringel's exact sequence.
-- :mod:`perihall.category` - the 3-periodic category itself: objects as
+- :mod:`perihall.category` - the periodic category itself: objects as
   shifted module sums, hom tables, compositions from module data, cone
   fibers classified by Hom ranks. The fibers, and so the Hall products,
   are served only for quivers of type A (disjoint unions of paths); on

@@ -1,18 +1,21 @@
-"""The 3-periodic category of a quiver, computed from module data.
+"""The t-periodic category of a quiver, computed from module data. The
+period is :attr:`PeriodicContext.t`, ``PERIOD`` = 3 unless a fresh
+context is given another odd t (the tests also run t = 5 and 7).
 
 Objects here are finite multisets of (indecomposable class, shift)
-pairs; every 3-periodic complex of projectives is isomorphic to the sum
+pairs; every t-periodic complex of projectives is isomorphic to the sum
 of its shifted homology, so it normalizes to one. By Krull-Schmidt a module
 placed at one shift is the multiset of its summand class ids,
 :meth:`perihall.reps.RepContext.summand_ids`, so ``module_key`` tags
 those ids with the shift and ``enumerate_objects`` keys each module of
 the bound once and joins one module key per shift.
 
-Morphisms are module data. By the covering formula, Hom((a, s_a),
-(b, s_b)) is Hom(a, b), Ext^1(a, b) or 0 at the shift residue
-r = (s_b - s_a) mod 3 of 0, 1 or 2, and Hom between two objects is the
-sum of these blocks over their pairs of parts. Bases and compositions
-come from Ringel's exact sequence for the two classes
+Morphisms are module data. By the covering formula,
+Hom((a, s_a), (b, s_b)) is Hom(a, b), Ext^1(a, b) or 0 at the shift
+residue r = (s_b - s_a) mod t of 0, 1 or any other
+(``_covering_table``), and Hom between two objects is the sum of these
+blocks over their pairs of parts. Bases and compositions come from
+Ringel's exact sequence for the two classes
 (:class:`perihall.reps.HomExt`): Hom is ker delta and Ext^1 coker delta,
 maps compose, a map acts on an Ext^1 class from either side arrow by
 arrow, and Ext^1 after Ext^1 lands in Ext^2 = 0. The context counts
@@ -33,8 +36,8 @@ and weigh the entries by multiplicity; ``aut_order`` also reads each
 class's residue degree, cached per class id.
 :func:`perihall.checks.aut_order_by_layers` builds the layers.
 
-The brace exponent {x,y} = -hom(x[1], y) + hom(x[2], y) - hom(x[3], y),
-the alternating sum over one period t = 3, is bilinear, so it is a sum
+The brace exponent {x,y} = -hom(x[1], y) + hom(x[2], y) - ... - hom(x[t], y),
+the alternating sum over one period, is bilinear, so it is a sum
 over pairs of parts (a, s_a) of x and (b, s_b) of y. The covering
 formula gives hom((a, s_a), (b, s_b)) as hom_r with r = (s_b - s_a)
 mod t, where hom_0 = Hom(a, b), hom_1 = Ext^1(a, b) and every other
@@ -114,7 +117,7 @@ class HomVectors:
     """
 
     def __init__(self, pctx: "PeriodicContext", ids: Sequence[int]):
-        self.parts: Tuple[Part, ...] = tuple((cid, s) for cid in sorted(ids) for s in range(PERIOD))
+        self.parts: Tuple[Part, ...] = tuple((cid, s) for cid in sorted(ids) for s in range(pctx.t))
         self.index: Dict[Part, int] = {part: t for t, part in enumerate(self.parts)}
         n = len(self.parts)
         self.matrix = [[pctx.hom_dim((t,), (u,)) for u in self.parts] for t in self.parts]
@@ -125,7 +128,7 @@ class HomVectors:
         self.sees = [frozenset(t for t in range(n) if self.matrix[t][u]) for u in range(n)]
         # the numerators of the multiplicities lost when the hom vector
         # drops by one at T and at T[1]
-        nxt = [self.index[(cid, (s + 1) % PERIOD)] for cid, s in self.parts]
+        nxt = [self.index[(cid, (s + 1) % pctx.t)] for cid, s in self.parts]
         self._drops = []
         for t in range(n):
             col = [self.inverse[u][t] + self.inverse[u][nxt[t]] for u in range(n)]
@@ -186,11 +189,12 @@ class PeriodicContext:
     def module_key(self, rep: Rep, shift: int = 0) -> ObjKey:
         """The object key of a module placed at the given shift: its
         summand class ids, each tagged with the shift."""
-        shift %= PERIOD
+        shift %= self.t
         return tuple((cid, shift) for cid in self.ctx.summand_ids(rep))
 
     def shift_key(self, key: ObjKey, n: int = 1) -> ObjKey:
-        return tuple(sorted((cid, (s + n) % PERIOD) for cid, s in key))
+        t = self.t
+        return tuple(sorted([(cid, (s + n) % t) for cid, s in key]))
 
     def direct_sum_key(self, *keys: ObjKey) -> ObjKey:
         merged: List[Tuple[int, int]] = []
@@ -198,13 +202,13 @@ class PeriodicContext:
             merged.extend(k)
         return tuple(sorted(merged))
 
-    def components(self, key: ObjKey) -> Tuple[ObjKey, ObjKey, ObjKey]:
-        """Split an object into its three pure-shift module layers, each
+    def components(self, key: ObjKey) -> Tuple[ObjKey, ...]:
+        """Split an object into its t pure-shift module layers, each
         returned as an object key concentrated at shift 0."""
-        out = []
-        for s in range(PERIOD):
-            out.append(tuple(sorted((cid, 0) for cid, sh in key if sh == s)))
-        return tuple(out)
+        layers: List[List[Part]] = [[] for _ in range(self.t)]
+        for cid, s in key:
+            layers[s].append((cid, 0))
+        return tuple(map(tuple, layers))
 
     def total_dim(self, key: ObjKey) -> int:
         return sum(self.ctx.class_rep(cid).total_dim for cid, _ in key)
@@ -228,13 +232,12 @@ class PeriodicContext:
         Each module of the bound is keyed once, with its total
         dimension; an object is one module key per shift, and distinct
         modules have distinct keys."""
-        modules = [(self.module_key(r), r.total_dim) for r in self.ctx.enumerate_reps(bound)]
-        layers = [[(self.shift_key(k, s), d) for k, d in modules] for s in range(PERIOD)]
-        objects = sorted(
-            (d0 + d1 + d2, self.direct_sum_key(k0, k1, k2))
-            for (k0, d0), (k1, d1), (k2, d2) in itertools.product(*layers)
-        )
-        return [key for _, key in objects]
+        modules = [(r.total_dim, self.module_key(r)) for r in self.ctx.enumerate_reps(bound)]
+        objects: List[Tuple[int, ObjKey]] = [(0, ())]
+        for s in range(self.t):
+            layer = [(d, self.shift_key(k, s)) for d, k in modules]
+            objects = [(d0 + d, k0 + k) for d0, k0 in objects for d, k in layer]
+        return [key for _, key in sorted((d, tuple(sorted(k))) for d, k in objects)]
 
     # -- morphisms ----------------------------------------------------
 
@@ -352,14 +355,15 @@ class PeriodicContext:
         of Hom(t, a) followed by basis map k of Hom(a, b).
 
         By the covering formula a Hom space between parts is the module
-        Hom, Ext^1 or 0 at shift residue 0, 1 or 2, with the bases of
+        Hom at shift residue 0, Ext^1 at residue 1 and 0 at any residue
+        other than 0 and 1, with the bases of
         :class:`perihall.reps.HomExt`. The residues (r_ta, r_ab) pick the
         composition: Hom after Hom composes the maps, a map followed by
         an Ext^1 class pulls the class back along it, an Ext^1 class
         followed by a map pushes it forward, and Ext^1 after Ext^1 lands
         in Ext^2 = 0. Computed once per triple of classes and residues."""
         (ct, st), (ca, sa), (cb, sb) = t, a, b
-        r_ta, r_ab = (sa - st) % PERIOD, (sb - sa) % PERIOD
+        r_ta, r_ab = (sa - st) % self.t, (sb - sa) % self.t
         k5 = (ct, ca, cb, r_ta, r_ab)
         hit = self._compose_cache.get(k5)
         if hit is None:
@@ -372,9 +376,8 @@ class PeriodicContext:
                 hit = tuple(tuple(tb.ext_coords(ta.pushforward(u, g)) for g in ab.hom) for u in range(ta.ext_dim))
             else:
                 # Ext^1 after Ext^1 lands in Ext^2 = 0, and a space at
-                # residue 2 is 0: every entry is the empty vector
-                dims = ((len(ta.hom), ta.ext_dim, 0)[r_ta], (len(ab.hom), ab.ext_dim, 0)[r_ab])
-                hit = (((),) * dims[1],) * dims[0]
+                # any other residue is 0: every entry is the empty vector
+                hit = (((),) * self._part_pair(a, b)[0],) * self._part_pair(t, a)[0]
             self._compose_cache[k5] = hit
         return hit
 

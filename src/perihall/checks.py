@@ -105,16 +105,29 @@ class FaultyEngine(HallEngine):
 
 
 def build_quiver_engine(
-    quiver, p: int, fault_inject: bool = False
+    quiver, p: int, fault_inject: bool = False, t: Optional[int] = None
 ) -> Tuple[PeriodicContext, HallEngine]:
     """A periodic category over the given quiver and field, with its
     Hall engine, or with a :class:`FaultyEngine` when ``fault_inject``.
-    The two share all caches through the context."""
+    The two share all caches through the context, which gets the period
+    ``t``, if given, before its first call."""
     from .gfp import FieldSpec
     from .reps import RepContext
 
     pctx = PeriodicContext(RepContext(quiver, FieldSpec(p)))
+    if t is not None:
+        pctx.t = t
     return pctx, (FaultyEngine if fault_inject else HallEngine)(pctx)
+
+
+def build_unguarded_engine(oracle, t: int) -> HallEngine:
+    """A Hall engine over a fresh oracle at any period t > 1, even too:
+    both pass their odd-period guards at the oracle's own period, then
+    get t. At even t the products are not associative, and the quiver
+    decode can meet a singular hom matrix (why t must be odd)."""
+    engine = HallEngine(oracle)
+    oracle.t = engine.t = t
+    return engine
 
 
 def hall_number_via(engine: HallEngine, x: Key, y: Key, l: Key, side: str) -> HallValue:
@@ -244,11 +257,12 @@ def aut_order_by_layers(pctx: PeriodicContext, key: ObjKey) -> int:
     :meth:`perihall.reps.RepContext.aut_order`, and q to the dim Ext^1
     from each layer to the next, a square-zero ideal of End. The engine
     counts the units of End(key) in one step off its class-pair table."""
-    layers = [part_rep(pctx, key, s) for s in range(PERIOD)]
+    t = pctx.t
+    layers = [part_rep(pctx, key, s) for s in range(t)]
     order = 1
-    for s in range(PERIOD):
+    for s in range(t):
         order *= pctx.ctx.aut_order(layers[s])
-        order *= pctx.q ** pctx.ctx.ext1_dim(layers[s], layers[(s + 1) % PERIOD])
+        order *= pctx.q ** pctx.ctx.ext1_dim(layers[s], layers[(s + 1) % t])
     return order
 
 
@@ -1299,72 +1313,48 @@ def check_cone_well_defined(
 # ----------------------------------------------------------------------
 
 
-def check_relations(
-    engine: HallEngine,
-    pctx: PeriodicContext,
-    module_keys: Sequence[Key],
-) -> CheckReport:
-    """The three families of defining relations between the shifted
-    module generators, with the cross-layer families carrying the Euler
-    twist: a product of consecutive layers expands into reversed pairs
-    weighted by the structure constant times q to minus half the Euler
-    form of the (kernel, cokernel) pair. The untwisted spelling is probed
-    alongside and each deviating term is confirmed to deviate by exactly
-    the split-product factor."""
+def check_relations(engine: HallEngine, pctx: PeriodicContext, module_keys: Sequence[Key]) -> CheckReport:
+    """The defining relations between the shifted module generators: a
+    same-layer family at each shift n, and a crossing family for the
+    layers n and n + 1 at each n < t, the last wrapping round as a shift
+    by t is the identity. A crossing expands a product of consecutive
+    layers into reversed pairs weighted by the structure constant times
+    the Euler twist, q to minus half the Euler form of the (kernel,
+    cokernel) pair. The untwisted spelling is probed alongside and each
+    deviating term is confirmed to deviate by exactly the split-product
+    factor."""
     report = CheckReport("straightening relations")
     q = pctx.q
     zero = pctx.zero_key
     shift = pctx.shift_key
     report.details["literal deviations"] = 0
 
-    for n in (0, 1, 2):
+    for n in range(pctx.t):
         for x in module_keys:
             for y in module_keys:
                 left = engine.multiply(shift(x, n), shift(y, n))
-                base = engine.multiply(x, y)
-                right = HallVector(
-                    q, {shift(lk, n): cv for lk, cv in base.items()}
-                )
+                right = HallVector(q, {shift(lk, n): cv for lk, cv in engine.multiply(x, y).items()})
                 report.checked += 1
                 if left != right:
-                    report.fail(
-                        f"same-layer relation at shift {n}:"
-                        f" {pctx.format_key(x)}, {pctx.format_key(y)}"
-                    )
+                    report.fail(f"same-layer relation at shift {n}: {pctx.format_key(x)}, {pctx.format_key(y)}")
 
-    def crossing(x: Key, y: Key, n: int, up: bool) -> None:
-        """One crossing relation instance. up=True is the adjacent-layer
-        family (layers n and n+1); up=False wraps from the top layer to
-        the bottom one."""
-        if up:
-            left = engine.multiply(shift(x, n), shift(y, n + 1))
-        else:
-            left = engine.multiply(shift(x, 2), y)
+    def crossing(x: Key, y: Key, n: int) -> None:
+        """One crossing relation instance, layers n and n + 1."""
+        left = engine.multiply(shift(x, n), shift(y, n + 1))
         source = engine.multiply(x, shift(y, 1))
         rhs = HallVector(q)
         literal_same = True
         for lk, cv in source.items():
-            c0, c1, c2 = pctx.components(lk)
-            if c2 != zero:
-                report.fail(
-                    f"crossing support has three layers at {pctx.format_key(lk)}"
-                )
+            cok, ker, *rest = pctx.components(lk)
+            if any(c != zero for c in rest):
+                report.fail(f"crossing support leaves layers 0 and 1 at {pctx.format_key(lk)}")
                 return
-            ker, cok = c1, c0
             tw_exp = engine.oracle.brace_exponent(ker, cok)
-            if up:
-                mini = engine.multiply(shift(ker, n + 1), shift(cok, n))
-                merged = pctx.direct_sum_key(shift(ker, n + 1), shift(cok, n))
-            else:
-                mini = engine.multiply(ker, shift(cok, 2))
-                merged = pctx.direct_sum_key(ker, shift(cok, 2))
-            if mini.support != (merged,) or mini.coeff(merged) != (
-                HallValue.sqrt_q_power(-tw_exp, q)
-            ):
-                report.fail(
-                    f"reversed pair is not a pure split product at"
-                    f" {pctx.format_key(ker)}, {pctx.format_key(cok)}"
-                )
+            mini = engine.multiply(shift(ker, n + 1), shift(cok, n))
+            merged = pctx.direct_sum_key(shift(ker, n + 1), shift(cok, n))
+            if mini.support != (merged,) or mini.coeff(merged) != HallValue.sqrt_q_power(-tw_exp, q):
+                pair = f"{pctx.format_key(ker)}, {pctx.format_key(cok)}"
+                report.fail(f"reversed pair is not a pure split product at {pair}")
                 return
             if tw_exp:
                 report.details["literal deviations"] += 1
@@ -1372,37 +1362,21 @@ def check_relations(
             rhs = rhs.add(mini.scale(cv * HallValue.sqrt_q_power(tw_exp, q)))
         report.checked += 1
         if left != rhs:
-            report.fail(
-                f"crossing relation ({'adjacent' if up else 'wrapped'},"
-                f" shift {n}) at {pctx.format_key(x)}, {pctx.format_key(y)}"
-            )
+            report.fail(f"crossing relation (shift {n}) at {pctx.format_key(x)}, {pctx.format_key(y)}")
         elif not literal_same:
             # the untwisted spelling drops the Euler factors, so it must
             # differ from the product whenever any factor is nontrivial
             literal = HallVector(q)
             for lk, cv in source.items():
-                c0, c1, _ = pctx.components(lk)
-                if up:
-                    literal = literal.add(
-                        engine.multiply(shift(c1, n + 1), shift(c0, n)).scale(cv)
-                    )
-                else:
-                    literal = literal.add(
-                        engine.multiply(c1, shift(c0, 2)).scale(cv)
-                    )
+                c0, c1, *_ = pctx.components(lk)
+                literal = literal.add(engine.multiply(shift(c1, n + 1), shift(c0, n)).scale(cv))
             if literal == left:
-                report.fail(
-                    f"untwisted spelling unexpectedly matches at"
-                    f" {pctx.format_key(x)}, {pctx.format_key(y)}"
-                )
+                report.fail(f"untwisted spelling unexpectedly matches at {pctx.format_key(x)}, {pctx.format_key(y)}")
 
-    for n in (0, 1):
+    for n in range(pctx.t):
         for x in module_keys:
             for y in module_keys:
-                crossing(x, y, n, up=True)
-    for x in module_keys:
-        for y in module_keys:
-            crossing(x, y, 0, up=False)
+                crossing(x, y, n)
     return report
 
 

@@ -33,10 +33,11 @@ computed once per factor tuple (``HallEngine.layer_product``), and
 The engine is generic over the category: anything exposing the oracle
 surface (period, field size, object keys, shifts, direct sums, hom
 dimensions, automorphism orders, and morphism counts fibered by cone
-class) can be multiplied. The 3-periodic quiver category is the main
-instance; tests also run a 5-periodic semisimple one. Its morphism
-counts, and so its products, are served only for quivers of type A
-(disjoint unions of paths); on any other quiver
+class) can be multiplied; the period is the oracle's odd ``t``. The
+quiver category, at :attr:`perihall.category.PeriodicContext.t`, is the
+main instance; tests run it and a semisimple one at t = 3, 5 and 7. Its
+morphism counts, and so its products, are served only for quivers of
+type A (disjoint unions of paths); on any other quiver
 :func:`perihall.checks.fiber_counts_literal` counts the fibers.
 """
 

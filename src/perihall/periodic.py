@@ -1,5 +1,5 @@
 """The chain-level reference model: cycle complexes of quiver
-representations, of period ``PERIOD`` = 3.
+representations, of period ``PERIOD`` = 3 only.
 
 Production never calls this module: :mod:`perihall.category` reads
 every Hom space and composition off module data (Ringel's sequence,
@@ -624,9 +624,11 @@ class ChainModel:
     resolution of its class representative, an object key realized as
     the direct sum of its parts, and Hom between two keys one block per
     pair of parts. Wrapped parts, block spaces and realized keys are
-    cached for the life of the model."""
+    cached for the life of the model. A context at another period is refused."""
 
     def __init__(self, pctx: "PeriodicContext"):
+        if pctx.t != PERIOD:
+            raise ValueError(f"the chain model is {PERIOD}-periodic, but the context has period {pctx.t}")
         self.pctx = pctx
         self.ctx = pctx.ctx
         self._wrap_cache: Dict[Part, CycleComplex] = {}

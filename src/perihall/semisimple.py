@@ -5,14 +5,18 @@ multiplicities, morphisms are tuples of linear maps between the layers,
 and the cone of a map is read off from ranks. Everything the Hall
 engine asks an oracle is a closed-form count here, which makes this
 both the fastest backend and an independent check against the
-complex-based one (the point quiver at t = 3 must agree with it
-constant for constant).
+quiver-based one: the point quiver, whose period is
+:attr:`perihall.category.PeriodicContext.t`, must agree with it
+constant for constant, and the tests compare the two at t = 3, 5 and 7.
+The field size q must be a prime power.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+from .category import _brace_table
 from .gfp import gl_order
 
 __all__ = ["rank_count", "SemisimplePeriodic"]
@@ -42,14 +46,25 @@ def rank_count(a: int, b: int, r: int, q: int) -> int:
     return out
 
 
+def _is_prime_power(q: int) -> bool:
+    """Whether q = p^k for a prime p and k >= 1: q > 1 and q is a power
+    of its least factor above 1, which is prime."""
+    if q < 2:
+        return False
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
 class SemisimplePeriodic:
     """Category oracle with one simple object and period t."""
 
     def __init__(self, t: int, q: int):
         if t < 3 or t % 2 == 0:
             raise ValueError("period must be odd and at least 3")
-        if q < 2:
-            raise ValueError("q must be at least 2")
+        if not _is_prime_power(q):
+            raise ValueError(f"q must be a prime power, got {q}")
         self.t = t
         self._q = q
         self._fiber_cache: Dict[Tuple[SsKey, SsKey], Dict[SsKey, int]] = {}
@@ -91,15 +106,12 @@ class SemisimplePeriodic:
     def brace_exponent(self, x: SsKey, y: SsKey) -> int:
         """{x,y}: e with q**e equal to the alternating product of
         |Hom(x[i], y)| over i from 1 to t, signs starting at -1. The
-        layer s of x meets the layer s + d of y at the shift i = d, or
-        i = t when d = 0, so the pair weighs x_s y_{s+d} with sign
-        (-1)^d for 0 < d < t and -1 for d = 0."""
+        simple has Hom = 1 and Ext^1 = 0 to itself, so the layer s of x
+        and the layer s + d of y weigh x_s y_{s+d} with the Hom
+        coefficient of beta_t(d) (:func:`perihall.category._brace_table`)."""
         t = self.t
-        total = 0
-        for d in range(t):
-            sign = 1 if d and d % 2 == 0 else -1
-            total += sign * sum(x[s] * y[(s + d) % t] for s in range(t))
-        return total
+        beta = _brace_table(t)
+        return sum(beta[d][0] * x[s] * y[(s + d) % t] for d in range(t) for s in range(t))
 
     def aut_order(self, key: SsKey) -> int:
         out = 1

@@ -449,7 +449,9 @@ def test_aut_orders_against_the_layered_recipe():
             assert pctx.aut_order(key) == aut_order_by_layers(pctx, key), key
             layers = pctx.components(key)
             repeated += len(set(key)) < len(key)
-            extended += any(pctx.hom_dim(layers[s], pctx.shift_key(layers[(s + 1) % 3], 1)) for s in range(3))
+            extended += any(
+                pctx.hom_dim(layers[s], pctx.shift_key(layers[(s + 1) % pctx.t], 1)) for s in range(pctx.t)
+            )
     assert repeated and extended
 
 

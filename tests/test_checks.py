@@ -1,8 +1,12 @@
 import pytest
 
+from perihall.category import PeriodicContext
 from perihall.checks import (
+    aut_order_by_layers,
     brace_exponent_by_shifts,
     build_quiver_engine,
+    build_unguarded_engine,
+    check_associativity,
     check_classical_comparison,
     check_cone_well_defined,
     check_decorated_symmetry,
@@ -15,7 +19,9 @@ from perihall.checks import (
     graded_triples,
     hall_number_via,
 )
+from perihall.gfp import FieldSpec
 from perihall.quiver import line_quiver
+from perihall.reps import RepContext
 from perihall.semisimple import SemisimplePeriodic
 
 
@@ -153,3 +159,58 @@ def test_brace_table_matches_the_alternating_sum(n, p, bound, count):
 def test_semisimple_brace_closed_form_matches_the_alternating_sum(t, bound):
     cat = SemisimplePeriodic(t, 2)
     assert _brace_mismatches(cat, cat.enumerate_objects(bound)) == []
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_harnesses_run_the_quiver_category_at_period_five(p):
+    # every engine and harness path reads the period off the context, so
+    # the A2 category at t = 5 passes the harnesses, and the ones that
+    # see a wrong constant fail on the faulty engine
+    def scope(fault_inject):
+        pctx, engine = build_quiver_engine(line_quiver(2), p, fault_inject=fault_inject, t=5)
+        modules = [pctx.module_key(r) for r in pctx.ctx.enumerate_reps((1, 1))]
+        return pctx, engine, pctx.enumerate_objects((1, 1)), modules
+
+    pctx, engine, keys, modules = scope(False)
+    assert len(keys) == 5**5
+    simple = pctx.ctx.simple("1")
+    assert pctx.module_key(simple, 4) == pctx.shift_key(pctx.module_key(simple), 4) != pctx.module_key(simple, 1)
+    first = keys[:14]
+    relations = check_relations(engine, pctx, modules)
+    # one same-layer and one crossing family per shift
+    assert relations.checked == 2 * 5 * len(modules) ** 2
+    for report in (
+        check_associativity(engine, first),
+        relations,
+        check_symmetry(engine, first, graded_triples([pctx.total_dim(k) for k in first], 200)),
+        check_pbw_round_trip(engine, first),
+    ):
+        assert report.checked > 0
+        assert report.passed, report.summary()
+    assert all(pctx.aut_order(k) == aut_order_by_layers(pctx, k) for k in keys[:60])
+    assert _brace_mismatches(pctx, keys[:25]) == []
+
+    pctx, faulty, keys, modules = scope(True)
+    assert not check_associativity(faulty, keys[:14]).passed
+    assert not check_relations(faulty, pctx, modules).passed
+
+
+def test_the_chain_model_refuses_another_period():
+    # the chain model is 3-periodic; against an A2 context at t = 5 it
+    # would report "covering 0 != blockwise 1"
+    pctx, _ = build_quiver_engine(line_quiver(2), 2, t=5)
+    keys = pctx.enumerate_objects((1, 1))[:10]
+    with pytest.raises(ValueError, match="3-periodic.*period 5"):
+        check_hom_dimensions(pctx, keys)
+    with pytest.raises(ValueError, match="3-periodic.*period 5"):
+        pctx.hom_space(keys[1], keys[1])
+
+
+def test_the_auslander_decode_needs_an_odd_period():
+    # at t = 2 the hom matrix of the A2 test objects is singular, so no
+    # cone can be decoded from its hom vector
+    pctx = PeriodicContext(RepContext(line_quiver(2), FieldSpec(2)))
+    engine = build_unguarded_engine(pctx, 2)
+    keys = pctx.enumerate_objects((1, 1))
+    with pytest.raises(AssertionError, match="hom matrix .* singular"):
+        engine.multiply(keys[1], keys[2])

@@ -6,6 +6,7 @@ from perihall.category import PeriodicContext
 from perihall.checks import (
     FaultyEngine,
     build_quiver_engine,
+    build_unguarded_engine,
     check_associativity,
     check_symmetry,
     classical_hall_g,
@@ -246,19 +247,19 @@ def test_five_periodic_associativity_and_pbw():
     assert eng.multiply(cat.zero_key, keys[-1]) == eng.vector(keys[-1])
 
 
-def test_point_quiver_agrees_with_three_periodic_semisimple():
-    quiver_eng = a1_engine()
-    pctx = quiver_eng.oracle
-    plain = SemisimplePeriodic(3, 2)
-    plain_eng = HallEngine(plain)
+@pytest.mark.parametrize("t, p", [(t, p) for t in (3, 5, 7) for p in (2, 3)])
+def test_point_quiver_agrees_with_the_semisimple_oracle(t, p):
+    pctx, quiver_eng = build_quiver_engine(line_quiver(1), p, t=t)
+    plain_eng = HallEngine(SemisimplePeriodic(t, p))
 
     def translate(key):
-        counts = [0, 0, 0]
+        counts = [0] * t
         for _, s in key:
             counts[s] += 1
         return tuple(counts)
 
-    keys = pctx.enumerate_objects((1,))
+    # every object at t = 3, those of at most three parts beyond
+    keys = [k for k in pctx.enumerate_objects((1,)) if len(k) <= 3]
     for x in keys:
         for y in keys:
             got = quiver_eng.multiply(x, y)
@@ -275,6 +276,37 @@ def test_engine_rejects_even_period():
         HallEngine(Stub())
     with pytest.raises(ValueError):
         SemisimplePeriodic(4, 2)
+
+
+@pytest.mark.parametrize("q", [0, 1, 6, 12])
+def test_semisimple_refuses_a_field_size_that_is_not_a_prime_power(q):
+    # there is no field with 6 or 12 elements
+    with pytest.raises(ValueError, match="prime power"):
+        SemisimplePeriodic(3, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_semisimple_accepts_prime_powers(q):
+    assert SemisimplePeriodic(3, q).q == q
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_associativity_needs_an_odd_period(q):
+    # the same product formula at an even period, guards bypassed, is
+    # not associative: on the semisimple oracle at t = 2 and 4 and on
+    # the point quiver at t = 2; at t = 3 and 5 it is
+    for t, passes in ((2, False), (3, True), (4, False), (5, True)):
+        cat = SemisimplePeriodic(3, q)
+        engine = build_unguarded_engine(cat, t)
+        keys = [k for k in cat.enumerate_objects(2) if sum(k) <= 2][:12]
+        report = check_associativity(engine, keys)
+        assert report.passed is passes, (t, report.summary())
+
+    pctx = PeriodicContext(RepContext(line_quiver(1), FieldSpec(q)))
+    engine = build_unguarded_engine(pctx, 2)
+    keys = [k for k in pctx.enumerate_objects((2,)) if len(k) <= 2]
+    report = check_associativity(engine, keys)
+    assert not report.passed, report.summary()
 
 
 def test_fault_injection_changes_one_constant():
