@@ -1,6 +1,7 @@
 """The t-periodic category of a quiver, computed from module data. The
-period is :attr:`PeriodicContext.t`, ``PERIOD`` = 3 unless a fresh
-context is given another odd t (the tests also run t = 5 and 7).
+period is :attr:`PeriodicContext.t`, a constructor argument checked to
+be odd and at least 3, ``PERIOD`` = 3 by default (the tests also run
+t = 5 and 7).
 
 Objects here are finite multisets of (indecomposable class, shift)
 pairs; every t-periodic complex of projectives is isomorphic to the sum
@@ -60,11 +61,25 @@ C, the long exact Hom sequence of x -> m -> C -> x[1] gives
 
 and by Auslander's theorem this hom vector fixes C: it is H times the
 multiplicity vector of C, where H[T][U] = hom_dim(T, U) is invertible
-(:class:`HomVectors`). The ranks come from the composition tensor
-Hom(T, a) x Hom(a, b) -> Hom(T, b), built once per triple of classes
-and pair of residues from module bases;
-:func:`perihall.checks.composition_by_chains` builds it from chain maps
-modulo homotopy. Listing every
+(:class:`HomVectors`). H is inverted once per context, in integers:
+fraction-free elimination gives the adjugate and the determinant, and
+H^-1 is adjugate over determinant reduced to its least common
+denominator (2 on type A from A2 on). The ``Fraction`` Gauss-Jordan
+recipe stays in :mod:`perihall.checks`, pinned against this one.
+
+The period must be odd for this. By the covering formula H is
+Hom + Ext^1 (x) P, with P the cyclic shift of the t residues, so det H
+is the product of det(Hom + z Ext^1) over the t-th roots of unity z.
+At an even t the root z = -1 gives Hom - Ext^1, the Euler form on the
+indecomposables, which factors through dimension vectors and is
+singular once there are more indecomposables than vertices (A2 on); an
+odd t has no root -1.
+
+The ranks come from the composition tensor
+Hom(T, a) x Hom(a, b) -> Hom(T, b), built from module bases, whose
+nonzero entries are cached once per triple of classes and pair of
+residues; :func:`perihall.checks.composition_by_chains` builds it from
+chain maps modulo homotopy. Listing every
 indecomposable needs a quiver of type A (a disjoint union of paths),
 where they are the modules of dimension at most one at each vertex;
 any other quiver is refused. Morphisms are counted one orbit of the
@@ -85,9 +100,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
-from fractions import Fraction
-from math import lcm
+import math
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gfp import rank_rows, unit_group_order
@@ -111,19 +124,19 @@ class HomVectors:
     The test objects are the pairs (indecomposable class, shift), in
     sorted order. The hom vector of an object x, dim Hom(T, x) for each
     test object T, is H times the multiplicity vector of x, where
-    H[T][U] = hom_dim(T, U). Auslander's theorem makes H invertible;
-    H^-1 = inverse / denominator, with ``inverse`` an integer matrix and
-    ``denominator`` the least common denominator of H^-1.
+    H[T][U] = hom_dim(T, U), read off the cached part-pair table.
+    Auslander's theorem makes H invertible at an odd period (module
+    docstring); H^-1 = inverse / denominator, with ``inverse`` an
+    integer matrix and ``denominator`` the least common denominator of
+    H^-1, both found in integers (:func:`_integer_inverse`).
     """
 
     def __init__(self, pctx: "PeriodicContext", ids: Sequence[int]):
         self.parts: Tuple[Part, ...] = tuple((cid, s) for cid in sorted(ids) for s in range(pctx.t))
         self.index: Dict[Part, int] = {part: t for t, part in enumerate(self.parts)}
         n = len(self.parts)
-        self.matrix = [[pctx.hom_dim((t,), (u,)) for u in self.parts] for t in self.parts]
-        inv = _rational_inverse(self.matrix)
-        self.denominator = lcm(*(v.denominator for row in inv for v in row))
-        self.inverse = [[int(v * self.denominator) for v in row] for row in inv]
+        self.matrix = [[pctx._part_pair(t, u)[0] for u in self.parts] for t in self.parts]
+        self.inverse, self.denominator = _integer_inverse(self.matrix)
         # the test objects T with Hom(T, U) != 0, per U
         self.sees = [frozenset(t for t in range(n) if self.matrix[t][u]) for u in range(n)]
         # the numerators of the multiplicities lost when the hom vector
@@ -161,11 +174,14 @@ class HomVectors:
 
 
 class PeriodicContext:
-    """Object, morphism, and counting services for one quiver and prime."""
+    """Object, morphism, and counting services for one quiver and prime,
+    at the odd period ``t``."""
 
-    def __init__(self, ctx: RepContext):
+    def __init__(self, ctx: RepContext, t: int = PERIOD):
+        if t % 2 == 0 or t < 3:
+            raise ValueError(f"the period must be an odd number at least 3, got t = {t}")
         self.ctx = ctx
-        self.t = PERIOD
+        self.t = t
         self._fiber_cache: Dict[Tuple[ObjKey, ObjKey], Dict[ObjKey, int]] = {}
         self._aut_cache: Dict[ObjKey, int] = {}
         self._brace_cache: Dict[Tuple[ObjKey, ObjKey], int] = {}
@@ -173,7 +189,7 @@ class PeriodicContext:
         self._runs_cache: Dict[ObjKey, List[Tuple[Part, int]]] = {}
         self._residue_cache: Dict[int, int] = {}
         self._hom_ext_cache: Dict[Tuple[int, int], HomExt] = {}
-        self._compose_cache: Dict[Tuple[int, int, int, int, int], Tuple[Tuple[Tuple[int, ...], ...], ...]] = {}
+        self._compose_cache: Dict[Tuple[int, int, int, int, int], Tuple[Tuple[int, int, int, int], ...]] = {}
         self._hom_vectors: Optional[HomVectors] = None
 
     @property
@@ -361,62 +377,70 @@ class PeriodicContext:
         composition: Hom after Hom composes the maps, a map followed by
         an Ext^1 class pulls the class back along it, an Ext^1 class
         followed by a map pushes it forward, and Ext^1 after Ext^1 lands
-        in Ext^2 = 0. Computed once per triple of classes and residues."""
+        in Ext^2 = 0. Built afresh per call; the engine reads its
+        nonzero entries off :meth:`_composition_terms`."""
         (ct, st), (ca, sa), (cb, sb) = t, a, b
         r_ta, r_ab = (sa - st) % self.t, (sb - sa) % self.t
-        k5 = (ct, ca, cb, r_ta, r_ab)
+        ta, ab, tb = self._hom_ext(ct, ca), self._hom_ext(ca, cb), self._hom_ext(ct, cb)
+        if (r_ta, r_ab) == (0, 0):
+            return tuple(tuple(tb.hom_coords(f.then(g)) for g in ab.hom) for f in ta.hom)
+        if (r_ta, r_ab) == (0, 1):
+            return tuple(tuple(tb.ext_coords(ab.pullback(f, k)) for k in range(ab.ext_dim)) for f in ta.hom)
+        if (r_ta, r_ab) == (1, 0):
+            return tuple(tuple(tb.ext_coords(ta.pushforward(u, g)) for g in ab.hom) for u in range(ta.ext_dim))
+        # Ext^1 after Ext^1 lands in Ext^2 = 0, and a space at any other
+        # residue is 0: every entry is the empty vector
+        return (((),) * self._part_pair(a, b)[0],) * self._part_pair(t, a)[0]
+
+    def _composition_terms(self, t: Part, a: Part, b: Part) -> Tuple[Tuple[int, int, int, int], ...]:
+        """The nonzero entries (u, k, v, value) of :meth:`_composition`:
+        coordinate v of basis map u of Hom(t, a) followed by basis map k
+        of Hom(a, b). Cached once per triple of classes and residues."""
+        (ct, st), (ca, sa), (cb, sb) = t, a, b
+        k5 = (ct, ca, cb, (sa - st) % self.t, (sb - sa) % self.t)
         hit = self._compose_cache.get(k5)
         if hit is None:
-            ta, ab, tb = self._hom_ext(ct, ca), self._hom_ext(ca, cb), self._hom_ext(ct, cb)
-            if (r_ta, r_ab) == (0, 0):
-                hit = tuple(tuple(tb.hom_coords(f.then(g)) for g in ab.hom) for f in ta.hom)
-            elif (r_ta, r_ab) == (0, 1):
-                hit = tuple(tuple(tb.ext_coords(ab.pullback(f, k)) for k in range(ab.ext_dim)) for f in ta.hom)
-            elif (r_ta, r_ab) == (1, 0):
-                hit = tuple(tuple(tb.ext_coords(ta.pushforward(u, g)) for g in ab.hom) for u in range(ta.ext_dim))
-            else:
-                # Ext^1 after Ext^1 lands in Ext^2 = 0, and a space at
-                # any other residue is 0: every entry is the empty vector
-                hit = (((),) * self._part_pair(a, b)[0],) * self._part_pair(t, a)[0]
-            self._compose_cache[k5] = hit
+            self._compose_cache[k5] = hit = tuple(
+                (u, k, v, w)
+                for u, row in enumerate(self._composition(t, a, b))
+                for k, vec in enumerate(row)
+                for v, w in enumerate(vec)
+                if w
+            )
         return hit
 
-    def _rank_forms(self, x: ObjKey, m: ObjKey, hv: HomVectors) -> List[Tuple[int, int, List[List[Tuple[int, ...]]]]]:
+    def _rank_forms(self, x: ObjKey, m: ObjKey, hv: HomVectors) -> List[Tuple[int, int, int, List[Tuple[int, int, int, int]]]]:
         """For each test object T on which Hom(T, f) can be nonzero, the
         matrix of Hom(T, f) as a linear function of the coordinates of
-        f: (index of T, columns, one coefficient vector per entry, row
-        by row). Rows run over a basis of Hom(T, x), columns over one
-        of Hom(T, m), both block by block."""
+        f: (index of T, rows, columns, terms), one term (row, column,
+        coordinate of f, coefficient) per nonzero coefficient. Rows run
+        over a basis of Hom(T, x), columns over one of Hom(T, m), both
+        block by block; forms without terms are dropped."""
         hm = hv.matrix
         xi = [hv.index[a] for a in x]
         mi = [hv.index[b] for b in m]
-        offsets: Dict[Tuple[int, int], int] = {}
+        offsets: List[Tuple[int, int, int]] = []
         seen = set()
         dim = 0
         for i, a in enumerate(xi):
             for j, b in enumerate(mi):
                 if hm[a][b]:
-                    offsets[i, j] = dim
+                    offsets.append((i, j, dim))
                     dim += hm[a][b]
                     seen |= hv.sees[a] & hv.sees[b]
         forms = []
         for t in sorted(seen):
             trow, part = hm[t], hv.parts[t]
-            rows = [(i, u) for i, a in enumerate(xi) for u in range(trow[a])]
-            cols = [(j, v) for j, b in enumerate(mi) for v in range(trow[b])]
-            matrix = []
-            for i, u in rows:
-                entries = []
-                for j, v in cols:
-                    vec = [0] * dim
-                    off = offsets.get((i, j))
-                    if off is not None:
-                        for k, coords in enumerate(self._composition(part, x[i], m[j])[u]):
-                            vec[off + k] = coords[v]
-                    entries.append(tuple(vec))
-                matrix.append(entries)
-            if any(any(vec) for entries in matrix for vec in entries):
-                forms.append((t, len(cols), matrix))
+            row_at = list(itertools.accumulate([trow[a] for a in xi], initial=0))
+            col_at = list(itertools.accumulate([trow[b] for b in mi], initial=0))
+            terms = []
+            for i, j, off in offsets:
+                if trow[xi[i]] and trow[mi[j]]:
+                    r0, c0 = row_at[i], col_at[j]
+                    for u, k, v, w in self._composition_terms(part, x[i], m[j]):
+                        terms.append((r0 + u, c0 + v, off + k, w))
+            if terms:
+                forms.append((t, row_at[-1], col_at[-1], terms))
         return forms
 
     def fiber_counts(self, x: ObjKey, m: ObjKey) -> Dict[ObjKey, int]:
@@ -431,8 +455,10 @@ class PeriodicContext:
         bounds q**hom_dim(x, m).
 
         A line f is classified by its rank profile, never built: the
-        ranks of Hom(T, f) for every test object T, read off the cached
-        composition tensors. Its cone C has the hom vector
+        ranks of Hom(T, f) for every test object T, each matrix built
+        from the terms of :meth:`_rank_forms`, which read the cached
+        nonzero entries of the composition tensors. Its cone C has the
+        hom vector
 
             dim Hom(T, C) = hom(T, m) - rk Hom(T, f) + hom(T[-1], x) - rk Hom(T[-1], f),
 
@@ -442,8 +468,8 @@ class PeriodicContext:
         (see :meth:`hom_vectors`); :func:`perihall.checks.cone_key_literal`
         builds and reduces the cone instead.
         """
-        k = (x, m)
-        hit = self._fiber_cache.get(k)
+        key = (x, m)
+        hit = self._fiber_cache.get(key)
         if hit is None:
             zero = self.direct_sum_key(self.shift_key(x, 1), m)
             hit = {zero: 1}
@@ -455,19 +481,19 @@ class PeriodicContext:
                 p = self.q
                 profiles: Dict[Tuple[int, ...], int] = {}
                 for coords in _lines(p, dim):
-                    ranks = tuple(
-                        rank_rows(
-                            [[sum(map(operator.mul, coords, vec)) % p for vec in entries] for entries in matrix],
-                            cols,
-                            p,
-                        )
-                        for _, cols, matrix in forms
-                    )
+                    profile = []
+                    for _, rows, cols, terms in forms:
+                        matrix = [[0] * cols for _ in range(rows)]
+                        for r, c, k, w in terms:
+                            if coords[k]:
+                                matrix[r][c] = (matrix[r][c] + w * coords[k]) % p
+                        profile.append(rank_rows(matrix, cols, p))
+                    ranks = tuple(profile)
                     profiles[ranks] = profiles.get(ranks, 0) + p - 1
                 for ranks, count in profiles.items():
                     ck = hv.cone_key(zero, [(form[0], r) for form, r in zip(forms, ranks)])
                     hit[ck] = hit.get(ck, 0) + count
-            self._fiber_cache[k] = hit
+            self._fiber_cache[key] = hit
         return hit
 
     # -- automorphisms ------------------------------------------------
@@ -529,30 +555,41 @@ def _lines(q: int, dim: int) -> Iterator[Tuple[int, ...]]:
             yield head + tail
 
 
-def _rational_inverse(matrix: Sequence[Sequence[int]]) -> List[List[Fraction]]:
-    """The inverse over Q of an integer matrix, by Gauss-Jordan; raises
-    when the matrix is singular. Entries stay ints until a pivot
-    divides them, and only the nonzero entries of a pivot row are
-    eliminated, as the hom matrices are sparse."""
+def _integer_inverse(matrix: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
+    """(inverse, denominator) with matrix^-1 = inverse / denominator and
+    the denominator least, all in ints; raises when the matrix is
+    singular.
+
+    Fraction-free Gauss-Jordan (Bareiss) cross-multiplies by each pivot
+    and divides exactly by the previous one, so every entry stays a
+    minor of the augmented matrix; it ends with d * I on the left and
+    R = d * matrix^-1 on the right, d = +-det, so R is the adjugate up
+    to sign. Dividing d and R by the gcd g of d and every entry of R
+    leaves the least denominator |d| / g."""
     n = len(matrix)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    prev = 1
     for c in range(n):
         pivot = next((r for r in range(c, n) if aug[r][c]), None)
         if pivot is None:
             raise AssertionError("the hom matrix of the test objects is singular; Auslander decode impossible")
         aug[c], aug[pivot] = aug[pivot], aug[c]
-        if aug[c][c] != 1:
-            inv = Fraction(1) / aug[c][c]
-            aug[c] = [v * inv for v in aug[c]]
         prow = aug[c]
-        support = [j for j, w in enumerate(prow) if w]
+        p = prow[c]
         for r in range(n):
-            f = aug[r][c]
-            if r != c and f:
-                row = aug[r]
-                for j in support:
-                    row[j] -= f * prow[j]
-    return [[Fraction(v) for v in row[n:]] for row in aug]
+            if r == c:
+                continue
+            row = aug[r]
+            f = row[c]
+            if f:
+                aug[r] = [(p * v - f * w) // prev for v, w in zip(row, prow)]
+            elif p != prev:
+                aug[r] = [p * v // prev for v in row]
+        prev = p
+    g = functools.reduce(math.gcd, (v for row in aug for v in row[n:]), prev)
+    if prev < 0:
+        g = -g
+    return [[v // g for v in row[n:]] for row in aug], prev // g
 
 
 def _is_type_a(quiver: Quiver) -> bool:

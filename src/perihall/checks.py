@@ -105,26 +105,26 @@ class FaultyEngine(HallEngine):
 
 
 def build_quiver_engine(
-    quiver, p: int, fault_inject: bool = False, t: Optional[int] = None
+    quiver, p: int, fault_inject: bool = False, t: int = PERIOD
 ) -> Tuple[PeriodicContext, HallEngine]:
-    """A periodic category over the given quiver and field, with its
-    Hall engine, or with a :class:`FaultyEngine` when ``fault_inject``.
-    The two share all caches through the context, which gets the period
-    ``t``, if given, before its first call."""
+    """A periodic category over the given quiver and field at the odd
+    period ``t``, with its Hall engine, or with a :class:`FaultyEngine`
+    when ``fault_inject``. The two share all caches through the
+    context."""
     from .gfp import FieldSpec
     from .reps import RepContext
 
-    pctx = PeriodicContext(RepContext(quiver, FieldSpec(p)))
-    if t is not None:
-        pctx.t = t
+    pctx = PeriodicContext(RepContext(quiver, FieldSpec(p)), t)
     return pctx, (FaultyEngine if fault_inject else HallEngine)(pctx)
 
 
 def build_unguarded_engine(oracle, t: int) -> HallEngine:
     """A Hall engine over a fresh oracle at any period t > 1, even too:
-    both pass their odd-period guards at the oracle's own period, then
-    get t. At even t the products are not associative, and the quiver
-    decode can meet a singular hom matrix (why t must be odd)."""
+    the oracle passes its constructor's odd-period guard and the engine
+    its own at the oracle's period, then both get t as a plain
+    attribute, set after the guards. At even t the products are not
+    associative, and the quiver decode can meet a singular hom matrix
+    (why t must be odd)."""
     engine = HallEngine(oracle)
     oracle.t = engine.t = t
     return engine
@@ -279,6 +279,34 @@ def cone_key_literal(pctx: PeriodicContext, f: ChainMap) -> ObjKey:
     Hom(T, f) instead (:meth:`PeriodicContext.fiber_counts`)."""
     cone, _, _ = mapping_cone(pctx.ctx, f)
     return complex_key(pctx, cone)
+
+
+def _rational_inverse(matrix: Sequence[Sequence[int]]) -> List[List[Fraction]]:
+    """The inverse over Q of an integer matrix, by Gauss-Jordan over
+    ``Fraction``; raises when the matrix is singular. Entries stay ints
+    until a pivot divides them, and only the nonzero entries of a pivot
+    row are eliminated, as the hom matrices are sparse.
+    :class:`perihall.category.HomVectors` inverts the hom matrix in
+    integers instead, by fraction-free elimination."""
+    n = len(matrix)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if aug[r][c]), None)
+        if pivot is None:
+            raise AssertionError("the hom matrix of the test objects is singular; Auslander decode impossible")
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        if aug[c][c] != 1:
+            inv = Fraction(1) / aug[c][c]
+            aug[c] = [v * inv for v in aug[c]]
+        prow = aug[c]
+        support = [j for j, w in enumerate(prow) if w]
+        for r in range(n):
+            f = aug[r][c]
+            if r != c and f:
+                row = aug[r]
+                for j in support:
+                    row[j] -= f * prow[j]
+    return [[Fraction(v) for v in row[n:]] for row in aug]
 
 
 def _unit(dim: int, k: int) -> Tuple[int, ...]:

@@ -1,5 +1,7 @@
+import fractions
 import subprocess
 import sys
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from perihall import category, periodic
 from perihall.category import PeriodicContext
 from perihall.checks import (
+    _rational_inverse,
     aut_order_by_enumeration,
     aut_order_by_layers,
     block_coords,
@@ -191,6 +194,20 @@ def test_fiber_counts_total_mass(a2):
     assert counts[a2.shift_key(p1, 1)] == 1
 
 
+def test_fiber_counts_are_cached_per_pair(a2, monkeypatch):
+    x = a2.shift_key(a2.module_key(a2.ctx.simple("1")), -1)
+    m = a2.module_key(a2.ctx.simple("2"))
+    assert a2.hom_dim(x, m) > 0
+    first = a2.fiber_counts(x, m)
+    assert a2._fiber_cache[(x, m)] is first
+
+    def no_rank_forms(*args):
+        raise AssertionError("a cached fiber was counted again")
+
+    monkeypatch.setattr(PeriodicContext, "_rank_forms", no_rank_forms)
+    assert a2.fiber_counts(x, m) is first
+
+
 def test_brace_table_rows():
     # t = 3: Ext^1 - Hom at r = 0, -(Hom + Ext^1) at r = 1, Hom - Ext^1 at r = 2,
     # as (Hom coefficient, Ext^1 coefficient) pairs
@@ -318,6 +335,28 @@ def _signs_match(entries):
     return system.solve(rhs) is not None
 
 
+def nonzero_entries(tensor):
+    return [(u, k, v, w) for u, row in enumerate(tensor) for k, vec in enumerate(row) for v, w in enumerate(vec) if w]
+
+
+def test_composition_terms_index_wider_hom_spaces():
+    # on type A every Hom space between parts has dimension at most one;
+    # on the Kronecker quiver Hom(S2, P1) has dimension 2, so the terms
+    # must tell the basis map u of Hom(t, a) from the coordinate v
+    pctx = PeriodicContext(RepContext(KRONECKER, FieldSpec(2)))
+    ctx = pctx.ctx
+    ids = sorted({cid for rep in ctx.enumerate_reps((1, 2)) for cid in ctx.summand_ids(rep)})
+    parts = [(cid, s) for cid in ids for s in (0, 1)]
+    wide = 0
+    for t in parts:
+        for a in parts:
+            for b in parts:
+                nonzero = nonzero_entries(pctx._composition(t, a, b))
+                assert list(pctx._composition_terms(t, a, b)) == nonzero, (t, a, b)
+                wide += any(u != v for u, _, v, _ in nonzero)
+    assert wide
+
+
 @pytest.mark.parametrize(
     "quiver, p",
     [(line_quiver(n), p) for n in (1, 2, 3, 4) for p in (2, 3)] + [(SINK_A3, 3), (ZIGZAG_A4, 3)],
@@ -338,6 +377,7 @@ def test_module_composition_matches_the_chain_level_tensor(quiver, p):
             for b in parts:
                 got = pctx._composition(t, a, b)
                 want = composition_by_chains(chains, t, a, b)
+                assert list(pctx._composition_terms(t, a, b)) == nonzero_entries(got), (t, a, b)
                 assert [[len(v) for v in row] for row in got] == [[len(v) for v in row] for row in want], (t, a, b)
                 assert len(got) <= 1 and all(len(row) <= 1 and all(len(v) <= 1 for v in row) for row in got)
                 for g_row, w_row in zip(got, want):
@@ -374,6 +414,71 @@ def test_hom_vectors_decode_every_object(n, p, objects):
         decoded = [sum(hv.inverse[u][t] * vec[t] for t in range(size)) for u in range(size)]
         assert decoded == [hv.denominator * key.count(part) for part in hv.parts], key
     assert len(vectors) == objects
+
+
+def fraction_decode(matrix):
+    """The reference decode: the Fraction inverse over its least common
+    denominator."""
+    inv = _rational_inverse(matrix)
+    denominator = lcm(*(v.denominator for row in inv for v in row))
+    return [[int(v * denominator) for v in row] for row in inv], denominator
+
+
+@pytest.mark.parametrize("t", [3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_integer_decode_matches_the_fraction_inverse(n, p, t):
+    # fraction-free elimination against Gauss-Jordan over Fraction: the
+    # same least denominator and the same integer numerators
+    hv = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)), t).hom_vectors()
+    assert (hv.inverse, hv.denominator) == fraction_decode(hv.matrix)
+    assert hv.denominator == (1 if n == 1 else 2)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[-1]], [[0, 2], [3, 1]], [[2, 1], [1, -3]], [[1, 2, 0], [0, 1, 3], [4, 0, 1]], [[2, 0, 0], [0, 4, 0], [0, 0, 6]]],
+    ids=["negative", "swap", "det-7", "det25", "diagonal"],
+)
+def test_the_integer_inverse_matches_the_fraction_inverse(matrix):
+    # determinants of either sign, a row swap, and a denominator that is
+    # not the determinant
+    assert category._integer_inverse(matrix) == fraction_decode(matrix)
+
+
+def test_the_integer_inverse_refuses_a_singular_matrix():
+    singular = [[1, 2, 0], [2, 4, 0], [0, 1, 3]]
+    for invert in (category._integer_inverse, _rational_inverse):
+        with pytest.raises(AssertionError, match="singular"):
+            invert(singular)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 4])
+def test_context_refuses_a_period_that_is_not_odd_and_at_least_three(t):
+    with pytest.raises(ValueError, match=f"t = {t}"):
+        PeriodicContext(RepContext(line_quiver(2), FieldSpec(2)), t)
+
+
+@pytest.mark.parametrize("t", [3, 5, 7])
+def test_context_accepts_odd_periods(t):
+    pctx = PeriodicContext(RepContext(line_quiver(2), FieldSpec(2)), t)
+    assert pctx.t == t
+    assert len(pctx.hom_vectors().parts) == 3 * t
+
+
+def test_cold_products_build_no_fraction(monkeypatch):
+    # the cone decode and every scalar on the op path stay in ints
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built on the op path")
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", refuse)
+    for n, p, bound, first in ((2, 2, (2, 2), 40), (3, 2, (1, 1, 1), 25), (2, 3, (1, 1), 20)):
+        engine = HallEngine(PeriodicContext(RepContext(line_quiver(n), FieldSpec(p))))
+        keys = engine.oracle.enumerate_objects(bound)[:first]
+        for x in keys:
+            for y in keys:
+                engine.multiply(x, y)
+            engine.pbw_expand(x).evaluate(engine)
 
 
 @pytest.mark.parametrize("p", [2, 3])
