@@ -20,14 +20,20 @@ The layers, bottom to top:
 - :mod:`perihall.sqrtq` - exact arithmetic in Q(sqrt q).
 - :mod:`perihall.hall` - structure constants, products, straightening.
 
-Reference code, off the engine's import graph (only
-``PeriodicContext.hom_space`` reaches :mod:`perihall.periodic`, through
-a function-level import):
+The engine modules hold only what the engine calls, apart from the
+few names the benchmark still traces or calls. Reference code, off the
+engine's import graph (only ``PeriodicContext.hom_space`` reaches
+:mod:`perihall.periodic`, through a function-level import):
 
 - :mod:`perihall.periodic` - the chain-level model: 3-cycle complexes of
-  projective resolutions, chain maps modulo homotopy, mapping cones.
+  projective resolutions, chain maps modulo homotopy, mapping cones,
+  and the module helpers only it needs: paths out of a vertex,
+  projective modules, direct sums of modules, corestrictions and
+  quotient-coordinate lifts.
 - :mod:`perihall.checks` - identity verification harnesses, recounting
-  the engine against the chain-level model and brute enumeration.
+  the engine against the chain-level model and brute enumeration, and
+  the helpers only they need: automorphism counts of modules
+  (``module_aut_order``) and matrix inverses (``matrix_inverse``).
 """
 
 __version__ = "0.1.0"

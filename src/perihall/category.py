@@ -22,10 +22,15 @@ maps compose, a map acts on an Ext^1 class from either side arrow by
 arrow, and Ext^1 after Ext^1 lands in Ext^2 = 0. The context counts
 morphisms by the class of their cone, and counts automorphisms as the
 units of the finite algebra End(x), the same Krull-Schmidt unit count
-:meth:`perihall.reps.RepContext.aut_order` applies to modules. No cycle
+:func:`perihall.checks.module_aut_order` applies to modules. No cycle
 complex is built here: :mod:`perihall.periodic` realizes objects as
 complexes of wrapped resolutions, and the harnesses recount against it,
-:func:`perihall.checks.aut_order_by_enumeration` for instance.
+:func:`perihall.checks.aut_order_by_enumeration` for instance. The
+module helpers only that model needs (direct sums, projectives,
+corestrictions) live in :mod:`perihall.periodic` too, and the
+harness-only ones (module automorphism counts, matrix inverses) in
+:mod:`perihall.checks`; ``hom_space`` stays here while the benchmark
+traces it.
 
 The scalars ``hom_dim``, ``brace_exponent`` and ``aut_order`` never
 build a module. They read one cached entry per pair of distinct parts
@@ -178,7 +183,7 @@ class PeriodicContext:
     at the odd period ``t``."""
 
     def __init__(self, ctx: RepContext, t: int = PERIOD):
-        if t % 2 == 0 or t < 3:
+        if not isinstance(t, int) or t % 2 == 0 or t < 3:
             raise ValueError(f"the period must be an odd number at least 3, got t = {t}")
         self.ctx = ctx
         self.t = t

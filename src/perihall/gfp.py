@@ -7,8 +7,8 @@ row lists of Python ints reduced mod p. No floats anywhere.
 Convention used by the whole package: vectors are rows and maps act on
 the right. A linear map F_p^m -> F_p^n is an m x n matrix M, it sends v
 to v @ M, and "f then g" composes as mat(f) @ mat(g). Consequently
-``kernel_basis`` returns the *left* kernel {v : v M = 0} and ``solve``
-finds v with v M = b.
+``kernel_basis`` returns the *left* kernel {v : v M = 0} and
+``solve_matrix`` finds X with X M = B.
 
 The public ``MatrixFp(...)`` constructor reduces every entry mod p and
 checks the shape. Results of the package's own arithmetic (zeros,
@@ -16,6 +16,11 @@ identities, sums, products, stacks, row reductions, solutions) are
 freshly built lists that are already reduced, so they go through the
 internal ``MatrixFp._trusted`` instead, which stores the rows as given.
 No result shares a row list with an operand.
+
+The module holds only what the engine and its module layer call. The
+reference code keeps its own helpers: the inverse of a matrix is
+:func:`perihall.checks.matrix_inverse`, and the canonical lift of
+quotient coordinates is :func:`perihall.periodic.lift_quotient_coords`.
 """
 
 from __future__ import annotations
@@ -196,19 +201,6 @@ class MatrixFp:
             self.ncols,
         )
 
-    def sub(self, other: "MatrixFp") -> "MatrixFp":
-        self._check_shape(other)
-        p = self.field.p
-        return MatrixFp._trusted(
-            self.field,
-            [[(a - b) % p for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            self.ncols,
-        )
-
-    def neg(self) -> "MatrixFp":
-        p = self.field.p
-        return MatrixFp._trusted(self.field, [[(-a) % p for a in row] for row in self.rows], self.ncols)
-
     def scale(self, c: int) -> "MatrixFp":
         p = self.field.p
         c %= p
@@ -231,39 +223,10 @@ class MatrixFp:
 
     __matmul__ = mul
 
-    def transpose(self) -> "MatrixFp":
-        if not self.rows:
-            return MatrixFp._trusted(self.field, [[] for _ in range(self.ncols)], 0)
-        return MatrixFp._trusted(self.field, [list(col) for col in zip(*self.rows)], self.nrows)
-
-    def hstack(self, other: "MatrixFp") -> "MatrixFp":
-        if self.nrows != other.nrows:
-            raise ValueError("hstack row mismatch")
-        return MatrixFp._trusted(
-            self.field,
-            [ra + rb for ra, rb in zip(self.rows, other.rows)],
-            self.ncols + other.ncols,
-        )
-
     def vstack(self, other: "MatrixFp") -> "MatrixFp":
         if self.ncols != other.ncols:
             raise ValueError("vstack col mismatch")
         return MatrixFp._trusted(self.field, [r[:] for r in self.rows] + [r[:] for r in other.rows], self.ncols)
-
-    @staticmethod
-    def block(field: FieldSpec, grid: Sequence[Sequence["MatrixFp"]]) -> "MatrixFp":
-        """Assemble a block matrix from a 2d grid of compatible blocks."""
-        stacked = None
-        for block_row in grid:
-            acc = None
-            for b in block_row:
-                acc = b if acc is None else acc.hstack(b)
-            if acc is None:
-                raise ValueError("empty block row")
-            stacked = acc if stacked is None else stacked.vstack(acc)
-        if stacked is None:
-            raise ValueError("empty grid")
-        return stacked
 
     def _check_shape(self, other: "MatrixFp") -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -312,11 +275,6 @@ class MatrixFp:
         red, pivots = self.rref()
         return MatrixFp._trusted(self.field, red.rows[: len(pivots)], self.ncols)
 
-    def solve(self, b: Sequence[int]) -> Optional[List[int]]:
-        """One v with v @ self == b, or None. Free coordinates are 0."""
-        sols = self.solve_matrix(MatrixFp(self.field, [list(b)], ncols=self.ncols))
-        return None if sols is None else sols.rows[0]
-
     def solve_matrix(self, b: "MatrixFp") -> Optional["MatrixFp"]:
         """One X with X @ self == b, or None if any row is unsolvable."""
         if b.ncols != self.ncols:
@@ -345,15 +303,6 @@ class MatrixFp:
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
-
-    def inverse(self) -> "MatrixFp":
-        if self.nrows != self.ncols:
-            raise ValueError("inverse of non-square matrix")
-        red, pivots, t = self.rref_with_transform()
-        if len(pivots) != self.nrows:
-            raise ValueError("matrix is singular")
-        return t
-
 
 def rank_rows(rows: List[List[int]], ncols: int, p: int) -> int:
     """Rank over F_p of the matrix with these rows, entries in [0, p),
@@ -415,8 +364,8 @@ def _rref_in_place(rows: List[List[int]], ncols: int, field: FieldSpec) -> Tuple
 class Subspace:
     """A subspace of F_p^n stored as canonical rref rows.
 
-    Supports membership, reduction mod the subspace, and canonical
-    coordinates on the quotient (entries at non-pivot columns).
+    Supports reduction mod the subspace and canonical coordinates on
+    the quotient (entries at non-pivot columns).
     """
 
     __slots__ = ("field", "ambient", "basis", "pivots", "_free")
@@ -455,19 +404,6 @@ class Subspace:
                         out[j] = (out[j] - f * brow[j]) % p
         return out
 
-    def contains(self, v: Sequence[int]) -> bool:
-        return not any(self.reduce(v))
-
     def quotient_coords(self, v: Sequence[int]) -> Tuple[int, ...]:
         red = self.reduce(v)
         return tuple(red[c] for c in self._free)
-
-    def lift_quotient_coords(self, coords: Sequence[int]) -> List[int]:
-        """Canonical ambient lift of quotient coordinates."""
-        if len(coords) != len(self._free):
-            raise ValueError("quotient coord length mismatch")
-        p = self.field.p
-        out = [0] * self.ambient
-        for c, x in zip(self._free, coords):
-            out[c] = int(x) % p
-        return out

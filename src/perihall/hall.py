@@ -193,7 +193,7 @@ class HallEngine:
         self.oracle = oracle
         self.t = oracle.t
         self.q = oracle.q
-        if self.t % 2 == 0 or self.t < 3:
+        if not isinstance(self.t, int) or self.t % 2 == 0 or self.t < 3:
             raise ValueError("the period must be an odd number at least 3")
         self._one = HallValue.one(self.q)
         self._mult_cache: Dict[Tuple[Key, Key], HallVector] = {}

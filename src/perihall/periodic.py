@@ -29,16 +29,25 @@ differentials; two are identified when they differ by a boundary
 s d + d s built from slotwise maps one step back. Everything here is a
 literal linear-algebra computation over F_p; no formulas stand in for
 the chain-level objects.
+
+The module helpers only this model needs live here, not in the engine
+modules: paths out of a vertex (:func:`paths_from`) and the projective
+modules they span (:func:`projective`), direct sums of modules with
+their injections and projections (:func:`direct_sum`), corestriction
+to a submodule (:func:`corestrict`), and the canonical lift of
+quotient coordinates (:func:`lift_quotient_coords`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .category import PERIOD, ObjKey, Part
 from .gfp import MatrixFp, Subspace
+from .quiver import Arrow, Quiver
 from .reps import BudgetExceeded, Rep, RepContext, RepMap
 
 if TYPE_CHECKING:
@@ -54,13 +63,138 @@ __all__ = [
     "BlockHomSpace",
     "ChainModel",
     "chain_hom_space",
+    "corestrict",
+    "direct_sum",
     "direct_sum_complexes",
+    "lift_quotient_coords",
     "mapping_cone",
     "normal_pieces",
+    "paths_from",
     "proj_resolution",
+    "projective",
     "wrap_module",
     "find_homotopy_iso",
 ]
+
+Path = Tuple[Arrow, ...]
+
+
+# ----------------------------------------------------------------------
+# module helpers of the chain-level model
+# ----------------------------------------------------------------------
+
+
+def paths_from(quiver: Quiver, v: str) -> List[Path]:
+    """All directed paths starting at v, including the empty path.
+
+    These index a basis of the projective cover of the simple at v.
+    Deterministic order: by length, then arrow declaration order.
+    """
+    out: List[Path] = [()]
+    frontier: List[Path] = [()]
+    while frontier:
+        nxt: List[Path] = []
+        for path in frontier:
+            end = path[-1].target if path else v
+            nxt.extend(path + (a,) for a in quiver.arrows if a.source == end)
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _path_layout(quiver: Quiver, v: str) -> Tuple[List[Path], Dict[str, List[Path]]]:
+    """The paths out of v in :func:`paths_from` order, and the same paths
+    grouped by end vertex: the basis of the projective at v, vertex by
+    vertex. Cached per quiver and vertex; callers must not mutate it."""
+    paths = paths_from(quiver, v)
+    by_end: Dict[str, List[Path]] = {w: [] for w in quiver.vertices}
+    for pth in paths:
+        by_end[pth[-1].target if pth else v].append(pth)
+    return paths, by_end
+
+
+def projective(ctx: RepContext, vertex: str) -> Rep:
+    """The projective cover of the simple at ``vertex``; basis given
+    by paths out of the vertex."""
+    q = ctx.quiver
+    _, by_end = _path_layout(q, vertex)
+    mats = {}
+    for a in q.arrows:
+        tgt_index = {pth: i for i, pth in enumerate(by_end[a.target])}
+        m = MatrixFp.zeros(ctx.field, len(by_end[a.source]), len(by_end[a.target]))
+        for i, pth in enumerate(by_end[a.source]):
+            m.rows[i][tgt_index[pth + (a,)]] = 1
+        mats[a.name] = m
+    return Rep(ctx.field, q, [len(by_end[v]) for v in q.vertices], mats)
+
+
+def direct_sum(ctx: RepContext, reps: Sequence[Rep]) -> Tuple[Rep, List[RepMap], List[RepMap]]:
+    """The direct sum of modules, with its injections and projections."""
+    field = ctx.field
+    quiver = ctx.quiver
+    nv = len(quiver.vertices)
+    dims = [0] * nv
+    offsets: List[Tuple[int, ...]] = []
+    for r in reps:
+        offsets.append(tuple(dims))
+        for i in range(nv):
+            dims[i] += r.dims[i]
+    mats = {}
+    for a in quiver.arrows:
+        w = quiver.vertex_index(a.target)
+        rows: List[List[int]] = []
+        for k, r in enumerate(reps):
+            pre = offsets[k][w]
+            post = dims[w] - pre - r.dims[w]
+            for row in r.mats[a.name].rows:
+                rows.append([0] * pre + row + [0] * post)
+        mats[a.name] = MatrixFp._trusted(field, rows, dims[w])
+    total = Rep(field, quiver, dims, mats)
+    injections = []
+    projections = []
+    for k, r in enumerate(reps):
+        inj_comps = []
+        proj_comps = []
+        for i in range(nv):
+            inj = MatrixFp.zeros(field, r.dims[i], dims[i])
+            proj = MatrixFp.zeros(field, dims[i], r.dims[i])
+            for j in range(r.dims[i]):
+                inj.rows[j][offsets[k][i] + j] = 1
+                proj.rows[offsets[k][i] + j][j] = 1
+            inj_comps.append(inj)
+            proj_comps.append(proj)
+        injections.append(RepMap(r, total, inj_comps, check=False))
+        projections.append(RepMap(total, r, proj_comps, check=False))
+    return total, injections, projections
+
+
+def corestrict(f: RepMap, incl: RepMap) -> RepMap:
+    """Factor f: X -> Y through a subobject incl: S -> Y."""
+    comps = []
+    for fc, ic in zip(f.comps, incl.comps):
+        g = ic.solve_matrix(fc)
+        if g is None:
+            raise ValueError("map does not land in the subobject")
+        comps.append(g)
+    return RepMap(f.source, incl.source, comps, check=False)
+
+
+def lift_quotient_coords(sub: Subspace, coords: Sequence[int]) -> List[int]:
+    """The canonical ambient lift of coordinates on the quotient by sub:
+    the vector carrying them at the free columns and 0 elsewhere."""
+    if len(coords) != len(sub.free_columns):
+        raise ValueError("quotient coord length mismatch")
+    p = sub.field.p
+    out = [0] * sub.ambient
+    for c, x in zip(sub.free_columns, coords):
+        out[c] = int(x) % p
+    return out
+
+
+# ----------------------------------------------------------------------
+# cycle complexes
+# ----------------------------------------------------------------------
 
 
 class CycleComplex:
@@ -96,7 +230,7 @@ class CycleComplex:
         n %= PERIOD
         diffs = self.diffs[n:] + self.diffs[:n]
         if n % 2:
-            diffs = tuple(d.neg() for d in diffs)
+            diffs = tuple(d.scale(-1) for d in diffs)
         return CycleComplex(self.ctx, self.slots[n:] + self.slots[:n], diffs, check=False)
 
     def key(self) -> Tuple:
@@ -119,7 +253,7 @@ class CycleComplex:
 
 def direct_sum_complexes(ctx: RepContext, parts: Sequence[CycleComplex]) -> Tuple[CycleComplex, List["ChainMap"], List["ChainMap"]]:
     """Slotwise direct sum with chain-level injections and projections."""
-    slot_data = [ctx.direct_sum([p.slots[i] for p in parts]) for i in range(PERIOD)]
+    slot_data = [direct_sum(ctx, [p.slots[i] for p in parts]) for i in range(PERIOD)]
     slots = [sd[0] for sd in slot_data]
     diffs = []
     for i in range(PERIOD):
@@ -175,12 +309,6 @@ class ChainMap:
 
     def add(self, other: "ChainMap") -> "ChainMap":
         return ChainMap(self.source, self.target, [a.add(b) for a, b in zip(self.comps, other.comps)], check=False)
-
-    def sub(self, other: "ChainMap") -> "ChainMap":
-        return ChainMap(self.source, self.target, [a.sub(b) for a, b in zip(self.comps, other.comps)], check=False)
-
-    def neg(self) -> "ChainMap":
-        return ChainMap(self.source, self.target, [c.neg() for c in self.comps], check=False)
 
     def scale(self, c: int) -> "ChainMap":
         return ChainMap(self.source, self.target, [m.scale(c) for m in self.comps], check=False)
@@ -313,10 +441,10 @@ class HomSpace:
                 if not f.comps[i].is_zero():
                     raise ValueError("map has a component outside the hom space")
                 continue
-            sol = flat_basis.solve(f.comps[i].flat())
+            sol = flat_basis.solve_matrix(MatrixFp(self.ctx.field, [f.comps[i].flat()], ncols=flat_basis.ncols))
             if sol is None:
                 raise ValueError("component is not in the slot hom space")
-            for k, x in enumerate(sol):
+            for k, x in enumerate(sol.rows[0]):
                 out[self._offsets[i] + k] = x
         return out
 
@@ -327,10 +455,11 @@ class HomSpace:
             if any(slot_coeffs):
                 raise ValueError("nonzero map in zero chain space")
             return []
-        sol = self._chain_coeff_basis.solve(slot_coeffs)
+        basis = self._chain_coeff_basis
+        sol = basis.solve_matrix(MatrixFp(self.ctx.field, [slot_coeffs], ncols=basis.ncols))
         if sol is None:
             raise ValueError("map does not satisfy the chain condition")
-        return sol
+        return sol.rows[0]
 
     @property
     def chain_dim(self) -> int:
@@ -347,7 +476,7 @@ class HomSpace:
 
     def rep_map(self, coords: Sequence[int]) -> ChainMap:
         """Canonical chain-level representative of class coordinates."""
-        chain_coords = self._boundary_sub.lift_quotient_coords(list(coords))
+        chain_coords = lift_quotient_coords(self._boundary_sub, coords)
         return self._from_chain_coords(chain_coords)
 
     def _from_chain_coords(self, chain_coords: Sequence[int]) -> ChainMap:
@@ -414,25 +543,19 @@ def mapping_cone(ctx: RepContext, u: ChainMap) -> Tuple[CycleComplex, ChainMap, 
     X -u-> Y -incl-> cone -proj-> X[1].
     """
     x, y = u.source, u.target
-    slot_data = []
-    for i in range(PERIOD):
-        slot_data.append(ctx.direct_sum([x.slots[(i + 1) % PERIOD], y.slots[i]]))
+    p = ctx.field.p
+    slot_data = [direct_sum(ctx, [x.slots[(i + 1) % PERIOD], y.slots[i]]) for i in range(PERIOD)]
     slots = [sd[0] for sd in slot_data]
     diffs = []
     for i in range(PERIOD):
         j = (i + 1) % PERIOD
         comps = []
         for v in range(len(ctx.quiver.vertices)):
-            yi = y.slots[i].dims[v]
-            xi2 = x.slots[(i + 2) % PERIOD].dims[v]
-            blk = MatrixFp.block(
-                ctx.field,
-                [
-                    [x.diffs[(i + 1) % PERIOD].comps[v].neg(), u.comps[(i + 1) % PERIOD].comps[v]],
-                    [MatrixFp.zeros(ctx.field, yi, xi2), y.diffs[i].comps[v]],
-                ],
-            )
-            comps.append(blk)
+            # the block rows [-d^X, u] over [0, d^Y]
+            dx, uv, dy = x.diffs[j].comps[v], u.comps[j].comps[v], y.diffs[i].comps[v]
+            rows = [[(-a) % p for a in xr] + ur for xr, ur in zip(dx.rows, uv.rows)]
+            rows += [[0] * dx.ncols + yr for yr in dy.rows]
+            comps.append(MatrixFp._trusted(ctx.field, rows, dx.ncols + dy.ncols))
         diffs.append(RepMap(slots[i], slots[j], comps, check=False))
     cone = CycleComplex(ctx, slots, diffs, check=False)
     incl = ChainMap(y, cone, [slot_data[i][1][1] for i in range(PERIOD)], check=False)
@@ -452,7 +575,7 @@ def normal_pieces(ctx: RepContext, c: CycleComplex) -> Tuple[Rep, ...]:
     for s in range(PERIOD):
         i = -s % PERIOD
         _, incl = ctx.kernel(c.diffs[i])
-        homology, _ = ctx.cokernel(ctx.corestrict(c.diffs[i - 1], incl))
+        homology, _ = ctx.cokernel(corestrict(c.diffs[i - 1], incl))
         pieces.append(homology)
     return tuple(pieces)
 
@@ -475,8 +598,9 @@ def _radicals(ctx: RepContext, x: Rep) -> List[Subspace]:
     rads = []
     for i, v in enumerate(q.vertices):
         rows: List[List[int]] = []
-        for a in q.arrows_into(v):
-            rows.extend(x.mats[a.name].rows)
+        for a in q.arrows:
+            if a.target == v:
+                rows.extend(x.mats[a.name].rows)
         rads.append(Subspace(ctx.field, x.dims[i], rows))
     return rads
 
@@ -491,25 +615,18 @@ def _cover_map(ctx: RepContext, x: Rep) -> Tuple[Rep, RepMap]:
             unit = [0] * x.dims[i]
             unit[c] = 1
             gens.append((v, unit))
-    pieces = [ctx.projective(v) for v, _ in gens]
-    p0, _, _ = ctx.direct_sum(pieces)
+    pieces = [projective(ctx, v) for v, _ in gens]
+    p0, _, _ = direct_sum(ctx, pieces)
     # map each projective piece into x: generator path e_v |-> rep,
-    # longer path p*a |-> (image so far) @ X_a
+    # longer path p*a |-> (image so far) @ X_a, over the path layout
+    # the piece was built from
     piece_maps = []
     for (v, repvec), piece in zip(gens, pieces):
         comps = []
-        paths = q.paths_from(v)
-        by_end: Dict[str, List[Tuple]] = {w: [] for w in q.vertices}
-        for pth in paths:
-            end = pth[-1].target if pth else v
-            by_end[end].append(pth)
-        vec_of: Dict[Tuple, List[int]] = {(): repvec}
-        for pth in paths:
-            if pth:
-                prefix = pth[:-1]
-                a = pth[-1]
-                prev = vec_of[prefix]
-                vec_of[pth] = MatrixFp(ctx.field, [prev]).mul(x.mats[a.name]).rows[0]
+        paths, by_end = _path_layout(q, v)
+        vec_of: Dict[Path, List[int]] = {(): repvec}
+        for pth in paths[1:]:
+            vec_of[pth] = MatrixFp(ctx.field, [vec_of[pth[:-1]]]).mul(x.mats[pth[-1].name]).rows[0]
         for i, w in enumerate(q.vertices):
             rows = [vec_of[pth] for pth in by_end[w]]
             comps.append(MatrixFp(ctx.field, rows, ncols=x.dims[i]) if rows else MatrixFp.zeros(ctx.field, 0, x.dims[i]))

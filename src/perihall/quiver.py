@@ -5,13 +5,15 @@ arrows, required to be acyclic so the path algebra is finite dimensional
 and hereditary. Vertex order is the declaration order and is the order
 every matrix-valued structure downstream iterates in, which is what
 makes the whole package deterministic. Hall products are served only
-for quivers of type A (see :mod:`perihall.category`).
+for quivers of type A (see :mod:`perihall.category`). Paths out of a
+vertex, which index the projective modules, are walked only by the
+chain-level model, in :func:`perihall.periodic.paths_from`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 __all__ = ["Arrow", "Quiver", "line_quiver"]
 
@@ -62,32 +64,6 @@ class Quiver:
 
     def vertex_index(self, v: str) -> int:
         return self._vindex[v]
-
-    def arrows_from(self, v: str) -> List[Arrow]:
-        return [a for a in self.arrows if a.source == v]
-
-    def arrows_into(self, v: str) -> List[Arrow]:
-        return [a for a in self.arrows if a.target == v]
-
-    # -- paths --------------------------------------------------------
-
-    def paths_from(self, v: str) -> List[Tuple[Arrow, ...]]:
-        """All directed paths starting at v, including the empty path.
-
-        These index a basis of the projective cover of the simple at v.
-        Deterministic order: by length, then arrow declaration order.
-        """
-        out: List[Tuple[Arrow, ...]] = [()]
-        frontier: List[Tuple[Arrow, ...]] = [()]
-        while frontier:
-            nxt: List[Tuple[Arrow, ...]] = []
-            for path in frontier:
-                end = path[-1].target if path else v
-                for a in self.arrows_from(end):
-                    nxt.append(path + (a,))
-            out.extend(nxt)
-            frontier = nxt
-        return out
 
     # -- numerics -----------------------------------------------------
 

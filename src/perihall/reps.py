@@ -5,17 +5,24 @@ to every arrow. Everything follows the row convention from
 :mod:`perihall.gfp`: the matrix of an arrow u -> w has shape
 dim(u) x dim(w) and acts on row vectors from the right.
 
-The module provides the abelian-category toolkit (hom spaces, kernels,
-images, cokernels), Krull-Schmidt decomposition into summands and
+The module provides the abelian-category toolkit the engine calls (hom
+spaces, kernels, images), Krull-Schmidt decomposition into summands and
 their inclusions, Hom and Ext^1 with their bases from Ringel's exact
 sequence (:class:`HomExt`), plus the counting utilities the Hall layer
-sits on (automorphism group orders, representative enumeration). The
-path algebra of an acyclic quiver is hereditary, so dim Ext^1 is read
-off the Euler form wherever no basis is needed. |Aut x| is the
-number of units of the finite algebra End(x), counted from dim End(x)
-and the Krull-Schmidt blocks of its semisimple quotient by
-:func:`perihall.gfp.unit_group_order`, the count the periodic category
-applies to its objects too.
+sits on (residue field degrees of indecomposables, representative
+enumeration). The path algebra of an acyclic quiver is hereditary, so
+dim Ext^1 is read off the Euler form wherever no basis is needed.
+
+Helpers that only the reference code calls live in the reference
+modules. The chain-level model, :mod:`perihall.periodic`, builds
+direct sums (:func:`perihall.periodic.direct_sum`), projective modules
+(:func:`perihall.periodic.projective`) and corestrictions
+(:func:`perihall.periodic.corestrict`). The harnesses,
+:mod:`perihall.checks`, count |Aut x| of a module as the units of
+End(x) (:func:`perihall.checks.module_aut_order`), the count the
+periodic category applies to its objects. ``cokernel``, ``ext1_dim``
+and ``class_count`` have no engine caller either; they stay here while
+the benchmark traces or calls them.
 
 Iso classes follow Krull-Schmidt. Every indecomposable class gets an
 integer id, and a module's iso class is the sorted tuple of the class
@@ -38,7 +45,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .gfp import FieldSpec, MatrixFp, Subspace, unit_group_order
+from .gfp import FieldSpec, MatrixFp, Subspace
 from .quiver import Quiver
 
 __all__ = [
@@ -83,16 +90,6 @@ class Rep:
                 raise ValueError(f"arrow {a.name} matrix has shape {m.nrows}x{m.ncols}, wanted {du}x{dw}")
             self.mats[a.name] = m
         self._key = None
-
-    @classmethod
-    def zero(cls, field: FieldSpec, quiver: Quiver) -> "Rep":
-        return cls(field, quiver, [0] * len(quiver.vertices), {})
-
-    @classmethod
-    def simple(cls, field: FieldSpec, quiver: Quiver, vertex: str) -> "Rep":
-        dims = [0] * len(quiver.vertices)
-        dims[quiver.vertex_index(vertex)] = 1
-        return cls(field, quiver, dims, {})
 
     @property
     def total_dim(self) -> int:
@@ -162,12 +159,6 @@ class RepMap:
     def add(self, other: "RepMap") -> "RepMap":
         return RepMap(self.source, self.target, [a.add(b) for a, b in zip(self.comps, other.comps)], check=False)
 
-    def sub(self, other: "RepMap") -> "RepMap":
-        return RepMap(self.source, self.target, [a.sub(b) for a, b in zip(self.comps, other.comps)], check=False)
-
-    def neg(self) -> "RepMap":
-        return RepMap(self.source, self.target, [c.neg() for c in self.comps], check=False)
-
     def scale(self, c: int) -> "RepMap":
         return RepMap(self.source, self.target, [m.scale(c) for m in self.comps], check=False)
 
@@ -176,9 +167,6 @@ class RepMap:
 
     def is_iso(self) -> bool:
         return all(c.is_invertible() for c in self.comps)
-
-    def inverse(self) -> "RepMap":
-        return RepMap(self.target, self.source, [c.inverse() for c in self.comps], check=False)
 
     def flat(self) -> List[int]:
         out: List[int] = []
@@ -206,45 +194,6 @@ class Decomposition:
 
     summands: List[Rep]
     inclusions: List[RepMap]  # summand -> module
-
-
-def _direct_sum(field: FieldSpec, quiver: Quiver, reps: Sequence[Rep]) -> Tuple[Rep, List[RepMap], List[RepMap]]:
-    nv = len(quiver.vertices)
-    dims = [0] * nv
-    offsets: List[Tuple[int, ...]] = []
-    for r in reps:
-        offsets.append(tuple(dims))
-        for i in range(nv):
-            dims[i] += r.dims[i]
-    mats = {}
-    for a in quiver.arrows:
-        u = quiver.vertex_index(a.source)
-        w = quiver.vertex_index(a.target)
-        rows: List[List[int]] = []
-        for k, r in enumerate(reps):
-            block = r.mats[a.name]
-            pre = offsets[k][w]
-            post = dims[w] - pre - r.dims[w]
-            for row in block.rows:
-                rows.append([0] * pre + row + [0] * post)
-        mats[a.name] = MatrixFp._trusted(field, rows, dims[w])
-    total = Rep(field, quiver, dims, mats)
-    injections = []
-    projections = []
-    for k, r in enumerate(reps):
-        inj_comps = []
-        proj_comps = []
-        for i in range(nv):
-            inj = MatrixFp.zeros(field, r.dims[i], dims[i])
-            proj = MatrixFp.zeros(field, dims[i], r.dims[i])
-            for j in range(r.dims[i]):
-                inj.rows[j][offsets[k][i] + j] = 1
-                proj.rows[offsets[k][i] + j][j] = 1
-            inj_comps.append(inj)
-            proj_comps.append(proj)
-        injections.append(RepMap(r, total, inj_comps, check=False))
-        projections.append(RepMap(total, r, proj_comps, check=False))
-    return total, injections, projections
 
 
 class HomExt:
@@ -335,47 +284,19 @@ class RepContext:
         self.enum_cap = enum_cap
         self._hom_cache: Dict[Tuple, List[RepMap]] = {}
         self._decomp_cache: Dict[Tuple, Decomposition] = {}
-        self._aut_cache: Dict[Tuple, int] = {}
         self._class_of_content: Dict[Tuple, int] = {}
         self._classes: List[Rep] = []  # class id -> canonical representative
         self._class_of_type: Dict[Tuple[int, ...], int] = {}  # summand ids -> id of a listed zero or decomposable class
-        self._projective_cache: Dict[str, Rep] = {}
 
     # -- elementary constructions ------------------------------------
 
     def zero_rep(self) -> Rep:
-        return Rep.zero(self.field, self.quiver)
+        return Rep(self.field, self.quiver, [0] * len(self.quiver.vertices), {})
 
     def simple(self, vertex: str) -> Rep:
-        return Rep.simple(self.field, self.quiver, vertex)
-
-    def direct_sum(self, reps: Sequence[Rep]) -> Tuple[Rep, List[RepMap], List[RepMap]]:
-        return _direct_sum(self.field, self.quiver, list(reps))
-
-    def projective(self, vertex: str) -> Rep:
-        """The projective cover of the simple at ``vertex``; basis given
-        by paths out of the vertex."""
-        if vertex in self._projective_cache:
-            return self._projective_cache[vertex]
-        q = self.quiver
-        paths = q.paths_from(vertex)
-        by_end: Dict[str, List[Tuple]] = {v: [] for v in q.vertices}
-        for pth in paths:
-            end = pth[-1].target if pth else vertex
-            by_end[end].append(pth)
-        dims = [len(by_end[v]) for v in q.vertices]
-        mats = {}
-        for a in q.arrows:
-            src_paths = by_end[a.source]
-            tgt_paths = by_end[a.target]
-            tgt_index = {pth: i for i, pth in enumerate(tgt_paths)}
-            m = MatrixFp.zeros(self.field, len(src_paths), len(tgt_paths))
-            for i, pth in enumerate(src_paths):
-                m.rows[i][tgt_index[pth + (a,)]] = 1
-            mats[a.name] = m
-        rep = Rep(self.field, q, dims, mats)
-        self._projective_cache[vertex] = rep
-        return rep
+        dims = [0] * len(self.quiver.vertices)
+        dims[self.quiver.vertex_index(vertex)] = 1
+        return Rep(self.field, self.quiver, dims, {})
 
     # -- hom spaces ---------------------------------------------------
 
@@ -518,16 +439,6 @@ class RepContext:
         proj = RepMap(y, cok, proj_comps, check=False)
         return cok, proj
 
-    def corestrict(self, f: RepMap, incl: RepMap) -> RepMap:
-        """Factor f: X -> Y through a subobject incl: S -> Y."""
-        comps = []
-        for fc, ic in zip(f.comps, incl.comps):
-            g = ic.solve_matrix(fc)
-            if g is None:
-                raise ValueError("map does not land in the subobject")
-            comps.append(g)
-        return RepMap(f.source, incl.source, comps, check=False)
-
     # -- isomorphism and decomposition -------------------------------
 
     def _iso_among_basis(self, x: Rep, y: Rep) -> Optional[RepMap]:
@@ -548,9 +459,6 @@ class RepContext:
         if not x.total_dim:
             return ()
         return tuple(sorted(self.class_id(s) for s in self.decompose(x).summands))
-
-    def is_isomorphic(self, x: Rep, y: Rep) -> bool:
-        return x.dims == y.dims and self.summand_ids(x) == self.summand_ids(y)
 
     def _fitting_split(self, x: Rep, e: RepMap) -> Optional[Tuple[Rep, RepMap, Rep, RepMap]]:
         """Split x along a non-nilpotent, non-invertible endomorphism into
@@ -633,23 +541,6 @@ class RepContext:
 
     # -- automorphism counting ---------------------------------------
 
-    def aut_order(self, x: Rep) -> int:
-        """|Aut(x)|, exact, as the unit count of the finite algebra
-        End(x) (:func:`perihall.gfp.unit_group_order`): by Krull-Schmidt
-        its semisimple quotient has one block GL_m over the residue field
-        of each summand class of multiplicity m. The tests cross-check it
-        against an enumeration of End(x)."""
-        ck = x.key()
-        hit = self._aut_cache.get(ck)
-        if hit is None:
-            blocks = [
-                (len(list(run)), self.residue_field_degree(self.class_rep(cid)))
-                for cid, run in itertools.groupby(self.summand_ids(x))
-            ]
-            hit = unit_group_order(self.field.p, self.hom_dim(x, x), blocks)
-            self._aut_cache[ck] = hit
-        return hit
-
     def residue_field_degree(self, indec: Rep) -> int:
         """dim over F_p of End(I)/rad for an indecomposable I."""
         basis = self.hom_basis(indec, indec)
@@ -719,7 +610,7 @@ class RepContext:
         and the Euler form is exactly hom minus ext. The literal count,
         Hom(P1(x), y) modulo coboundaries, is kept as a cross-check in
         :func:`perihall.checks.ext1_dim_literal`."""
-        return self.hom_dim(x, y) - self.euler_form(x, y)
+        return self.hom_dim(x, y) - self.quiver.euler_form(x.dims, y.dims)
 
     # -- enumeration --------------------------------------------------
 
@@ -739,6 +630,8 @@ class RepContext:
         bound = tuple(int(b) for b in bound)
         if len(bound) != len(q.vertices):
             raise ValueError("bound length mismatch")
+        if min(bound, default=0) < 0:
+            raise ValueError(f"bound entries must be nonnegative, got {bound}")
         dimvecs = sorted(
             itertools.product(*(range(b + 1) for b in bound)),
             key=lambda d: (sum(d), d),
@@ -783,8 +676,3 @@ class RepContext:
         sub = Rep(self.field, q, dims, mats)
         incl = RepMap(sub, l, list(row_bases), check=False)
         return sub, incl
-
-    # -- numerical forms ----------------------------------------------
-
-    def euler_form(self, x: Rep, y: Rep) -> int:
-        return self.quiver.euler_form(x.dims, y.dims)

@@ -61,7 +61,7 @@ class SemisimplePeriodic:
     """Category oracle with one simple object and period t."""
 
     def __init__(self, t: int, q: int):
-        if t < 3 or t % 2 == 0:
+        if not isinstance(t, int) or t < 3 or t % 2 == 0:
             raise ValueError("period must be odd and at least 3")
         if not _is_prime_power(q):
             raise ValueError(f"q must be a prime power, got {q}")

@@ -78,7 +78,7 @@ def test_realize_normalize_round_trip(a2):
 
 def test_shift_key_matches_complex_shift(a2):
     s1 = a2.ctx.simple("1")
-    p1 = a2.ctx.projective("1")
+    p1 = periodic.projective(a2.ctx, "1")
     for key in (a2.module_key(s1), a2.direct_sum_key(a2.module_key(p1), a2.module_key(s1, 1))):
         for n in range(1, 4):
             assert complex_key(a2, ChainModel(a2).realize(key).total.shift(n)) == a2.shift_key(key, n)
@@ -88,7 +88,7 @@ def test_shift_key_matches_complex_shift(a2):
 def test_hom_dim_three_ways(a2):
     s1 = a2.ctx.simple("1")
     s2 = a2.ctx.simple("2")
-    p1 = a2.ctx.projective("1")
+    p1 = periodic.projective(a2.ctx, "1")
     keys = [
         a2.module_key(s1),
         a2.module_key(s2, 1),
@@ -147,7 +147,7 @@ def test_rep_map_matches_the_blockwise_assembly(quiver, p, bound, first):
 
 def test_cone_of_zero_map_is_sum_with_shift(a2):
     s1 = a2.ctx.simple("1")
-    p1 = a2.ctx.projective("1")
+    p1 = periodic.projective(a2.ctx, "1")
     pairs = [
         (a2.module_key(s1), a2.module_key(p1)),
         (a2.module_key(s1, 2), a2.module_key(s1)),
@@ -175,7 +175,7 @@ def test_fiber_counts_on_the_point_quiver(a1):
 def test_fiber_counts_detect_extensions(a2):
     s1 = a2.module_key(a2.ctx.simple("1"))
     s2 = a2.module_key(a2.ctx.simple("2"))
-    p1 = a2.module_key(a2.ctx.projective("1"))
+    p1 = a2.module_key(periodic.projective(a2.ctx, "1"))
     # maps S1[-1] -> S2 build the extensions of S1 by S2
     counts = a2.fiber_counts(a2.shift_key(s1, -1), s2)
     assert counts == {a2.direct_sum_key(s1, s2): 1, p1: 1}
@@ -190,7 +190,7 @@ def test_fiber_counts_total_mass(a2):
     counts = a2.fiber_counts(s1, s2s)
     assert sum(counts.values()) == a2.q ** a2.hom_dim(s1, s2s)
     # one nonzero class, and its cone is the shifted projective cover
-    p1 = a2.module_key(a2.ctx.projective("1"))
+    p1 = a2.module_key(periodic.projective(a2.ctx, "1"))
     assert counts[a2.shift_key(p1, 1)] == 1
 
 
@@ -282,24 +282,58 @@ def test_multiply_never_enters_the_chain_model(n, p, first, monkeypatch):
     assert nonzero >= len(keys) ** 2
 
 
-def test_the_op_path_builds_no_direct_sum(monkeypatch):
-    # a decomposition is its summands and their inclusions: enumerating
-    # objects, multiplying them and typing modules never assemble a sum
-    def refuse(*args, **kw):
-        raise AssertionError("the op path built a direct sum")
+_COLD_OPS = """
+import sys
+from perihall.category import PeriodicContext
+from perihall.gfp import FieldSpec
+from perihall.hall import HallEngine
+from perihall.quiver import line_quiver
+from perihall.reps import RepContext
 
-    monkeypatch.setattr(RepContext, "direct_sum", refuse)
-    for n, bound, first in ((2, (2, 2), 40), (3, (1, 1, 1), 25)):
-        pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(2)))
-        engine = HallEngine(pctx)
-        keys = pctx.enumerate_objects(bound)[:first]
-        assert len(keys) == first
-        nonzero = sum(len(engine.multiply(x, y).support) for x in keys for y in keys)
-        assert nonzero >= len(keys) ** 2
-    # the Kronecker modules of dimension at most (1, 1) at p=3: zero, S1,
-    # S2, S1 + S2 and one indecomposable per point of P^1(F_3)
-    ctx = RepContext(KRONECKER, FieldSpec(3))
-    assert len({ctx.summand_ids(r) for r in ctx.enumerate_reps((1, 1))}) == 8
+for n, bound, first in ((2, (2, 2), 40), (3, (1, 1, 1), 25)):
+    pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(2)))
+    engine = HallEngine(pctx)
+    keys = pctx.enumerate_objects(bound)[:first]
+    assert len(keys) == first
+    nonzero = sum(len(engine.multiply(x, y).support) for x in keys for y in keys)
+    assert nonzero >= len(keys) ** 2
+    assert all(pctx.aut_order(k) >= 1 for k in keys)
+    assert all(engine.pbw_expand(k).evaluate(engine) == engine.vector(k) for k in keys)
+print(sorted(m for m in ("perihall.periodic", "perihall.checks") if m in sys.modules))
+"""
+
+
+def test_the_op_path_loads_no_reference_module():
+    # cold products, aut orders and PBW round trips in a fresh process:
+    # nothing on the op path imports the chain model or the harnesses,
+    # so no helper that moved there can be reached from it
+    src = Path(category.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", _COLD_OPS], cwd=src, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_the_names_kept_for_the_benchmark_are_off_the_op_path(monkeypatch):
+    # the engine-module names kept only because the benchmark traces or
+    # calls them raise, and a cold A2 scope still multiplies, counts
+    # automorphisms and round-trips every PBW expansion
+    def refuse(*args, **kw):
+        raise AssertionError("the op path called a name kept for the benchmark")
+
+    for cls, name in (
+        (RepContext, "cokernel"),
+        (RepContext, "ext1_dim"),
+        (RepContext, "class_count"),
+        (PeriodicContext, "hom_space"),
+    ):
+        monkeypatch.setattr(cls, name, refuse)
+    pctx = PeriodicContext(RepContext(line_quiver(2), FieldSpec(2)))
+    engine = HallEngine(pctx)
+    keys = pctx.enumerate_objects((2, 2))[:40]
+    assert len(keys) == 40
+    nonzero = sum(len(engine.multiply(x, y).support) for x in keys for y in keys)
+    assert nonzero >= len(keys) ** 2
+    assert all(pctx.aut_order(k) >= 1 for k in keys)
+    assert all(engine.pbw_expand(k).evaluate(engine) == engine.vector(k) for k in keys)
 
 
 def test_the_engine_modules_do_not_load_the_chain_model():
@@ -332,7 +366,7 @@ def _signs_match(entries):
     if not columns:
         return True
     system = MatrixFp(FieldSpec(2), [[col.get(u, 0) % 2 for col in columns] for u in range(len(index))], ncols=len(columns))
-    return system.solve(rhs) is not None
+    return system.solve_matrix(MatrixFp(FieldSpec(2), [rhs], ncols=system.ncols)) is not None
 
 
 def nonzero_entries(tensor):
@@ -597,7 +631,7 @@ def test_aut_order_odd_prime():
 
 def test_components_and_dvec(a2):
     s1 = a2.module_key(a2.ctx.simple("1"))
-    p1 = a2.module_key(a2.ctx.projective("1"))
+    p1 = a2.module_key(periodic.projective(a2.ctx, "1"))
     key = a2.direct_sum_key(s1, a2.shift_key(p1, 2))
     comps = a2.components(key)
     assert comps[0] == s1

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from perihall.checks import matrix_inverse
 from perihall.gfp import FieldSpec, MatrixFp, Subspace, gl_order, unit_group_order
 
 F2 = FieldSpec(2)
@@ -20,6 +21,12 @@ def mats(p, max_rows=4, max_cols=4):
         st.integers(1, max_cols),
         st.lists(st.integers(0, p - 1), min_size=max_rows * max_cols, max_size=max_rows * max_cols),
     ).map(build)
+
+
+def solve_row(m, b):
+    """One v with v @ m == b, or None, through ``solve_matrix``."""
+    sol = m.solve_matrix(MatrixFp(m.field, [list(b)], ncols=m.ncols))
+    return None if sol is None else sol.rows[0]
 
 
 def test_field_validation():
@@ -73,7 +80,7 @@ def test_solve_against_brute_force():
     field = F5
     m = MatrixFp(field, [[1, 2, 0], [0, 1, 1], [1, 3, 1]])
     for b in itertools.product(range(5), repeat=3):
-        got = m.solve(list(b))
+        got = solve_row(m, b)
         brute = None
         for v in itertools.product(range(5), repeat=3):
             vm = MatrixFp(field, [list(v)]).mul(m).rows[0]
@@ -91,14 +98,14 @@ def test_solve_against_brute_force():
 def test_solve_consistency(m):
     # anything in the row space must be solvable, anything solved must check out
     for row in m.rows:
-        got = m.solve(row)
+        got = solve_row(m, row)
         assert got is not None
         assert MatrixFp(m.field, [got]).mul(m).rows[0] == [x % 2 for x in row]
 
 
 def test_inverse_round_trip():
     m = MatrixFp(F3, [[1, 2, 0], [0, 1, 0], [1, 0, 1]])
-    inv = m.inverse()
+    inv = matrix_inverse(m)
     assert m.mul(inv) == MatrixFp.identity(F3, 3)
     assert inv.mul(m) == MatrixFp.identity(F3, 3)
 
@@ -107,17 +114,7 @@ def test_singular_detection():
     m = MatrixFp(F3, [[1, 2], [2, 1]])  # det = 1 - 4 = 0 mod 3
     assert not m.is_invertible()
     with pytest.raises(ValueError):
-        m.inverse()
-
-
-def test_block_and_stack():
-    a = MatrixFp.identity(F2, 2)
-    b = MatrixFp.zeros(F2, 2, 1)
-    c = MatrixFp.zeros(F2, 1, 2)
-    d = MatrixFp.identity(F2, 1)
-    m = MatrixFp.block(F2, [[a, b], [c, d]])
-    assert m == MatrixFp.identity(F2, 3)
-    assert MatrixFp(F2, [row[:2] for row in m.rows[:2]]) == a
+        matrix_inverse(m)
 
 
 def test_empty_shapes():
@@ -132,21 +129,18 @@ def test_empty_shapes():
 def test_subspace_quotient_coords():
     s = Subspace(F2, 3, [[1, 0, 1]])
     assert s.dim == 1 and s.codim == 2
-    assert s.contains([1, 0, 1])
-    assert not s.contains([1, 1, 1])
     # quotient coordinates are at the free columns, here 1 and 2
     assert s.free_columns == (1, 2)
     assert s.quotient_coords([1, 0, 1]) == (0, 0)
     assert s.quotient_coords([1, 1, 0]) == (1, 1)
-    lifted = s.lift_quotient_coords((1, 1))
-    assert s.quotient_coords(lifted) == (1, 1)
+    assert s.quotient_coords([1, 1, 1]) == (1, 0)
 
 
 @given(mats(3, max_rows=3, max_cols=4))
 def test_row_space_membership(m):
     s = Subspace(m.field, m.ncols, m.rows)
     for row in m.rows:
-        assert s.contains(row)
+        assert not any(s.reduce(row))
     assert s.dim == m.rank()
 
 
@@ -155,7 +149,7 @@ def test_results_never_share_rows_with_operands():
     b = MatrixFp(F3, [[1, 1, 2], [0, 2, 1]])
     c = MatrixFp(F3, [[1, 0], [2, 1], [1, 1]])
     before = [m.copy_rows() for m in (a, b, c)]
-    results = [a.vstack(b), a.hstack(b), a.rref()[0], a.transpose(), a.mul(c), MatrixFp.block(F3, [[a], [b]])]
+    results = [a.vstack(b), a.rref()[0], a.mul(c), a.add(b), a.scale(2)]
     for r in results:
         for row in r.rows:
             for j in range(len(row)):
@@ -180,17 +174,14 @@ def operands(draw):
 def test_arithmetic_results_stay_reduced(ops):
     a, b, c, s = ops
     p = a.field.p
-    # b a^T is one solution X of X a == b a^T a
-    sol = a.solve_matrix(b.mul(a.transpose()).mul(a))
+    # every row of a scaled copy of a lies in the row space of a
+    sol = a.solve_matrix(a.scale(s))
     assert sol is not None
     results = [
         a.add(b),
-        a.sub(b),
-        a.neg(),
         a.scale(s),
+        a.scale(-1),
         a.mul(c),
-        a.transpose(),
-        a.hstack(b),
         a.vstack(b),
         a.rref()[0],
         *a.rref_with_transform()[::2],

@@ -14,6 +14,7 @@ from perihall.checks import (
 )
 from perihall.gfp import FieldSpec, gl_order
 from perihall.hall import HallEngine, HallVector, PBWExpression
+from perihall.periodic import projective
 from perihall.quiver import line_quiver
 from perihall.reps import RepContext
 from perihall.semisimple import SemisimplePeriodic, rank_count
@@ -135,7 +136,7 @@ def test_simple_products_on_the_arrow_quiver():
     pctx = eng.oracle
     s1 = pctx.module_key(pctx.ctx.simple("1"))
     s2 = pctx.module_key(pctx.ctx.simple("2"))
-    p1 = pctx.module_key(pctx.ctx.projective("1"))
+    p1 = pctx.module_key(projective(pctx.ctx, "1"))
     both = pctx.direct_sum_key(s1, s2)
     # no extensions of S2 by S1, one twisting factor sqrt(q)
     assert eng.multiply(s1, s2).items() == [(both, val(eng, 0, 1))]
@@ -153,7 +154,7 @@ def test_module_triples_match_classical_counts():
             for lk, lr in reps.items():
                 f = eng.hall_number(xk, yk, lk)
                 g = classical_hall_g(ctx, xr, yr, lr)
-                twist = HallValue.sqrt_q_power(-ctx.euler_form(xr, yr), eng.q)
+                twist = HallValue.sqrt_q_power(-ctx.quiver.euler_form(xr.dims, yr.dims), eng.q)
                 assert f == twist * HallValue.of(g, eng.q), (xk, yk, lk)
 
 
@@ -198,7 +199,7 @@ def test_pbw_round_trip_mixed_arrow_objects():
     pctx = eng.oracle
     s1 = pctx.module_key(pctx.ctx.simple("1"))
     s2 = pctx.module_key(pctx.ctx.simple("2"))
-    p1 = pctx.module_key(pctx.ctx.projective("1"))
+    p1 = pctx.module_key(projective(pctx.ctx, "1"))
     keys = [
         pctx.direct_sum_key(s1, pctx.shift_key(s2, 1)),
         pctx.direct_sum_key(p1, pctx.shift_key(s1, 2)),
@@ -276,6 +277,30 @@ def test_engine_rejects_even_period():
         HallEngine(Stub())
     with pytest.raises(ValueError):
         SemisimplePeriodic(4, 2)
+
+
+def _engine_over_period(t):
+    pctx = PeriodicContext(RepContext(line_quiver(2), FieldSpec(2)))
+    pctx.t = t
+    return HallEngine(pctx)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda t: PeriodicContext(RepContext(line_quiver(2), FieldSpec(2)), t),
+        _engine_over_period,
+        lambda t: SemisimplePeriodic(t, 2),
+    ],
+    ids=["context", "engine", "semisimple"],
+)
+def test_the_period_guards_refuse_a_period_that_is_not_an_int(build):
+    # an odd float passes the parity test, and enumeration then fails
+    # far from the cause; every guard refuses it with its usual message
+    for t in (5.0, 3.0):
+        with pytest.raises(ValueError, match="odd"):
+            build(t)
+    assert build(5).t == 5
 
 
 @pytest.mark.parametrize("q", [0, 1, 6, 12])

@@ -1,5 +1,6 @@
 import pytest
 
+from perihall.periodic import paths_from
 from perihall.quiver import Arrow, Quiver, line_quiver
 
 
@@ -23,11 +24,11 @@ def test_duplicate_names_rejected():
 
 def test_paths_from():
     q = line_quiver(3)
-    paths = q.paths_from("1")
+    paths = paths_from(q, "1")
     assert len(paths) == 3  # e, a1, a1 a2
     assert paths[0] == ()
     assert [a.name for a in paths[2]] == ["a1", "a2"]
-    assert q.paths_from("3") == [()]
+    assert paths_from(q, "3") == [()]
 
 
 def test_euler_form():

@@ -3,10 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from perihall.checks import classical_hall_g, ext1_dim_literal, iso_between
+from perihall.checks import classical_hall_g, ext1_dim_literal, iso_between, matrix_inverse, module_aut_order
 from perihall.gfp import FieldSpec, MatrixFp
 from perihall.quiver import Arrow, Quiver, line_quiver
-from perihall.periodic import proj_resolution
+from perihall.periodic import corestrict, direct_sum, proj_resolution, projective
 from perihall.reps import BudgetExceeded, Rep, RepContext, RepMap
 
 A1 = line_quiver(1)
@@ -32,7 +32,7 @@ def s2(ctx):
 
 
 def p1(ctx):
-    return ctx.projective("1")
+    return projective(ctx, "1")
 
 
 # -- hom spaces ------------------------------------------------------
@@ -58,8 +58,8 @@ def test_hom_dims_a2():
 
 def test_hom_basis_members_are_morphisms():
     ctx = ctx_a2(3)
-    x, _, _ = ctx.direct_sum([p1(ctx), s1(ctx)])
-    y, _, _ = ctx.direct_sum([p1(ctx), s2(ctx)])
+    x, _, _ = direct_sum(ctx, [p1(ctx), s1(ctx)])
+    y, _, _ = direct_sum(ctx, [p1(ctx), s2(ctx)])
     for h in ctx.hom_basis(x, y):
         # revalidate the intertwiner condition with checking on
         RepMap(x, y, h.comps, check=True)
@@ -73,7 +73,7 @@ def test_euler_form_matches_hom_minus_ext():
         for y in classes[:8]:
             literal = ext1_dim_literal(ctx, x, y)
             assert ctx.ext1_dim(x, y) == literal
-            assert ctx.hom_dim(x, y) - literal == ctx.euler_form(x, y)
+            assert ctx.hom_dim(x, y) - literal == ctx.quiver.euler_form(x.dims, y.dims)
 
 
 # -- kernels, images, cokernels --------------------------------------
@@ -91,13 +91,13 @@ def _some_homs(ctx, x, y, limit=12):
 
 def test_factorize_exactness():
     ctx = ctx_a2()
-    pool = [s1(ctx), s2(ctx), p1(ctx), ctx.direct_sum([p1(ctx), s1(ctx)])[0], ctx.direct_sum([s1(ctx), s2(ctx)])[0]]
+    pool = [s1(ctx), s2(ctx), p1(ctx), direct_sum(ctx, [p1(ctx), s1(ctx)])[0], direct_sum(ctx, [s1(ctx), s2(ctx)])[0]]
     for x in pool:
         for y in pool:
             for f in _some_homs(ctx, x, y, limit=8):
                 ker, kincl = ctx.kernel(f)
                 im, iincl = ctx.image(f)
-                iproj = ctx.corestrict(f, iincl)
+                iproj = corestrict(f, iincl)
                 cok, cproj = ctx.cokernel(f)
                 assert kincl.then(f).is_zero()
                 assert iincl.then(cproj).is_zero()
@@ -115,8 +115,8 @@ def test_kernel_of_projective_cover_is_socle():
     assert res.p0.dims == (1, 1)
     assert res.p1.dims == (0, 1)
     # P0 = P(1) and P1 = P(2): one projective summand each
-    assert ctx.is_isomorphic(res.p0, ctx.projective("1"))
-    assert ctx.is_isomorphic(res.p1, ctx.projective("2"))
+    assert ctx.summand_ids(res.p0) == ctx.summand_ids(projective(ctx, "1"))
+    assert ctx.summand_ids(res.p1) == ctx.summand_ids(projective(ctx, "2"))
     assert res.d.then(res.eps).is_zero()
 
 
@@ -139,7 +139,7 @@ def test_resolution_a3():
 
 def test_decompose_simple_sum():
     ctx = ctx_a2()
-    x, _, _ = ctx.direct_sum([p1(ctx), s1(ctx), s2(ctx)])
+    x, _, _ = direct_sum(ctx, [p1(ctx), s1(ctx), s2(ctx)])
     dec = ctx.decompose(x)
     assert sorted(s.dims for s in dec.summands) == [(0, 1), (1, 0), (1, 1)]
     for s, incl in zip(dec.summands, dec.inclusions):
@@ -157,7 +157,7 @@ def test_decompose_refuses_a_split_that_is_not_a_direct_sum(monkeypatch):
     # of S + S overlap, so the per-vertex check must raise
     monkeypatch.setattr(RepContext, "kernel", RepContext.image)
     ctx = ctx_a1()
-    x, _, _ = ctx.direct_sum([s1(ctx), s1(ctx)])
+    x, _, _ = direct_sum(ctx, [s1(ctx), s1(ctx)])
     with pytest.raises(AssertionError):
         ctx.decompose(x)
 
@@ -165,7 +165,7 @@ def test_decompose_refuses_a_split_that_is_not_a_direct_sum(monkeypatch):
 def test_decompose_square_of_simple():
     ctx = ctx_a1(3)
     s = s1(ctx)
-    x, _, _ = ctx.direct_sum([s, s])
+    x, _, _ = direct_sum(ctx, [s, s])
     dec = ctx.decompose(x)
     assert len(dec.summands) == 2
     assert all(ss.dims == (1,) for ss in dec.summands)
@@ -175,15 +175,15 @@ def test_indecomposables_a2():
     ctx = ctx_a2()
     assert ctx.is_indecomposable(s1(ctx))
     assert ctx.is_indecomposable(p1(ctx))
-    assert not ctx.is_indecomposable(ctx.direct_sum([s1(ctx), s2(ctx)])[0])
+    assert not ctx.is_indecomposable(direct_sum(ctx, [s1(ctx), s2(ctx)])[0])
 
 
 def test_nontrivial_iso_detected():
     ctx = ctx_a2(3)
     # the representation (k -2-> k) is isomorphic to P1 but not equal to it
     twisted = Rep(ctx.field, A2, (1, 1), {"a1": MatrixFp(ctx.field, [[2]])})
-    assert ctx.is_isomorphic(twisted, p1(ctx))
-    assert not ctx.is_isomorphic(twisted, ctx.direct_sum([s1(ctx), s2(ctx)])[0])
+    assert ctx.summand_ids(twisted) == ctx.summand_ids(p1(ctx))
+    assert ctx.summand_ids(twisted) != ctx.summand_ids(direct_sum(ctx, [s1(ctx), s2(ctx)])[0])
     w = iso_between(ctx, twisted, p1(ctx))
     assert w is not None and w.is_iso()
     RepMap(twisted, p1(ctx), w.comps, check=True)
@@ -191,8 +191,8 @@ def test_nontrivial_iso_detected():
 
 def test_iso_distinguishes_extension_from_sum():
     ctx = ctx_a2()
-    split = ctx.direct_sum([s1(ctx), s2(ctx)])[0]
-    assert not ctx.is_isomorphic(split, p1(ctx))
+    split = direct_sum(ctx, [s1(ctx), s2(ctx)])[0]
+    assert ctx.summand_ids(split) != ctx.summand_ids(p1(ctx))
 
 
 def _base_changed(ctx, x):
@@ -206,7 +206,7 @@ def _base_changed(ctx, x):
         g.append(MatrixFp(ctx.field, rows, ncols=d))
     q = x.quiver
     mats = {
-        a.name: g[q.vertex_index(a.source)].inverse().mul(x.mats[a.name]).mul(g[q.vertex_index(a.target)])
+        a.name: matrix_inverse(g[q.vertex_index(a.source)]).mul(x.mats[a.name]).mul(g[q.vertex_index(a.target)])
         for a in q.arrows
     }
     moved = Rep(ctx.field, q, x.dims, mats)
@@ -232,7 +232,7 @@ def test_is_isomorphic_agrees_with_the_witness_recipe(quiver, p, bound, classes)
     for i, x in enumerate(reps + moved):
         for j, y in enumerate(reps):
             w = iso_between(ctx, x, y)
-            assert ctx.is_isomorphic(x, y) == (w is not None) == (i % len(reps) == j), (x, y)
+            assert (ctx.summand_ids(x) == ctx.summand_ids(y)) == (w is not None) == (i % len(reps) == j), (x, y)
             if w is not None:
                 assert w.is_iso()
                 RepMap(x, y, w.comps, check=True)
@@ -240,7 +240,7 @@ def test_is_isomorphic_agrees_with_the_witness_recipe(quiver, p, bound, classes)
 
 def test_class_id_takes_indecomposables_only():
     ctx = ctx_a2()
-    split = ctx.direct_sum([s1(ctx), s2(ctx)])[0]
+    split = direct_sum(ctx, [s1(ctx), s2(ctx)])[0]
     for x in (ctx.zero_rep(), split):
         with pytest.raises(ValueError):
             ctx.class_id(x)
@@ -271,29 +271,29 @@ def test_class_registry_stable():
 def test_aut_orders_small():
     ctx = ctx_a1(2)
     s = s1(ctx)
-    assert ctx.aut_order(s) == 1
-    ss = ctx.direct_sum([s, s])[0]
-    assert ctx.aut_order(ss) == 6  # |GL_2(F_2)|
+    assert module_aut_order(ctx, s) == 1
+    ss = direct_sum(ctx, [s, s])[0]
+    assert module_aut_order(ctx, ss) == 6  # |GL_2(F_2)|
     ctx3 = ctx_a1(3)
     s3 = s1(ctx3)
-    assert ctx3.aut_order(s3) == 2
-    assert ctx3.aut_order(ctx3.direct_sum([s3, s3])[0]) == 48  # |GL_2(F_3)|
+    assert module_aut_order(ctx3, s3) == 2
+    assert module_aut_order(ctx3, direct_sum(ctx3, [s3, s3])[0]) == 48  # |GL_2(F_3)|
 
 
 def test_aut_orders_a2():
     ctx = ctx_a2()
-    assert ctx.aut_order(p1(ctx)) == 1
-    assert ctx.aut_order(ctx.direct_sum([s1(ctx), s2(ctx)])[0]) == 1
-    assert ctx.aut_order(ctx.direct_sum([p1(ctx), s1(ctx)])[0]) == 2
+    assert module_aut_order(ctx, p1(ctx)) == 1
+    assert module_aut_order(ctx, direct_sum(ctx, [s1(ctx), s2(ctx)])[0]) == 1
+    assert module_aut_order(ctx, direct_sum(ctx, [p1(ctx), s1(ctx)])[0]) == 2
 
 
 def test_aut_formula_agrees_with_enumeration():
     cases = [
-        (ctx_a1(2), lambda c: c.direct_sum([s1(c), s1(c)])[0]),
-        (ctx_a1(3), lambda c: c.direct_sum([s1(c), s1(c)])[0]),
-        (ctx_a2(2), lambda c: c.direct_sum([p1(c), s1(c)])[0]),
-        (ctx_a2(2), lambda c: c.direct_sum([p1(c), s1(c), s2(c)])[0]),
-        (ctx_a2(3), lambda c: c.direct_sum([s1(c), s1(c), s2(c)])[0]),
+        (ctx_a1(2), lambda c: direct_sum(c, [s1(c), s1(c)])[0]),
+        (ctx_a1(3), lambda c: direct_sum(c, [s1(c), s1(c)])[0]),
+        (ctx_a2(2), lambda c: direct_sum(c, [p1(c), s1(c)])[0]),
+        (ctx_a2(2), lambda c: direct_sum(c, [p1(c), s1(c), s2(c)])[0]),
+        (ctx_a2(3), lambda c: direct_sum(c, [s1(c), s1(c), s2(c)])[0]),
     ]
     for ctx, build in cases:
         x = build(ctx)
@@ -303,12 +303,12 @@ def test_aut_formula_agrees_with_enumeration():
             ctx.map_from_coeffs(basis, coeffs).is_iso()
             for coeffs in itertools.product(range(p), repeat=len(basis))
         )
-        assert ctx.aut_order(x) == units
+        assert module_aut_order(ctx, x) == units
 
 
 def test_aut_order_of_zero():
     ctx = ctx_a2()
-    assert ctx.aut_order(ctx.zero_rep()) == 1
+    assert module_aut_order(ctx, ctx.zero_rep()) == 1
 
 
 def test_budget_errors_name_their_module():
@@ -351,7 +351,7 @@ def test_ext1_matches_euler_form_on_a3():
         for y in reps:
             literal = ext1_dim_literal(ctx, x, y)
             assert ctx.ext1_dim(x, y) == literal, (x.dims, y.dims)
-            assert ctx.hom_dim(x, y) - literal == ctx.euler_form(x, y), (x.dims, y.dims)
+            assert ctx.hom_dim(x, y) - literal == ctx.quiver.euler_form(x.dims, y.dims), (x.dims, y.dims)
 
 
 # -- enumeration -----------------------------------------------------
@@ -379,6 +379,23 @@ def test_enumerate_reps_a2_two_box():
     assert totals == sorted(totals)
 
 
+def test_kronecker_types_up_to_dimension_one_one():
+    # the Kronecker modules of dimension at most (1, 1) at p=3: zero, S1,
+    # S2, S1 + S2 and one indecomposable per point of P^1(F_3)
+    ctx = RepContext(KRONECKER, FieldSpec(3))
+    assert len({ctx.summand_ids(r) for r in ctx.enumerate_reps((1, 1))}) == 8
+
+
+@pytest.mark.parametrize("bound", [(-1, 1), (1, -1), (1,), (1, 1, 1)])
+def test_enumerate_reps_refuses_a_bad_bound(bound):
+    # a negative entry is refused as a bound of the wrong length is,
+    # rather than listing nothing, not even the zero module
+    ctx = ctx_a2()
+    with pytest.raises(ValueError, match="bound"):
+        ctx.enumerate_reps(bound)
+    assert [r.dims for r in ctx.enumerate_reps((0, 0))] == [(0, 0)]
+
+
 def test_enumerate_deterministic():
     c1 = ctx_a2().enumerate_reps((1, 1))
     c2 = ctx_a2().enumerate_reps((1, 1))
@@ -392,9 +409,9 @@ def test_classical_g_gaussian_binomial():
     for p in (2, 3):
         ctx = ctx_a1(p)
         s = s1(ctx)
-        ss = ctx.direct_sum([s, s])[0]
+        ss = direct_sum(ctx, [s, s])[0]
         assert classical_hall_g(ctx, s, s, ss) == p + 1  # lines in the plane
-        sss = ctx.direct_sum([s, s, s])[0]
+        sss = direct_sum(ctx, [s, s, s])[0]
         assert classical_hall_g(ctx, s, ss, sss) == p * p + p + 1
 
 
@@ -402,7 +419,7 @@ def test_classical_g_a2_pinned():
     ctx = ctx_a2()
     assert classical_hall_g(ctx, s2(ctx), s1(ctx), p1(ctx)) == 1
     assert classical_hall_g(ctx, s1(ctx), s2(ctx), p1(ctx)) == 0
-    split = ctx.direct_sum([s1(ctx), s2(ctx)])[0]
+    split = direct_sum(ctx, [s1(ctx), s2(ctx)])[0]
     assert classical_hall_g(ctx, s1(ctx), s2(ctx), split) == 1
     assert classical_hall_g(ctx, s2(ctx), s1(ctx), split) == 1
 
@@ -418,7 +435,7 @@ def test_classical_g_dim_mismatch():
 @given(st.integers(0, 2), st.integers(0, 2))
 def test_direct_sum_dims(m, n):
     ctx = ctx_a2()
-    total, injs, projs = ctx.direct_sum([s1(ctx)] * m + [p1(ctx)] * n)
+    total, injs, projs = direct_sum(ctx, [s1(ctx)] * m + [p1(ctx)] * n)
     assert total.dims == (m + n, n)
     for inj, proj in zip(injs, projs):
         assert inj.then(proj).is_iso()  # inj then proj is the identity on the piece

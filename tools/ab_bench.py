@@ -19,8 +19,18 @@ end-to-end metric the median and quartiles per side, the relative
 change of the median, the parent's interquartile range, the pairs won
 and lost by the change, and the raw runs. ``clear_gain`` says whether
 the change won at least nine in ten pairs and moved the median by more
-than the parent's interquartile range. Which way is better is read from
-the change's ``BENCHMARK.json``.
+than the parent's interquartile range. Which way is better, and each
+end-to-end metric's ``bound``, are read from the change's
+``BENCHMARK.json``.
+
+Each end-to-end metric also gets a ``verdict``, checked in this order:
+
+- ``regressed``: the change's median is worse than the parent's by more
+  than the metric's bound, as a fraction of the parent's median;
+- ``unresolved``: the parent's interquartile range exceeds the bound as
+  a fraction of its median, and not every change run beats every parent
+  run, so the runs spread too widely to tell;
+- ``held``: otherwise.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 COMMAND = "python3 perfbench/run.py --workload {workload} --seed {seed} --seconds {seconds} --trace 0"
 
@@ -49,8 +59,24 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def summarize(parent: Sequence[float], change: Sequence[float], lower_is_better: bool) -> dict:
-    """Median and quartiles per side, and the pairs the change won."""
+def verdict(parent: Sequence[float], change: Sequence[float], lower_is_better: bool, bound: float) -> str:
+    """``regressed``, ``unresolved`` or ``held`` (module docstring) for
+    one metric with the given relative bound."""
+    sign = 1 if lower_is_better else -1
+    q1, med, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    worse = sign * (statistics.median(change) - med)
+    if worse > bound * abs(med):
+        return "regressed"
+    every_run_better = all(sign * (a - b) > 0 for a in parent for b in change)
+    if q3 - q1 > bound * abs(med) and not every_run_better:
+        return "unresolved"
+    return "held"
+
+
+def summarize(parent: Sequence[float], change: Sequence[float], lower_is_better: bool,
+              bound: Optional[float] = None) -> dict:
+    """Median and quartiles per side, the pairs the change won, and the
+    verdict when the metric has a bound."""
 
     def stats(runs: Sequence[float]) -> dict:
         q1, med, q3 = statistics.quantiles(runs, n=4, method="inclusive")
@@ -69,13 +95,14 @@ def summarize(parent: Sequence[float], change: Sequence[float], lower_is_better:
         "pairs_won": won,
         "pairs_lost": lost,
         "clear_gain": 10 * won >= 9 * len(parent) and sign * (p["median"] - c["median"]) > iqr,
+        "verdict": None if bound is None else verdict(parent, change, lower_is_better, bound),
         "parent_runs": list(parent),
         "change_runs": list(change),
     }
 
 
 def bench_workload(parent_dir: Path, change_dir: Path, workload: str, seeds: Sequence[int], seconds: float,
-                   better: Dict[str, str]) -> dict:
+                   better: Dict[str, str], bounds: Dict[str, float]) -> dict:
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
     first = []
     for i, seed in enumerate(seeds):
@@ -92,7 +119,8 @@ def bench_workload(parent_dir: Path, change_dir: Path, workload: str, seeds: Seq
     for name, entry in runs["change"][0]["metrics"].items():
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
         metrics[name] = {"unit": entry["unit"],
-                         **summarize(values["parent"], values["change"], better.get(name, "lower") == "lower")}
+                         **summarize(values["parent"], values["change"], better.get(name, "lower") == "lower",
+                                     bounds.get(name))}
     return {
         "seeds": list(seeds),
         "first_in_pair": first,
@@ -119,6 +147,7 @@ def main(argv: Sequence[str]) -> int:
     parent_dir, change_dir = args.parent_dir.resolve(), args.change_dir.resolve()
     spec = json.loads((change_dir / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seeds = list(range(args.seed, args.seed + args.pairs))
     t0 = time.perf_counter()
@@ -131,13 +160,17 @@ def main(argv: Sequence[str]) -> int:
             "quartiles": "statistics.quantiles(runs, n=4, method='inclusive')",
             "pairs_won": "pairs where the change's value is better, by the metric's direction in BENCHMARK.json",
             "clear_gain": "pairs_won >= 9/10 of the pairs and the median moved the better way by more than parent_iqr",
+            "verdict": "regressed: the change's median is worse than the parent's by more than the bound times the"
+                       " parent's median; unresolved: parent_iqr exceeds the bound times the parent's median and"
+                       " not every change run beats every parent run; held: otherwise",
             "machine": f"{os.cpu_count()}-core {platform.system()} {platform.machine()}, "
                        f"Python {platform.python_version()}",
         },
         "workloads": {},
     }
     for workload in workloads:
-        out["workloads"][workload] = bench_workload(parent_dir, change_dir, workload, seeds, args.seconds, better)
+        out["workloads"][workload] = bench_workload(parent_dir, change_dir, workload, seeds, args.seconds, better,
+                                                    bounds)
     out["protocol"]["wall_s"] = round(time.perf_counter() - t0, 1)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     for workload, res in out["workloads"].items():
@@ -145,7 +178,8 @@ def main(argv: Sequence[str]) -> int:
             rel = "" if m["median_change"] is None else f" ({m['median_change']:+.1%})"
             print(f"{workload:14s} {name:12s} {m['parent']['median']:.4g} -> {m['change']['median']:.4g}"
                   f"{rel}, won {m['pairs_won']}/{args.pairs}"
-                  f"{', clear gain' if m['clear_gain'] else ''}")
+                  f"{', clear gain' if m['clear_gain'] else ''}"
+                  f"{'' if m['verdict'] is None else ', ' + m['verdict']}")
     print(f"-> {args.out}")
     return 0
 
