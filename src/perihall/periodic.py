@@ -40,7 +40,6 @@ quotient coordinates (:func:`lift_quotient_coords`).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -102,23 +101,15 @@ def paths_from(quiver: Quiver, v: str) -> List[Path]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _path_layout(quiver: Quiver, v: str) -> Tuple[List[Path], Dict[str, List[Path]]]:
-    """The paths out of v in :func:`paths_from` order, and the same paths
-    grouped by end vertex: the basis of the projective at v, vertex by
-    vertex. Cached per quiver and vertex; callers must not mutate it."""
-    paths = paths_from(quiver, v)
-    by_end: Dict[str, List[Path]] = {w: [] for w in quiver.vertices}
-    for pth in paths:
-        by_end[pth[-1].target if pth else v].append(pth)
-    return paths, by_end
-
-
-def projective(ctx: RepContext, vertex: str) -> Rep:
-    """The projective cover of the simple at ``vertex``; basis given
-    by paths out of the vertex."""
+def _projective_basis(ctx: RepContext, vertex: str) -> Tuple[Rep, List[Path], Dict[str, List[Path]]]:
+    """The projective cover of the simple at ``vertex`` with its basis:
+    the paths out of the vertex in :func:`paths_from` order, and the same
+    paths grouped by end vertex, one basis of each vertex space."""
     q = ctx.quiver
-    _, by_end = _path_layout(q, vertex)
+    paths = paths_from(q, vertex)
+    by_end: Dict[str, List[Path]] = {w: [] for w in q.vertices}
+    for pth in paths:
+        by_end[pth[-1].target if pth else vertex].append(pth)
     mats = {}
     for a in q.arrows:
         tgt_index = {pth: i for i, pth in enumerate(by_end[a.target])}
@@ -126,7 +117,13 @@ def projective(ctx: RepContext, vertex: str) -> Rep:
         for i, pth in enumerate(by_end[a.source]):
             m.rows[i][tgt_index[pth + (a,)]] = 1
         mats[a.name] = m
-    return Rep(ctx.field, q, [len(by_end[v]) for v in q.vertices], mats)
+    return Rep(ctx.field, q, [len(by_end[w]) for w in q.vertices], mats), paths, by_end
+
+
+def projective(ctx: RepContext, vertex: str) -> Rep:
+    """The projective cover of the simple at ``vertex``; basis given
+    by paths out of the vertex."""
+    return _projective_basis(ctx, vertex)[0]
 
 
 def direct_sum(ctx: RepContext, reps: Sequence[Rep]) -> Tuple[Rep, List[RepMap], List[RepMap]]:
@@ -615,15 +612,16 @@ def _cover_map(ctx: RepContext, x: Rep) -> Tuple[Rep, RepMap]:
             unit = [0] * x.dims[i]
             unit[c] = 1
             gens.append((v, unit))
-    pieces = [projective(ctx, v) for v, _ in gens]
+    # one projective and path basis per vertex, shared by its generators
+    bases = {v: _projective_basis(ctx, v) for v, _ in gens}
+    pieces = [bases[v][0] for v, _ in gens]
     p0, _, _ = direct_sum(ctx, pieces)
     # map each projective piece into x: generator path e_v |-> rep,
-    # longer path p*a |-> (image so far) @ X_a, over the path layout
-    # the piece was built from
+    # longer path p*a |-> (image so far) @ X_a
     piece_maps = []
     for (v, repvec), piece in zip(gens, pieces):
         comps = []
-        paths, by_end = _path_layout(q, v)
+        _, paths, by_end = bases[v]
         vec_of: Dict[Path, List[int]] = {(): repvec}
         for pth in paths[1:]:
             vec_of[pth] = MatrixFp(ctx.field, [vec_of[pth[:-1]]]).mul(x.mats[pth[-1].name]).rows[0]
