@@ -1,7 +1,8 @@
 """Exact Hall algebra arithmetic for odd-periodic quiver representation
 categories over prime fields. The period is
-:attr:`perihall.category.PeriodicContext.t`, 3 by default; the tests also
-run t = 5 and 7, and only the chain-level model stays 3-periodic.
+:attr:`perihall.category.PeriodicContext.t`, 3 by default, and the
+engine, the chain-level model and the harnesses all read it; the tests
+run t = 3, 5 and 7.
 
 The layers, bottom to top:
 
@@ -25,7 +26,7 @@ few names the benchmark still traces or calls. Reference code, off the
 engine's import graph (only ``PeriodicContext.hom_space`` reaches
 :mod:`perihall.periodic`, through a function-level import):
 
-- :mod:`perihall.periodic` - the chain-level model: 3-cycle complexes of
+- :mod:`perihall.periodic` - the chain-level model: t-cycle complexes of
   projective resolutions, chain maps modulo homotopy, mapping cones,
   and the module helpers only it needs: paths out of a vertex,
   projective modules, direct sums of modules, corestrictions and

@@ -1,7 +1,9 @@
 """The t-periodic category of a quiver, computed from module data. The
 period is :attr:`PeriodicContext.t`, a constructor argument checked to
-be odd and at least 3, ``PERIOD`` = 3 by default (the tests also run
-t = 5 and 7).
+be odd and at least 3, ``PERIOD`` = 3 by default. It is the one period
+of everything built over the context: the engine, the chain-level model
+of :mod:`perihall.periodic` and every harness read it (the tests run
+t = 3, 5 and 7).
 
 Objects here are finite multisets of (indecomposable class, shift)
 pairs; every t-periodic complex of projectives is isomorphic to the sum
@@ -264,9 +266,10 @@ class PeriodicContext:
 
     def hom_space(self, x: ObjKey, y: ObjKey) -> BlockHomSpace:
         """Hom(x, y) recounted at chain level: a
-        :class:`perihall.periodic.BlockHomSpace` between the realized
-        objects, built afresh per call. The engine never calls it;
-        ``hom_dim`` gives the same dimension."""
+        :class:`perihall.periodic.BlockHomSpace` between the objects
+        realized as t-periodic complexes, at this context's t, built
+        afresh per call. The engine never calls it; ``hom_dim`` gives
+        the same dimension."""
         # imported here, off the engine's import graph, for the perfbench End-dimension check
         from .periodic import ChainModel
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .category import PERIOD, ObjKey, Part, PeriodicContext
-from .gfp import MatrixFp, Subspace, unit_group_order
+from .gfp import FieldSpec, MatrixFp, Subspace, unit_group_order
 from .hall import HallEngine, HallVector
 from .periodic import (
     BlockHomSpace,
@@ -118,9 +118,6 @@ def build_quiver_engine(
     period ``t``, with its Hall engine, or with a :class:`FaultyEngine`
     when ``fault_inject``. The two share all caches through the
     context."""
-    from .gfp import FieldSpec
-    from .reps import RepContext
-
     pctx = PeriodicContext(RepContext(quiver, FieldSpec(p)), t)
     return pctx, (FaultyEngine if fault_inject else HallEngine)(pctx)
 
@@ -128,12 +125,12 @@ def build_quiver_engine(
 def build_unguarded_engine(oracle, t: int) -> HallEngine:
     """A Hall engine over a fresh oracle at any period t > 1, even too:
     the oracle passes its constructor's odd-period guard and the engine
-    its own at the oracle's period, then both get t as a plain
-    attribute, set after the guards. At even t the products are not
-    associative, and the quiver decode can meet a singular hom matrix
-    (why t must be odd)."""
+    its own at the oracle's period, then the oracle gets t as a plain
+    attribute, set after the guards; the engine reads the period off its
+    oracle. At even t the products are not associative, and the quiver
+    decode can meet a singular hom matrix (why t must be odd)."""
     engine = HallEngine(oracle)
-    oracle.t = engine.t = t
+    oracle.t = t
     return engine
 
 
@@ -383,15 +380,15 @@ def block_morphisms(space: BlockHomSpace) -> Iterator[Tuple[Tuple[int, ...], Cha
     # column e holds entry e of each basis map; None marks a component
     # that vanishes on every basis map
     basis = []
-    for s in range(PERIOD):
+    for s, (source_slot, target_slot) in enumerate(zip(source.slots, target.slots)):
         slot = []
-        for v, (nr, nc) in enumerate(zip(source.slots[s].dims, target.slots[s].dims)):
+        for v, (nr, nc) in enumerate(zip(source_slot.dims, target_slot.dims)):
             cols = list(zip(*(m.comps[s].comps[v].flat() for m in maps))) if maps else []
             slot.append((nr, nc, cols if any(any(col) for col in cols) else None))
         basis.append(slot)
     for coords in itertools.product(range(p), repeat=space.dim):
         comps = []
-        for s in range(PERIOD):
+        for s in range(source.t):
             mats = []
             for nr, nc, cols in basis[s]:
                 if cols is None:
@@ -606,7 +603,7 @@ def check_decorated_symmetry(
                         Mm = chains.realize(m).total
                         Xm = chains.realize(x).total
                         Lm = chains.realize(l).total
-                        total, injs, projs = direct_sum_complexes(ctx, [Mm, Xm])
+                        total, injs, projs = direct_sum_complexes(ctx, [Mm, Xm], t=pctx.t)
                         mx = pctx.direct_sum_key(m, x)
                         hs_m = chain_hom_space(ctx, Mm, Lm)
                         hs_f = chain_hom_space(ctx, Xm, Lm)
@@ -1104,12 +1101,8 @@ def _find_block_partition(
             if (len(q1) == 0) != (len(p1) == 0):
                 continue
             if q1:
-                sub_l, s_injs, s_projs = direct_sum_complexes(
-                    ctx, [l_models[qi] for qi in q1]
-                )
-                sub_z, t_injs, t_projs = direct_sum_complexes(
-                    ctx, [z1_models[pj] for pj in p1]
-                )
+                sub_l, s_injs, s_projs = direct_sum_complexes(ctx, [l_models[qi] for qi in q1], t=pctx.t)
+                sub_z, t_injs, t_projs = direct_sum_complexes(ctx, [z1_models[pj] for pj in p1], t=pctx.t)
                 diag = ChainMap.zero(sub_l, sub_z)
                 for a, qi in enumerate(q1):
                     for b, pj in enumerate(p1):
@@ -1274,7 +1267,8 @@ def check_cone_well_defined(
     morphism_target: int = 100,
 ) -> CheckReport:
     """The cone construction is well defined on the homotopy category:
-    normal forms round-trip, rotate, and come back after three shifts;
+    normal forms round-trip, rotate by one slot per shift, and come back
+    after t shifts;
     cone classes ignore the chain representative and contractible
     padding; and the mod-2 dimension vector is additive on every
     triangle the product scope produces.
@@ -1294,13 +1288,14 @@ def check_cone_well_defined(
             continue
         if complex_key(pctx, model.shift(1)) != pctx.shift_key(key, 1):
             report.fail(f"shifted normal form at {pctx.format_key(key)}")
-        if complex_key(pctx, model.shift(1).shift(1).shift(1)) != key:
-            report.fail(f"triple shift not the identity at {pctx.format_key(key)}")
-        base = normal_pieces(ctx, model)
-        rot = normal_pieces(ctx, model.shift(1))
-        base_ids = [ctx.summand_ids(r) for r in base]
-        rot_ids = [ctx.summand_ids(r) for r in rot]
-        if rot_ids != [base_ids[2], base_ids[0], base_ids[1]]:
+        shifted = model
+        for _ in range(pctx.t):
+            shifted = shifted.shift(1)
+        if complex_key(pctx, shifted) != key:
+            report.fail(f"{pctx.t} shifts not the identity at {pctx.format_key(key)}")
+        base_ids = [ctx.summand_ids(r) for r in normal_pieces(ctx, model)]
+        rot_ids = [ctx.summand_ids(r) for r in normal_pieces(ctx, model.shift(1))]
+        if rot_ids != base_ids[-1:] + base_ids[:-1]:
             report.fail(f"rotation equivariance at {pctx.format_key(key)}")
 
     # homotopy representatives and contractible padding
@@ -1336,13 +1331,13 @@ def check_cone_well_defined(
                         f"cone class moved under homotopy at {pctx.format_key(x)}"
                         f" -> {pctx.format_key(y)}"
                     )
-                padded_t, injs, _ = direct_sum_complexes(ctx, [Ym, pad])
+                _, injs, _ = direct_sum_complexes(ctx, [Ym, pad], t=pctx.t)
                 if cone_key_literal(pctx, f.then(injs[0])) != base_cone:
                     report.fail(
                         f"cone class moved under target padding at"
                         f" {pctx.format_key(x)} -> {pctx.format_key(y)}"
                     )
-                _, _, projs = direct_sum_complexes(ctx, [Xm, pad])
+                _, _, projs = direct_sum_complexes(ctx, [Xm, pad], t=pctx.t)
                 if cone_key_literal(pctx, projs[0].then(f)) != base_cone:
                     report.fail(
                         f"cone class moved under source padding at"

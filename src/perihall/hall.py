@@ -191,15 +191,19 @@ class HallEngine:
 
     def __init__(self, oracle: CategoryOracle):
         self.oracle = oracle
-        self.t = oracle.t
         self.q = oracle.q
-        if not isinstance(self.t, int) or self.t % 2 == 0 or self.t < 3:
+        if not isinstance(oracle.t, int) or oracle.t % 2 == 0 or oracle.t < 3:
             raise ValueError("the period must be an odd number at least 3")
         self._one = HallValue.one(self.q)
         self._mult_cache: Dict[Tuple[Key, Key], HallVector] = {}
         self._layer_cache: Dict[Tuple[Key, ...], HallVector] = {}
         self._pbw_cache: Dict[Key, PBWExpression] = {}
         self._pbw_active: set = set()
+
+    @property
+    def t(self) -> int:
+        """The period, read off the oracle; the engine keeps no copy."""
+        return self.oracle.t
 
     def hall_number(self, x: Key, y: Key, l: Key) -> HallValue:
         """The structure constant of u_l in u_x * u_y."""

@@ -1,5 +1,5 @@
 """The chain-level reference model: cycle complexes of quiver
-representations, of period ``PERIOD`` = 3 only.
+representations, at any period t.
 
 Production never calls this module: :mod:`perihall.category` reads
 every Hom space and composition off module data (Ringel's sequence,
@@ -8,21 +8,25 @@ and the tests recount the engine's numbers here, literally, and
 :meth:`perihall.category.PeriodicContext.hom_space` keeps one
 chain-level count for the benchmark's End-dimension check.
 
-A cycle complex has ``PERIOD`` slots of representations arranged in a
-cycle, with a differential from each slot to the next and consecutive
-composites vanishing. Slot i carries stalk shift -i mod ``PERIOD``: a
-module sitting alone in slot 0 is "the module", in the last slot it is
-the module shifted once. Shifting a complex by n rotates the slots by n
-mod ``PERIOD`` and negates every differential when that residue is odd.
+A cycle complex has t slots of representations in a cycle, t its
+period, with a differential from each slot to the next and consecutive
+composites vanishing. Slot i carries stalk shift -i mod t: a module
+alone in slot 0 is "the module", in the last slot the module shifted
+once. Shifting by n rotates the slots by n mod t and negates every
+differential when that residue is odd. Constructions read t off the
+complexes they are given; :meth:`CycleComplex.stalk`,
+:func:`wrap_module` and :func:`direct_sum_complexes` (whose empty sum
+is the zero complex) take it as an argument.
 
 A module is wrapped as its minimal projective resolution
 (:func:`proj_resolution`): the cover P0 in slot 0, the syzygy P1 in the
 last slot, and the resolution map P1 -> P0 as the differential closing
 the cycle. The path algebra is hereditary, so a periodic complex of
 projectives is the sum of its shifted homology: its normal form carries,
-at shift s, the homology ker d_i / im d_{i-1} at slot i = -s mod
-``PERIOD``. :class:`ChainModel` realizes object keys as direct sums of
-wrapped parts and computes Hom between them block by block.
+at shift s, the homology ker d_i / im d_{i-1} at slot i = -s mod t.
+:class:`ChainModel` realizes object keys at their context's period as
+direct sums of wrapped parts and computes Hom between them block by
+block.
 
 Morphisms are slotwise representation maps commuting with the
 differentials; two are identified when they differ by a boundary
@@ -44,7 +48,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .category import PERIOD, ObjKey, Part
+from .category import ObjKey, Part
 from .gfp import MatrixFp, Subspace
 from .quiver import Arrow, Quiver
 from .reps import BudgetExceeded, Rep, RepContext, RepMap
@@ -195,36 +199,41 @@ def lift_quotient_coords(sub: Subspace, coords: Sequence[int]) -> List[int]:
 
 
 class CycleComplex:
-    """Three representation slots with a cyclic differential."""
+    """Representation slots with a cyclic differential, one from each
+    slot to the next; the period ``t`` is the number of slots."""
 
     __slots__ = ("ctx", "slots", "diffs", "_key")
 
     def __init__(self, ctx: RepContext, slots: Sequence[Rep], diffs: Sequence[RepMap], check: bool = True):
-        if len(slots) != PERIOD or len(diffs) != PERIOD:
-            raise ValueError("need exactly three slots and differentials")
+        if len(diffs) != len(slots):
+            raise ValueError("need one differential per slot")
         self.ctx = ctx
         self.slots = tuple(slots)
         self.diffs = tuple(diffs)
         self._key = None
         if check:
-            for i in range(PERIOD):
-                d = self.diffs[i]
-                if d.source != self.slots[i] or d.target != self.slots[(i + 1) % PERIOD]:
+            t = self.t
+            for i, d in enumerate(self.diffs):
+                if d.source != self.slots[i] or d.target != self.slots[(i + 1) % t]:
                     raise ValueError(f"differential {i} connects the wrong slots")
-                if not d.then(self.diffs[(i + 1) % PERIOD]).is_zero():
+                if not d.then(self.diffs[(i + 1) % t]).is_zero():
                     raise ValueError(f"composite of differentials {i}, {i + 1} is nonzero")
 
+    @property
+    def t(self) -> int:
+        return len(self.slots)
+
     @classmethod
-    def stalk(cls, ctx: RepContext, rep: Rep, slot: int) -> "CycleComplex":
-        slots = [ctx.zero_rep()] * PERIOD
-        slots[slot % PERIOD] = rep
-        diffs = [RepMap.zero_map(slots[i], slots[(i + 1) % PERIOD]) for i in range(PERIOD)]
-        return cls(ctx, slots, diffs, check=False)
+    def stalk(cls, ctx: RepContext, rep: Rep, slot: int, *, t: int) -> "CycleComplex":
+        """The t-periodic complex carrying ``rep`` alone in one slot."""
+        slots = [ctx.zero_rep()] * t
+        slots[slot % t] = rep
+        return cls(ctx, slots, [RepMap.zero_map(a, b) for a, b in zip(slots, slots[1:] + slots[:1])], check=False)
 
     def shift(self, n: int = 1) -> "CycleComplex":
-        """Rotate the slots by n mod ``PERIOD``; the differentials rotate
-        with them and are negated when that residue is odd."""
-        n %= PERIOD
+        """Rotate the slots by n mod t; the differentials rotate with
+        them and are negated when that residue is odd."""
+        n %= self.t
         diffs = self.diffs[n:] + self.diffs[:n]
         if n % 2:
             diffs = tuple(d.scale(-1) for d in diffs)
@@ -248,13 +257,16 @@ class CycleComplex:
         return f"CycleComplex(dims={[s.dims for s in self.slots]})"
 
 
-def direct_sum_complexes(ctx: RepContext, parts: Sequence[CycleComplex]) -> Tuple[CycleComplex, List["ChainMap"], List["ChainMap"]]:
-    """Slotwise direct sum with chain-level injections and projections."""
-    slot_data = [direct_sum(ctx, [p.slots[i] for p in parts]) for i in range(PERIOD)]
+def direct_sum_complexes(ctx: RepContext, parts: Sequence[CycleComplex], *, t: int) -> Tuple[CycleComplex, List["ChainMap"], List["ChainMap"]]:
+    """Slotwise direct sum of t-periodic complexes, with chain-level
+    injections and projections; the empty sum is the zero complex."""
+    if any(part.t != t for part in parts):
+        raise ValueError(f"every summand must be {t}-periodic")
+    slot_data = [direct_sum(ctx, [p.slots[i] for p in parts]) for i in range(t)]
     slots = [sd[0] for sd in slot_data]
     diffs = []
-    for i in range(PERIOD):
-        j = (i + 1) % PERIOD
+    for i in range(t):
+        j = (i + 1) % t
         comps = []
         for v in range(len(ctx.quiver.vertices)):
             acc = None
@@ -269,13 +281,13 @@ def direct_sum_complexes(ctx: RepContext, parts: Sequence[CycleComplex]) -> Tupl
     injections = []
     projections = []
     for k, part in enumerate(parts):
-        injections.append(ChainMap(part, total, [slot_data[i][1][k] for i in range(PERIOD)], check=False))
-        projections.append(ChainMap(total, part, [slot_data[i][2][k] for i in range(PERIOD)], check=False))
+        injections.append(ChainMap(part, total, [sd[1][k] for sd in slot_data], check=False))
+        projections.append(ChainMap(total, part, [sd[2][k] for sd in slot_data], check=False))
     return total, injections, projections
 
 
 class ChainMap:
-    """A slotwise morphism of 3-cycle complexes."""
+    """A slotwise morphism of cycle complexes of one period."""
 
     __slots__ = ("source", "target", "comps")
 
@@ -283,11 +295,11 @@ class ChainMap:
         self.source = source
         self.target = target
         self.comps = tuple(comps)
-        if len(self.comps) != PERIOD:
-            raise ValueError("need three slot components")
+        if not len(self.comps) == source.t == target.t:
+            raise ValueError("need one component per slot, between complexes of one period")
         if check:
-            for i in range(PERIOD):
-                j = (i + 1) % PERIOD
+            for i in range(source.t):
+                j = (i + 1) % source.t
                 lhs = source.diffs[i].then(self.comps[j])
                 rhs = self.comps[i].then(target.diffs[i])
                 if lhs.key() != rhs.key():
@@ -295,11 +307,11 @@ class ChainMap:
 
     @classmethod
     def zero(cls, source: CycleComplex, target: CycleComplex) -> "ChainMap":
-        return cls(source, target, [RepMap.zero_map(source.slots[i], target.slots[i]) for i in range(PERIOD)], check=False)
+        return cls(source, target, [RepMap.zero_map(a, b) for a, b in zip(source.slots, target.slots)], check=False)
 
     @classmethod
     def identity(cls, c: CycleComplex) -> "ChainMap":
-        return cls(c, c, [RepMap.identity(c.slots[i]) for i in range(PERIOD)], check=False)
+        return cls(c, c, [RepMap.identity(s) for s in c.slots], check=False)
 
     def then(self, other: "ChainMap") -> "ChainMap":
         return ChainMap(self.source, other.target, [a.then(b) for a, b in zip(self.comps, other.comps)], check=False)
@@ -313,7 +325,7 @@ class ChainMap:
     def shift(self, n: int = 1) -> "ChainMap":
         """The same map between the shifted complexes, its components
         rotated with their slots."""
-        n %= PERIOD
+        n %= self.source.t
         return ChainMap(self.source.shift(n), self.target.shift(n), self.comps[n:] + self.comps[:n], check=False)
 
     def is_zero(self) -> bool:
@@ -341,25 +353,26 @@ class Homotopy:
         self.source = source
         self.target = target
         self.comps = tuple(comps)
-        if len(self.comps) != PERIOD:
-            raise ValueError("need three homotopy components")
-        for i in range(PERIOD):
-            s = self.comps[i]
-            if s.source != source.slots[i] or s.target != target.slots[(i - 1) % PERIOD]:
+        if not len(self.comps) == source.t == target.t:
+            raise ValueError("need one component per slot, between complexes of one period")
+        for i, s in enumerate(self.comps):
+            if s.source != source.slots[i] or s.target != target.slots[i - 1]:
                 raise ValueError(f"homotopy component {i} connects the wrong slots")
 
     def boundary(self) -> ChainMap:
         """The null-homotopic chain map s d + d s."""
         comps = []
-        for i in range(PERIOD):
-            a = self.comps[i].then(self.target.diffs[(i - 1) % PERIOD])
-            b = self.source.diffs[i].then(self.comps[(i + 1) % PERIOD])
+        t = len(self.comps)
+        for i in range(t):
+            a = self.comps[i].then(self.target.diffs[i - 1])
+            b = self.source.diffs[i].then(self.comps[(i + 1) % t])
             comps.append(a.add(b))
         return ChainMap(self.source, self.target, comps, check=False)
 
 
 class HomSpace:
-    """Hom between two 3-cycle complexes, before and after homotopy.
+    """Hom between two cycle complexes of one period, before and after
+    homotopy.
 
     Chain maps are parametrized by coefficient vectors over the slotwise
     hom bases; the boundary subspace is expressed in the same
@@ -369,57 +382,44 @@ class HomSpace:
     """
 
     def __init__(self, ctx: RepContext, source: CycleComplex, target: CycleComplex):
+        if source.t != target.t:
+            raise ValueError(f"no chain maps from period {source.t} to period {target.t}")
         self.ctx = ctx
         self.source = source
         self.target = target
-        self._slot_bases = [ctx.hom_basis(source.slots[i], target.slots[i]) for i in range(PERIOD)]
+        t = source.t
+        self._slot_bases = [ctx.hom_basis(a, b) for a, b in zip(source.slots, target.slots)]
         self._slot_dims = [len(b) for b in self._slot_bases]
-        self._offsets = [sum(self._slot_dims[:i]) for i in range(PERIOD)]
+        self._offsets = [sum(self._slot_dims[:i]) for i in range(t)]
         self._flat_bases: List[Optional[MatrixFp]] = [
             MatrixFp(ctx.field, [b.flat() for b in basis], ncols=len(basis[0].flat())) if basis else None
             for basis in self._slot_bases
         ]
         nunk = sum(self._slot_dims)
         # chain condition: for each slot, d^X_i f_{i+1} - f_i d^Y_i == 0,
-        # expanded over the slotwise bases
+        # expanded over the slotwise bases, one block of columns per slot
         p = ctx.field.p
-        eq_cols = 0
-        col_chunks: List[int] = []
-        for i in range(PERIOD):
-            j = (i + 1) % PERIOD
-            probe = RepMap.zero_map(source.slots[i], target.slots[j])
-            width = len(probe.flat())
-            col_chunks.append(width)
-            eq_cols += width
-        rows = [[0] * eq_cols for _ in range(nunk)]
-        base = 0
-        for i in range(PERIOD):
-            j = (i + 1) % PERIOD
-            width = col_chunks[i]
-            for k, b in enumerate(self._slot_bases[j]):
-                vec = self.source.diffs[i].then(b).flat()
-                row = rows[self._offsets[j] + k]
-                for c, x in enumerate(vec):
+        widths = [sum(a * b for a, b in zip(source.slots[i].dims, target.slots[(i + 1) % t].dims)) for i in range(t)]
+        rows = [[0] * sum(widths) for _ in range(nunk)]
+        for i in range(t):
+            j, base = (i + 1) % t, sum(widths[:i])
+            terms = [(self._offsets[j] + k, 1, source.diffs[i].then(b)) for k, b in enumerate(self._slot_bases[j])]
+            terms += [(self._offsets[i] + k, -1, b.then(target.diffs[i])) for k, b in enumerate(self._slot_bases[i])]
+            for r, sign, f in terms:
+                for c, x in enumerate(f.flat()):
                     if x:
-                        row[base + c] = (row[base + c] + x) % p
-            for k, b in enumerate(self._slot_bases[i]):
-                vec = b.then(self.target.diffs[i]).flat()
-                row = rows[self._offsets[i] + k]
-                for c, x in enumerate(vec):
-                    if x:
-                        row[base + c] = (row[base + c] - x) % p
-            base += width
+                        rows[r][base + c] = (rows[r][base + c] + sign * x) % p
         if nunk:
-            m = MatrixFp(ctx.field, rows, ncols=eq_cols)
+            m = MatrixFp(ctx.field, rows, ncols=sum(widths))
             self._chain_coeff_basis = m.kernel_basis()  # rows: chain maps in slot-basis coords
         else:
             self._chain_coeff_basis = MatrixFp(ctx.field, [], ncols=0)
         # homotopy parameter space and its boundary image, in the same coords
-        self._htp_bases = [ctx.hom_basis(source.slots[i], target.slots[(i - 1) % PERIOD]) for i in range(PERIOD)]
+        self._htp_bases = [ctx.hom_basis(source.slots[i], target.slots[i - 1]) for i in range(t)]
         boundary_rows = []
-        for i in range(PERIOD):
+        for i in range(t):
             for s in self._htp_bases[i]:
-                comps = [RepMap.zero_map(source.slots[k], target.slots[(k - 1) % PERIOD]) for k in range(PERIOD)]
+                comps = [RepMap.zero_map(source.slots[k], target.slots[k - 1]) for k in range(t)]
                 comps[i] = s
                 h = Homotopy(source, target, comps)
                 boundary_rows.append(self._coeffs_of_chain(h.boundary()))
@@ -432,8 +432,7 @@ class HomSpace:
     def _coeffs_of_slotwise(self, f: ChainMap) -> List[int]:
         """Coefficients of f over the slotwise hom bases."""
         out = [0] * sum(self._slot_dims)
-        for i in range(PERIOD):
-            flat_basis = self._flat_bases[i]
+        for i, flat_basis in enumerate(self._flat_bases):
             if flat_basis is None:
                 if not f.comps[i].is_zero():
                     raise ValueError("map has a component outside the hom space")
@@ -485,8 +484,7 @@ class HomSpace:
                     if x:
                         slot_coeffs[k] = (slot_coeffs[k] + c * x) % p
         comps = []
-        for i in range(PERIOD):
-            basis = self._slot_bases[i]
+        for i, basis in enumerate(self._slot_bases):
             acc = RepMap.zero_map(self.source.slots[i], self.target.slots[i])
             for k, b in enumerate(basis):
                 coeff = slot_coeffs[self._offsets[i] + k]
@@ -516,9 +514,9 @@ class HomSpace:
         """
         idx = 0
         comps = []
-        for i in range(PERIOD):
-            acc = RepMap.zero_map(self.source.slots[i], self.target.slots[(i - 1) % PERIOD])
-            for b in self._htp_bases[i]:
+        for i, htp_basis in enumerate(self._htp_bases):
+            acc = RepMap.zero_map(self.source.slots[i], self.target.slots[i - 1])
+            for b in htp_basis:
                 c = coeffs[idx % len(coeffs)] if coeffs else 0
                 idx += 1
                 if c % self.ctx.field.p:
@@ -539,13 +537,13 @@ def mapping_cone(ctx: RepContext, u: ChainMap) -> Tuple[CycleComplex, ChainMap, 
     proj: cone -> X[1] complete u to a standard triangle
     X -u-> Y -incl-> cone -proj-> X[1].
     """
-    x, y = u.source, u.target
+    x, y, t = u.source, u.target, u.source.t
     p = ctx.field.p
-    slot_data = [direct_sum(ctx, [x.slots[(i + 1) % PERIOD], y.slots[i]]) for i in range(PERIOD)]
+    slot_data = [direct_sum(ctx, [x.slots[(i + 1) % t], y.slots[i]]) for i in range(t)]
     slots = [sd[0] for sd in slot_data]
     diffs = []
-    for i in range(PERIOD):
-        j = (i + 1) % PERIOD
+    for i in range(t):
+        j = (i + 1) % t
         comps = []
         for v in range(len(ctx.quiver.vertices)):
             # the block rows [-d^X, u] over [0, d^Y]
@@ -555,9 +553,8 @@ def mapping_cone(ctx: RepContext, u: ChainMap) -> Tuple[CycleComplex, ChainMap, 
             comps.append(MatrixFp._trusted(ctx.field, rows, dx.ncols + dy.ncols))
         diffs.append(RepMap(slots[i], slots[j], comps, check=False))
     cone = CycleComplex(ctx, slots, diffs, check=False)
-    incl = ChainMap(y, cone, [slot_data[i][1][1] for i in range(PERIOD)], check=False)
-    proj_comps = [slot_data[i][2][0] for i in range(PERIOD)]
-    proj = ChainMap(cone, x.shift(1), proj_comps, check=False)
+    incl = ChainMap(y, cone, [sd[1][1] for sd in slot_data], check=False)
+    proj = ChainMap(cone, x.shift(1), [sd[2][0] for sd in slot_data], check=False)
     return cone, incl, proj
 
 
@@ -566,11 +563,11 @@ def normal_pieces(ctx: RepContext, c: CycleComplex) -> Tuple[Rep, ...]:
 
     Over a hereditary algebra a periodic complex of projectives is the
     sum of its shifted homology, so the piece at shift s is the homology
-    ker d_i / im d_{i-1} at slot i = -s mod ``PERIOD``.
+    ker d_i / im d_{i-1} at slot i = -s mod t, the period of c.
     """
     pieces = []
-    for s in range(PERIOD):
-        i = -s % PERIOD
+    for s in range(c.t):
+        i = -s % c.t
         _, incl = ctx.kernel(c.diffs[i])
         homology, _ = ctx.cokernel(corestrict(c.diffs[i - 1], incl))
         pieces.append(homology)
@@ -660,20 +657,21 @@ def proj_resolution(ctx: RepContext, x: Rep) -> Resolution:
     return Resolution(x, p1, p0, d, eps)
 
 
-def wrap_module(ctx: RepContext, rep: Rep, shift: int = 0) -> CycleComplex:
-    """The standard complex carrying a module at the given shift.
+def wrap_module(ctx: RepContext, rep: Rep, shift: int = 0, *, t: int) -> CycleComplex:
+    """The standard t-periodic complex carrying a module at the given
+    shift.
 
     A projective module becomes a stalk in slot 0; anything else sits as
     its minimal resolution, cover in slot 0 and syzygy in the last slot
-    with the resolution map connecting them. Shifting then rotates the
-    result into place.
+    with the resolution map connecting them, so t must be at least 2.
+    Shifting then rotates the result into place.
     """
     res = proj_resolution(ctx, rep)
     if res.p1.is_zero():
-        base = CycleComplex.stalk(ctx, res.p0, 0)
+        base = CycleComplex.stalk(ctx, res.p0, 0, t=t)
     else:
-        slots = [res.p0] + [ctx.zero_rep()] * (PERIOD - 2) + [res.p1]
-        diffs = [RepMap.zero_map(slots[i], slots[i + 1]) for i in range(PERIOD - 1)] + [res.d]
+        slots = [res.p0] + [ctx.zero_rep()] * (t - 2) + [res.p1]
+        diffs = [RepMap.zero_map(slots[i], slots[i + 1]) for i in range(t - 1)] + [res.d]
         base = CycleComplex(ctx, slots, diffs, check=False)
     return base.shift(shift)
 
@@ -738,12 +736,10 @@ class ChainModel:
     cycle complexes: each (class, shift) part wrapped as the minimal
     resolution of its class representative, an object key realized as
     the direct sum of its parts, and Hom between two keys one block per
-    pair of parts. Wrapped parts, block spaces and realized keys are
-    cached for the life of the model. A context at another period is refused."""
+    pair of parts, all at the context's period. Wrapped parts, block
+    spaces and realized keys are cached for the life of the model."""
 
     def __init__(self, pctx: "PeriodicContext"):
-        if pctx.t != PERIOD:
-            raise ValueError(f"the chain model is {PERIOD}-periodic, but the context has period {pctx.t}")
         self.pctx = pctx
         self.ctx = pctx.ctx
         self._wrap_cache: Dict[Part, CycleComplex] = {}
@@ -754,13 +750,13 @@ class ChainModel:
         hit = self._wrap_cache.get(part)
         if hit is None:
             cid, s = part
-            self._wrap_cache[part] = hit = wrap_module(self.ctx, self.ctx.class_rep(cid), s)
+            self._wrap_cache[part] = hit = wrap_module(self.ctx, self.ctx.class_rep(cid), s, t=self.pctx.t)
         return hit
 
     def realize(self, key: ObjKey) -> RealizedObject:
         hit = self._realize_cache.get(key)
         if hit is None:
-            total, injs, projs = direct_sum_complexes(self.ctx, [self.wrap_part(part) for part in key])
+            total, injs, projs = direct_sum_complexes(self.ctx, [self.wrap_part(part) for part in key], t=self.pctx.t)
             self._realize_cache[key] = hit = RealizedObject(key, total, injs, projs)
         return hit
 

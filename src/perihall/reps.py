@@ -455,7 +455,9 @@ class RepContext:
     def summand_ids(self, x: Rep) -> Tuple[int, ...]:
         """The Krull-Schmidt type of x: the sorted class ids of its
         indecomposable summands, empty for the zero module. Two modules
-        are isomorphic exactly when these agree."""
+        are isomorphic exactly when these agree. A module over another
+        field or quiver raises ``ValueError``."""
+        self._check_home(x)
         if not x.total_dim:
             return ()
         return tuple(sorted(self.class_id(s) for s in self.decompose(x).summands))
@@ -568,6 +570,15 @@ class RepContext:
 
     # -- iso-class registry ------------------------------------------
 
+    def _check_home(self, x: Rep) -> None:
+        """Refuse a module over another field or quiver: the content keys
+        and ids would describe another category. Identity is compared
+        first, so the context's own modules pass without an equality test."""
+        if x.field is not self.field and x.field != self.field:
+            raise ValueError(f"the module is over F_{x.field.p}, this context over F_{self.field.p}")
+        if x.quiver is not self.quiver and x.quiver != self.quiver:
+            raise ValueError(f"the module is over {x.quiver!r}, this context over {self.quiver!r}")
+
     def class_id(self, x: Rep) -> int:
         """Registry id of the iso class of the indecomposable x
         (registering it if new).
@@ -577,8 +588,10 @@ class RepContext:
         ``ValueError``: its iso class is :meth:`summand_ids`. A new
         content key is matched by the basis sweep of
         :meth:`_iso_among_basis`, which is complete for the indecomposable
-        x and finds no iso to a listed decomposable class.
+        x and finds no iso to a listed decomposable class. A module over
+        another field or quiver raises ``ValueError``.
         """
+        self._check_home(x)
         ck = x.key()
         hit = self._class_of_content.get(ck)
         if hit is not None:

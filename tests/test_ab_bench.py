@@ -50,3 +50,31 @@ def test_verdict_per_metric():
     # summarize carries the verdict only for a metric with a bound
     assert ab.summarize(parent, worse, lower_is_better=True, bound=0.15)["verdict"] == "regressed"
     assert ab.summarize(parent, worse, lower_is_better=True)["verdict"] is None
+
+
+def test_a_gain_does_not_count_when_more_ops_fail(monkeypatch):
+    ab = load()
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 14.5]
+
+    def fake_runs(change_failed):
+        calls = {"parent": iter(parent), "change": iter(p - 3 for p in parent)}
+
+        def run_once(checkout, workload, seed, seconds):
+            side = checkout.name
+            value = next(calls[side])
+            return {"metrics": {"scope_ref": {"value": value, "unit": "ms"}}, "correct": True,
+                    "failed": change_failed if side == "change" else 1, "attempted": 100}
+
+        monkeypatch.setattr(ab, "run_once", run_once)
+        return ab.bench_workload(Path("parent"), Path("change"), "w", range(10), 1.0, {"scope_ref": "lower"}, {})
+
+    # the change is faster in every pair and fails as often: a clear gain
+    res = fake_runs(change_failed=1)
+    assert not res["more_failed_ops"] and res["metrics"]["scope_ref"]["clear_gain"]
+    assert res["failed_ops"] == {"parent": 10, "change": 10}
+    # the same runs with one more failure on the change's side: no gain
+    res = fake_runs(change_failed=2)
+    assert res["more_failed_ops"] and not res["metrics"]["scope_ref"]["clear_gain"]
+    # the share is compared, not the count
+    assert not ab.more_failed({"parent": 2, "change": 3}, {"parent": 100, "change": 200})
+    assert ab.more_failed({"parent": 0, "change": 1}, {"parent": 0, "change": 50})

@@ -1,4 +1,5 @@
 import fractions
+import itertools
 import subprocess
 import sys
 from math import lcm
@@ -31,6 +32,16 @@ KRONECKER = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
 # orientations the line quivers never take: a sink, and a zigzag
 SINK_A3 = Quiver(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "3", "2")])
 ZIGZAG_A4 = Quiver(["1", "2", "3", "4"], [Arrow("a", "1", "2"), Arrow("b", "3", "2"), Arrow("c", "3", "4")])
+# the periods the chain-level recounts run at
+PERIODS = (3, 5, 7)
+
+
+def part_objects(pctx):
+    """The zero object, every part (class, shift) and every sum of two
+    parts: a scope that grows as t^2, where ``enumerate_objects`` grows
+    as (modules)^t."""
+    parts = [(part,) for part in pctx.hom_vectors().parts]
+    return [()] + parts + [pctx.direct_sum_key(a, b) for a, b in itertools.combinations_with_replacement(parts, 2)]
 
 
 @pytest.fixture
@@ -85,24 +96,27 @@ def test_shift_key_matches_complex_shift(a2):
     assert a2.shift_key(a2.module_key(s1), 3) == a2.module_key(s1)
 
 
-def test_hom_dim_three_ways(a2):
-    s1 = a2.ctx.simple("1")
-    s2 = a2.ctx.simple("2")
-    p1 = periodic.projective(a2.ctx, "1")
-    keys = [
-        a2.module_key(s1),
-        a2.module_key(s2, 1),
-        a2.direct_sum_key(a2.module_key(p1), a2.module_key(s1, 2)),
-        a2.direct_sum_key(a2.module_key(s1), a2.module_key(s2)),
-        (),
-    ]
-    chains = ChainModel(a2)
-    for x in keys:
-        for y in keys:
-            covering = a2.hom_dim(x, y)
-            blockwise = a2.hom_space(x, y).dim
-            literal = chain_hom_space(a2.ctx, chains.realize(x).total, chains.realize(y).total).dim
-            assert covering == blockwise == literal, (x, y)
+def test_hom_dim_three_ways():
+    for t in PERIODS:
+        a2 = PeriodicContext(RepContext(line_quiver(2), FieldSpec(2)), t)
+        s1 = a2.ctx.simple("1")
+        s2 = a2.ctx.simple("2")
+        p1 = periodic.projective(a2.ctx, "1")
+        keys = [
+            a2.module_key(s1),
+            a2.module_key(s2, 1),
+            a2.direct_sum_key(a2.module_key(p1), a2.module_key(s1, 2)),
+            a2.direct_sum_key(a2.module_key(s1), a2.module_key(s2)),
+            a2.direct_sum_key(a2.module_key(p1, t - 1), a2.module_key(s2, t - 2)),
+            (),
+        ]
+        chains = ChainModel(a2)
+        for x in keys:
+            for y in keys:
+                covering = a2.hom_dim(x, y)
+                blockwise = a2.hom_space(x, y).dim
+                literal = chain_hom_space(a2.ctx, chains.realize(x).total, chains.realize(y).total).dim
+                assert covering == blockwise == literal, (t, x, y)
 
 
 def test_block_coordinates_round_trip(a2):
@@ -237,30 +251,39 @@ def test_fiber_counts_match_the_literal_count(n, p, bound, first, hom_cap, monke
     # one rank profile per scalar line, the zero morphism's cone read
     # off the keys: the counts must equal building the cone of every
     # morphism, only the (q^d - 1)/(q - 1) lines may be profiled, and
-    # no cycle complex is built on the way
-    pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)))
-    keys = pctx.enumerate_objects(bound)[:first]
+    # no cycle complex is built on the way. At t = 3 the scope is a
+    # graded prefix of the objects. At the longer periods the targets are
+    # the zero object and every part, which meet every shift residue; a
+    # count depends on the shifts only through their differences, so the
+    # sources sit at shift 0
     lines = []
     honest_lines = category._lines
     monkeypatch.setattr(category, "_lines", lambda q, dim: (lines.append(c) or c for c in honest_lines(q, dim)))
     complexes = []
     honest_init = CycleComplex.__init__
     monkeypatch.setattr(CycleComplex, "__init__", lambda c, *args, **kw: complexes.append(c) or honest_init(c, *args, **kw))
-    chains = ChainModel(pctx)
-    checked = 0
-    for x in keys:
-        for m in keys:
-            d = pctx.hom_dim(x, m)
-            if hom_cap is not None and d > hom_cap:
-                continue
-            before, built = len(lines), len(complexes)
-            counts = pctx.fiber_counts(x, m)
-            assert len(lines) - before == (p**d - 1) // (p - 1)
-            assert len(complexes) == built
-            assert counts == fiber_counts_literal(chains, x, m), (x, m)
-            checked += 1
-    assert complexes
-    assert checked >= len(keys) ** 2 // 2
+    for t in PERIODS:
+        pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)), t)
+        if t == 3:
+            sources = targets = pctx.enumerate_objects(bound)[:first]
+        else:
+            targets = [()] + [(part,) for part in pctx.hom_vectors().parts]
+            sources = [k for k in targets if all(s == 0 for _, s in k)]
+        chains = ChainModel(pctx)
+        checked = 0
+        for x in sources:
+            for m in targets:
+                d = pctx.hom_dim(x, m)
+                if hom_cap is not None and d > hom_cap:
+                    continue
+                before, built = len(lines), len(complexes)
+                counts = pctx.fiber_counts(x, m)
+                assert len(lines) - before == (p**d - 1) // (p - 1)
+                assert len(complexes) == built
+                assert counts == fiber_counts_literal(chains, x, m), (t, x, m)
+                checked += 1
+        assert complexes
+        assert checked >= len(sources) * len(targets) // 2
 
 
 @pytest.mark.parametrize("n, p, first", [(2, 3, 16), (3, 2, 25)])
@@ -401,27 +424,31 @@ def test_module_composition_matches_the_chain_level_tensor(quiver, p):
     # modulo homotopy, on every triple of test objects. On type A every
     # Hom space between parts has dimension at most one, and the tensors
     # agree up to one nonzero scalar per space: exactly over F_2, up to
-    # consistent signs over F_3, so every rank of Hom(T, f) agrees
-    pctx = PeriodicContext(RepContext(quiver, FieldSpec(p)))
-    chains = ChainModel(pctx)
-    parts = pctx.hom_vectors().parts
-    entries = []
-    for t in parts:
-        for a in parts:
-            for b in parts:
-                got = pctx._composition(t, a, b)
-                want = composition_by_chains(chains, t, a, b)
-                assert list(pctx._composition_terms(t, a, b)) == nonzero_entries(got), (t, a, b)
-                assert [[len(v) for v in row] for row in got] == [[len(v) for v in row] for row in want], (t, a, b)
-                assert len(got) <= 1 and all(len(row) <= 1 and all(len(v) <= 1 for v in row) for row in got)
-                for g_row, w_row in zip(got, want):
-                    for g_vec, w_vec in zip(g_row, w_row):
-                        for m, c in zip(g_vec, w_vec):
-                            entries.append((((t, a), (a, b), (t, b)), m, c))
-    assert entries
-    if p == 2:
-        assert all(m == c for _, m, c in entries)
-    assert _signs_match(entries)
+    # consistent signs over F_3, so every rank of Hom(T, f) agrees. A1
+    # and A2 run at every period, three vertices at t = 3 and 5, four at
+    # t = 3. A tensor depends on the shifts only through their
+    # differences, so at the longer periods the first part sits at shift 0
+    for period in PERIODS[: {1: 3, 2: 3, 3: 2}.get(len(quiver.vertices), 1)]:
+        pctx = PeriodicContext(RepContext(quiver, FieldSpec(p)), period)
+        chains = ChainModel(pctx)
+        parts = pctx.hom_vectors().parts
+        entries = []
+        for t in parts if period == 3 else [part for part in parts if part[1] == 0]:
+            for a in parts:
+                for b in parts:
+                    got = pctx._composition(t, a, b)
+                    want = composition_by_chains(chains, t, a, b)
+                    assert list(pctx._composition_terms(t, a, b)) == nonzero_entries(got), (period, t, a, b)
+                    assert [[len(v) for v in row] for row in got] == [[len(v) for v in row] for row in want], (period, t, a, b)
+                    assert len(got) <= 1 and all(len(row) <= 1 and all(len(v) <= 1 for v in row) for row in got)
+                    for g_row, w_row in zip(got, want):
+                        for g_vec, w_vec in zip(g_row, w_row):
+                            for m, c in zip(g_vec, w_vec):
+                                entries.append((((t, a), (a, b), (t, b)), m, c))
+        assert entries
+        if p == 2:
+            assert all(m == c for _, m, c in entries)
+        assert _signs_match(entries), period
 
 
 @pytest.mark.parametrize("n, objects", [(1, 8), (2, 125), (3, 2197)])
@@ -575,6 +602,14 @@ def test_aut_orders_against_enumeration(a1, a2):
             if pctx.total_dim(key) > 2:
                 continue
             assert pctx.aut_order(key) == aut_order_by_enumeration(chains, key), key
+    # at the longer periods every object of total dimension at most two,
+    # the repeated parts and the extensions between shifts among them
+    for n, t in ((1, 5), (1, 7), (2, 5)):
+        pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(2)), t)
+        chains = ChainModel(pctx)
+        for key in part_objects(pctx):
+            if pctx.total_dim(key) <= 2:
+                assert pctx.aut_order(key) == aut_order_by_enumeration(chains, key), (t, key)
 
 
 def test_aut_orders_against_the_layered_recipe():

@@ -24,6 +24,16 @@ from perihall.quiver import line_quiver
 from perihall.reps import RepContext
 from perihall.semisimple import SemisimplePeriodic
 
+# the periods every chain-level harness runs at
+PERIODS = (3, 5, 7)
+
+
+def _part_scope(pctx):
+    """The zero object and every part (class, shift): their Hom blocks
+    meet every shift residue, and the scope grows only linearly in t,
+    where ``enumerate_objects`` grows as (modules)^t."""
+    return [()] + [(part,) for part in pctx.hom_vectors().parts]
+
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_classical_comparison_on_a2(p):
@@ -65,17 +75,32 @@ def test_hom_dimensions_harness_sees_a_wrong_ext1(monkeypatch):
     assert report.passed, report.summary()
     assert report.details["literal pairs"] == 200
 
+    def wrong_ext1(pctx):
+        honest = pctx._class_pair
+
+        def wrong(a, b):
+            hom, ext = honest(a, b)
+            return hom, ext + (ext > 0)
+
+        monkeypatch.setattr(pctx, "_class_pair", wrong)
+
     pctx, _ = build_quiver_engine(line_quiver(3), 2)
     keys = pctx.enumerate_objects((1, 1, 1))[:40]
-    honest = pctx._class_pair
-
-    def wrong_ext1(a, b):
-        hom, ext = honest(a, b)
-        return hom, ext + (ext > 0)
-
-    monkeypatch.setattr(pctx, "_class_pair", wrong_ext1)
+    wrong_ext1(pctx)
     report = check_hom_dimensions(pctx, keys, literal_limit=200)
     assert not report.passed
+
+    # the same at the longer periods, on the A2 part scope; the fault
+    # goes in before any part pair is cached
+    for t in PERIODS[1:]:
+        for honest in (True, False):
+            pctx, _ = build_quiver_engine(line_quiver(2), 2, t=t)
+            if not honest:
+                wrong_ext1(pctx)
+            keys = _part_scope(pctx)
+            report = check_hom_dimensions(pctx, keys, literal_limit=100)
+            assert report.passed is honest, (t, report.summary())
+            assert report.details["literal pairs"] == 100
 
 
 def test_relations_harness_catches_the_fault():
@@ -93,12 +118,17 @@ def _a2_scope():
 
 
 def test_cone_well_defined_harness_passes_on_a2():
-    pctx, _, keys = _a2_scope()
-    pairs = [(x, y) for x in keys for y in keys]
-    report = check_cone_well_defined(pctx, keys, pairs, morphism_target=40)
-    assert report.passed, report.summary()
-    assert report.details["morphisms"] == 40
-    assert report.details["triangles"] > 0
+    for t in PERIODS:
+        if t == 3:
+            pctx, _, keys = _a2_scope()
+        else:
+            pctx, _ = build_quiver_engine(line_quiver(2), 2, t=t)
+            keys = _part_scope(pctx)
+        pairs = [(x, y) for x in keys for y in keys]
+        report = check_cone_well_defined(pctx, keys, pairs, morphism_target=40)
+        assert report.passed, (t, report.summary())
+        assert report.details["morphisms"] == 40
+        assert report.details["triangles"] > 0
 
 
 def test_pbw_round_trip_harness_passes_on_a2():
@@ -118,27 +148,30 @@ def test_pbw_round_trip_harness_passes_on_a2():
 
 
 def test_stable_images_harness_passes_on_a1():
-    pctx, engine = build_quiver_engine(line_quiver(1), 2)
-    report = check_stable_images(pctx, engine, pctx.enumerate_objects((1,)), target=40, exp_cap=4)
-    assert report.passed, report.summary()
-    assert report.checked == 40
+    for t in PERIODS:
+        pctx, engine = build_quiver_engine(line_quiver(1), 2, t=t)
+        report = check_stable_images(pctx, engine, pctx.enumerate_objects((1,)), target=40, exp_cap=4)
+        assert report.passed, (t, report.summary())
+        assert report.checked == 40
 
 
 def test_orbit_normal_form_harness_passes_on_a1():
-    pctx, _ = build_quiver_engine(line_quiver(1), 2)
-    report = check_orbit_normal_form(pctx, pctx.enumerate_objects((1,)), target=10)
-    assert report.passed, report.summary()
-    assert report.checked == 10
+    for t in PERIODS:
+        pctx, _ = build_quiver_engine(line_quiver(1), 2, t=t)
+        report = check_orbit_normal_form(pctx, pctx.enumerate_objects((1,)), target=10)
+        assert report.passed, (t, report.summary())
+        assert report.checked == 10
 
 
 def test_decorated_symmetry_passes_on_a1():
     # the harness reads only product supports, so it cannot see the
     # faulty engine's wrong coefficient; this pins the honest PASS only
-    pctx, engine = build_quiver_engine(line_quiver(1), 2)
-    keys = pctx.enumerate_objects((1,))
-    report = check_decorated_symmetry(pctx, engine, keys, target=30, exp_cap=5)
-    assert report.passed, report.summary()
-    assert report.checked == 30
+    for t in PERIODS:
+        pctx, engine = build_quiver_engine(line_quiver(1), 2, t=t)
+        keys = pctx.enumerate_objects((1,))
+        report = check_decorated_symmetry(pctx, engine, keys, target=30, exp_cap=5)
+        assert report.passed, (t, report.summary())
+        assert report.checked == 30
 
 
 def _brace_mismatches(oracle, keys):
@@ -193,17 +226,6 @@ def test_harnesses_run_the_quiver_category_at_period_five(p):
     pctx, faulty, keys, modules = scope(True)
     assert not check_associativity(faulty, keys[:14]).passed
     assert not check_relations(faulty, pctx, modules).passed
-
-
-def test_the_chain_model_refuses_another_period():
-    # the chain model is 3-periodic; against an A2 context at t = 5 it
-    # would report "covering 0 != blockwise 1"
-    pctx, _ = build_quiver_engine(line_quiver(2), 2, t=5)
-    keys = pctx.enumerate_objects((1, 1))[:10]
-    with pytest.raises(ValueError, match="3-periodic.*period 5"):
-        check_hom_dimensions(pctx, keys)
-    with pytest.raises(ValueError, match="3-periodic.*period 5"):
-        pctx.hom_space(keys[1], keys[1])
 
 
 def test_the_auslander_decode_needs_an_odd_period():

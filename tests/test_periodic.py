@@ -1,3 +1,5 @@
+import pytest
+
 from perihall.periodic import (
     ChainMap,
     ChainModel,
@@ -16,6 +18,7 @@ from perihall.gfp import FieldSpec, Subspace
 from perihall.quiver import line_quiver
 from perihall.reps import RepContext
 
+PERIODS = (3, 5, 7)
 
 def a2_ctx(p=2):
     return RepContext(line_quiver(2), FieldSpec(p))
@@ -38,15 +41,39 @@ def test_stalk_slots_carry_expected_shifts():
     zero_id = ctx.summand_ids(ctx.zero_rep())
     sid = ctx.summand_ids(s1)
     # slot 0 holds shift 0, slot 2 holds shift 1, slot 1 holds shift 2
-    assert piece_classes(ctx, normal_pieces(ctx, CycleComplex.stalk(ctx, s1, 0))) == (sid, zero_id, zero_id)
-    assert piece_classes(ctx, normal_pieces(ctx, CycleComplex.stalk(ctx, s1, 2))) == (zero_id, sid, zero_id)
-    assert piece_classes(ctx, normal_pieces(ctx, CycleComplex.stalk(ctx, s1, 1))) == (zero_id, zero_id, sid)
+    assert piece_classes(ctx, normal_pieces(ctx, CycleComplex.stalk(ctx, s1, 0, t=3))) == (sid, zero_id, zero_id)
+    assert piece_classes(ctx, normal_pieces(ctx, CycleComplex.stalk(ctx, s1, 2, t=3))) == (zero_id, sid, zero_id)
+    assert piece_classes(ctx, normal_pieces(ctx, CycleComplex.stalk(ctx, s1, 1, t=3))) == (zero_id, zero_id, sid)
+    # at any period slot k holds shift -k mod t
+    for t in PERIODS[1:]:
+        for k in range(t):
+            expected = [zero_id] * t
+            expected[-k % t] = sid
+            assert piece_classes(ctx, normal_pieces(ctx, CycleComplex.stalk(ctx, s1, k, t=t))) == tuple(expected)
+
+
+def test_complexes_refuse_mixed_periods():
+    ctx = a2_ctx()
+    s1, _, _ = a2_modules(ctx)
+    c3, c5 = wrap_module(ctx, s1, t=3), wrap_module(ctx, s1, t=5)
+    assert (c3.t, c5.t) == (3, 5)
+    with pytest.raises(ValueError, match="one period"):
+        ChainMap.zero(c3, c5)
+    with pytest.raises(ValueError, match="period 3 to period 5"):
+        chain_hom_space(ctx, c3, c5)
+    with pytest.raises(ValueError, match="5-periodic"):
+        direct_sum_complexes(ctx, [c3, c5], t=5)
+    with pytest.raises(ValueError, match="one differential per slot"):
+        CycleComplex(ctx, c3.slots, c3.diffs[:2])
+    # the empty sum is the zero complex of the given period
+    zero, injs, projs = direct_sum_complexes(ctx, [], t=5)
+    assert zero.t == 5 and all(s.is_zero() for s in zero.slots) and injs == projs == []
 
 
 def test_shift_moves_stalks_forward():
     ctx = a2_ctx()
     s1, _, _ = a2_modules(ctx)
-    c = CycleComplex.stalk(ctx, s1, 0)
+    c = CycleComplex.stalk(ctx, s1, 0, t=3)
     assert c.shift(1).slots[2].total_dim == 1
     assert c.shift(2).slots[1].total_dim == 1
     assert c.shift(1).shift(2).key() == c.shift(0).key() or ctx.field.p != 2
@@ -55,16 +82,17 @@ def test_shift_moves_stalks_forward():
 def test_wrap_of_nonprojective_uses_resolution():
     ctx = a2_ctx()
     s1, _, _ = a2_modules(ctx)
-    w = wrap_module(ctx, s1)
-    assert [s.dims for s in w.slots] == [(1, 1), (0, 0), (0, 1)]
-    assert not w.diffs[2].is_zero()
+    for t in PERIODS:
+        w = wrap_module(ctx, s1, t=t)
+        assert [s.dims for s in w.slots] == [(1, 1)] + [(0, 0)] * (t - 2) + [(0, 1)]
+        assert not w.diffs[t - 1].is_zero()
 
 
 def test_wrap_of_projective_is_stalk():
     ctx = a2_ctx()
     _, s2, p1 = a2_modules(ctx)
     for rep in (s2, p1):
-        w = wrap_module(ctx, rep)
+        w = wrap_module(ctx, rep, t=3)
         assert w.slots[1].is_zero and w.slots[1].total_dim == 0
         assert w.slots[2].total_dim == 0
         assert ctx.summand_ids(w.slots[0]) == ctx.summand_ids(rep)
@@ -73,30 +101,39 @@ def test_wrap_of_projective_is_stalk():
 def test_normalize_wrap_round_trip_all_small_classes():
     ctx = a2_ctx()
     zero_id = ctx.summand_ids(ctx.zero_rep())
-    for rep in ctx.enumerate_reps((1, 1)):
-        for s in range(3):
-            pieces = normal_pieces(ctx, wrap_module(ctx, rep, s))
-            got = piece_classes(ctx, pieces)
-            expected = [zero_id, zero_id, zero_id]
-            if rep.total_dim:
-                expected[s] = ctx.summand_ids(rep)
-            assert got == tuple(expected)
+    for t in PERIODS:
+        for rep in ctx.enumerate_reps((1, 1)):
+            for s in range(t):
+                pieces = normal_pieces(ctx, wrap_module(ctx, rep, s, t=t))
+                got = piece_classes(ctx, pieces)
+                expected = [zero_id] * t
+                if rep.total_dim:
+                    expected[s] = ctx.summand_ids(rep)
+                assert got == tuple(expected), (t, rep, s)
+
+
+def single_shifts(c, n):
+    for _ in range(n):
+        c = c.shift(1)
+    return c
 
 
 def test_triple_shift_is_identity_on_normal_forms():
-    ctx3 = a2_ctx(p=3)
+    # t single shifts are the identity at period t
+    ctx3, ctx2 = a2_ctx(p=3), a2_ctx(p=2)
     s1, _, _ = a2_modules(ctx3)
-    c = wrap_module(ctx3, s1)
-    c3 = c.shift(1).shift(1).shift(1)
-    # over F_3 the differentials pick up a global sign, so the complexes
-    # differ on the nose but agree in the homotopy category
-    assert c3.key() != c.key()
-    assert piece_classes(ctx3, normal_pieces(ctx3, c3)) == piece_classes(ctx3, normal_pieces(ctx3, c))
-    assert find_homotopy_iso(ctx3, c, c3) is not None
-    # over F_2 there is no sign and the round trip is literal
-    ctx2 = a2_ctx(p=2)
-    w = wrap_module(ctx2, ctx2.simple("1"))
-    assert w.shift(1).shift(1).shift(1).key() == w.key()
+    for t in PERIODS:
+        c = wrap_module(ctx3, s1, t=t)
+        ct = single_shifts(c, t)
+        # over F_3 an odd number of shifts leaves a global sign on the
+        # differentials, so the complexes differ on the nose but agree
+        # in the homotopy category
+        assert ct.key() != c.key()
+        assert piece_classes(ctx3, normal_pieces(ctx3, ct)) == piece_classes(ctx3, normal_pieces(ctx3, c))
+        assert find_homotopy_iso(ctx3, c, ct) is not None
+        # over F_2 there is no sign and the round trip is literal
+        w = wrap_module(ctx2, ctx2.simple("1"), t=t)
+        assert single_shifts(w, t).key() == w.key()
 
 
 def single_shift(c):
@@ -111,65 +148,74 @@ def single_shift_map(f):
 
 def test_shift_by_n_is_n_single_shifts():
     # over F_3 a negated differential differs from the original; shift(n)
-    # reads n mod 3, since three literal rotations negate every differential
+    # reads n mod t, since t literal rotations negate every differential
     ctx = a2_ctx(p=3)
     s1, s2, _ = a2_modules(ctx)
-    f = chain_hom_space(ctx, wrap_module(ctx, s1), wrap_module(ctx, s2, 1)).rep_map((1,))
-    cone = mapping_cone(ctx, f)[0]
-    a3 = PeriodicContext(RepContext(line_quiver(3), FieldSpec(3)))
-    chains = ChainModel(a3)
-    realized = next(
-        c for c in (chains.realize(k).total for k in reversed(a3.enumerate_objects((1, 1, 1))))
-        if sum(not d.is_zero() for d in c.diffs) > 1
-    )
-    for c in (wrap_module(ctx, s1), realized, cone):
-        expected = c
-        for n in range(6):
-            assert c.shift(n) == expected, n
-            expected = c if n % 3 == 2 else single_shift(expected)
-    expected = f
-    for n in range(6):
-        got = f.shift(n)
-        assert (got.source, got.target, got.key()) == (expected.source, expected.target, expected.key()), n
-        expected = f if n % 3 == 2 else single_shift_map(expected)
+    for t in PERIODS:
+        f = chain_hom_space(ctx, wrap_module(ctx, s1, t=t), wrap_module(ctx, s2, 1, t=t)).rep_map((1,))
+        cone = mapping_cone(ctx, f)[0]
+        a3 = PeriodicContext(RepContext(line_quiver(3), FieldSpec(3)), t)
+        # every non-projective class of A3 at its own shift: a complex
+        # with several nonzero differentials
+        nonprojective = [r for r in a3.ctx.enumerate_reps((1, 1, 1)) if a3.ctx.is_indecomposable(r) and not r.dims[-1]]
+        key = a3.direct_sum_key(*(a3.module_key(r, s) for s, r in enumerate(nonprojective)))
+        realized = ChainModel(a3).realize(key).total
+        assert sum(not d.is_zero() for d in realized.diffs) > 1
+        for c in (wrap_module(ctx, s1, t=t), realized, cone):
+            expected = c
+            for n in range(2 * t):
+                assert c.shift(n) == expected, (t, n)
+                expected = c if n % t == t - 1 else single_shift(expected)
+        expected = f
+        for n in range(2 * t):
+            got = f.shift(n)
+            assert (got.source, got.target, got.key()) == (expected.source, expected.target, expected.key()), (t, n)
+            expected = f if n % t == t - 1 else single_shift_map(expected)
 
 
 def test_rotation_equivariance_of_normal_form():
     ctx = a2_ctx()
     s1, s2, _ = a2_modules(ctx)
-    total, _, _ = direct_sum_complexes(ctx, [wrap_module(ctx, s1, 0), wrap_module(ctx, s2, 2)])
+    total, _, _ = direct_sum_complexes(ctx, [wrap_module(ctx, s1, 0, t=3), wrap_module(ctx, s2, 2, t=3)], t=3)
     n0, n1, n2 = piece_classes(ctx, normal_pieces(ctx, total))
     assert piece_classes(ctx, normal_pieces(ctx, total.shift(1))) == (n2, n0, n1)
     assert piece_classes(ctx, normal_pieces(ctx, total.shift(2))) == (n1, n2, n0)
+    # shifting by n moves the piece at shift s to shift s + n
+    for t in PERIODS[1:]:
+        total, _, _ = direct_sum_complexes(ctx, [wrap_module(ctx, s1, 0, t=t), wrap_module(ctx, s2, 2, t=t)], t=t)
+        base = piece_classes(ctx, normal_pieces(ctx, total))
+        for n in range(t):
+            assert piece_classes(ctx, normal_pieces(ctx, total.shift(n))) == base[-n:] + base[:-n]
 
 
 def test_hom_dims_follow_residue_pattern():
     ctx = a2_ctx()
     s1, s2, p1 = a2_modules(ctx)
     mods = [s1, s2, p1]
-    for x in mods:
-        for y in mods:
-            hom = ctx.hom_dim(x, y)
-            ext = ctx.ext1_dim(x, y)
-            for i in range(3):
-                for j in range(3):
-                    d = chain_hom_space(ctx, wrap_module(ctx, x, i), wrap_module(ctx, y, j)).dim
-                    r = (j - i) % 3
-                    expected = hom if r == 0 else (ext if r == 1 else 0)
-                    assert d == expected, (x.dims, i, y.dims, j, d, expected)
+    for t in PERIODS:
+        for x in mods:
+            for y in mods:
+                hom = ctx.hom_dim(x, y)
+                ext = ctx.ext1_dim(x, y)
+                for i in range(t):
+                    for j in range(t):
+                        d = chain_hom_space(ctx, wrap_module(ctx, x, i, t=t), wrap_module(ctx, y, j, t=t)).dim
+                        r = (j - i) % t
+                        expected = hom if r == 0 else (ext if r == 1 else 0)
+                        assert d == expected, (t, x.dims, i, y.dims, j, d, expected)
 
 
 def test_minimal_wraps_have_no_homotopies():
     ctx = a2_ctx()
     s1, _, _ = a2_modules(ctx)
-    h = chain_hom_space(ctx, wrap_module(ctx, s1), wrap_module(ctx, s1))
+    h = chain_hom_space(ctx, wrap_module(ctx, s1, t=3), wrap_module(ctx, s1, t=3))
     assert h.chain_dim == h.dim == 1
 
 
 def test_contractible_cone_vanishes_in_normal_form():
     ctx = a2_ctx()
     s1, _, _ = a2_modules(ctx)
-    w = wrap_module(ctx, s1)
+    w = wrap_module(ctx, s1, t=3)
     cone, incl, proj = mapping_cone(ctx, ChainMap.identity(w))
     zero_id = ctx.summand_ids(ctx.zero_rep())
     assert piece_classes(ctx, normal_pieces(ctx, cone)) == (zero_id, zero_id, zero_id)
@@ -184,8 +230,8 @@ def test_contractible_cone_vanishes_in_normal_form():
 def test_cone_triangle_compositions():
     ctx = a2_ctx()
     s1, s2, _ = a2_modules(ctx)
-    x = wrap_module(ctx, s2)
-    y = wrap_module(ctx, s1)
+    x = wrap_module(ctx, s2, t=3)
+    y = wrap_module(ctx, s1, t=3)
     for u in (ChainMap.zero(x, y), ):
         cone, incl, proj = mapping_cone(ctx, u)
         # validate the chain conditions explicitly
@@ -200,8 +246,8 @@ def test_cone_of_zero_map_is_direct_sum():
     ctx = a2_ctx()
     s1, s2, _ = a2_modules(ctx)
     # triangle direction X -> cone -> Y: cone(0: A -> B) == B + A[1]
-    a = wrap_module(ctx, s2)
-    b = wrap_module(ctx, s1)
+    a = wrap_module(ctx, s2, t=3)
+    b = wrap_module(ctx, s1, t=3)
     cone, _, _ = mapping_cone(ctx, ChainMap.zero(a, b))
     got = piece_classes(ctx, normal_pieces(ctx, cone))
     assert got == (ctx.summand_ids(s1), ctx.summand_ids(s2), ctx.summand_ids(ctx.zero_rep()))
@@ -213,8 +259,8 @@ def test_cone_of_extension_morphism():
     for p in (2, 3):
         ctx = a2_ctx(p)
         s1, s2, p1 = a2_modules(ctx)
-        x = wrap_module(ctx, s1)
-        y = wrap_module(ctx, s2, 1)
+        x = wrap_module(ctx, s1, t=3)
+        y = wrap_module(ctx, s2, 1, t=3)
         h = chain_hom_space(ctx, x, y)
         assert h.dim == 1
         f = h.rep_map((1,))
@@ -227,9 +273,9 @@ def test_cone_of_extension_morphism():
 def test_cone_class_ignores_homotopy_representative():
     ctx = a2_ctx()
     s1, s2, _ = a2_modules(ctx)
-    contractible, _, _ = mapping_cone(ctx, ChainMap.identity(wrap_module(ctx, s1)))
-    target, _, _ = direct_sum_complexes(ctx, [wrap_module(ctx, s2), contractible])
-    src = wrap_module(ctx, s2)
+    contractible, _, _ = mapping_cone(ctx, ChainMap.identity(wrap_module(ctx, s1, t=3)))
+    target, _, _ = direct_sum_complexes(ctx, [wrap_module(ctx, s2, t=3), contractible], t=3)
+    src = wrap_module(ctx, s2, t=3)
     h = chain_hom_space(ctx, src, target)
     assert h.dim == 1
     assert h.chain_dim > 1
@@ -245,8 +291,8 @@ def test_cone_class_ignores_homotopy_representative():
 def test_shifted_cone_matches_cone_of_shift():
     ctx = a2_ctx(3)
     s1, s2, _ = a2_modules(ctx)
-    x = wrap_module(ctx, s1)
-    y = wrap_module(ctx, s2, 1)
+    x = wrap_module(ctx, s1, t=3)
+    y = wrap_module(ctx, s2, 1, t=3)
     f = chain_hom_space(ctx, x, y).rep_map((1,))
     left = normal_pieces(ctx, mapping_cone(ctx, f.shift(1))[0])
     right = normal_pieces(ctx, mapping_cone(ctx, f)[0].shift(1))
@@ -256,8 +302,8 @@ def test_shifted_cone_matches_cone_of_shift():
 def test_direct_sum_complex_maps_are_chain_maps():
     ctx = a2_ctx()
     s1, s2, _ = a2_modules(ctx)
-    parts = [wrap_module(ctx, s1), wrap_module(ctx, s2, 1)]
-    total, injs, projs = direct_sum_complexes(ctx, parts)
+    parts = [wrap_module(ctx, s1, t=3), wrap_module(ctx, s2, 1, t=3)]
+    total, injs, projs = direct_sum_complexes(ctx, parts, t=3)
     for k, part in enumerate(parts):
         ChainMap(part, total, injs[k].comps)
         ChainMap(total, part, projs[k].comps)
@@ -269,9 +315,9 @@ def test_direct_sum_complex_maps_are_chain_maps():
 def test_identity_iso_found():
     ctx = a2_ctx()
     s1, _, _ = a2_modules(ctx)
-    w = wrap_module(ctx, s1)
+    w = wrap_module(ctx, s1, t=3)
     assert find_homotopy_iso(ctx, w, w) is not None
-    assert find_homotopy_iso(ctx, w, wrap_module(ctx, s1, 1)) is None
+    assert find_homotopy_iso(ctx, w, wrap_module(ctx, s1, 1, t=3)) is None
 
 
 def test_lift_quotient_coords_round_trips():

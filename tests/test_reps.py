@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from perihall.category import PeriodicContext
 from perihall.checks import classical_hall_g, ext1_dim_literal, iso_between, matrix_inverse, module_aut_order
 from perihall.gfp import FieldSpec, MatrixFp
 from perihall.quiver import Arrow, Quiver, line_quiver
@@ -253,6 +254,25 @@ def test_class_id_takes_indecomposables_only():
     assert any(ctx.class_rep(cid) == split for cid in range(ctx.class_count()))
     with pytest.raises(ValueError):
         ctx.class_id(split)
+
+
+def test_the_registry_refuses_a_module_of_another_field_or_quiver():
+    # over F_2, the F_3 module with arrow matrix [[2]] once read as the
+    # split S1 + S2, and an A3 module as a bare IndexError
+    pctx = PeriodicContext(ctx_a2())
+    ctx = pctx.ctx
+    f3 = FieldSpec(3)
+    foreign_field = Rep(f3, A2, (1, 1), {"a1": MatrixFp(f3, [[2]])})
+    foreign_quiver = Rep(ctx.field, A3, (1, 1, 1), {"a1": MatrixFp(ctx.field, [[1]]), "a2": MatrixFp(ctx.field, [[1]])})
+    for rep, names in ((foreign_field, ("F_3", "F_2")), (foreign_quiver, (repr(A3), repr(A2)))):
+        for lookup in (ctx.summand_ids, ctx.class_id, pctx.module_key):
+            with pytest.raises(ValueError) as err:
+                lookup(rep)
+            assert all(name in str(err.value) for name in names), str(err.value)
+    assert ctx.class_count() == 0
+    # an equal field and quiver built apart are the same category
+    same = Rep(FieldSpec(2), line_quiver(2), (1, 1), {"a1": MatrixFp(FieldSpec(2), [[1]])})
+    assert ctx.summand_ids(same) == (ctx.class_id(p1(ctx)),)
 
 
 def test_class_registry_stable():

@@ -19,7 +19,10 @@ end-to-end metric the median and quartiles per side, the relative
 change of the median, the parent's interquartile range, the pairs won
 and lost by the change, and the raw runs. ``clear_gain`` says whether
 the change won at least nine in ten pairs and moved the median by more
-than the parent's interquartile range. Which way is better, and each
+than the parent's interquartile range. A gain does not count when the
+change fails a larger share of its attempted ops than the parent: the
+workload's ``more_failed_ops`` flag is then set and every metric's
+``clear_gain`` is false. Which way is better, and each
 end-to-end metric's ``bound``, are read from the change's
 ``BENCHMARK.json``.
 
@@ -101,6 +104,16 @@ def summarize(parent: Sequence[float], change: Sequence[float], lower_is_better:
     }
 
 
+def more_failed(failed: Dict[str, int], attempted: Dict[str, int]) -> bool:
+    """Whether the change failed a larger share of its attempted ops
+    than the parent; a side that attempted nothing has share 0."""
+
+    def share(side: str) -> float:
+        return failed[side] / attempted[side] if attempted[side] else 0.0
+
+    return share("change") > share("parent")
+
+
 def bench_workload(parent_dir: Path, change_dir: Path, workload: str, seeds: Sequence[int], seconds: float,
                    better: Dict[str, str], bounds: Dict[str, float]) -> dict:
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
@@ -121,12 +134,19 @@ def bench_workload(parent_dir: Path, change_dir: Path, workload: str, seeds: Seq
         metrics[name] = {"unit": entry["unit"],
                          **summarize(values["parent"], values["change"], better.get(name, "lower") == "lower",
                                      bounds.get(name))}
+    failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
+    attempted = {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()}
+    worse_failures = more_failed(failed, attempted)
+    if worse_failures:
+        for m in metrics.values():
+            m["clear_gain"] = False
     return {
         "seeds": list(seeds),
         "first_in_pair": first,
         "all_correct": all(r["correct"] for side in runs.values() for r in side),
-        "failed_ops": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
-        "attempted_ops": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
+        "failed_ops": failed,
+        "attempted_ops": attempted,
+        "more_failed_ops": worse_failures,
         "metrics": metrics,
     }
 
@@ -159,7 +179,8 @@ def main(argv: Sequence[str]) -> int:
             "alternation": "parent runs first in even pairs, change first in odd pairs",
             "quartiles": "statistics.quantiles(runs, n=4, method='inclusive')",
             "pairs_won": "pairs where the change's value is better, by the metric's direction in BENCHMARK.json",
-            "clear_gain": "pairs_won >= 9/10 of the pairs and the median moved the better way by more than parent_iqr",
+            "clear_gain": "pairs_won >= 9/10 of the pairs and the median moved the better way by more than parent_iqr,"
+                          " and the change's failed/attempted share is not above the parent's (more_failed_ops)",
             "verdict": "regressed: the change's median is worse than the parent's by more than the bound times the"
                        " parent's median; unresolved: parent_iqr exceeds the bound times the parent's median and"
                        " not every change run beats every parent run; held: otherwise",
