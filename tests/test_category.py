@@ -255,14 +255,14 @@ def test_fiber_counts_match_the_literal_count(n, p, bound, first, hom_cap, monke
     # graded prefix of the objects. At the longer periods the targets are
     # the zero object and every part, which meet every shift residue; a
     # count depends on the shifts only through their differences, so the
-    # sources sit at shift 0
+    # sources sit at shift 0. A3 runs at t = 3 and 5
     lines = []
     honest_lines = category._lines
     monkeypatch.setattr(category, "_lines", lambda q, dim: (lines.append(c) or c for c in honest_lines(q, dim)))
     complexes = []
     honest_init = CycleComplex.__init__
     monkeypatch.setattr(CycleComplex, "__init__", lambda c, *args, **kw: complexes.append(c) or honest_init(c, *args, **kw))
-    for t in PERIODS:
+    for t in PERIODS if n < 3 else PERIODS[:2]:
         pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)), t)
         if t == 3:
             sources = targets = pctx.enumerate_objects(bound)[:first]
