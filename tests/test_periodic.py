@@ -146,7 +146,7 @@ def single_shift_map(f):
     return ChainMap(single_shift(f.source), single_shift(f.target), f.comps[1:] + f.comps[:1])
 
 
-def test_shift_by_n_is_n_shift_one_at_a_time():
+def test_shift_by_n_is_n_single_shifts():
     # over F_3 a negated differential differs from the original; shift(n)
     # reads n mod t, since t literal rotations negate every differential
     ctx = a2_ctx(p=3)
