@@ -27,8 +27,9 @@ engine's import graph (only ``PeriodicContext.hom_space`` reaches
 :mod:`perihall.periodic`, through a function-level import):
 
 - :mod:`perihall.periodic` - the chain-level model: t-cycle complexes of
-  projective resolutions, chain maps modulo homotopy, mapping cones,
-  and the module helpers only it needs: paths out of a vertex,
+  projective resolutions, chain maps modulo homotopy between whole
+  complexes (one Hom space, walked one way by ``HomSpace.morphisms``),
+  mapping cones, and the module helpers only it needs: paths out of a vertex,
   projective modules, direct sums of modules, corestrictions and
   quotient-coordinate lifts.
 - :mod:`perihall.checks` - identity verification harnesses, recounting

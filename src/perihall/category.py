@@ -115,7 +115,7 @@ from .quiver import Quiver
 from .reps import BudgetExceeded, HomExt, Rep, RepContext
 
 if TYPE_CHECKING:
-    from .periodic import BlockHomSpace
+    from .periodic import HomSpace
 
 __all__ = ["PERIOD", "ObjKey", "PeriodicContext", "HomVectors"]
 
@@ -264,12 +264,12 @@ class PeriodicContext:
 
     # -- morphisms ----------------------------------------------------
 
-    def hom_space(self, x: ObjKey, y: ObjKey) -> BlockHomSpace:
-        """Hom(x, y) recounted at chain level: a
-        :class:`perihall.periodic.BlockHomSpace` between the objects
-        realized as t-periodic complexes, at this context's t, built
-        afresh per call. The engine never calls it; ``hom_dim`` gives
-        the same dimension."""
+    def hom_space(self, x: ObjKey, y: ObjKey) -> HomSpace:
+        """Hom(x, y) recounted at chain level: the
+        :class:`perihall.periodic.HomSpace` of chain maps modulo homotopy
+        between the objects realized as t-periodic complexes, at this
+        context's t, built afresh per call. The engine never calls it;
+        ``hom_dim`` gives the same dimension."""
         # imported here, off the engine's import graph, for the perfbench End-dimension check
         from .periodic import ChainModel
 

@@ -25,8 +25,9 @@ the cycle. The path algebra is hereditary, so a periodic complex of
 projectives is the sum of its shifted homology: its normal form carries,
 at shift s, the homology ker d_i / im d_{i-1} at slot i = -s mod t.
 :class:`ChainModel` realizes object keys at their context's period as
-direct sums of wrapped parts and computes Hom between them block by
-block.
+direct sums of wrapped parts, and Hom between two keys is the
+:class:`HomSpace` between their complexes; :meth:`HomSpace.morphisms`
+is the one walk over its classes.
 
 Morphisms are slotwise representation maps commuting with the
 differentials; two are identified when they differ by a boundary
@@ -44,7 +45,9 @@ quotient coordinates (:func:`lift_quotient_coords`).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -62,8 +65,6 @@ __all__ = [
     "Homotopy",
     "HomSpace",
     "Resolution",
-    "RealizedObject",
-    "BlockHomSpace",
     "ChainModel",
     "chain_hom_space",
     "corestrict",
@@ -223,6 +224,11 @@ class CycleComplex:
     def t(self) -> int:
         return len(self.slots)
 
+    @property
+    def dims(self) -> List[Tuple[int, ...]]:
+        """The dimension vector of each slot."""
+        return [s.dims for s in self.slots]
+
     @classmethod
     def stalk(cls, ctx: RepContext, rep: Rep, slot: int, *, t: int) -> "CycleComplex":
         """The t-periodic complex carrying ``rep`` alone in one slot."""
@@ -254,7 +260,7 @@ class CycleComplex:
         return hash(self.key())
 
     def __repr__(self) -> str:
-        return f"CycleComplex(dims={[s.dims for s in self.slots]})"
+        return f"CycleComplex(dims={self.dims})"
 
 
 def direct_sum_complexes(ctx: RepContext, parts: Sequence[CycleComplex], *, t: int) -> Tuple[CycleComplex, List["ChainMap"], List["ChainMap"]]:
@@ -341,7 +347,7 @@ class ChainMap:
         return tuple(c.key() for c in self.comps)
 
     def __repr__(self) -> str:
-        return f"ChainMap({[s.dims for s in self.source.slots]} -> {[s.dims for s in self.target.slots]})"
+        return f"ChainMap({self.source.dims} -> {self.target.dims})"
 
 
 class Homotopy:
@@ -493,15 +499,50 @@ class HomSpace:
             comps.append(acc)
         return ChainMap(self.source, self.target, comps, check=False)
 
-    def enumerate_classes(self, cap: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
-        limit = cap if cap is not None else self.ctx.enum_cap
-        total = self.ctx.field.p**self.dim
-        if total > limit:
+    @functools.cached_property
+    def unit_maps(self) -> List[ChainMap]:
+        """The representatives of the unit classes, in coordinate order."""
+        return [self.rep_map([int(i == k) for i in range(self.dim)]) for k in range(self.dim)]
+
+    def morphisms(self) -> Iterator[Tuple[Tuple[int, ...], ChainMap]]:
+        """Every morphism class, coordinates in lexicographic order, with
+        its representative :meth:`rep_map`. The context's ``enum_cap``
+        bounds the number of classes.
+
+        The representative is linear in the coordinates, so the unit-class
+        representatives are laid out once as flat entry columns per (slot,
+        vertex) component, and each class is one combination of them mod p.
+        """
+        p, limit = self.ctx.field.p, self.ctx.enum_cap
+        if p**self.dim > limit:
             raise BudgetExceeded(
-                f"class enumeration of size {total} exceeds cap {limit}: slot dimension vectors"
-                f" {[s.dims for s in self.source.slots]} -> {[s.dims for s in self.target.slots]}"
+                f"class enumeration of size {p**self.dim} exceeds cap {limit}: slot dimension vectors"
+                f" {self.source.dims} -> {self.target.dims}"
             )
-        yield from itertools.product(range(self.ctx.field.p), repeat=self.dim)
+        units = self.unit_maps
+        # per slot, per vertex: (nrows, ncols, entry columns), where entry
+        # column e holds entry e of each unit map; None marks a component
+        # that vanishes on every unit map
+        layout = []
+        for s, (source_slot, target_slot) in enumerate(zip(self.source.slots, self.target.slots)):
+            slot = []
+            for v, (nr, nc) in enumerate(zip(source_slot.dims, target_slot.dims)):
+                cols = list(zip(*(u.comps[s].comps[v].flat() for u in units))) if units else []
+                slot.append((nr, nc, cols if any(any(col) for col in cols) else None))
+            layout.append(slot)
+        for coords in itertools.product(range(p), repeat=self.dim):
+            comps = []
+            for s, slot in enumerate(layout):
+                mats = []
+                for nr, nc, cols in slot:
+                    if cols is None:
+                        rows = [[0] * nc for _ in range(nr)]
+                    else:
+                        flat = [sum(map(operator.mul, coords, col)) % p for col in cols]
+                        rows = [flat[r * nc : (r + 1) * nc] for r in range(nr)]
+                    mats.append(MatrixFp._trusted(self.ctx.field, rows, nc))
+                comps.append(RepMap(self.source.slots[s], self.target.slots[s], mats, check=False))
+            yield coords, ChainMap(self.source, self.target, comps, check=False)
 
     def is_null_homotopic(self, f: ChainMap) -> bool:
         return not any(self.class_coords(f))
@@ -676,75 +717,47 @@ def wrap_module(ctx: RepContext, rep: Rep, shift: int = 0, *, t: int) -> CycleCo
     return base.shift(shift)
 
 
-def find_homotopy_iso(ctx: RepContext, a: CycleComplex, b: CycleComplex, cap: int = 1 << 12) -> Optional[ChainMap]:
+def find_homotopy_iso(ctx: RepContext, a: CycleComplex, b: CycleComplex) -> Optional[ChainMap]:
     """Search for an isomorphism a -> b in the homotopy category.
 
-    Enumerates morphism classes (within the cap) and tests two-sided
-    invertibility modulo homotopy. Intended for small verification
-    scopes, not the hot path.
+    Walks every pair of morphism classes a -> b -> a, within the
+    context's ``enum_cap``, and tests two-sided invertibility modulo
+    homotopy. Intended for small verification scopes, not the hot path.
     """
     fwd = chain_hom_space(ctx, a, b)
     bwd = chain_hom_space(ctx, b, a)
+    pairs = ctx.field.p ** (fwd.dim + bwd.dim)
+    if pairs > ctx.enum_cap:
+        raise BudgetExceeded(
+            f"{pairs} pairs of morphism classes exceed cap {ctx.enum_cap}: slot dimension vectors"
+            f" {a.dims} and {b.dims}"
+        )
     ends_a = chain_hom_space(ctx, a, a)
     ends_b = chain_hom_space(ctx, b, b)
     id_a = ends_a.class_coords(ChainMap.identity(a))
     id_b = ends_b.class_coords(ChainMap.identity(b))
-    for fc in fwd.enumerate_classes(cap):
-        f = fwd.rep_map(fc)
-        for gc in bwd.enumerate_classes(cap):
-            g = bwd.rep_map(gc)
+    for _, f in fwd.morphisms():
+        for _, g in bwd.morphisms():
             if ends_a.class_coords(f.then(g)) == id_a and ends_b.class_coords(g.then(f)) == id_b:
                 return f
     return None
 
 
-class RealizedObject:
-    """An object key together with its concrete complex and the chain
-    maps onto and out of each wrapped summand."""
-
-    __slots__ = ("key", "total", "injections", "projections")
-
-    def __init__(self, key: ObjKey, total: CycleComplex, injections: Sequence[ChainMap], projections: Sequence[ChainMap]):
-        self.key = key
-        self.total = total
-        self.injections = tuple(injections)
-        self.projections = tuple(projections)
-
-
-class BlockHomSpace:
-    """Hom between two realized objects, assembled summand by summand.
-
-    There is one block per (source part, target part), in that order;
-    the coordinates of a morphism are the concatenation of its class
-    coordinates in each block's space. :func:`perihall.checks.block_morphisms`
-    builds the representative of every class.
-    """
-
-    def __init__(self, model: "ChainModel", source: RealizedObject, target: RealizedObject):
-        self.pctx = model.pctx
-        self.source = source
-        self.target = target
-        self.blocks: List[Tuple[int, int, HomSpace]] = []
-        for i, pa in enumerate(source.key):
-            for j, pb in enumerate(target.key):
-                self.blocks.append((i, j, model.block_space(pa, pb)))
-        self.dim = sum(b[2].dim for b in self.blocks)
-
-
 class ChainModel:
     """The objects of a :class:`perihall.category.PeriodicContext` as
     cycle complexes: each (class, shift) part wrapped as the minimal
-    resolution of its class representative, an object key realized as
-    the direct sum of its parts, and Hom between two keys one block per
-    pair of parts, all at the context's period. Wrapped parts, block
-    spaces and realized keys are cached for the life of the model."""
+    resolution of its class representative, and an object key realized
+    as the direct sum of its parts, at the context's period. Hom between
+    two keys is the :class:`HomSpace` between their complexes. Wrapped
+    parts, realized keys and Hom spaces are cached for the life of the
+    model."""
 
     def __init__(self, pctx: "PeriodicContext"):
         self.pctx = pctx
         self.ctx = pctx.ctx
         self._wrap_cache: Dict[Part, CycleComplex] = {}
-        self._block_cache: Dict[Tuple[Part, Part], HomSpace] = {}
-        self._realize_cache: Dict[ObjKey, RealizedObject] = {}
+        self._realize_cache: Dict[ObjKey, CycleComplex] = {}
+        self._hom_cache: Dict[Tuple[ObjKey, ObjKey], HomSpace] = {}
 
     def wrap_part(self, part: Part) -> CycleComplex:
         hit = self._wrap_cache.get(part)
@@ -753,19 +766,19 @@ class ChainModel:
             self._wrap_cache[part] = hit = wrap_module(self.ctx, self.ctx.class_rep(cid), s, t=self.pctx.t)
         return hit
 
-    def realize(self, key: ObjKey) -> RealizedObject:
+    def realize(self, key: ObjKey) -> CycleComplex:
+        """The complex of an object key: the direct sum of its wrapped
+        parts, in key order."""
         hit = self._realize_cache.get(key)
         if hit is None:
-            total, injs, projs = direct_sum_complexes(self.ctx, [self.wrap_part(part) for part in key], t=self.pctx.t)
-            self._realize_cache[key] = hit = RealizedObject(key, total, injs, projs)
+            parts = [self.wrap_part(part) for part in key]
+            self._realize_cache[key] = hit = direct_sum_complexes(self.ctx, parts, t=self.pctx.t)[0]
         return hit
 
-    def block_space(self, part_a: Part, part_b: Part) -> HomSpace:
-        k = (part_a, part_b)
-        hit = self._block_cache.get(k)
+    def hom_space(self, x: ObjKey, y: ObjKey) -> HomSpace:
+        """Hom(x, y): chain maps modulo homotopy between the realized
+        complexes."""
+        hit = self._hom_cache.get((x, y))
         if hit is None:
-            self._block_cache[k] = hit = chain_hom_space(self.ctx, self.wrap_part(part_a), self.wrap_part(part_b))
+            self._hom_cache[(x, y)] = hit = chain_hom_space(self.ctx, self.realize(x), self.realize(y))
         return hit
-
-    def hom_space(self, x: ObjKey, y: ObjKey) -> BlockHomSpace:
-        return BlockHomSpace(self, self.realize(x), self.realize(y))

@@ -13,6 +13,7 @@ The field size q must be a prime power.
 
 from __future__ import annotations
 
+import itertools
 from math import isqrt
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -142,28 +143,8 @@ class SemisimplePeriodic:
         return hit
 
     def _rank_profiles(self, x: SsKey, m: SsKey) -> Iterator[SsKey]:
-        ranges = [range(min(x[s], m[s]) + 1) for s in range(self.t)]
-        def rec(s: int, acc: List[int]) -> Iterator[SsKey]:
-            if s == self.t:
-                yield tuple(acc)
-                return
-            for r in ranges[s]:
-                acc.append(r)
-                yield from rec(s + 1, acc)
-                acc.pop()
-        yield from rec(0, [])
+        return itertools.product(*(range(min(x[s], m[s]) + 1) for s in range(self.t)))
 
     def enumerate_objects(self, bound: int) -> List[SsKey]:
         """All objects with each multiplicity at most bound, graded."""
-        out: List[SsKey] = []
-        def rec(s: int, acc: List[int]) -> None:
-            if s == self.t:
-                out.append(tuple(acc))
-                return
-            for m in range(bound + 1):
-                acc.append(m)
-                rec(s + 1, acc)
-                acc.pop()
-        rec(0, [])
-        out.sort(key=lambda k: (sum(k), k))
-        return out
+        return sorted(itertools.product(range(bound + 1), repeat=self.t), key=lambda k: (sum(k), k))

@@ -1,5 +1,7 @@
 import fractions
+import importlib
 import itertools
+import pkgutil
 import subprocess
 import sys
 from math import lcm
@@ -7,20 +9,18 @@ from pathlib import Path
 
 import pytest
 
+import perihall
 from perihall import category, periodic
 from perihall.category import PeriodicContext
 from perihall.checks import (
     _rational_inverse,
     aut_order_by_enumeration,
     aut_order_by_layers,
-    block_coords,
-    block_morphisms,
     complex_key,
     composition_by_chains,
     cone_key_literal,
     dvec_mod2,
     fiber_counts_literal,
-    rep_map_blockwise,
 )
 from perihall.gfp import FieldSpec, MatrixFp
 from perihall.hall import HallEngine
@@ -84,7 +84,7 @@ def test_enumeration_is_graded_and_stable(a2):
 
 def test_realize_normalize_round_trip(a2):
     for key in a2.enumerate_objects((1, 1)):
-        assert complex_key(a2, ChainModel(a2).realize(key).total) == key
+        assert complex_key(a2, ChainModel(a2).realize(key)) == key
 
 
 def test_shift_key_matches_complex_shift(a2):
@@ -92,7 +92,7 @@ def test_shift_key_matches_complex_shift(a2):
     p1 = periodic.projective(a2.ctx, "1")
     for key in (a2.module_key(s1), a2.direct_sum_key(a2.module_key(p1), a2.module_key(s1, 1))):
         for n in range(1, 4):
-            assert complex_key(a2, ChainModel(a2).realize(key).total.shift(n)) == a2.shift_key(key, n)
+            assert complex_key(a2, ChainModel(a2).realize(key).shift(n)) == a2.shift_key(key, n)
     assert a2.shift_key(a2.module_key(s1), 3) == a2.module_key(s1)
 
 
@@ -113,19 +113,27 @@ def test_hom_dim_three_ways():
         chains = ChainModel(a2)
         for x in keys:
             for y in keys:
+                # the covering formula, the literal Hom between the
+                # realized complexes, and the sum of the literal Hom
+                # spaces between their parts, which Hom is additive over
                 covering = a2.hom_dim(x, y)
-                blockwise = a2.hom_space(x, y).dim
-                literal = chain_hom_space(a2.ctx, chains.realize(x).total, chains.realize(y).total).dim
-                assert covering == blockwise == literal, (t, x, y)
+                literal = a2.hom_space(x, y).dim
+                blockwise = sum(chain_hom_space(a2.ctx, chains.wrap_part(a), chains.wrap_part(b)).dim for a in x for b in y)
+                assert covering == literal == blockwise, (t, x, y)
 
 
 def test_block_coordinates_round_trip(a2):
+    # every class the walk yields has the coordinates it is listed
+    # under, on an object of two parts with an extension between them
     s1 = a2.ctx.simple("1")
     s2 = a2.ctx.simple("2")
     x = a2.direct_sum_key(a2.module_key(s1), a2.module_key(s2, 1))
     space = a2.hom_space(x, x)
-    for coords, f in block_morphisms(space):
-        assert block_coords(space, f) == coords
+    walked = 0
+    for coords, f in space.morphisms():
+        assert space.class_coords(f) == coords
+        walked += 1
+    assert walked == a2.q**space.dim > 1
 
 
 @pytest.mark.parametrize(
@@ -142,8 +150,9 @@ def test_block_coordinates_round_trip(a2):
     ids=["A1-p3", "A2-p2", "A2-p3", "A3-p2", "kronecker-p3"],
 )
 def test_rep_map_matches_the_blockwise_assembly(quiver, p, bound, first):
-    # the flat combination of basis maps must reproduce, entry for
-    # entry, the representative assembled block by block
+    # the walk assembles each representative as a flat combination of
+    # the unit-class representatives; it must reproduce, entry for
+    # entry, the canonical representative of the same coordinates
     pctx = PeriodicContext(RepContext(quiver, FieldSpec(p)))
     keys = pctx.enumerate_objects(bound)[:first]
     chains = ChainModel(pctx)
@@ -153,8 +162,8 @@ def test_rep_map_matches_the_blockwise_assembly(quiver, p, bound, first):
             if pctx.hom_dim(x, m) > 3:
                 continue
             space = chains.hom_space(x, m)
-            for coords, f in block_morphisms(space):
-                assert f.key() == rep_map_blockwise(space, coords).key(), (x, m, coords)
+            for coords, f in space.morphisms():
+                assert f.key() == space.rep_map(coords).key(), (x, m, coords)
             spaces += 1
     assert spaces >= len(keys) ** 2 // 2
 
@@ -169,7 +178,7 @@ def test_cone_of_zero_map_is_sum_with_shift(a2):
     ]
     chains = ChainModel(a2)
     for akey, bkey in pairs:
-        f = ChainMap.zero(chains.realize(akey).total, chains.realize(bkey).total)
+        f = ChainMap.zero(chains.realize(akey), chains.realize(bkey))
         assert cone_key_literal(a2, f) == a2.direct_sum_key(bkey, a2.shift_key(akey, 1))
 
 
@@ -366,6 +375,16 @@ def test_the_engine_modules_do_not_load_the_chain_model():
     code = "import sys, perihall.hall, perihall.category; print('perihall.periodic' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_every_exported_name_exists():
+    # each module's __all__ names only what the module defines, so a
+    # deleted class cannot linger in its exports
+    modules = [importlib.import_module(f"perihall.{info.name}") for info in pkgutil.iter_modules(perihall.__path__)]
+    exporting = [module for module in modules if hasattr(module, "__all__")]
+    assert len(exporting) >= 8
+    for module in exporting:
+        assert [name for name in module.__all__ if not hasattr(module, name)] == [], module.__name__
 
 
 def _signs_match(entries):
@@ -587,11 +606,10 @@ def test_budget_errors_name_their_objects(a2):
     with pytest.raises(BudgetExceeded) as err:
         a2.fiber_counts(x, y)
     assert f"{a2.format_key(x)} -> {a2.format_key(y)}" in str(err.value)
-    chains = ChainModel(a2)
-    source, target = chains.realize(x).total, chains.realize(y).total
+    space = ChainModel(a2).hom_space(x, y)
     with pytest.raises(BudgetExceeded) as err:
-        next(chain_hom_space(a2.ctx, source, target).enumerate_classes(cap=1))
-    slots = [[s.dims for s in c.slots] for c in (source, target)]
+        next(space.morphisms())
+    slots = [[s.dims for s in c.slots] for c in (space.source, space.target)]
     assert f"{slots[0]} -> {slots[1]}" in str(err.value)
 
 

@@ -71,9 +71,9 @@ def test_dual_recipe_names_are_checked():
 def test_hom_dimensions_harness_sees_a_wrong_ext1(monkeypatch):
     pctx, _ = build_quiver_engine(line_quiver(3), 2)
     keys = pctx.enumerate_objects((1, 1, 1))[:40]
-    report = check_hom_dimensions(pctx, keys, literal_limit=200)
+    report = check_hom_dimensions(pctx, keys)
     assert report.passed, report.summary()
-    assert report.details["literal pairs"] == 200
+    assert report.checked == len(keys) ** 2
 
     def wrong_ext1(pctx):
         honest = pctx._class_pair
@@ -87,8 +87,9 @@ def test_hom_dimensions_harness_sees_a_wrong_ext1(monkeypatch):
     pctx, _ = build_quiver_engine(line_quiver(3), 2)
     keys = pctx.enumerate_objects((1, 1, 1))[:40]
     wrong_ext1(pctx)
-    report = check_hom_dimensions(pctx, keys, literal_limit=200)
+    report = check_hom_dimensions(pctx, keys)
     assert not report.passed
+    assert report.checked == len(keys) ** 2
 
     # the same at the longer periods, on the A2 part scope; the fault
     # goes in before any part pair is cached
@@ -98,9 +99,9 @@ def test_hom_dimensions_harness_sees_a_wrong_ext1(monkeypatch):
             if not honest:
                 wrong_ext1(pctx)
             keys = _part_scope(pctx)
-            report = check_hom_dimensions(pctx, keys, literal_limit=100)
+            report = check_hom_dimensions(pctx, keys)
             assert report.passed is honest, (t, report.summary())
-            assert report.details["literal pairs"] == 100
+            assert report.checked == len(keys) ** 2
 
 
 def test_relations_harness_catches_the_fault():

@@ -16,7 +16,7 @@ from perihall.periodic import (
 from perihall.category import PeriodicContext
 from perihall.gfp import FieldSpec, Subspace
 from perihall.quiver import line_quiver
-from perihall.reps import RepContext
+from perihall.reps import BudgetExceeded, RepContext
 
 PERIODS = (3, 5, 7)
 
@@ -159,7 +159,7 @@ def test_shift_by_n_is_n_single_shifts():
         # with several nonzero differentials
         nonprojective = [r for r in a3.ctx.enumerate_reps((1, 1, 1)) if a3.ctx.is_indecomposable(r) and not r.dims[-1]]
         key = a3.direct_sum_key(*(a3.module_key(r, s) for s, r in enumerate(nonprojective)))
-        realized = ChainModel(a3).realize(key).total
+        realized = ChainModel(a3).realize(key)
         assert sum(not d.is_zero() for d in realized.diffs) > 1
         for c in (wrap_module(ctx, s1, t=t), realized, cone):
             expected = c
@@ -281,8 +281,7 @@ def test_cone_class_ignores_homotopy_representative():
     h = chain_hom_space(ctx, src, target)
     assert h.dim == 1
     assert h.chain_dim > 1
-    for coords in h.enumerate_classes():
-        f = h.rep_map(coords)
+    for _, f in h.morphisms():
         base = piece_classes(ctx, normal_pieces(ctx, mapping_cone(ctx, f)[0]))
         for seed in ((1,), (1, 0, 1), (1, 1, 1, 0, 1)):
             g = f.add(h.random_boundary(seed))
@@ -320,6 +319,29 @@ def test_identity_iso_found():
     w = wrap_module(ctx, s1, t=3)
     assert find_homotopy_iso(ctx, w, w) is not None
     assert find_homotopy_iso(ctx, w, wrap_module(ctx, s1, 1, t=3)) is None
+
+
+def test_the_iso_search_walks_class_pairs_within_the_cap():
+    # the search walks p^(dim Hom(a, b) + dim Hom(b, a)) pairs of classes,
+    # and the context's enum_cap bounds that number, not each side alone;
+    # b is a with its parts swapped and a contractible summand added
+    ctx = a2_ctx(p=3)
+    s1, s2, _ = a2_modules(ctx)
+    parts = [wrap_module(ctx, s1, t=3), wrap_module(ctx, s2, t=3)]
+    a = direct_sum_complexes(ctx, parts, t=3)[0]
+    contractible = mapping_cone(ctx, ChainMap.identity(parts[1]))[0]
+    b = direct_sum_complexes(ctx, parts[::-1] + [contractible], t=3)[0]
+    fwd, bwd = chain_hom_space(ctx, a, b), chain_hom_space(ctx, b, a)
+    assert (fwd.dim, bwd.dim) == (2, 2)
+    ctx.enum_cap = 3**2
+    assert len(list(fwd.morphisms())) == len(list(bwd.morphisms())) == 9
+    with pytest.raises(BudgetExceeded) as err:
+        find_homotopy_iso(ctx, a, b)
+    slots = [[s.dims for s in c.slots] for c in (a, b)]
+    assert slots[0] != slots[1]
+    assert f"81 pairs of morphism classes exceed cap 9: slot dimension vectors {slots[0]} and {slots[1]}" in str(err.value)
+    ctx.enum_cap = 81
+    assert find_homotopy_iso(ctx, a, b) is not None
 
 
 def test_lift_quotient_coords_round_trips():
