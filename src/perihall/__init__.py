@@ -30,8 +30,7 @@ engine's import graph (only ``PeriodicContext.hom_space`` reaches
   projective resolutions, chain maps modulo homotopy between whole
   complexes (one Hom space, walked one way by ``HomSpace.morphisms``),
   mapping cones, and the module helpers only it needs: paths out of a vertex,
-  projective modules, direct sums of modules, corestrictions and
-  quotient-coordinate lifts.
+  projective modules, direct sums of modules and corestrictions.
 - :mod:`perihall.checks` - identity verification harnesses, recounting
   the engine against the chain-level model and brute enumeration, and
   the helpers only they need: automorphism counts of modules

@@ -374,6 +374,8 @@ def _fmt(engine: HallEngine, key: Key) -> str:
 def graded_triples(dims: Sequence[int], limit: int) -> List[Tuple[int, int, int]]:
     """First `limit` index triples ordered by total dimension, then
     lexicographically. Deterministic scope for the associativity sweep."""
+    if limit <= 0:
+        return []
     buckets: Dict[int, List[int]] = {}
     for idx, d in enumerate(dims):
         buckets.setdefault(d, []).append(idx)

@@ -19,8 +19,9 @@ No result shares a row list with an operand.
 
 The module holds only what the engine and its module layer call. The
 reference code keeps its own helpers: the inverse of a matrix is
-:func:`perihall.checks.matrix_inverse`, and the canonical lift of
-quotient coordinates is :func:`perihall.periodic.lift_quotient_coords`.
+:func:`perihall.checks.matrix_inverse`, and the chain-level model reads
+coordinates off rref bases with :meth:`Subspace.reduce`
+(:class:`perihall.periodic.HomSpace`).
 """
 
 from __future__ import annotations
@@ -377,7 +378,8 @@ class Subspace:
         self.ambient = ambient
         self.basis = MatrixFp._trusted(field, red.rows[: len(pivots)], ambient)
         self.pivots = pivots
-        self._free = tuple(c for c in range(ambient) if c not in set(pivots))
+        pivot_set = set(pivots)
+        self._free = tuple(c for c in range(ambient) if c not in pivot_set)
 
     @property
     def dim(self) -> int:
@@ -393,6 +395,8 @@ class Subspace:
 
     def reduce(self, v: Sequence[int]) -> List[int]:
         """The canonical representative of v modulo the subspace."""
+        if len(v) != self.ambient:
+            raise ValueError(f"vector of length {len(v)} for a subspace of ambient dimension {self.ambient}")
         p = self.field.p
         out = [int(x) % p for x in v]
         for i, c in enumerate(self.pivots):

@@ -33,14 +33,18 @@ Morphisms are slotwise representation maps commuting with the
 differentials; two are identified when they differ by a boundary
 s d + d s built from slotwise maps one step back. Everything here is a
 literal linear-algebra computation over F_p; no formulas stand in for
-the chain-level objects.
+the chain-level objects. Every basis a :class:`HomSpace` holds is in
+rref, so it reads a map's coordinates off the pivot columns, and it
+writes the boundary of each homotopy basis map directly, as its two
+slot components.
 
 The module helpers only this model needs live here, not in the engine
 modules: paths out of a vertex (:func:`paths_from`) and the projective
 modules they span (:func:`projective`), direct sums of modules with
-their injections and projections (:func:`direct_sum`), corestriction
-to a submodule (:func:`corestrict`), and the canonical lift of
-quotient coordinates (:func:`lift_quotient_coords`).
+their injections and projections (:func:`direct_sum`, whose arrow
+matrices are assembled block-diagonally, as are the differentials of
+:func:`direct_sum_complexes`), and corestriction to a submodule
+(:func:`corestrict`).
 """
 
 from __future__ import annotations
@@ -49,10 +53,10 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .category import ObjKey, Part
-from .gfp import MatrixFp, Subspace
+from .gfp import FieldSpec, MatrixFp, Subspace
 from .quiver import Arrow, Quiver
 from .reps import BudgetExceeded, Rep, RepContext, RepMap
 
@@ -62,7 +66,6 @@ if TYPE_CHECKING:
 __all__ = [
     "CycleComplex",
     "ChainMap",
-    "Homotopy",
     "HomSpace",
     "Resolution",
     "ChainModel",
@@ -70,7 +73,6 @@ __all__ = [
     "corestrict",
     "direct_sum",
     "direct_sum_complexes",
-    "lift_quotient_coords",
     "mapping_cone",
     "normal_pieces",
     "paths_from",
@@ -131,6 +133,17 @@ def projective(ctx: RepContext, vertex: str) -> Rep:
     return _projective_basis(ctx, vertex)[0]
 
 
+def _block_diagonal(field: FieldSpec, blocks: Sequence[MatrixFp]) -> MatrixFp:
+    """The block-diagonal matrix with the given blocks, in order."""
+    ncols = sum(b.ncols for b in blocks)
+    rows: List[List[int]] = []
+    pre = 0
+    for b in blocks:
+        rows.extend([0] * pre + row + [0] * (ncols - pre - b.ncols) for row in b.rows)
+        pre += b.ncols
+    return MatrixFp._trusted(field, rows, ncols)
+
+
 def direct_sum(ctx: RepContext, reps: Sequence[Rep]) -> Tuple[Rep, List[RepMap], List[RepMap]]:
     """The direct sum of modules, with its injections and projections."""
     field = ctx.field
@@ -142,16 +155,7 @@ def direct_sum(ctx: RepContext, reps: Sequence[Rep]) -> Tuple[Rep, List[RepMap],
         offsets.append(tuple(dims))
         for i in range(nv):
             dims[i] += r.dims[i]
-    mats = {}
-    for a in quiver.arrows:
-        w = quiver.vertex_index(a.target)
-        rows: List[List[int]] = []
-        for k, r in enumerate(reps):
-            pre = offsets[k][w]
-            post = dims[w] - pre - r.dims[w]
-            for row in r.mats[a.name].rows:
-                rows.append([0] * pre + row + [0] * post)
-        mats[a.name] = MatrixFp._trusted(field, rows, dims[w])
+    mats = {a.name: _block_diagonal(field, [r.mats[a.name] for r in reps]) for a in quiver.arrows}
     total = Rep(field, quiver, dims, mats)
     injections = []
     projections = []
@@ -180,18 +184,6 @@ def corestrict(f: RepMap, incl: RepMap) -> RepMap:
             raise ValueError("map does not land in the subobject")
         comps.append(g)
     return RepMap(f.source, incl.source, comps, check=False)
-
-
-def lift_quotient_coords(sub: Subspace, coords: Sequence[int]) -> List[int]:
-    """The canonical ambient lift of coordinates on the quotient by sub:
-    the vector carrying them at the free columns and 0 elsewhere."""
-    if len(coords) != len(sub.free_columns):
-        raise ValueError("quotient coord length mismatch")
-    p = sub.field.p
-    out = [0] * sub.ambient
-    for c, x in zip(sub.free_columns, coords):
-        out[c] = int(x) % p
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -270,19 +262,15 @@ def direct_sum_complexes(ctx: RepContext, parts: Sequence[CycleComplex], *, t: i
         raise ValueError(f"every summand must be {t}-periodic")
     slot_data = [direct_sum(ctx, [p.slots[i] for p in parts]) for i in range(t)]
     slots = [sd[0] for sd in slot_data]
-    diffs = []
-    for i in range(t):
-        j = (i + 1) % t
-        comps = []
-        for v in range(len(ctx.quiver.vertices)):
-            acc = None
-            for k in range(len(parts)):
-                c = slot_data[i][2][k].comps[v].mul(parts[k].diffs[i].comps[v]).mul(slot_data[j][1][k].comps[v])
-                acc = c if acc is None else acc.add(c)
-            if acc is None:
-                acc = MatrixFp.zeros(ctx.field, slots[i].dims[v], slots[j].dims[v])
-            comps.append(acc)
-        diffs.append(RepMap(slots[i], slots[j], comps, check=False))
+    diffs = [
+        RepMap(
+            slots[i],
+            slots[(i + 1) % t],
+            [_block_diagonal(ctx.field, [part.diffs[i].comps[v] for part in parts]) for v in range(len(ctx.quiver.vertices))],
+            check=False,
+        )
+        for i in range(t)
+    ]
     total = CycleComplex(ctx, slots, diffs, check=False)
     injections = []
     projections = []
@@ -350,41 +338,35 @@ class ChainMap:
         return f"ChainMap({self.source.dims} -> {self.target.dims})"
 
 
-class Homotopy:
-    """Slotwise maps one step back: s_i goes from X_i to Y_{i-1}."""
+def _entry_columns(flats: Sequence[Sequence[int]], width: int) -> List[Tuple[int, ...]]:
+    """Flat vectors of length ``width`` read as columns: column e holds
+    entry e of each."""
+    return list(zip(*flats)) or [()] * width
 
-    __slots__ = ("source", "target", "comps")
 
-    def __init__(self, source: CycleComplex, target: CycleComplex, comps: Sequence[RepMap]):
-        self.source = source
-        self.target = target
-        self.comps = tuple(comps)
-        if not len(self.comps) == source.t == target.t:
-            raise ValueError("need one component per slot, between complexes of one period")
-        for i, s in enumerate(self.comps):
-            if s.source != source.slots[i] or s.target != target.slots[i - 1]:
-                raise ValueError(f"homotopy component {i} connects the wrong slots")
-
-    def boundary(self) -> ChainMap:
-        """The null-homotopic chain map s d + d s."""
-        comps = []
-        t = len(self.comps)
-        for i in range(t):
-            a = self.comps[i].then(self.target.diffs[i - 1])
-            b = self.source.diffs[i].then(self.comps[(i + 1) % t])
-            comps.append(a.add(b))
-        return ChainMap(self.source, self.target, comps, check=False)
+def _rref_coords(sub: Subspace, v: Sequence[int], outside: str) -> List[int]:
+    """The coordinates of v over the rref basis of sub: its entries at
+    the pivot columns. Raises ValueError(outside) when v is not in sub."""
+    if any(sub.reduce(v)):
+        raise ValueError(outside)
+    return [v[c] for c in sub.pivots]
 
 
 class HomSpace:
     """Hom between two cycle complexes of one period, before and after
     homotopy.
 
-    Chain maps are parametrized by coefficient vectors over the slotwise
-    hom bases; the boundary subspace is expressed in the same
-    coordinates, and morphism classes get canonical coordinates on the
-    quotient. Representatives returned by :meth:`rep_map` are canonical
-    lifts of those coordinates.
+    A chain map is a vector of coefficients over the slotwise hom bases
+    (:meth:`RepContext.hom_basis`, rref in flat entries), and the chain
+    maps are the rref kernel basis of the chain condition in those
+    coefficients. Every basis here is rref, so coordinates are read off
+    at its pivot columns, after a membership check. The boundary of the
+    homotopy s: X_i -> Y_{i-1} is s d^Y_{i-1} at slot i plus
+    d^X_{i-1} s at slot i - 1; one such row per homotopy basis map spans
+    the boundary subspace, in chain-basis coordinates. A class has
+    coordinates on the quotient, at the free columns of the boundary
+    subspace; :attr:`unit_maps` are the chain-basis maps at those
+    columns, and :meth:`rep_map` combines them linearly mod p.
     """
 
     def __init__(self, ctx: RepContext, source: CycleComplex, target: CycleComplex):
@@ -393,177 +375,126 @@ class HomSpace:
         self.ctx = ctx
         self.source = source
         self.target = target
-        t = source.t
-        self._slot_bases = [ctx.hom_basis(a, b) for a, b in zip(source.slots, target.slots)]
-        self._slot_dims = [len(b) for b in self._slot_bases]
-        self._offsets = [sum(self._slot_dims[:i]) for i in range(t)]
-        self._flat_bases: List[Optional[MatrixFp]] = [
-            MatrixFp(ctx.field, [b.flat() for b in basis], ncols=len(basis[0].flat())) if basis else None
-            for basis in self._slot_bases
+        field, t = ctx.field, source.t
+        bases = [ctx.hom_basis(a, b) for a, b in zip(source.slots, target.slots)]
+        self._bases = [
+            Subspace(field, sum(map(operator.mul, a.dims, b.dims)), [f.flat() for f in basis])
+            for a, b, basis in zip(source.slots, target.slots, bases)
         ]
-        nunk = sum(self._slot_dims)
+        self._offsets = [sum(len(b) for b in bases[:i]) for i in range(t)]
+        nunk = sum(len(b) for b in bases)
         # chain condition: for each slot, d^X_i f_{i+1} - f_i d^Y_i == 0,
         # expanded over the slotwise bases, one block of columns per slot
-        p = ctx.field.p
-        widths = [sum(a * b for a, b in zip(source.slots[i].dims, target.slots[(i + 1) % t].dims)) for i in range(t)]
+        p = field.p
+        widths = [sum(map(operator.mul, source.slots[i].dims, target.slots[(i + 1) % t].dims)) for i in range(t)]
         rows = [[0] * sum(widths) for _ in range(nunk)]
         for i in range(t):
             j, base = (i + 1) % t, sum(widths[:i])
-            terms = [(self._offsets[j] + k, 1, source.diffs[i].then(b)) for k, b in enumerate(self._slot_bases[j])]
-            terms += [(self._offsets[i] + k, -1, b.then(target.diffs[i])) for k, b in enumerate(self._slot_bases[i])]
+            terms = [(self._offsets[j] + k, 1, source.diffs[i].then(b)) for k, b in enumerate(bases[j])]
+            terms += [(self._offsets[i] + k, -1, b.then(target.diffs[i])) for k, b in enumerate(bases[i])]
             for r, sign, f in terms:
                 for c, x in enumerate(f.flat()):
                     if x:
                         rows[r][base + c] = (rows[r][base + c] + sign * x) % p
-        if nunk:
-            m = MatrixFp(ctx.field, rows, ncols=sum(widths))
-            self._chain_coeff_basis = m.kernel_basis()  # rows: chain maps in slot-basis coords
-        else:
-            self._chain_coeff_basis = MatrixFp(ctx.field, [], ncols=0)
-        # homotopy parameter space and its boundary image, in the same coords
-        self._htp_bases = [ctx.hom_basis(source.slots[i], target.slots[i - 1]) for i in range(t)]
-        boundary_rows = []
-        for i in range(t):
-            for s in self._htp_bases[i]:
-                comps = [RepMap.zero_map(source.slots[k], target.slots[k - 1]) for k in range(t)]
-                comps[i] = s
-                h = Homotopy(source, target, comps)
-                boundary_rows.append(self._coeffs_of_chain(h.boundary()))
-        cdim = self._chain_coeff_basis.nrows
-        # boundary rows are coordinates w.r.t. the chain coefficient basis
-        self._boundary_sub = Subspace(ctx.field, cdim, boundary_rows)
+        self._chain = Subspace(field, nunk, MatrixFp._trusted(field, rows, sum(widths)).kernel_basis().rows)
+        # homotopy basis maps X_i -> Y_{i-1}, and their boundaries
+        self._htp = [(i, s) for i in range(t) for s in ctx.hom_basis(source.slots[i], target.slots[i - 1])]
+        self._boundary = Subspace(field, self.chain_dim, [self._chain_coords(self._boundary_parts(i, s)) for i, s in self._htp])
 
-    # -- coordinates --------------------------------------------------
+    def _boundary_parts(self, i: int, s: RepMap) -> List[Tuple[int, RepMap]]:
+        """The boundary of the homotopy s: X_i -> Y_{i-1} as its two
+        (slot, component) pieces."""
+        return [(i, s.then(self.target.diffs[i - 1])), ((i - 1) % self.source.t, self.source.diffs[i - 1].then(s))]
 
-    def _coeffs_of_slotwise(self, f: ChainMap) -> List[int]:
-        """Coefficients of f over the slotwise hom bases."""
-        out = [0] * sum(self._slot_dims)
-        for i, flat_basis in enumerate(self._flat_bases):
-            if flat_basis is None:
-                if not f.comps[i].is_zero():
-                    raise ValueError("map has a component outside the hom space")
-                continue
-            sol = flat_basis.solve_matrix(MatrixFp(self.ctx.field, [f.comps[i].flat()], ncols=flat_basis.ncols))
-            if sol is None:
-                raise ValueError("component is not in the slot hom space")
-            for k, x in enumerate(sol.rows[0]):
-                out[self._offsets[i] + k] = x
-        return out
-
-    def _coeffs_of_chain(self, f: ChainMap) -> List[int]:
-        """Coordinates of a chain map w.r.t. the chain coefficient basis."""
-        slot_coeffs = self._coeffs_of_slotwise(f)
-        if self._chain_coeff_basis.nrows == 0:
-            if any(slot_coeffs):
-                raise ValueError("nonzero map in zero chain space")
-            return []
-        basis = self._chain_coeff_basis
-        sol = basis.solve_matrix(MatrixFp(self.ctx.field, [slot_coeffs], ncols=basis.ncols))
-        if sol is None:
-            raise ValueError("map does not satisfy the chain condition")
-        return sol.rows[0]
+    def _chain_coords(self, pieces: Iterable[Tuple[int, RepMap]]) -> List[int]:
+        """Coordinates over the chain-map basis of the sum of the given
+        (slot, component) pieces."""
+        p = self.ctx.field.p
+        coeffs = [0] * self._chain.ambient
+        for s, m in pieces:
+            for k, x in enumerate(_rref_coords(self._bases[s], m.flat(), "component is not in the slot hom space"), self._offsets[s]):
+                coeffs[k] = (coeffs[k] + x) % p
+        return _rref_coords(self._chain, coeffs, "map does not satisfy the chain condition")
 
     @property
     def chain_dim(self) -> int:
         """Dimension of the space of chain maps (before homotopy)."""
-        return self._chain_coeff_basis.nrows
+        return self._chain.dim
 
     @property
     def dim(self) -> int:
         """Dimension of Hom modulo homotopy."""
-        return self.chain_dim - self._boundary_sub.dim
+        return self._boundary.codim
 
     def class_coords(self, f: ChainMap) -> Tuple[int, ...]:
-        return self._boundary_sub.quotient_coords(self._coeffs_of_chain(f))
+        return self._boundary.quotient_coords(self._chain_coords(enumerate(f.comps)))
 
-    def rep_map(self, coords: Sequence[int]) -> ChainMap:
-        """Canonical chain-level representative of class coordinates."""
-        chain_coords = lift_quotient_coords(self._boundary_sub, coords)
-        return self._from_chain_coords(chain_coords)
-
-    def _from_chain_coords(self, chain_coords: Sequence[int]) -> ChainMap:
-        slot_coeffs = [0] * sum(self._slot_dims)
-        p = self.ctx.field.p
-        for r, c in zip(self._chain_coeff_basis.rows, chain_coords):
-            if c % p:
-                for k, x in enumerate(r):
-                    if x:
-                        slot_coeffs[k] = (slot_coeffs[k] + c * x) % p
+    def _assemble(self, columns: Sequence[Sequence[Sequence[int]]], coeffs: Sequence[Sequence[int]]) -> ChainMap:
+        """The chain map whose slot s has flat entry e the combination
+        coeffs[s] . columns[s][e] mod p."""
+        field, p = self.ctx.field, self.ctx.field.p
         comps = []
-        for i, basis in enumerate(self._slot_bases):
-            acc = RepMap.zero_map(self.source.slots[i], self.target.slots[i])
-            for k, b in enumerate(basis):
-                coeff = slot_coeffs[self._offsets[i] + k]
-                if coeff:
-                    acc = acc.add(b.scale(coeff))
-            comps.append(acc)
+        for source_slot, target_slot, cols, cs in zip(self.source.slots, self.target.slots, columns, coeffs):
+            flat = [sum(map(operator.mul, cs, col)) % p for col in cols]
+            mats, pos = [], 0
+            for nr, nc in zip(source_slot.dims, target_slot.dims):
+                mats.append(MatrixFp._trusted(field, [flat[pos + r * nc : pos + (r + 1) * nc] for r in range(nr)], nc))
+                pos += nr * nc
+            comps.append(RepMap(source_slot, target_slot, mats, check=False))
         return ChainMap(self.source, self.target, comps, check=False)
 
     @functools.cached_property
     def unit_maps(self) -> List[ChainMap]:
-        """The representatives of the unit classes, in coordinate order."""
-        return [self.rep_map([int(i == k) for i in range(self.dim)]) for k in range(self.dim)]
+        """The representatives of the unit classes, in coordinate order:
+        the chain-basis maps at the free columns of the boundary space."""
+        columns = [_entry_columns(sub.basis.rows, sub.ambient) for sub in self._bases]
+        return [
+            self._assemble(columns, [row[o : o + sub.dim] for o, sub in zip(self._offsets, self._bases)])
+            for row in (self._chain.basis.rows[c] for c in self._boundary.free_columns)
+        ]
+
+    @functools.cached_property
+    def _unit_columns(self) -> List[List[Tuple[int, ...]]]:
+        """Per slot, the flat entries of the unit maps as columns."""
+        return [_entry_columns([u.comps[s].flat() for u in self.unit_maps], sub.ambient) for s, sub in enumerate(self._bases)]
+
+    def rep_map(self, coords: Sequence[int]) -> ChainMap:
+        """The representative of class coordinates: the combination of
+        :attr:`unit_maps` by them, mod p."""
+        if len(coords) != self.dim:
+            raise ValueError(f"{len(coords)} class coordinates for a Hom space of dimension {self.dim}")
+        return self._assemble(self._unit_columns, [coords] * self.source.t)
 
     def morphisms(self) -> Iterator[Tuple[Tuple[int, ...], ChainMap]]:
         """Every morphism class, coordinates in lexicographic order, with
         its representative :meth:`rep_map`. The context's ``enum_cap``
-        bounds the number of classes.
-
-        The representative is linear in the coordinates, so the unit-class
-        representatives are laid out once as flat entry columns per (slot,
-        vertex) component, and each class is one combination of them mod p.
-        """
+        bounds the number of classes."""
         p, limit = self.ctx.field.p, self.ctx.enum_cap
         if p**self.dim > limit:
             raise BudgetExceeded(
                 f"class enumeration of size {p**self.dim} exceeds cap {limit}: slot dimension vectors"
                 f" {self.source.dims} -> {self.target.dims}"
             )
-        units = self.unit_maps
-        # per slot, per vertex: (nrows, ncols, entry columns), where entry
-        # column e holds entry e of each unit map; None marks a component
-        # that vanishes on every unit map
-        layout = []
-        for s, (source_slot, target_slot) in enumerate(zip(self.source.slots, self.target.slots)):
-            slot = []
-            for v, (nr, nc) in enumerate(zip(source_slot.dims, target_slot.dims)):
-                cols = list(zip(*(u.comps[s].comps[v].flat() for u in units))) if units else []
-                slot.append((nr, nc, cols if any(any(col) for col in cols) else None))
-            layout.append(slot)
         for coords in itertools.product(range(p), repeat=self.dim):
-            comps = []
-            for s, slot in enumerate(layout):
-                mats = []
-                for nr, nc, cols in slot:
-                    if cols is None:
-                        rows = [[0] * nc for _ in range(nr)]
-                    else:
-                        flat = [sum(map(operator.mul, coords, col)) % p for col in cols]
-                        rows = [flat[r * nc : (r + 1) * nc] for r in range(nr)]
-                    mats.append(MatrixFp._trusted(self.ctx.field, rows, nc))
-                comps.append(RepMap(self.source.slots[s], self.target.slots[s], mats, check=False))
-            yield coords, ChainMap(self.source, self.target, comps, check=False)
+            yield coords, self.rep_map(coords)
 
     def is_null_homotopic(self, f: ChainMap) -> bool:
         return not any(self.class_coords(f))
 
     def random_boundary(self, coeffs: Sequence[int]) -> ChainMap:
-        """The boundary of the homotopy with the given parameter vector.
+        """The boundary of the homotopy with the given parameter vector,
+        read cyclically over the homotopy basis maps.
 
         Used by invariance tests to perturb representatives within a
         homotopy class.
         """
-        idx = 0
-        comps = []
-        for i, htp_basis in enumerate(self._htp_bases):
-            acc = RepMap.zero_map(self.source.slots[i], self.target.slots[i - 1])
-            for b in htp_basis:
-                c = coeffs[idx % len(coeffs)] if coeffs else 0
-                idx += 1
-                if c % self.ctx.field.p:
-                    acc = acc.add(b.scale(c))
-            comps.append(acc)
-        return Homotopy(self.source, self.target, comps).boundary()
+        comps = [RepMap.zero_map(a, b) for a, b in zip(self.source.slots, self.target.slots)]
+        for k, (i, s) in enumerate(self._htp):
+            c = coeffs[k % len(coeffs)] if coeffs else 0
+            if c % self.ctx.field.p:
+                for slot, m in self._boundary_parts(i, s.scale(c)):
+                    comps[slot] = comps[slot].add(m)
+        return ChainMap(self.source, self.target, comps, check=False)
 
 
 def chain_hom_space(ctx: RepContext, source: CycleComplex, target: CycleComplex) -> HomSpace:

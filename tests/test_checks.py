@@ -62,6 +62,14 @@ def test_symmetry_harness_caps_and_catches_the_fault():
         assert report.passed is not fault_inject, report.summary()
 
 
+def test_graded_triples_stop_at_the_limit():
+    dims = [0, 1, 1]
+    assert graded_triples(dims, 0) == graded_triples(dims, -1) == []
+    assert graded_triples(dims, 1) == [(0, 0, 0)]
+    assert graded_triples(dims, 4) == [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0)]
+    assert len(graded_triples(dims, 100)) == 27
+
+
 def test_dual_recipe_names_are_checked():
     pctx, engine = build_quiver_engine(line_quiver(1), 2)
     with pytest.raises(ValueError):
@@ -119,6 +127,9 @@ def _a2_scope():
 
 
 def test_cone_well_defined_harness_passes_on_a2():
+    # the whole summary is pinned, so a change in what the harness walks
+    # shows even while it passes
+    pinned = {3: (258, 206), 5: (342, 286), 7: (588, 526)}
     for t in PERIODS:
         if t == 3:
             pctx, _, keys = _a2_scope()
@@ -127,9 +138,8 @@ def test_cone_well_defined_harness_passes_on_a2():
             keys = _part_scope(pctx)
         pairs = [(x, y) for x in keys for y in keys]
         report = check_cone_well_defined(pctx, keys, pairs, morphism_target=40)
-        assert report.passed, (t, report.summary())
-        assert report.details["morphisms"] == 40
-        assert report.details["triangles"] > 0
+        checked, triangles = pinned[t]
+        assert report.summary() == f"PASS cone well-definedness: checked={checked} (morphisms=40, triangles={triangles})"
 
 
 def test_pbw_round_trip_harness_passes_on_a2():
@@ -152,16 +162,14 @@ def test_stable_images_harness_passes_on_a1():
     for t in PERIODS:
         pctx, engine = build_quiver_engine(line_quiver(1), 2, t=t)
         report = check_stable_images(pctx, engine, pctx.enumerate_objects((1,)), target=40, exp_cap=4)
-        assert report.passed, (t, report.summary())
-        assert report.checked == 40
+        assert report.summary() == "PASS stable image sizes: checked=40", t
 
 
 def test_orbit_normal_form_harness_passes_on_a1():
     for t in PERIODS:
         pctx, _ = build_quiver_engine(line_quiver(1), 2, t=t)
         report = check_orbit_normal_form(pctx, pctx.enumerate_objects((1,)), target=10)
-        assert report.passed, (t, report.summary())
-        assert report.checked == 10
+        assert report.summary() == "PASS triangle orbit normal form: checked=10 (orbits=10, triangles=10)", t
 
 
 def test_decorated_symmetry_passes_on_a1():
@@ -171,8 +179,7 @@ def test_decorated_symmetry_passes_on_a1():
         pctx, engine = build_quiver_engine(line_quiver(1), 2, t=t)
         keys = pctx.enumerate_objects((1,))
         report = check_decorated_symmetry(pctx, engine, keys, target=30, exp_cap=5)
-        assert report.passed, (t, report.summary())
-        assert report.checked == 30
+        assert report.summary() == "PASS decorated symmetry: checked=30 (nonzero=30)", t
 
 
 def _brace_mismatches(oracle, keys):

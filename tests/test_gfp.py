@@ -136,6 +136,17 @@ def test_subspace_quotient_coords():
     assert s.quotient_coords([1, 1, 1]) == (1, 0)
 
 
+def test_subspace_refuses_a_vector_of_the_wrong_length():
+    # a longer vector was cut short and a shorter one raised IndexError;
+    # both now name the two lengths
+    s = Subspace(F3, 3, [[1, 0, 1]])
+    for v in ([0, 1, 2, 5], [1, 0]):
+        for read in (s.reduce, s.quotient_coords):
+            with pytest.raises(ValueError, match=f"length {len(v)} for a subspace of ambient dimension 3"):
+                read(v)
+    assert s.quotient_coords([0, 1, 2]) == (1, 2)
+
+
 @given(mats(3, max_rows=3, max_cols=4))
 def test_row_space_membership(m):
     s = Subspace(m.field, m.ncols, m.rows)

@@ -7,16 +7,15 @@ from perihall.periodic import (
     chain_hom_space,
     direct_sum_complexes,
     find_homotopy_iso,
-    lift_quotient_coords,
     mapping_cone,
     normal_pieces,
     projective,
     wrap_module,
 )
 from perihall.category import PeriodicContext
-from perihall.gfp import FieldSpec, Subspace
+from perihall.gfp import FieldSpec, MatrixFp
 from perihall.quiver import line_quiver
-from perihall.reps import BudgetExceeded, RepContext
+from perihall.reps import BudgetExceeded, RepContext, RepMap
 
 PERIODS = (3, 5, 7)
 
@@ -272,6 +271,33 @@ def test_cone_of_extension_morphism():
         assert piece_classes(ctx, normal_pieces(ctx, cone)) == (zero_id, ctx.summand_ids(p1), zero_id)
 
 
+def test_class_coords_refuse_what_is_not_a_chain_map():
+    ctx = a2_ctx(p=3)
+    s1, _, p1 = a2_modules(ctx)
+    for t in PERIODS[:2]:
+        # S1 sits as P2 -> P1 in the last slot and slot 0: the identity at
+        # slot 0 alone is slotwise a module map, but no chain map
+        x = wrap_module(ctx, s1, t=t)
+        comps = [RepMap.zero_map(a, a) for a in x.slots]
+        comps[0] = RepMap.identity(x.slots[0])
+        with pytest.raises(ValueError, match="does not commute"):
+            ChainMap(x, x, comps)
+        with pytest.raises(ValueError, match="chain condition"):
+            chain_hom_space(ctx, x, x).class_coords(ChainMap(x, x, comps, check=False))
+        # P1 is a stalk: its differentials vanish, so any slotwise maps
+        # commute with them, but 1 at vertex 1 and 0 at vertex 2 is no
+        # module map
+        y = wrap_module(ctx, p1, t=t)
+        comps = [RepMap.zero_map(a, a) for a in y.slots]
+        top = y.slots[0]
+        assert top.dims == (1, 1)
+        comps[0] = RepMap(top, top, [MatrixFp.identity(ctx.field, 1), MatrixFp.zeros(ctx.field, 1, 1)], check=False)
+        with pytest.raises(ValueError, match="not a morphism"):
+            RepMap(top, top, comps[0].comps)
+        with pytest.raises(ValueError, match="slot hom space"):
+            chain_hom_space(ctx, y, y).class_coords(ChainMap(y, y, comps, check=False))
+
+
 def test_cone_class_ignores_homotopy_representative():
     ctx = a2_ctx()
     s1, s2, _ = a2_modules(ctx)
@@ -342,12 +368,3 @@ def test_the_iso_search_walks_class_pairs_within_the_cap():
     assert f"81 pairs of morphism classes exceed cap 9: slot dimension vectors {slots[0]} and {slots[1]}" in str(err.value)
     ctx.enum_cap = 81
     assert find_homotopy_iso(ctx, a, b) is not None
-
-
-def test_lift_quotient_coords_round_trips():
-    # the lift carries the coordinates at the free columns, 1 and 2 here
-    s = Subspace(FieldSpec(3), 3, [[1, 0, 1]])
-    for coords in ((1, 1), (2, 0), (0, 0)):
-        lifted = lift_quotient_coords(s, coords)
-        assert lifted[0] == 0
-        assert s.quotient_coords(lifted) == coords
