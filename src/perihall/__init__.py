@@ -12,7 +12,9 @@ The layers, bottom to top:
 - :mod:`perihall.reps` - quiver representations: hom spaces, kernels and
   cokernels, Krull-Schmidt decomposition into summands and their
   inclusions, Hom and Ext^1 bases from
-  Ringel's exact sequence.
+  Ringel's exact sequence, and the modules of a dimension bound: on a
+  quiver of type A generated from the interval modules, on any other
+  enumerated by brute force.
 - :mod:`perihall.category` - the periodic category itself: objects as
   shifted module sums, hom tables, compositions from module data, cone
   fibers classified by Hom ranks. The fibers, and so the Hall products,

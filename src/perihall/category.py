@@ -10,8 +10,12 @@ pairs; every t-periodic complex of projectives is isomorphic to the sum
 of its shifted homology, so it normalizes to one. By Krull-Schmidt a module
 placed at one shift is the multiset of its summand class ids,
 :meth:`perihall.reps.RepContext.summand_ids`, so ``module_key`` tags
-those ids with the shift and ``enumerate_objects`` keys each module of
-the bound once and joins one module key per shift.
+those ids with the shift. ``enumerate_objects`` reads the type of each
+module of the bound once, off
+:meth:`perihall.reps.RepContext.module_types`, and joins one tagged type
+per shift. On a quiver of type A those types are generated from the
+interval modules, with no module enumerated or decomposed; any other
+quiver lists them by brute force.
 
 Morphisms are module data. By the covering formula,
 Hom((a, s_a), (b, s_b)) is Hom(a, b), Ext^1(a, b) or 0 at the shift
@@ -88,8 +92,9 @@ nonzero entries are cached once per triple of classes and pair of
 residues; :func:`perihall.checks.composition_by_chains` builds it from
 chain maps modulo homotopy. Listing every
 indecomposable needs a quiver of type A (a disjoint union of paths),
-where they are the modules of dimension at most one at each vertex;
-any other quiver is refused. Morphisms are counted one orbit of the
+where they are the interval modules
+(:meth:`perihall.reps.RepContext.indecomposable_ids`); any other quiver
+is refused. Morphisms are counted one orbit of the
 scalar action at a time: the zero morphism x -> m has cone x[1] + m,
 read off the keys, and cone(c f) is isomorphic to cone(f) for c in
 F_q^*, so one rank profile is computed per line of Hom(x, m) and
@@ -111,7 +116,6 @@ import math
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gfp import rank_rows, unit_group_order
-from .quiver import Quiver
 from .reps import BudgetExceeded, HomExt, Rep, RepContext
 
 if TYPE_CHECKING:
@@ -252,13 +256,16 @@ class PeriodicContext:
         """All objects whose shift-s layer has dimension vector at most
         ``bound`` for each s, ordered by total dimension then key.
 
-        Each module of the bound is keyed once, with its total
-        dimension; an object is one module key per shift, and distinct
-        modules have distinct keys."""
-        modules = [(r.total_dim, self.module_key(r)) for r in self.ctx.enumerate_reps(bound)]
+        Each module of the bound is read once, as its total dimension and
+        Krull-Schmidt type (:meth:`perihall.reps.RepContext.module_types`,
+        generated from the interval modules on a quiver of type A and
+        enumerated by brute force on any other); an object is one type
+        per shift, tagged with the shift, and distinct modules have
+        distinct types."""
+        modules = self.ctx.module_types(bound)
         objects: List[Tuple[int, ObjKey]] = [(0, ())]
         for s in range(self.t):
-            layer = [(d, self.shift_key(k, s)) for d, k in modules]
+            layer = [(d, tuple((cid, s) for cid in ids)) for d, ids in modules]
             objects = [(d0 + d, k0 + k) for d0, k0 in objects for d, k in layer]
         return [key for _, key in sorted((d, tuple(sorted(k))) for d, k in objects)]
 
@@ -345,23 +352,12 @@ class PeriodicContext:
     def hom_vectors(self) -> HomVectors:
         """The test objects and the decode of hom vectors, built once.
 
-        On a quiver of type A every indecomposable has dimension at most
-        one at each vertex, so ``enumerate_reps((1,) * n)`` lists them
-        all; any other quiver raises ``NotImplementedError``."""
+        The test objects are read off
+        :meth:`perihall.reps.RepContext.indecomposable_ids`, the interval
+        modules of a quiver of type A, registered once per context; any
+        other quiver raises ``NotImplementedError``."""
         if self._hom_vectors is None:
-            quiver = self.ctx.quiver
-            if not _is_type_a(quiver):
-                arrows = ", ".join(f"{a.name}: {a.source}->{a.target}" for a in quiver.arrows)
-                raise NotImplementedError(
-                    "cones are classified by hom vectors against every indecomposable, which are listed"
-                    f" only for quivers of type A (disjoint unions of paths), not for arrows {arrows}"
-                )
-            ids = []
-            for rep in self.ctx.enumerate_reps((1,) * len(quiver.vertices)):
-                summands = self.ctx.summand_ids(rep)
-                if len(summands) == 1:
-                    ids.append(summands[0])
-            self._hom_vectors = HomVectors(self, ids)
+            self._hom_vectors = HomVectors(self, self.ctx.indecomposable_ids())
         return self._hom_vectors
 
     def _hom_ext(self, a: int, b: int) -> HomExt:
@@ -598,26 +594,4 @@ def _integer_inverse(matrix: Sequence[Sequence[int]]) -> Tuple[List[List[int]], 
     if prev < 0:
         g = -g
     return [[v // g for v in row[n:]] for row in aug], prev // g
-
-
-def _is_type_a(quiver: Quiver) -> bool:
-    """Whether the underlying graph is a disjoint union of paths: no
-    vertex meets more than two arrows and no arrow closes a cycle (two
-    parallel arrows close one)."""
-    degree = {v: 0 for v in quiver.vertices}
-    root = {v: v for v in quiver.vertices}
-
-    def find(v: str) -> str:
-        while root[v] != v:
-            v = root[v]
-        return v
-
-    for a in quiver.arrows:
-        degree[a.source] += 1
-        degree[a.target] += 1
-        ra, rb = find(a.source), find(a.target)
-        if ra == rb:
-            return False
-        root[ra] = rb
-    return all(d <= 2 for d in degree.values())
 

@@ -156,6 +156,17 @@ class MatrixFp:
         return cls._trusted(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @classmethod
+    def block_diagonal(cls, field: FieldSpec, blocks: Sequence["MatrixFp"]) -> "MatrixFp":
+        """The block-diagonal matrix with the given blocks, in order."""
+        ncols = sum(b.ncols for b in blocks)
+        rows: List[List[int]] = []
+        pre = 0
+        for b in blocks:
+            rows.extend([0] * pre + row + [0] * (ncols - pre - b.ncols) for row in b.rows)
+            pre += b.ncols
+        return cls._trusted(field, rows, ncols)
+
+    @classmethod
     def from_flat(cls, field: FieldSpec, flat: Sequence[int], nrows: int, ncols: int) -> "MatrixFp":
         if len(flat) != nrows * ncols:
             raise ValueError("flat length mismatch")

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .category import ObjKey, Part
-from .gfp import FieldSpec, MatrixFp, Subspace
+from .gfp import MatrixFp, Subspace
 from .quiver import Arrow, Quiver
 from .reps import BudgetExceeded, Rep, RepContext, RepMap
 
@@ -133,30 +133,17 @@ def projective(ctx: RepContext, vertex: str) -> Rep:
     return _projective_basis(ctx, vertex)[0]
 
 
-def _block_diagonal(field: FieldSpec, blocks: Sequence[MatrixFp]) -> MatrixFp:
-    """The block-diagonal matrix with the given blocks, in order."""
-    ncols = sum(b.ncols for b in blocks)
-    rows: List[List[int]] = []
-    pre = 0
-    for b in blocks:
-        rows.extend([0] * pre + row + [0] * (ncols - pre - b.ncols) for row in b.rows)
-        pre += b.ncols
-    return MatrixFp._trusted(field, rows, ncols)
-
-
 def direct_sum(ctx: RepContext, reps: Sequence[Rep]) -> Tuple[Rep, List[RepMap], List[RepMap]]:
     """The direct sum of modules, with its injections and projections."""
     field = ctx.field
-    quiver = ctx.quiver
-    nv = len(quiver.vertices)
+    nv = len(ctx.quiver.vertices)
     dims = [0] * nv
     offsets: List[Tuple[int, ...]] = []
     for r in reps:
         offsets.append(tuple(dims))
         for i in range(nv):
             dims[i] += r.dims[i]
-    mats = {a.name: _block_diagonal(field, [r.mats[a.name] for r in reps]) for a in quiver.arrows}
-    total = Rep(field, quiver, dims, mats)
+    total = ctx.block_sum(reps)
     injections = []
     projections = []
     for k, r in enumerate(reps):
@@ -266,7 +253,7 @@ def direct_sum_complexes(ctx: RepContext, parts: Sequence[CycleComplex], *, t: i
         RepMap(
             slots[i],
             slots[(i + 1) % t],
-            [_block_diagonal(ctx.field, [part.diffs[i].comps[v] for part in parts]) for v in range(len(ctx.quiver.vertices))],
+            [MatrixFp.block_diagonal(ctx.field, [part.diffs[i].comps[v] for part in parts]) for v in range(len(ctx.quiver.vertices))],
             check=False,
         )
         for i in range(t)

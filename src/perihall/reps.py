@@ -9,8 +9,8 @@ The module provides the abelian-category toolkit the engine calls (hom
 spaces, kernels, images), Krull-Schmidt decomposition into summands and
 their inclusions, Hom and Ext^1 with their bases from Ringel's exact
 sequence (:class:`HomExt`), plus the counting utilities the Hall layer
-sits on (residue field degrees of indecomposables, representative
-enumeration). The path algebra of an acyclic quiver is hereditary, so
+sits on (residue field degrees of indecomposables, the modules of a
+dimension bound). The path algebra of an acyclic quiver is hereditary, so
 dim Ext^1 is read off the Euler form wherever no basis is needed.
 
 Helpers that only the reference code calls live in the reference
@@ -29,11 +29,24 @@ integer id, and a module's iso class is the sorted tuple of the class
 ids of its indecomposable summands, :meth:`RepContext.summand_ids`; the
 zero module's is the empty tuple. That tuple is the one place an iso
 class is decided: isomorphism tests, representative enumeration and
-automorphism counts all read it. The registry also lists the zero and
-decomposable classes that :meth:`RepContext.enumerate_reps` meets,
-found by their tuple and never by an isomorphism test; object keys name
+automorphism counts all read it. The registry also lists each zero or
+decomposable class a listing of the modules of a bound meets, found by
+its tuple and never by an isomorphism test; object keys name
 indecomposable ids only. :func:`perihall.checks.iso_between` builds an
 explicit isomorphism by matching summands.
+
+The modules of a bound are listed two ways. On a quiver of type A (a
+disjoint union of paths) the indecomposables are known by Gabriel's
+theorem: one interval module per connected set of vertices, and a
+dimension vector fixes each. :meth:`RepContext.indecomposable_ids`
+registers them once per context, in the order brute force meets them,
+and :meth:`RepContext.module_types` generates the modules of a bound as
+the multisets of them that fit inside it, listing each zero or
+decomposable class with the :meth:`RepContext.block_sum` of its
+summands as representative; nothing is decomposed. On any other quiver
+:meth:`RepContext.enumerate_reps` is the only path: it decomposes every
+tuple of arrow matrices and keeps the first candidate of each type. It
+is also the reference the generator is tested against.
 
 State that must be shared between calls (class registry, caches) lives
 in :class:`RepContext`; representations themselves are plain values.
@@ -287,6 +300,8 @@ class RepContext:
         self._class_of_content: Dict[Tuple, int] = {}
         self._classes: List[Rep] = []  # class id -> canonical representative
         self._class_of_type: Dict[Tuple[int, ...], int] = {}  # summand ids -> id of a listed zero or decomposable class
+        self._type_a = _is_type_a(quiver)
+        self._indecomposables: Optional[Tuple[int, ...]] = None
 
     # -- elementary constructions ------------------------------------
 
@@ -297,6 +312,14 @@ class RepContext:
         dims = [0] * len(self.quiver.vertices)
         dims[self.quiver.vertex_index(vertex)] = 1
         return Rep(self.field, self.quiver, dims, {})
+
+    def block_sum(self, reps: Sequence[Rep]) -> Rep:
+        """The direct sum of modules, its arrow matrices block diagonal
+        in the order given; the empty sum is the zero module."""
+        q = self.quiver
+        dims = [sum(col) for col in zip(*(r.dims for r in reps))] or [0] * len(q.vertices)
+        mats = {a.name: MatrixFp.block_diagonal(self.field, [r.mats[a.name] for r in reps]) for a in q.arrows}
+        return Rep(self.field, q, dims, mats)
 
     # -- hom spaces ---------------------------------------------------
 
@@ -627,6 +650,95 @@ class RepContext:
 
     # -- enumeration --------------------------------------------------
 
+    def _checked_bound(self, bound: Sequence[int]) -> Tuple[int, ...]:
+        """The bound as a tuple of ints, refused with ``ValueError`` when
+        its length is not the vertex count or an entry is negative."""
+        bound = tuple(int(b) for b in bound)
+        if len(bound) != len(self.quiver.vertices):
+            raise ValueError("bound length mismatch")
+        if min(bound, default=0) < 0:
+            raise ValueError(f"bound entries must be nonnegative, got {bound}")
+        return bound
+
+    def indecomposable_ids(self) -> Tuple[int, ...]:
+        """The class ids of every indecomposable, in the order
+        :meth:`enumerate_reps` meets them (total dimension, then dimension
+        vector), registered on the first call.
+
+        On a quiver of type A (a disjoint union of paths) the
+        indecomposables are the interval modules, by Gabriel's theorem:
+        dimension one on a connected set of vertices, zero elsewhere, and
+        1 on every arrow inside the set. A dimension vector fixes each,
+        so they are registered without a decomposition or an isomorphism
+        test, and an indecomposable class the registry already holds keeps
+        its id and representative. Any other quiver raises
+        ``NotImplementedError``."""
+        if self._indecomposables is None:
+            q = self.quiver
+            if not self._type_a:
+                arrows = ", ".join(f"{a.name}: {a.source}->{a.target}" for a in q.arrows)
+                raise NotImplementedError(
+                    "the indecomposables are listed only for quivers of type A (disjoint unions of paths),"
+                    f" not for arrows {arrows}"
+                )
+            one = MatrixFp.identity(self.field, 1)
+            intervals = []
+            for path in _paths(q):
+                for i in range(len(path)):
+                    for j in range(i + 1, len(path) + 1):
+                        inside = set(path[i:j])
+                        dims = tuple(int(v in inside) for v in q.vertices)
+                        intervals.append((j - i, dims, inside))
+            intervals.sort(key=lambda entry: entry[:2])
+            listed = set(self._class_of_type.values())
+            known = {rep.dims: cid for cid, rep in enumerate(self._classes) if cid not in listed}
+            ids = []
+            for _, dims, inside in intervals:
+                cid = known.get(dims)
+                if cid is None:
+                    rep = Rep(self.field, q, dims, {a.name: one for a in q.arrows if a.source in inside and a.target in inside})
+                    cid = len(self._classes)
+                    self._classes.append(rep)
+                    self._class_of_content[rep.key()] = cid
+                ids.append(cid)
+            self._indecomposables = tuple(ids)
+        return self._indecomposables
+
+    def module_types(self, bound: Sequence[int]) -> List[Tuple[int, Tuple[int, ...]]]:
+        """(total dimension, Krull-Schmidt type) of every module with
+        dimension vector at most ``bound``, one per iso class; the type is
+        :meth:`summand_ids`.
+
+        On a quiver of type A these are the multisets of
+        :meth:`indecomposable_ids` whose dimension vectors sum to at most
+        the bound, and each zero or decomposable type is listed in the
+        registry, if new, with the :meth:`block_sum` of its summands as
+        representative. Any other quiver reads the types off
+        :meth:`enumerate_reps`."""
+        bound = self._checked_bound(bound)
+        if not self._type_a:
+            return [(r.total_dim, self.summand_ids(r)) for r in self.enumerate_reps(bound)]
+        types: List[Tuple[Tuple[int, ...], Tuple[int, ...], int]] = [((), bound, 0)]
+        for cid in self.indecomposable_ids():
+            dims = self._classes[cid].dims
+            size = sum(dims)
+            grown = []
+            for ids, room, total in types:
+                while True:
+                    grown.append((ids, room, total))
+                    if any(d > r for d, r in zip(dims, room)):
+                        break
+                    ids, room, total = ids + (cid,), tuple(r - d for r, d in zip(room, dims)), total + size
+            types = grown
+        out = []
+        for ids, _, total in types:
+            ids = tuple(sorted(ids))
+            if len(ids) != 1 and ids not in self._class_of_type:
+                self._class_of_type[ids] = len(self._classes)
+                self._classes.append(self.block_sum([self._classes[cid] for cid in ids]))
+            out.append((total, ids))
+        return out
+
     def enumerate_reps(self, bound: Sequence[int]) -> List[Rep]:
         """One representative of every iso class with dimension vector at
         most ``bound``, graded by total dimension, then dimension vector
@@ -640,11 +752,7 @@ class RepContext:
         thus follow the same graded order.
         """
         q = self.quiver
-        bound = tuple(int(b) for b in bound)
-        if len(bound) != len(q.vertices):
-            raise ValueError("bound length mismatch")
-        if min(bound, default=0) < 0:
-            raise ValueError(f"bound entries must be nonnegative, got {bound}")
+        bound = self._checked_bound(bound)
         dimvecs = sorted(
             itertools.product(*(range(b + 1) for b in bound)),
             key=lambda d: (sum(d), d),
@@ -689,3 +797,49 @@ class RepContext:
         sub = Rep(self.field, q, dims, mats)
         incl = RepMap(sub, l, list(row_bases), check=False)
         return sub, incl
+
+
+def _paths(quiver: Quiver) -> List[List[str]]:
+    """The vertices of each connected component of a disjoint union of
+    paths, in order along the path from the end declared first."""
+    nbrs: Dict[str, List[str]] = {v: [] for v in quiver.vertices}
+    for a in quiver.arrows:
+        nbrs[a.source].append(a.target)
+        nbrs[a.target].append(a.source)
+    seen = set()
+    out = []
+    for v in quiver.vertices:
+        if v in seen or len(nbrs[v]) > 1:
+            continue
+        path = [v]
+        seen.add(v)
+        while True:
+            step = [w for w in nbrs[path[-1]] if w not in seen]
+            if not step:
+                break
+            path.append(step[0])
+            seen.add(step[0])
+        out.append(path)
+    return out
+
+
+def _is_type_a(quiver: Quiver) -> bool:
+    """Whether the underlying graph is a disjoint union of paths: no
+    vertex meets more than two arrows and no arrow closes a cycle (two
+    parallel arrows close one)."""
+    degree = {v: 0 for v in quiver.vertices}
+    root = {v: v for v in quiver.vertices}
+
+    def find(v: str) -> str:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a in quiver.arrows:
+        degree[a.source] += 1
+        degree[a.target] += 1
+        ra, rb = find(a.source), find(a.target)
+        if ra == rb:
+            return False
+        root[ra] = rb
+    return all(d <= 2 for d in degree.values())

@@ -44,6 +44,12 @@ def part_objects(pctx):
     return [()] + parts + [pctx.direct_sum_key(a, b) for a, b in itertools.combinations_with_replacement(parts, 2)]
 
 
+def summand_dims(ctx, rep):
+    """The Krull-Schmidt type of a module, written by its summands'
+    dimension vectors."""
+    return tuple(sorted(ctx.class_rep(cid).dims for cid in ctx.summand_ids(rep)))
+
+
 @pytest.fixture
 def a1(request):
     return PeriodicContext(RepContext(line_quiver(1), FieldSpec(2)))
@@ -56,14 +62,19 @@ def a2(request):
 
 @pytest.mark.parametrize("n, bound, classes, indecomposables", [(2, (2, 2), 14, 3), (3, (1, 1, 1), 13, 6)])
 def test_keys_name_indecomposables_only(n, bound, classes, indecomposables):
-    # the registry lists every class enumerate_reps meets, in its order
-    # and once however often it runs; object keys name only the
+    # the registry lists every class of the bound once, however often
+    # the objects are listed, with the summand types enumerate_reps
+    # finds on a fresh context; object keys name only the
     # indecomposable ones
     pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(2)))
     keys = pctx.enumerate_objects(bound)
+    assert pctx.enumerate_objects(bound) == keys
     ctx = pctx.ctx
-    assert [ctx.class_rep(cid) for cid in range(ctx.class_count())] == ctx.enumerate_reps(bound)
     assert ctx.class_count() == classes
+    brute = RepContext(line_quiver(n), FieldSpec(2))
+    assert sorted(summand_dims(ctx, ctx.class_rep(cid)) for cid in range(classes)) == sorted(
+        summand_dims(brute, r) for r in brute.enumerate_reps(bound)
+    )
     indec = {cid for cid in range(classes) if ctx.is_indecomposable(ctx.class_rep(cid))}
     assert len(indec) == indecomposables
     assert {cid for k in keys for cid, _ in k} == indec
@@ -369,6 +380,25 @@ def test_the_names_kept_for_the_benchmark_are_off_the_op_path(monkeypatch):
     assert nonzero >= len(keys) ** 2
     assert all(pctx.aut_order(k) >= 1 for k in keys)
     assert all(engine.pbw_expand(k).evaluate(engine) == engine.vector(k) for k in keys)
+
+
+def test_the_type_a_setup_never_enumerates(monkeypatch):
+    # on a cold A2 context the objects, the decode of cones and a cold
+    # product read the generated indecomposables: no module is
+    # enumerated by brute force, and none is decomposed
+    def refuse(*args, **kw):
+        raise AssertionError("the type-A set-up enumerated or decomposed a module")
+
+    for name in ("enumerate_reps", "decompose"):
+        monkeypatch.setattr(RepContext, name, refuse)
+    pctx = PeriodicContext(RepContext(line_quiver(2), FieldSpec(2)))
+    engine = HallEngine(pctx)
+    keys = pctx.enumerate_objects((2, 2))
+    assert len(keys) == 14**3
+    assert len(pctx.hom_vectors().parts) == 3 * pctx.t
+    x, y = next((x, y) for x in keys for y in keys if pctx.hom_dim(pctx.shift_key(y, -1), x) > 1)
+    assert not pctx._fiber_cache
+    assert len(engine.multiply(x, y).support) > 1
 
 
 def test_the_engine_modules_do_not_load_the_chain_model():

@@ -14,6 +14,9 @@ A1 = line_quiver(1)
 A2 = line_quiver(2)
 A3 = line_quiver(3)
 KRONECKER = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
+SINK_A3 = Quiver(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "3", "2")])
+# two paths, the second declared against its arrow, and an isolated vertex
+PATHS = Quiver(["1", "2", "3", "4", "5"], [Arrow("a", "1", "2"), Arrow("b", "4", "3")])
 
 
 def ctx_a1(p=2, **kw):
@@ -420,6 +423,148 @@ def test_enumerate_deterministic():
     c1 = ctx_a2().enumerate_reps((1, 1))
     c2 = ctx_a2().enumerate_reps((1, 1))
     assert [r.key() for r in c1] == [r.key() for r in c2]
+
+
+def type_dims(ctx, ids):
+    """A Krull-Schmidt type written by its summands' dimension vectors."""
+    return tuple(sorted(ctx.class_rep(cid).dims for cid in ids))
+
+
+@pytest.mark.parametrize(
+    "quiver, p, bound",
+    [
+        (A1, 2, (3,)),
+        (A1, 3, (3,)),
+        (A2, 2, (2, 2)),
+        (A2, 3, (2, 2)),
+        (A3, 2, (1, 2, 1)),
+        (A3, 3, (1, 2, 1)),
+        (SINK_A3, 2, (1, 2, 1)),
+        (SINK_A3, 3, (1, 2, 1)),
+        (PATHS, 2, (1, 2, 1, 1, 2)),
+    ],
+    ids=["A1-p2", "A1-p3", "A2-p2", "A2-p3", "A3-p2", "A3-p3", "sink-A3-p2", "sink-A3-p3", "paths-p2"],
+)
+def test_type_a_modules_are_the_types_brute_force_finds(quiver, p, bound):
+    # the generated types against enumerate_reps on a fresh context, by
+    # dimension vectors; the indecomposables come first, in the order
+    # brute force registers them, and each listed zero or decomposable
+    # class decomposes into the summands it is listed under
+    ctx = RepContext(quiver, FieldSpec(p))
+    generated = ctx.module_types(bound)
+    brute = RepContext(quiver, FieldSpec(p))
+    listed = brute.enumerate_reps(bound)
+    assert len({ids for _, ids in generated}) == len(generated) == len(listed)
+    assert sorted((d, type_dims(ctx, ids)) for d, ids in generated) == sorted(
+        (r.total_dim, type_dims(brute, brute.summand_ids(r))) for r in listed
+    )
+    indec = ctx.indecomposable_ids()
+    assert indec == tuple(range(len(indec)))
+    found = [brute.class_rep(cid) for cid in range(brute.class_count())]
+    assert [ctx.class_rep(cid).dims for cid in indec] == [r.dims for r in found if brute.is_indecomposable(r)]
+    assert ctx.class_count() == len(generated)
+    assert len(ctx._class_of_type) == len(generated) - len(indec)
+    for ids, cid in ctx._class_of_type.items():
+        assert ctx.summand_ids(ctx.class_rep(cid)) == ids
+
+
+def test_the_generator_matches_classes_registered_before_it():
+    # a base-changed P1 (arrow matrix 2 over F_3) and S2 registered
+    # first keep their ids and representatives; on type A the dimension
+    # vector matches an interval to them, and the types stay those of
+    # brute force
+    ctx = ctx_a2(3)
+    twisted = Rep(ctx.field, A2, (1, 1), {"a1": MatrixFp(ctx.field, [[2]])})
+    assert (ctx.class_id(twisted), ctx.class_id(s2(ctx))) == (0, 1)
+    assert ctx.indecomposable_ids() == (1, 2, 0)
+    assert ctx.class_rep(0) is twisted
+    brute = ctx_a2(3)
+    assert sorted(type_dims(ctx, ids) for _, ids in ctx.module_types((2, 1))) == sorted(
+        type_dims(brute, brute.summand_ids(r)) for r in brute.enumerate_reps((2, 1))
+    )
+    # after brute force, which lists S1 + S2 at (1, 1) before P1, the
+    # intervals are the classes it registered as indecomposable
+    ids = brute.indecomposable_ids()
+    assert [brute.class_rep(cid).dims for cid in ids] == [(0, 1), (1, 0), (1, 1)]
+    assert all(brute.is_indecomposable(brute.class_rep(cid)) for cid in ids)
+
+
+@pytest.mark.parametrize("quiver", [A2, KRONECKER], ids=["a2-generated", "kronecker-enumerated"])
+@pytest.mark.parametrize("bound", [(-1, 1), (1, -1), (1,), (1, 1, 1)])
+def test_module_types_refuse_a_bad_bound(quiver, bound):
+    # the generated path refuses what enumerate_reps refuses, through
+    # the context and through the object listing
+    pctx = PeriodicContext(RepContext(quiver, FieldSpec(2)))
+    for listing in (pctx.ctx.module_types, pctx.enumerate_objects):
+        with pytest.raises(ValueError, match="bound"):
+            listing(bound)
+    assert pctx.ctx.module_types((0, 0)) == [(0, ())]
+
+
+def test_indecomposables_are_listed_only_on_type_a():
+    with pytest.raises(NotImplementedError, match="type A"):
+        RepContext(KRONECKER, FieldSpec(2)).indecomposable_ids()
+
+
+def test_block_sum_is_the_direct_sum():
+    ctx = ctx_a2(3)
+    pool = [s1(ctx), p1(ctx), s2(ctx)]
+    assert ctx.block_sum(pool) == direct_sum(ctx, pool)[0]
+    assert ctx.block_sum([]) == ctx.zero_rep()
+
+
+# -- Ext^1 classes along maps -----------------------------------------
+
+
+def _ext_along(he_first, he_then, coords, along):
+    """The coordinates in he_then's Ext^1 of the class with coordinates
+    ``coords`` in he_first's, carried by ``along(k)``, the cocycle of basis
+    class k of he_first, linearly."""
+    p = he_first.x.field.p
+    images = [he_then.ext_coords(along(k)) for k in range(he_first.ext_dim)]
+    return tuple(sum(c * img[v] for c, img in zip(coords, images)) % p for v in range(he_then.ext_dim))
+
+
+def test_pushforward_and_pullback_act_on_ext_classes():
+    # at p = 3, where -1 != 1: along an identity a basis class keeps its
+    # unit coordinates from either side, and carrying a class along g
+    # and then h equals carrying it along the composite
+    ctx = ctx_a2(3)
+    f = ctx.field
+    pool = [s1(ctx), s2(ctx), p1(ctx), ctx.block_sum([s2(ctx), s2(ctx)]), ctx.block_sum([s1(ctx), s1(ctx)])]
+    weights = itertools.cycle([1, 2, 2, 1, 2])
+
+    def some_map(x, y):
+        basis = ctx.hom_basis(x, y)
+        return ctx.map_from_coeffs(basis, [next(weights) for _ in basis]) if basis else RepMap.zero_map(x, y)
+
+    pushed = pulled = 0
+    for x in pool:
+        for y in pool:
+            he = ctx.hom_ext(x, y)
+            for k in range(he.ext_dim):
+                unit = tuple(int(v == k) for v in range(he.ext_dim))
+                assert he.ext_coords(he.pushforward(k, RepMap.identity(y))) == unit
+                assert he.ext_coords(he.pullback(RepMap.identity(x), k)) == unit
+            if not he.ext_dim:
+                continue
+            for b in pool:
+                for c in pool:
+                    g, h = some_map(y, b), some_map(b, c)
+                    he_b, he_c = ctx.hom_ext(x, b), ctx.hom_ext(x, c)
+                    for k in range(he.ext_dim):
+                        step = he_c.ext_coords(he.pushforward(k, g.then(h)))
+                        mid = he_b.ext_coords(he.pushforward(k, g))
+                        assert _ext_along(he_b, he_c, mid, lambda j: he_b.pushforward(j, h)) == step
+                        pushed += any(step)
+                    g, h = some_map(b, x), some_map(c, b)
+                    he_b, he_c = ctx.hom_ext(b, y), ctx.hom_ext(c, y)
+                    for k in range(he.ext_dim):
+                        step = he_c.ext_coords(he.pullback(h.then(g), k))
+                        mid = he_b.ext_coords(he.pullback(g, k))
+                        assert _ext_along(he_b, he_c, mid, lambda j: he_b.pullback(h, j)) == step
+                        pulled += any(step)
+    assert pushed and pulled
 
 
 # -- classical Hall counts -------------------------------------------
