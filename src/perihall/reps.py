@@ -690,8 +690,10 @@ class RepContext:
                         dims = tuple(int(v in inside) for v in q.vertices)
                         intervals.append((j - i, dims, inside))
             intervals.sort(key=lambda entry: entry[:2])
+            # a listed decomposable class can share an interval's
+            # dimension vector, as S1 + S2 shares P1's on A2
             listed = set(self._class_of_type.values())
-            known = {rep.dims: cid for cid, rep in enumerate(self._classes) if cid not in listed}
+            known ={rep.dims: cid for cid, rep in enumerate(self._classes) if cid not in listed}
             ids = []
             for _, dims, inside in intervals:
                 cid = known.get(dims)
