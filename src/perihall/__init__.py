@@ -16,10 +16,11 @@ The layers, bottom to top:
   quiver of type A generated from the interval modules, on any other
   enumerated by brute force.
 - :mod:`perihall.category` - the periodic category itself: objects as
-  shifted module sums, hom tables, compositions from module data, cone
-  fibers classified by Hom ranks. The fibers, and so the Hall products,
-  are served only for quivers of type A (disjoint unions of paths); on
-  other quivers :func:`perihall.checks.fiber_counts_literal` counts them.
+  shifted module sums, listed lazily by total dimension, hom tables,
+  compositions from module data, cone fibers classified by Hom ranks.
+  The fibers, and so the Hall products, are served only for quivers of
+  type A (disjoint unions of paths); on other quivers
+  :func:`perihall.checks.fiber_counts_literal` counts them.
 - :mod:`perihall.sqrtq` - exact arithmetic in Q(sqrt q).
 - :mod:`perihall.hall` - structure constants, products, straightening.
 

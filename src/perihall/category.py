@@ -10,12 +10,15 @@ pairs; every t-periodic complex of projectives is isomorphic to the sum
 of its shifted homology, so it normalizes to one. By Krull-Schmidt a module
 placed at one shift is the multiset of its summand class ids,
 :meth:`perihall.reps.RepContext.summand_ids`, so ``module_key`` tags
-those ids with the shift. ``enumerate_objects`` reads the type of each
-module of the bound once, off
-:meth:`perihall.reps.RepContext.module_types`, and joins one tagged type
-per shift. On a quiver of type A those types are generated from the
-interval modules, with no module enumerated or decomposed; any other
-quiver lists them by brute force.
+those ids with the shift. ``objects`` reads the type of each module of
+the bound once, off :meth:`perihall.reps.RepContext.module_types`, and
+joins one tagged type per shift, yielding the objects lazily by total
+dimension: only one dimension's objects are built and sorted at a time,
+so a graded prefix of a scope with (module types)^t objects costs what
+its dimensions hold. ``enumerate_objects`` is the whole list. On a
+quiver of type A those types are generated from the interval modules,
+with no module enumerated or decomposed; any other quiver lists them by
+brute force.
 
 Morphisms are module data. By the covering formula,
 Hom((a, s_a), (b, s_b)) is Hom(a, b), Ext^1(a, b) or 0 at the shift
@@ -252,22 +255,65 @@ class PeriodicContext:
             names.append(name)
         return " + ".join(names)
 
-    def enumerate_objects(self, bound: Sequence[int]) -> List[ObjKey]:
+    def objects(self, bound: Sequence[int]) -> Iterator[ObjKey]:
         """All objects whose shift-s layer has dimension vector at most
-        ``bound`` for each s, ordered by total dimension then key.
+        ``bound`` for each s, yielded lazily by total dimension, then key.
 
         Each module of the bound is read once, as its total dimension and
         Krull-Schmidt type (:meth:`perihall.reps.RepContext.module_types`,
         generated from the interval modules on a quiver of type A and
         enumerated by brute force on any other); an object is one type
         per shift, tagged with the shift, and distinct modules have
-        distinct types."""
-        modules = self.ctx.module_types(bound)
-        objects: List[Tuple[int, ObjKey]] = [(0, ())]
-        for s in range(self.t):
-            layer = [(d, tuple((cid, s) for cid in ids)) for d, ids in modules]
-            objects = [(d0 + d, k0 + k) for d0, k0 in objects for d, k in layer]
-        return [key for _, key in sorted((d, tuple(sorted(k))) for d, k in objects)]
+        distinct types. The objects of total dimension D join a type of
+        dimension d at shift s to the parts of dimension D - d at the
+        shifts above s, kept per shift and dimension only as far as D;
+        only the objects of one dimension are sorted at a time, so a
+        graded prefix costs what its dimensions hold.
+        :func:`perihall.checks.enumerate_objects_by_product` builds and
+        sorts every object at once."""
+        t = self.t
+        grouped: List[List[Tuple[int, ...]]] = []
+        for d, ids in self.ctx.module_types(bound):
+            while len(grouped) <= d:
+                grouped.append([])
+            grouped[d].append(ids)
+        top = len(grouped) - 1
+        # layers[s][d]: the types of total dimension d, tagged with shift s
+        layers: List[List[List[ObjKey]]] = []
+        for s in range(t):
+            shift, layer = itertools.repeat(s), []
+            for types in grouped:
+                tagged = []
+                for ids in types:
+                    tagged.append(tuple(zip(ids, shift)))
+                layer.append(tagged)
+            layers.append(layer)
+        # rows[s][D]: the parts at shifts s..t-1 of total dimension D,
+        # unsorted. Dimension 0 holds the zero object alone, the top
+        # shift's rows are its layer, and the rows of shift 0 are yielded
+        # and dropped
+        rows: List[List[List[ObjKey]]] = [[[()]] for _ in range(t - 1)]
+        rows.append(layers[-1])
+        yield ()
+        downward = range(t - 2, -1, -1)
+        for D in range(1, top * t + 1):
+            hi = (D if D < top else top) + 1
+            for s in downward:
+                below, layer, row = rows[s + 1], layers[s], []
+                # the shifts above s hold at most top each
+                lo = D - top * (t - 1 - s)
+                for d in range(lo if lo > 0 else 0, hi):
+                    rest = below[D - d]
+                    for a in layer[d]:
+                        for b in rest:
+                            row.append(a + b)
+                if s:
+                    rows[s].append(row)
+            yield from sorted(map(tuple, map(sorted, row)))
+
+    def enumerate_objects(self, bound: Sequence[int]) -> List[ObjKey]:
+        """Every object of :meth:`objects`, in its order, as a list."""
+        return list(self.objects(bound))
 
     # -- morphisms ----------------------------------------------------
 

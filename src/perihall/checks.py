@@ -257,6 +257,19 @@ def iso_between(ctx: RepContext, x: Rep, y: Rep) -> Optional[RepMap]:
     return witness if witness.is_iso() else None
 
 
+def enumerate_objects_by_product(pctx: PeriodicContext, bound: Sequence[int]) -> List[ObjKey]:
+    """Every object of the bound, ordered by total dimension then key,
+    by building all (module types)^t objects and sorting them at once.
+    The engine yields them one dimension at a time instead
+    (:meth:`PeriodicContext.objects`)."""
+    modules = pctx.ctx.module_types(bound)
+    objects: List[Tuple[int, ObjKey]] = [(0, ())]
+    for s in range(pctx.t):
+        layer = [(d, tuple((cid, s) for cid in ids)) for d, ids in modules]
+        objects = [(d0 + d, k0 + k) for d0, k0 in objects for d, k in layer]
+    return [key for _, key in sorted((d, tuple(sorted(k))) for d, k in objects)]
+
+
 def part_rep(pctx: PeriodicContext, key: ObjKey, shift: int) -> Rep:
     """The module sitting at one shift of an object: the direct sum of
     the class representatives of its parts there."""

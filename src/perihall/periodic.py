@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .category import ObjKey, Part
-from .gfp import MatrixFp, Subspace
+from .gfp import FieldSpec, MatrixFp, Subspace
 from .quiver import Arrow, Quiver
 from .reps import BudgetExceeded, Rep, RepContext, RepMap
 
@@ -331,6 +331,33 @@ def _entry_columns(flats: Sequence[Sequence[int]], width: int) -> List[Tuple[int
     return list(zip(*flats)) or [()] * width
 
 
+def _rref_subspace(field: FieldSpec, ambient: int, rows: Sequence[Sequence[int]]) -> Subspace:
+    """The span of rows already in reduced row echelon form, taken as
+    its basis without elimination. The shape is checked: each row has
+    length ``ambient`` and leads with a 1, the leading columns increase,
+    and the rows above are 0 at each of them; a row that breaks it raises
+    ``ValueError``."""
+    pivots: List[int] = []
+    for i, row in enumerate(rows):
+        if len(row) != ambient:
+            raise ValueError(f"row of length {len(row)} for a subspace of ambient dimension {ambient}")
+        lead = next(filter(row.__getitem__, range(ambient)), None)
+        if lead is None or row[lead] != 1 or (pivots and lead <= pivots[-1]):
+            raise ValueError(f"row {list(row)} does not continue a reduced row echelon form")
+        # the rows below are 0 up to their own leads, which come later
+        for above in rows[:i]:
+            if above[lead]:
+                raise ValueError(f"pivot column {lead} is not zero outside its row")
+        pivots.append(lead)
+    sub = object.__new__(Subspace)
+    sub.field = field
+    sub.ambient = ambient
+    sub.basis = MatrixFp._trusted(field, [list(r) for r in rows], ambient)
+    sub.pivots = tuple(pivots)
+    sub._free = tuple(c for c in range(ambient) if c not in sub.pivots)
+    return sub
+
+
 def _rref_coords(sub: Subspace, v: Sequence[int], outside: str) -> List[int]:
     """The coordinates of v over the rref basis of sub: its entries at
     the pivot columns. Raises ValueError(outside) when v is not in sub."""
@@ -347,7 +374,9 @@ class HomSpace:
     (:meth:`RepContext.hom_basis`, rref in flat entries), and the chain
     maps are the rref kernel basis of the chain condition in those
     coefficients. Every basis here is rref, so coordinates are read off
-    at its pivot columns, after a membership check. The boundary of the
+    at its pivot columns, after a membership check; the slotwise and
+    chain-map bases come out of elimination in rref and are taken as
+    they are (:func:`_rref_subspace`). The boundary of the
     homotopy s: X_i -> Y_{i-1} is s d^Y_{i-1} at slot i plus
     d^X_{i-1} s at slot i - 1; one such row per homotopy basis map spans
     the boundary subspace, in chain-basis coordinates. A class has
@@ -365,7 +394,7 @@ class HomSpace:
         field, t = ctx.field, source.t
         bases = [ctx.hom_basis(a, b) for a, b in zip(source.slots, target.slots)]
         self._bases = [
-            Subspace(field, sum(map(operator.mul, a.dims, b.dims)), [f.flat() for f in basis])
+            _rref_subspace(field, sum(map(operator.mul, a.dims, b.dims)), [f.flat() for f in basis])
             for a, b, basis in zip(source.slots, target.slots, bases)
         ]
         self._offsets = [sum(len(b) for b in bases[:i]) for i in range(t)]
@@ -383,7 +412,8 @@ class HomSpace:
                 for c, x in enumerate(f.flat()):
                     if x:
                         rows[r][base + c] = (rows[r][base + c] + sign * x) % p
-        self._chain = Subspace(field, nunk, MatrixFp._trusted(field, rows, sum(widths)).kernel_basis().rows)
+        kernel = MatrixFp._trusted(field, rows, sum(widths)).kernel_basis()
+        self._chain = _rref_subspace(field, nunk, kernel.rows)
         # homotopy basis maps X_i -> Y_{i-1}, and their boundaries
         self._htp = [(i, s) for i in range(t) for s in ctx.hom_basis(source.slots[i], target.slots[i - 1])]
         self._boundary = Subspace(field, self.chain_dim, [self._chain_coords(self._boundary_parts(i, s)) for i, s in self._htp])

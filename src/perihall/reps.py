@@ -55,6 +55,7 @@ in :class:`RepContext`; representations themselves are plain values.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -87,10 +88,10 @@ class Rep:
     def __init__(self, field: FieldSpec, quiver: Quiver, dims: Sequence[int], mats: Dict[str, MatrixFp]):
         self.field = field
         self.quiver = quiver
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = tuple(map(int, dims))
         if len(self.dims) != len(quiver.vertices):
             raise ValueError("dimension vector length mismatch")
-        if any(d < 0 for d in self.dims):
+        if min(self.dims, default=0) < 0:
             raise ValueError("negative dimension")
         self.mats = {}
         for a in quiver.arrows:
@@ -300,7 +301,7 @@ class RepContext:
         self._class_of_content: Dict[Tuple, int] = {}
         self._classes: List[Rep] = []  # class id -> canonical representative
         self._class_of_type: Dict[Tuple[int, ...], int] = {}  # summand ids -> id of a listed zero or decomposable class
-        self._type_a = _is_type_a(quiver)
+        self._paths = _paths(quiver)  # None unless the quiver is of type A
         self._indecomposables: Optional[Tuple[int, ...]] = None
 
     # -- elementary constructions ------------------------------------
@@ -316,8 +317,10 @@ class RepContext:
     def block_sum(self, reps: Sequence[Rep]) -> Rep:
         """The direct sum of modules, its arrow matrices block diagonal
         in the order given; the empty sum is the zero module."""
+        if not reps:
+            return self.zero_rep()
         q = self.quiver
-        dims = [sum(col) for col in zip(*(r.dims for r in reps))] or [0] * len(q.vertices)
+        dims = list(map(sum, zip(*[r.dims for r in reps])))
         mats = {a.name: MatrixFp.block_diagonal(self.field, [r.mats[a.name] for r in reps]) for a in q.arrows}
         return Rep(self.field, q, dims, mats)
 
@@ -653,7 +656,7 @@ class RepContext:
     def _checked_bound(self, bound: Sequence[int]) -> Tuple[int, ...]:
         """The bound as a tuple of ints, refused with ``ValueError`` when
         its length is not the vertex count or an entry is negative."""
-        bound = tuple(int(b) for b in bound)
+        bound = tuple(map(int, bound))
         if len(bound) != len(self.quiver.vertices):
             raise ValueError("bound length mismatch")
         if min(bound, default=0) < 0:
@@ -675,25 +678,25 @@ class RepContext:
         ``NotImplementedError``."""
         if self._indecomposables is None:
             q = self.quiver
-            if not self._type_a:
+            if self._paths is None:
                 arrows = ", ".join(f"{a.name}: {a.source}->{a.target}" for a in q.arrows)
                 raise NotImplementedError(
                     "the indecomposables are listed only for quivers of type A (disjoint unions of paths),"
                     f" not for arrows {arrows}"
                 )
-            one = MatrixFp.identity(self.field, 1)
+            one = MatrixFp._trusted(self.field, [[1]], 1)
             intervals = []
-            for path in _paths(q):
+            for path in self._paths:
                 for i in range(len(path)):
                     for j in range(i + 1, len(path) + 1):
                         inside = set(path[i:j])
-                        dims = tuple(int(v in inside) for v in q.vertices)
+                        dims = tuple([int(v in inside) for v in q.vertices])
                         intervals.append((j - i, dims, inside))
-            intervals.sort(key=lambda entry: entry[:2])
+            intervals.sort(key=operator.itemgetter(0, 1))
             # a listed decomposable class can share an interval's
             # dimension vector, as S1 + S2 shares P1's on A2
             listed = set(self._class_of_type.values())
-            known ={rep.dims: cid for cid, rep in enumerate(self._classes) if cid not in listed}
+            known = {rep.dims: cid for cid, rep in enumerate(self._classes) if cid not in listed}
             ids = []
             for _, dims, inside in intervals:
                 cid = known.get(dims)
@@ -718,7 +721,7 @@ class RepContext:
         representative. Any other quiver reads the types off
         :meth:`enumerate_reps`."""
         bound = self._checked_bound(bound)
-        if not self._type_a:
+        if self._paths is None:
             return [(r.total_dim, self.summand_ids(r)) for r in self.enumerate_reps(bound)]
         types: List[Tuple[Tuple[int, ...], Tuple[int, ...], int]] = [((), bound, 0)]
         for cid in self.indecomposable_ids():
@@ -728,9 +731,9 @@ class RepContext:
             for ids, room, total in types:
                 while True:
                     grown.append((ids, room, total))
-                    if any(d > r for d, r in zip(dims, room)):
+                    if any(map(operator.gt, dims, room)):
                         break
-                    ids, room, total = ids + (cid,), tuple(r - d for r, d in zip(room, dims)), total + size
+                    ids, room, total = ids + (cid,), tuple(map(operator.sub, room, dims)), total + size
             types = grown
         out = []
         for ids, _, total in types:
@@ -801,13 +804,18 @@ class RepContext:
         return sub, incl
 
 
-def _paths(quiver: Quiver) -> List[List[str]]:
-    """The vertices of each connected component of a disjoint union of
-    paths, in order along the path from the end declared first."""
+def _paths(quiver: Quiver) -> Optional[List[List[str]]]:
+    """The vertices of each connected component, in order along the path
+    from the end declared first, when the underlying graph is a disjoint
+    union of paths; else None. With no vertex meeting more than two
+    arrows every component is a path or a cycle (two parallel arrows
+    close one), and only the paths have an end to walk from."""
     nbrs: Dict[str, List[str]] = {v: [] for v in quiver.vertices}
     for a in quiver.arrows:
         nbrs[a.source].append(a.target)
         nbrs[a.target].append(a.source)
+    if any(len(n) > 2 for n in nbrs.values()):
+        return None
     seen = set()
     out = []
     for v in quiver.vertices:
@@ -822,26 +830,4 @@ def _paths(quiver: Quiver) -> List[List[str]]:
             path.append(step[0])
             seen.add(step[0])
         out.append(path)
-    return out
-
-
-def _is_type_a(quiver: Quiver) -> bool:
-    """Whether the underlying graph is a disjoint union of paths: no
-    vertex meets more than two arrows and no arrow closes a cycle (two
-    parallel arrows close one)."""
-    degree = {v: 0 for v in quiver.vertices}
-    root = {v: v for v in quiver.vertices}
-
-    def find(v: str) -> str:
-        while root[v] != v:
-            v = root[v]
-        return v
-
-    for a in quiver.arrows:
-        degree[a.source] += 1
-        degree[a.target] += 1
-        ra, rb = find(a.source), find(a.target)
-        if ra == rb:
-            return False
-        root[ra] = rb
-    return all(d <= 2 for d in degree.values())
+    return out if len(seen) == len(quiver.vertices) else None

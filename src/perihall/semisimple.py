@@ -145,6 +145,25 @@ class SemisimplePeriodic:
     def _rank_profiles(self, x: SsKey, m: SsKey) -> Iterator[SsKey]:
         return itertools.product(*(range(min(x[s], m[s]) + 1) for s in range(self.t)))
 
+    def objects(self, bound: int) -> Iterator[SsKey]:
+        """All objects with each multiplicity at most bound, yielded
+        lazily by total multiplicity, then key: the objects of total D
+        are generated in lexicographic order, one degree at a time."""
+        for total in range(bound * self.t + 1):
+            yield from _tuples_of_sum(total, self.t, bound)
+
     def enumerate_objects(self, bound: int) -> List[SsKey]:
-        """All objects with each multiplicity at most bound, graded."""
-        return sorted(itertools.product(range(bound + 1), repeat=self.t), key=lambda k: (sum(k), k))
+        """Every object of :meth:`objects`, in its order, as a list."""
+        return list(self.objects(bound))
+
+
+def _tuples_of_sum(total: int, length: int, bound: int) -> Iterator[SsKey]:
+    """The tuples of the given length with entries in range(bound + 1)
+    summing to total, in lexicographic order."""
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(max(0, total - bound * (length - 1)), min(bound, total) + 1):
+        for rest in _tuples_of_sum(total - first, length - 1, bound):
+            yield (first,) + rest

@@ -4,6 +4,7 @@ import itertools
 import pkgutil
 import subprocess
 import sys
+import time
 from math import lcm
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from perihall.checks import (
     composition_by_chains,
     cone_key_literal,
     dvec_mod2,
+    enumerate_objects_by_product,
     fiber_counts_literal,
 )
 from perihall.gfp import FieldSpec, MatrixFp
@@ -38,8 +40,9 @@ PERIODS = (3, 5, 7)
 
 def part_objects(pctx):
     """The zero object, every part (class, shift) and every sum of two
-    parts: a scope that grows as t^2, where ``enumerate_objects`` grows
-    as (modules)^t."""
+    parts: a scope that grows as t^2 and meets every pair of shifts,
+    where a graded prefix of ``objects`` reaches the lowest degrees
+    only."""
     parts = [(part,) for part in pctx.hom_vectors().parts]
     return [()] + parts + [pctx.direct_sum_key(a, b) for a, b in itertools.combinations_with_replacement(parts, 2)]
 
@@ -91,6 +94,49 @@ def test_enumeration_is_graded_and_stable(a2):
     assert dims == sorted(dims)
     assert keys[0] == ()
     assert keys == a2.enumerate_objects((1, 1))
+
+
+LISTING_SCOPES = [(f"A1{b}-t{t}", line_quiver(1), 2, b, t) for b in ((1,), (2,)) for t in PERIODS] + [
+    ("A2(1,1)-t3", line_quiver(2), 2, (1, 1), 3),
+    ("A2(1,1)-t5", line_quiver(2), 2, (1, 1), 5),
+    ("A2(2,2)-t3", line_quiver(2), 2, (2, 2), 3),
+    ("A2p3(2,1)-t5", line_quiver(2), 3, (2, 1), 5),
+    ("A3(1,1,1)-t3", line_quiver(3), 2, (1, 1, 1), 3),
+    ("A1(0,)-t3", line_quiver(1), 2, (0,), 3),
+    ("kronecker(1,1)-t3", KRONECKER, 2, (1, 1), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "quiver, p, bound, t", [scope[1:] for scope in LISTING_SCOPES], ids=[scope[0] for scope in LISTING_SCOPES]
+)
+def test_objects_match_the_product_listing(quiver, p, bound, t):
+    # the graded listing against building and sorting every object at
+    # once, each on a fresh context, list for list; the Kronecker quiver
+    # reads its module types by brute force
+    pctx = PeriodicContext(RepContext(quiver, FieldSpec(p)), t)
+    keys = pctx.enumerate_objects(bound)
+    assert keys == enumerate_objects_by_product(PeriodicContext(RepContext(quiver, FieldSpec(p)), t), bound)
+    assert keys == list(pctx.objects(bound))
+
+
+def test_a_graded_prefix_of_a_large_scope_is_cheap():
+    # A3 bound (1,1,1) at t = 7 has 13^7 objects, which no sorted product
+    # can list; its first 100 come lazily, graded, each key sorted: the
+    # zero object, then every simple at every shift, then degree two
+    pctx = PeriodicContext(RepContext(line_quiver(3), FieldSpec(2)), 7)
+    start = time.perf_counter()
+    keys = list(itertools.islice(pctx.objects((1, 1, 1)), 100))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, elapsed
+    assert len(set(keys)) == 100
+    assert all(key == tuple(sorted(key)) for key in keys)
+    dims = [pctx.total_dim(k) for k in keys]
+    assert dims == sorted(dims)
+    simples = sorted((part,) for part in pctx.hom_vectors().parts if pctx.total_dim((part,)) == 1)
+    assert len(simples) == 3 * 7
+    assert keys[: 1 + len(simples)] == [()] + simples
+    assert set(dims[1 + len(simples) :]) == {2}
 
 
 def test_realize_normalize_round_trip(a2):
@@ -278,35 +324,41 @@ def test_fiber_counts_match_the_literal_count(n, p, bound, first, hom_cap, monke
     # graded prefix of the objects. At the longer periods the targets are
     # the zero object and every part, which meet every shift residue; a
     # count depends on the shifts only through their differences, so the
-    # sources sit at shift 0. A3 runs at t = 3 and 5
+    # sources sit at shift 0. Next to them runs a shorter graded prefix,
+    # lazily listed, sources and targets alike. A3 runs the part scope
+    # at t = 3 and 5, and the graded prefix at 7 too
     lines = []
     honest_lines = category._lines
     monkeypatch.setattr(category, "_lines", lambda q, dim: (lines.append(c) or c for c in honest_lines(q, dim)))
     complexes = []
     honest_init = CycleComplex.__init__
     monkeypatch.setattr(CycleComplex, "__init__", lambda c, *args, **kw: complexes.append(c) or honest_init(c, *args, **kw))
-    for t in PERIODS if n < 3 else PERIODS[:2]:
-        pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)), t)
-        if t == 3:
-            sources = targets = pctx.enumerate_objects(bound)[:first]
-        else:
-            targets = [()] + [(part,) for part in pctx.hom_vectors().parts]
-            sources = [k for k in targets if all(s == 0 for _, s in k)]
-        chains = ChainModel(pctx)
-        checked = 0
-        for x in sources:
-            for m in targets:
-                d = pctx.hom_dim(x, m)
-                if hom_cap is not None and d > hom_cap:
-                    continue
-                before, built = len(lines), len(complexes)
-                counts = pctx.fiber_counts(x, m)
-                assert len(lines) - before == (p**d - 1) // (p - 1)
-                assert len(complexes) == built
-                assert counts == fiber_counts_literal(chains, x, m), (t, x, m)
-                checked += 1
-        assert complexes
-        assert checked >= len(sources) * len(targets) // 2
+    for t in PERIODS:
+        for scope in ("prefix",) if t == 3 or (n == 3 and t == 7) else ("parts", "prefix"):
+            # a fresh context per scope, so that no fiber is cached
+            pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)), t)
+            if t == 3:
+                sources = targets = pctx.enumerate_objects(bound)[:first]
+            elif scope == "prefix":
+                sources = targets = list(itertools.islice(pctx.objects(bound), 8 if n == 1 else 12))
+            else:
+                targets = [()] + [(part,) for part in pctx.hom_vectors().parts]
+                sources = [k for k in targets if all(s == 0 for _, s in k)]
+            chains = ChainModel(pctx)
+            checked = 0
+            for x in sources:
+                for m in targets:
+                    d = pctx.hom_dim(x, m)
+                    if hom_cap is not None and d > hom_cap:
+                        continue
+                    before, built = len(lines), len(complexes)
+                    counts = pctx.fiber_counts(x, m)
+                    assert len(lines) - before == (p**d - 1) // (p - 1)
+                    assert len(complexes) == built
+                    assert counts == fiber_counts_literal(chains, x, m), (t, x, m)
+                    checked += 1
+            assert complexes
+            assert checked >= len(sources) * len(targets) // 2
 
 
 @pytest.mark.parametrize("n, p, first", [(2, 3, 16), (3, 2, 25)])
@@ -654,11 +706,13 @@ def test_aut_orders_against_enumeration(a1, a2):
                 continue
             assert pctx.aut_order(key) == aut_order_by_enumeration(chains, key), key
     # at the longer periods every object of total dimension at most two,
-    # the repeated parts and the extensions between shifts among them
-    for n, t in ((1, 5), (1, 7), (2, 5)):
+    # the repeated parts and the extensions between shifts among them,
+    # and a graded prefix of the objects, which reaches A3
+    for n, t in ((1, 5), (1, 7), (2, 5), (3, 5), (3, 7)):
         pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(2)), t)
         chains = ChainModel(pctx)
-        for key in part_objects(pctx):
+        prefix = list(itertools.islice(pctx.objects((1,) * n), 40))
+        for key in (part_objects(pctx) if n < 3 else []) + prefix:
             if pctx.total_dim(key) <= 2:
                 assert pctx.aut_order(key) == aut_order_by_enumeration(chains, key), (t, key)
 

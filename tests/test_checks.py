@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from perihall.category import PeriodicContext
@@ -30,9 +32,15 @@ PERIODS = (3, 5, 7)
 
 def _part_scope(pctx):
     """The zero object and every part (class, shift): their Hom blocks
-    meet every shift residue, and the scope grows only linearly in t,
-    where ``enumerate_objects`` grows as (modules)^t."""
+    meet every shift residue, and the scope grows only linearly in t."""
     return [()] + [(part,) for part in pctx.hom_vectors().parts]
+
+
+def _graded_prefix(pctx, bound, count):
+    """The first objects of the bound, listed lazily in graded order:
+    the zero object and the parts of least dimension first, then their
+    sums, at any period."""
+    return list(itertools.islice(pctx.objects(bound), count))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -99,17 +107,19 @@ def test_hom_dimensions_harness_sees_a_wrong_ext1(monkeypatch):
     assert not report.passed
     assert report.checked == len(keys) ** 2
 
-    # the same at the longer periods, on the A2 part scope; the fault
-    # goes in before any part pair is cached
+    # the same at the longer periods, on the A2 part scope and on a
+    # graded prefix of A3; the fault goes in before any part pair is
+    # cached
     for t in PERIODS[1:]:
         for honest in (True, False):
-            pctx, _ = build_quiver_engine(line_quiver(2), 2, t=t)
-            if not honest:
-                wrong_ext1(pctx)
-            keys = _part_scope(pctx)
-            report = check_hom_dimensions(pctx, keys)
-            assert report.passed is honest, (t, report.summary())
-            assert report.checked == len(keys) ** 2
+            for n in (2, 3):
+                pctx, _ = build_quiver_engine(line_quiver(n), 2, t=t)
+                if not honest:
+                    wrong_ext1(pctx)
+                keys = _part_scope(pctx) if n == 2 else _graded_prefix(pctx, (1, 1, 1), 30)
+                report = check_hom_dimensions(pctx, keys)
+                assert report.passed is honest, (t, n, report.summary())
+                assert report.checked == len(keys) ** 2
 
 
 def test_relations_harness_catches_the_fault():
@@ -128,18 +138,26 @@ def _a2_scope():
 
 def test_cone_well_defined_harness_passes_on_a2():
     # the whole summary is pinned, so a change in what the harness walks
-    # shows even while it passes
-    pinned = {3: (258, 206), 5: (342, 286), 7: (588, 526)}
-    for t in PERIODS:
+    # shows even while it passes; at the longer periods on the part scope
+    # and on a graded prefix
+    pinned = {
+        (3, "prefix"): (258, 40, 206),
+        (5, "parts"): (342, 40, 286),
+        (7, "parts"): (588, 40, 526),
+        (5, "prefix"): (218, 40, 166),
+        (7, "prefix"): (200, 30, 158),
+    }
+    for (t, scope), (checked, morphisms, triangles) in pinned.items():
         if t == 3:
             pctx, _, keys = _a2_scope()
         else:
             pctx, _ = build_quiver_engine(line_quiver(2), 2, t=t)
-            keys = _part_scope(pctx)
+            keys = _part_scope(pctx) if scope == "parts" else _graded_prefix(pctx, (1, 1), 12)
         pairs = [(x, y) for x in keys for y in keys]
         report = check_cone_well_defined(pctx, keys, pairs, morphism_target=40)
-        checked, triangles = pinned[t]
-        assert report.summary() == f"PASS cone well-definedness: checked={checked} (morphisms=40, triangles={triangles})"
+        assert report.summary() == (
+            f"PASS cone well-definedness: checked={checked} (morphisms={morphisms}, triangles={triangles})"
+        ), (t, scope)
 
 
 def test_pbw_round_trip_harness_passes_on_a2():

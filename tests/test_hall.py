@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,22 @@ def test_semisimple_helpers():
     assert rank_count(1, 2, 1, 2) == 3
     assert rank_count(2, 2, 2, 2) == 6
     assert sum(rank_count(2, 3, r, 2) for r in range(3)) == 2**6
+
+
+@pytest.mark.parametrize("t, bound", [(3, 0), (3, 1), (3, 3), (5, 2), (7, 1), (7, 2)])
+def test_semisimple_objects_match_the_sorted_product(t, bound):
+    # the lazy graded listing against sorting every multiplicity tuple
+    # by total, then tuple
+    cat = SemisimplePeriodic(t, 2)
+    product = sorted(itertools.product(range(bound + 1), repeat=t), key=lambda k: (sum(k), k))
+    assert cat.enumerate_objects(bound) == list(cat.objects(bound)) == product
+
+
+def test_semisimple_objects_are_lazy():
+    # the first objects of a scope of 11^9 come without the rest
+    cat = SemisimplePeriodic(9, 2)
+    head = list(itertools.islice(cat.objects(10), 11))
+    assert head == [(0,) * 9] + [tuple(int(s == i) for s in range(9)) for i in reversed(range(9))] + [(0,) * 8 + (2,)]
 
 
 def test_five_periodic_square():

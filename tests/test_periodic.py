@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from perihall.periodic import (
+    _rref_subspace,
     ChainMap,
     ChainModel,
     CycleComplex,
@@ -13,7 +15,7 @@ from perihall.periodic import (
     wrap_module,
 )
 from perihall.category import PeriodicContext
-from perihall.gfp import FieldSpec, MatrixFp
+from perihall.gfp import FieldSpec, MatrixFp, Subspace
 from perihall.quiver import line_quiver
 from perihall.reps import BudgetExceeded, RepContext, RepMap
 
@@ -296,6 +298,34 @@ def test_class_coords_refuse_what_is_not_a_chain_map():
             RepMap(top, top, comps[0].comps)
         with pytest.raises(ValueError, match="slot hom space"):
             chain_hom_space(ctx, y, y).class_coords(ChainMap(y, y, comps, check=False))
+
+
+@given(st.integers(1, 4), st.lists(st.lists(st.integers(0, 2), min_size=4, max_size=4), max_size=3))
+def test_rref_rows_taken_as_they_are_give_the_eliminated_subspace(ncols, rows):
+    # the slotwise and chain-map bases skip elimination: on rref rows
+    # that gives the basis, pivots and free columns elimination gives
+    f3 = FieldSpec(3)
+    rows = [row[:ncols] for row in rows]
+    basis = MatrixFp(f3, rows, ncols=ncols).row_space_basis().rows
+    s, t = Subspace(f3, ncols, rows), _rref_subspace(f3, ncols, basis)
+    assert (t.basis.rows, t.pivots, t.free_columns) == (s.basis.rows, s.pivots, s.free_columns)
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        ([[2, 0, 1]], "reduced row echelon"),
+        ([[0, 1, 0], [1, 0, 0]], "reduced row echelon"),
+        ([[1, 0, 0], [0, 0, 0]], "reduced row echelon"),
+        ([[1, 2, 0], [0, 1, 0]], "pivot column 1"),
+        ([[1, 0]], "length 2"),
+    ],
+    ids=["lead-not-one", "pivots-decrease", "zero-row", "pivot-column-not-clear", "short-row"],
+)
+def test_rref_rows_off_the_pivot_shape_are_refused(rows, reason):
+    with pytest.raises(ValueError, match=reason):
+        _rref_subspace(FieldSpec(3), 3, rows)
+    assert _rref_subspace(FieldSpec(3), 3, []).codim == 3
 
 
 def test_cone_class_ignores_homotopy_representative():

@@ -506,6 +506,30 @@ def test_indecomposables_are_listed_only_on_type_a():
         RepContext(KRONECKER, FieldSpec(2)).indecomposable_ids()
 
 
+@pytest.mark.parametrize(
+    "quiver",
+    [
+        # an unoriented triangle, and the D4 star
+        Quiver(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3"), Arrow("c", "1", "3")]),
+        Quiver(["c", "1", "2", "3"], [Arrow("a", "1", "c"), Arrow("b", "2", "c"), Arrow("d", "3", "c")]),
+        # a path next to a pair of parallel arrows
+        Quiver(["1", "2", "3", "4"], [Arrow("a", "1", "2"), Arrow("b", "3", "4"), Arrow("c", "3", "4")]),
+    ],
+    ids=["triangle", "d4", "path-and-kronecker"],
+)
+def test_other_graphs_are_not_taken_for_type_a(quiver):
+    # a vertex on three arrows, or a component with no end to walk from
+    with pytest.raises(NotImplementedError, match="type A"):
+        RepContext(quiver, FieldSpec(2)).indecomposable_ids()
+
+
+def test_a_disjoint_union_of_paths_lists_its_intervals():
+    # two components, one a single vertex: 3 + 1 intervals
+    quiver = Quiver(["1", "2", "3"], [Arrow("a", "2", "1")])
+    ctx = RepContext(quiver, FieldSpec(2))
+    assert sorted(ctx.class_rep(cid).dims for cid in ctx.indecomposable_ids()) == [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
+
+
 def test_block_sum_is_the_direct_sum():
     ctx = ctx_a2(3)
     pool = [s1(ctx), p1(ctx), s2(ctx)]
