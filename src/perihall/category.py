@@ -47,8 +47,13 @@ build a module. They read one cached entry per pair of distinct parts
 beta(r), both linear in the (dim Hom, dim Ext^1) of the two classes,
 the lengths of their Ringel bases, with coefficients from two
 per-residue tables. The runs of equal parts of each key are cached too
-and weigh the entries by multiplicity; ``aut_order`` also reads each
-class's residue degree, cached per class id.
+and weigh the entries by multiplicity. One walk over the part pairs of
+two keys gives both (hom, brace), cached per key pair, so a product's
+base exponent, End's dimension in ``aut_order`` and each cone's {l,l}
+share one record. ``aut_order`` also reads each class's residue
+degree, cached per class id: 1 for a brick (End one-dimensional, so
+End = F_q), which every indecomposable of a quiver of type A is, and
+only otherwise counted by enumerating End.
 :func:`perihall.checks.aut_order_by_layers` builds the layers.
 
 The brace exponent {x,y} = -hom(x[1], y) + hom(x[2], y) - ... - hom(x[t], y),
@@ -101,8 +106,13 @@ is refused. Morphisms are counted one orbit of the
 scalar action at a time: the zero morphism x -> m has cone x[1] + m,
 read off the keys, and cone(c f) is isomorphic to cone(f) for c in
 F_q^*, so one rank profile is computed per line of Hom(x, m) and
-counted with weight q - 1. :func:`perihall.checks.cone_key_literal`
-builds and reduces a cone, and
+counted with weight q - 1. When Hom(x, m) is one-dimensional, one pair
+of parts, a of x and b of m, carries it, and Hom(T, f) is nonzero only
+in that block: the profile is the rank of Hom(T, a) -> Hom(T, b) under
+the block's basis map for each test object T that sees both a and b,
+read off the composition tensor once per pair of test objects. A Hom
+of dimension 2 or more builds the full matrix of Hom(T, f) per line.
+:func:`perihall.checks.cone_key_literal` builds and reduces a cone, and
 :func:`perihall.checks.fiber_counts_literal` classifies every morphism
 that way.
 
@@ -198,8 +208,9 @@ class PeriodicContext:
         self.t = t
         self._fiber_cache: Dict[Tuple[ObjKey, ObjKey], Dict[ObjKey, int]] = {}
         self._aut_cache: Dict[ObjKey, int] = {}
-        self._brace_cache: Dict[Tuple[ObjKey, ObjKey], int] = {}
+        self._brace_cache: Dict[Tuple[ObjKey, ObjKey], Tuple[int, int]] = {}
         self._part_pairs: Dict[Tuple[Part, Part], Tuple[int, int]] = {}
+        self._line_profiles: Dict[Tuple[Part, Part], List[Tuple[int, int]]] = {}
         self._runs_cache: Dict[ObjKey, List[Tuple[Part, int]]] = {}
         self._residue_cache: Dict[int, int] = {}
         self._hom_ext_cache: Dict[Tuple[int, int], HomExt] = {}
@@ -357,34 +368,33 @@ class PeriodicContext:
             self._runs_cache[key] = hit = [(part, len(list(run))) for part, run in itertools.groupby(key)]
         return hit
 
-    def hom_dim(self, x: ObjKey, y: ObjKey) -> int:
-        """Covering formula: summand pairs contribute their module hom,
-        their extension space, or nothing, by shift residue; one
-        part-pair lookup per pair of distinct parts."""
+    def _hom_brace(self, x: ObjKey, y: ObjKey) -> Tuple[int, int]:
+        """(hom_dim(x, y), brace_exponent(x, y)) in one walk over the
+        pairs of distinct parts, each weighing its part-pair entry by
+        the multiplicities. Cached per key pair."""
         pairs = self._part_pairs
         ys = self._runs(y)
-        total = 0
+        hom = brace = 0
         for a, ma in self._runs(x):
             for b, mb in ys:
-                total += ma * mb * (pairs.get((a, b)) or self._part_pair(a, b))[0]
-        return total
+                h, e = pairs.get((a, b)) or self._part_pair(a, b)
+                hom += ma * mb * h
+                brace += ma * mb * e
+        self._brace_cache[(x, y)] = hit = (hom, brace)
+        return hit
+
+    def hom_dim(self, x: ObjKey, y: ObjKey) -> int:
+        """Covering formula: summand pairs contribute their module hom,
+        their extension space, or nothing, by shift residue; read off the
+        key pair's cached (hom, brace) record."""
+        return (self._brace_cache.get((x, y)) or self._hom_brace(x, y))[0]
 
     def brace_exponent(self, x: ObjKey, y: ObjKey) -> int:
         """{x,y}: e with q**e equal to the alternating product of
         |Hom(x[i], y)| over i from 1 to t, signs starting at -1, summed
         over part pairs of beta(r) from the brace table (module
-        docstring). Cached per key pair."""
-        k = (x, y)
-        hit = self._brace_cache.get(k)
-        if hit is None:
-            pairs = self._part_pairs
-            ys = self._runs(y)
-            hit = 0
-            for a, ma in self._runs(x):
-                for b, mb in ys:
-                    hit += ma * mb * (pairs.get((a, b)) or self._part_pair(a, b))[1]
-            self._brace_cache[k] = hit
-        return hit
+        docstring); read off the key pair's cached (hom, brace) record."""
+        return (self._brace_cache.get((x, y)) or self._hom_brace(x, y))[1]
 
     def check_budget(self, x: ObjKey, y: ObjKey, dim: int) -> None:
         """Refuse to walk the q**dim morphism classes x -> y beyond the
@@ -493,6 +503,30 @@ class PeriodicContext:
                 forms.append((t, row_at[-1], col_at[-1], terms))
         return forms
 
+    def _line_profile(self, a: Part, b: Part, hv: HomVectors) -> List[Tuple[int, int]]:
+        """The rank profile of the basis map f of a one-dimensional
+        Hom(a, b) between two test objects: (index of T, rk Hom(T, f))
+        for every test object T that sees both, the rank of
+        Hom(T, a) -> Hom(T, b) read off the composition tensor, nonzero
+        ranks only. Cached per pair of test objects."""
+        k = (a, b)
+        hit = self._line_profiles.get(k)
+        if hit is None:
+            hm, p = hv.matrix, self.q
+            ia, ib = hv.index[a], hv.index[b]
+            hit = []
+            for t in sorted(hv.sees[ia] & hv.sees[ib]):
+                cols = hm[t][ib]
+                matrix = [[0] * cols for _ in range(hm[t][ia])]
+                # Hom(a, b) has the one basis map k = 0
+                for u, _, v, w in self._composition_terms(hv.parts[t], a, b):
+                    matrix[u][v] = w
+                rank = rank_rows(matrix, cols, p)
+                if rank:
+                    hit.append((t, rank))
+            self._line_profiles[k] = hit
+        return hit
+
     def fiber_counts(self, x: ObjKey, m: ObjKey) -> Dict[ObjKey, int]:
         """How many morphisms x -> m have each cone class.
 
@@ -505,17 +539,22 @@ class PeriodicContext:
         bounds q**hom_dim(x, m).
 
         A line f is classified by its rank profile, never built: the
-        ranks of Hom(T, f) for every test object T, each matrix built
-        from the terms of :meth:`_rank_forms`, which read the cached
-        nonzero entries of the composition tensors. Its cone C has the
+        ranks of Hom(T, f) for every test object T. Its cone C has the
         hom vector
 
             dim Hom(T, C) = hom(T, m) - rk Hom(T, f) + hom(T[-1], x) - rk Hom(T[-1], f),
 
         which fixes C by Auslander's theorem; :meth:`HomVectors.cone_key`
-        decodes it. One key is decoded per distinct rank profile, in
-        order of first appearance. Only quivers of type A are served
-        (see :meth:`hom_vectors`); :func:`perihall.checks.cone_key_literal`
+        decodes it. When hom_dim(x, m) is 1, exactly one pair of parts,
+        a of x and b of m, has a nonzero Hom block, and the one line is
+        that block's basis map extended by zero; Hom(T, f) is then
+        nonzero only in that block, so the profile is the one of
+        :meth:`_line_profile`, cached per pair (a, b). Otherwise each
+        line's matrices are built from the terms of :meth:`_rank_forms`,
+        which read the cached nonzero entries of the composition tensors,
+        and one key is decoded per distinct rank profile, in order of
+        first appearance. Only quivers of type A are served (see
+        :meth:`hom_vectors`); :func:`perihall.checks.cone_key_literal`
         builds and reduces the cone instead.
         """
         key = (x, m)
@@ -527,40 +566,60 @@ class PeriodicContext:
             if dim:
                 self.check_budget(x, m, dim)
                 hv = self.hom_vectors()
-                forms = self._rank_forms(x, m, hv)
                 p = self.q
-                profiles: Dict[Tuple[int, ...], int] = {}
-                for coords in _lines(p, dim):
-                    profile = []
-                    for _, rows, cols, terms in forms:
-                        matrix = [[0] * cols for _ in range(rows)]
-                        for r, c, k, w in terms:
-                            if coords[k]:
-                                matrix[r][c] = (matrix[r][c] + w * coords[k]) % p
-                        profile.append(rank_rows(matrix, cols, p))
-                    ranks = tuple(profile)
-                    profiles[ranks] = profiles.get(ranks, 0) + p - 1
-                for ranks, count in profiles.items():
-                    ck = hv.cone_key(zero, [(form[0], r) for form, r in zip(forms, ranks)])
-                    hit[ck] = hit.get(ck, 0) + count
+                if dim == 1:
+                    # the one pair of parts with a nonzero Hom block, and
+                    # the one line, its basis map
+                    a, b = next((a, b) for a in x for b in m if self._part_pair(a, b)[0])
+                    for _ in _lines(p, 1):
+                        ck = hv.cone_key(zero, self._line_profile(a, b, hv))
+                        hit[ck] = hit.get(ck, 0) + p - 1
+                else:
+                    forms = self._rank_forms(x, m, hv)
+                    profiles: Dict[Tuple[int, ...], int] = {}
+                    for coords in _lines(p, dim):
+                        profile = []
+                        for _, rows, cols, terms in forms:
+                            matrix = [[0] * cols for _ in range(rows)]
+                            for r, c, k, w in terms:
+                                if coords[k]:
+                                    matrix[r][c] = (matrix[r][c] + w * coords[k]) % p
+                            profile.append(rank_rows(matrix, cols, p))
+                        ranks = tuple(profile)
+                        profiles[ranks] = profiles.get(ranks, 0) + p - 1
+                    for ranks, count in profiles.items():
+                        ck = hv.cone_key(zero, [(form[0], r) for form, r in zip(forms, ranks)])
+                        hit[ck] = hit.get(ck, 0) + count
             self._fiber_cache[key] = hit
         return hit
 
     # -- automorphisms ------------------------------------------------
 
     def _residue_degree(self, cid: int) -> int:
-        """dim over F_q of End(I)/rad for the indecomposable class cid."""
+        """dim over F_q of End(I)/rad for the indecomposable class cid,
+        cached per class id. A brick, one whose End is one-dimensional
+        (``_hom_ext(cid, cid)`` has one Hom basis map), has degree 1: a
+        one-dimensional unital F_q-algebra is F_q itself. Only another
+        class has its End enumerated, by
+        :meth:`perihall.reps.RepContext.residue_field_degree`."""
         hit = self._residue_cache.get(cid)
         if hit is None:
-            self._residue_cache[cid] = hit = self.ctx.residue_field_degree(self.ctx.class_rep(cid))
+            if len(self._hom_ext(cid, cid).hom) == 1:
+                hit = 1
+            else:
+                hit = self.ctx.residue_field_degree(self.ctx.class_rep(cid))
+            self._residue_cache[cid] = hit
         return hit
 
     def aut_order(self, key: ObjKey) -> int:
         """|Aut| as the unit count of the finite algebra End(key)
         (:func:`perihall.gfp.unit_group_order`): dim End is
-        ``hom_dim(key, key)``, and by Krull-Schmidt its semisimple
-        quotient has one block GL_m over the residue field of each
-        distinct (class, shift) part of multiplicity m. Cached per key;
+        ``hom_dim(key, key)``, read off the key pair's (hom, brace)
+        record, and by Krull-Schmidt its semisimple quotient has one
+        block GL_m over the residue field of each distinct (class, shift)
+        part of multiplicity m. Each residue degree is 1 for a brick,
+        every indecomposable of a quiver of type A, and enumerated
+        otherwise (:meth:`_residue_degree`). Cached per key;
         :func:`perihall.checks.aut_order_by_layers` builds the layers."""
         hit = self._aut_cache.get(key)
         if hit is None:

@@ -284,11 +284,39 @@ def test_fiber_counts_are_cached_per_pair(a2, monkeypatch):
     first = a2.fiber_counts(x, m)
     assert a2._fiber_cache[(x, m)] is first
 
-    def no_rank_forms(*args):
+    def recount(*args):
         raise AssertionError("a cached fiber was counted again")
 
-    monkeypatch.setattr(PeriodicContext, "_rank_forms", no_rank_forms)
+    # a one-dimensional Hom never builds rank forms, but walks its line
+    monkeypatch.setattr(PeriodicContext, "_rank_forms", recount)
+    monkeypatch.setattr(category, "_lines", recount)
     assert a2.fiber_counts(x, m) is first
+
+
+@pytest.mark.parametrize("n, bound", [(2, (2, 2)), (3, (1, 2, 1))])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("t", [3, 5])
+def test_one_dimensional_fibers_read_the_block_profile(n, bound, p, t, monkeypatch):
+    # a one-dimensional Hom is classified off its one nonzero part
+    # block, never by rank forms: on a graded prefix every such fiber,
+    # insertion order included, equals building the cone of every
+    # morphism
+    def no_rank_forms(*args):
+        raise AssertionError("a one-dimensional Hom built its rank forms")
+
+    monkeypatch.setattr(PeriodicContext, "_rank_forms", no_rank_forms)
+    pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)), t)
+    chains = ChainModel(pctx)
+    keys = list(itertools.islice(pctx.objects(bound), 16))
+    checked = nonsplit = 0
+    for x in keys:
+        for m in keys:
+            if pctx.hom_dim(x, m) == 1:
+                counts = pctx.fiber_counts(x, m)
+                assert list(counts.items()) == list(fiber_counts_literal(chains, x, m).items()), (x, m)
+                checked += 1
+                nonsplit += len(counts) > 1
+    assert checked >= 25 and nonsplit == checked
 
 
 def test_brace_table_rows():
@@ -437,11 +465,12 @@ def test_the_names_kept_for_the_benchmark_are_off_the_op_path(monkeypatch):
 def test_the_type_a_setup_never_enumerates(monkeypatch):
     # on a cold A2 context the objects, the decode of cones and a cold
     # product read the generated indecomposables: no module is
-    # enumerated by brute force, and none is decomposed
+    # enumerated by brute force, none is decomposed, and no End is
+    # enumerated for a residue degree, every interval module a brick
     def refuse(*args, **kw):
-        raise AssertionError("the type-A set-up enumerated or decomposed a module")
+        raise AssertionError("the type-A set-up enumerated or decomposed a module or its End")
 
-    for name in ("enumerate_reps", "decompose"):
+    for name in ("enumerate_reps", "decompose", "residue_field_degree"):
         monkeypatch.setattr(RepContext, name, refuse)
     pctx = PeriodicContext(RepContext(line_quiver(2), FieldSpec(2)))
     engine = HallEngine(pctx)
@@ -747,6 +776,18 @@ def test_aut_order_reads_the_residue_degree():
     for other in (k, pctx.shift_key(k, 1), pctx.shift_key(s, 2)):
         key = pctx.direct_sum_key(k, other)
         assert pctx.aut_order(key) == aut_order_by_layers(pctx, key), key
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3])
+def test_type_a_indecomposables_are_bricks(n, p):
+    # End of an interval module is F_q: the brick rule and the End
+    # enumeration both give residue degree 1
+    pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)))
+    ids = pctx.ctx.indecomposable_ids()
+    assert len(ids) == n * (n + 1) // 2
+    for cid in ids:
+        assert pctx._residue_degree(cid) == 1 == pctx.ctx.residue_field_degree(pctx.ctx.class_rep(cid)), cid
 
 
 def test_aut_order_frozen_values(a1, a2):
