@@ -9,12 +9,10 @@ The layers, bottom to top:
 - :mod:`perihall.gfp` - exact linear algebra over F_p (row convention).
 - :mod:`perihall.quiver` - finite acyclic quivers; :mod:`perihall.reps`
   and the chain-level model work on any of them.
-- :mod:`perihall.reps` - quiver representations: hom spaces, kernels and
-  cokernels, Krull-Schmidt decomposition into summands and their
-  inclusions, Hom and Ext^1 bases from
-  Ringel's exact sequence, and the modules of a dimension bound: on a
-  quiver of type A generated from the interval modules, on any other
-  enumerated by brute force.
+- :mod:`perihall.reps` - quiver representations: hom spaces, Hom and
+  Ext^1 bases from Ringel's exact sequence, the iso-class registry, and
+  the modules of a dimension bound, generated from the interval modules
+  of a quiver of type A; other quivers are refused.
 - :mod:`perihall.category` - the periodic category itself: objects as
   shifted module sums, listed lazily by total dimension, hom tables,
   compositions from module data, cone fibers classified by Hom ranks.
@@ -36,8 +34,12 @@ engine's import graph (only ``PeriodicContext.hom_space`` reaches
   projective modules, direct sums of modules and corestrictions.
 - :mod:`perihall.checks` - identity verification harnesses, recounting
   the engine against the chain-level model and brute enumeration, and
-  the helpers only they need: automorphism counts of modules
-  (``module_aut_order``) and matrix inverses (``matrix_inverse``).
+  the helpers only they need: Krull-Schmidt decomposition, iso-class
+  lookup and module enumeration by brute force (``decompose``,
+  ``summand_ids``, ``class_id``, ``enumerate_reps``, ``module_key``, the
+  only listing of a quiver not of type A), automorphism counts of
+  modules (``module_aut_order``) and matrix inverses
+  (``matrix_inverse``).
 """
 
 __version__ = "0.1.0"

@@ -7,18 +7,18 @@ t = 3, 5 and 7).
 
 Objects here are finite multisets of (indecomposable class, shift)
 pairs; every t-periodic complex of projectives is isomorphic to the sum
-of its shifted homology, so it normalizes to one. By Krull-Schmidt a module
-placed at one shift is the multiset of its summand class ids,
-:meth:`perihall.reps.RepContext.summand_ids`, so ``module_key`` tags
-those ids with the shift. ``objects`` reads the type of each module of
-the bound once, off :meth:`perihall.reps.RepContext.module_types`, and
-joins one tagged type per shift, yielding the objects lazily by total
-dimension: only one dimension's objects are built and sorted at a time,
-so a graded prefix of a scope with (module types)^t objects costs what
-its dimensions hold. ``enumerate_objects`` is the whole list. On a
-quiver of type A those types are generated from the interval modules,
-with no module enumerated or decomposed; any other quiver lists them by
-brute force.
+of its shifted homology, so it normalizes to one. By Krull-Schmidt a
+module placed at one shift is its Krull-Schmidt type, the multiset of
+its summand class ids, each tagged with the shift
+(:func:`perihall.checks.module_key` decomposes a module to find it).
+``objects`` reads the type of each module of the bound once, off
+:meth:`perihall.reps.RepContext.module_types`, and joins one tagged type
+per shift, yielding the objects lazily by total dimension: only one
+dimension's objects are built and sorted at a time, so a graded prefix
+of a scope with (module types)^t objects costs what its dimensions hold.
+``enumerate_objects`` is the whole list. Those types are generated from
+the interval modules of a quiver of type A, with no module enumerated or
+decomposed; any other quiver is refused.
 
 Morphisms are module data. By the covering formula,
 Hom((a, s_a), (b, s_b)) is Hom(a, b), Ext^1(a, b) or 0 at the shift
@@ -129,7 +129,7 @@ import math
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gfp import rank_rows, unit_group_order
-from .reps import BudgetExceeded, HomExt, Rep, RepContext
+from .reps import BudgetExceeded, HomExt, RepContext
 
 if TYPE_CHECKING:
     from .periodic import HomSpace
@@ -227,12 +227,6 @@ class PeriodicContext:
 
     # -- object keys --------------------------------------------------
 
-    def module_key(self, rep: Rep, shift: int = 0) -> ObjKey:
-        """The object key of a module placed at the given shift: its
-        summand class ids, each tagged with the shift."""
-        shift %= self.t
-        return tuple((cid, shift) for cid in self.ctx.summand_ids(rep))
-
     def shift_key(self, key: ObjKey, n: int = 1) -> ObjKey:
         t = self.t
         return tuple(sorted([(cid, (s + n) % t) for cid, s in key]))
@@ -272,8 +266,8 @@ class PeriodicContext:
 
         Each module of the bound is read once, as its total dimension and
         Krull-Schmidt type (:meth:`perihall.reps.RepContext.module_types`,
-        generated from the interval modules on a quiver of type A and
-        enumerated by brute force on any other); an object is one type
+        generated from the interval modules of a quiver of type A; any
+        other quiver raises ``NotImplementedError``); an object is one type
         per shift, tagged with the shift, and distinct modules have
         distinct types. The objects of total dimension D join a type of
         dimension d at shift s to the parts of dimension D - d at the

@@ -4,8 +4,8 @@ Every closed formula the engine relies on (its one-enumeration product
 formula against both dual counting recipes, cone classes from Hom
 ranks against built and reduced cones, composition tensors from module
 data against chain maps modulo homotopy (:mod:`perihall.periodic`),
-dim Ext^1 from the Euler form, iso classes from Krull-Schmidt types,
-the layered automorphism count, the square-root sizes of composition
+dim Ext^1 from the Euler form, the generated modules of a bound
+against brute-force enumeration, the layered automorphism count, the square-root sizes of composition
 images, the block normal form of triangles, the straightening
 relations) is re-derived here by brute enumeration on small instances
 and compared exactly.
@@ -23,15 +23,20 @@ within the context's ``enum_cap``.
 
 The module-level helpers only the harnesses need live here, not in the
 engine modules: the inverse of a matrix over F_p
-(:func:`matrix_inverse`, for :func:`iso_between`) and the automorphism
+(:func:`matrix_inverse`, for :func:`iso_between`), the automorphism
 count of a module (:func:`module_aut_order`, for
-:func:`aut_order_by_layers`).
+:func:`aut_order_by_layers`), and Krull-Schmidt by brute force
+(:func:`decompose`, :func:`summand_ids`, :func:`class_id`,
+:func:`enumerate_reps`), which lists a quiver of any type, writes the
+registry only through :meth:`perihall.reps.RepContext.register` and
+keeps its caches here, per context.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -202,33 +207,216 @@ def module_aut_order(ctx: RepContext, x: Rep) -> int:
     against an enumeration of End(x)."""
     blocks = [
         (len(list(run)), ctx.residue_field_degree(ctx.class_rep(cid)))
-        for cid, run in itertools.groupby(ctx.summand_ids(x))
+        for cid, run in itertools.groupby(summand_ids(ctx, x))
     ]
     return unit_group_order(ctx.field.p, ctx.hom_dim(x, x), blocks)
+
+
+# ----------------------------------------------------------------------
+# Krull-Schmidt by brute force
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class Decomposition:
+    """Indecomposable summands and their inclusions into the module; at
+    every vertex the stacked inclusions form an invertible matrix."""
+
+    summands: List[Rep]
+    inclusions: List[RepMap]  # summand -> module
+
+
+# the reference caches of each context, by content key, kept here and
+# dropped with the context
+_DECOMPOSITIONS: "weakref.WeakKeyDictionary[RepContext, Dict[Tuple, Decomposition]]" = weakref.WeakKeyDictionary()
+_CLASS_IDS: "weakref.WeakKeyDictionary[RepContext, Dict[Tuple, int]]" = weakref.WeakKeyDictionary()
+
+
+def _check_home(ctx: RepContext, x: Rep) -> None:
+    """Refuse a module over another field or quiver: the content keys
+    and ids would describe another category. Identity is compared
+    first, so the context's own modules pass without an equality test."""
+    if x.field is not ctx.field and x.field != ctx.field:
+        raise ValueError(f"the module is over F_{x.field.p}, this context over F_{ctx.field.p}")
+    if x.quiver is not ctx.quiver and x.quiver != ctx.quiver:
+        raise ValueError(f"the module is over {x.quiver!r}, this context over {ctx.quiver!r}")
+
+
+def _basis_iso(ctx: RepContext, x: Rep, y: Rep) -> Optional[RepMap]:
+    """An isomorphism x -> y among the basis of Hom(x, y), or None.
+
+    Complete for indecomposables: the non-invertible maps between them
+    form a proper subspace whenever an iso exists, and a basis cannot sit
+    inside a proper subspace."""
+    return next((h for h in ctx.hom_basis(x, y) if h.is_iso()), None)
+
+
+def _fitting_split(ctx: RepContext, x: Rep, e: RepMap) -> Optional[Tuple[Rep, RepMap, Rep, RepMap]]:
+    """Split x along a non-nilpotent, non-invertible endomorphism into
+    the image and kernel of its stable power, with their inclusions.
+
+    The image of the stable power has total dimension the sum of the
+    ranks of its vertex components, so a nilpotent or invertible e is
+    rejected before any subrepresentation is built. By Fitting's lemma
+    the stacked inclusions are invertible at every vertex."""
+    power = e
+    steps = 1
+    while steps < x.total_dim:
+        power = power.then(power)
+        steps *= 2
+    rank = sum(c.rank() for c in power.comps)
+    if rank == 0 or rank == x.total_dim:
+        return None
+    im, iincl = ctx.image(power)
+    ker, kincl = ctx.kernel(power)
+    if not all(ic.vstack(kc).is_invertible() for ic, kc in zip(iincl.comps, kincl.comps)):
+        raise AssertionError(f"Fitting split of the module of dimension vector {x.dims} is not a direct sum")
+    return im, iincl, ker, kincl
+
+
+def _find_split(ctx: RepContext, x: Rep) -> Optional[Tuple[Rep, RepMap, Rep, RepMap]]:
+    """A Fitting split of x, or None when x is indecomposable: the basis
+    of End(x) and the sums of its pairs are tried first, then, within the
+    context's ``enum_cap``, every endomorphism."""
+    basis = ctx.hom_basis(x, x)
+    if len(basis) == 1:
+        return None
+    pairs = (a.add(b) for a, b in itertools.combinations(basis, 2))
+    for e in itertools.chain(basis, pairs):
+        split = _fitting_split(ctx, x, e)
+        if split is not None:
+            return split
+    total = ctx.field.p ** len(basis)
+    if total > ctx.enum_cap:
+        raise BudgetExceeded(
+            f"cannot certify indecomposability of the module of dimension vector {x.dims}:"
+            f" endomorphism space has {total} points, cap {ctx.enum_cap}"
+        )
+    for coeffs in itertools.product(range(ctx.field.p), repeat=len(basis)):
+        split = _fitting_split(ctx, x, ctx.map_from_coeffs(basis, coeffs))
+        if split is not None:
+            return split
+    return None
+
+
+def decompose(ctx: RepContext, x: Rep) -> Decomposition:
+    """Indecomposable summands of x and their inclusions into x, by
+    Fitting splits, cached per context and content key. The engine
+    decomposes nothing: it generates the modules of a quiver of type A
+    from their summands (:meth:`RepContext.module_types`)."""
+    cache = _DECOMPOSITIONS.setdefault(ctx, {})
+    hit = cache.get(x.key())
+    if hit is None:
+        split = _find_split(ctx, x) if x.total_dim else None
+        if split is None:
+            hit = Decomposition([x], [RepMap.identity(x)]) if x.total_dim else Decomposition([], [])
+        else:
+            im, iincl, ker, kincl = split
+            d_im, d_ker = decompose(ctx, im), decompose(ctx, ker)
+            inclusions = [i.then(iincl) for i in d_im.inclusions] + [k.then(kincl) for k in d_ker.inclusions]
+            hit = Decomposition(d_im.summands + d_ker.summands, inclusions)
+        cache[x.key()] = hit
+    return hit
+
+
+def is_indecomposable(ctx: RepContext, x: Rep) -> bool:
+    return len(decompose(ctx, x).summands) == 1
+
+
+def class_id(ctx: RepContext, x: Rep) -> int:
+    """Registry id of the iso class of the indecomposable x, registered
+    through :meth:`RepContext.register` if new.
+
+    A new content key is matched by the basis sweep of :func:`_basis_iso`
+    against the classes of its dimension vector in id order, complete for
+    the indecomposable x; it finds no iso to a listed decomposable class.
+    A zero or decomposable module raises ``ValueError``: its iso class is
+    :func:`summand_ids`. So does a module over another field or quiver."""
+    _check_home(ctx, x)
+    known = _CLASS_IDS.setdefault(ctx, {})
+    hit = known.get(x.key())
+    if hit is None:
+        if not is_indecomposable(ctx, x):
+            raise ValueError(f"class_id needs an indecomposable module, got {x!r}; use summand_ids")
+        reps = map(ctx.class_rep, range(ctx.class_count()))
+        hit = next((cid for cid, r in enumerate(reps) if r.dims == x.dims and _basis_iso(ctx, r, x) is not None), None)
+        if hit is None:
+            hit = ctx.register(x)
+        known[x.key()] = hit
+    return hit
+
+
+def summand_ids(ctx: RepContext, x: Rep) -> Tuple[int, ...]:
+    """The Krull-Schmidt type of x: the sorted class ids of its
+    indecomposable summands, empty for the zero module. Two modules are
+    isomorphic exactly when these agree. A module over another field or
+    quiver raises ``ValueError``."""
+    _check_home(ctx, x)
+    return tuple(sorted(class_id(ctx, s) for s in decompose(ctx, x).summands))
+
+
+def module_key(pctx: PeriodicContext, rep: Rep, shift: int = 0) -> ObjKey:
+    """The object key of a module placed at the given shift: its
+    summand class ids, each tagged with the shift."""
+    shift %= pctx.t
+    return tuple((cid, shift) for cid in summand_ids(pctx.ctx, rep))
+
+
+def enumerate_reps(ctx: RepContext, bound: Sequence[int]) -> List[Rep]:
+    """One representative of every iso class with dimension vector at
+    most ``bound``, graded by total dimension, then dimension vector lex
+    order, then the order of arrow matrices.
+
+    Every tuple of arrow matrices is a candidate, and the first candidate
+    of each Krull-Schmidt type (:func:`summand_ids`) is kept. Each
+    indecomposable is first met as a candidate of its own dimension
+    vector and registered by it; each kept zero or decomposable candidate
+    is listed in the registry under its type. Registry ids thus follow
+    the same graded order on a fresh context. The engine generates the
+    types of a quiver of type A instead (:meth:`RepContext.module_types`)."""
+    q, p = ctx.quiver, ctx.field.p
+    bound = ctx._checked_bound(bound)
+    dimvecs = sorted(itertools.product(*(range(b + 1) for b in bound)), key=lambda d: (sum(d), d))
+    seen = set()
+    out: List[Rep] = []
+    for dims in dimvecs:
+        shapes = [(a.name, dims[q.vertex_index(a.source)], dims[q.vertex_index(a.target)]) for a in q.arrows]
+        entries = sum(du * dw for _, du, dw in shapes)
+        if p**entries > ctx.enum_cap:
+            raise BudgetExceeded(f"representation enumeration at {dims} needs {p**entries} candidates")
+        for flat in itertools.product(range(p), repeat=entries):
+            mats = {}
+            pos = 0
+            for name, du, dw in shapes:
+                mats[name] = MatrixFp.from_flat(ctx.field, flat[pos : pos + du * dw], du, dw)
+                pos += du * dw
+            cand = Rep(ctx.field, q, dims, mats)
+            ids = summand_ids(ctx, cand)
+            if ids not in seen:
+                seen.add(ids)
+                out.append(cand)
+                if len(ids) != 1:
+                    ctx.register(cand, ids)
+    return out
 
 
 def iso_between(ctx: RepContext, x: Rep, y: Rep) -> Optional[RepMap]:
     """An isomorphism x -> y, or None, with an explicit witness.
 
-    For indecomposables a basis sweep settles it: the non-invertible
-    maps between indecomposables form a proper subspace whenever an iso
-    exists, and a basis cannot sit inside a proper subspace. For
-    decomposables the summands and their inclusions give the witness:
+    For indecomposables the basis sweep of :func:`_basis_iso` settles it.
+    For decomposables the summands and their inclusions give the witness:
     each summand of x is matched to one of y, and at every vertex the
     witness is the inverse of the stacked inclusions of x times the
-    stacked matched isos into y. The engine compares
-    :meth:`perihall.reps.RepContext.summand_ids` instead."""
+    stacked matched isos into y. :func:`summand_ids` compares Krull-Schmidt
+    types instead."""
     if x.dims != y.dims:
         return None
-    if x.key() == y.key():
+    if x.key() == y.key() or not x.total_dim:
         return RepMap.identity(x)
-    if x.total_dim == 0:
-        return RepMap.identity(x)
-    direct = next((h for h in ctx.hom_basis(x, y) if h.is_iso()), None)
+    direct = _basis_iso(ctx, x, y)
     if direct is not None:
         return direct
-    dx = ctx.decompose(x)
-    dy = ctx.decompose(y)
+    dx, dy = decompose(ctx, x), decompose(ctx, y)
     if len(dx.summands) != len(dy.summands):
         return None
     if len(dx.summands) == 1:
@@ -259,10 +447,12 @@ def iso_between(ctx: RepContext, x: Rep, y: Rep) -> Optional[RepMap]:
 
 def enumerate_objects_by_product(pctx: PeriodicContext, bound: Sequence[int]) -> List[ObjKey]:
     """Every object of the bound, ordered by total dimension then key,
-    by building all (module types)^t objects and sorting them at once.
-    The engine yields them one dimension at a time instead
+    by building all (module types)^t objects and sorting them at once,
+    with the types read off :func:`enumerate_reps`: the reference
+    listing, and the only one on a quiver not of type A. The engine
+    generates the types and yields the objects one dimension at a time
     (:meth:`PeriodicContext.objects`)."""
-    modules = pctx.ctx.module_types(bound)
+    modules = [(r.total_dim, summand_ids(pctx.ctx, r)) for r in enumerate_reps(pctx.ctx, bound)]
     objects: List[Tuple[int, ObjKey]] = [(0, ())]
     for s in range(pctx.t):
         layer = [(d, tuple((cid, s) for cid in ids)) for d, ids in modules]
@@ -316,7 +506,7 @@ def complex_key(pctx: PeriodicContext, c: CycleComplex) -> ObjKey:
     """The object key of a cycle complex: the pieces of its normal form,
     each keyed by its summand class ids at its shift."""
     pieces = normal_pieces(pctx.ctx, c)
-    return pctx.direct_sum_key(*(pctx.module_key(piece, s) for s, piece in enumerate(pieces)))
+    return pctx.direct_sum_key(*(module_key(pctx, piece, s) for s, piece in enumerate(pieces)))
 
 
 def cone_key_literal(pctx: PeriodicContext, f: ChainMap) -> ObjKey:
@@ -1074,10 +1264,10 @@ def classical_hall_g(ctx: RepContext, x: Rep, y: Rep, l: Rep) -> int:
         if built is None:
             continue
         sub, incl = built
-        if ctx.summand_ids(sub) != ctx.summand_ids(x):
+        if summand_ids(ctx, sub) != summand_ids(ctx, x):
             continue
         quot, _ = ctx.cokernel(incl)
-        if ctx.summand_ids(quot) == ctx.summand_ids(y):
+        if summand_ids(ctx, quot) == summand_ids(ctx, y):
             count += 1
     return count
 
@@ -1096,9 +1286,9 @@ def check_classical_comparison(
     report = CheckReport("classical comparison")
     ctx = pctx.ctx
     q = pctx.q
-    reps = ctx.enumerate_reps(bound)
+    reps = enumerate_reps(ctx, bound)
     report.details["module classes"] = len(reps)
-    keys = [pctx.module_key(r) for r in reps]
+    keys = [module_key(pctx, r) for r in reps]
     for xi, x_rep in enumerate(reps):
         for yi, y_rep in enumerate(reps):
             e = ctx.quiver.euler_form(x_rep.dims, y_rep.dims)
@@ -1180,8 +1370,8 @@ def check_cone_well_defined(
             shifted = shifted.shift(1)
         if complex_key(pctx, shifted) != key:
             report.fail(f"{pctx.t} shifts not the identity at {pctx.format_key(key)}")
-        base_ids = [ctx.summand_ids(r) for r in normal_pieces(ctx, model)]
-        rot_ids = [ctx.summand_ids(r) for r in normal_pieces(ctx, model.shift(1))]
+        base_ids = [summand_ids(ctx, r) for r in normal_pieces(ctx, model)]
+        rot_ids = [summand_ids(ctx, r) for r in normal_pieces(ctx, model.shift(1))]
         if rot_ids != base_ids[-1:] + base_ids[:-1]:
             report.fail(f"rotation equivariance at {pctx.format_key(key)}")
 

@@ -5,13 +5,12 @@ to every arrow. Everything follows the row convention from
 :mod:`perihall.gfp`: the matrix of an arrow u -> w has shape
 dim(u) x dim(w) and acts on row vectors from the right.
 
-The module provides the abelian-category toolkit the engine calls (hom
-spaces, kernels, images), Krull-Schmidt decomposition into summands and
-their inclusions, Hom and Ext^1 with their bases from Ringel's exact
-sequence (:class:`HomExt`), plus the counting utilities the Hall layer
-sits on (residue field degrees of indecomposables, the modules of a
-dimension bound). The path algebra of an acyclic quiver is hereditary, so
-dim Ext^1 is read off the Euler form wherever no basis is needed.
+The module provides what the engine calls: Hom and Ext^1 with their
+bases from Ringel's exact sequence (:class:`HomExt`), the iso-class
+registry, and the counting utilities the Hall layer sits on (residue field
+degrees of indecomposables, the modules of a dimension bound). The path
+algebra of an acyclic quiver is hereditary, so dim Ext^1 is read off the
+Euler form wherever no basis is needed.
 
 Helpers that only the reference code calls live in the reference
 modules. The chain-level model, :mod:`perihall.periodic`, builds
@@ -20,33 +19,29 @@ direct sums (:func:`perihall.periodic.direct_sum`), projective modules
 (:func:`perihall.periodic.corestrict`). The harnesses,
 :mod:`perihall.checks`, count |Aut x| of a module as the units of
 End(x) (:func:`perihall.checks.module_aut_order`), the count the
-periodic category applies to its objects. ``cokernel``, ``ext1_dim``
-and ``class_count`` have no engine caller either; they stay here while
-the benchmark traces or calls them.
+periodic category applies to its objects. ``kernel``, ``image``,
+``cokernel``, ``ext1_dim`` and ``class_count`` have no engine caller
+either; they stay here while the benchmark traces or calls them.
 
 Iso classes follow Krull-Schmidt. Every indecomposable class gets an
-integer id, and a module's iso class is the sorted tuple of the class
-ids of its indecomposable summands, :meth:`RepContext.summand_ids`; the
-zero module's is the empty tuple. That tuple is the one place an iso
-class is decided: isomorphism tests, representative enumeration and
-automorphism counts all read it. The registry also lists each zero or
-decomposable class a listing of the modules of a bound meets, found by
-its tuple and never by an isomorphism test; object keys name
-indecomposable ids only. :func:`perihall.checks.iso_between` builds an
-explicit isomorphism by matching summands.
-
-The modules of a bound are listed two ways. On a quiver of type A (a
-disjoint union of paths) the indecomposables are known by Gabriel's
-theorem: one interval module per connected set of vertices, and a
-dimension vector fixes each. :meth:`RepContext.indecomposable_ids`
-registers them once per context, in the order brute force meets them,
-and :meth:`RepContext.module_types` generates the modules of a bound as
+integer id, and a module's iso class is its Krull-Schmidt type, the
+sorted tuple of the class ids of its indecomposable summands; the zero
+module's is the empty tuple. Object keys name indecomposable ids only.
+On a quiver of type A (a disjoint union of paths) the indecomposables
+are known by Gabriel's theorem: one interval module per connected set of
+vertices, and a dimension vector fixes each.
+:meth:`RepContext.indecomposable_ids` registers them once per context,
+and :meth:`RepContext.module_types` generates the types of a bound as
 the multisets of them that fit inside it, listing each zero or
-decomposable class with the :meth:`RepContext.block_sum` of its
-summands as representative; nothing is decomposed. On any other quiver
-:meth:`RepContext.enumerate_reps` is the only path: it decomposes every
-tuple of arrow matrices and keeps the first candidate of each type. It
-is also the reference the generator is tested against.
+decomposable type in the registry with the :meth:`RepContext.block_sum`
+of its summands as representative. Nothing is decomposed or enumerated,
+and any other quiver is refused. :meth:`RepContext.register` is the one
+way into the registry.
+
+Krull-Schmidt decomposition, the type of a module and its enumeration
+by brute force are reference recipes in :mod:`perihall.checks`, the only
+listing of a quiver of another type; they register what they find
+through :meth:`RepContext.register`.
 
 State that must be shared between calls (class registry, caches) lives
 in :class:`RepContext`; representations themselves are plain values.
@@ -56,8 +51,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gfp import FieldSpec, MatrixFp, Subspace
 from .quiver import Quiver
@@ -66,7 +60,6 @@ __all__ = [
     "Rep",
     "RepMap",
     "RepContext",
-    "Decomposition",
     "HomExt",
     "BudgetExceeded",
 ]
@@ -201,15 +194,6 @@ class RepMap:
         return f"RepMap({self.source.dims} -> {self.target.dims})"
 
 
-@dataclass
-class Decomposition:
-    """Indecomposable summands and their inclusions into the module; at
-    every vertex the stacked inclusions form an invertible matrix."""
-
-    summands: List[Rep]
-    inclusions: List[RepMap]  # summand -> module
-
-
 class HomExt:
     """Hom and Ext^1 between two representations, from Ringel's exact
     sequence ("Representations of K-species and bimodules", J. Algebra
@@ -297,8 +281,6 @@ class RepContext:
         self.field = field
         self.enum_cap = enum_cap
         self._hom_cache: Dict[Tuple, List[RepMap]] = {}
-        self._decomp_cache: Dict[Tuple, Decomposition] = {}
-        self._class_of_content: Dict[Tuple, int] = {}
         self._classes: List[Rep] = []  # class id -> canonical representative
         self._class_of_type: Dict[Tuple[int, ...], int] = {}  # summand ids -> id of a listed zero or decomposable class
         self._paths = _paths(quiver)  # None unless the quiver is of type A
@@ -465,108 +447,6 @@ class RepContext:
         proj = RepMap(y, cok, proj_comps, check=False)
         return cok, proj
 
-    # -- isomorphism and decomposition -------------------------------
-
-    def _iso_among_basis(self, x: Rep, y: Rep) -> Optional[RepMap]:
-        """An isomorphism x -> y among the basis of Hom(x, y), or None.
-
-        Complete for indecomposables: the non-invertible maps between
-        them form a proper subspace whenever an iso exists, and a basis
-        cannot sit inside a proper subspace."""
-        for h in self.hom_basis(x, y):
-            if h.is_iso():
-                return h
-        return None
-
-    def summand_ids(self, x: Rep) -> Tuple[int, ...]:
-        """The Krull-Schmidt type of x: the sorted class ids of its
-        indecomposable summands, empty for the zero module. Two modules
-        are isomorphic exactly when these agree. A module over another
-        field or quiver raises ``ValueError``."""
-        self._check_home(x)
-        if not x.total_dim:
-            return ()
-        return tuple(sorted(self.class_id(s) for s in self.decompose(x).summands))
-
-    def _fitting_split(self, x: Rep, e: RepMap) -> Optional[Tuple[Rep, RepMap, Rep, RepMap]]:
-        """Split x along a non-nilpotent, non-invertible endomorphism into
-        the image and kernel of its stable power, with their inclusions.
-
-        The image of the stable power has total dimension the sum of the
-        ranks of its vertex components, so a nilpotent or invertible e
-        is rejected before any subrepresentation is built. By Fitting's
-        lemma the stacked inclusions are invertible at every vertex."""
-        n = max(1, x.total_dim)
-        power = e
-        steps = 1
-        while steps < n:
-            power = power.then(power)
-            steps *= 2
-        rank = sum(c.rank() for c in power.comps)
-        if rank == 0 or rank == x.total_dim:
-            return None
-        im, iincl = self.image(power)
-        ker, kincl = self.kernel(power)
-        if not all(ic.vstack(kc).is_invertible() for ic, kc in zip(iincl.comps, kincl.comps)):
-            raise AssertionError(f"Fitting split of the module of dimension vector {x.dims} is not a direct sum")
-        return im, iincl, ker, kincl
-
-    def _candidate_endos(self, x: Rep) -> Iterator[RepMap]:
-        basis = self.hom_basis(x, x)
-        yield from basis
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                yield basis[i].add(basis[j])
-
-    def decompose(self, x: Rep) -> Decomposition:
-        """Indecomposable summands of x and their inclusions into x."""
-        ck = x.key()
-        hit = self._decomp_cache.get(ck)
-        if hit is not None:
-            return hit
-        result = self._decompose_uncached(x)
-        self._decomp_cache[ck] = result
-        return result
-
-    def _decompose_uncached(self, x: Rep) -> Decomposition:
-        if x.total_dim == 0:
-            return Decomposition([], [])
-        split = self._find_split(x)
-        if split is None:
-            return Decomposition([x], [RepMap.identity(x)])
-        im, iincl, ker, kincl = split
-        d_im = self.decompose(im)
-        d_ker = self.decompose(ker)
-        inclusions = [i.then(iincl) for i in d_im.inclusions] + [k.then(kincl) for k in d_ker.inclusions]
-        return Decomposition(d_im.summands + d_ker.summands, inclusions)
-
-    def _find_split(self, x: Rep) -> Optional[Tuple[Rep, RepMap, Rep, RepMap]]:
-        basis = self.hom_basis(x, x)
-        if len(basis) == 1:
-            return None
-        for e in self._candidate_endos(x):
-            split = self._fitting_split(x, e)
-            if split is not None:
-                return split
-        # candidates failed; certify by full enumeration while the cap allows
-        total = self.field.p ** len(basis)
-        if total > self.enum_cap:
-            raise BudgetExceeded(
-                f"cannot certify indecomposability of the module of dimension vector {x.dims}:"
-                f" endomorphism space has {total} points, cap {self.enum_cap}"
-            )
-        for coeffs in itertools.product(range(self.field.p), repeat=len(basis)):
-            e = self.map_from_coeffs(basis, coeffs)
-            split = self._fitting_split(x, e)
-            if split is not None:
-                return split
-        return None
-
-    def is_indecomposable(self, x: Rep) -> bool:
-        if x.total_dim == 0:
-            return False
-        return len(self.decompose(x).summands) == 1
-
     # -- automorphism counting ---------------------------------------
 
     def residue_field_degree(self, indec: Rep) -> int:
@@ -596,42 +476,19 @@ class RepContext:
 
     # -- iso-class registry ------------------------------------------
 
-    def _check_home(self, x: Rep) -> None:
-        """Refuse a module over another field or quiver: the content keys
-        and ids would describe another category. Identity is compared
-        first, so the context's own modules pass without an equality test."""
-        if x.field is not self.field and x.field != self.field:
-            raise ValueError(f"the module is over F_{x.field.p}, this context over F_{self.field.p}")
-        if x.quiver is not self.quiver and x.quiver != self.quiver:
-            raise ValueError(f"the module is over {x.quiver!r}, this context over {self.quiver!r}")
-
-    def class_id(self, x: Rep) -> int:
-        """Registry id of the iso class of the indecomposable x
-        (registering it if new).
-
-        Each class is represented by the first module of it seen; ids
-        follow that discovery order. A zero or decomposable module raises
-        ``ValueError``: its iso class is :meth:`summand_ids`. A new
-        content key is matched by the basis sweep of
-        :meth:`_iso_among_basis`, which is complete for the indecomposable
-        x and finds no iso to a listed decomposable class. A module over
-        another field or quiver raises ``ValueError``.
-        """
-        self._check_home(x)
-        ck = x.key()
-        hit = self._class_of_content.get(ck)
-        if hit is not None:
-            return hit
-        if not self.is_indecomposable(x):
-            raise ValueError(f"class_id needs an indecomposable module, got {x!r}; use summand_ids")
-        for cid, rep in enumerate(self._classes):
-            if rep.dims == x.dims and self._iso_among_basis(rep, x) is not None:
-                self._class_of_content[ck] = cid
-                return cid
-        cid = len(self._classes)
-        self._classes.append(x)
-        self._class_of_content[ck] = cid
-        return cid
+    def register(self, rep: Rep, ids: Optional[Tuple[int, ...]] = None) -> int:
+        """The id of a new class with representative rep, ids following
+        registration order; the one way into the registry. ``ids`` is the
+        Krull-Schmidt type of a zero or decomposable class, which is
+        listed under it, and a type listed before keeps its class; an
+        indecomposable class passes none."""
+        hit = self._class_of_type.get(ids) if ids is not None else None
+        if hit is None:
+            hit = len(self._classes)
+            self._classes.append(rep)
+            if ids is not None:
+                self._class_of_type[ids] = hit
+        return hit
 
     def class_rep(self, cid: int) -> Rep:
         return self._classes[cid]
@@ -665,8 +522,8 @@ class RepContext:
 
     def indecomposable_ids(self) -> Tuple[int, ...]:
         """The class ids of every indecomposable, in the order
-        :meth:`enumerate_reps` meets them (total dimension, then dimension
-        vector), registered on the first call.
+        :func:`perihall.checks.enumerate_reps` meets them (total
+        dimension, then dimension vector), registered on the first call.
 
         On a quiver of type A (a disjoint union of paths) the
         indecomposables are the interval modules, by Gabriel's theorem:
@@ -699,30 +556,26 @@ class RepContext:
             known = {rep.dims: cid for cid, rep in enumerate(self._classes) if cid not in listed}
             ids = []
             for _, dims, inside in intervals:
-                cid = known.get(dims)
-                if cid is None:
-                    rep = Rep(self.field, q, dims, {a.name: one for a in q.arrows if a.source in inside and a.target in inside})
-                    cid = len(self._classes)
-                    self._classes.append(rep)
-                    self._class_of_content[rep.key()] = cid
-                ids.append(cid)
+                if dims not in known:
+                    mats = {a.name: one for a in q.arrows if a.source in inside and a.target in inside}
+                    known[dims] = self.register(Rep(self.field, q, dims, mats))
+                ids.append(known[dims])
             self._indecomposables = tuple(ids)
         return self._indecomposables
 
     def module_types(self, bound: Sequence[int]) -> List[Tuple[int, Tuple[int, ...]]]:
         """(total dimension, Krull-Schmidt type) of every module with
-        dimension vector at most ``bound``, one per iso class; the type is
-        :meth:`summand_ids`.
+        dimension vector at most ``bound``, one per iso class, the type the
+        sorted class ids of its indecomposable summands.
 
         On a quiver of type A these are the multisets of
         :meth:`indecomposable_ids` whose dimension vectors sum to at most
         the bound, and each zero or decomposable type is listed in the
         registry, if new, with the :meth:`block_sum` of its summands as
-        representative. Any other quiver reads the types off
-        :meth:`enumerate_reps`."""
+        representative. Any other quiver raises ``NotImplementedError``
+        there; :func:`perihall.checks.enumerate_reps` lists its modules by
+        brute force."""
         bound = self._checked_bound(bound)
-        if self._paths is None:
-            return [(r.total_dim, self.summand_ids(r)) for r in self.enumerate_reps(bound)]
         types: List[Tuple[Tuple[int, ...], Tuple[int, ...], int]] = [((), bound, 0)]
         for cid in self.indecomposable_ids():
             dims = self._classes[cid].dims
@@ -738,51 +591,9 @@ class RepContext:
         out = []
         for ids, _, total in types:
             ids = tuple(sorted(ids))
-            if len(ids) != 1 and ids not in self._class_of_type:
-                self._class_of_type[ids] = len(self._classes)
-                self._classes.append(self.block_sum([self._classes[cid] for cid in ids]))
+            if len(ids) != 1:
+                self.register(self.block_sum([self._classes[cid] for cid in ids]), ids)
             out.append((total, ids))
-        return out
-
-    def enumerate_reps(self, bound: Sequence[int]) -> List[Rep]:
-        """One representative of every iso class with dimension vector at
-        most ``bound``, graded by total dimension, then dimension vector
-        lex order, then the order of arrow matrices.
-
-        Every tuple of arrow matrices is a candidate; the first candidate
-        of each Krull-Schmidt type (:meth:`summand_ids`) is kept. Each
-        indecomposable is first met as a candidate of its own dimension
-        vector and registered by it; each kept zero or decomposable
-        candidate is listed in the registry under its type. Registry ids
-        thus follow the same graded order.
-        """
-        q = self.quiver
-        bound = self._checked_bound(bound)
-        dimvecs = sorted(
-            itertools.product(*(range(b + 1) for b in bound)),
-            key=lambda d: (sum(d), d),
-        )
-        seen = set()
-        out: List[Rep] = []
-        for dims in dimvecs:
-            shapes = [(a.name, dims[q.vertex_index(a.source)], dims[q.vertex_index(a.target)]) for a in q.arrows]
-            entries = sum(du * dw for _, du, dw in shapes)
-            if self.field.p**entries > self.enum_cap:
-                raise BudgetExceeded(f"representation enumeration at {dims} needs {self.field.p**entries} candidates")
-            for flat in itertools.product(range(self.field.p), repeat=entries):
-                mats = {}
-                pos = 0
-                for name, du, dw in shapes:
-                    mats[name] = MatrixFp.from_flat(self.field, flat[pos : pos + du * dw], du, dw)
-                    pos += du * dw
-                cand = Rep(self.field, q, dims, mats)
-                ids = self.summand_ids(cand)
-                if ids not in seen:
-                    seen.add(ids)
-                    out.append(cand)
-                    if len(ids) != 1 and ids not in self._class_of_type:
-                        self._class_of_type[ids] = len(self._classes)
-                        self._classes.append(cand)
         return out
 
     def subrep_from_rows(self, l: Rep, row_bases: Sequence[MatrixFp]) -> Optional[Tuple[Rep, RepMap]]:

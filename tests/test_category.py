@@ -1,3 +1,4 @@
+import ast
 import fractions
 import importlib
 import itertools
@@ -22,7 +23,11 @@ from perihall.checks import (
     cone_key_literal,
     dvec_mod2,
     enumerate_objects_by_product,
+    enumerate_reps,
     fiber_counts_literal,
+    is_indecomposable,
+    module_key,
+    summand_ids,
 )
 from perihall.gfp import FieldSpec, MatrixFp
 from perihall.hall import HallEngine
@@ -36,6 +41,21 @@ SINK_A3 = Quiver(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "3", "2")])
 ZIGZAG_A4 = Quiver(["1", "2", "3", "4"], [Arrow("a", "1", "2"), Arrow("b", "3", "2"), Arrow("c", "3", "4")])
 # the periods the chain-level recounts run at
 PERIODS = (3, 5, 7)
+# the brute-force Krull-Schmidt recipes, which live in perihall.checks
+BRUTE_FORCE = (
+    "decompose",
+    "_decompose_uncached",
+    "_find_split",
+    "_candidate_endos",
+    "_fitting_split",
+    "is_indecomposable",
+    "class_id",
+    "_iso_among_basis",
+    "_check_home",
+    "summand_ids",
+    "enumerate_reps",
+    "module_key",
+)
 
 
 def part_objects(pctx):
@@ -50,7 +70,7 @@ def part_objects(pctx):
 def summand_dims(ctx, rep):
     """The Krull-Schmidt type of a module, written by its summands'
     dimension vectors."""
-    return tuple(sorted(ctx.class_rep(cid).dims for cid in ctx.summand_ids(rep)))
+    return tuple(sorted(ctx.class_rep(cid).dims for cid in summand_ids(ctx, rep)))
 
 
 @pytest.fixture
@@ -76,9 +96,9 @@ def test_keys_name_indecomposables_only(n, bound, classes, indecomposables):
     assert ctx.class_count() == classes
     brute = RepContext(line_quiver(n), FieldSpec(2))
     assert sorted(summand_dims(ctx, ctx.class_rep(cid)) for cid in range(classes)) == sorted(
-        summand_dims(brute, r) for r in brute.enumerate_reps(bound)
+        summand_dims(brute, r) for r in enumerate_reps(brute, bound)
     )
-    indec = {cid for cid in range(classes) if ctx.is_indecomposable(ctx.class_rep(cid))}
+    indec = {cid for cid in range(classes) if is_indecomposable(ctx, ctx.class_rep(cid))}
     assert len(indec) == indecomposables
     assert {cid for k in keys for cid, _ in k} == indec
 
@@ -103,7 +123,6 @@ LISTING_SCOPES = [(f"A1{b}-t{t}", line_quiver(1), 2, b, t) for b in ((1,), (2,))
     ("A2p3(2,1)-t5", line_quiver(2), 3, (2, 1), 5),
     ("A3(1,1,1)-t3", line_quiver(3), 2, (1, 1, 1), 3),
     ("A1(0,)-t3", line_quiver(1), 2, (0,), 3),
-    ("kronecker(1,1)-t3", KRONECKER, 2, (1, 1), 3),
 ]
 
 
@@ -111,12 +130,13 @@ LISTING_SCOPES = [(f"A1{b}-t{t}", line_quiver(1), 2, b, t) for b in ((1,), (2,))
     "quiver, p, bound, t", [scope[1:] for scope in LISTING_SCOPES], ids=[scope[0] for scope in LISTING_SCOPES]
 )
 def test_objects_match_the_product_listing(quiver, p, bound, t):
-    # the graded listing against building and sorting every object at
-    # once, each on a fresh context, list for list; the Kronecker quiver
-    # reads its module types by brute force
+    # the graded listing of the generated types against building and
+    # sorting every object at once from the types brute force finds,
+    # list for list; the brute force runs second, so it matches its
+    # modules to the classes the generator registered
     pctx = PeriodicContext(RepContext(quiver, FieldSpec(p)), t)
     keys = pctx.enumerate_objects(bound)
-    assert keys == enumerate_objects_by_product(PeriodicContext(RepContext(quiver, FieldSpec(p)), t), bound)
+    assert keys == enumerate_objects_by_product(pctx, bound)
     assert keys == list(pctx.objects(bound))
 
 
@@ -147,10 +167,10 @@ def test_realize_normalize_round_trip(a2):
 def test_shift_key_matches_complex_shift(a2):
     s1 = a2.ctx.simple("1")
     p1 = periodic.projective(a2.ctx, "1")
-    for key in (a2.module_key(s1), a2.direct_sum_key(a2.module_key(p1), a2.module_key(s1, 1))):
+    for key in (module_key(a2, s1), a2.direct_sum_key(module_key(a2, p1), module_key(a2, s1, 1))):
         for n in range(1, 4):
             assert complex_key(a2, ChainModel(a2).realize(key).shift(n)) == a2.shift_key(key, n)
-    assert a2.shift_key(a2.module_key(s1), 3) == a2.module_key(s1)
+    assert a2.shift_key(module_key(a2, s1), 3) == module_key(a2, s1)
 
 
 def test_hom_dim_three_ways():
@@ -160,11 +180,11 @@ def test_hom_dim_three_ways():
         s2 = a2.ctx.simple("2")
         p1 = periodic.projective(a2.ctx, "1")
         keys = [
-            a2.module_key(s1),
-            a2.module_key(s2, 1),
-            a2.direct_sum_key(a2.module_key(p1), a2.module_key(s1, 2)),
-            a2.direct_sum_key(a2.module_key(s1), a2.module_key(s2)),
-            a2.direct_sum_key(a2.module_key(p1, t - 1), a2.module_key(s2, t - 2)),
+            module_key(a2, s1),
+            module_key(a2, s2, 1),
+            a2.direct_sum_key(module_key(a2, p1), module_key(a2, s1, 2)),
+            a2.direct_sum_key(module_key(a2, s1), module_key(a2, s2)),
+            a2.direct_sum_key(module_key(a2, p1, t - 1), module_key(a2, s2, t - 2)),
             (),
         ]
         chains = ChainModel(a2)
@@ -184,7 +204,7 @@ def test_block_coordinates_round_trip(a2):
     # under, on an object of two parts with an extension between them
     s1 = a2.ctx.simple("1")
     s2 = a2.ctx.simple("2")
-    x = a2.direct_sum_key(a2.module_key(s1), a2.module_key(s2, 1))
+    x = a2.direct_sum_key(module_key(a2, s1), module_key(a2, s2, 1))
     space = a2.hom_space(x, x)
     walked = 0
     for coords, f in space.morphisms():
@@ -210,9 +230,11 @@ def test_rep_map_matches_the_blockwise_assembly(quiver, p, bound, first):
     # the walk assembles each representative as a flat combination of
     # the unit-class representatives; each must be a chain map of module
     # maps, by the checked constructors, with entries reduced mod p, and
-    # lie in the class it is listed under
+    # lie in the class it is listed under. The engine lists no Kronecker
+    # object, so those come from the reference listing
     pctx = PeriodicContext(RepContext(quiver, FieldSpec(p)))
-    keys = pctx.enumerate_objects(bound)[:first]
+    listing = enumerate_objects_by_product if quiver is KRONECKER else PeriodicContext.enumerate_objects
+    keys = listing(pctx, bound)[:first]
     chains = ChainModel(pctx)
     spaces = 0
     for x in keys:
@@ -232,9 +254,9 @@ def test_cone_of_zero_map_is_sum_with_shift(a2):
     s1 = a2.ctx.simple("1")
     p1 = periodic.projective(a2.ctx, "1")
     pairs = [
-        (a2.module_key(s1), a2.module_key(p1)),
-        (a2.module_key(s1, 2), a2.module_key(s1)),
-        ((), a2.module_key(p1, 1)),
+        (module_key(a2, s1), module_key(a2, p1)),
+        (module_key(a2, s1, 2), module_key(a2, s1)),
+        ((), module_key(a2, p1, 1)),
     ]
     chains = ChainModel(a2)
     for akey, bkey in pairs:
@@ -244,7 +266,7 @@ def test_cone_of_zero_map_is_sum_with_shift(a2):
 
 def test_fiber_counts_on_the_point_quiver(a1):
     s = a1.ctx.simple("1")
-    sk = a1.module_key(s)
+    sk = module_key(a1, s)
     ss = a1.direct_sum_key(sk, sk)
     # surjections S + S -> S are not morphisms here; we count maps
     # S -> S + S whose cone is S: injections, q^2 - 1 of them
@@ -256,9 +278,9 @@ def test_fiber_counts_on_the_point_quiver(a1):
 
 
 def test_fiber_counts_detect_extensions(a2):
-    s1 = a2.module_key(a2.ctx.simple("1"))
-    s2 = a2.module_key(a2.ctx.simple("2"))
-    p1 = a2.module_key(periodic.projective(a2.ctx, "1"))
+    s1 = module_key(a2, a2.ctx.simple("1"))
+    s2 = module_key(a2, a2.ctx.simple("2"))
+    p1 = module_key(a2, periodic.projective(a2.ctx, "1"))
     # maps S1[-1] -> S2 build the extensions of S1 by S2
     counts = a2.fiber_counts(a2.shift_key(s1, -1), s2)
     assert counts == {a2.direct_sum_key(s1, s2): 1, p1: 1}
@@ -268,18 +290,18 @@ def test_fiber_counts_detect_extensions(a2):
 
 
 def test_fiber_counts_total_mass(a2):
-    s1 = a2.module_key(a2.ctx.simple("1"))
-    s2s = a2.shift_key(a2.module_key(a2.ctx.simple("2")), 1)
+    s1 = module_key(a2, a2.ctx.simple("1"))
+    s2s = a2.shift_key(module_key(a2, a2.ctx.simple("2")), 1)
     counts = a2.fiber_counts(s1, s2s)
     assert sum(counts.values()) == a2.q ** a2.hom_dim(s1, s2s)
     # one nonzero class, and its cone is the shifted projective cover
-    p1 = a2.module_key(periodic.projective(a2.ctx, "1"))
+    p1 = module_key(a2, periodic.projective(a2.ctx, "1"))
     assert counts[a2.shift_key(p1, 1)] == 1
 
 
 def test_fiber_counts_are_cached_per_pair(a2, monkeypatch):
-    x = a2.shift_key(a2.module_key(a2.ctx.simple("1")), -1)
-    m = a2.module_key(a2.ctx.simple("2"))
+    x = a2.shift_key(module_key(a2, a2.ctx.simple("1")), -1)
+    m = module_key(a2, a2.ctx.simple("2"))
     assert a2.hom_dim(x, m) > 0
     first = a2.fiber_counts(x, m)
     assert a2._fiber_cache[(x, m)] is first
@@ -464,15 +486,17 @@ def test_the_names_kept_for_the_benchmark_are_off_the_op_path(monkeypatch):
 
 def test_the_type_a_setup_never_enumerates(monkeypatch):
     # on a cold A2 context the objects, the decode of cones and a cold
-    # product read the generated indecomposables: no module is
-    # enumerated by brute force, none is decomposed, and no End is
-    # enumerated for a residue degree, every interval module a brick
+    # product read the generated indecomposables: the contexts hold no
+    # brute-force enumeration, decomposition or iso-class lookup, and no
+    # End is enumerated for a residue degree, every interval module a brick
     def refuse(*args, **kw):
-        raise AssertionError("the type-A set-up enumerated or decomposed a module or its End")
+        raise AssertionError("the type-A set-up enumerated the End of a module")
 
-    for name in ("enumerate_reps", "decompose", "residue_field_degree"):
-        monkeypatch.setattr(RepContext, name, refuse)
+    for cls in (RepContext, PeriodicContext):
+        assert [name for name in BRUTE_FORCE if hasattr(cls, name)] == [], cls
+    monkeypatch.setattr(RepContext, "residue_field_degree", refuse)
     pctx = PeriodicContext(RepContext(line_quiver(2), FieldSpec(2)))
+    assert [name for name in ("_decomp_cache", "_class_of_content") if hasattr(pctx.ctx, name)] == []
     engine = HallEngine(pctx)
     keys = pctx.enumerate_objects((2, 2))
     assert len(keys) == 14**3
@@ -499,6 +523,44 @@ def test_every_exported_name_exists():
     assert len(exporting) >= 8
     for module in exporting:
         assert [name for name in module.__all__ if not hasattr(module, name)] == [], module.__name__
+
+
+ENGINE_MODULES = ("gfp", "quiver", "reps", "category", "hall", "sqrtq", "semisimple", "__init__")
+# context methods that stay without an engine caller
+UNCALLED = {
+    # traced or called by the benchmark
+    "hom_basis",
+    "kernel",
+    "image",
+    "cokernel",
+    "ext1_dim",
+    "class_count",
+    "hom_space",
+    "total_dim",
+    "enumerate_objects",
+    # the public constructor of the simple modules
+    "simple",
+}
+
+
+def test_every_context_method_has_an_engine_caller():
+    # each method of RepContext and PeriodicContext is named as an
+    # attribute in an engine module, outside its own body, or is listed
+    # in UNCALLED, so a method only the tests or the reference modules
+    # call cannot come back unnoticed. Names match as attributes: a
+    # reference to another class's attribute of the same name counts
+    src = Path(category.__file__).resolve().parent
+    methods, refs = set(), set()  # refs: (attribute, enclosing function)
+    for name in ENGINE_MODULES:
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.ClassDef) and node.name in ("RepContext", "PeriodicContext"):
+                methods |= {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            elif isinstance(node, ast.FunctionDef):
+                refs |= {(sub.attr, node.name) for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+    called = {attr for attr, caller in refs if attr != caller}
+    assert UNCALLED <= methods
+    assert sorted(m for m in methods - called - UNCALLED if not m.startswith("__")) == []
+    assert sorted(methods & set(BRUTE_FORCE)) == []
 
 
 def _signs_match(entries):
@@ -535,7 +597,7 @@ def test_composition_terms_index_wider_hom_spaces():
     # must tell the basis map u of Hom(t, a) from the coordinate v
     pctx = PeriodicContext(RepContext(KRONECKER, FieldSpec(2)))
     ctx = pctx.ctx
-    ids = sorted({cid for rep in ctx.enumerate_reps((1, 2)) for cid in ctx.summand_ids(rep)})
+    ids = sorted({cid for rep in enumerate_reps(ctx, (1, 2)) for cid in summand_ids(ctx, rep)})
     parts = [(cid, s) for cid in ids for s in (0, 1)]
     wide = 0
     for t in parts:
@@ -702,8 +764,8 @@ def test_rank_profiles_match_the_literal_count_on_a_sink(p):
 )
 def test_fiber_counts_refuse_quivers_not_of_type_a(quiver):
     pctx = PeriodicContext(RepContext(quiver, FieldSpec(2)))
-    s1 = pctx.module_key(pctx.ctx.simple("1"))
-    s2 = pctx.module_key(pctx.ctx.simple("2"))
+    s1 = module_key(pctx, pctx.ctx.simple("1"))
+    s2 = module_key(pctx, pctx.ctx.simple("2"))
     # a pair without morphisms needs no classification
     assert pctx.fiber_counts(s1, s2) == {pctx.direct_sum_key(pctx.shift_key(s1, 1), s2): 1}
     with pytest.raises(NotImplementedError, match="type A"):
@@ -711,8 +773,8 @@ def test_fiber_counts_refuse_quivers_not_of_type_a(quiver):
 
 
 def test_budget_errors_name_their_objects(a2):
-    s1 = a2.module_key(a2.ctx.simple("1"))
-    s2 = a2.module_key(a2.ctx.simple("2"))
+    s1 = module_key(a2, a2.ctx.simple("1"))
+    s2 = module_key(a2, a2.ctx.simple("2"))
     x = a2.direct_sum_key(s1, a2.shift_key(s2, 1))
     y = a2.direct_sum_key(s1, s2)
     assert a2.hom_dim(x, y) > 0
@@ -769,8 +831,8 @@ def test_aut_order_reads_the_residue_degree():
     f2 = FieldSpec(2)
     pctx = PeriodicContext(RepContext(KRONECKER, f2))
     r = Rep(f2, KRONECKER, (2, 2), {"a": MatrixFp.identity(f2, 2), "b": MatrixFp(f2, [[0, 1], [1, 1]])})
-    k = pctx.module_key(r)
-    s = pctx.module_key(pctx.ctx.simple("1"))
+    k = module_key(pctx, r)
+    s = module_key(pctx, pctx.ctx.simple("1"))
     assert pctx.aut_order(k) == 3 == aut_order_by_enumeration(ChainModel(pctx), k)
     assert pctx.aut_order(pctx.direct_sum_key(k, k)) == 15 * 12  # |GL_2(F_4)|
     for other in (k, pctx.shift_key(k, 1), pctx.shift_key(s, 2)):
@@ -791,10 +853,10 @@ def test_type_a_indecomposables_are_bricks(n, p):
 
 
 def test_aut_order_frozen_values(a1, a2):
-    s = a1.module_key(a1.ctx.simple("1"))
+    s = module_key(a1, a1.ctx.simple("1"))
     assert a1.aut_order(a1.direct_sum_key(s, a1.shift_key(s, 1))) == 1
-    s1 = a2.module_key(a2.ctx.simple("1"))
-    s2 = a2.module_key(a2.ctx.simple("2"))
+    s1 = module_key(a2, a2.ctx.simple("1"))
+    s2 = module_key(a2, a2.ctx.simple("2"))
     # the lower-triangle extension between shifts contributes a factor q
     assert a2.aut_order(a2.direct_sum_key(s1, a2.shift_key(s2, 1))) == 2
     assert a2.aut_order(a2.direct_sum_key(s1, a2.shift_key(s1, 1))) == 1
@@ -803,7 +865,7 @@ def test_aut_order_frozen_values(a1, a2):
 
 def test_aut_order_odd_prime():
     pctx = PeriodicContext(RepContext(line_quiver(1), FieldSpec(3)))
-    s = pctx.module_key(pctx.ctx.simple("1"))
+    s = module_key(pctx, pctx.ctx.simple("1"))
     assert pctx.aut_order(s) == 2
     ss = pctx.direct_sum_key(s, s)
     assert pctx.aut_order(ss) == 48
@@ -811,8 +873,8 @@ def test_aut_order_odd_prime():
 
 
 def test_components_and_dvec(a2):
-    s1 = a2.module_key(a2.ctx.simple("1"))
-    p1 = a2.module_key(periodic.projective(a2.ctx, "1"))
+    s1 = module_key(a2, a2.ctx.simple("1"))
+    p1 = module_key(a2, periodic.projective(a2.ctx, "1"))
     key = a2.direct_sum_key(s1, a2.shift_key(p1, 2))
     comps = a2.components(key)
     assert comps[0] == s1
@@ -823,7 +885,7 @@ def test_components_and_dvec(a2):
 
 
 def test_format_key(a2):
-    s1 = a2.module_key(a2.ctx.simple("1"))
+    s1 = module_key(a2, a2.ctx.simple("1"))
     assert a2.format_key(()) == "0"
     txt = a2.format_key(a2.direct_sum_key(s1, a2.shift_key(s1, 1)))
     assert "[1]" in txt and "(1,0)" in txt

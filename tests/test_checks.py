@@ -18,8 +18,10 @@ from perihall.checks import (
     check_relations,
     check_stable_images,
     check_symmetry,
+    enumerate_reps,
     graded_triples,
     hall_number_via,
+    module_key,
 )
 from perihall.gfp import FieldSpec
 from perihall.quiver import line_quiver
@@ -125,7 +127,7 @@ def test_hom_dimensions_harness_sees_a_wrong_ext1(monkeypatch):
 def test_relations_harness_catches_the_fault():
     for fault_inject in (False, True):
         pctx, engine = build_quiver_engine(line_quiver(2), 2, fault_inject=fault_inject)
-        modules = [pctx.module_key(r) for r in pctx.ctx.enumerate_reps((1, 1))]
+        modules = [module_key(pctx, r) for r in enumerate_reps(pctx.ctx, (1, 1))]
         report = check_relations(engine, pctx, modules)
         assert report.checked > 0
         assert report.passed is not fault_inject, report.summary()
@@ -227,13 +229,13 @@ def test_harnesses_run_the_quiver_category_at_period_five(p):
     # see a wrong constant fail on the faulty engine
     def scope(fault_inject):
         pctx, engine = build_quiver_engine(line_quiver(2), p, fault_inject=fault_inject, t=5)
-        modules = [pctx.module_key(r) for r in pctx.ctx.enumerate_reps((1, 1))]
+        modules = [module_key(pctx, r) for r in enumerate_reps(pctx.ctx, (1, 1))]
         return pctx, engine, pctx.enumerate_objects((1, 1)), modules
 
     pctx, engine, keys, modules = scope(False)
     assert len(keys) == 5**5
     simple = pctx.ctx.simple("1")
-    assert pctx.module_key(simple, 4) == pctx.shift_key(pctx.module_key(simple), 4) != pctx.module_key(simple, 1)
+    assert module_key(pctx, simple, 4) == pctx.shift_key(module_key(pctx, simple), 4) != module_key(pctx, simple, 1)
     first = keys[:14]
     relations = check_relations(engine, pctx, modules)
     # one same-layer and one crossing family per shift

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from perihall.category import PeriodicContext
+from perihall.checks import module_key
 from perihall.gfp import FieldSpec, MatrixFp
 from perihall.hall import HallEngine
 from perihall.quiver import Arrow, Quiver, line_quiver
@@ -80,6 +81,6 @@ def test_canon_refuses_shared_dimension_vectors(exactness):
     pctx = PeriodicContext(RepContext(kronecker, f2))
     one = MatrixFp(f2, [[1]])
     canon = exactness.Canon(pctx)
-    assert canon.key(pctx.module_key(Rep(f2, kronecker, (1, 1), {"a": one}))) == "1,1@0"
+    assert canon.key(module_key(pctx, Rep(f2, kronecker, (1, 1), {"a": one}))) == "1,1@0"
     with pytest.raises(AssertionError, match="share dimension vector"):
-        canon.key(pctx.module_key(Rep(f2, kronecker, (1, 1), {"b": one})))
+        canon.key(module_key(pctx, Rep(f2, kronecker, (1, 1), {"b": one})))

@@ -11,7 +11,9 @@ from perihall.checks import (
     check_associativity,
     check_symmetry,
     classical_hall_g,
+    enumerate_reps,
     hall_number_via,
+    module_key,
 )
 from perihall.gfp import FieldSpec, gl_order
 from perihall.hall import HallEngine, HallVector, PBWExpression
@@ -37,7 +39,7 @@ def val(engine, a, b=0):
 def test_point_quiver_square():
     eng = a1_engine()
     pctx = eng.oracle
-    s = pctx.module_key(pctx.ctx.simple("1"))
+    s = module_key(pctx, pctx.ctx.simple("1"))
     prod = eng.multiply(s, s)
     ss = pctx.direct_sum_key(s, s)
     assert prod.support == (ss,)
@@ -47,7 +49,7 @@ def test_point_quiver_square():
 def test_point_quiver_square_odd_prime():
     eng = a1_engine(3)
     pctx = eng.oracle
-    s = pctx.module_key(pctx.ctx.simple("1"))
+    s = module_key(pctx, pctx.ctx.simple("1"))
     prod = eng.multiply(s, s)
     assert prod.coeff(pctx.direct_sum_key(s, s)) == val(eng, 0, Fraction(4, 3))
 
@@ -55,7 +57,7 @@ def test_point_quiver_square_odd_prime():
 def test_point_quiver_mixed_shift_products():
     eng = a1_engine()
     pctx = eng.oracle
-    s = pctx.module_key(pctx.ctx.simple("1"))
+    s = module_key(pctx, pctx.ctx.simple("1"))
     s1 = pctx.shift_key(s, 1)
     s2 = pctx.shift_key(s, 2)
     m01 = pctx.direct_sum_key(s, s1)
@@ -119,7 +121,7 @@ def test_engine_matches_dual_recipes_on_semisimple(t):
 def test_associativity_spot_checks():
     eng = a1_engine()
     pctx = eng.oracle
-    s = pctx.module_key(pctx.ctx.simple("1"))
+    s = module_key(pctx, pctx.ctx.simple("1"))
     triples = [
         (s, s, s),
         (s, pctx.shift_key(s, 1), s),
@@ -135,9 +137,9 @@ def test_associativity_spot_checks():
 def test_simple_products_on_the_arrow_quiver():
     eng = a2_engine()
     pctx = eng.oracle
-    s1 = pctx.module_key(pctx.ctx.simple("1"))
-    s2 = pctx.module_key(pctx.ctx.simple("2"))
-    p1 = pctx.module_key(projective(pctx.ctx, "1"))
+    s1 = module_key(pctx, pctx.ctx.simple("1"))
+    s2 = module_key(pctx, pctx.ctx.simple("2"))
+    p1 = module_key(pctx, projective(pctx.ctx, "1"))
     both = pctx.direct_sum_key(s1, s2)
     # no extensions of S2 by S1, one twisting factor sqrt(q)
     assert eng.multiply(s1, s2).items() == [(both, val(eng, 0, 1))]
@@ -149,7 +151,7 @@ def test_module_triples_match_classical_counts():
     eng = a2_engine()
     pctx = eng.oracle
     ctx = pctx.ctx
-    reps = {pctx.module_key(r): r for r in ctx.enumerate_reps((1, 1))}
+    reps = {module_key(pctx, r): r for r in enumerate_reps(ctx, (1, 1))}
     for xk, xr in reps.items():
         for yk, yr in reps.items():
             for lk, lr in reps.items():
@@ -172,7 +174,7 @@ def test_hall_numbers_are_monomials():
 def test_pbw_single_term_on_the_point_quiver():
     eng = a1_engine()
     pctx = eng.oracle
-    s = pctx.module_key(pctx.ctx.simple("1"))
+    s = module_key(pctx, pctx.ctx.simple("1"))
     m = pctx.direct_sum_key(s, pctx.shift_key(s, 1))
     expr = eng.pbw_expand(m)
     assert expr.items() == [(((), s, s), val(eng, 0, Fraction(1, 2)))]
@@ -188,7 +190,7 @@ def test_pbw_round_trip_all_point_quiver_objects():
 def test_pbw_needs_corrections_sometimes():
     eng = a2_engine()
     pctx = eng.oracle
-    s2 = pctx.module_key(pctx.ctx.simple("2"))
+    s2 = module_key(pctx, pctx.ctx.simple("2"))
     m = pctx.direct_sum_key(s2, pctx.shift_key(s2, 2))
     expr = eng.pbw_expand(m)
     assert len(expr.terms) == 2
@@ -198,9 +200,9 @@ def test_pbw_needs_corrections_sometimes():
 def test_pbw_round_trip_mixed_arrow_objects():
     eng = a2_engine()
     pctx = eng.oracle
-    s1 = pctx.module_key(pctx.ctx.simple("1"))
-    s2 = pctx.module_key(pctx.ctx.simple("2"))
-    p1 = pctx.module_key(projective(pctx.ctx, "1"))
+    s1 = module_key(pctx, pctx.ctx.simple("1"))
+    s2 = module_key(pctx, pctx.ctx.simple("2"))
+    p1 = module_key(pctx, projective(pctx.ctx, "1"))
     keys = [
         pctx.direct_sum_key(s1, pctx.shift_key(s2, 1)),
         pctx.direct_sum_key(p1, pctx.shift_key(s1, 2)),
@@ -355,7 +357,7 @@ def test_fault_injection_changes_one_constant():
     pctx, faulty = build_quiver_engine(line_quiver(1), 2, fault_inject=True)
     assert isinstance(faulty, FaultyEngine)
     honest = HallEngine(pctx)
-    s = pctx.module_key(pctx.ctx.simple("1"))
+    s = module_key(pctx, pctx.ctx.simple("1"))
     s1 = pctx.shift_key(s, 1)
     ss = pctx.direct_sum_key(s, s)
     good = honest.multiply(s, s)

@@ -15,6 +15,7 @@ from perihall.periodic import (
     wrap_module,
 )
 from perihall.category import PeriodicContext
+from perihall.checks import enumerate_reps, is_indecomposable, module_key, summand_ids
 from perihall.gfp import FieldSpec, MatrixFp, Subspace
 from perihall.quiver import line_quiver
 from perihall.reps import BudgetExceeded, RepContext, RepMap
@@ -33,14 +34,14 @@ def a2_modules(ctx):
 
 
 def piece_classes(ctx, pieces):
-    return tuple(ctx.summand_ids(p) for p in pieces)
+    return tuple(summand_ids(ctx, p) for p in pieces)
 
 
 def test_stalk_slots_carry_expected_shifts():
     ctx = a2_ctx()
     s1, _, _ = a2_modules(ctx)
-    zero_id = ctx.summand_ids(ctx.zero_rep())
-    sid = ctx.summand_ids(s1)
+    zero_id = summand_ids(ctx, ctx.zero_rep())
+    sid = summand_ids(ctx, s1)
     # slot 0 holds shift 0, slot 2 holds shift 1, slot 1 holds shift 2
     assert piece_classes(ctx, normal_pieces(ctx, CycleComplex.stalk(ctx, s1, 0, t=3))) == (sid, zero_id, zero_id)
     assert piece_classes(ctx, normal_pieces(ctx, CycleComplex.stalk(ctx, s1, 2, t=3))) == (zero_id, sid, zero_id)
@@ -96,20 +97,20 @@ def test_wrap_of_projective_is_stalk():
         w = wrap_module(ctx, rep, t=3)
         assert w.slots[1].is_zero and w.slots[1].total_dim == 0
         assert w.slots[2].total_dim == 0
-        assert ctx.summand_ids(w.slots[0]) == ctx.summand_ids(rep)
+        assert summand_ids(ctx, w.slots[0]) == summand_ids(ctx, rep)
 
 
 def test_normalize_wrap_round_trip_all_small_classes():
     ctx = a2_ctx()
-    zero_id = ctx.summand_ids(ctx.zero_rep())
+    zero_id = summand_ids(ctx, ctx.zero_rep())
     for t in PERIODS:
-        for rep in ctx.enumerate_reps((1, 1)):
+        for rep in enumerate_reps(ctx, (1, 1)):
             for s in range(t):
                 pieces = normal_pieces(ctx, wrap_module(ctx, rep, s, t=t))
                 got = piece_classes(ctx, pieces)
                 expected = [zero_id] * t
                 if rep.total_dim:
-                    expected[s] = ctx.summand_ids(rep)
+                    expected[s] = summand_ids(ctx, rep)
                 assert got == tuple(expected), (t, rep, s)
 
 
@@ -158,8 +159,8 @@ def test_shift_by_n_is_n_single_shifts():
         a3 = PeriodicContext(RepContext(line_quiver(3), FieldSpec(3)), t)
         # every non-projective class of A3 at its own shift: a complex
         # with several nonzero differentials
-        nonprojective = [r for r in a3.ctx.enumerate_reps((1, 1, 1)) if a3.ctx.is_indecomposable(r) and not r.dims[-1]]
-        key = a3.direct_sum_key(*(a3.module_key(r, s) for s, r in enumerate(nonprojective)))
+        nonprojective = [r for r in enumerate_reps(a3.ctx, (1, 1, 1)) if is_indecomposable(a3.ctx, r) and not r.dims[-1]]
+        key = a3.direct_sum_key(*(module_key(a3, r, s) for s, r in enumerate(nonprojective)))
         realized = ChainModel(a3).realize(key)
         assert sum(not d.is_zero() for d in realized.diffs) > 1
         for c in (wrap_module(ctx, s1, t=t), realized, cone):
@@ -220,7 +221,7 @@ def test_contractible_cone_vanishes_in_normal_form():
     s1, _, _ = a2_modules(ctx)
     w = wrap_module(ctx, s1, t=3)
     cone, incl, proj = mapping_cone(ctx, ChainMap.identity(w))
-    zero_id = ctx.summand_ids(ctx.zero_rep())
+    zero_id = summand_ids(ctx, ctx.zero_rep())
     assert piece_classes(ctx, normal_pieces(ctx, cone)) == (zero_id, zero_id, zero_id)
     # maps into a contractible complex are null-homotopic but the chain
     # space itself is bigger
@@ -253,7 +254,7 @@ def test_cone_of_zero_map_is_direct_sum():
     b = wrap_module(ctx, s1, t=3)
     cone, _, _ = mapping_cone(ctx, ChainMap.zero(a, b))
     got = piece_classes(ctx, normal_pieces(ctx, cone))
-    assert got == (ctx.summand_ids(s1), ctx.summand_ids(s2), ctx.summand_ids(ctx.zero_rep()))
+    assert got == (summand_ids(ctx, s1), summand_ids(ctx, s2), summand_ids(ctx, ctx.zero_rep()))
 
 
 def test_cone_of_extension_morphism():
@@ -269,8 +270,8 @@ def test_cone_of_extension_morphism():
         f = h.rep_map((1,))
         assert not h.is_null_homotopic(f)
         cone, _, _ = mapping_cone(ctx, f)
-        zero_id = ctx.summand_ids(ctx.zero_rep())
-        assert piece_classes(ctx, normal_pieces(ctx, cone)) == (zero_id, ctx.summand_ids(p1), zero_id)
+        zero_id = summand_ids(ctx, ctx.zero_rep())
+        assert piece_classes(ctx, normal_pieces(ctx, cone)) == (zero_id, summand_ids(ctx, p1), zero_id)
 
 
 def test_class_coords_refuse_what_is_not_a_chain_map():
@@ -366,7 +367,7 @@ def test_direct_sum_complex_maps_are_chain_maps():
         ChainMap(total, part, projs[k].comps)
         assert injs[k].then(projs[k]).key() == ChainMap.identity(part).key()
     got = piece_classes(ctx, normal_pieces(ctx, total))
-    assert got == (ctx.summand_ids(s1), ctx.summand_ids(s2), ctx.summand_ids(ctx.zero_rep()))
+    assert got == (summand_ids(ctx, s1), summand_ids(ctx, s2), summand_ids(ctx, ctx.zero_rep()))
 
 
 def test_identity_iso_found():

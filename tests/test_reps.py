@@ -4,7 +4,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from perihall.category import PeriodicContext
-from perihall.checks import classical_hall_g, ext1_dim_literal, iso_between, matrix_inverse, module_aut_order
+from perihall.checks import (
+    class_id,
+    classical_hall_g,
+    decompose,
+    enumerate_reps,
+    ext1_dim_literal,
+    is_indecomposable,
+    iso_between,
+    matrix_inverse,
+    module_aut_order,
+    module_key,
+    summand_ids,
+)
 from perihall.gfp import FieldSpec, MatrixFp
 from perihall.quiver import Arrow, Quiver, line_quiver
 from perihall.periodic import corestrict, direct_sum, proj_resolution, projective
@@ -72,7 +84,7 @@ def test_hom_basis_members_are_morphisms():
 def test_euler_form_matches_hom_minus_ext():
     # the literal Ext^1 count, not the engine's formula, against <x, y>
     ctx = ctx_a2()
-    classes = ctx.enumerate_reps((2, 2))
+    classes = enumerate_reps(ctx, (2, 2))
     for x in classes[:8]:
         for y in classes[:8]:
             literal = ext1_dim_literal(ctx, x, y)
@@ -119,8 +131,8 @@ def test_kernel_of_projective_cover_is_socle():
     assert res.p0.dims == (1, 1)
     assert res.p1.dims == (0, 1)
     # P0 = P(1) and P1 = P(2): one projective summand each
-    assert ctx.summand_ids(res.p0) == ctx.summand_ids(projective(ctx, "1"))
-    assert ctx.summand_ids(res.p1) == ctx.summand_ids(projective(ctx, "2"))
+    assert summand_ids(ctx, res.p0) == summand_ids(ctx, projective(ctx, "1"))
+    assert summand_ids(ctx, res.p1) == summand_ids(ctx, projective(ctx, "2"))
     assert res.d.then(res.eps).is_zero()
 
 
@@ -144,7 +156,7 @@ def test_resolution_a3():
 def test_decompose_simple_sum():
     ctx = ctx_a2()
     x, _, _ = direct_sum(ctx, [p1(ctx), s1(ctx), s2(ctx)])
-    dec = ctx.decompose(x)
+    dec = decompose(ctx, x)
     assert sorted(s.dims for s in dec.summands) == [(0, 1), (1, 0), (1, 1)]
     for s, incl in zip(dec.summands, dec.inclusions):
         assert incl.source == s and incl.target == x
@@ -163,31 +175,31 @@ def test_decompose_refuses_a_split_that_is_not_a_direct_sum(monkeypatch):
     ctx = ctx_a1()
     x, _, _ = direct_sum(ctx, [s1(ctx), s1(ctx)])
     with pytest.raises(AssertionError):
-        ctx.decompose(x)
+        decompose(ctx, x)
 
 
 def test_decompose_square_of_simple():
     ctx = ctx_a1(3)
     s = s1(ctx)
     x, _, _ = direct_sum(ctx, [s, s])
-    dec = ctx.decompose(x)
+    dec = decompose(ctx, x)
     assert len(dec.summands) == 2
     assert all(ss.dims == (1,) for ss in dec.summands)
 
 
 def test_indecomposables_a2():
     ctx = ctx_a2()
-    assert ctx.is_indecomposable(s1(ctx))
-    assert ctx.is_indecomposable(p1(ctx))
-    assert not ctx.is_indecomposable(direct_sum(ctx, [s1(ctx), s2(ctx)])[0])
+    assert is_indecomposable(ctx, s1(ctx))
+    assert is_indecomposable(ctx, p1(ctx))
+    assert not is_indecomposable(ctx, direct_sum(ctx, [s1(ctx), s2(ctx)])[0])
 
 
 def test_nontrivial_iso_detected():
     ctx = ctx_a2(3)
     # the representation (k -2-> k) is isomorphic to P1 but not equal to it
     twisted = Rep(ctx.field, A2, (1, 1), {"a1": MatrixFp(ctx.field, [[2]])})
-    assert ctx.summand_ids(twisted) == ctx.summand_ids(p1(ctx))
-    assert ctx.summand_ids(twisted) != ctx.summand_ids(direct_sum(ctx, [s1(ctx), s2(ctx)])[0])
+    assert summand_ids(ctx, twisted) == summand_ids(ctx, p1(ctx))
+    assert summand_ids(ctx, twisted) != summand_ids(ctx, direct_sum(ctx, [s1(ctx), s2(ctx)])[0])
     w = iso_between(ctx, twisted, p1(ctx))
     assert w is not None and w.is_iso()
     RepMap(twisted, p1(ctx), w.comps, check=True)
@@ -196,7 +208,7 @@ def test_nontrivial_iso_detected():
 def test_iso_distinguishes_extension_from_sum():
     ctx = ctx_a2()
     split = direct_sum(ctx, [s1(ctx), s2(ctx)])[0]
-    assert ctx.summand_ids(split) != ctx.summand_ids(p1(ctx))
+    assert summand_ids(ctx, split) != summand_ids(ctx, p1(ctx))
 
 
 def _base_changed(ctx, x):
@@ -230,13 +242,13 @@ def test_is_isomorphic_agrees_with_the_witness_recipe(quiver, p, bound, classes)
     # a vertex of dimension 1 has no other automorphism, so on A3 at p=2
     # the copies equal the originals)
     ctx = RepContext(quiver, FieldSpec(p))
-    reps = ctx.enumerate_reps(bound)
+    reps = enumerate_reps(ctx, bound)
     assert len(reps) == classes
     moved = [_base_changed(ctx, r) for r in reps]
     for i, x in enumerate(reps + moved):
         for j, y in enumerate(reps):
             w = iso_between(ctx, x, y)
-            assert (ctx.summand_ids(x) == ctx.summand_ids(y)) == (w is not None) == (i % len(reps) == j), (x, y)
+            assert (summand_ids(ctx, x) == summand_ids(ctx, y)) == (w is not None) == (i % len(reps) == j), (x, y)
             if w is not None:
                 assert w.is_iso()
                 RepMap(x, y, w.comps, check=True)
@@ -247,16 +259,16 @@ def test_class_id_takes_indecomposables_only():
     split = direct_sum(ctx, [s1(ctx), s2(ctx)])[0]
     for x in (ctx.zero_rep(), split):
         with pytest.raises(ValueError):
-            ctx.class_id(x)
+            class_id(ctx, x)
     assert ctx.class_count() == 0
-    assert ctx.summand_ids(ctx.zero_rep()) == ()
-    assert ctx.summand_ids(split) == tuple(sorted((ctx.class_id(s1(ctx)), ctx.class_id(s2(ctx)))))
+    assert summand_ids(ctx, ctx.zero_rep()) == ()
+    assert summand_ids(ctx, split) == tuple(sorted((class_id(ctx, s1(ctx)), class_id(ctx, s2(ctx)))))
     assert ctx.class_count() == 2
     # enumerate_reps lists S1 + S2 in the registry; class_id still refuses it
-    assert split in ctx.enumerate_reps((1, 1))
+    assert split in enumerate_reps(ctx, (1, 1))
     assert any(ctx.class_rep(cid) == split for cid in range(ctx.class_count()))
     with pytest.raises(ValueError):
-        ctx.class_id(split)
+        class_id(ctx, split)
 
 
 def test_the_registry_refuses_a_module_of_another_field_or_quiver():
@@ -268,23 +280,23 @@ def test_the_registry_refuses_a_module_of_another_field_or_quiver():
     foreign_field = Rep(f3, A2, (1, 1), {"a1": MatrixFp(f3, [[2]])})
     foreign_quiver = Rep(ctx.field, A3, (1, 1, 1), {"a1": MatrixFp(ctx.field, [[1]]), "a2": MatrixFp(ctx.field, [[1]])})
     for rep, names in ((foreign_field, ("F_3", "F_2")), (foreign_quiver, (repr(A3), repr(A2)))):
-        for lookup in (ctx.summand_ids, ctx.class_id, pctx.module_key):
+        for lookup in (lambda r: summand_ids(ctx, r), lambda r: class_id(ctx, r), lambda r: module_key(pctx, r)):
             with pytest.raises(ValueError) as err:
                 lookup(rep)
             assert all(name in str(err.value) for name in names), str(err.value)
     assert ctx.class_count() == 0
     # an equal field and quiver built apart are the same category
     same = Rep(FieldSpec(2), line_quiver(2), (1, 1), {"a1": MatrixFp(FieldSpec(2), [[1]])})
-    assert ctx.summand_ids(same) == (ctx.class_id(p1(ctx)),)
+    assert summand_ids(ctx, same) == (class_id(ctx, p1(ctx)),)
 
 
 def test_class_registry_stable():
     ctx = ctx_a2()
-    a = ctx.class_id(s1(ctx))
-    b = ctx.class_id(s2(ctx))
+    a = class_id(ctx, s1(ctx))
+    b = class_id(ctx, s2(ctx))
     twisted = Rep(ctx.field, A2, (1, 1), {"a1": MatrixFp(ctx.field, [[1]])})
-    c = ctx.class_id(p1(ctx))
-    assert ctx.class_id(twisted) == c
+    c = class_id(ctx, p1(ctx))
+    assert class_id(ctx, twisted) == c
     assert len({a, b, c}) == 3
 
 
@@ -342,7 +354,7 @@ def test_budget_errors_name_their_module():
     r = Rep(f2, KRONECKER, (2, 2), {"a": MatrixFp.identity(f2, 2), "b": MatrixFp(f2, [[0, 1], [1, 1]])})
     ctx = RepContext(KRONECKER, f2, enum_cap=2)
     with pytest.raises(BudgetExceeded, match=r"indecomposability of the module of dimension vector \(2, 2\)"):
-        ctx.decompose(r)
+        decompose(ctx, r)
     with pytest.raises(BudgetExceeded, match=r"indecomposable of dimension vector \(2, 2\)"):
         ctx.residue_field_degree(r)
     # a submodule of dimension (0, 1) sits on one of the 3 lines of F_2^2
@@ -368,7 +380,7 @@ def test_ext1_matches_euler_form_on_a3():
     # hom minus that count is the Euler form, on every pair of reps of
     # A3 up to (1,1,1)
     ctx = RepContext(A3, FieldSpec(2))
-    reps = ctx.enumerate_reps((1, 1, 1))
+    reps = enumerate_reps(ctx, (1, 1, 1))
     assert len(reps) ** 2 == 169
     for x in reps:
         for y in reps:
@@ -382,20 +394,20 @@ def test_ext1_matches_euler_form_on_a3():
 
 def test_enumerate_reps_a1():
     ctx = ctx_a1()
-    classes = ctx.enumerate_reps((2,))
+    classes = enumerate_reps(ctx, (2,))
     assert [c.dims for c in classes] == [(0,), (1,), (2,)]
 
 
 def test_enumerate_reps_a2_unit_box():
     ctx = ctx_a2()
-    classes = ctx.enumerate_reps((1, 1))
+    classes = enumerate_reps(ctx, (1, 1))
     assert len(classes) == 5
     assert [c.dims for c in classes] == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 1)]
 
 
 def test_enumerate_reps_a2_two_box():
     ctx = ctx_a2()
-    classes = ctx.enumerate_reps((2, 2))
+    classes = enumerate_reps(ctx, (2, 2))
     assert len(classes) == 14
     # grading: total dimension is non-decreasing
     totals = [c.total_dim for c in classes]
@@ -406,7 +418,7 @@ def test_kronecker_types_up_to_dimension_one_one():
     # the Kronecker modules of dimension at most (1, 1) at p=3: zero, S1,
     # S2, S1 + S2 and one indecomposable per point of P^1(F_3)
     ctx = RepContext(KRONECKER, FieldSpec(3))
-    assert len({ctx.summand_ids(r) for r in ctx.enumerate_reps((1, 1))}) == 8
+    assert len({summand_ids(ctx, r) for r in enumerate_reps(ctx, (1, 1))}) == 8
 
 
 @pytest.mark.parametrize("bound", [(-1, 1), (1, -1), (1,), (1, 1, 1)])
@@ -415,13 +427,13 @@ def test_enumerate_reps_refuses_a_bad_bound(bound):
     # rather than listing nothing, not even the zero module
     ctx = ctx_a2()
     with pytest.raises(ValueError, match="bound"):
-        ctx.enumerate_reps(bound)
-    assert [r.dims for r in ctx.enumerate_reps((0, 0))] == [(0, 0)]
+        enumerate_reps(ctx, bound)
+    assert [r.dims for r in enumerate_reps(ctx, (0, 0))] == [(0, 0)]
 
 
 def test_enumerate_deterministic():
-    c1 = ctx_a2().enumerate_reps((1, 1))
-    c2 = ctx_a2().enumerate_reps((1, 1))
+    c1 = enumerate_reps(ctx_a2(), (1, 1))
+    c2 = enumerate_reps(ctx_a2(), (1, 1))
     assert [r.key() for r in c1] == [r.key() for r in c2]
 
 
@@ -453,19 +465,19 @@ def test_type_a_modules_are_the_types_brute_force_finds(quiver, p, bound):
     ctx = RepContext(quiver, FieldSpec(p))
     generated = ctx.module_types(bound)
     brute = RepContext(quiver, FieldSpec(p))
-    listed = brute.enumerate_reps(bound)
+    listed = enumerate_reps(brute, bound)
     assert len({ids for _, ids in generated}) == len(generated) == len(listed)
     assert sorted((d, type_dims(ctx, ids)) for d, ids in generated) == sorted(
-        (r.total_dim, type_dims(brute, brute.summand_ids(r))) for r in listed
+        (r.total_dim, type_dims(brute, summand_ids(brute, r))) for r in listed
     )
     indec = ctx.indecomposable_ids()
     assert indec == tuple(range(len(indec)))
     found = [brute.class_rep(cid) for cid in range(brute.class_count())]
-    assert [ctx.class_rep(cid).dims for cid in indec] == [r.dims for r in found if brute.is_indecomposable(r)]
+    assert [ctx.class_rep(cid).dims for cid in indec] == [r.dims for r in found if is_indecomposable(brute, r)]
     assert ctx.class_count() == len(generated)
     assert len(ctx._class_of_type) == len(generated) - len(indec)
     for ids, cid in ctx._class_of_type.items():
-        assert ctx.summand_ids(ctx.class_rep(cid)) == ids
+        assert summand_ids(ctx, ctx.class_rep(cid)) == ids
 
 
 def test_the_generator_matches_classes_registered_before_it():
@@ -475,35 +487,56 @@ def test_the_generator_matches_classes_registered_before_it():
     # brute force
     ctx = ctx_a2(3)
     twisted = Rep(ctx.field, A2, (1, 1), {"a1": MatrixFp(ctx.field, [[2]])})
-    assert (ctx.class_id(twisted), ctx.class_id(s2(ctx))) == (0, 1)
+    assert (class_id(ctx, twisted), class_id(ctx, s2(ctx))) == (0, 1)
     assert ctx.indecomposable_ids() == (1, 2, 0)
     assert ctx.class_rep(0) is twisted
     brute = ctx_a2(3)
     assert sorted(type_dims(ctx, ids) for _, ids in ctx.module_types((2, 1))) == sorted(
-        type_dims(brute, brute.summand_ids(r)) for r in brute.enumerate_reps((2, 1))
+        type_dims(brute, summand_ids(brute, r)) for r in enumerate_reps(brute, (2, 1))
     )
     # after brute force, which lists S1 + S2 at (1, 1) before P1, the
     # intervals are the classes it registered as indecomposable
     ids = brute.indecomposable_ids()
     assert [brute.class_rep(cid).dims for cid in ids] == [(0, 1), (1, 0), (1, 1)]
-    assert all(brute.is_indecomposable(brute.class_rep(cid)) for cid in ids)
+    assert all(is_indecomposable(brute, brute.class_rep(cid)) for cid in ids)
 
 
 @pytest.mark.parametrize("quiver", [A2, KRONECKER], ids=["a2-generated", "kronecker-enumerated"])
 @pytest.mark.parametrize("bound", [(-1, 1), (1, -1), (1,), (1, 1, 1)])
 def test_module_types_refuse_a_bad_bound(quiver, bound):
     # the generated path refuses what enumerate_reps refuses, through
-    # the context and through the object listing
+    # the context and through the object listing, and a bad bound is
+    # refused before a quiver not of type A is
     pctx = PeriodicContext(RepContext(quiver, FieldSpec(2)))
     for listing in (pctx.ctx.module_types, pctx.enumerate_objects):
         with pytest.raises(ValueError, match="bound"):
             listing(bound)
-    assert pctx.ctx.module_types((0, 0)) == [(0, ())]
+    if quiver is KRONECKER:
+        with pytest.raises(NotImplementedError, match="type A"):
+            pctx.ctx.module_types((0, 0))
+    else:
+        assert pctx.ctx.module_types((0, 0)) == [(0, ())]
 
 
 def test_indecomposables_are_listed_only_on_type_a():
-    with pytest.raises(NotImplementedError, match="type A"):
-        RepContext(KRONECKER, FieldSpec(2)).indecomposable_ids()
+    # nor are the modules or the objects of a bound: on the Kronecker
+    # quiver, D4 and the triangle only checks.enumerate_reps lists them,
+    # 7, 35 and 18 types of bound (1, ..., 1) at p = 2
+    d4 = Quiver(["c", "1", "2", "3"], [Arrow("a", "1", "c"), Arrow("b", "2", "c"), Arrow("d", "3", "c")])
+    triangle = Quiver(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3"), Arrow("c", "1", "3")])
+    for quiver, types in ((KRONECKER, 7), (d4, 35), (triangle, 18)):
+        pctx = PeriodicContext(RepContext(quiver, FieldSpec(2)))
+        bound = (1,) * len(quiver.vertices)
+        for listing in (
+            pctx.ctx.indecomposable_ids,
+            lambda: pctx.ctx.module_types(bound),
+            lambda: next(pctx.objects(bound)),
+            lambda: pctx.enumerate_objects(bound),
+        ):
+            with pytest.raises(NotImplementedError, match="type A"):
+                listing()
+        assert pctx.ctx.class_count() == 0
+        assert len(enumerate_reps(pctx.ctx, bound)) == types
 
 
 @pytest.mark.parametrize(
