@@ -5,10 +5,10 @@ formula against both dual counting recipes, cone classes from Hom
 ranks against built and reduced cones, composition tensors from module
 data against chain maps modulo homotopy (:mod:`perihall.periodic`),
 dim Ext^1 from the Euler form, the generated modules of a bound
-against brute-force enumeration, the layered automorphism count, the square-root sizes of composition
-images, the block normal form of triangles, the straightening
-relations) is re-derived here by brute enumeration on small instances
-and compared exactly.
+against brute-force enumeration, the layered automorphism count, the
+square-root sizes of composition images, the block normal form of
+triangles, the straightening relations) is re-derived here by brute
+enumeration on small instances and compared exactly.
 :class:`FaultyEngine` carries one wrong structure constant, so a test
 can show that a harness notices. Each harness returns a CheckReport
 rather than raising, so the test suite and the command line can both

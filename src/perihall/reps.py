@@ -591,7 +591,7 @@ class RepContext:
         out = []
         for ids, _, total in types:
             ids = tuple(sorted(ids))
-            if len(ids) != 1:
+            if len(ids) != 1 and ids not in self._class_of_type:
                 self.register(self.block_sum([self._classes[cid] for cid in ids]), ids)
             out.append((total, ids))
         return out

@@ -468,6 +468,8 @@ def test_the_names_kept_for_the_benchmark_are_off_the_op_path(monkeypatch):
         raise AssertionError("the op path called a name kept for the benchmark")
 
     for cls, name in (
+        (RepContext, "kernel"),
+        (RepContext, "image"),
         (RepContext, "cokernel"),
         (RepContext, "ext1_dim"),
         (RepContext, "class_count"),
