@@ -123,6 +123,7 @@ LISTING_SCOPES = [(f"A1{b}-t{t}", line_quiver(1), 2, b, t) for b in ((1,), (2,))
     ("A2p3(2,1)-t5", line_quiver(2), 3, (2, 1), 5),
     ("A3(1,1,1)-t3", line_quiver(3), 2, (1, 1, 1), 3),
     ("A1(0,)-t3", line_quiver(1), 2, (0,), 3),
+    ("kronecker(1,1)-t3", KRONECKER, 2, (1, 1), 3),
 ]
 
 
@@ -133,8 +134,21 @@ def test_objects_match_the_product_listing(quiver, p, bound, t):
     # the graded listing of the generated types against building and
     # sorting every object at once from the types brute force finds,
     # list for list; the brute force runs second, so it matches its
-    # modules to the classes the generator registered
+    # modules to the classes the generator registered. The Kronecker
+    # quiver is not of type A: only the product lists it, its 7 module
+    # types of bound (1, 1) at p = 2 giving 7^t distinct graded objects,
+    # and the graded listing refuses it
     pctx = PeriodicContext(RepContext(quiver, FieldSpec(p)), t)
+    if quiver is KRONECKER:
+        keys = enumerate_objects_by_product(pctx, bound)
+        assert len(set(keys)) == len(keys) == 7**t
+        assert keys[0] == ()
+        dims = [pctx.total_dim(k) for k in keys]
+        assert dims == sorted(dims)
+        for listing in (lambda: pctx.enumerate_objects(bound), lambda: next(pctx.objects(bound))):
+            with pytest.raises(NotImplementedError, match="type A"):
+                listing()
+        return
     keys = pctx.enumerate_objects(bound)
     assert keys == enumerate_objects_by_product(pctx, bound)
     assert keys == list(pctx.objects(bound))
