@@ -106,12 +106,13 @@ is refused. Morphisms are counted one orbit of the
 scalar action at a time: the zero morphism x -> m has cone x[1] + m,
 read off the keys, and cone(c f) is isomorphic to cone(f) for c in
 F_q^*, so one rank profile is computed per line of Hom(x, m) and
-counted with weight q - 1. When Hom(x, m) is one-dimensional, one pair
-of parts, a of x and b of m, carries it, and Hom(T, f) is nonzero only
-in that block: the profile is the rank of Hom(T, a) -> Hom(T, b) under
-the block's basis map for each test object T that sees both a and b,
-read off the composition tensor once per pair of test objects. A Hom
-of dimension 2 or more builds the full matrix of Hom(T, f) per line.
+counted with weight q - 1. A part of x or m with no nonzero Hom block
+to the other side adds only zero rows and columns to every Hom(T, f),
+so the profiles are those of the active sub-keys x' and m', the parts
+that have such a block. One walk over the lines of Hom(x', m') counts
+its profiles, stored per (x', m') and shared by every pair of objects
+with the same active parts; each call decodes them against its own
+zero cone. A one-dimensional Hom has one active part on each side.
 :func:`perihall.checks.cone_key_literal` builds and reduces a cone, and
 :func:`perihall.checks.fiber_counts_literal` classifies every morphism
 that way.
@@ -173,7 +174,7 @@ class HomVectors:
 
     def cone_key(self, zero: ObjKey, ranks: Sequence[Tuple[int, int]]) -> ObjKey:
         """The key of the cone C of a morphism f: x -> m, from the key
-        x[1] + m of the zero morphism's cone and the ranks r_T of
+        x[1] + m of the zero morphism's cone and the nonzero ranks r_T of
         Hom(T, f), as (index of T, r_T) pairs: dim Hom(T, C) is
         dim Hom(T, x[1] + m) - r_T - r_{T[-1]}. Every multiplicity must
         come out a nonnegative integer."""
@@ -183,9 +184,8 @@ class HomVectors:
             u = self.index[part]
             num[u] = num.get(u, 0) + d
         for t, r in ranks:
-            if r:
-                for u, w in self._drops[t]:
-                    num[u] = num.get(u, 0) - r * w
+            for u, w in self._drops[t]:
+                num[u] = num.get(u, 0) - r * w
         key: List[Part] = []
         for u in sorted(num):
             mult, rest = divmod(num[u], d)
@@ -210,7 +210,7 @@ class PeriodicContext:
         self._aut_cache: Dict[ObjKey, int] = {}
         self._brace_cache: Dict[Tuple[ObjKey, ObjKey], Tuple[int, int]] = {}
         self._part_pairs: Dict[Tuple[Part, Part], Tuple[int, int]] = {}
-        self._line_profiles: Dict[Tuple[Part, Part], List[Tuple[int, int]]] = {}
+        self._profiles: Dict[Tuple[ObjKey, ObjKey], Dict[Tuple[Tuple[int, int], ...], int]] = {}
         self._runs_cache: Dict[ObjKey, List[Tuple[Part, int]]] = {}
         self._residue_cache: Dict[int, int] = {}
         self._hom_ext_cache: Dict[Tuple[int, int], HomExt] = {}
@@ -463,13 +463,20 @@ class PeriodicContext:
             )
         return hit
 
-    def _rank_forms(self, x: ObjKey, m: ObjKey, hv: HomVectors) -> List[Tuple[int, int, int, List[Tuple[int, int, int, int]]]]:
-        """For each test object T on which Hom(T, f) can be nonzero, the
-        matrix of Hom(T, f) as a linear function of the coordinates of
-        f: (index of T, rows, columns, terms), one term (row, column,
-        coordinate of f, coefficient) per nonzero coefficient. Rows run
-        over a basis of Hom(T, x), columns over one of Hom(T, m), both
-        block by block; forms without terms are dropped."""
+    def _profile_counts(self, x: ObjKey, m: ObjKey, hv: HomVectors) -> Dict[Tuple[Tuple[int, int], ...], int]:
+        """The rank profiles of the morphisms x -> m, each mapped to its
+        number of morphisms, in order of first appearance over the lines
+        of :func:`_lines`. A profile is the (index of T, rk Hom(T, f))
+        pairs with nonzero rank, one per test object T; a line counts
+        q - 1 times. Every part of x and m must have a nonzero Hom block
+        to the other side (:meth:`fiber_counts`). Stored per key pair.
+
+        Each Hom(T, f) is linear in the coordinates of f: its matrix is
+        built per line from the terms (row, column, coordinate of f,
+        coefficient) read off the cached nonzero entries of the
+        composition tensors. Rows run over a basis of Hom(T, x), columns
+        over one of Hom(T, m), both block by block; a T that sees no
+        nonzero block of both sides has no terms and is skipped."""
         hm = hv.matrix
         xi = [hv.index[a] for a in x]
         mi = [hv.index[b] for b in m]
@@ -495,31 +502,22 @@ class PeriodicContext:
                         terms.append((r0 + u, c0 + v, off + k, w))
             if terms:
                 forms.append((t, row_at[-1], col_at[-1], terms))
-        return forms
-
-    def _line_profile(self, a: Part, b: Part, hv: HomVectors) -> List[Tuple[int, int]]:
-        """The rank profile of the basis map f of a one-dimensional
-        Hom(a, b) between two test objects: (index of T, rk Hom(T, f))
-        for every test object T that sees both, the rank of
-        Hom(T, a) -> Hom(T, b) read off the composition tensor, nonzero
-        ranks only. Cached per pair of test objects."""
-        k = (a, b)
-        hit = self._line_profiles.get(k)
-        if hit is None:
-            hm, p = hv.matrix, self.q
-            ia, ib = hv.index[a], hv.index[b]
-            hit = []
-            for t in sorted(hv.sees[ia] & hv.sees[ib]):
-                cols = hm[t][ib]
-                matrix = [[0] * cols for _ in range(hm[t][ia])]
-                # Hom(a, b) has the one basis map k = 0
-                for u, _, v, w in self._composition_terms(hv.parts[t], a, b):
-                    matrix[u][v] = w
+        p = self.q
+        counts: Dict[Tuple[Tuple[int, int], ...], int] = {}
+        for coords in _lines(p, dim):
+            profile = []
+            for t, rows, cols, terms in forms:
+                matrix = [[0] * cols for _ in range(rows)]
+                for r, c, k, w in terms:
+                    if coords[k]:
+                        matrix[r][c] = (matrix[r][c] + w * coords[k]) % p
                 rank = rank_rows(matrix, cols, p)
                 if rank:
-                    hit.append((t, rank))
-            self._line_profiles[k] = hit
-        return hit
+                    profile.append((t, rank))
+            ranks = tuple(profile)
+            counts[ranks] = counts.get(ranks, 0) + p - 1
+        self._profiles[(x, m)] = counts
+        return counts
 
     def fiber_counts(self, x: ObjKey, m: ObjKey) -> Dict[ObjKey, int]:
         """How many morphisms x -> m have each cone class.
@@ -539,17 +537,16 @@ class PeriodicContext:
             dim Hom(T, C) = hom(T, m) - rk Hom(T, f) + hom(T[-1], x) - rk Hom(T[-1], f),
 
         which fixes C by Auslander's theorem; :meth:`HomVectors.cone_key`
-        decodes it. When hom_dim(x, m) is 1, exactly one pair of parts,
-        a of x and b of m, has a nonzero Hom block, and the one line is
-        that block's basis map extended by zero; Hom(T, f) is then
-        nonzero only in that block, so the profile is the one of
-        :meth:`_line_profile`, cached per pair (a, b). Otherwise each
-        line's matrices are built from the terms of :meth:`_rank_forms`,
-        which read the cached nonzero entries of the composition tensors,
-        and one key is decoded per distinct rank profile, in order of
-        first appearance. Only quivers of type A are served (see
-        :meth:`hom_vectors`); :func:`perihall.checks.cone_key_literal`
-        builds and reduces the cone instead.
+        decodes it against this pair's zero cone. A part of x or m with
+        no nonzero Hom block to the other side only adds zero rows and
+        columns to every Hom(T, f), so the profiles depend only on the
+        active sub-keys x' and m', the parts that have such a block, in
+        key order. They are read off :meth:`_profile_counts`, stored per
+        (x', m') and shared by every pair with the same active parts,
+        and one key is decoded per profile, in their order. Only quivers
+        of type A are served (see :meth:`hom_vectors`);
+        :func:`perihall.checks.cone_key_literal` builds and reduces the
+        cone instead.
         """
         key = (x, m)
         hit = self._fiber_cache.get(key)
@@ -560,30 +557,18 @@ class PeriodicContext:
             if dim:
                 self.check_budget(x, m, dim)
                 hv = self.hom_vectors()
-                p = self.q
-                if dim == 1:
-                    # the one pair of parts with a nonzero Hom block, and
-                    # the one line, its basis map
-                    a, b = next((a, b) for a in x for b in m if self._part_pair(a, b)[0])
-                    for _ in _lines(p, 1):
-                        ck = hv.cone_key(zero, self._line_profile(a, b, hv))
-                        hit[ck] = hit.get(ck, 0) + p - 1
-                else:
-                    forms = self._rank_forms(x, m, hv)
-                    profiles: Dict[Tuple[int, ...], int] = {}
-                    for coords in _lines(p, dim):
-                        profile = []
-                        for _, rows, cols, terms in forms:
-                            matrix = [[0] * cols for _ in range(rows)]
-                            for r, c, k, w in terms:
-                                if coords[k]:
-                                    matrix[r][c] = (matrix[r][c] + w * coords[k]) % p
-                            profile.append(rank_rows(matrix, cols, p))
-                        ranks = tuple(profile)
-                        profiles[ranks] = profiles.get(ranks, 0) + p - 1
-                    for ranks, count in profiles.items():
-                        ck = hv.cone_key(zero, [(form[0], r) for form, r in zip(forms, ranks)])
-                        hit[ck] = hit.get(ck, 0) + count
+                pairs = self._part_pairs
+                ms = self._runs(m)
+                on_x, on_m = set(), set()
+                for a, _ in self._runs(x):
+                    for b, _ in ms:
+                        if (pairs.get((a, b)) or self._part_pair(a, b))[0]:
+                            on_x.add(a)
+                            on_m.add(b)
+                active = (tuple(a for a in x if a in on_x), tuple(b for b in m if b in on_m))
+                for ranks, count in (self._profiles.get(active) or self._profile_counts(*active, hv)).items():
+                    ck = hv.cone_key(zero, ranks)
+                    hit[ck] = hit.get(ck, 0) + count
             self._fiber_cache[key] = hit
         return hit
 

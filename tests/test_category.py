@@ -73,6 +73,15 @@ def summand_dims(ctx, rep):
     return tuple(sorted(ctx.class_rep(cid).dims for cid in summand_ids(ctx, rep)))
 
 
+def profile_builds(monkeypatch):
+    """The active sub-key pairs (x', m') whose rank profiles the engine
+    builds from here on, in order."""
+    builds = []
+    honest = PeriodicContext._profile_counts
+    monkeypatch.setattr(PeriodicContext, "_profile_counts", lambda pctx, x, m, hv: builds.append((x, m)) or honest(pctx, x, m, hv))
+    return builds
+
+
 @pytest.fixture
 def a1(request):
     return PeriodicContext(RepContext(line_quiver(1), FieldSpec(2)))
@@ -323,8 +332,9 @@ def test_fiber_counts_are_cached_per_pair(a2, monkeypatch):
     def recount(*args):
         raise AssertionError("a cached fiber was counted again")
 
-    # a one-dimensional Hom never builds rank forms, but walks its line
-    monkeypatch.setattr(PeriodicContext, "_rank_forms", recount)
+    # a cached fiber neither reads nor builds the rank profiles of its
+    # active parts, and walks no line
+    monkeypatch.setattr(PeriodicContext, "_profile_counts", recount)
     monkeypatch.setattr(category, "_lines", recount)
     assert a2.fiber_counts(x, m) is first
 
@@ -334,17 +344,16 @@ def test_fiber_counts_are_cached_per_pair(a2, monkeypatch):
 @pytest.mark.parametrize("t", [3, 5])
 def test_one_dimensional_fibers_read_the_block_profile(n, bound, p, t, monkeypatch):
     # a one-dimensional Hom is classified off its one nonzero part
-    # block, never by rank forms: on a graded prefix every such fiber,
-    # insertion order included, equals building the cone of every
-    # morphism
-    def no_rank_forms(*args):
-        raise AssertionError("a one-dimensional Hom built its rank forms")
-
-    monkeypatch.setattr(PeriodicContext, "_rank_forms", no_rank_forms)
+    # block, the active sub-keys ((a,), (b,)), whose rank profiles are
+    # built once per distinct block and never once per call: on a graded
+    # prefix every such fiber, insertion order included, equals building
+    # the cone of every morphism
+    builds = profile_builds(monkeypatch)
     pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)), t)
     chains = ChainModel(pctx)
     keys = list(itertools.islice(pctx.objects(bound), 16))
     checked = nonsplit = 0
+    blocks = set()
     for x in keys:
         for m in keys:
             if pctx.hom_dim(x, m) == 1:
@@ -352,7 +361,44 @@ def test_one_dimensional_fibers_read_the_block_profile(n, bound, p, t, monkeypat
                 assert list(counts.items()) == list(fiber_counts_literal(chains, x, m).items()), (x, m)
                 checked += 1
                 nonsplit += len(counts) > 1
+                blocks |= {((a,), (b,)) for a in x for b in m if pctx.hom_dim((a,), (b,))}
     assert checked >= 25 and nonsplit == checked
+    assert sorted(builds) == sorted(blocks)
+
+
+@pytest.mark.parametrize("n, p", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("t", [3, 5])
+def test_profiles_are_shared_by_pairs_with_the_same_active_parts(n, p, t, monkeypatch):
+    # a part z with no Hom block to m only adds zero rows and columns to
+    # every Hom(T, f), so (x, m) and (x + z, m) share the rank profiles of
+    # their active parts, built once, at hom_dim 2 and 3 as at 1; both
+    # fibers, insertion order included, equal building the cone of every
+    # morphism
+    builds = profile_builds(monkeypatch)
+    probe = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)), t)
+    parts = [(part,) for part in probe.hom_vectors().parts]
+    sums = [probe.direct_sum_key(a, b) for a, b in itertools.combinations_with_replacement(parts, 2)]
+    # (repeated part in x, hom_dim) -> (x, z, m)
+    wanted, cases = {(True, 2), (False, 2), (False, 3)}, {}
+    for x, m in itertools.product(sums, parts + sums):
+        case = (x[0] == x[1], probe.hom_dim(x, m))
+        if case in wanted - cases.keys():
+            z = next((z for z in parts if z[0] not in x and probe.hom_dim(z, m) == 0), None)
+            if z is not None:
+                cases[case] = (x, z, m)
+                if len(cases) == len(wanted):
+                    break
+    assert cases.keys() == wanted
+    for x, z, m in cases.values():
+        # a fresh context per case, so that no profile is cached
+        pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)), t)
+        pctx.hom_vectors()
+        chains = ChainModel(pctx)
+        builds.clear()
+        for source in (x, pctx.direct_sum_key(x, z)):
+            counts = pctx.fiber_counts(source, m)
+            assert list(counts.items()) == list(fiber_counts_literal(chains, source, m).items()), (source, m)
+        assert len(builds) == 1, (x, z, m)
 
 
 def test_brace_table_rows():
@@ -383,17 +429,19 @@ def test_brace_table_rows():
 def test_fiber_counts_match_the_literal_count(n, p, bound, first, hom_cap, monkeypatch):
     # one rank profile per scalar line, the zero morphism's cone read
     # off the keys: the counts must equal building the cone of every
-    # morphism, only the (q^d - 1)/(q - 1) lines may be profiled, and
-    # no cycle complex is built on the way. At t = 3 the scope is a
-    # graded prefix of the objects. At the longer periods the targets are
-    # the zero object and every part, which meet every shift residue; a
-    # count depends on the shifts only through their differences, so the
-    # sources sit at shift 0. Next to them runs a shorter graded prefix,
-    # lazily listed, sources and targets alike. A3 runs the part scope
-    # at t = 3 and 5, and the graded prefix at 7 too
+    # morphism, a call that builds the profiles of its active parts walks
+    # exactly the (q^d - 1)/(q - 1) lines and one that reads them cached
+    # walks none, and no cycle complex is built on the way. At t = 3 the
+    # scope is a graded prefix of the objects. At the longer periods the
+    # targets are the zero object and every part, which meet every shift
+    # residue; a count depends on the shifts only through their
+    # differences, so the sources sit at shift 0. Next to them runs a
+    # shorter graded prefix, lazily listed, sources and targets alike. A3
+    # runs the part scope at t = 3 and 5, and the graded prefix at 7 too
     lines = []
     honest_lines = category._lines
     monkeypatch.setattr(category, "_lines", lambda q, dim: (lines.append(c) or c for c in honest_lines(q, dim)))
+    builds = profile_builds(monkeypatch)
     complexes = []
     honest_init = CycleComplex.__init__
     monkeypatch.setattr(CycleComplex, "__init__", lambda c, *args, **kw: complexes.append(c) or honest_init(c, *args, **kw))
@@ -415,9 +463,12 @@ def test_fiber_counts_match_the_literal_count(n, p, bound, first, hom_cap, monke
                     d = pctx.hom_dim(x, m)
                     if hom_cap is not None and d > hom_cap:
                         continue
-                    before, built = len(lines), len(complexes)
+                    before, built, profiled = len(lines), len(complexes), len(builds)
                     counts = pctx.fiber_counts(x, m)
-                    assert len(lines) - before == (p**d - 1) // (p - 1)
+                    # at most one build of the profiles, and none for a zero Hom
+                    miss = len(builds) - profiled
+                    assert miss <= (d > 0)
+                    assert len(lines) - before == ((p**d - 1) // (p - 1) if miss else 0)
                     assert len(complexes) == built
                     assert counts == fiber_counts_literal(chains, x, m), (t, x, m)
                     checked += 1
@@ -542,41 +593,99 @@ def test_every_exported_name_exists():
 
 
 ENGINE_MODULES = ("gfp", "quiver", "reps", "category", "hall", "sqrtq", "semisimple", "__init__")
+CONTEXTS = ("RepContext", "PeriodicContext")
+# the protocol HallEngine multiplies over, which PeriodicContext implements
+PROTOCOLS = {"CategoryOracle": "PeriodicContext"}
 # context methods that stay without an engine caller
 UNCALLED = {
     # traced or called by the benchmark
-    "hom_basis",
-    "kernel",
-    "image",
-    "cokernel",
-    "ext1_dim",
-    "class_count",
-    "hom_space",
-    "total_dim",
-    "enumerate_objects",
+    "RepContext.kernel",
+    "RepContext.image",
+    "RepContext.cokernel",
+    "RepContext.ext1_dim",
+    "RepContext.class_count",
+    "PeriodicContext.hom_space",
+    "PeriodicContext.total_dim",
+    "PeriodicContext.enumerate_objects",
     # the public constructor of the simple modules
-    "simple",
+    "RepContext.simple",
 }
 
 
+def _annotated_class(arg):
+    """The class an annotated parameter names, written bare or quoted."""
+    note = arg.annotation
+    if isinstance(note, ast.Constant) and isinstance(note.value, str):
+        return note.value
+    return note.id if isinstance(note, ast.Name) else None
+
+
+def _engine_callers(trees):
+    """The methods of the two context classes, and those named through a
+    receiver that resolves to their class outside their own body, both
+    as "Class.method". A receiver resolves to ``self``'s class, to the
+    class a parameter is annotated with, to an attribute that class's
+    ``__init__`` sets from such a parameter, or to a local name assigned
+    one of these; anything else, such as a call's result, stays
+    unresolved, so an attribute name shared with another class counts
+    for neither."""
+    methods, fields, functions = set(), {}, []  # fields: (class, attribute) -> class
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append((None, node))
+            elif isinstance(node, ast.ClassDef):
+                for f in node.body:
+                    if isinstance(f, ast.FunctionDef):
+                        functions.append((node.name, f))
+                        if node.name in CONTEXTS:
+                            methods.add(f"{node.name}.{f.name}")
+                        if f.name == "__init__":
+                            params = {a.arg: _annotated_class(a) for a in f.args.args}
+                            for sub in ast.walk(f):
+                                if isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Name) and params.get(sub.value.id):
+                                    for target in sub.targets:
+                                        if isinstance(target, ast.Attribute) and ast.unparse(target.value) == "self":
+                                            fields[(node.name, target.attr)] = params[sub.value.id]
+    called = set()
+    for cls, f in functions:
+        names = {a.arg: _annotated_class(a) for a in f.args.args}
+        if cls is not None:
+            names["self"] = cls
+
+        def resolve(expr):
+            if isinstance(expr, ast.Name):
+                found = names.get(expr.id)
+            elif isinstance(expr, ast.Attribute):
+                found = fields.get((resolve(expr.value), expr.attr))
+            else:
+                found = None
+            return PROTOCOLS.get(found, found)
+
+        for sub in ast.walk(f):
+            if isinstance(sub, ast.Assign) and len(sub.targets) == 1 and isinstance(sub.targets[0], ast.Name):
+                if found := resolve(sub.value):
+                    names[sub.targets[0].id] = found
+        for sub in ast.walk(f):
+            if isinstance(sub, ast.Attribute) and resolve(sub.value) in CONTEXTS:
+                name = f"{resolve(sub.value)}.{sub.attr}"
+                if name in methods and name != f"{cls}.{f.name}":
+                    called.add(name)
+    return methods, called
+
+
 def test_every_context_method_has_an_engine_caller():
-    # each method of RepContext and PeriodicContext is named as an
-    # attribute in an engine module, outside its own body, or is listed
-    # in UNCALLED, so a method only the tests or the reference modules
-    # call cannot come back unnoticed. Names match as attributes: a
-    # reference to another class's attribute of the same name counts
+    # each method of RepContext and PeriodicContext is named in an engine
+    # module, outside its own body, through a receiver of its own class,
+    # or is listed in UNCALLED, so a method only the tests or the
+    # reference modules call cannot come back unnoticed; and no method on
+    # UNCALLED has such a caller
     src = Path(category.__file__).resolve().parent
-    methods, refs = set(), set()  # refs: (attribute, enclosing function)
-    for name in ENGINE_MODULES:
-        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
-            if isinstance(node, ast.ClassDef) and node.name in ("RepContext", "PeriodicContext"):
-                methods |= {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
-            elif isinstance(node, ast.FunctionDef):
-                refs |= {(sub.attr, node.name) for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
-    called = {attr for attr, caller in refs if attr != caller}
+    methods, called = _engine_callers([ast.parse((src / f"{name}.py").read_text()) for name in ENGINE_MODULES])
     assert UNCALLED <= methods
-    assert sorted(m for m in methods - called - UNCALLED if not m.startswith("__")) == []
-    assert sorted(methods & set(BRUTE_FORCE)) == []
+    assert sorted(m for m in methods - called - UNCALLED if ".__" not in m) == []
+    assert sorted(UNCALLED & called) == []
+    assert sorted({m.split(".")[1] for m in methods} & set(BRUTE_FORCE)) == []
 
 
 def _signs_match(entries):
