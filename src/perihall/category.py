@@ -107,12 +107,19 @@ scalar action at a time: the zero morphism x -> m has cone x[1] + m,
 read off the keys, and cone(c f) is isomorphic to cone(f) for c in
 F_q^*, so one rank profile is computed per line of Hom(x, m) and
 counted with weight q - 1. A part of x or m with no nonzero Hom block
-to the other side adds only zero rows and columns to every Hom(T, f),
-so the profiles are those of the active sub-keys x' and m', the parts
-that have such a block. One walk over the lines of Hom(x', m') counts
-its profiles, stored per (x', m') and shared by every pair of objects
-with the same active parts; each call decodes them against its own
-zero cone. A one-dimensional Hom has one active part on each side.
+to the other side adds only zero rows and columns to every Hom(T, f):
+with x' and m' the active sub-keys, the parts that have such a block,
+and x'' and m'' the rest, a morphism is f' + 0 with f': x' -> m', and
+the cone of a direct sum of morphisms is the sum of their cones, so
+cone(f) = cone(f') + x''[1] + m''. One walk over the lines of
+Hom(x', m') counts its profiles, each decoded once into cone(f'); these
+cones are stored per (x', m') and every call adds its inactive parts to
+them. The translation functor is a triangle autoequivalence, so
+cone(f[k]) = cone(f)[k]: active sub-keys whose least shift s0 is not 0
+read the cones of their translate by -s0, shifted back by s0. That
+translate wraps no shift, so the order of the parts, of the Hom blocks
+and of the lines is kept. A one-dimensional Hom has one active part on
+each side.
 :func:`perihall.checks.cone_key_literal` builds and reduces a cone, and
 :func:`perihall.checks.fiber_counts_literal` classifies every morphism
 that way.
@@ -177,7 +184,9 @@ class HomVectors:
         x[1] + m of the zero morphism's cone and the nonzero ranks r_T of
         Hom(T, f), as (index of T, r_T) pairs: dim Hom(T, C) is
         dim Hom(T, x[1] + m) - r_T - r_{T[-1]}. Every multiplicity must
-        come out a nonnegative integer."""
+        come out a nonnegative integer. The engine calls it once per rank
+        profile of each active pair it builds
+        (:meth:`PeriodicContext._active_cones`), never per fiber call."""
         d = self.denominator
         num: Dict[int, int] = {}
         for part in zero:
@@ -210,7 +219,7 @@ class PeriodicContext:
         self._aut_cache: Dict[ObjKey, int] = {}
         self._brace_cache: Dict[Tuple[ObjKey, ObjKey], Tuple[int, int]] = {}
         self._part_pairs: Dict[Tuple[Part, Part], Tuple[int, int]] = {}
-        self._profiles: Dict[Tuple[ObjKey, ObjKey], Dict[Tuple[Tuple[int, int], ...], int]] = {}
+        self._cones: Dict[Tuple[ObjKey, ObjKey], Dict[ObjKey, int]] = {}
         self._runs_cache: Dict[ObjKey, List[Tuple[Part, int]]] = {}
         self._residue_cache: Dict[int, int] = {}
         self._hom_ext_cache: Dict[Tuple[int, int], HomExt] = {}
@@ -469,7 +478,8 @@ class PeriodicContext:
         of :func:`_lines`. A profile is the (index of T, rk Hom(T, f))
         pairs with nonzero rank, one per test object T; a line counts
         q - 1 times. Every part of x and m must have a nonzero Hom block
-        to the other side (:meth:`fiber_counts`). Stored per key pair.
+        to the other side (:meth:`fiber_counts`). Nothing is stored:
+        :meth:`_active_cones` decodes and stores the cones.
 
         Each Hom(T, f) is linear in the coordinates of f: its matrix is
         built per line from the terms (row, column, coordinate of f,
@@ -516,8 +526,26 @@ class PeriodicContext:
                     profile.append((t, rank))
             ranks = tuple(profile)
             counts[ranks] = counts.get(ranks, 0) + p - 1
-        self._profiles[(x, m)] = counts
         return counts
+
+    def _active_cones(self, x: ObjKey, m: ObjKey) -> Dict[ObjKey, int]:
+        """The cones of the nonzero morphisms x -> m, each mapped to its
+        number of morphisms, in order of first appearance over the lines
+        of :func:`_lines`. Every part of x and m must have a nonzero Hom
+        block to the other side, and the least shift of their parts must
+        be 0 (:meth:`fiber_counts`). Each rank profile of
+        :meth:`_profile_counts` is decoded once, against the zero cone
+        x[1] + m. Stored per key pair."""
+        hit = self._cones.get((x, m))
+        if hit is None:
+            hv = self.hom_vectors()
+            zero = self.direct_sum_key(self.shift_key(x, 1), m)
+            hit = {}
+            for ranks, count in self._profile_counts(x, m, hv).items():
+                ck = hv.cone_key(zero, ranks)
+                hit[ck] = hit.get(ck, 0) + count
+            self._cones[(x, m)] = hit
+        return hit
 
     def fiber_counts(self, x: ObjKey, m: ObjKey) -> Dict[ObjKey, int]:
         """How many morphisms x -> m have each cone class.
@@ -537,26 +565,32 @@ class PeriodicContext:
             dim Hom(T, C) = hom(T, m) - rk Hom(T, f) + hom(T[-1], x) - rk Hom(T[-1], f),
 
         which fixes C by Auslander's theorem; :meth:`HomVectors.cone_key`
-        decodes it against this pair's zero cone. A part of x or m with
-        no nonzero Hom block to the other side only adds zero rows and
-        columns to every Hom(T, f), so the profiles depend only on the
-        active sub-keys x' and m', the parts that have such a block, in
-        key order. They are read off :meth:`_profile_counts`, stored per
-        (x', m') and shared by every pair with the same active parts,
-        and one key is decoded per profile, in their order. Only quivers
-        of type A are served (see :meth:`hom_vectors`);
+        decodes it. The active sub-keys x' and m' are the parts of x and
+        m with a nonzero Hom block to the other side, in key order; the
+        inactive rest x'' and m'' only adds zero rows and columns to
+        every Hom(T, f). So f = f' + 0 with f': x' -> m', and
+        cone(f) = cone(f') + x''[1] + m'': each call adds its inactive
+        parts to the cones of Hom(x', m'). Those cones are read off
+        :meth:`_active_cones`, decoded once per active pair. The
+        translation functor is a triangle autoequivalence, so
+        cone(f'[s]) = cone(f')[s]: a pair whose least shift s0 is not 0
+        reads the cones of its translate by -s0, shifted by s0. No part
+        shift wraps on that translate, so it keeps the order of the
+        parts, of the Hom blocks and of the lines; pairs related only by
+        a translate that wraps keep their own entries. Only quivers of
+        type A are served (see :meth:`hom_vectors`);
         :func:`perihall.checks.cone_key_literal` builds and reduces the
         cone instead.
         """
         key = (x, m)
         hit = self._fiber_cache.get(key)
         if hit is None:
+            t = self.t
             zero = self.direct_sum_key(self.shift_key(x, 1), m)
             hit = {zero: 1}
             dim = self.hom_dim(x, m)
             if dim:
                 self.check_budget(x, m, dim)
-                hv = self.hom_vectors()
                 pairs = self._part_pairs
                 ms = self._runs(m)
                 on_x, on_m = set(), set()
@@ -565,9 +599,15 @@ class PeriodicContext:
                         if (pairs.get((a, b)) or self._part_pair(a, b))[0]:
                             on_x.add(a)
                             on_m.add(b)
-                active = (tuple(a for a in x if a in on_x), tuple(b for b in m if b in on_m))
-                for ranks, count in (self._profiles.get(active) or self._profile_counts(*active, hv)).items():
-                    ck = hv.cone_key(zero, ranks)
+                xa = [a for a in x if a in on_x]
+                ma = [b for b in m if b in on_m]
+                rest = [(cid, (s + 1) % t) for cid, s in x if (cid, s) not in on_x] + [b for b in m if b not in on_m]
+                s0 = min(s for _, s in xa + ma)
+                cones = self._active_cones(
+                    tuple((cid, s - s0) for cid, s in xa), tuple((cid, s - s0) for cid, s in ma)
+                )
+                for cone, count in cones.items():
+                    ck = tuple(sorted([(cid, (s + s0) % t) for cid, s in cone] + rest))
                     hit[ck] = hit.get(ck, 0) + count
             self._fiber_cache[key] = hit
         return hit

@@ -73,9 +73,15 @@ def summand_dims(ctx, rep):
     return tuple(sorted(ctx.class_rep(cid).dims for cid in summand_ids(ctx, rep)))
 
 
+def least_shift_zero(x, m):
+    """The translate of a key pair by minus the least shift of its parts."""
+    s0 = min(s for _, s in x + m)
+    return tuple((cid, s - s0) for cid, s in x), tuple((cid, s - s0) for cid, s in m)
+
+
 def profile_builds(monkeypatch):
-    """The active sub-key pairs (x', m') whose rank profiles the engine
-    builds from here on, in order."""
+    """The active sub-key pairs (x', m'), translated to least shift 0,
+    whose rank profiles the engine builds from here on, in order."""
     builds = []
     honest = PeriodicContext._profile_counts
     monkeypatch.setattr(PeriodicContext, "_profile_counts", lambda pctx, x, m, hv: builds.append((x, m)) or honest(pctx, x, m, hv))
@@ -344,10 +350,10 @@ def test_fiber_counts_are_cached_per_pair(a2, monkeypatch):
 @pytest.mark.parametrize("t", [3, 5])
 def test_one_dimensional_fibers_read_the_block_profile(n, bound, p, t, monkeypatch):
     # a one-dimensional Hom is classified off its one nonzero part
-    # block, the active sub-keys ((a,), (b,)), whose rank profiles are
-    # built once per distinct block and never once per call: on a graded
-    # prefix every such fiber, insertion order included, equals building
-    # the cone of every morphism
+    # block, the active sub-keys ((a,), (b,)), whose cones are built once
+    # per distinct block translated to least shift 0 and never once per
+    # call: on a graded prefix every such fiber, insertion order included,
+    # equals building the cone of every morphism
     builds = profile_builds(monkeypatch)
     pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)), t)
     chains = ChainModel(pctx)
@@ -361,7 +367,7 @@ def test_one_dimensional_fibers_read_the_block_profile(n, bound, p, t, monkeypat
                 assert list(counts.items()) == list(fiber_counts_literal(chains, x, m).items()), (x, m)
                 checked += 1
                 nonsplit += len(counts) > 1
-                blocks |= {((a,), (b,)) for a in x for b in m if pctx.hom_dim((a,), (b,))}
+                blocks |= {least_shift_zero((a,), (b,)) for a in x for b in m if pctx.hom_dim((a,), (b,))}
     assert checked >= 25 and nonsplit == checked
     assert sorted(builds) == sorted(blocks)
 
@@ -399,6 +405,71 @@ def test_profiles_are_shared_by_pairs_with_the_same_active_parts(n, p, t, monkey
             counts = pctx.fiber_counts(source, m)
             assert list(counts.items()) == list(fiber_counts_literal(chains, source, m).items()), (source, m)
         assert len(builds) == 1, (x, z, m)
+
+
+@pytest.mark.parametrize("n, p", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("t", PERIODS)
+def test_translated_active_pairs_share_one_build(n, p, t, monkeypatch):
+    # the translation functor is a triangle autoequivalence, so
+    # cone(f[k]) = cone(f)[k]: an active pair (x, m) with least shift 0
+    # and its translate by k, where no shift wraps, share the cones built
+    # for the first, at hom_dim 1, 2 and 3, also with an extra part z
+    # that has no Hom block to the other side. The translate's fiber is
+    # the first one's, each cone shifted by k and added to z[1], in the
+    # same order. A translate where a shift wraps is another pair, and
+    # builds its own cones. Every fiber equals building the cone of every
+    # morphism; the chain model enumerates morphisms in coordinates of
+    # its own, so the cases are pairs where it meets the cones in the
+    # engine's order too, and the translate must then match it item for
+    # item
+    lines = []
+    honest_lines = category._lines
+    monkeypatch.setattr(category, "_lines", lambda q, dim: (lines.append(c) or c for c in honest_lines(q, dim)))
+    builds = profile_builds(monkeypatch)
+    probe = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)), t)
+    probe_chains = ChainModel(probe)
+    parts = [(part,) for part in probe.hom_vectors().parts]
+    # the pairs are searched among parts at shifts 0 and 1 and their sums
+    low = [part for part in parts if part[0][1] < 2]
+    keys = low + [probe.direct_sum_key(a, b) for a, b in itertools.combinations_with_replacement(low, 2)]
+
+    def active(x, m):
+        return all(any(probe.hom_dim((a,), (b,)) for b in m) for a in x) and all(
+            any(probe.hom_dim((a,), (b,)) for a in x) for b in m
+        )
+
+    # hom_dim -> (x, m), least shift 0 and greatest 1
+    cases = {}
+    for x, m in itertools.product(keys, keys):
+        d = probe.hom_dim(x, m)
+        shifts = {s for _, s in x + m}
+        if d in (1, 2, 3) and d not in cases and shifts == {0, 1} and active(x, m):
+            if list(probe.fiber_counts(x, m).items()) == list(fiber_counts_literal(probe_chains, x, m).items()):
+                cases[d] = (x, m)
+    assert sorted(cases) == [1, 2, 3]
+    for x, m in cases.values():
+        # a fresh context per case, so that no cone is cached
+        pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)), t)
+        pctx.hom_vectors()
+        chains = ChainModel(pctx)
+        k = t - 1 - max(s for _, s in x + m)
+        xk, mk = pctx.shift_key(x, k), pctx.shift_key(m, k)
+        z = next(z for z in parts if z[0] not in xk and pctx.hom_dim(z, mk) == 0)
+        xw, mw = pctx.shift_key(x, k + 1), pctx.shift_key(m, k + 1)
+        assert least_shift_zero(xk, mk) == (x, m) and least_shift_zero(xw, mw) == (xw, mw) != (x, m)
+        fibers = []
+        for source, target, built in ((x, m, [(x, m)]), (pctx.direct_sum_key(xk, z), mk, []), (xw, mw, [(xw, mw)])):
+            builds.clear()
+            walked = len(lines)
+            fibers.append(pctx.fiber_counts(source, target))
+            assert builds == built, (source, target)
+            assert len(lines) - walked == ((p ** pctx.hom_dim(source, target) - 1) // (p - 1) if built else 0)
+            literal = fiber_counts_literal(chains, source, target)
+            assert fibers[-1] == literal, (source, target)
+            if source != xw:
+                assert list(fibers[-1].items()) == list(literal.items()), (source, target)
+        shifted = [(pctx.direct_sum_key(pctx.shift_key(cone, k), pctx.shift_key(z, 1)), n) for cone, n in fibers[0].items()]
+        assert list(fibers[1].items()) == shifted
 
 
 def test_brace_table_rows():

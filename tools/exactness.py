@@ -3,13 +3,17 @@
     python3 tools/exactness.py OUT.json
 
 The standard comparison scope (ROADMAP.md) is every ordered pair of
-the first objects of six scopes: A1 at p=2 and p=3 (all 8 objects of
-bound (1,)), A2 at p=2 (first 30 of bound (1,1)), A2 at p=3 (first 20),
-A3 at p=2 (first 25 of bound (1,1,1)) and A2 at p=2 (first 40 of bound
-(2,2)), 3653 products in all. For each scope the digest holds, on a
-fresh engine:
+the first objects of eight scopes. Six are at the period t = 3: A1 at
+p=2 and p=3 (all 8 objects of bound (1,)), A2 at p=2 (first 30 of bound
+(1,1)), A2 at p=3 (first 20), A3 at p=2 (first 25 of bound (1,1,1)) and
+A2 at p=2 (first 40 of bound (2,2)). Two are at longer periods: A2 at
+p=3 (first 24 of bound (1,1)) at t = 5 and A2 at p=2 (first 30 of bound
+(1,1)) at t = 7. That is 5129 products in all. For each scope the
+digest holds, on a fresh engine:
 
-- the whole ``enumerate_objects`` list, in its order;
+- the object listing, in its order: the whole ``enumerate_objects``
+  list at t = 3, and only the objects multiplied at t = 5 and 7, where
+  the whole list has 3125 and 78125 objects;
 - every product, its coefficients in the vector's own order;
 - the cone-fiber dict behind each product, ``fiber_counts(y[-1], x)``,
   in insertion order;
@@ -27,11 +31,12 @@ in its keys share one. Comparing the digests of two commits
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 if str(PERFBENCH) not in sys.path:
@@ -39,29 +44,36 @@ if str(PERFBENCH) not in sys.path:
 
 from workloads import Canon  # noqa: E402  (puts the repo's src/ on the path)
 
-from perihall.category import PeriodicContext  # noqa: E402
+from perihall.category import PERIOD, PeriodicContext  # noqa: E402
 from perihall.gfp import FieldSpec  # noqa: E402
 from perihall.hall import HallEngine  # noqa: E402
 from perihall.quiver import line_quiver  # noqa: E402
 from perihall.reps import RepContext  # noqa: E402
 
-# (name, n for the quiver A_n, p, bound, number of objects)
-SCOPES: Tuple[Tuple[str, int, int, Tuple[int, ...], int], ...] = (
-    ("A1 p=2", 1, 2, (1,), 8),
-    ("A1 p=3", 1, 3, (1,), 8),
-    ("A2 p=2", 2, 2, (1, 1), 30),
-    ("A2 p=3", 2, 3, (1, 1), 20),
-    ("A3 p=2", 3, 2, (1, 1, 1), 25),
-    ("A2 p=2 bound (2,2)", 2, 2, (2, 2), 40),
+# (name, n for the quiver A_n, p, bound, number of objects, period,
+# number of objects listed in the digest, None for all)
+SCOPES: Tuple[Tuple[str, int, int, Tuple[int, ...], int, int, Optional[int]], ...] = (
+    ("A1 p=2", 1, 2, (1,), 8, 3, None),
+    ("A1 p=3", 1, 3, (1,), 8, 3, None),
+    ("A2 p=2", 2, 2, (1, 1), 30, 3, None),
+    ("A2 p=3", 2, 3, (1, 1), 20, 3, None),
+    ("A3 p=2", 3, 2, (1, 1, 1), 25, 3, None),
+    ("A2 p=2 bound (2,2)", 2, 2, (2, 2), 40, 3, None),
+    ("A2 p=3 t=5", 2, 3, (1, 1), 24, 5, 24),
+    ("A2 p=2 t=7", 2, 2, (1, 1), 30, 7, 30),
 )
 
 
-def digest_scope(n: int, p: int, bound: Sequence[int], count: int) -> dict:
+def digest_scope(
+    n: int, p: int, bound: Sequence[int], count: int, t: int = PERIOD, listed: Optional[int] = None
+) -> dict:
     """The digest of every ordered pair of the first ``count`` objects of
-    ``bound`` on the quiver A_n over F_p."""
-    pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)))
+    ``bound`` on the quiver A_n over F_p, at the period ``t``. The digest
+    lists the first ``listed`` objects of the graded listing, or all of
+    them for None, and ``listed`` is at least ``count``."""
+    pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)), t)
     engine = HallEngine(pctx)
-    objects = pctx.enumerate_objects(bound)
+    objects = list(itertools.islice(pctx.objects(bound), listed))
     canon = Canon(pctx)
     products: List[list] = []
     fibers: List[list] = []
@@ -92,8 +104,8 @@ def main(argv: Sequence[str]) -> int:
         return 2
     t0 = time.perf_counter()
     out = {}
-    for name, n, p, bound, count in SCOPES:
-        scope = digest_scope(n, p, bound, count)
+    for name, *scope_args in SCOPES:
+        scope = digest_scope(*scope_args)
         out[name] = scope
         blob = json.dumps(scope, sort_keys=True).encode()
         coeffs = sum(len(terms) for _, terms in scope["products"])
