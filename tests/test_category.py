@@ -468,7 +468,7 @@ def test_translated_active_pairs_share_one_build(n, p, t, monkeypatch):
             assert fibers[-1] == literal, (source, target)
             if source != xw:
                 assert list(fibers[-1].items()) == list(literal.items()), (source, target)
-        shifted = [(pctx.direct_sum_key(pctx.shift_key(cone, k), pctx.shift_key(z, 1)), n) for cone, n in fibers[0].items()]
+        shifted = [(pctx.direct_sum_key(pctx.shift_key(cone, k), pctx.shift_key(z, 1)), c) for cone, c in fibers[0].items()]
         assert list(fibers[1].items()) == shifted
 
 
