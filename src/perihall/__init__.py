@@ -9,10 +9,11 @@ The layers, bottom to top:
 - :mod:`perihall.gfp` - exact linear algebra over F_p (row convention).
 - :mod:`perihall.quiver` - finite acyclic quivers; :mod:`perihall.reps`
   and the chain-level model work on any of them.
-- :mod:`perihall.reps` - quiver representations: hom spaces, Hom and
-  Ext^1 bases from Ringel's exact sequence, the iso-class registry, and
-  the modules of a dimension bound, generated from the interval modules
-  of a quiver of type A; other quivers are refused.
+- :mod:`perihall.reps` - quiver representations: Hom and Ext^1 bases
+  from Ringel's exact sequence, one cached record per pair of modules
+  (``RepContext.hom_ext``), the iso-class registry, and the modules of a
+  dimension bound, generated from the interval modules of a quiver of
+  type A; other quivers are refused.
 - :mod:`perihall.category` - the periodic category itself: objects as
   shifted module sums, listed lazily by total dimension, hom tables,
   compositions from module data, cone fibers classified by Hom ranks.
@@ -38,8 +39,8 @@ engine's import graph (only ``PeriodicContext.hom_space`` reaches
   lookup and module enumeration by brute force (``decompose``,
   ``summand_ids``, ``class_id``, ``enumerate_reps``, ``module_key``, the
   only listing of a quiver not of type A), automorphism counts of
-  modules (``module_aut_order``) and matrix inverses
-  (``matrix_inverse``).
+  modules (``module_aut_order``), dim Ext^1 by the Euler form
+  (``ext1_dim_by_euler_form``) and matrix inverses (``matrix_inverse``).
 """
 
 __version__ = "0.1.0"

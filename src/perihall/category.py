@@ -26,9 +26,11 @@ residue r = (s_b - s_a) mod t of 0, 1 or any other
 (``_covering_table``), and Hom between two objects is the sum of these
 blocks over their pairs of parts. Bases and compositions come from
 Ringel's exact sequence for the two classes
-(:class:`perihall.reps.HomExt`): Hom is ker delta and Ext^1 coker delta,
-maps compose, a map acts on an Ext^1 class from either side arrow by
-arrow, and Ext^1 after Ext^1 lands in Ext^2 = 0. The context counts
+(:class:`perihall.reps.HomExt`, one record per module pair, cached by the
+:class:`perihall.reps.RepContext` and shared by the contexts of every
+period over it): Hom is ker delta and Ext^1 coker delta, maps compose,
+a map acts on an Ext^1 class from either side arrow by arrow, and Ext^1
+after Ext^1 lands in Ext^2 = 0. The context counts
 morphisms by the class of their cone, and counts automorphisms as the
 units of the finite algebra End(x), the same Krull-Schmidt unit count
 :func:`perihall.checks.module_aut_order` applies to modules. No cycle
@@ -215,14 +217,12 @@ class PeriodicContext:
             raise ValueError(f"the period must be an odd number at least 3, got t = {t}")
         self.ctx = ctx
         self.t = t
-        self._fiber_cache: Dict[Tuple[ObjKey, ObjKey], Dict[ObjKey, int]] = {}
         self._aut_cache: Dict[ObjKey, int] = {}
         self._brace_cache: Dict[Tuple[ObjKey, ObjKey], Tuple[int, int]] = {}
         self._part_pairs: Dict[Tuple[Part, Part], Tuple[int, int]] = {}
         self._cones: Dict[Tuple[ObjKey, ObjKey], Dict[ObjKey, int]] = {}
         self._runs_cache: Dict[ObjKey, List[Tuple[Part, int]]] = {}
         self._residue_cache: Dict[int, int] = {}
-        self._hom_ext_cache: Dict[Tuple[int, int], HomExt] = {}
         self._compose_cache: Dict[Tuple[int, int, int, int, int], Tuple[Tuple[int, int, int, int], ...]] = {}
         self._hom_vectors: Optional[HomVectors] = None
 
@@ -420,13 +420,10 @@ class PeriodicContext:
         return self._hom_vectors
 
     def _hom_ext(self, a: int, b: int) -> HomExt:
-        """Hom and Ext^1 from the class with id a to the class with id b,
-        off one delta per pair."""
-        k = (a, b)
-        hit = self._hom_ext_cache.get(k)
-        if hit is None:
-            self._hom_ext_cache[k] = hit = self.ctx.hom_ext(self.ctx.class_rep(a), self.ctx.class_rep(b))
-        return hit
+        """Hom and Ext^1 from the class with id a to the class with id b:
+        :meth:`perihall.reps.RepContext.hom_ext` of their representatives,
+        one record per module pair, shared by every context over ``ctx``."""
+        return self.ctx.hom_ext(self.ctx.class_rep(a), self.ctx.class_rep(b))
 
     def _composition(self, t: Part, a: Part, b: Part) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
         """The composition Hom(t, a) x Hom(a, b) -> Hom(t, b) in module
@@ -581,36 +578,34 @@ class PeriodicContext:
         type A are served (see :meth:`hom_vectors`);
         :func:`perihall.checks.cone_key_literal` builds and reduces the
         cone instead.
+
+        The dict is built afresh per call and not stored: the engine
+        asks once per product, which it memoizes, and a repeated call
+        only merges the cached active cones again, walking no line.
         """
-        key = (x, m)
-        hit = self._fiber_cache.get(key)
-        if hit is None:
-            t = self.t
-            zero = self.direct_sum_key(self.shift_key(x, 1), m)
-            hit = {zero: 1}
-            dim = self.hom_dim(x, m)
-            if dim:
-                self.check_budget(x, m, dim)
-                pairs = self._part_pairs
-                ms = self._runs(m)
-                on_x, on_m = set(), set()
-                for a, _ in self._runs(x):
-                    for b, _ in ms:
-                        if (pairs.get((a, b)) or self._part_pair(a, b))[0]:
-                            on_x.add(a)
-                            on_m.add(b)
-                xa = [a for a in x if a in on_x]
-                ma = [b for b in m if b in on_m]
-                rest = [(cid, (s + 1) % t) for cid, s in x if (cid, s) not in on_x] + [b for b in m if b not in on_m]
-                s0 = min(s for _, s in xa + ma)
-                cones = self._active_cones(
-                    tuple((cid, s - s0) for cid, s in xa), tuple((cid, s - s0) for cid, s in ma)
-                )
-                for cone, count in cones.items():
-                    ck = tuple(sorted([(cid, (s + s0) % t) for cid, s in cone] + rest))
-                    hit[ck] = hit.get(ck, 0) + count
-            self._fiber_cache[key] = hit
-        return hit
+        t = self.t
+        zero = self.direct_sum_key(self.shift_key(x, 1), m)
+        out = {zero: 1}
+        dim = self.hom_dim(x, m)
+        if dim:
+            self.check_budget(x, m, dim)
+            pairs = self._part_pairs
+            ms = self._runs(m)
+            on_x, on_m = set(), set()
+            for a, _ in self._runs(x):
+                for b, _ in ms:
+                    if (pairs.get((a, b)) or self._part_pair(a, b))[0]:
+                        on_x.add(a)
+                        on_m.add(b)
+            xa = [a for a in x if a in on_x]
+            ma = [b for b in m if b in on_m]
+            rest = [(cid, (s + 1) % t) for cid, s in x if (cid, s) not in on_x] + [b for b in m if b not in on_m]
+            s0 = min(s for _, s in xa + ma)
+            cones = self._active_cones(tuple((cid, s - s0) for cid, s in xa), tuple((cid, s - s0) for cid, s in ma))
+            for cone, count in cones.items():
+                ck = tuple(sorted([(cid, (s + s0) % t) for cid, s in cone] + rest))
+                out[ck] = out.get(ck, 0) + count
+        return out
 
     # -- automorphisms ------------------------------------------------
 

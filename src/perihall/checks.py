@@ -4,11 +4,12 @@ Every closed formula the engine relies on (its one-enumeration product
 formula against both dual counting recipes, cone classes from Hom
 ranks against built and reduced cones, composition tensors from module
 data against chain maps modulo homotopy (:mod:`perihall.periodic`),
-dim Ext^1 from the Euler form, the generated modules of a bound
-against brute-force enumeration, the layered automorphism count, the
-square-root sizes of composition images, the block normal form of
-triangles, the straightening relations) is re-derived here by brute
-enumeration on small instances and compared exactly.
+dim Ext^1 from Ringel's delta against the Euler form and a literal
+cocycle count, the generated modules of a bound against brute-force
+enumeration, the layered automorphism count, the square-root sizes of
+composition images, the block normal form of triangles, the
+straightening relations) is re-derived here by brute enumeration on
+small instances and compared exactly.
 :class:`FaultyEngine` carries one wrong structure constant, so a test
 can show that a harness notices. Each harness returns a CheckReport
 rather than raising, so the test suite and the command line can both
@@ -174,15 +175,25 @@ def brace_exponent_by_shifts(oracle, x: Key, y: Key) -> int:
 def ext1_dim_literal(ctx: RepContext, x: Rep, y: Rep) -> int:
     """dim Ext^1(x, y) counted literally through the minimal projective
     resolution 0 -> P1 -> P0 -> x -> 0: the cocycles Hom(P1, y) modulo
-    the coboundaries P1 -> P0 -> y. The engine reads the same number off
-    the Euler form."""
+    the coboundaries P1 -> P0 -> y. The engine reads the same number as
+    the cokernel of Ringel's delta (``RepContext.hom_ext(x, y).ext_dim``)."""
     res = proj_resolution(ctx, x)
-    cocycles = ctx.hom_basis(res.p1, y)
+    cocycles = ctx.hom_ext(res.p1, y).hom
     if not cocycles:
         return 0
     ambient = len(cocycles[0].flat())
-    coboundaries = [res.d.then(phi).flat() for phi in ctx.hom_basis(res.p0, y)]
+    coboundaries = [res.d.then(phi).flat() for phi in ctx.hom_ext(res.p0, y).hom]
     return len(cocycles) - Subspace(ctx.field, ambient, coboundaries).dim
+
+
+def ext1_dim_by_euler_form(ctx: RepContext, x: Rep, y: Rep) -> int:
+    """dim Ext^1(x, y) = dim Hom(x, y) - <x, y>.
+
+    The path algebra of an acyclic quiver is hereditary (the quiver
+    constructor rejects oriented cycles), so Ext^2 and above vanish and
+    the Euler form is exactly hom minus ext. The engine reads Ext^1 as
+    the cokernel of Ringel's delta instead (:class:`perihall.reps.HomExt`)."""
+    return len(ctx.hom_ext(x, y).hom) - ctx.quiver.euler_form(x.dims, y.dims)
 
 
 def matrix_inverse(m: MatrixFp) -> MatrixFp:
@@ -209,7 +220,7 @@ def module_aut_order(ctx: RepContext, x: Rep) -> int:
         (len(list(run)), ctx.residue_field_degree(ctx.class_rep(cid)))
         for cid, run in itertools.groupby(summand_ids(ctx, x))
     ]
-    return unit_group_order(ctx.field.p, ctx.hom_dim(x, x), blocks)
+    return unit_group_order(ctx.field.p, len(ctx.hom_ext(x, x).hom), blocks)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +259,7 @@ def _basis_iso(ctx: RepContext, x: Rep, y: Rep) -> Optional[RepMap]:
     Complete for indecomposables: the non-invertible maps between them
     form a proper subspace whenever an iso exists, and a basis cannot sit
     inside a proper subspace."""
-    return next((h for h in ctx.hom_basis(x, y) if h.is_iso()), None)
+    return next((h for h in ctx.hom_ext(x, y).hom if h.is_iso()), None)
 
 
 def _fitting_split(ctx: RepContext, x: Rep, e: RepMap) -> Optional[Tuple[Rep, RepMap, Rep, RepMap]]:
@@ -278,7 +289,7 @@ def _find_split(ctx: RepContext, x: Rep) -> Optional[Tuple[Rep, RepMap, Rep, Rep
     """A Fitting split of x, or None when x is indecomposable: the basis
     of End(x) and the sums of its pairs are tried first, then, within the
     context's ``enum_cap``, every endomorphism."""
-    basis = ctx.hom_basis(x, x)
+    basis = ctx.hom_ext(x, x).hom
     if len(basis) == 1:
         return None
     pairs = (a.add(b) for a, b in itertools.combinations(basis, 2))
@@ -490,15 +501,16 @@ def aut_order_by_enumeration(chains: ChainModel, key: ObjKey) -> int:
 def aut_order_by_layers(pctx: PeriodicContext, key: ObjKey) -> int:
     """|Aut| from the module layers themselves: the direct sum at each
     shift, its Krull-Schmidt unit count by :func:`module_aut_order`,
-    and q to the dim Ext^1
-    from each layer to the next, a square-zero ideal of End. The engine
-    counts the units of End(key) in one step off its class-pair table."""
+    and q to the dim Ext^1 from each layer to the next, a square-zero
+    ideal of End, read off the Euler form
+    (:func:`ext1_dim_by_euler_form`). The engine counts the units of
+    End(key) in one step off its class-pair table."""
     t = pctx.t
     layers = [part_rep(pctx, key, s) for s in range(t)]
     order = 1
     for s in range(t):
         order *= module_aut_order(pctx.ctx, layers[s])
-        order *= pctx.q ** pctx.ctx.ext1_dim(layers[s], layers[(s + 1) % t])
+        order *= pctx.q ** ext1_dim_by_euler_form(pctx.ctx, layers[s], layers[(s + 1) % t])
     return order
 
 

@@ -193,7 +193,7 @@ class HallEngine:
         self.oracle = oracle
         self.q = oracle.q
         if not isinstance(oracle.t, int) or oracle.t % 2 == 0 or oracle.t < 3:
-            raise ValueError("the period must be an odd number at least 3")
+            raise ValueError(f"the period must be an odd number at least 3, got t = {oracle.t}")
         self._one = HallValue.one(self.q)
         self._mult_cache: Dict[Tuple[Key, Key], HallVector] = {}
         self._layer_cache: Dict[Tuple[Key, ...], HallVector] = {}

@@ -371,11 +371,11 @@ class HomSpace:
     homotopy.
 
     A chain map is a vector of coefficients over the slotwise hom bases
-    (:meth:`RepContext.hom_basis`, rref in flat entries), and the chain
-    maps are the rref kernel basis of the chain condition in those
-    coefficients. Every basis here is rref, so coordinates are read off
-    at its pivot columns, after a membership check; the slotwise and
-    chain-map bases come out of elimination in rref and are taken as
+    (the Hom bases of :meth:`RepContext.hom_ext`, rref in flat entries),
+    and the chain maps are the rref kernel basis of the chain condition
+    in those coefficients. Every basis here is rref, so coordinates are
+    read off at its pivot columns, after a membership check; the slotwise
+    and chain-map bases come out of elimination in rref and are taken as
     they are (:func:`_rref_subspace`). The boundary of the
     homotopy s: X_i -> Y_{i-1} is s d^Y_{i-1} at slot i plus
     d^X_{i-1} s at slot i - 1; one such row per homotopy basis map spans
@@ -392,7 +392,7 @@ class HomSpace:
         self.source = source
         self.target = target
         field, t = ctx.field, source.t
-        bases = [ctx.hom_basis(a, b) for a, b in zip(source.slots, target.slots)]
+        bases = [ctx.hom_ext(a, b).hom for a, b in zip(source.slots, target.slots)]
         self._bases = [
             _rref_subspace(field, sum(map(operator.mul, a.dims, b.dims)), [f.flat() for f in basis])
             for a, b, basis in zip(source.slots, target.slots, bases)
@@ -415,7 +415,7 @@ class HomSpace:
         kernel = MatrixFp._trusted(field, rows, sum(widths)).kernel_basis()
         self._chain = _rref_subspace(field, nunk, kernel.rows)
         # homotopy basis maps X_i -> Y_{i-1}, and their boundaries
-        self._htp = [(i, s) for i in range(t) for s in ctx.hom_basis(source.slots[i], target.slots[i - 1])]
+        self._htp = [(i, s) for i in range(t) for s in ctx.hom_ext(source.slots[i], target.slots[i - 1]).hom]
         self._boundary = Subspace(field, self.chain_dim, [self._chain_coords(self._boundary_parts(i, s)) for i, s in self._htp])
 
     def _boundary_parts(self, i: int, s: RepMap) -> List[Tuple[int, RepMap]]:
@@ -705,7 +705,7 @@ class ChainModel:
         self.ctx = pctx.ctx
         self._wrap_cache: Dict[Part, CycleComplex] = {}
         self._realize_cache: Dict[ObjKey, CycleComplex] = {}
-        self._hom_cache: Dict[Tuple[ObjKey, ObjKey], HomSpace] = {}
+        self._hom_spaces: Dict[Tuple[ObjKey, ObjKey], HomSpace] = {}
 
     def wrap_part(self, part: Part) -> CycleComplex:
         hit = self._wrap_cache.get(part)
@@ -726,7 +726,7 @@ class ChainModel:
     def hom_space(self, x: ObjKey, y: ObjKey) -> HomSpace:
         """Hom(x, y): chain maps modulo homotopy between the realized
         complexes."""
-        hit = self._hom_cache.get((x, y))
+        hit = self._hom_spaces.get((x, y))
         if hit is None:
-            self._hom_cache[(x, y)] = hit = chain_hom_space(self.ctx, self.realize(x), self.realize(y))
+            self._hom_spaces[(x, y)] = hit = chain_hom_space(self.ctx, self.realize(x), self.realize(y))
         return hit

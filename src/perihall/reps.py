@@ -6,11 +6,12 @@ to every arrow. Everything follows the row convention from
 dim(u) x dim(w) and acts on row vectors from the right.
 
 The module provides what the engine calls: Hom and Ext^1 with their
-bases from Ringel's exact sequence (:class:`HomExt`), the iso-class
-registry, and the counting utilities the Hall layer sits on (residue field
-degrees of indecomposables, the modules of a dimension bound). The path
-algebra of an acyclic quiver is hereditary, so dim Ext^1 is read off the
-Euler form wherever no basis is needed.
+bases from Ringel's exact sequence (:class:`HomExt`), the one way to
+either, from :meth:`RepContext.hom_ext`, cached once per pair of modules;
+the iso-class registry; and the counting utilities the Hall layer sits
+on (residue field degrees of indecomposables, the modules of a dimension
+bound). The Euler-form count of dim Ext^1 is a reference recipe,
+:func:`perihall.checks.ext1_dim_by_euler_form`.
 
 Helpers that only the reference code calls live in the reference
 modules. The chain-level model, :mod:`perihall.periodic`, builds
@@ -20,8 +21,9 @@ direct sums (:func:`perihall.periodic.direct_sum`), projective modules
 :mod:`perihall.checks`, count |Aut x| of a module as the units of
 End(x) (:func:`perihall.checks.module_aut_order`), the count the
 periodic category applies to its objects. ``kernel``, ``image``,
-``cokernel``, ``ext1_dim`` and ``class_count`` have no engine caller
-either; they stay here while the benchmark traces or calls them.
+``cokernel`` and ``class_count`` have no engine caller either; they stay
+here while the benchmark traces or calls them, and the first three are
+meant for the root-based listing of the indecomposables.
 
 Iso classes follow Krull-Schmidt. Every indecomposable class gets an
 integer id, and a module's iso class is its Krull-Schmidt type, the
@@ -204,7 +206,7 @@ class HomExt:
     delta(f)_a = f_s(a) Y_a - X_a f_t(a) in the row convention; the path
     algebra is hereditary, so Ext^1 is the whole cokernel.
 
-    ``hom`` is the rref basis of ker delta (:meth:`RepContext.hom_basis`),
+    ``hom`` is the rref basis of ker delta (:meth:`RepContext.hom_ext`),
     so the coordinates of a map are its flat entries at the leading
     columns of the basis. ``image`` is im delta in the flat arrow
     coordinates of :meth:`RepContext._delta`; Ext^1 is its quotient, with
@@ -280,7 +282,7 @@ class RepContext:
         self.quiver = quiver
         self.field = field
         self.enum_cap = enum_cap
-        self._hom_cache: Dict[Tuple, List[RepMap]] = {}
+        self._hom_exts: Dict[Tuple, HomExt] = {}  # (content key, content key) -> Hom and Ext^1
         self._classes: List[Rep] = []  # class id -> canonical representative
         self._class_of_type: Dict[Tuple[int, ...], int] = {}  # summand ids -> id of a listed zero or decomposable class
         self._paths = _paths(quiver)  # None unless the quiver is of type A
@@ -360,29 +362,18 @@ class RepContext:
                             row[base + i * dyw + k] = (row[base + i * dyw + k] - xa.rows[i][i2]) % p
         return rows, eq_cols, offsets
 
-    def hom_basis(self, x: Rep, y: Rep) -> List[RepMap]:
-        """Canonical basis of Hom(x, y): the rref basis of ker delta."""
+    def hom_ext(self, x: Rep, y: Rep) -> HomExt:
+        """Hom(x, y) and Ext^1(x, y): the kernel and the image of one
+        delta, cached per pair of content keys, so every caller of the
+        context, whatever its period, shares one record per module pair."""
         ck = (x.key(), y.key())
-        hit = self._hom_cache.get(ck)
+        hit = self._hom_exts.get(ck)
         if hit is None:
-            self._hom_cache[ck] = hit = self._kernel_maps(x, y, *self._delta(x, y))
+            rows, ncols, offsets = self._delta(x, y)
+            ker = MatrixFp(self.field, rows, ncols=ncols).kernel_basis().rows if rows else []
+            hom = [self._unflatten_map(x, y, krow, offsets) for krow in ker]
+            self._hom_exts[ck] = hit = HomExt(x, y, hom, Subspace(self.field, ncols, rows))
         return hit
-
-    def _kernel_maps(self, x: Rep, y: Rep, rows: List[List[int]], ncols: int, offsets: Sequence[int]) -> List[RepMap]:
-        if not rows:
-            return []
-        ker = MatrixFp(self.field, rows, ncols=ncols).kernel_basis()
-        return [self._unflatten_map(x, y, krow, offsets) for krow in ker.rows]
-
-    def hom_ext(self, x: Rep, y: Rep) -> "HomExt":
-        """Hom(x, y) and Ext^1(x, y) off one delta. The Hom basis is
-        :meth:`hom_basis`'s and shares its cache."""
-        rows, ncols, offsets = self._delta(x, y)
-        ck = (x.key(), y.key())
-        hom = self._hom_cache.get(ck)
-        if hom is None:
-            self._hom_cache[ck] = hom = self._kernel_maps(x, y, rows, ncols, offsets)
-        return HomExt(x, y, hom, Subspace(self.field, ncols, rows))
 
     def _unflatten_map(self, x: Rep, y: Rep, flat: Sequence[int], offsets: Sequence[int]) -> RepMap:
         comps = []
@@ -390,9 +381,6 @@ class RepContext:
             body = flat[offsets[i] : offsets[i] + x.dims[i] * y.dims[i]]
             comps.append(MatrixFp.from_flat(self.field, list(body), x.dims[i], y.dims[i]))
         return RepMap(x, y, comps, check=False)
-
-    def hom_dim(self, x: Rep, y: Rep) -> int:
-        return len(self.hom_basis(x, y))
 
     def map_from_coeffs(self, basis: Sequence[RepMap], coeffs: Sequence[int]) -> RepMap:
         if not basis:
@@ -451,7 +439,7 @@ class RepContext:
 
     def residue_field_degree(self, indec: Rep) -> int:
         """dim over F_p of End(I)/rad for an indecomposable I."""
-        basis = self.hom_basis(indec, indec)
+        basis = self.hom_ext(indec, indec).hom
         d = len(basis)
         p = self.field.p
         total = p**d
@@ -495,18 +483,6 @@ class RepContext:
 
     def class_count(self) -> int:
         return len(self._classes)
-
-    # -- Ext ----------------------------------------------------------
-
-    def ext1_dim(self, x: Rep, y: Rep) -> int:
-        """dim Ext^1(x, y) = dim Hom(x, y) - <x, y>.
-
-        The path algebra of an acyclic quiver is hereditary (the quiver
-        constructor rejects oriented cycles), so Ext^2 and above vanish
-        and the Euler form is exactly hom minus ext. The literal count,
-        Hom(P1(x), y) modulo coboundaries, is kept as a cross-check in
-        :func:`perihall.checks.ext1_dim_literal`."""
-        return self.hom_dim(x, y) - self.quiver.euler_form(x.dims, y.dims)
 
     # -- enumeration --------------------------------------------------
 

@@ -63,12 +63,11 @@ class SemisimplePeriodic:
 
     def __init__(self, t: int, q: int):
         if not isinstance(t, int) or t < 3 or t % 2 == 0:
-            raise ValueError("period must be odd and at least 3")
+            raise ValueError(f"the period must be an odd number at least 3, got t = {t}")
         if not _is_prime_power(q):
             raise ValueError(f"q must be a prime power, got {q}")
         self.t = t
         self._q = q
-        self._fiber_cache: Dict[Tuple[SsKey, SsKey], Dict[SsKey, int]] = {}
 
     @property
     def q(self) -> int:
@@ -126,21 +125,17 @@ class SemisimplePeriodic:
         A morphism is a tuple of matrices; its cone keeps the cokernel
         of each layer in place and pushes the kernel up one shift.
         """
-        k = (x, m)
-        hit = self._fiber_cache.get(k)
-        if hit is None:
-            hit = {}
-            for profile in self._rank_profiles(x, m):
-                count = 1
-                for s in range(self.t):
-                    count *= rank_count(x[s], m[s], profile[s], self._q)
-                cone = tuple(
-                    (m[s] - profile[s]) + (x[(s - 1) % self.t] - profile[(s - 1) % self.t])
-                    for s in range(self.t)
-                )
-                hit[cone] = hit.get(cone, 0) + count
-            self._fiber_cache[k] = hit
-        return hit
+        out: Dict[SsKey, int] = {}
+        for profile in self._rank_profiles(x, m):
+            count = 1
+            for s in range(self.t):
+                count *= rank_count(x[s], m[s], profile[s], self._q)
+            cone = tuple(
+                (m[s] - profile[s]) + (x[(s - 1) % self.t] - profile[(s - 1) % self.t])
+                for s in range(self.t)
+            )
+            out[cone] = out.get(cone, 0) + count
+        return out
 
     def _rank_profiles(self, x: SsKey, m: SsKey) -> Iterator[SsKey]:
         return itertools.product(*(range(min(x[s], m[s]) + 1) for s in range(self.t)))

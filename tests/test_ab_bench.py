@@ -1,5 +1,8 @@
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_bench.py"
 
@@ -78,3 +81,28 @@ def test_a_gain_does_not_count_when_more_ops_fail(monkeypatch):
     # the share is compared, not the count
     assert not ab.more_failed({"parent": 2, "change": 3}, {"parent": 100, "change": 200})
     assert ab.more_failed({"parent": 0, "change": 1}, {"parent": 0, "change": 50})
+
+
+def test_each_finished_workload_is_written_before_a_later_one_fails(monkeypatch, tmp_path):
+    ab = load()
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    spec = {"workloads": [{"name": "first"}, {"name": "second"}],
+            "end_to_end": [{"name": "scope_ref", "better": "lower", "bound": 0.25}]}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def run_once(checkout, workload, seed, seconds):
+        if workload == "second":
+            raise RuntimeError("the second workload failed")
+        return {"metrics": {"scope_ref": {"value": 10.0 + seed, "unit": "ref"}}, "correct": True,
+                "failed": 0, "attempted": 100}
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(RuntimeError, match="second workload"):
+        ab.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--pairs", "2", "--seconds", "1",
+                 "--out", str(out)])
+    written = json.loads(out.read_text())
+    assert list(written["workloads"]) == ["first"]
+    first = written["workloads"]["first"]
+    assert first["seeds"] == [1, 2] and first["metrics"]["scope_ref"]["parent_runs"] == [11.0, 12.0]

@@ -6,6 +6,7 @@ import pkgutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from math import lcm
 from pathlib import Path
 
@@ -333,16 +334,50 @@ def test_fiber_counts_are_cached_per_pair(a2, monkeypatch):
     m = module_key(a2, a2.ctx.simple("2"))
     assert a2.hom_dim(x, m) > 0
     first = a2.fiber_counts(x, m)
-    assert a2._fiber_cache[(x, m)] is first
 
     def recount(*args):
         raise AssertionError("a cached fiber was counted again")
 
-    # a cached fiber neither reads nor builds the rank profiles of its
-    # active parts, and walks no line
+    # the fiber dict itself is not stored, but a repeated call reads the
+    # cones cached for its active parts: it neither builds their rank
+    # profiles nor walks a line, and gives the same dict item for item
     monkeypatch.setattr(PeriodicContext, "_profile_counts", recount)
     monkeypatch.setattr(category, "_lines", recount)
-    assert a2.fiber_counts(x, m) is first
+    again = a2.fiber_counts(x, m)
+    assert again is not first
+    assert list(again.items()) == list(first.items())
+
+
+def test_contexts_of_two_periods_share_one_hom_ext_per_module_pair(monkeypatch):
+    # Ringel's delta is built once per pair of modules, whichever caller
+    # asks: contexts at t = 3 and 5 over one RepContext read the same
+    # HomExt record for a class pair, and a chain model over the same
+    # parts reads the Hom bases of its slot modules off the same cache
+    ctx = RepContext(line_quiver(2), FieldSpec(3))
+    honest = RepContext._delta
+    deltas = Counter()
+
+    def counted(self, x, y):
+        deltas[(x.key(), y.key())] += 1
+        return honest(self, x, y)
+
+    monkeypatch.setattr(RepContext, "_delta", counted)
+    contexts = [PeriodicContext(ctx, t) for t in (3, 5)]
+    for pctx in contexts:
+        engine = HallEngine(pctx)
+        keys = list(itertools.islice(pctx.objects((1, 1)), 12))
+        assert all(engine.multiply(x, y).support for x in keys for y in keys)
+        chains = ChainModel(pctx)
+        parts = [((cid, s),) for cid in ctx.indecomposable_ids() for s in (0, 1)]
+        for a in parts:
+            for b in parts:
+                assert chains.hom_space(a, b).dim == pctx.hom_dim(a, b)
+    ids = ctx.indecomposable_ids()
+    for a in ids:
+        for b in ids:
+            he = ctx.hom_ext(ctx.class_rep(a), ctx.class_rep(b))
+            assert contexts[0]._hom_ext(a, b) is he and contexts[1]._hom_ext(a, b) is he
+    assert len(deltas) > 9 and set(deltas.values()) == {1}
 
 
 @pytest.mark.parametrize("n, bound", [(2, (2, 2)), (3, (1, 2, 1))])
@@ -607,7 +642,6 @@ def test_the_names_kept_for_the_benchmark_are_off_the_op_path(monkeypatch):
         (RepContext, "kernel"),
         (RepContext, "image"),
         (RepContext, "cokernel"),
-        (RepContext, "ext1_dim"),
         (RepContext, "class_count"),
         (PeriodicContext, "hom_space"),
     ):
@@ -640,7 +674,7 @@ def test_the_type_a_setup_never_enumerates(monkeypatch):
     assert len(keys) == 14**3
     assert len(pctx.hom_vectors().parts) == 3 * pctx.t
     x, y = next((x, y) for x in keys for y in keys if pctx.hom_dim(pctx.shift_key(y, -1), x) > 1)
-    assert not pctx._fiber_cache
+    assert not pctx._cones
     assert len(engine.multiply(x, y).support) > 1
 
 
@@ -669,11 +703,12 @@ CONTEXTS = ("RepContext", "PeriodicContext")
 PROTOCOLS = {"CategoryOracle": "PeriodicContext"}
 # context methods that stay without an engine caller
 UNCALLED = {
-    # traced or called by the benchmark
+    # traced by the benchmark, and kept for listing the indecomposables
+    # of a Dynkin quiver from its positive roots (ROADMAP item 3)
     "RepContext.kernel",
     "RepContext.image",
     "RepContext.cokernel",
-    "RepContext.ext1_dim",
+    # traced or called by the benchmark
     "RepContext.class_count",
     "PeriodicContext.hom_space",
     "PeriodicContext.total_dim",
@@ -754,6 +789,8 @@ def test_every_context_method_has_an_engine_caller():
     src = Path(category.__file__).resolve().parent
     methods, called = _engine_callers([ast.parse((src / f"{name}.py").read_text()) for name in ENGINE_MODULES])
     assert UNCALLED <= methods
+    # Hom and Ext^1 have one way in, RepContext.hom_ext
+    assert sorted({"RepContext.hom_basis", "RepContext.hom_dim", "RepContext.ext1_dim"} & methods) == []
     assert sorted(m for m in methods - called - UNCALLED if ".__" not in m) == []
     assert sorted(UNCALLED & called) == []
     assert sorted({m.split(".")[1] for m in methods} & set(BRUTE_FORCE)) == []

@@ -292,9 +292,9 @@ def test_engine_rejects_even_period():
         t = 2
         q = 2
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got t = 2"):
         HallEngine(Stub())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got t = 4"):
         SemisimplePeriodic(4, 2)
 
 
@@ -317,7 +317,7 @@ def test_the_period_guards_refuse_a_period_that_is_not_an_int(build):
     # an odd float passes the parity test, and enumeration then fails
     # far from the cause; every guard refuses it with its usual message
     for t in (5.0, 3.0):
-        with pytest.raises(ValueError, match="odd"):
+        with pytest.raises(ValueError, match=f"odd number at least 3, got t = {t}"):
             build(t)
     assert build(5).t == 5
 

@@ -199,8 +199,8 @@ def test_hom_dims_follow_residue_pattern():
     for t in PERIODS:
         for x in mods:
             for y in mods:
-                hom = ctx.hom_dim(x, y)
-                ext = ctx.ext1_dim(x, y)
+                he = ctx.hom_ext(x, y)
+                hom, ext = len(he.hom), he.ext_dim
                 for i in range(t) if t == 3 else (0,):
                     for j in range(t):
                         d = chain_hom_space(ctx, wrap_module(ctx, x, i, t=t), wrap_module(ctx, y, j, t=t)).dim

@@ -9,6 +9,7 @@ from perihall.checks import (
     classical_hall_g,
     decompose,
     enumerate_reps,
+    ext1_dim_by_euler_form,
     ext1_dim_literal,
     is_indecomposable,
     iso_between,
@@ -69,34 +70,42 @@ def test_hom_dims_a2():
     }
     reps = {"s1": s1(ctx), "s2": s2(ctx), "p1": p1(ctx)}
     for (a, b), want in table.items():
-        assert ctx.hom_dim(reps[a], reps[b]) == want, (a, b)
+        assert len(ctx.hom_ext(reps[a], reps[b]).hom) == want, (a, b)
 
 
 def test_hom_basis_members_are_morphisms():
     ctx = ctx_a2(3)
     x, _, _ = direct_sum(ctx, [p1(ctx), s1(ctx)])
     y, _, _ = direct_sum(ctx, [p1(ctx), s2(ctx)])
-    for h in ctx.hom_basis(x, y):
+    for h in ctx.hom_ext(x, y).hom:
         # revalidate the intertwiner condition with checking on
         RepMap(x, y, h.comps, check=True)
 
 
+def _ext1_three_ways(ctx, x, y):
+    """dim Ext^1(x, y) as the cokernel of delta, by the Euler form and by
+    the literal cocycle count, after checking that the three agree."""
+    literal = ext1_dim_literal(ctx, x, y)
+    assert ctx.hom_ext(x, y).ext_dim == ext1_dim_by_euler_form(ctx, x, y) == literal, (x.dims, y.dims)
+    return literal
+
+
 def test_euler_form_matches_hom_minus_ext():
-    # the literal Ext^1 count, not the engine's formula, against <x, y>
-    ctx = ctx_a2()
-    classes = enumerate_reps(ctx, (2, 2))
-    for x in classes[:8]:
-        for y in classes[:8]:
-            literal = ext1_dim_literal(ctx, x, y)
-            assert ctx.ext1_dim(x, y) == literal
-            assert ctx.hom_dim(x, y) - literal == ctx.quiver.euler_form(x.dims, y.dims)
+    # the literal Ext^1 count, not the engine's, against <x, y>, and the
+    # engine's cokernel of delta and the Euler-form recipe against it
+    for p in (2, 3):
+        ctx = ctx_a2(p)
+        classes = enumerate_reps(ctx, (2, 2))
+        for x in classes[:8]:
+            for y in classes[:8]:
+                _ext1_three_ways(ctx, x, y)
 
 
 # -- kernels, images, cokernels --------------------------------------
 
 
 def _some_homs(ctx, x, y, limit=12):
-    basis = ctx.hom_basis(x, y)
+    basis = ctx.hom_ext(x, y).hom
     out = []
     p = ctx.field.p
     for coeffs in itertools.islice(itertools.product(range(p), repeat=len(basis)), limit):
@@ -332,7 +341,7 @@ def test_aut_formula_agrees_with_enumeration():
     ]
     for ctx, build in cases:
         x = build(ctx)
-        basis = ctx.hom_basis(x, x)
+        basis = ctx.hom_ext(x, x).hom
         p = ctx.field.p
         units = sum(
             ctx.map_from_coeffs(basis, coeffs).is_iso()
@@ -367,26 +376,23 @@ def test_budget_errors_name_their_module():
 
 
 def test_ext_dims_a2():
-    ctx = ctx_a2()
-    assert ctx.ext1_dim(s1(ctx), s2(ctx)) == 1
-    assert ctx.ext1_dim(s2(ctx), s1(ctx)) == 0
-    assert ctx.ext1_dim(s1(ctx), s1(ctx)) == 0
-    assert ctx.ext1_dim(p1(ctx), s2(ctx)) == 0
-    assert ctx.ext1_dim(s2(ctx), p1(ctx)) == 0
+    for p in (2, 3):
+        ctx = ctx_a2(p)
+        assert _ext1_three_ways(ctx, s1(ctx), s2(ctx)) == 1
+        assert _ext1_three_ways(ctx, s2(ctx), s1(ctx)) == 0
+        assert _ext1_three_ways(ctx, s1(ctx), s1(ctx)) == 0
+        assert _ext1_three_ways(ctx, p1(ctx), s2(ctx)) == 0
+        assert _ext1_three_ways(ctx, s2(ctx), p1(ctx)) == 0
 
 
 def test_ext1_matches_euler_form_on_a3():
-    # the engine's Ext^1 formula equals the literal cocycle count, and
-    # hom minus that count is the Euler form, on every pair of reps of
-    # A3 up to (1,1,1)
+    # the engine's cokernel of delta, the Euler-form recipe and the
+    # literal cocycle count agree on every pair of reps of A3 up to
+    # (1,1,1)
     ctx = RepContext(A3, FieldSpec(2))
     reps = enumerate_reps(ctx, (1, 1, 1))
     assert len(reps) ** 2 == 169
-    for x in reps:
-        for y in reps:
-            literal = ext1_dim_literal(ctx, x, y)
-            assert ctx.ext1_dim(x, y) == literal, (x.dims, y.dims)
-            assert ctx.hom_dim(x, y) - literal == ctx.quiver.euler_form(x.dims, y.dims), (x.dims, y.dims)
+    assert sum(_ext1_three_ways(ctx, x, y) for x in reps for y in reps) > 0
 
 
 # -- enumeration -----------------------------------------------------
@@ -592,7 +598,7 @@ def test_pushforward_and_pullback_act_on_ext_classes():
     weights = itertools.cycle([1, 2, 2, 1, 2])
 
     def some_map(x, y):
-        basis = ctx.hom_basis(x, y)
+        basis = ctx.hom_ext(x, y).hom
         return ctx.map_from_coeffs(basis, [next(weights) for _ in basis]) if basis else RepMap.zero_map(x, y)
 
     pushed = pulled = 0

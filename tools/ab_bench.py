@@ -12,7 +12,9 @@ same seed S = --seed + i. The parent runs first in even pairs and the
 change first in odd pairs, so a drift in machine speed falls on both
 sides. Each run's last output line is the benchmark's JSON result.
 
-The output file has the layout of the earlier ``BENCH_*.json`` files:
+The output file is written again after each workload, so a run that
+fails in a later workload keeps the workloads already finished. It has
+the layout of the earlier ``BENCH_*.json`` files:
 the protocol, and per workload the seeds, which side ran first in each
 pair, whether every run was correct, the failed ops per side, and per
 end-to-end metric the median and quartiles per side, the relative
@@ -192,8 +194,8 @@ def main(argv: Sequence[str]) -> int:
     for workload in workloads:
         out["workloads"][workload] = bench_workload(parent_dir, change_dir, workload, seeds, args.seconds, better,
                                                     bounds)
-    out["protocol"]["wall_s"] = round(time.perf_counter() - t0, 1)
-    args.out.write_text(json.dumps(out, indent=1) + "\n")
+        out["protocol"]["wall_s"] = round(time.perf_counter() - t0, 1)
+        args.out.write_text(json.dumps(out, indent=1) + "\n")
     for workload, res in out["workloads"].items():
         for name, m in res["metrics"].items():
             rel = "" if m["median_change"] is None else f" ({m['median_change']:+.1%})"
