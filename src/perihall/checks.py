@@ -51,7 +51,6 @@ from .periodic import (
     CycleComplex,
     HomSpace,
     chain_hom_space,
-    direct_sum,
     direct_sum_complexes,
     mapping_cone,
     normal_pieces,
@@ -474,10 +473,7 @@ def enumerate_objects_by_product(pctx: PeriodicContext, bound: Sequence[int]) ->
 def part_rep(pctx: PeriodicContext, key: ObjKey, shift: int) -> Rep:
     """The module sitting at one shift of an object: the direct sum of
     the class representatives of its parts there."""
-    reps = [pctx.ctx.class_rep(cid) for cid, s in key if s == shift]
-    if not reps:
-        return pctx.ctx.zero_rep()
-    return direct_sum(pctx.ctx, reps)[0]
+    return pctx.ctx.block_sum([pctx.ctx.class_rep(cid) for cid, s in key if s == shift])
 
 
 def dvec_mod2(pctx: PeriodicContext, key: ObjKey) -> Tuple[int, ...]:
@@ -494,8 +490,7 @@ def aut_order_by_enumeration(chains: ChainModel, key: ObjKey) -> int:
     """|Aut| by walking every endomorphism class of the object: a
     morphism is invertible exactly when its cone is zero. The engine
     counts the units of End(key) instead (:meth:`PeriodicContext.aut_order`)."""
-    pctx = chains.pctx
-    return sum(1 for _, f in chains.hom_space(key, key).morphisms() if cone_key_literal(pctx, f) == pctx.zero_key)
+    return fiber_counts_literal(chains, key, key).get(chains.pctx.zero_key, 0)
 
 
 def aut_order_by_layers(pctx: PeriodicContext, key: ObjKey) -> int:
@@ -913,13 +908,17 @@ def _invertible_classes(
     return isos, inverse
 
 
+# the orbit harness skips a triple past a cap on Hom and End dimension,
+# on |Aut|, or on triangles (fiber count times |Aut| of the middle term)
+_ORBIT_HOM_CAP = 6
+_ORBIT_AUT_CAP = 50
+_ORBIT_W_CAP = 700
+
+
 def check_orbit_normal_form(
     pctx: PeriodicContext,
     keys: Sequence[Key],
     target: int = 50,
-    hom_cap: int = 6,
-    aut_cap: int = 50,
-    w_cap: int = 700,
 ) -> CheckReport:
     """Enumerate all triangles on a fixed triple of vertices, partition
     them into orbits of the two-sided automorphism action, and verify:
@@ -938,21 +937,21 @@ def check_orbit_normal_form(
     chains = ChainModel(pctx)
     for z in keys:
         for m in keys:
-            if pctx.hom_dim(z, m) > hom_cap:
+            if pctx.hom_dim(z, m) > _ORBIT_HOM_CAP:
                 continue
-            if pctx.hom_dim(z, z) > hom_cap or pctx.hom_dim(m, m) > hom_cap:
+            if pctx.hom_dim(z, z) > _ORBIT_HOM_CAP or pctx.hom_dim(m, m) > _ORBIT_HOM_CAP:
                 continue
-            if pctx.aut_order(z) > aut_cap:
+            if pctx.aut_order(z) > _ORBIT_AUT_CAP:
                 continue
             fibers = pctx.fiber_counts(z, m)
             for l, fcount in fibers.items():
-                if pctx.hom_dim(l, l) > hom_cap or pctx.aut_order(l) > aut_cap:
+                if pctx.hom_dim(l, l) > _ORBIT_HOM_CAP or pctx.aut_order(l) > _ORBIT_AUT_CAP:
                     continue
-                if fcount * pctx.aut_order(l) > w_cap:
+                if fcount * pctx.aut_order(l) > _ORBIT_W_CAP:
                     continue
-                if pctx.hom_dim(m, l) > hom_cap:
+                if pctx.hom_dim(m, l) > _ORBIT_HOM_CAP:
                     continue
-                if pctx.hom_dim(pctx.shift_key(z, 1), l) > hom_cap:
+                if pctx.hom_dim(pctx.shift_key(z, 1), l) > _ORBIT_HOM_CAP:
                     continue
                 _orbit_instance(pctx, chains, report, z, l, m)
                 if report.checked >= target:

@@ -7,15 +7,16 @@ row lists of Python ints reduced mod p. No floats anywhere.
 Convention used by the whole package: vectors are rows and maps act on
 the right. A linear map F_p^m -> F_p^n is an m x n matrix M, it sends v
 to v @ M, and "f then g" composes as mat(f) @ mat(g). Consequently
-``kernel_basis`` returns the *left* kernel {v : v M = 0} and
-``solve_matrix`` finds X with X M = B.
+``kernel_and_image`` returns the *left* kernel {v : v M = 0}, with the
+row space, and ``solve_matrix`` finds X with X M = B.
 
 The public ``MatrixFp(...)`` constructor reduces every entry mod p and
 checks the shape. Results of the package's own arithmetic (zeros,
 identities, sums, products, stacks, row reductions, solutions) are
 freshly built lists that are already reduced, so they go through the
-internal ``MatrixFp._trusted`` instead, which stores the rows as given.
-No result shares a row list with an operand.
+internal ``MatrixFp._trusted`` instead, which stores the rows as given;
+rref rows and pivots an elimination made go through its twin
+``Subspace._reduced``. No result shares a row list with an operand.
 
 The module holds only what the engine and its module layer call. The
 reference code keeps its own helpers: the inverse of a matrix is
@@ -270,22 +271,13 @@ class MatrixFp:
     def rank(self) -> int:
         return rank_rows(self.copy_rows(), self.ncols, self.field.p)
 
-    def kernel_basis(self) -> "MatrixFp":
-        """Canonical basis, as rows, of {v : v @ self == 0}."""
-        _, pivots, t = self.rref_with_transform()
-        ker_rows = t.rows[len(pivots) :]
-        if not ker_rows:
-            return MatrixFp._trusted(self.field, [], self.nrows)
-        rows = [r[:] for r in ker_rows]
-        _rref_in_place(rows, self.nrows, self.field)
-        rows = [r for r in rows if any(r)]
-        return MatrixFp._trusted(self.field, rows, self.nrows)
-
-    def row_space_basis(self) -> "MatrixFp":
-        """Canonical (rref) basis of the row space, i.e. of the image of
-        the map v |-> v @ self."""
-        red, pivots = self.rref()
-        return MatrixFp._trusted(self.field, red.rows[: len(pivots)], self.ncols)
+    def kernel_and_image(self) -> Tuple["Subspace", "Subspace"]:
+        """The left kernel {v : v @ self == 0} and the row space (the
+        image of v |-> v @ self), as rref spans from one elimination."""
+        red, pivots, t = self.rref_with_transform()
+        rows = t.rows[len(pivots) :]  # independent, so their rref has no zero row
+        kernel = Subspace._reduced(self.field, self.nrows, rows, _rref_in_place(rows, self.nrows, self.field) if rows else ())
+        return kernel, Subspace._reduced(self.field, self.ncols, red.rows[: len(pivots)], pivots)
 
     def solve_matrix(self, b: "MatrixFp") -> Optional["MatrixFp"]:
         """One X with X @ self == b, or None if any row is unsolvable."""
@@ -383,11 +375,21 @@ class Subspace:
     __slots__ = ("field", "ambient", "basis", "pivots", "_free")
 
     def __init__(self, field: FieldSpec, ambient: int, rows: Iterable[Sequence[int]]):
-        m = MatrixFp(field, [list(r) for r in rows], ncols=ambient)
-        red, pivots = m.rref()
+        red, pivots = MatrixFp(field, [list(r) for r in rows], ncols=ambient).rref()
+        self._fill(field, ambient, red.rows[: len(pivots)], pivots)
+
+    @classmethod
+    def _reduced(cls, field: FieldSpec, ambient: int, rows: List[List[int]], pivots: Tuple[int, ...]) -> "Subspace":
+        """Wrap rows already in rref, with their pivot columns, without
+        eliminating again; the twin of :meth:`MatrixFp._trusted`."""
+        sub = object.__new__(cls)
+        sub._fill(field, ambient, rows, pivots)
+        return sub
+
+    def _fill(self, field: FieldSpec, ambient: int, rows: List[List[int]], pivots: Tuple[int, ...]) -> None:
         self.field = field
         self.ambient = ambient
-        self.basis = MatrixFp._trusted(field, red.rows[: len(pivots)], ambient)
+        self.basis = MatrixFp._trusted(field, rows, ambient)
         self.pivots = pivots
         pivot_set = set(pivots)
         self._free = tuple(c for c in range(ambient) if c not in pivot_set)

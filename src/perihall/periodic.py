@@ -33,10 +33,11 @@ Morphisms are slotwise representation maps commuting with the
 differentials; two are identified when they differ by a boundary
 s d + d s built from slotwise maps one step back. Everything here is a
 literal linear-algebra computation over F_p; no formulas stand in for
-the chain-level objects. Every basis a :class:`HomSpace` holds is in
-rref, so it reads a map's coordinates off the pivot columns, and it
-writes the boundary of each homotopy basis map directly, as its two
-slot components.
+the chain-level objects. Every basis a :class:`HomSpace` holds is an
+rref span (:class:`perihall.gfp.Subspace`) as elimination made it, so it
+reads a map's coordinates off the pivot columns, and it writes the
+boundary of each homotopy basis map directly, as its two slot
+components.
 
 The module helpers only this model needs live here, not in the engine
 modules: paths out of a vertex (:func:`paths_from`) and the projective
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .category import ObjKey, Part
-from .gfp import FieldSpec, MatrixFp, Subspace
+from .gfp import MatrixFp, Subspace
 from .quiver import Arrow, Quiver
 from .reps import BudgetExceeded, Rep, RepContext, RepMap
 
@@ -331,33 +332,6 @@ def _entry_columns(flats: Sequence[Sequence[int]], width: int) -> List[Tuple[int
     return list(zip(*flats)) or [()] * width
 
 
-def _rref_subspace(field: FieldSpec, ambient: int, rows: Sequence[Sequence[int]]) -> Subspace:
-    """The span of rows already in reduced row echelon form, taken as
-    its basis without elimination. The shape is checked: each row has
-    length ``ambient`` and leads with a 1, the leading columns increase,
-    and the rows above are 0 at each of them; a row that breaks it raises
-    ``ValueError``."""
-    pivots: List[int] = []
-    for i, row in enumerate(rows):
-        if len(row) != ambient:
-            raise ValueError(f"row of length {len(row)} for a subspace of ambient dimension {ambient}")
-        lead = next(filter(row.__getitem__, range(ambient)), None)
-        if lead is None or row[lead] != 1 or (pivots and lead <= pivots[-1]):
-            raise ValueError(f"row {list(row)} does not continue a reduced row echelon form")
-        # the rows below are 0 up to their own leads, which come later
-        for above in rows[:i]:
-            if above[lead]:
-                raise ValueError(f"pivot column {lead} is not zero outside its row")
-        pivots.append(lead)
-    sub = object.__new__(Subspace)
-    sub.field = field
-    sub.ambient = ambient
-    sub.basis = MatrixFp._trusted(field, [list(r) for r in rows], ambient)
-    sub.pivots = tuple(pivots)
-    sub._free = tuple(c for c in range(ambient) if c not in sub.pivots)
-    return sub
-
-
 def _rref_coords(sub: Subspace, v: Sequence[int], outside: str) -> List[int]:
     """The coordinates of v over the rref basis of sub: its entries at
     the pivot columns. Raises ValueError(outside) when v is not in sub."""
@@ -371,12 +345,12 @@ class HomSpace:
     homotopy.
 
     A chain map is a vector of coefficients over the slotwise hom bases
-    (the Hom bases of :meth:`RepContext.hom_ext`, rref in flat entries),
-    and the chain maps are the rref kernel basis of the chain condition
-    in those coefficients. Every basis here is rref, so coordinates are
-    read off at its pivot columns, after a membership check; the slotwise
-    and chain-map bases come out of elimination in rref and are taken as
-    they are (:func:`_rref_subspace`). The boundary of the
+    (the spans ``HomExt.span`` of :meth:`RepContext.hom_ext`, rref in flat
+    entries, whose rows ``HomExt.hom`` unflattens in order), and the
+    chain maps are the kernel span of the chain condition in those
+    coefficients (:meth:`MatrixFp.kernel_and_image`). Every basis here is
+    rref as elimination made it, so coordinates are read off at its pivot
+    columns, after a membership check. The boundary of the
     homotopy s: X_i -> Y_{i-1} is s d^Y_{i-1} at slot i plus
     d^X_{i-1} s at slot i - 1; one such row per homotopy basis map spans
     the boundary subspace, in chain-basis coordinates. A class has
@@ -392,11 +366,9 @@ class HomSpace:
         self.source = source
         self.target = target
         field, t = ctx.field, source.t
-        bases = [ctx.hom_ext(a, b).hom for a, b in zip(source.slots, target.slots)]
-        self._bases = [
-            _rref_subspace(field, sum(map(operator.mul, a.dims, b.dims)), [f.flat() for f in basis])
-            for a, b, basis in zip(source.slots, target.slots, bases)
-        ]
+        hom_exts = [ctx.hom_ext(a, b) for a, b in zip(source.slots, target.slots)]
+        bases = [he.hom for he in hom_exts]
+        self._bases = [he.span for he in hom_exts]
         self._offsets = [sum(len(b) for b in bases[:i]) for i in range(t)]
         nunk = sum(len(b) for b in bases)
         # chain condition: for each slot, d^X_i f_{i+1} - f_i d^Y_i == 0,
@@ -412,8 +384,7 @@ class HomSpace:
                 for c, x in enumerate(f.flat()):
                     if x:
                         rows[r][base + c] = (rows[r][base + c] + sign * x) % p
-        kernel = MatrixFp._trusted(field, rows, sum(widths)).kernel_basis()
-        self._chain = _rref_subspace(field, nunk, kernel.rows)
+        self._chain = MatrixFp._trusted(field, rows, sum(widths)).kernel_and_image()[0]
         # homotopy basis maps X_i -> Y_{i-1}, and their boundaries
         self._htp = [(i, s) for i in range(t) for s in ctx.hom_ext(source.slots[i], target.slots[i - 1]).hom]
         self._boundary = Subspace(field, self.chain_dim, [self._chain_coords(self._boundary_parts(i, s)) for i, s in self._htp])
@@ -601,7 +572,7 @@ def _cover_map(ctx: RepContext, x: Rep) -> Tuple[Rep, RepMap]:
     # one projective and path basis per vertex, shared by its generators
     bases = {v: _projective_basis(ctx, v) for v, _ in gens}
     pieces = [bases[v][0] for v, _ in gens]
-    p0, _, _ = direct_sum(ctx, pieces)
+    p0 = ctx.block_sum(pieces)
     # map each projective piece into x: generator path e_v |-> rep,
     # longer path p*a |-> (image so far) @ X_a
     piece_maps = []

@@ -206,25 +206,26 @@ class HomExt:
     delta(f)_a = f_s(a) Y_a - X_a f_t(a) in the row convention; the path
     algebra is hereditary, so Ext^1 is the whole cokernel.
 
-    ``hom`` is the rref basis of ker delta (:meth:`RepContext.hom_ext`),
-    so the coordinates of a map are its flat entries at the leading
-    columns of the basis. ``image`` is im delta in the flat arrow
-    coordinates of :meth:`RepContext._delta`; Ext^1 is its quotient, with
-    basis the unit vectors at the free columns. A class is handled
+    One elimination of delta (:meth:`RepContext.hom_ext`) gives ``span``,
+    ker delta in flat map entries, and ``image``, im delta in the flat
+    arrow coordinates of :meth:`RepContext._delta`. ``hom`` unflattens the
+    rref rows of ``span`` in order, so a map's coordinates are its entries
+    at the pivot columns; Ext^1 is the quotient by ``image``, with basis
+    the unit vectors at the free columns. A class is handled
     through a cocycle, one matrix x_s(a) -> y_t(a) per arrow. Maps act on
     cocycles arrow by arrow from either side, and both actions carry
     im delta into im delta, so they act on Ext^1.
     """
 
-    __slots__ = ("x", "y", "hom", "image", "_lead", "_ends")
+    __slots__ = ("x", "y", "hom", "span", "image", "_ends")
 
-    def __init__(self, x: Rep, y: Rep, hom: List[RepMap], image: Subspace):
+    def __init__(self, x: Rep, y: Rep, hom: List[RepMap], span: Subspace, image: Subspace):
         q = x.quiver
         self.x = x
         self.y = y
         self.hom = hom
+        self.span = span
         self.image = image
-        self._lead = tuple(next(i for i, v in enumerate(f.flat()) if v) for f in hom)
         self._ends = [(q.vertex_index(a.source), q.vertex_index(a.target)) for a in q.arrows]
 
     @property
@@ -234,7 +235,7 @@ class HomExt:
     def hom_coords(self, f: RepMap) -> Tuple[int, ...]:
         """The coordinates of a map x -> y in ``hom``."""
         flat = f.flat()
-        return tuple(flat[i] for i in self._lead)
+        return tuple(flat[i] for i in self.span.pivots)
 
     def ext_cocycle(self, k: int) -> List[MatrixFp]:
         """The cocycle of the k-th basis class of Ext^1(x, y)."""
@@ -363,16 +364,16 @@ class RepContext:
         return rows, eq_cols, offsets
 
     def hom_ext(self, x: Rep, y: Rep) -> HomExt:
-        """Hom(x, y) and Ext^1(x, y): the kernel and the image of one
-        delta, cached per pair of content keys, so every caller of the
-        context, whatever its period, shares one record per module pair."""
+        """Hom(x, y) and Ext^1(x, y), the kernel and image of delta from
+        one elimination, cached per pair of content keys: every caller of
+        the context, whatever its period, shares one record per module pair."""
         ck = (x.key(), y.key())
         hit = self._hom_exts.get(ck)
         if hit is None:
             rows, ncols, offsets = self._delta(x, y)
-            ker = MatrixFp(self.field, rows, ncols=ncols).kernel_basis().rows if rows else []
-            hom = [self._unflatten_map(x, y, krow, offsets) for krow in ker]
-            self._hom_exts[ck] = hit = HomExt(x, y, hom, Subspace(self.field, ncols, rows))
+            span, image = MatrixFp._trusted(self.field, rows, ncols).kernel_and_image()
+            hom = [self._unflatten_map(x, y, krow, offsets) for krow in span.basis.rows]
+            self._hom_exts[ck] = hit = HomExt(x, y, hom, span, image)
         return hit
 
     def _unflatten_map(self, x: Rep, y: Rep, flat: Sequence[int], offsets: Sequence[int]) -> RepMap:
@@ -395,13 +396,13 @@ class RepContext:
     # -- kernels, images, cokernels ----------------------------------
 
     def kernel(self, f: RepMap) -> Tuple[Rep, RepMap]:
-        built = self.subrep_from_rows(f.source, [c.kernel_basis() for c in f.comps])
+        built = self.subrep_from_rows(f.source, [c.kernel_and_image()[0].basis for c in f.comps])
         if built is None:
             raise AssertionError("kernel is not arrow-stable; convention bug")
         return built
 
     def image(self, f: RepMap) -> Tuple[Rep, RepMap]:
-        built = self.subrep_from_rows(f.target, [c.row_space_basis() for c in f.comps])
+        built = self.subrep_from_rows(f.target, [Subspace(self.field, c.ncols, c.rows).basis for c in f.comps])
         if built is None:
             raise AssertionError("image is not arrow-stable; convention bug")
         return built

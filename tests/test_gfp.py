@@ -62,10 +62,16 @@ def test_rref_idempotent(m):
 @given(mats(2))
 def test_rank_nullity_rows(m):
     # left kernel: rank + dim ker == number of rows
-    ker = m.kernel_basis()
+    kernel, image = m.kernel_and_image()
+    ker = kernel.basis
     assert m.rank() + ker.nrows == m.nrows
     if ker.nrows:
         assert ker.mul(m).is_zero()
+    # both spans of the one elimination are what eliminating their own
+    # rows gives: the image is the row space, and the kernel is rref
+    for span, ambient, rows in ((image, m.ncols, m.rows), (kernel, m.nrows, ker.rows)):
+        again = Subspace(m.field, ambient, rows)
+        assert (span.ambient, span.basis.rows, span.pivots, span.free_columns) == (ambient, again.basis.rows, again.pivots, again.free_columns)
 
 
 @given(mats(5, max_rows=3, max_cols=3))
@@ -123,7 +129,8 @@ def test_empty_shapes():
     prod = m.mul(MatrixFp.zeros(F2, 3, 0))
     assert prod.nrows == 1 and prod.ncols == 0
     assert e.rank() == 0
-    assert e.kernel_basis().nrows == 0
+    kernel, image = e.kernel_and_image()
+    assert kernel.basis.nrows == 0 and image.codim == 3
 
 
 def test_subspace_quotient_coords():
@@ -196,8 +203,7 @@ def test_arithmetic_results_stay_reduced(ops):
         a.vstack(b),
         a.rref()[0],
         *a.rref_with_transform()[::2],
-        a.kernel_basis(),
-        a.row_space_basis(),
+        *(span.basis for span in a.kernel_and_image()),
         sol,
         MatrixFp.zeros(a.field, 2, 3),
         MatrixFp.identity(a.field, 3),

@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from perihall.checks import (
     module_key,
     summand_ids,
 )
+from perihall import gfp
 from perihall.gfp import FieldSpec, MatrixFp
 from perihall.quiver import Arrow, Quiver, line_quiver
 from perihall.periodic import corestrict, direct_sum, proj_resolution, projective
@@ -80,6 +82,52 @@ def test_hom_basis_members_are_morphisms():
     for h in ctx.hom_ext(x, y).hom:
         # revalidate the intertwiner condition with checking on
         RepMap(x, y, h.comps, check=True)
+
+
+@pytest.mark.parametrize(
+    "quiver, p, bound",
+    [(A2, 2, (2, 2)), (A2, 3, (2, 1)), (A3, 2, (1, 1, 1)), (A3, 3, (1, 1, 1)), (KRONECKER, 2, (2, 1))],
+    ids=["A2-p2", "A2-p3", "A3-p2", "A3-p3", "kronecker-p2"],
+)
+def test_hom_maps_are_the_rows_of_their_span(quiver, p, bound):
+    # the Hom maps unflatten the kernel span's rref rows in order, so a
+    # map's coordinates, read at the span's pivots, are its own
+    ctx = RepContext(quiver, FieldSpec(p))
+    pool = enumerate_reps(ctx, bound)
+    dims = set()
+    for x in pool:
+        for y in pool:
+            he = ctx.hom_ext(x, y)
+            assert [f.flat() for f in he.hom] == he.span.basis.rows, (x.dims, y.dims)
+            for k, f in enumerate(he.hom):
+                assert he.hom_coords(f) == tuple(int(j == k) for j in range(len(he.hom)))
+            coeffs = tuple(k % p for k in range(1, len(he.hom) + 1))
+            if he.hom:
+                assert he.hom_coords(ctx.map_from_coeffs(he.hom, coeffs)) == coeffs
+            dims.add(len(he.hom))
+    assert max(dims) >= 2
+
+
+def test_one_hom_ext_miss_eliminates_delta_once(monkeypatch):
+    # one elimination of delta gives its kernel and image; only a nonzero
+    # kernel is reduced once more, and a delta with no unknowns needs none
+    calls = []
+    real = gfp._rref_in_place
+    monkeypatch.setattr(gfp, "_rref_in_place", lambda *args: calls.append(args) or real(*args))
+    seen = set()
+    for quiver, p, bound in ((A2, 3, (2, 1)), (A3, 2, (1, 1, 1))):
+        pool = enumerate_reps(RepContext(quiver, FieldSpec(p)), bound)
+        ctx = RepContext(quiver, FieldSpec(p))
+        for x in pool:
+            for y in pool:
+                calls.clear()
+                he = ctx.hom_ext(x, y)
+                unknowns = sum(map(operator.mul, x.dims, y.dims))
+                assert len(calls) == (unknowns > 0) + (len(he.hom) > 0), (x.dims, y.dims)
+                calls.clear()
+                assert ctx.hom_ext(x, y) is he and not calls
+                seen.add((unknowns > 0, len(he.hom) > 0))
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def _ext1_three_ways(ctx, x, y):
