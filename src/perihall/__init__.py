@@ -31,8 +31,9 @@ engine's import graph (only ``PeriodicContext.hom_space`` reaches
 - :mod:`perihall.periodic` - the chain-level model: t-cycle complexes of
   projective resolutions, chain maps modulo homotopy between whole
   complexes (one Hom space, walked one way by ``HomSpace.morphisms``),
-  mapping cones, and the module helpers only it needs: paths out of a vertex,
-  projective modules, direct sums of modules and corestrictions.
+  mapping cones and direct sums as block sums, the summand maps of a sum
+  (``summand_maps``), and the module helpers only it needs: paths out of
+  a vertex, projective modules and corestrictions.
 - :mod:`perihall.checks` - identity verification harnesses, recounting
   the engine against the chain-level model and brute enumeration, and
   the helpers only they need: Krull-Schmidt decomposition, iso-class

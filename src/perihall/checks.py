@@ -55,6 +55,7 @@ from .periodic import (
     mapping_cone,
     normal_pieces,
     proj_resolution,
+    summand_maps,
 )
 from .reps import BudgetExceeded, Rep, RepContext, RepMap
 from .sqrtq import HallValue
@@ -520,8 +521,7 @@ def cone_key_literal(pctx: PeriodicContext, f: ChainMap) -> ObjKey:
     """The object key of the cone of f, by building the mapping cone and
     reducing it to normal form. The engine reads it off the ranks of
     Hom(T, f) instead (:meth:`PeriodicContext.fiber_counts`)."""
-    cone, _, _ = mapping_cone(pctx.ctx, f)
-    return complex_key(pctx, cone)
+    return complex_key(pctx, mapping_cone(pctx.ctx, f))
 
 
 def _rational_inverse(matrix: Sequence[Sequence[int]]) -> List[List[Fraction]]:
@@ -734,8 +734,8 @@ def check_decorated_symmetry(
     @functools.cache
     def sum_maps(m: Key, x: Key) -> Tuple[List[ChainMap], List[ChainMap]]:
         """The injections and projections of the complex [m, x]."""
-        _, injs, projs = direct_sum_complexes(ctx, [chains.realize(m), chains.realize(x)], t=pctx.t)
-        return injs, projs
+        parts = [chains.realize(m), chains.realize(x)]
+        return summand_maps(direct_sum_complexes(ctx, parts, t=pctx.t), parts)
 
     for x in keys:
         for y in keys:
@@ -843,11 +843,8 @@ def check_stable_images(
             end_z1 = chain_hom_space(ctx, Z1, Z1)
             s_reps = [s for _, s in hs_s.morphisms()]
             for _, phi in chains.hom_space(lm1, z).morphisms():
-                cone, _, _ = mapping_cone(ctx, phi)
-                m = complex_key(pctx, cone)
-                n_map = phi.shift(1).scale(-1)
-                image_into_l = {end_l.class_coords(n_map.then(s)) for s in s_reps}
-                image_into_z = {end_z1.class_coords(s.then(n_map)) for s in s_reps}
+                m = complex_key(pctx, mapping_cone(ctx, phi))
+                into_l, into_z = _image_sizes(phi.shift(1).scale(-1), s_reps, end_l, end_z1)
                 e1 = brace(m, l) - brace(z, l) - brace(l, l)
                 e2 = brace(z, m) - brace(z, l) - brace(z, z)
                 report.checked += 1
@@ -856,8 +853,8 @@ def check_stable_images(
                     f" m={pctx.format_key(m)}"
                 )
                 for tag, e, size in (
-                    ("target side", e1, len(image_into_l)),
-                    ("source side", e2, len(image_into_z)),
+                    ("target side", e1, into_l),
+                    ("source side", e2, into_z),
                 ):
                     if e % 2 or e < 0:
                         report.fail(f"radicand exponent {e} not an even power, {tag}, {where}")
@@ -868,6 +865,15 @@ def check_stable_images(
                 if report.checked >= target:
                     return report
     return report
+
+
+def _image_sizes(n_map: ChainMap, s_reps: Sequence[ChainMap], end_l: HomSpace, end_z1: HomSpace) -> Tuple[int, int]:
+    """The sizes of the composition images {n then s} in End(L) and
+    {s then n} in End(Z[1]) of a connecting map n: L -> Z[1], s over the
+    representatives of Hom(Z[1], L)."""
+    into_l = {end_l.class_coords(n_map.then(s)) for s in s_reps}
+    into_z = {end_z1.class_coords(s.then(n_map)) for s in s_reps}
+    return len(into_l), len(into_z)
 
 
 def _compose_table(space: HomSpace, op: ChainMap, p: int, pre: bool):
@@ -993,7 +999,9 @@ def _orbit_instance(
     for fc, f_rep in F.morphisms():
         if cone_key_literal(pctx, f_rep) != l:
             continue
-        cone, incl, proj = mapping_cone(ctx, f_rep)
+        cone = mapping_cone(ctx, f_rep)
+        injs, projs = summand_maps(cone, [f_rep.source.shift(1), f_rep.target])
+        incl, proj = injs[1], projs[0]
         end_c = chain_hom_space(ctx, cone, cone)
         id_c = end_c.class_coords(ChainMap.identity(cone))
         psi0 = next(
@@ -1069,10 +1077,9 @@ def _orbit_instance(
     # injections and projections, and the Hom spaces of the blocks.
     l_models = [chains.wrap_part(pt) for pt in l]
     z_models = [chains.wrap_part(pt) for pt in z]
-    _, l_injs, l_projs = direct_sum_complexes(ctx, l_models, t=pctx.t)
-    _, z_injs, z_projs = direct_sum_complexes(ctx, z_models, t=pctx.t)
+    l_injs, l_projs = summand_maps(Lm, l_models)
+    z_injs, z_projs = summand_maps(chains.realize(z), z_models)
     z1_models = [mod.shift(1) for mod in z_models]
-    z1_parts = [(cid, (s + 1) % pctx.t) for cid, s in z]
     z1_projs = [pr.shift(1) for pr in z_projs]
     nl, nz = len(l), len(z)
     n_blocks = {(qi, pj): chain_hom_space(ctx, l_models[qi], z1_models[pj]) for qi in range(nl) for pj in range(nz)}
@@ -1098,12 +1105,10 @@ def _orbit_instance(
             m_into_zero = [space.is_null_homotopic(m_rep.then(proj)) for space, proj in zip(m_blocks, l_projs)]
             found = _find_block_partition(
                 pctx,
-                ctx,
                 l_models,
                 z1_models,
                 l,
                 z,
-                z1_parts,
                 comps,
                 comp_zero,
                 comp_iso,
@@ -1125,15 +1130,9 @@ def _orbit_instance(
     # Composition image sizes, from the first triangle and re-checked on
     # one representative per orbit.
     s_reps = [s for _, s in chain_hom_space(ctx, Z1, Lm).morphisms()]
-
-    def image_sizes(n_rep: ChainMap) -> Tuple[int, int]:
-        into_l = {end_l.class_coords(n_rep.then(s)) for s in s_reps}
-        into_z = {end_z1.class_coords(s.then(n_rep)) for s in s_reps}
-        return len(into_l), len(into_z)
-
-    n_hom, hom_n = image_sizes(H.rep_map(elements[0][2]))
+    n_hom, hom_n = _image_sizes(H.rep_map(elements[0][2]), s_reps, end_l, end_z1)
     for orbit in orbits:
-        sizes = image_sizes(H.rep_map(orbit[0][2]))
+        sizes = _image_sizes(H.rep_map(orbit[0][2]), s_reps, end_l, end_z1)
         if sizes != (n_hom, hom_n):
             report.fail(f"image sizes vary across triangles, {where}")
             ok = False
@@ -1168,12 +1167,10 @@ def _orbit_instance(
 
 def _find_block_partition(
     pctx: PeriodicContext,
-    ctx,
     l_models: Sequence[CycleComplex],
     z1_models: Sequence[CycleComplex],
     l_parts: Sequence[Tuple[int, int]],
     z_parts: Sequence[Tuple[int, int]],
-    z1_parts: Sequence[Tuple[int, int]],
     comps: Dict[Tuple[int, int], ChainMap],
     comp_zero: Dict[Tuple[int, int], bool],
     comp_iso: Dict[Tuple[int, int], bool],
@@ -1184,6 +1181,7 @@ def _find_block_partition(
     with invertible and radical blocks and the adjacent maps vanish on
     the split summand, or None."""
     nl, nz = len(l_models), len(z1_models)
+    z1_parts = [(cid, (s + 1) % pctx.t) for cid, s in z_parts]
     for lmask in range(1 << nl):
         q1 = [qi for qi in range(nl) if lmask >> qi & 1]
         q2 = [qi for qi in range(nl) if not lmask >> qi & 1]
@@ -1209,8 +1207,9 @@ def _find_block_partition(
             if (len(q1) == 0) != (len(p1) == 0):
                 continue
             if q1:
-                sub_l, s_injs, s_projs = direct_sum_complexes(ctx, [l_models[qi] for qi in q1], t=pctx.t)
-                sub_z, t_injs, t_projs = direct_sum_complexes(ctx, [z1_models[pj] for pj in p1], t=pctx.t)
+                l_sub, z_sub = [l_models[qi] for qi in q1], [z1_models[pj] for pj in p1]
+                sub_l, sub_z = (direct_sum_complexes(pctx.ctx, sub, t=pctx.t) for sub in (l_sub, z_sub))
+                s_projs, t_injs = summand_maps(sub_l, l_sub)[1], summand_maps(sub_z, z_sub)[0]
                 diag = ChainMap.zero(sub_l, sub_z)
                 for a, qi in enumerate(q1):
                     for b, pj in enumerate(p1):
@@ -1390,7 +1389,7 @@ def check_cone_well_defined(
     pad_source = next((k for k in keys if pctx.total_dim(k)), None)
     sampled = 0
     if pad_source is not None:
-        pad = mapping_cone(ctx, ChainMap.identity(chains.realize(pad_source)))[0]
+        pad = mapping_cone(ctx, ChainMap.identity(chains.realize(pad_source)))
         dims = [pctx.total_dim(k) for k in keys]
         order = sorted(
             ((dims[i] + dims[j], i, j) for i in range(len(keys)) for j in range(len(keys)))
@@ -1402,6 +1401,8 @@ def check_cone_well_defined(
             lit = chains.hom_space(x, y)
             if lit.dim == 0:
                 continue
+            into_padded = summand_maps(direct_sum_complexes(ctx, [lit.target, pad], t=pctx.t), [lit.target, pad])[0][0]
+            out_of_padded = summand_maps(direct_sum_complexes(ctx, [lit.source, pad], t=pctx.t), [lit.source, pad])[1][0]
             for f in lit.unit_maps + [lit.rep_map((1,) * lit.dim)]:
                 if sampled >= morphism_target:
                     break
@@ -1412,14 +1413,12 @@ def check_cone_well_defined(
                         f"cone class moved under homotopy at {pctx.format_key(x)}"
                         f" -> {pctx.format_key(y)}"
                     )
-                _, injs, _ = direct_sum_complexes(ctx, [lit.target, pad], t=pctx.t)
-                if cone_key_literal(pctx, f.then(injs[0])) != base_cone:
+                if cone_key_literal(pctx, f.then(into_padded)) != base_cone:
                     report.fail(
                         f"cone class moved under target padding at"
                         f" {pctx.format_key(x)} -> {pctx.format_key(y)}"
                     )
-                _, _, projs = direct_sum_complexes(ctx, [lit.source, pad], t=pctx.t)
-                if cone_key_literal(pctx, projs[0].then(f)) != base_cone:
+                if cone_key_literal(pctx, out_of_padded.then(f)) != base_cone:
                     report.fail(
                         f"cone class moved under source padding at"
                         f" {pctx.format_key(x)} -> {pctx.format_key(y)}"

@@ -41,11 +41,11 @@ components.
 
 The module helpers only this model needs live here, not in the engine
 modules: paths out of a vertex (:func:`paths_from`) and the projective
-modules they span (:func:`projective`), direct sums of modules with
-their injections and projections (:func:`direct_sum`, whose arrow
-matrices are assembled block-diagonally, as are the differentials of
-:func:`direct_sum_complexes`), and corestriction to a submodule
-(:func:`corestrict`).
+modules they span (:func:`projective`) and corestriction to a
+submodule (:func:`corestrict`). A direct sum is its block sum: the slots
+of :func:`direct_sum_complexes` and :func:`mapping_cone` are
+:meth:`perihall.reps.RepContext.block_sum` of the parts' slots. Callers
+that compose with injections or projections ask :func:`summand_maps`.
 """
 
 from __future__ import annotations
@@ -72,13 +72,13 @@ __all__ = [
     "ChainModel",
     "chain_hom_space",
     "corestrict",
-    "direct_sum",
     "direct_sum_complexes",
     "mapping_cone",
     "normal_pieces",
     "paths_from",
     "proj_resolution",
     "projective",
+    "summand_maps",
     "wrap_module",
     "find_homotopy_iso",
 ]
@@ -132,35 +132,6 @@ def projective(ctx: RepContext, vertex: str) -> Rep:
     """The projective cover of the simple at ``vertex``; basis given
     by paths out of the vertex."""
     return _projective_basis(ctx, vertex)[0]
-
-
-def direct_sum(ctx: RepContext, reps: Sequence[Rep]) -> Tuple[Rep, List[RepMap], List[RepMap]]:
-    """The direct sum of modules, with its injections and projections."""
-    field = ctx.field
-    nv = len(ctx.quiver.vertices)
-    dims = [0] * nv
-    offsets: List[Tuple[int, ...]] = []
-    for r in reps:
-        offsets.append(tuple(dims))
-        for i in range(nv):
-            dims[i] += r.dims[i]
-    total = ctx.block_sum(reps)
-    injections = []
-    projections = []
-    for k, r in enumerate(reps):
-        inj_comps = []
-        proj_comps = []
-        for i in range(nv):
-            inj = MatrixFp.zeros(field, r.dims[i], dims[i])
-            proj = MatrixFp.zeros(field, dims[i], r.dims[i])
-            for j in range(r.dims[i]):
-                inj.rows[j][offsets[k][i] + j] = 1
-                proj.rows[offsets[k][i] + j][j] = 1
-            inj_comps.append(inj)
-            proj_comps.append(proj)
-        injections.append(RepMap(r, total, inj_comps, check=False))
-        projections.append(RepMap(total, r, proj_comps, check=False))
-    return total, injections, projections
 
 
 def corestrict(f: RepMap, incl: RepMap) -> RepMap:
@@ -243,13 +214,13 @@ class CycleComplex:
         return f"CycleComplex(dims={self.dims})"
 
 
-def direct_sum_complexes(ctx: RepContext, parts: Sequence[CycleComplex], *, t: int) -> Tuple[CycleComplex, List["ChainMap"], List["ChainMap"]]:
-    """Slotwise direct sum of t-periodic complexes, with chain-level
-    injections and projections; the empty sum is the zero complex."""
+def direct_sum_complexes(ctx: RepContext, parts: Sequence[CycleComplex], *, t: int) -> CycleComplex:
+    """Slotwise block sum of t-periodic complexes, differentials block
+    diagonal; the empty sum is the zero complex. Its injections and
+    projections are :func:`summand_maps`."""
     if any(part.t != t for part in parts):
         raise ValueError(f"every summand must be {t}-periodic")
-    slot_data = [direct_sum(ctx, [p.slots[i] for p in parts]) for i in range(t)]
-    slots = [sd[0] for sd in slot_data]
+    slots = [ctx.block_sum([p.slots[i] for p in parts]) for i in range(t)]
     diffs = [
         RepMap(
             slots[i],
@@ -259,13 +230,36 @@ def direct_sum_complexes(ctx: RepContext, parts: Sequence[CycleComplex], *, t: i
         )
         for i in range(t)
     ]
-    total = CycleComplex(ctx, slots, diffs, check=False)
-    injections = []
-    projections = []
-    for k, part in enumerate(parts):
-        injections.append(ChainMap(part, total, [sd[1][k] for sd in slot_data], check=False))
-        projections.append(ChainMap(total, part, [sd[2][k] for sd in slot_data], check=False))
-    return total, injections, projections
+    return CycleComplex(ctx, slots, diffs, check=False)
+
+
+def summand_maps(total: CycleComplex, parts: Sequence[CycleComplex]) -> Tuple[List["ChainMap"], List["ChainMap"]]:
+    """The injections and projections of a complex whose slots are the
+    block sums of the parts' slots, in the order given: an identity block
+    at each part's offset, slot by slot and vertex by vertex. Raises
+    ValueError when the parts' slot dimension vectors do not add up to
+    the total's."""
+    field, t, nv = total.ctx.field, total.t, len(total.ctx.quiver.vertices)
+    if any(part.t != t for part in parts):
+        raise ValueError(f"every summand must be {t}-periodic")
+    summed = [tuple(sum(part.slots[i].dims[v] for part in parts) for v in range(nv)) for i in range(t)]
+    if summed != total.dims:
+        raise ValueError(f"the summands' slot dimension vectors add up to {summed}, not to the total's {total.dims}")
+    offsets = [[0] * nv for _ in range(t)]
+    injections, projections = [], []
+    for part in parts:
+        injs, projs = [], []
+        for piece, whole, offset in zip(part.slots, total.slots, offsets):
+            inj, proj = [], []
+            for v, (r, n) in enumerate(zip(piece.dims, whole.dims)):
+                inj.append(MatrixFp._trusted(field, [[int(c == offset[v] + j) for c in range(n)] for j in range(r)], n))
+                proj.append(MatrixFp._trusted(field, [[int(c == offset[v] + j) for j in range(r)] for c in range(n)], r))
+                offset[v] += r
+            injs.append(RepMap(piece, whole, inj, check=False))
+            projs.append(RepMap(whole, piece, proj, check=False))
+        injections.append(ChainMap(part, total, injs, check=False))
+        projections.append(ChainMap(total, part, projs, check=False))
+    return injections, projections
 
 
 class ChainMap:
@@ -490,17 +484,15 @@ def chain_hom_space(ctx: RepContext, source: CycleComplex, target: CycleComplex)
     return HomSpace(ctx, source, target)
 
 
-def mapping_cone(ctx: RepContext, u: ChainMap) -> Tuple[CycleComplex, ChainMap, ChainMap]:
-    """The cone of u: X -> Y with its triangle maps.
-
-    Returns (cone, incl, proj) where incl: Y -> cone and
-    proj: cone -> X[1] complete u to a standard triangle
-    X -u-> Y -incl-> cone -proj-> X[1].
-    """
+def mapping_cone(ctx: RepContext, u: ChainMap) -> CycleComplex:
+    """The cone of u: X -> Y, with the slots of X[1] + Y and the
+    differential of block rows [-d^X, u] over [0, d^Y]. Its triangle maps
+    incl: Y -> cone and proj: cone -> X[1], completing u to the standard
+    triangle X -u-> Y -incl-> cone -proj-> X[1], are the second injection
+    and the first projection of ``summand_maps(cone, [X.shift(1), Y])``."""
     x, y, t = u.source, u.target, u.source.t
     p = ctx.field.p
-    slot_data = [direct_sum(ctx, [x.slots[(i + 1) % t], y.slots[i]]) for i in range(t)]
-    slots = [sd[0] for sd in slot_data]
+    slots = [ctx.block_sum([x.slots[(i + 1) % t], y.slots[i]]) for i in range(t)]
     diffs = []
     for i in range(t):
         j = (i + 1) % t
@@ -512,10 +504,7 @@ def mapping_cone(ctx: RepContext, u: ChainMap) -> Tuple[CycleComplex, ChainMap, 
             rows += [[0] * dx.ncols + yr for yr in dy.rows]
             comps.append(MatrixFp._trusted(ctx.field, rows, dx.ncols + dy.ncols))
         diffs.append(RepMap(slots[i], slots[j], comps, check=False))
-    cone = CycleComplex(ctx, slots, diffs, check=False)
-    incl = ChainMap(y, cone, [sd[1][1] for sd in slot_data], check=False)
-    proj = ChainMap(cone, x.shift(1), [sd[2][0] for sd in slot_data], check=False)
-    return cone, incl, proj
+    return CycleComplex(ctx, slots, diffs, check=False)
 
 
 def normal_pieces(ctx: RepContext, c: CycleComplex) -> Tuple[Rep, ...]:
@@ -691,7 +680,7 @@ class ChainModel:
         hit = self._realize_cache.get(key)
         if hit is None:
             parts = [self.wrap_part(part) for part in key]
-            self._realize_cache[key] = hit = direct_sum_complexes(self.ctx, parts, t=self.pctx.t)[0]
+            self._realize_cache[key] = hit = direct_sum_complexes(self.ctx, parts, t=self.pctx.t)
         return hit
 
     def hom_space(self, x: ObjKey, y: ObjKey) -> HomSpace:

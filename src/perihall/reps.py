@@ -15,8 +15,8 @@ bound). The Euler-form count of dim Ext^1 is a reference recipe,
 
 Helpers that only the reference code calls live in the reference
 modules. The chain-level model, :mod:`perihall.periodic`, builds
-direct sums (:func:`perihall.periodic.direct_sum`), projective modules
-(:func:`perihall.periodic.projective`) and corestrictions
+projective modules (:func:`perihall.periodic.projective`), summand maps
+(:func:`perihall.periodic.summand_maps`) and corestrictions
 (:func:`perihall.periodic.corestrict`). The harnesses,
 :mod:`perihall.checks`, count |Aut x| of a module as the units of
 End(x) (:func:`perihall.checks.module_aut_order`), the count the

@@ -11,10 +11,11 @@ from perihall.periodic import (
     mapping_cone,
     normal_pieces,
     projective,
+    summand_maps,
     wrap_module,
 )
 from perihall.category import PeriodicContext
-from perihall.checks import enumerate_reps, is_indecomposable, module_key, summand_ids
+from perihall.checks import cone_key_literal, enumerate_reps, is_indecomposable, module_key, summand_ids
 from perihall.gfp import FieldSpec, MatrixFp, Subspace
 from perihall.quiver import line_quiver
 from perihall.reps import BudgetExceeded, RepContext, RepMap
@@ -64,11 +65,13 @@ def test_complexes_refuse_mixed_periods():
         chain_hom_space(ctx, c3, c5)
     with pytest.raises(ValueError, match="5-periodic"):
         direct_sum_complexes(ctx, [c3, c5], t=5)
+    with pytest.raises(ValueError, match="5-periodic"):
+        summand_maps(c5, [c3])
     with pytest.raises(ValueError, match="one differential per slot"):
         CycleComplex(ctx, c3.slots, c3.diffs[:2])
     # the empty sum is the zero complex of the given period
-    zero, injs, projs = direct_sum_complexes(ctx, [], t=5)
-    assert zero.t == 5 and all(s.is_zero() for s in zero.slots) and injs == projs == []
+    zero = direct_sum_complexes(ctx, [], t=5)
+    assert zero.t == 5 and all(s.is_zero() for s in zero.slots) and summand_maps(zero, []) == ([], [])
 
 
 def test_shift_moves_stalks_forward():
@@ -154,7 +157,7 @@ def test_shift_by_n_is_n_single_shifts():
     s1, s2, _ = a2_modules(ctx)
     for t in PERIODS:
         f = chain_hom_space(ctx, wrap_module(ctx, s1, t=t), wrap_module(ctx, s2, 1, t=t)).rep_map((1,))
-        cone = mapping_cone(ctx, f)[0]
+        cone = mapping_cone(ctx, f)
         a3 = PeriodicContext(RepContext(line_quiver(3), FieldSpec(3)), t)
         # every non-projective class of A3 at its own shift: a complex
         # with several nonzero differentials
@@ -177,13 +180,13 @@ def test_shift_by_n_is_n_single_shifts():
 def test_rotation_equivariance_of_normal_form():
     ctx = a2_ctx()
     s1, s2, _ = a2_modules(ctx)
-    total, _, _ = direct_sum_complexes(ctx, [wrap_module(ctx, s1, 0, t=3), wrap_module(ctx, s2, 2, t=3)], t=3)
+    total = direct_sum_complexes(ctx, [wrap_module(ctx, s1, 0, t=3), wrap_module(ctx, s2, 2, t=3)], t=3)
     n0, n1, n2 = piece_classes(ctx, normal_pieces(ctx, total))
     assert piece_classes(ctx, normal_pieces(ctx, total.shift(1))) == (n2, n0, n1)
     assert piece_classes(ctx, normal_pieces(ctx, total.shift(2))) == (n1, n2, n0)
     # shifting by n moves the piece at shift s to shift s + n
     for t in PERIODS[1:]:
-        total, _, _ = direct_sum_complexes(ctx, [wrap_module(ctx, s1, 0, t=t), wrap_module(ctx, s2, 2, t=t)], t=t)
+        total = direct_sum_complexes(ctx, [wrap_module(ctx, s1, 0, t=t), wrap_module(ctx, s2, 2, t=t)], t=t)
         base = piece_classes(ctx, normal_pieces(ctx, total))
         for n in range(t):
             assert piece_classes(ctx, normal_pieces(ctx, total.shift(n))) == base[-n:] + base[:-n]
@@ -219,7 +222,9 @@ def test_contractible_cone_vanishes_in_normal_form():
     ctx = a2_ctx()
     s1, _, _ = a2_modules(ctx)
     w = wrap_module(ctx, s1, t=3)
-    cone, incl, proj = mapping_cone(ctx, ChainMap.identity(w))
+    cone = mapping_cone(ctx, ChainMap.identity(w))
+    injs, projs = summand_maps(cone, [w.shift(1), w])
+    incl, proj = injs[1], projs[0]
     zero_id = summand_ids(ctx, ctx.zero_rep())
     assert piece_classes(ctx, normal_pieces(ctx, cone)) == (zero_id, zero_id, zero_id)
     # maps into a contractible complex are null-homotopic but the chain
@@ -231,18 +236,31 @@ def test_contractible_cone_vanishes_in_normal_form():
 
 
 def test_cone_triangle_compositions():
-    ctx = a2_ctx()
-    s1, s2, _ = a2_modules(ctx)
-    x = wrap_module(ctx, s2, t=3)
-    y = wrap_module(ctx, s1, t=3)
-    for u in (ChainMap.zero(x, y), ):
-        cone, incl, proj = mapping_cone(ctx, u)
-        # validate the chain conditions explicitly
-        ChainMap(u.target, cone, incl.comps)
-        ChainMap(cone, u.source.shift(1), proj.comps)
-        assert incl.then(proj).is_zero()
-        comp = u.then(incl)
-        assert chain_hom_space(ctx, u.source, cone).is_null_homotopic(comp)
+    # the zero map S2 -> S1, and every nonzero class between wrapped S1,
+    # S2 and P1 of A2 at shifts 0-2: incl and proj are chain maps, and
+    # consecutive maps of X -u-> Y -incl-> cone -proj-> X[1] -u[1]-> Y[1]
+    # compose to zero up to homotopy
+    nonzero = 0
+    for p in (2, 3):
+        ctx = a2_ctx(p)
+        s1, s2, p1 = a2_modules(ctx)
+        wrapped = [wrap_module(ctx, m, s, t=3) for m in (s1, s2, p1) for s in range(3)]
+        maps = [ChainMap.zero(wrap_module(ctx, s2, t=3), wrap_module(ctx, s1, t=3))]
+        for x in wrapped:
+            for y in wrapped:
+                maps += [u for coords, u in chain_hom_space(ctx, x, y).morphisms() if any(coords)]
+        for u in maps:
+            cone = mapping_cone(ctx, u)
+            injs, projs = summand_maps(cone, [u.source.shift(1), u.target])
+            incl, proj = injs[1], projs[0]
+            # validate the chain conditions explicitly
+            ChainMap(u.target, cone, incl.comps)
+            ChainMap(cone, u.source.shift(1), proj.comps)
+            assert incl.then(proj).is_zero()
+            assert chain_hom_space(ctx, u.source, cone).is_null_homotopic(u.then(incl))
+            assert chain_hom_space(ctx, cone, u.target.shift(1)).is_null_homotopic(proj.then(u.shift(1)))
+        nonzero += len(maps) - 1
+    assert nonzero == 54
 
 
 def test_cone_of_zero_map_is_direct_sum():
@@ -251,7 +269,7 @@ def test_cone_of_zero_map_is_direct_sum():
     # triangle direction X -> cone -> Y: cone(0: A -> B) == B + A[1]
     a = wrap_module(ctx, s2, t=3)
     b = wrap_module(ctx, s1, t=3)
-    cone, _, _ = mapping_cone(ctx, ChainMap.zero(a, b))
+    cone = mapping_cone(ctx, ChainMap.zero(a, b))
     got = piece_classes(ctx, normal_pieces(ctx, cone))
     assert got == (summand_ids(ctx, s1), summand_ids(ctx, s2), summand_ids(ctx, ctx.zero_rep()))
 
@@ -268,7 +286,7 @@ def test_cone_of_extension_morphism():
         assert h.dim == 1
         f = h.rep_map((1,))
         assert not h.is_null_homotopic(f)
-        cone, _, _ = mapping_cone(ctx, f)
+        cone = mapping_cone(ctx, f)
         zero_id = summand_ids(ctx, ctx.zero_rep())
         assert piece_classes(ctx, normal_pieces(ctx, cone)) == (zero_id, summand_ids(ctx, p1), zero_id)
 
@@ -333,18 +351,18 @@ def test_rref_rows_off_the_pivot_shape_are_refused(rows):
 def test_cone_class_ignores_homotopy_representative():
     ctx = a2_ctx()
     s1, s2, _ = a2_modules(ctx)
-    contractible, _, _ = mapping_cone(ctx, ChainMap.identity(wrap_module(ctx, s1, t=3)))
-    target, _, _ = direct_sum_complexes(ctx, [wrap_module(ctx, s2, t=3), contractible], t=3)
+    contractible = mapping_cone(ctx, ChainMap.identity(wrap_module(ctx, s1, t=3)))
+    target = direct_sum_complexes(ctx, [wrap_module(ctx, s2, t=3), contractible], t=3)
     src = wrap_module(ctx, s2, t=3)
     h = chain_hom_space(ctx, src, target)
     assert h.dim == 1
     assert h.chain_dim > 1
     for _, f in h.morphisms():
-        base = piece_classes(ctx, normal_pieces(ctx, mapping_cone(ctx, f)[0]))
+        base = piece_classes(ctx, normal_pieces(ctx, mapping_cone(ctx, f)))
         for seed in ((1,), (1, 0, 1), (1, 1, 1, 0, 1)):
             g = f.add(h.random_boundary(seed))
             assert h.class_coords(g) == h.class_coords(f)
-            assert piece_classes(ctx, normal_pieces(ctx, mapping_cone(ctx, g)[0])) == base
+            assert piece_classes(ctx, normal_pieces(ctx, mapping_cone(ctx, g))) == base
 
 
 def test_shifted_cone_matches_cone_of_shift():
@@ -353,8 +371,8 @@ def test_shifted_cone_matches_cone_of_shift():
     x = wrap_module(ctx, s1, t=3)
     y = wrap_module(ctx, s2, 1, t=3)
     f = chain_hom_space(ctx, x, y).rep_map((1,))
-    left = normal_pieces(ctx, mapping_cone(ctx, f.shift(1))[0])
-    right = normal_pieces(ctx, mapping_cone(ctx, f)[0].shift(1))
+    left = normal_pieces(ctx, mapping_cone(ctx, f.shift(1)))
+    right = normal_pieces(ctx, mapping_cone(ctx, f).shift(1))
     assert piece_classes(ctx, left) == piece_classes(ctx, right)
 
 
@@ -362,13 +380,57 @@ def test_direct_sum_complex_maps_are_chain_maps():
     ctx = a2_ctx()
     s1, s2, _ = a2_modules(ctx)
     parts = [wrap_module(ctx, s1, t=3), wrap_module(ctx, s2, 1, t=3)]
-    total, injs, projs = direct_sum_complexes(ctx, parts, t=3)
+    total = direct_sum_complexes(ctx, parts, t=3)
+    injs, projs = summand_maps(total, parts)
     for k, part in enumerate(parts):
         ChainMap(part, total, injs[k].comps)
         ChainMap(total, part, projs[k].comps)
         assert injs[k].then(projs[k]).key() == ChainMap.identity(part).key()
     got = piece_classes(ctx, normal_pieces(ctx, total))
     assert got == (summand_ids(ctx, s1), summand_ids(ctx, s2), summand_ids(ctx, ctx.zero_rep()))
+
+
+def three_part_key(pctx):
+    s1, s2, p1 = a2_modules(pctx.ctx)
+    return pctx.direct_sum_key(module_key(pctx, s1, 0), module_key(pctx, s2, 1), module_key(pctx, p1, 2))
+
+
+def test_summand_maps_refuse_parts_that_do_not_add_up():
+    # the wrapped parts of a key against the realization of its shift,
+    # whose slots are rotated
+    pctx = PeriodicContext(a2_ctx())
+    chains = ChainModel(pctx)
+    key = three_part_key(pctx)
+    parts = [chains.wrap_part(part) for part in key]
+    realized = chains.realize(key)
+    assert len(summand_maps(realized, parts)[0]) == 3
+    shifted = chains.realize(pctx.shift_key(key, 1))
+    assert shifted.dims != realized.dims
+    with pytest.raises(ValueError, match="add up to") as err:
+        summand_maps(shifted, parts)
+    assert f"add up to {realized.dims}, not to the total's {shifted.dims}" in str(err.value)
+
+
+def test_cones_and_realized_keys_build_no_chain_maps(monkeypatch):
+    # a direct sum is its block sum: neither a literal cone class nor a
+    # cold realization of a three-part key builds a summand map
+    pctx = PeriodicContext(a2_ctx())
+    key = three_part_key(pctx)
+    space = ChainModel(pctx).hom_space(key, key)
+    assert space.dim == 4
+    f = space.rep_map((1,) * space.dim)
+    built = []
+    init = ChainMap.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(ChainMap, "__init__", counting_init)
+    cone_key_literal(pctx, f)
+    assert len(built) == 0
+    ChainModel(pctx).realize(key)
+    assert len(built) == 0
 
 
 def test_identity_iso_found():
@@ -386,9 +448,9 @@ def test_the_iso_search_walks_class_pairs_within_the_cap():
     ctx = a2_ctx(p=3)
     s1, s2, _ = a2_modules(ctx)
     parts = [wrap_module(ctx, s1, t=3), wrap_module(ctx, s2, t=3)]
-    a = direct_sum_complexes(ctx, parts, t=3)[0]
-    contractible = mapping_cone(ctx, ChainMap.identity(parts[1]))[0]
-    b = direct_sum_complexes(ctx, parts[::-1] + [contractible], t=3)[0]
+    a = direct_sum_complexes(ctx, parts, t=3)
+    contractible = mapping_cone(ctx, ChainMap.identity(parts[1]))
+    b = direct_sum_complexes(ctx, parts[::-1] + [contractible], t=3)
     fwd, bwd = chain_hom_space(ctx, a, b), chain_hom_space(ctx, b, a)
     assert (fwd.dim, bwd.dim) == (2, 2)
     ctx.enum_cap = 3**2

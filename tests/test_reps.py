@@ -22,7 +22,7 @@ from perihall.checks import (
 from perihall import gfp
 from perihall.gfp import FieldSpec, MatrixFp
 from perihall.quiver import Arrow, Quiver, line_quiver
-from perihall.periodic import corestrict, direct_sum, proj_resolution, projective
+from perihall.periodic import ChainMap, CycleComplex, corestrict, direct_sum_complexes, proj_resolution, projective, summand_maps
 from perihall.reps import BudgetExceeded, Rep, RepContext, RepMap
 
 A1 = line_quiver(1)
@@ -77,8 +77,8 @@ def test_hom_dims_a2():
 
 def test_hom_basis_members_are_morphisms():
     ctx = ctx_a2(3)
-    x, _, _ = direct_sum(ctx, [p1(ctx), s1(ctx)])
-    y, _, _ = direct_sum(ctx, [p1(ctx), s2(ctx)])
+    x = ctx.block_sum([p1(ctx), s1(ctx)])
+    y = ctx.block_sum([p1(ctx), s2(ctx)])
     for h in ctx.hom_ext(x, y).hom:
         # revalidate the intertwiner condition with checking on
         RepMap(x, y, h.comps, check=True)
@@ -164,7 +164,7 @@ def _some_homs(ctx, x, y, limit=12):
 
 def test_factorize_exactness():
     ctx = ctx_a2()
-    pool = [s1(ctx), s2(ctx), p1(ctx), direct_sum(ctx, [p1(ctx), s1(ctx)])[0], direct_sum(ctx, [s1(ctx), s2(ctx)])[0]]
+    pool = [s1(ctx), s2(ctx), p1(ctx), ctx.block_sum([p1(ctx), s1(ctx)]), ctx.block_sum([s1(ctx), s2(ctx)])]
     for x in pool:
         for y in pool:
             for f in _some_homs(ctx, x, y, limit=8):
@@ -212,7 +212,7 @@ def test_resolution_a3():
 
 def test_decompose_simple_sum():
     ctx = ctx_a2()
-    x, _, _ = direct_sum(ctx, [p1(ctx), s1(ctx), s2(ctx)])
+    x = ctx.block_sum([p1(ctx), s1(ctx), s2(ctx)])
     dec = decompose(ctx, x)
     assert sorted(s.dims for s in dec.summands) == [(0, 1), (1, 0), (1, 1)]
     for s, incl in zip(dec.summands, dec.inclusions):
@@ -230,7 +230,7 @@ def test_decompose_refuses_a_split_that_is_not_a_direct_sum(monkeypatch):
     # of S + S overlap, so the per-vertex check must raise
     monkeypatch.setattr(RepContext, "kernel", RepContext.image)
     ctx = ctx_a1()
-    x, _, _ = direct_sum(ctx, [s1(ctx), s1(ctx)])
+    x = ctx.block_sum([s1(ctx), s1(ctx)])
     with pytest.raises(AssertionError):
         decompose(ctx, x)
 
@@ -238,7 +238,7 @@ def test_decompose_refuses_a_split_that_is_not_a_direct_sum(monkeypatch):
 def test_decompose_square_of_simple():
     ctx = ctx_a1(3)
     s = s1(ctx)
-    x, _, _ = direct_sum(ctx, [s, s])
+    x = ctx.block_sum([s, s])
     dec = decompose(ctx, x)
     assert len(dec.summands) == 2
     assert all(ss.dims == (1,) for ss in dec.summands)
@@ -248,7 +248,7 @@ def test_indecomposables_a2():
     ctx = ctx_a2()
     assert is_indecomposable(ctx, s1(ctx))
     assert is_indecomposable(ctx, p1(ctx))
-    assert not is_indecomposable(ctx, direct_sum(ctx, [s1(ctx), s2(ctx)])[0])
+    assert not is_indecomposable(ctx, ctx.block_sum([s1(ctx), s2(ctx)]))
 
 
 def test_nontrivial_iso_detected():
@@ -256,7 +256,7 @@ def test_nontrivial_iso_detected():
     # the representation (k -2-> k) is isomorphic to P1 but not equal to it
     twisted = Rep(ctx.field, A2, (1, 1), {"a1": MatrixFp(ctx.field, [[2]])})
     assert summand_ids(ctx, twisted) == summand_ids(ctx, p1(ctx))
-    assert summand_ids(ctx, twisted) != summand_ids(ctx, direct_sum(ctx, [s1(ctx), s2(ctx)])[0])
+    assert summand_ids(ctx, twisted) != summand_ids(ctx, ctx.block_sum([s1(ctx), s2(ctx)]))
     w = iso_between(ctx, twisted, p1(ctx))
     assert w is not None and w.is_iso()
     RepMap(twisted, p1(ctx), w.comps, check=True)
@@ -264,7 +264,7 @@ def test_nontrivial_iso_detected():
 
 def test_iso_distinguishes_extension_from_sum():
     ctx = ctx_a2()
-    split = direct_sum(ctx, [s1(ctx), s2(ctx)])[0]
+    split = ctx.block_sum([s1(ctx), s2(ctx)])
     assert summand_ids(ctx, split) != summand_ids(ctx, p1(ctx))
 
 
@@ -313,7 +313,7 @@ def test_is_isomorphic_agrees_with_the_witness_recipe(quiver, p, bound, classes)
 
 def test_class_id_takes_indecomposables_only():
     ctx = ctx_a2()
-    split = direct_sum(ctx, [s1(ctx), s2(ctx)])[0]
+    split = ctx.block_sum([s1(ctx), s2(ctx)])
     for x in (ctx.zero_rep(), split):
         with pytest.raises(ValueError):
             class_id(ctx, x)
@@ -364,28 +364,28 @@ def test_aut_orders_small():
     ctx = ctx_a1(2)
     s = s1(ctx)
     assert module_aut_order(ctx, s) == 1
-    ss = direct_sum(ctx, [s, s])[0]
+    ss = ctx.block_sum([s, s])
     assert module_aut_order(ctx, ss) == 6  # |GL_2(F_2)|
     ctx3 = ctx_a1(3)
     s3 = s1(ctx3)
     assert module_aut_order(ctx3, s3) == 2
-    assert module_aut_order(ctx3, direct_sum(ctx3, [s3, s3])[0]) == 48  # |GL_2(F_3)|
+    assert module_aut_order(ctx3, ctx3.block_sum([s3, s3])) == 48  # |GL_2(F_3)|
 
 
 def test_aut_orders_a2():
     ctx = ctx_a2()
     assert module_aut_order(ctx, p1(ctx)) == 1
-    assert module_aut_order(ctx, direct_sum(ctx, [s1(ctx), s2(ctx)])[0]) == 1
-    assert module_aut_order(ctx, direct_sum(ctx, [p1(ctx), s1(ctx)])[0]) == 2
+    assert module_aut_order(ctx, ctx.block_sum([s1(ctx), s2(ctx)])) == 1
+    assert module_aut_order(ctx, ctx.block_sum([p1(ctx), s1(ctx)])) == 2
 
 
 def test_aut_formula_agrees_with_enumeration():
     cases = [
-        (ctx_a1(2), lambda c: direct_sum(c, [s1(c), s1(c)])[0]),
-        (ctx_a1(3), lambda c: direct_sum(c, [s1(c), s1(c)])[0]),
-        (ctx_a2(2), lambda c: direct_sum(c, [p1(c), s1(c)])[0]),
-        (ctx_a2(2), lambda c: direct_sum(c, [p1(c), s1(c), s2(c)])[0]),
-        (ctx_a2(3), lambda c: direct_sum(c, [s1(c), s1(c), s2(c)])[0]),
+        (ctx_a1(2), lambda c: c.block_sum([s1(c), s1(c)])),
+        (ctx_a1(3), lambda c: c.block_sum([s1(c), s1(c)])),
+        (ctx_a2(2), lambda c: c.block_sum([p1(c), s1(c)])),
+        (ctx_a2(2), lambda c: c.block_sum([p1(c), s1(c), s2(c)])),
+        (ctx_a2(3), lambda c: c.block_sum([s1(c), s1(c), s2(c)])),
     ]
     for ctx, build in cases:
         x = build(ctx)
@@ -618,9 +618,10 @@ def test_a_disjoint_union_of_paths_lists_its_intervals():
 
 
 def test_block_sum_is_the_direct_sum():
+    # its Krull-Schmidt type is the sorted union of the summands' types
     ctx = ctx_a2(3)
-    pool = [s1(ctx), p1(ctx), s2(ctx)]
-    assert ctx.block_sum(pool) == direct_sum(ctx, pool)[0]
+    pool = [s1(ctx), p1(ctx), s2(ctx), ctx.block_sum([s2(ctx), s1(ctx)])]
+    assert summand_ids(ctx, ctx.block_sum(pool)) == tuple(sorted(i for r in pool for i in summand_ids(ctx, r)))
     assert ctx.block_sum([]) == ctx.zero_rep()
 
 
@@ -685,9 +686,9 @@ def test_classical_g_gaussian_binomial():
     for p in (2, 3):
         ctx = ctx_a1(p)
         s = s1(ctx)
-        ss = direct_sum(ctx, [s, s])[0]
+        ss = ctx.block_sum([s, s])
         assert classical_hall_g(ctx, s, s, ss) == p + 1  # lines in the plane
-        sss = direct_sum(ctx, [s, s, s])[0]
+        sss = ctx.block_sum([s, s, s])
         assert classical_hall_g(ctx, s, ss, sss) == p * p + p + 1
 
 
@@ -695,7 +696,7 @@ def test_classical_g_a2_pinned():
     ctx = ctx_a2()
     assert classical_hall_g(ctx, s2(ctx), s1(ctx), p1(ctx)) == 1
     assert classical_hall_g(ctx, s1(ctx), s2(ctx), p1(ctx)) == 0
-    split = direct_sum(ctx, [s1(ctx), s2(ctx)])[0]
+    split = ctx.block_sum([s1(ctx), s2(ctx)])
     assert classical_hall_g(ctx, s1(ctx), s2(ctx), split) == 1
     assert classical_hall_g(ctx, s2(ctx), s1(ctx), split) == 1
 
@@ -711,7 +712,15 @@ def test_classical_g_dim_mismatch():
 @given(st.integers(0, 2), st.integers(0, 2))
 def test_direct_sum_dims(m, n):
     ctx = ctx_a2()
-    total, injs, projs = direct_sum(ctx, [s1(ctx)] * m + [p1(ctx)] * n)
-    assert total.dims == (m + n, n)
-    for inj, proj in zip(injs, projs):
-        assert inj.then(proj).is_iso()  # inj then proj is the identity on the piece
+    parts = [CycleComplex.stalk(ctx, r, 0, t=3) for r in [s1(ctx)] * m + [p1(ctx)] * n]
+    total = direct_sum_complexes(ctx, parts, t=3)
+    assert total.dims == [(m + n, n), (0, 0), (0, 0)]
+    injs, projs = summand_maps(total, parts)
+    for j, inj in enumerate(injs):
+        for k, proj in enumerate(projs):
+            # inj_j then proj_k is the identity on the piece when j = k, else zero
+            got = inj.then(proj)
+            if j == k:
+                assert got.key() == ChainMap.identity(parts[j]).key()
+            else:
+                assert got.is_zero()
