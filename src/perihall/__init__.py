@@ -32,8 +32,9 @@ engine's import graph (only ``PeriodicContext.hom_space`` reaches
   projective resolutions, chain maps modulo homotopy between whole
   complexes (one Hom space, walked one way by ``HomSpace.morphisms``),
   mapping cones and direct sums as block sums, the summand maps of a sum
-  (``summand_maps``), and the module helpers only it needs: paths out of
-  a vertex, projective modules and corestrictions.
+  (``summand_maps``), homology read off rref spans by one
+  ``RepContext.subquotient`` per slot, and the module helpers only it
+  needs: paths out of a vertex and projective modules.
 - :mod:`perihall.checks` - identity verification harnesses, recounting
   the engine against the chain-level model and brute enumeration, and
   the helpers only they need: Krull-Schmidt decomposition, iso-class

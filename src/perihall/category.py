@@ -37,8 +37,9 @@ units of the finite algebra End(x), the same Krull-Schmidt unit count
 complex is built here: :mod:`perihall.periodic` realizes objects as
 complexes of wrapped resolutions, and the harnesses recount against it,
 :func:`perihall.checks.aut_order_by_enumeration` for instance. The
-module helpers only that model needs (direct sums, projectives,
-corestrictions) live in :mod:`perihall.periodic` too, and the
+module helpers only that model needs (summand maps, projectives) live
+in :mod:`perihall.periodic` too, its homology is one
+:meth:`perihall.reps.RepContext.subquotient` per slot, and the
 harness-only ones (module automorphism counts, matrix inverses) in
 :mod:`perihall.checks`; ``hom_space`` stays here while the benchmark
 traces it.

@@ -8,21 +8,23 @@ Convention used by the whole package: vectors are rows and maps act on
 the right. A linear map F_p^m -> F_p^n is an m x n matrix M, it sends v
 to v @ M, and "f then g" composes as mat(f) @ mat(g). Consequently
 ``kernel_and_image`` returns the *left* kernel {v : v M = 0}, with the
-row space, and ``solve_matrix`` finds X with X M = B.
+row space, both as rref spans, and :meth:`Subspace.coords` reads a
+vector's coordinates over a span off its pivot columns.
 
 The public ``MatrixFp(...)`` constructor reduces every entry mod p and
 checks the shape. Results of the package's own arithmetic (zeros,
-identities, sums, products, stacks, row reductions, solutions) are
-freshly built lists that are already reduced, so they go through the
+identities, sums, products, stacks, row reductions) are freshly built
+lists that are already reduced, so they go through the
 internal ``MatrixFp._trusted`` instead, which stores the rows as given;
 rref rows and pivots an elimination made go through its twin
 ``Subspace._reduced``. No result shares a row list with an operand.
 
 The module holds only what the engine and its module layer call. The
 reference code keeps its own helpers: the inverse of a matrix is
-:func:`perihall.checks.matrix_inverse`, and the chain-level model reads
-coordinates off rref bases with :meth:`Subspace.reduce`
-(:class:`perihall.periodic.HomSpace`).
+:func:`perihall.checks.matrix_inverse`. Every reader of coordinates over
+an rref span, the Hom bases of :class:`perihall.reps.HomExt`, the
+chain-level :class:`perihall.periodic.HomSpace` and the subquotients of
+:meth:`perihall.reps.RepContext.subquotient`, calls :meth:`Subspace.coords`.
 """
 
 from __future__ import annotations
@@ -279,32 +281,6 @@ class MatrixFp:
         kernel = Subspace._reduced(self.field, self.nrows, rows, _rref_in_place(rows, self.nrows, self.field) if rows else ())
         return kernel, Subspace._reduced(self.field, self.ncols, red.rows[: len(pivots)], pivots)
 
-    def solve_matrix(self, b: "MatrixFp") -> Optional["MatrixFp"]:
-        """One X with X @ self == b, or None if any row is unsolvable."""
-        if b.ncols != self.ncols:
-            raise ValueError("solve shape mismatch")
-        red, pivots, t = self.rref_with_transform()
-        p = self.field.p
-        out = []
-        for brow in b.rows:
-            v = brow[:]
-            coeffs = [0] * self.nrows
-            for i, c in enumerate(pivots):
-                if v[c]:
-                    f = v[c]
-                    rrow = red.rows[i]
-                    for j in range(self.ncols):
-                        if rrow[j]:
-                            v[j] = (v[j] - f * rrow[j]) % p
-                    trow = t.rows[i]
-                    for j in range(self.nrows):
-                        if trow[j]:
-                            coeffs[j] = (coeffs[j] + f * trow[j]) % p
-            if any(v):
-                return None
-            out.append(coeffs)
-        return MatrixFp._trusted(self.field, out, self.nrows)
-
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
@@ -368,8 +344,9 @@ def _rref_in_place(rows: List[List[int]], ncols: int, field: FieldSpec) -> Tuple
 class Subspace:
     """A subspace of F_p^n stored as canonical rref rows.
 
-    Supports reduction mod the subspace and canonical coordinates on
-    the quotient (entries at non-pivot columns).
+    Supports reduction mod the subspace, coordinates of its vectors
+    (entries at the pivot columns) and canonical coordinates on the
+    quotient (entries at the non-pivot columns).
     """
 
     __slots__ = ("field", "ambient", "basis", "pivots", "_free")
@@ -420,6 +397,14 @@ class Subspace:
                     if brow[j]:
                         out[j] = (out[j] - f * brow[j]) % p
         return out
+
+    def coords(self, v: Sequence[int]) -> Optional[List[int]]:
+        """The coordinates of v over the rref basis, its entries mod p at
+        the pivot columns, or None when v is not in the subspace."""
+        if any(self.reduce(v)):
+            return None
+        p = self.field.p
+        return [int(v[c]) % p for c in self.pivots]
 
     def quotient_coords(self, v: Sequence[int]) -> Tuple[int, ...]:
         red = self.reduce(v)

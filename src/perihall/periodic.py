@@ -41,11 +41,13 @@ components.
 
 The module helpers only this model needs live here, not in the engine
 modules: paths out of a vertex (:func:`paths_from`) and the projective
-modules they span (:func:`projective`) and corestriction to a
-submodule (:func:`corestrict`). A direct sum is its block sum: the slots
-of :func:`direct_sum_complexes` and :func:`mapping_cone` are
-:meth:`perihall.reps.RepContext.block_sum` of the parts' slots. Callers
-that compose with injections or projections ask :func:`summand_maps`.
+modules they span (:func:`projective`). Homology is one
+:meth:`perihall.reps.RepContext.subquotient` per slot, read off the rref
+spans of the differentials (:func:`normal_pieces`). A direct sum is its
+block sum: the slots of :func:`direct_sum_complexes` and
+:func:`mapping_cone` are :meth:`perihall.reps.RepContext.block_sum` of
+the parts' slots. Callers that compose with injections or projections
+ask :func:`summand_maps`.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ __all__ = [
     "Resolution",
     "ChainModel",
     "chain_hom_space",
-    "corestrict",
     "direct_sum_complexes",
     "mapping_cone",
     "normal_pieces",
@@ -132,17 +133,6 @@ def projective(ctx: RepContext, vertex: str) -> Rep:
     """The projective cover of the simple at ``vertex``; basis given
     by paths out of the vertex."""
     return _projective_basis(ctx, vertex)[0]
-
-
-def corestrict(f: RepMap, incl: RepMap) -> RepMap:
-    """Factor f: X -> Y through a subobject incl: S -> Y."""
-    comps = []
-    for fc, ic in zip(f.comps, incl.comps):
-        g = ic.solve_matrix(fc)
-        if g is None:
-            raise ValueError("map does not land in the subobject")
-        comps.append(g)
-    return RepMap(f.source, incl.source, comps, check=False)
 
 
 # ----------------------------------------------------------------------
@@ -326,14 +316,6 @@ def _entry_columns(flats: Sequence[Sequence[int]], width: int) -> List[Tuple[int
     return list(zip(*flats)) or [()] * width
 
 
-def _rref_coords(sub: Subspace, v: Sequence[int], outside: str) -> List[int]:
-    """The coordinates of v over the rref basis of sub: its entries at
-    the pivot columns. Raises ValueError(outside) when v is not in sub."""
-    if any(sub.reduce(v)):
-        raise ValueError(outside)
-    return [v[c] for c in sub.pivots]
-
-
 class HomSpace:
     """Hom between two cycle complexes of one period, before and after
     homotopy.
@@ -394,9 +376,15 @@ class HomSpace:
         p = self.ctx.field.p
         coeffs = [0] * self._chain.ambient
         for s, m in pieces:
-            for k, x in enumerate(_rref_coords(self._bases[s], m.flat(), "component is not in the slot hom space"), self._offsets[s]):
+            slot = self._bases[s].coords(m.flat())
+            if slot is None:
+                raise ValueError("component is not in the slot hom space")
+            for k, x in enumerate(slot, self._offsets[s]):
                 coeffs[k] = (coeffs[k] + x) % p
-        return _rref_coords(self._chain, coeffs, "map does not satisfy the chain condition")
+        chain = self._chain.coords(coeffs)
+        if chain is None:
+            raise ValueError("map does not satisfy the chain condition")
+        return chain
 
     @property
     def chain_dim(self) -> int:
@@ -512,15 +500,17 @@ def normal_pieces(ctx: RepContext, c: CycleComplex) -> Tuple[Rep, ...]:
 
     Over a hereditary algebra a periodic complex of projectives is the
     sum of its shifted homology, so the piece at shift s is the homology
-    ker d_i / im d_{i-1} at slot i = -s mod t, the period of c.
+    ker d_i / im d_{i-1} at slot i = -s mod t, the period of c, built in
+    one step by :meth:`perihall.reps.RepContext.subquotient` from the
+    kernel spans of d_i and the row spans of d_{i-1}.
     """
-    pieces = []
-    for s in range(c.t):
-        i = -s % c.t
-        _, incl = ctx.kernel(c.diffs[i])
-        homology, _ = ctx.cokernel(corestrict(c.diffs[i - 1], incl))
-        pieces.append(homology)
-    return tuple(pieces)
+    # one elimination per differential component gives its kernel and
+    # its row space, the top at its own slot and the bottom at the next
+    spans = [[m.kernel_and_image() for m in d.comps] for d in c.diffs]
+    return tuple(
+        ctx.subquotient(c.slots[i], [ker for ker, _ in spans[i]], [im for _, im in spans[i - 1]])
+        for i in (-s % c.t for s in range(c.t))
+    )
 
 
 @dataclass

@@ -15,15 +15,21 @@ bound). The Euler-form count of dim Ext^1 is a reference recipe,
 
 Helpers that only the reference code calls live in the reference
 modules. The chain-level model, :mod:`perihall.periodic`, builds
-projective modules (:func:`perihall.periodic.projective`), summand maps
-(:func:`perihall.periodic.summand_maps`) and corestrictions
-(:func:`perihall.periodic.corestrict`). The harnesses,
+projective modules (:func:`perihall.periodic.projective`) and summand
+maps (:func:`perihall.periodic.summand_maps`). The harnesses,
 :mod:`perihall.checks`, count |Aut x| of a module as the units of
 End(x) (:func:`perihall.checks.module_aut_order`), the count the
-periodic category applies to its objects. ``kernel``, ``image``,
-``cokernel`` and ``class_count`` have no engine caller either; they stay
-here while the benchmark traces or calls them, and the first three are
-meant for the root-based listing of the indecomposables.
+periodic category applies to its objects.
+
+Every sub-, quotient and homology module is one construction,
+:meth:`RepContext.subquotient`: per-vertex rref spans bottom inside top,
+read in top's coordinates (:meth:`perihall.gfp.Subspace.coords`). The
+chain-level model takes homology with it, and the harnesses count
+submodules and quotients with it. ``kernel``, ``image`` and
+``cokernel`` are a few lines over it and, with ``class_count``, have no
+engine caller; they stay here while the benchmark traces or calls them,
+and the first three are meant for the root-based listing of the
+indecomposables.
 
 Iso classes follow Krull-Schmidt. Every indecomposable class gets an
 integer id, and a module's iso class is its Krull-Schmidt type, the
@@ -234,8 +240,10 @@ class HomExt:
 
     def hom_coords(self, f: RepMap) -> Tuple[int, ...]:
         """The coordinates of a map x -> y in ``hom``."""
-        flat = f.flat()
-        return tuple(flat[i] for i in self.span.pivots)
+        coords = self.span.coords(f.flat())
+        if coords is None:
+            raise ValueError(f"the map {f!r} is not a morphism")
+        return tuple(coords)
 
     def ext_cocycle(self, k: int) -> List[MatrixFp]:
         """The cocycle of the k-th basis class of Ext^1(x, y)."""
@@ -393,48 +401,65 @@ class RepContext:
                 acc = acc.add(b.scale(c))
         return acc
 
-    # -- kernels, images, cokernels ----------------------------------
+    # -- subquotients ------------------------------------------------
 
-    def kernel(self, f: RepMap) -> Tuple[Rep, RepMap]:
-        built = self.subrep_from_rows(f.source, [c.kernel_and_image()[0].basis for c in f.comps])
-        if built is None:
-            raise AssertionError("kernel is not arrow-stable; convention bug")
-        return built
+    def subquotient(self, l: Rep, top: Sequence[Subspace], bottom: Sequence[Subspace]) -> Optional[Rep]:
+        """The subquotient top/bottom of l, for per-vertex spans bottom
+        inside top inside l's vertex spaces, or None when top is not
+        arrow-stable; bottom is taken to be arrow-stable, unchecked.
 
-    def image(self, f: RepMap) -> Tuple[Rep, RepMap]:
-        built = self.subrep_from_rows(f.target, [Subspace(self.field, c.ncols, c.rows).basis for c in f.comps])
-        if built is None:
-            raise AssertionError("image is not arrow-stable; convention bug")
-        return built
-
-    def cokernel(self, f: RepMap) -> Tuple[Rep, RepMap]:
+        Bottom inside top has its pivot columns among top's, so at each
+        vertex the quotient basis is the rows of top at its other pivot
+        columns. An arrow u -> w sends such a row through l's arrow
+        matrix, reduces the result mod bottom at w and reads it in top's
+        coordinates there (:meth:`Subspace.coords`), at the places of the
+        quotient basis. Raises ``ValueError`` when bottom is not inside
+        top."""
+        places = []
+        for hi, lo in zip(top, bottom):
+            if any(hi.coords(v) is None for v in lo.basis.rows):
+                raise ValueError(
+                    f"the bottom of dimension vector {tuple(s.dim for s in bottom)} is not inside the top"
+                    f" of dimension vector {tuple(s.dim for s in top)}"
+                )
+            places.append([k for k, c in enumerate(hi.pivots) if c not in lo.pivots])
         q = self.quiver
-        y = f.target
-        subs = [Subspace(self.field, y.dims[i], f.comps[i].rows) for i in range(len(y.dims))]
-        dims = [s.codim for s in subs]
-        proj_comps = []
-        for i, s in enumerate(subs):
-            rows = []
-            for j in range(y.dims[i]):
-                unit = [0] * y.dims[i]
-                unit[j] = 1
-                rows.append(list(s.quotient_coords(unit)))
-            proj_comps.append(MatrixFp(self.field, rows, ncols=dims[i]))
         mats = {}
         for a in q.arrows:
             u = q.vertex_index(a.source)
             w = q.vertex_index(a.target)
-            # representative basis of the quotient at u: unit vectors at free columns
+            basis = MatrixFp._trusted(self.field, [top[u].basis.rows[k] for k in places[u]], l.dims[u])
             rows = []
-            for c in subs[u].free_columns:
-                unit = [0] * y.dims[u]
-                unit[c] = 1
-                img = MatrixFp(self.field, [unit]).mul(y.mats[a.name]).rows[0]
-                rows.append(list(subs[w].quotient_coords(img)))
-            mats[a.name] = MatrixFp(self.field, rows, ncols=dims[w]) if rows else MatrixFp.zeros(self.field, 0, dims[w])
-        cok = Rep(self.field, q, dims, mats)
-        proj = RepMap(y, cok, proj_comps, check=False)
-        return cok, proj
+            for img in basis.mul(l.mats[a.name]).rows:
+                c = top[w].coords(bottom[w].reduce(img))
+                if c is None:
+                    return None
+                rows.append([c[k] for k in places[w]])
+            mats[a.name] = MatrixFp._trusted(self.field, rows, len(places[w]))
+        return Rep(self.field, q, [len(k) for k in places], mats)
+
+    def kernel(self, f: RepMap) -> Tuple[Rep, RepMap]:
+        top = [c.kernel_and_image()[0] for c in f.comps]
+        ker = self.subquotient(f.source, top, [Subspace._reduced(self.field, s.ambient, [], ()) for s in top])
+        if ker is None:
+            raise AssertionError("kernel is not arrow-stable; convention bug")
+        return ker, RepMap(ker, f.source, [s.basis for s in top], check=False)
+
+    def image(self, f: RepMap) -> Tuple[Rep, RepMap]:
+        top = [Subspace(self.field, c.ncols, c.rows) for c in f.comps]
+        im = self.subquotient(f.target, top, [Subspace._reduced(self.field, s.ambient, [], ()) for s in top])
+        if im is None:
+            raise AssertionError("image is not arrow-stable; convention bug")
+        return im, RepMap(im, f.target, [s.basis for s in top], check=False)
+
+    def cokernel(self, f: RepMap) -> Tuple[Rep, RepMap]:
+        y = f.target
+        bottom = [Subspace(self.field, c.ncols, c.rows) for c in f.comps]
+        units = [MatrixFp.identity(self.field, n).rows for n in y.dims]
+        cok = self.subquotient(y, [Subspace(self.field, n, rows) for n, rows in zip(y.dims, units)], bottom)
+        # the projection sends each unit vector to its quotient coordinates
+        proj = [MatrixFp._trusted(self.field, [list(s.quotient_coords(u)) for u in rows], s.codim) for s, rows in zip(bottom, units)]
+        return cok, RepMap(y, cok, proj, check=False)
 
     # -- automorphism counting ---------------------------------------
 
@@ -572,24 +597,6 @@ class RepContext:
                 self.register(self.block_sum([self._classes[cid] for cid in ids]), ids)
             out.append((total, ids))
         return out
-
-    def subrep_from_rows(self, l: Rep, row_bases: Sequence[MatrixFp]) -> Optional[Tuple[Rep, RepMap]]:
-        """The subrepresentation of l spanned by the given row bases, or
-        None if the spans are not arrow-stable."""
-        q = self.quiver
-        dims = [rb.nrows for rb in row_bases]
-        mats = {}
-        for a in q.arrows:
-            u = q.vertex_index(a.source)
-            w = q.vertex_index(a.target)
-            rhs = row_bases[u].mul(l.mats[a.name])
-            sol = row_bases[w].solve_matrix(rhs) if dims[u] else MatrixFp.zeros(self.field, 0, dims[w])
-            if sol is None:
-                return None
-            mats[a.name] = sol
-        sub = Rep(self.field, q, dims, mats)
-        incl = RepMap(sub, l, list(row_bases), check=False)
-        return sub, incl
 
 
 def _paths(quiver: Quiver) -> Optional[List[List[str]]]:

@@ -24,9 +24,14 @@ def mats(p, max_rows=4, max_cols=4):
 
 
 def solve_row(m, b):
-    """One v with v @ m == b, or None, through ``solve_matrix``."""
-    sol = m.solve_matrix(MatrixFp(m.field, [list(b)], ncols=m.ncols))
-    return None if sol is None else sol.rows[0]
+    """One v with v @ m == b, or None: the coordinates of b over the rref
+    basis of the row space (``Subspace.coords``), carried back to the rows
+    of m by the transform of the row reduction."""
+    _, pivots, t = m.rref_with_transform()
+    coords = Subspace(m.field, m.ncols, m.rows).coords(b)
+    if coords is None:
+        return None
+    return MatrixFp(m.field, [coords], ncols=len(pivots)).mul(MatrixFp(m.field, t.rows[: len(pivots)], ncols=m.nrows)).rows[0]
 
 
 def test_field_validation():
@@ -143,12 +148,22 @@ def test_subspace_quotient_coords():
     assert s.quotient_coords([1, 1, 1]) == (1, 0)
 
 
+def test_subspace_coords_are_the_entries_at_the_pivots():
+    s = Subspace(F3, 4, [[1, 2, 0, 1], [0, 0, 1, 2]])
+    assert s.pivots == (0, 2)
+    # 2 * row 0 + row 1, read back at columns 0 and 2, reduced mod 3
+    assert s.coords([2, 1, 1, 1]) == [2, 1]
+    assert s.coords([5, 4, -2, 4]) == [2, 1]
+    assert s.coords([0, 1, 0, 0]) is None
+    assert Subspace(F3, 2, []).coords([0, 0]) == []
+
+
 def test_subspace_refuses_a_vector_of_the_wrong_length():
     # a longer vector was cut short and a shorter one raised IndexError;
     # both now name the two lengths
     s = Subspace(F3, 3, [[1, 0, 1]])
     for v in ([0, 1, 2, 5], [1, 0]):
-        for read in (s.reduce, s.quotient_coords):
+        for read in (s.reduce, s.quotient_coords, s.coords):
             with pytest.raises(ValueError, match=f"length {len(v)} for a subspace of ambient dimension 3"):
                 read(v)
     assert s.quotient_coords([0, 1, 2]) == (1, 2)
@@ -192,9 +207,12 @@ def operands(draw):
 def test_arithmetic_results_stay_reduced(ops):
     a, b, c, s = ops
     p = a.field.p
-    # every row of a scaled copy of a lies in the row space of a
-    sol = a.solve_matrix(a.scale(s))
-    assert sol is not None
+    # every row of a scaled copy of a lies in the row space of a, and its
+    # coordinates there are reduced, also when it is read unreduced
+    span = Subspace(a.field, a.ncols, a.rows)
+    coords = [span.coords(row) for row in a.scale(s).rows] + [span.coords([x - 3 * p for x in row]) for row in a.rows]
+    assert None not in coords
+    assert all(len(c) == span.dim and all(x in range(p) for x in c) for c in coords)
     results = [
         a.add(b),
         a.scale(s),
@@ -204,7 +222,6 @@ def test_arithmetic_results_stay_reduced(ops):
         a.rref()[0],
         *a.rref_with_transform()[::2],
         *(span.basis for span in a.kernel_and_image()),
-        sol,
         MatrixFp.zeros(a.field, 2, 3),
         MatrixFp.identity(a.field, 3),
     ]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -431,6 +433,41 @@ def test_cones_and_realized_keys_build_no_chain_maps(monkeypatch):
     assert len(built) == 0
     ChainModel(pctx).realize(key)
     assert len(built) == 0
+
+
+def two_step_homology(ctx, c, i):
+    """ker d_i / im d_{i-1} built in two steps: the kernel module, then
+    the cokernel of d_{i-1} corestricted to it, its rows read in the
+    kernel's rref coordinates."""
+    ker, incl = ctx.kernel(c.diffs[i])
+    comps = []
+    for d, k in zip(c.diffs[i - 1].comps, incl.comps):
+        span = Subspace(ctx.field, k.ncols, k.rows)
+        assert span.basis == k
+        coords = [span.coords(row) for row in d.rows]
+        assert None not in coords
+        comps.append(MatrixFp(ctx.field, coords, ncols=k.nrows))
+    return ctx.cokernel(RepMap(c.slots[i - 1], ker, comps))[0]
+
+
+@pytest.mark.parametrize("t", [3, 5])
+@pytest.mark.parametrize("n, p, count", [(2, 3, 12), (3, 2, 12)])
+def test_homology_pieces_match_the_two_step_recipe(n, p, count, t):
+    # every cone of a morphism between the first objects of bound (1,...):
+    # each piece of its normal form is, entry for entry, the cokernel of
+    # the previous differential corestricted to the kernel module
+    pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)), t=t)
+    ctx, chains = pctx.ctx, ChainModel(pctx)
+    keys = list(itertools.islice(pctx.objects((1,) * n), count))
+    cones = 0
+    for x in keys:
+        for y in keys:
+            for _, f in chains.hom_space(x, y).morphisms():
+                cone = mapping_cone(ctx, f)
+                pieces = normal_pieces(ctx, cone)
+                assert [piece.key() for piece in pieces] == [two_step_homology(ctx, cone, -s % t).key() for s in range(t)]
+                cones += 1
+    assert cones > count * count
 
 
 def test_identity_iso_found():

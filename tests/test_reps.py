@@ -20,9 +20,9 @@ from perihall.checks import (
     summand_ids,
 )
 from perihall import gfp
-from perihall.gfp import FieldSpec, MatrixFp
+from perihall.gfp import FieldSpec, MatrixFp, Subspace
 from perihall.quiver import Arrow, Quiver, line_quiver
-from perihall.periodic import ChainMap, CycleComplex, corestrict, direct_sum_complexes, proj_resolution, projective, summand_maps
+from perihall.periodic import ChainMap, CycleComplex, direct_sum_complexes, proj_resolution, projective, summand_maps
 from perihall.reps import BudgetExceeded, Rep, RepContext, RepMap
 
 A1 = line_quiver(1)
@@ -108,6 +108,15 @@ def test_hom_maps_are_the_rows_of_their_span(quiver, p, bound):
     assert max(dims) >= 2
 
 
+def test_hom_coords_refuse_a_map_that_is_not_a_morphism():
+    # S1 -> P1 by 1 at vertex 1 breaks the square of the arrow
+    ctx = ctx_a2()
+    f = RepMap(s1(ctx), p1(ctx), [MatrixFp(ctx.field, [[1]]), MatrixFp.zeros(ctx.field, 0, 1)], check=False)
+    assert ctx.hom_ext(s1(ctx), p1(ctx)).hom == []
+    with pytest.raises(ValueError, match="is not a morphism"):
+        ctx.hom_ext(s1(ctx), p1(ctx)).hom_coords(f)
+
+
 def test_one_hom_ext_miss_eliminates_delta_once(monkeypatch):
     # one elimination of delta gives its kernel and image; only a nonzero
     # kernel is reduced once more, and a delta with no unknowns needs none
@@ -170,16 +179,35 @@ def test_factorize_exactness():
             for f in _some_homs(ctx, x, y, limit=8):
                 ker, kincl = ctx.kernel(f)
                 im, iincl = ctx.image(f)
-                iproj = corestrict(f, iincl)
                 cok, cproj = ctx.cokernel(f)
                 assert kincl.then(f).is_zero()
                 assert iincl.then(cproj).is_zero()
-                assert iproj.then(iincl) == f
+                # f lands in its image: each row has coordinates over the
+                # image's rref basis, and they give the row back
+                for fc, ic in zip(f.comps, iincl.comps):
+                    span = Subspace(ctx.field, ic.ncols, ic.rows)
+                    assert span.basis == ic
+                    coords = [span.coords(row) for row in fc.rows]
+                    assert None not in coords
+                    assert MatrixFp(ctx.field, coords, ncols=ic.nrows).mul(ic) == fc
                 assert ker.total_dim + im.total_dim == x.total_dim
                 assert im.total_dim + cok.total_dim == y.total_dim
                 # inclusions and projections are honest morphisms
                 RepMap(ker, x, kincl.comps, check=True)
                 RepMap(y, cok, cproj.comps, check=True)
+
+
+def test_subquotient_refuses_an_unstable_top_and_a_bottom_outside_it():
+    ctx = ctx_a2()
+    p = p1(ctx)
+    zero, line = Subspace(ctx.field, 1, []), Subspace(ctx.field, 1, [[1]])
+    # the arrow carries the top at vertex 1 out of a zero top at vertex 2
+    assert ctx.subquotient(p, [line, zero], [zero, zero]) is None
+    # the socle S2 is stable, and it is its own quotient by zero
+    assert ctx.subquotient(p, [zero, line], [zero, zero]).key() == s2(ctx).key()
+    assert ctx.subquotient(p, [line, line], [zero, line]).key() == s1(ctx).key()
+    with pytest.raises(ValueError, match=r"bottom of dimension vector \(1, 0\) is not inside the top of dimension vector \(0, 1\)"):
+        ctx.subquotient(p, [zero, line], [line, zero])
 
 
 def test_kernel_of_projective_cover_is_socle():
