@@ -16,6 +16,7 @@ The layers, bottom to top:
   type A; other quivers are refused.
 - :mod:`perihall.category` - the periodic category itself: objects as
   shifted module sums, listed lazily by total dimension, hom tables,
+  every scalar of a product from one walk over its two keys,
   compositions from module data, cone fibers classified by Hom ranks.
   The fibers, and so the Hall products, are served only for quivers of
   type A (disjoint unions of paths); on other quivers

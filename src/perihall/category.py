@@ -44,19 +44,27 @@ harness-only ones (module automorphism counts, matrix inverses) in
 :mod:`perihall.checks`; ``hom_space`` stays here while the benchmark
 traces it.
 
-The scalars ``hom_dim``, ``brace_exponent`` and ``aut_order`` never
-build a module. They read one cached entry per pair of distinct parts
-(class id, shift): the pair's hom dimension and its brace share
-beta(r), both linear in the (dim Hom, dim Ext^1) of the two classes,
+The scalars never build a module. Between a part of class a and a part
+of class b at shift residue r, the hom dimension and the brace share
+beta(r) are both linear in the (dim Hom, dim Ext^1) of the two classes,
 the lengths of their Ringel bases, with coefficients from two
-per-residue tables. The runs of equal parts of each key are cached too
-and weigh the entries by multiplicity. One walk over the part pairs of
-two keys gives both (hom, brace), cached per key pair, so a product's
-base exponent, End's dimension in ``aut_order`` and each cone's {l,l}
-share one record. ``aut_order`` also reads each class's residue
-degree, cached per class id: 1 for a brick (End one-dimensional, so
-End = F_q), which every indecomposable of a quiver of type A is, and
-only otherwise counted by enumerating End.
+per-residue tables. One row per ordered pair of classes holds both at
+every residue, built from ``_class_pair`` and cached, so a quiver with
+c indecomposable classes has at most c^2 rows; the decode of cones
+(:class:`HomVectors`) reads the same rows. The runs of equal parts of
+each key are cached too and weigh the rows by multiplicity.
+
+The engine asks for a product's scalars in one call,
+:meth:`PeriodicContext.product_terms`: one walk over the part pairs of
+the two operands reads each pair's row at three residues, and each
+operand and cone reads one record per key, (|Aut|, hom, brace) of the
+key with itself; nothing is cached per pair of keys. The harness
+surface ``hom_dim``, ``brace_exponent``, ``aut_order`` and
+``fiber_counts`` answers one scalar at a time from the same rows, walk
+and records. |Aut| is the unit count of End, read off its dimension
+and each class's residue degree, cached per class id: 1 for a brick
+(End one-dimensional, so End = F_q), which every indecomposable of a
+quiver of type A is, and only otherwise counted by enumerating End.
 :func:`perihall.checks.aut_order_by_layers` builds the layers.
 
 The brace exponent {x,y} = -hom(x[1], y) + hom(x[2], y) - ... - hom(x[t], y),
@@ -139,7 +147,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .gfp import rank_rows, unit_group_order
+from .gfp import gl_order, rank_rows, unit_group_order
 from .reps import BudgetExceeded, HomExt, RepContext
 
 if TYPE_CHECKING:
@@ -159,7 +167,7 @@ class HomVectors:
     The test objects are the pairs (indecomposable class, shift), in
     sorted order. The hom vector of an object x, dim Hom(T, x) for each
     test object T, is H times the multiplicity vector of x, where
-    H[T][U] = hom_dim(T, U), read off the cached part-pair table.
+    H[T][U] = hom_dim(T, U), read off the cached class-pair rows.
     Auslander's theorem makes H invertible at an odd period (module
     docstring); H^-1 = inverse / denominator, with ``inverse`` an
     integer matrix and ``denominator`` the least common denominator of
@@ -170,7 +178,7 @@ class HomVectors:
         self.parts: Tuple[Part, ...] = tuple((cid, s) for cid in sorted(ids) for s in range(pctx.t))
         self.index: Dict[Part, int] = {part: t for t, part in enumerate(self.parts)}
         n = len(self.parts)
-        self.matrix = [[pctx._part_pair(t, u)[0] for u in self.parts] for t in self.parts]
+        self.matrix = [[pctx._part_hom(t, u) for u in self.parts] for t in self.parts]
         self.inverse, self.denominator = _integer_inverse(self.matrix)
         # the test objects T with Hom(T, U) != 0, per U
         self.sees = [frozenset(t for t in range(n) if self.matrix[t][u]) for u in range(n)]
@@ -218,9 +226,8 @@ class PeriodicContext:
             raise ValueError(f"the period must be an odd number at least 3, got t = {t}")
         self.ctx = ctx
         self.t = t
-        self._aut_cache: Dict[ObjKey, int] = {}
-        self._brace_cache: Dict[Tuple[ObjKey, ObjKey], Tuple[int, int]] = {}
-        self._part_pairs: Dict[Tuple[Part, Part], Tuple[int, int]] = {}
+        self._records: Dict[ObjKey, Tuple[int, int, int]] = {}
+        self._class_pairs: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
         self._cones: Dict[Tuple[ObjKey, ObjKey], Dict[ObjKey, int]] = {}
         self._runs_cache: Dict[ObjKey, List[Tuple[Part, int]]] = {}
         self._residue_cache: Dict[int, int] = {}
@@ -350,19 +357,24 @@ class PeriodicContext:
         he = self._hom_ext(a, b)
         return len(he.hom), he.ext_dim
 
-    def _part_pair(self, a: Part, b: Part) -> Tuple[int, int]:
-        """(dim Hom(a, b), beta(r)) for two parts, at their shift residue
+    def _class_row(self, a: int, b: int) -> Tuple[Tuple[int, int], ...]:
+        """Per shift residue r, (dim Hom, beta(r)) between a part of the
+        class with id a and a part of the class with id b at residue
         r = (s_b - s_a) mod t: the covering table picks Hom, Ext^1 or 0
         for the first and the brace table weighs them for the second
-        (module docstring). Cached per part pair."""
-        k = (a, b)
-        hit = self._part_pairs.get(k)
-        if hit is None:
-            hom, ext = self._class_pair(a[0], b[0])
-            r = (b[1] - a[1]) % self.t
-            (h0, e0), (h1, e1) = _covering_table(self.t)[r], _brace_table(self.t)[r]
-            self._part_pairs[k] = hit = (h0 * hom + e0 * ext, h1 * hom + e1 * ext)
-        return hit
+        (module docstring), both from what :meth:`_class_pair` returns.
+        Cached per class pair: at most c^2 rows for c classes."""
+        hom, ext = self._class_pair(a, b)
+        self._class_pairs[(a, b)] = row = tuple(
+            (h0 * hom + e0 * ext, h1 * hom + e1 * ext)
+            for (h0, e0), (h1, e1) in zip(_covering_table(self.t), _brace_table(self.t))
+        )
+        return row
+
+    def _part_hom(self, a: Part, b: Part) -> int:
+        """dim Hom(a, b) between two parts, read off the class-pair table."""
+        row = self._class_pairs.get((a[0], b[0])) or self._class_row(a[0], b[0])
+        return row[(b[1] - a[1]) % self.t][0]
 
     def _runs(self, key: ObjKey) -> List[Tuple[Part, int]]:
         """Each distinct part of a sorted key with the number of times it
@@ -372,33 +384,19 @@ class PeriodicContext:
             self._runs_cache[key] = hit = [(part, len(list(run))) for part, run in itertools.groupby(key)]
         return hit
 
-    def _hom_brace(self, x: ObjKey, y: ObjKey) -> Tuple[int, int]:
-        """(hom_dim(x, y), brace_exponent(x, y)) in one walk over the
-        pairs of distinct parts, each weighing its part-pair entry by
-        the multiplicities. Cached per key pair."""
-        pairs = self._part_pairs
-        ys = self._runs(y)
-        hom = brace = 0
-        for a, ma in self._runs(x):
-            for b, mb in ys:
-                h, e = pairs.get((a, b)) or self._part_pair(a, b)
-                hom += ma * mb * h
-                brace += ma * mb * e
-        self._brace_cache[(x, y)] = hit = (hom, brace)
-        return hit
-
     def hom_dim(self, x: ObjKey, y: ObjKey) -> int:
         """Covering formula: summand pairs contribute their module hom,
-        their extension space, or nothing, by shift residue; read off the
-        key pair's cached (hom, brace) record."""
-        return (self._brace_cache.get((x, y)) or self._hom_brace(x, y))[0]
+        their extension space, or nothing, by shift residue; one walk
+        over the part pairs (:meth:`_pair_walk`), not cached."""
+        return self._pair_walk(x, y)[0]
 
     def brace_exponent(self, x: ObjKey, y: ObjKey) -> int:
         """{x,y}: e with q**e equal to the alternating product of
         |Hom(x[i], y)| over i from 1 to t, signs starting at -1, summed
         over part pairs of beta(r) from the brace table (module
-        docstring); read off the key pair's cached (hom, brace) record."""
-        return (self._brace_cache.get((x, y)) or self._hom_brace(x, y))[1]
+        docstring); one walk over the part pairs (:meth:`_pair_walk`),
+        not cached."""
+        return self._pair_walk(x, y)[1]
 
     def check_budget(self, x: ObjKey, y: ObjKey, dim: int) -> None:
         """Refuse to walk the q**dim morphism classes x -> y beyond the
@@ -451,7 +449,7 @@ class PeriodicContext:
             return tuple(tuple(tb.ext_coords(ta.pushforward(u, g)) for g in ab.hom) for u in range(ta.ext_dim))
         # Ext^1 after Ext^1 lands in Ext^2 = 0, and a space at any other
         # residue is 0: every entry is the empty vector
-        return (((),) * self._part_pair(a, b)[0],) * self._part_pair(t, a)[0]
+        return (((),) * self._part_hom(a, b),) * self._part_hom(t, a)
 
     def _composition_terms(self, t: Part, a: Part, b: Part) -> Tuple[Tuple[int, int, int, int], ...]:
         """The nonzero entries (u, k, v, value) of :meth:`_composition`:
@@ -545,6 +543,72 @@ class PeriodicContext:
             self._cones[(x, m)] = hit
         return hit
 
+    def _pair_walk(self, y: ObjKey, x: ObjKey) -> Tuple[int, int, int, int, int, set, set]:
+        """One walk over the pairs of distinct parts b of y and a of x,
+        reading the class-pair table at three residues: the pair's own
+        r = (s_a - s_b) mod t for hom(y, x) and {y, x}, r + 1 for
+        Hom(y[-1], x), and -r, the reverse pair, for hom(x, y) and
+        {x, y}. Returns those four, dim Hom(y[-1], x), and the parts of y
+        and of x that have a nonzero block of Hom(y[-1], x), the active
+        parts of :meth:`_add_cones`. Not cached. A product, a fiber, a
+        key's own record and each of ``hom_dim`` and ``brace_exponent``
+        is one call."""
+        rows, t = self._class_pairs, self.t
+        xs = self._runs(x)
+        hom_yx = brace_yx = hom_xy = brace_xy = dim = 0
+        on_y, on_x = set(), set()
+        for b, mb in self._runs(y):
+            cb, sb = b
+            for a, ma in xs:
+                ca, sa = a
+                m = ma * mb
+                r = (sa - sb) % t
+                row = rows.get((cb, ca)) or self._class_row(cb, ca)
+                h, e = row[r]
+                hom_yx += m * h
+                brace_yx += m * e
+                # the residue r + 1, read with a nonpositive index
+                h = row[r + 1 - t][0]
+                if h:
+                    dim += m * h
+                    on_y.add(b)
+                    on_x.add(a)
+                h, e = (rows.get((ca, cb)) or self._class_row(ca, cb))[-r]
+                hom_xy += m * h
+                brace_xy += m * e
+        return hom_yx, brace_yx, hom_xy, brace_xy, dim, on_y, on_x
+
+    def _add_cones(self, y: ObjKey, x: ObjKey, dim: int, on_y: set, on_x: set, out: Dict[ObjKey, int]) -> None:
+        """Add the cones of the nonzero morphisms y[-1] -> x to ``out``,
+        each with its number of morphisms, in order of first appearance
+        over the lines of :func:`_lines`; ``dim``, ``on_y`` and ``on_x``
+        are dim Hom(y[-1], x) and the active parts of y and x, from
+        :meth:`_pair_walk`. The context's ``enum_cap`` bounds q**dim.
+
+        The active sub-keys x' of y[-1] and m' of x are the parts with a
+        nonzero Hom block to the other side, in key order; the inactive
+        rest x'' and m'' only adds zero rows and columns to every
+        Hom(T, f). So f = f' + 0 with f': x' -> m', and
+        cone(f) = cone(f') + x''[1] + m'': the cones of Hom(x', m') are
+        read off :meth:`_active_cones`, decoded once per active pair, and
+        the inactive parts are added to them. The translation functor is
+        a triangle autoequivalence, so cone(f'[s]) = cone(f')[s]: a pair
+        whose least shift s0 is not 0 reads the cones of its translate
+        by -s0, shifted by s0. No part shift wraps on that translate, so
+        it keeps the order of the parts, of the Hom blocks and of the
+        lines; pairs related only by a translate that wraps keep their
+        own entries."""
+        t = self.t
+        self.check_budget(self.shift_key(y, -1), x, dim)
+        xa = sorted([(cid, (s - 1) % t) for cid, s in y if (cid, s) in on_y])
+        ma = [a for a in x if a in on_x]
+        rest = [b for b in y if b not in on_y] + [a for a in x if a not in on_x]
+        s0 = min(s for _, s in xa + ma)
+        cones = self._active_cones(tuple((cid, s - s0) for cid, s in xa), tuple((cid, s - s0) for cid, s in ma))
+        for cone, count in cones.items():
+            ck = tuple(sorted([(cid, (s + s0) % t) for cid, s in cone] + rest))
+            out[ck] = out.get(ck, 0) + count
+
     def fiber_counts(self, x: ObjKey, m: ObjKey) -> Dict[ObjKey, int]:
         """How many morphisms x -> m have each cone class.
 
@@ -563,50 +627,65 @@ class PeriodicContext:
             dim Hom(T, C) = hom(T, m) - rk Hom(T, f) + hom(T[-1], x) - rk Hom(T[-1], f),
 
         which fixes C by Auslander's theorem; :meth:`HomVectors.cone_key`
-        decodes it. The active sub-keys x' and m' are the parts of x and
-        m with a nonzero Hom block to the other side, in key order; the
-        inactive rest x'' and m'' only adds zero rows and columns to
-        every Hom(T, f). So f = f' + 0 with f': x' -> m', and
-        cone(f) = cone(f') + x''[1] + m'': each call adds its inactive
-        parts to the cones of Hom(x', m'). Those cones are read off
-        :meth:`_active_cones`, decoded once per active pair. The
-        translation functor is a triangle autoequivalence, so
-        cone(f'[s]) = cone(f')[s]: a pair whose least shift s0 is not 0
-        reads the cones of its translate by -s0, shifted by s0. No part
-        shift wraps on that translate, so it keeps the order of the
-        parts, of the Hom blocks and of the lines; pairs related only by
-        a translate that wraps keep their own entries. Only quivers of
-        type A are served (see :meth:`hom_vectors`);
-        :func:`perihall.checks.cone_key_literal` builds and reduces the
-        cone instead.
+        decodes it. With y = x[1], this is the walk of
+        :meth:`product_terms` over the part pairs of y and m
+        (:meth:`_pair_walk`) and the cones of its active parts
+        (:meth:`_add_cones`). Only quivers of type A are served (see
+        :meth:`hom_vectors`); :func:`perihall.checks.cone_key_literal`
+        builds and reduces the cone instead.
 
-        The dict is built afresh per call and not stored: the engine
-        asks once per product, which it memoizes, and a repeated call
-        only merges the cached active cones again, walking no line.
+        The engine never calls it: :meth:`product_terms` reads the same
+        fiber. The harnesses, the exactness digest and the benchmark's
+        checks do. The dict is built afresh per call and not stored; a
+        repeated call only merges the cached active cones again, walking
+        no line.
         """
-        t = self.t
-        zero = self.direct_sum_key(self.shift_key(x, 1), m)
-        out = {zero: 1}
-        dim = self.hom_dim(x, m)
+        y = self.shift_key(x, 1)
+        *_, dim, on_y, on_m = self._pair_walk(y, m)
+        out = {self.direct_sum_key(y, m): 1}
         if dim:
-            self.check_budget(x, m, dim)
-            pairs = self._part_pairs
-            ms = self._runs(m)
-            on_x, on_m = set(), set()
-            for a, _ in self._runs(x):
-                for b, _ in ms:
-                    if (pairs.get((a, b)) or self._part_pair(a, b))[0]:
-                        on_x.add(a)
-                        on_m.add(b)
-            xa = [a for a in x if a in on_x]
-            ma = [b for b in m if b in on_m]
-            rest = [(cid, (s + 1) % t) for cid, s in x if (cid, s) not in on_x] + [b for b in m if b not in on_m]
-            s0 = min(s for _, s in xa + ma)
-            cones = self._active_cones(tuple((cid, s - s0) for cid, s in xa), tuple((cid, s - s0) for cid, s in ma))
-            for cone, count in cones.items():
-                ck = tuple(sorted([(cid, (s + s0) % t) for cid, s in cone] + rest))
-                out[ck] = out.get(ck, 0) + count
+            self._add_cones(y, m, dim, on_y, on_m, out)
         return out
+
+    def product_terms(
+        self, x: ObjKey, y: ObjKey
+    ) -> Tuple[int, int, Tuple[int, int], Tuple[int, int], List[Tuple[ObjKey, int, int, int]]]:
+        """Every scalar the structure constants of u_x * u_y read, from
+        one walk over the part pairs of y and x (:meth:`_pair_walk`):
+        hom(y, x), {y, x}, (|Aut x|, {x, x}), (|Aut y|, {y, y}), and per
+        cone l of the morphisms y[-1] -> x, in the order of
+        ``fiber_counts(y[-1], x)``, the tuple (l, count, |Aut l|, {l, l}).
+
+        The operands and the cones read their (|Aut|, hom, brace) record
+        per key (:meth:`_record`). The zero morphism's cone y + x is
+        first, and a new one gets its record without a walk of its own:
+        hom and brace are bilinear, so they are the sums of the
+        operands' own and the walk's cross terms, and a product with
+        Hom(y[-1], x) = 0 walks no cone's part pairs. When x and y share
+        no part, End(y + x) is End(x) + End(y) plus the radical
+        Hom(x, y) + Hom(y, x), so |Aut(y + x)| is
+        |Aut x| |Aut y| q^(hom(x, y) + hom(y, x)); :meth:`_merge_units`
+        corrects that for the parts they share. Nothing per key pair is
+        cached; :meth:`perihall.hall.HallEngine.multiply` memoizes the
+        product."""
+        hom_yx, brace_yx, hom_xy, brace_xy, dim, on_y, on_x = self._pair_walk(y, x)
+        aut_x, hom_x, brace_x = self._record(x)
+        aut_y, hom_y, brace_y = self._record(y)
+        zero = tuple(sorted(y + x))
+        rec = self._records.get(zero)
+        if rec is None:
+            aut = aut_x * aut_y * self.q ** (hom_xy + hom_yx)
+            if not set(x).isdisjoint(y):
+                aut = self._merge_units(x, y, aut)
+            self._records[zero] = rec = (aut, hom_x + hom_y + hom_xy + hom_yx, brace_x + brace_y + brace_xy + brace_yx)
+        terms = [(zero, 1, rec[0], rec[2])]
+        if dim:
+            fiber = {zero: 1}
+            self._add_cones(y, x, dim, on_y, on_x, fiber)
+            for l, count in itertools.islice(fiber.items(), 1, None):
+                aut, _, brace = self._record(l)
+                terms.append((l, count, aut, brace))
+        return hom_yx, brace_yx, (aut_x, brace_x), (aut_y, brace_y), terms
 
     # -- automorphisms ------------------------------------------------
 
@@ -626,21 +705,55 @@ class PeriodicContext:
             self._residue_cache[cid] = hit
         return hit
 
-    def aut_order(self, key: ObjKey) -> int:
-        """|Aut| as the unit count of the finite algebra End(key)
-        (:func:`perihall.gfp.unit_group_order`): dim End is
-        ``hom_dim(key, key)``, read off the key pair's (hom, brace)
-        record, and by Krull-Schmidt its semisimple quotient has one
-        block GL_m over the residue field of each distinct (class, shift)
-        part of multiplicity m. Each residue degree is 1 for a brick,
-        every indecomposable of a quiver of type A, and enumerated
-        otherwise (:meth:`_residue_degree`). Cached per key;
-        :func:`perihall.checks.aut_order_by_layers` builds the layers."""
-        hit = self._aut_cache.get(key)
+    def _units(self, key: ObjKey, dim: int) -> int:
+        """|Aut key| as the unit count of the finite algebra End(key) of
+        dimension ``dim`` (:func:`perihall.gfp.unit_group_order`): by
+        Krull-Schmidt its semisimple quotient has one block GL_m over the
+        residue field of each distinct (class, shift) part of
+        multiplicity m. Each residue degree is 1 for a brick, every
+        indecomposable of a quiver of type A, and enumerated otherwise
+        (:meth:`_residue_degree`)."""
+        blocks = [(len(list(run)), self._residue_degree(cid)) for (cid, _), run in itertools.groupby(key)]
+        return unit_group_order(self.q, dim, blocks)
+
+    def _merge_units(self, x: ObjKey, y: ObjKey, disjoint: int) -> int:
+        """|Aut(x + y)| from ``disjoint``, the count
+        |Aut x| |Aut y| q^(hom(x, y) + hom(y, x)) that holds when x and
+        y share no part (:meth:`product_terms`). A part of multiplicity
+        a in x and b in y, with residue field F_Q, has one block
+        GL_(a+b)(F_Q) in place of GL_a and GL_b, and the 2ab
+        Q-dimensions of Hom between its copies that ``disjoint`` counts
+        as radical lie in that block instead (:meth:`_units`); the
+        quotient is exact."""
+        q, mult = self.q, dict(self._runs(x))
+        num, den = disjoint, 1
+        for part, b in self._runs(y):
+            a = mult.get(part)
+            if a:
+                big = q ** self._residue_degree(part[0])
+                num *= gl_order(a + b, big)
+                den *= gl_order(a, big) * gl_order(b, big) * big ** (2 * a * b)
+        return num // den
+
+    def _record(self, key: ObjKey) -> Tuple[int, int, int]:
+        """(|Aut key|, hom_dim(key, key), brace_exponent(key, key)), from
+        one walk over the part pairs of the key with itself
+        (:meth:`_pair_walk`) and :meth:`_units`. Cached per key: the one
+        record a product reads per operand and per cone;
+        :meth:`product_terms` stores the record of a zero morphism's
+        cone itself."""
+        hit = self._records.get(key)
         if hit is None:
-            blocks = [(m, self._residue_degree(cid)) for (cid, _), m in self._runs(key)]
-            self._aut_cache[key] = hit = unit_group_order(self.q, self.hom_dim(key, key), blocks)
+            hom, brace, *_ = self._pair_walk(key, key)
+            self._records[key] = hit = (self._units(key, hom), hom, brace)
         return hit
+
+    def aut_order(self, key: ObjKey) -> int:
+        """|Aut| as the unit count of the finite algebra End(key), read
+        off the key's cached record (:meth:`_record`): dim End is
+        hom_dim(key, key), and :meth:`_units` counts the units.
+        :func:`perihall.checks.aut_order_by_layers` builds the layers."""
+        return self._record(key)[0]
 
 
 @functools.lru_cache(maxsize=None)

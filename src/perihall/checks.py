@@ -1,15 +1,16 @@
 """Verification harnesses for the periodic Hall engine.
 
 Every closed formula the engine relies on (its one-enumeration product
-formula against both dual counting recipes, cone classes from Hom
-ranks against built and reduced cones, composition tensors from module
-data against chain maps modulo homotopy (:mod:`perihall.periodic`),
-dim Ext^1 from Ringel's delta against the Euler form and a literal
-cocycle count, the generated modules of a bound against brute-force
-enumeration, the layered automorphism count, the square-root sizes of
-composition images, the block normal form of triangles, the
-straightening relations) is re-derived here by brute enumeration on
-small instances and compared exactly.
+formula against both dual counting recipes and against the oracle's
+scalars taken one at a time (:func:`multiply_by_scalars`), cone
+classes from Hom ranks against built and reduced cones, composition
+tensors from module data against chain maps modulo homotopy
+(:mod:`perihall.periodic`), dim Ext^1 from Ringel's delta against the
+Euler form and a literal cocycle count, the generated modules of a
+bound against brute-force enumeration, the layered automorphism count,
+the square-root sizes of composition images, the block normal form of
+triangles, the straightening relations) is re-derived here by brute
+enumeration on small instances and compared exactly.
 :class:`FaultyEngine` carries one wrong structure constant, so a test
 can show that a harness notices. Each harness returns a CheckReport
 rather than raising, so the test suite and the command line can both
@@ -140,6 +141,24 @@ def build_unguarded_engine(oracle, t: int) -> HallEngine:
     engine = HallEngine(oracle)
     oracle.t = t
     return engine
+
+
+def multiply_by_scalars(engine: HallEngine, x: Key, y: Key) -> HallVector:
+    """u_x * u_y composed from the oracle's scalars one at a time:
+    ``brace_exponent``, ``hom_dim``, ``aut_order`` and ``fiber_counts``
+    of y[-1] -> x, in the fiber's order. The engine reads the same
+    scalars from one ``product_terms`` call
+    (:meth:`perihall.hall.HallEngine.multiply`); the tests pin the two
+    item for item, insertion order included. Nothing is memoized."""
+    o = engine.oracle
+    q = engine.q
+    brace = o.brace_exponent
+    base = -brace(x, x) - brace(y, y) - brace(y, x) - 2 * o.hom_dim(y, x)
+    den = o.aut_order(x) * o.aut_order(y)
+    coeffs = {}
+    for l, count in o.fiber_counts(o.shift_key(y, -1), x).items():
+        coeffs[l] = HallValue.monomial(count * o.aut_order(l), den, base + brace(l, l), q)
+    return HallVector(q, coeffs)
 
 
 def hall_number_via(engine: HallEngine, x: Key, y: Key, l: Key, side: str) -> HallValue:

@@ -9,18 +9,26 @@ associated to triangulated categories", math/0608144):
     F_xy^l = |Hom(y[-1], x)_l| * |Aut l| / (|Aut x| |Aut y|) * q^(k/2),
     k = {l,l} - {x,x} - {y,y} - {y,x} - 2 hom(y, x),
 
-where hom is the oracle's hom dimension and {a,b} is the oracle's
-``brace_exponent``: the e with q^e equal to the alternating product of
-the hom sizes |Hom(a[i], b)|, i from 1 to the period, signs starting
-at -1. Each oracle answers it from its own tables;
-:func:`perihall.checks.brace_exponent_by_shifts` takes the alternating
-sum literally. Only {l,l}, |Aut l| and the fiber count depend on the
-cone l, so a product computes the rest of k and |Aut x| |Aut y| once
+where hom is a hom dimension and {a,b} the brace exponent: the e with
+q^e equal to the alternating product of the hom sizes |Hom(a[i], b)|,
+i from 1 to the period, signs starting at -1.
+
+The formula lives here, in :meth:`HallEngine.multiply`; the scalars it
+reads come from the oracle in one call per product,
+``product_terms(x, y)``: hom(y, x), {y, x}, |Aut| and {.,.} of each
+operand, and per cone l its fiber count, |Aut l| and {l,l}, in the
+fiber's order. Each oracle answers from its own tables, in one walk
+over the two keys (:meth:`perihall.category.PeriodicContext.product_terms`)
+or from closed forms (:class:`perihall.semisimple.SemisimplePeriodic`).
+The product computes the cone-free part of k and |Aut x| |Aut y| once
 and builds each constant from ints with
 :meth:`perihall.sqrtq.HallValue.monomial`, which folds sqrt(q) when q
-is a perfect square. The dual counts, which fiber Hom(x, l) or
-Hom(l, y) instead, live in :mod:`perihall.checks` and are compared
-there.
+is a perfect square. :func:`perihall.checks.multiply_by_scalars`
+composes the same product from the oracle's one-at-a-time scalars
+(``hom_dim``, ``brace_exponent``, ``aut_order``, ``fiber_counts``), and
+:func:`perihall.checks.brace_exponent_by_shifts` takes the alternating
+sum literally. The dual counts, which fiber Hom(x, l) or Hom(l, y)
+instead, live in :mod:`perihall.checks` and are compared there.
 
 Sums of products are single-pass: ``multiply_vectors`` and
 ``PBWExpression.evaluate`` add every scaled term into one dict, in the
@@ -31,13 +39,12 @@ computed once per factor tuple (``HallEngine.layer_product``), and
 ``pbw_expand`` and ``evaluate`` share it.
 
 The engine is generic over the category: anything exposing the oracle
-surface (period, field size, object keys, shifts, direct sums, hom
-dimensions, automorphism orders, and morphism counts fibered by cone
-class) can be multiplied; the period is the oracle's odd ``t``. The
-quiver category, at :attr:`perihall.category.PeriodicContext.t`, is the
-main instance; tests run it and a semisimple one at t = 3, 5 and 7. Its
-morphism counts, and so its products, are served only for quivers of
-type A (disjoint unions of paths); on any other quiver
+surface (:class:`CategoryOracle`) can be multiplied; the period is the
+oracle's odd ``t``. The quiver category, at
+:attr:`perihall.category.PeriodicContext.t`, is the main instance;
+tests run it and a semisimple one at t = 3, 5 and 7. Its morphism
+counts, and so its products, are served only for quivers of type A
+(disjoint unions of paths); on any other quiver
 :func:`perihall.checks.fiber_counts_literal` counts the fibers.
 """
 
@@ -54,7 +61,14 @@ Key = Hashable
 
 
 class CategoryOracle(Protocol):
-    """What a category must answer to have a Hall algebra computed."""
+    """What the engine asks a category for to compute its Hall algebra:
+    the period, the field size, object keys with their zero, shifts and
+    direct sums, the per-shift layers that PBW straightening splits a
+    key into, and per product the scalars of one ``product_terms`` call.
+    The Riedtmann formula that combines those scalars lives in
+    :meth:`HallEngine.multiply`, not in the oracle. The harnesses read
+    further methods of the oracles (``hom_dim``, ``brace_exponent``,
+    ``aut_order``, ``fiber_counts``); the engine does not."""
 
     t: int
 
@@ -72,17 +86,12 @@ class CategoryOracle(Protocol):
         """Per-shift module layers, each as a key concentrated at shift 0."""
         ...
 
-    def hom_dim(self, x: Key, y: Key) -> int: ...
-
-    def brace_exponent(self, x: Key, y: Key) -> int:
-        """e with q**e equal to the alternating product of the hom sizes
-        |Hom(x[i], y)| for i from 1 to the period, signs starting at -1."""
-        ...
-
-    def aut_order(self, key: Key) -> int: ...
-
-    def fiber_counts(self, x: Key, m: Key) -> Dict[Key, int]:
-        """Morphism counts x -> m grouped by the class of the cone."""
+    def product_terms(
+        self, x: Key, y: Key
+    ) -> Tuple[int, int, Tuple[int, int], Tuple[int, int], Sequence[Tuple[Key, int, int, int]]]:
+        """hom(y, x), {y, x}, (|Aut x|, {x, x}), (|Aut y|, {y, y}), and
+        per cone l of the morphisms y[-1] -> x, zero morphism's cone
+        first, (l, number of morphisms, |Aut l|, {l, l})."""
         ...
 
 
@@ -223,21 +232,20 @@ class HallEngine:
         The support is exactly the set of cones of morphisms from y
         shifted back once into x; the zero morphism contributes the
         direct sum, so the product of nonzero classes is never zero.
-        Every coefficient is read off the same fiber counts, with the
-        part of the exponent and the denominator that do not depend on
-        the cone computed once.
+        Every scalar comes from one ``product_terms`` call on a cold
+        product; the part of the exponent and the denominator that do
+        not depend on the cone are computed once. Memoized per pair.
         """
         k = (x, y)
         hit = self._mult_cache.get(k)
         if hit is None:
-            o = self.oracle
             q = self.q
-            brace = o.brace_exponent
-            base = -brace(x, x) - brace(y, y) - brace(y, x) - 2 * o.hom_dim(y, x)
-            den = o.aut_order(x) * o.aut_order(y)
+            hom, brace, (aut_x, brace_x), (aut_y, brace_y), cones = self.oracle.product_terms(x, y)
+            base = -brace_x - brace_y - brace - 2 * hom
+            den = aut_x * aut_y
             coeffs: Dict[Key, HallValue] = {}
-            for l, count in o.fiber_counts(o.shift_key(y, -1), x).items():
-                value = HallValue.monomial(count * o.aut_order(l), den, base + brace(l, l), q)
+            for l, count, aut, brace_l in cones:
+                value = HallValue.monomial(count * aut, den, base + brace_l, q)
                 if value.n and value.m:
                     raise AssertionError(f"structure constant {value} is not a monomial in sqrt(q)")
                 coeffs[l] = value

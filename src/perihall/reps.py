@@ -414,27 +414,32 @@ class RepContext:
         matrix, reduces the result mod bottom at w and reads it in top's
         coordinates there (:meth:`Subspace.coords`), at the places of the
         quotient basis. Raises ``ValueError`` when bottom is not inside
-        top."""
+        top. Where bottom is zero, as for kernels and images, the
+        quotient basis is all of top, so neither the containment check
+        nor the reduction mod bottom runs there; an arrow out of a zero
+        quotient space has no rows to read."""
         places = []
         for hi, lo in zip(top, bottom):
-            if any(hi.coords(v) is None for v in lo.basis.rows):
+            if lo.dim and any(hi.coords(v) is None for v in lo.basis.rows):
                 raise ValueError(
                     f"the bottom of dimension vector {tuple(s.dim for s in bottom)} is not inside the top"
                     f" of dimension vector {tuple(s.dim for s in top)}"
                 )
-            places.append([k for k, c in enumerate(hi.pivots) if c not in lo.pivots])
+            places.append([k for k, c in enumerate(hi.pivots) if c not in lo.pivots] if lo.dim else list(range(hi.dim)))
         q = self.quiver
         mats = {}
         for a in q.arrows:
             u = q.vertex_index(a.source)
             w = q.vertex_index(a.target)
-            basis = MatrixFp._trusted(self.field, [top[u].basis.rows[k] for k in places[u]], l.dims[u])
             rows = []
-            for img in basis.mul(l.mats[a.name]).rows:
-                c = top[w].coords(bottom[w].reduce(img))
-                if c is None:
-                    return None
-                rows.append([c[k] for k in places[w]])
+            if places[u]:
+                lo = bottom[w] if bottom[w].dim else None
+                basis = MatrixFp._trusted(self.field, [top[u].basis.rows[k] for k in places[u]], l.dims[u])
+                for img in basis.mul(l.mats[a.name]).rows:
+                    c = top[w].coords(img if lo is None else lo.reduce(img))
+                    if c is None:
+                        return None
+                    rows.append(c if lo is None else [c[k] for k in places[w]])
             mats[a.name] = MatrixFp._trusted(self.field, rows, len(places[w]))
         return Rep(self.field, q, [len(k) for k in places], mats)
 

@@ -137,6 +137,17 @@ class SemisimplePeriodic:
             out[cone] = out.get(cone, 0) + count
         return out
 
+    def product_terms(
+        self, x: SsKey, y: SsKey
+    ) -> Tuple[int, int, Tuple[int, int], Tuple[int, int], List[Tuple[SsKey, int, int, int]]]:
+        """hom(y, x), {y, x}, (|Aut x|, {x, x}), (|Aut y|, {y, y}) and,
+        per cone l of the morphisms y[-1] -> x in the order of
+        :meth:`fiber_counts`, (l, count, |Aut l|, {l, l}): the scalars of
+        u_x * u_y, each from its closed form."""
+        brace, aut = self.brace_exponent, self.aut_order
+        cones = [(l, count, aut(l), brace(l, l)) for l, count in self.fiber_counts(self.shift_key(y, -1), x).items()]
+        return self.hom_dim(y, x), brace(y, x), (aut(x), brace(x, x)), (aut(y), brace(y, y)), cones
+
     def _rank_profiles(self, x: SsKey, m: SsKey) -> Iterator[SsKey]:
         return itertools.product(*(range(min(x[s], m[s]) + 1) for s in range(self.t)))
 

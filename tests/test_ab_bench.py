@@ -106,3 +106,41 @@ def test_each_finished_workload_is_written_before_a_later_one_fails(monkeypatch,
     assert list(written["workloads"]) == ["first"]
     first = written["workloads"]["first"]
     assert first["seeds"] == [1, 2] and first["metrics"]["scope_ref"]["parent_runs"] == [11.0, 12.0]
+
+
+def test_a_median_worse_by_half_the_bound_is_flagged(monkeypatch, tmp_path, capsys):
+    ab = load()
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 14.5]  # median 12.25
+    # 10% worse sits past half a 15% bound, and inside half a 25% one
+    worse = [p * 1.1 for p in parent]
+    assert ab.near_bound(parent, worse, lower_is_better=True, bound=0.15)
+    assert not ab.near_bound(parent, worse, lower_is_better=True, bound=0.25)
+    # a better median is never near its bound; higher-is-better counts the other way
+    assert not ab.near_bound(parent, [p / 1.1 for p in parent], lower_is_better=True, bound=0.15)
+    assert ab.near_bound(parent, [p / 1.1 for p in parent], lower_is_better=False, bound=0.15)
+    s = ab.summarize(parent, worse, lower_is_better=True, bound=0.15)
+    assert s["near_bound"] and s["verdict"] != "regressed"
+    assert ab.summarize(parent, worse, lower_is_better=True)["near_bound"] is None
+
+    # the command line names each flagged metric and asks for fresh seeds
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    spec = {"workloads": [{"name": "w"}],
+            "end_to_end": [{"name": "scope_ref", "better": "lower", "bound": 0.15},
+                           {"name": "op_p50_ref", "better": "lower", "bound": 0.25}]}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def run_once(checkout, workload, seed, seconds):
+        value = 10.0 + seed if checkout.name == "parent" else (10.0 + seed) * 1.1
+        return {"metrics": {"scope_ref": {"value": value, "unit": "ref"}, "op_p50_ref": {"value": value, "unit": "ref"}},
+                "correct": True, "failed": 0, "attempted": 100}
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    assert ab.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--pairs", "4", "--seconds", "1",
+                    "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["w"]["metrics"]
+    assert metrics["scope_ref"]["near_bound"] and not metrics["op_p50_ref"]["near_bound"]
+    printed = capsys.readouterr().out
+    assert "w scope_ref: the change's median is worse by more than half the bound; repeat the run on fresh seeds" in printed
+    assert "w op_p50_ref: the change's median" not in printed

@@ -679,6 +679,32 @@ def test_the_type_a_setup_never_enumerates(monkeypatch):
     assert len(engine.multiply(x, y).support) > 1
 
 
+def test_products_keep_no_record_per_key_pair():
+    # after every product of a scope the context holds one record per
+    # operand and per cone, and nothing per pair of object keys but the
+    # cones of the active pairs
+    def is_key(k):
+        return isinstance(k, tuple) and all(isinstance(part, tuple) and len(part) == 2 for part in k)
+
+    pctx = PeriodicContext(RepContext(line_quiver(2), FieldSpec(2)))
+    engine = HallEngine(pctx)
+    keys = list(itertools.islice(pctx.objects((2, 2)), 40))
+    cones = set()
+    for x in keys:
+        for y in keys:
+            cones.update(engine.multiply(x, y).coeffs)
+    assert cones - set(keys)
+    assert set(pctx._records) == set(keys) | cones
+    caches = {name: cache for name, cache in vars(pctx).items() if isinstance(cache, dict)}
+    assert "_cones" in caches and len(caches) >= 5
+    for name, cache in caches.items():
+        pairs = [k for k in cache if isinstance(k, tuple) and len(k) == 2 and is_key(k[0]) and is_key(k[1])]
+        if name == "_cones":
+            assert 0 < len(pairs) == len(cache) < len(keys) ** 2 // 10
+        else:
+            assert pairs == [], name
+
+
 def test_the_engine_modules_do_not_load_the_chain_model():
     # the op path imports no chain-level code; only hom_space reaches it,
     # through a function-level import
@@ -731,6 +757,14 @@ UNCALLED = {
     "RepContext.zero_rep",
     # the public constructor of the simple modules
     "RepContext.simple",
+    # the scalars a product reads, one by one: the engine asks
+    # product_terms for all of them at once, while the harnesses, the
+    # reference product checks.multiply_by_scalars, the exactness digest
+    # and the benchmark's checks ask for them one at a time
+    "PeriodicContext.hom_dim",
+    "PeriodicContext.brace_exponent",
+    "PeriodicContext.aut_order",
+    "PeriodicContext.fiber_counts",
 }
 
 

@@ -110,7 +110,7 @@ def test_hom_dimensions_harness_sees_a_wrong_ext1(monkeypatch):
     assert report.checked == len(keys) ** 2
 
     # the same at the longer periods, on the A2 part scope and on a
-    # graded prefix of A3; the fault goes in before any part pair is
+    # graded prefix of A3; the fault goes in before any class pair is
     # cached
     for t in PERIODS[1:]:
         for honest in (True, False):

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from perihall.checks import (
     enumerate_reps,
     hall_number_via,
     module_key,
+    multiply_by_scalars,
 )
 from perihall.gfp import FieldSpec, gl_order
 from perihall.hall import HallEngine, HallVector, PBWExpression
@@ -496,3 +498,70 @@ def test_products_over_a_square_q_are_rational(t, q):
             for l, c in eng.multiply(x, y).coeffs.items():
                 assert c.b == 0, (x, y, l, c)
     assert check_associativity(eng, keys[:6]).passed
+
+
+def _assert_products_match_the_scalar_recipe(engine, reference, keys):
+    """Every product of the keys equals checks.multiply_by_scalars on a
+    second engine over an equal oracle, item for item, insertion order
+    included; returns how many had more than one term."""
+    several = 0
+    for x in keys:
+        for y in keys:
+            got = list(engine.multiply(x, y).coeffs.items())
+            assert got == list(multiply_by_scalars(reference, x, y).coeffs.items()), (x, y)
+            several += len(got) > 1
+    return several
+
+
+@pytest.mark.parametrize(
+    "n, p, t, bound, count",
+    [
+        (2, 2, 3, (2, 2), 40),
+        (2, 3, 3, (1, 1), 20),
+        (2, 2, 5, (1, 1), 24),
+        (2, 3, 5, (1, 1), 24),
+        (3, 2, 3, (1, 1, 1), 25),
+    ],
+)
+def test_multiply_matches_the_scalar_recipe_on_quivers(n, p, t, bound, count):
+    # the engine reads one product_terms call per product; the reference
+    # composes hom_dim, brace_exponent, aut_order and fiber_counts on a
+    # fresh context of its own. Both list the same keys
+    pctx, engine = build_quiver_engine(line_quiver(n), p, t=t)
+    ref_pctx, reference = build_quiver_engine(line_quiver(n), p, t=t)
+    keys = list(itertools.islice(pctx.objects(bound), count))
+    assert keys == list(itertools.islice(ref_pctx.objects(bound), count))
+    assert _assert_products_match_the_scalar_recipe(engine, reference, keys) > count
+    # the scope has operands that share a part, whose zero cone's |Aut|
+    # is counted, and operands that share none, where it is a product
+    shared = [set(x).isdisjoint(y) for x in keys for y in keys if x and y]
+    assert any(shared) and not all(shared)
+
+
+@pytest.mark.parametrize("t, q", [(3, 4), (3, 9), (5, 4), (5, 9)])
+def test_multiply_matches_the_scalar_recipe_on_semisimple(t, q):
+    cat = SemisimplePeriodic(t, q)
+    keys = cat.enumerate_objects(2)[:20]
+    assert _assert_products_match_the_scalar_recipe(HallEngine(cat), HallEngine(cat), keys) > len(keys)
+
+
+def test_a_cold_product_asks_the_oracle_once(monkeypatch):
+    # a product on a fresh context reads every scalar from one
+    # product_terms call, and none of the one-at-a-time methods; a warm
+    # product asks the oracle nothing
+    calls = Counter()
+    for name in ("product_terms", "fiber_counts", "hom_dim", "brace_exponent", "aut_order"):
+
+        def counted(self, *args, _name=name, _honest=getattr(PeriodicContext, name)):
+            calls[_name] += 1
+            return _honest(self, *args)
+
+        monkeypatch.setattr(PeriodicContext, name, counted)
+    pctx, engine = build_quiver_engine(line_quiver(2), 2)
+    keys = list(itertools.islice(pctx.objects((2, 2)), 30))
+    for x in keys:
+        for y in keys:
+            engine.multiply(x, y)
+    assert calls == {"product_terms": len(keys) ** 2}
+    engine.multiply(keys[3], keys[7])
+    assert calls == {"product_terms": len(keys) ** 2}

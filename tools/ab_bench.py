@@ -36,6 +36,11 @@ Each end-to-end metric also gets a ``verdict``, checked in this order:
   a fraction of its median, and not every change run beats every parent
   run, so the runs spread too widely to tell;
 - ``held``: otherwise.
+
+A metric with a bound is also flagged ``near_bound`` when the change's
+median is worse than the parent's by more than half the bound. Such a
+verdict can flip on run timing alone, so the tool prints each flagged
+metric with a request to repeat the run on fresh seeds (``--seed``).
 """
 
 from __future__ import annotations
@@ -78,10 +83,18 @@ def verdict(parent: Sequence[float], change: Sequence[float], lower_is_better: b
     return "held"
 
 
+def near_bound(parent: Sequence[float], change: Sequence[float], lower_is_better: bool, bound: float) -> bool:
+    """Whether the change's median is worse than the parent's by more
+    than half the relative bound."""
+    sign = 1 if lower_is_better else -1
+    med = statistics.median(parent)
+    return sign * (statistics.median(change) - med) > bound / 2 * abs(med)
+
+
 def summarize(parent: Sequence[float], change: Sequence[float], lower_is_better: bool,
               bound: Optional[float] = None) -> dict:
     """Median and quartiles per side, the pairs the change won, and the
-    verdict when the metric has a bound."""
+    verdict and the near-bound flag when the metric has a bound."""
 
     def stats(runs: Sequence[float]) -> dict:
         q1, med, q3 = statistics.quantiles(runs, n=4, method="inclusive")
@@ -101,6 +114,7 @@ def summarize(parent: Sequence[float], change: Sequence[float], lower_is_better:
         "pairs_lost": lost,
         "clear_gain": 10 * won >= 9 * len(parent) and sign * (p["median"] - c["median"]) > iqr,
         "verdict": None if bound is None else verdict(parent, change, lower_is_better, bound),
+        "near_bound": None if bound is None else near_bound(parent, change, lower_is_better, bound),
         "parent_runs": list(parent),
         "change_runs": list(change),
     }
@@ -186,6 +200,8 @@ def main(argv: Sequence[str]) -> int:
             "verdict": "regressed: the change's median is worse than the parent's by more than the bound times the"
                        " parent's median; unresolved: parent_iqr exceeds the bound times the parent's median and"
                        " not every change run beats every parent run; held: otherwise",
+            "near_bound": "the change's median is worse than the parent's by more than half the bound times the"
+                          " parent's median; repeat the run on fresh seeds",
             "machine": f"{os.cpu_count()}-core {platform.system()} {platform.machine()}, "
                        f"Python {platform.python_version()}",
         },
@@ -202,7 +218,12 @@ def main(argv: Sequence[str]) -> int:
             print(f"{workload:14s} {name:12s} {m['parent']['median']:.4g} -> {m['change']['median']:.4g}"
                   f"{rel}, won {m['pairs_won']}/{args.pairs}"
                   f"{', clear gain' if m['clear_gain'] else ''}"
-                  f"{'' if m['verdict'] is None else ', ' + m['verdict']}")
+                  f"{'' if m['verdict'] is None else ', ' + m['verdict']}"
+                  f"{', near its bound' if m['near_bound'] else ''}")
+    flagged = [(w, name) for w, res in out["workloads"].items() for name, m in res["metrics"].items() if m["near_bound"]]
+    for workload, name in flagged:
+        print(f"{workload} {name}: the change's median is worse by more than half the bound;"
+              f" repeat the run on fresh seeds (--seed {args.seed + args.pairs} or later)")
     print(f"-> {args.out}")
     return 0
 
