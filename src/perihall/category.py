@@ -127,10 +127,9 @@ Hom(x', m') counts its profiles, each decoded once into cone(f'); these
 cones are stored per (x', m') and every call adds its inactive parts to
 them. The translation functor is a triangle autoequivalence, so
 cone(f[k]) = cone(f)[k]: active sub-keys whose least shift s0 is not 0
-read the cones of their translate by -s0, shifted back by s0. That
-translate wraps no shift, so the order of the parts, of the Hom blocks
-and of the lines is kept. A one-dimensional Hom has one active part on
-each side.
+read the cones of their translate by -s0, shifted back by s0. A
+one-dimensional Hom has one active part on each side. Fibers and
+products list their cones sorted by key, so no walk order shows.
 :func:`perihall.checks.cone_key_literal` builds and reduces a cone, and
 :func:`perihall.checks.fiber_counts_literal` classifies every morphism
 that way.
@@ -469,13 +468,13 @@ class PeriodicContext:
         return hit
 
     def _profile_counts(self, x: ObjKey, m: ObjKey, hv: HomVectors) -> Dict[Tuple[Tuple[int, int], ...], int]:
-        """The rank profiles of the morphisms x -> m, each mapped to its
-        number of morphisms, in order of first appearance over the lines
-        of :func:`_lines`. A profile is the (index of T, rk Hom(T, f))
-        pairs with nonzero rank, one per test object T; a line counts
-        q - 1 times. Every part of x and m must have a nonzero Hom block
-        to the other side (:meth:`fiber_counts`). Nothing is stored:
-        :meth:`_active_cones` decodes and stores the cones.
+        """The rank profiles of the nonzero morphisms x -> m, each mapped
+        to its number of morphisms. A profile is the (index of T,
+        rk Hom(T, f)) pairs with nonzero rank, one per test object T; a
+        line of :func:`_lines` counts q - 1 times. Every part of x and m
+        must have a nonzero Hom block to the other side
+        (:meth:`fiber_counts`). Nothing is stored: :meth:`_active_cones`
+        decodes and stores the cones.
 
         Each Hom(T, f) is linear in the coordinates of f: its matrix is
         built per line from the terms (row, column, coordinate of f,
@@ -526,8 +525,7 @@ class PeriodicContext:
 
     def _active_cones(self, x: ObjKey, m: ObjKey) -> Dict[ObjKey, int]:
         """The cones of the nonzero morphisms x -> m, each mapped to its
-        number of morphisms, in order of first appearance over the lines
-        of :func:`_lines`. Every part of x and m must have a nonzero Hom
+        number of morphisms. Every part of x and m must have a nonzero Hom
         block to the other side, and the least shift of their parts must
         be 0 (:meth:`fiber_counts`). Each rank profile of
         :meth:`_profile_counts` is decoded once, against the zero cone
@@ -550,7 +548,7 @@ class PeriodicContext:
         Hom(y[-1], x), and -r, the reverse pair, for hom(x, y) and
         {x, y}. Returns those four, dim Hom(y[-1], x), and the parts of y
         and of x that have a nonzero block of Hom(y[-1], x), the active
-        parts of :meth:`_add_cones`. Not cached. A product, a fiber, a
+        parts of :meth:`_fiber`. Not cached. A product, a fiber, a
         key's own record and each of ``hom_dim`` and ``brace_exponent``
         is one call."""
         rows, t = self._class_pairs, self.t
@@ -578,12 +576,14 @@ class PeriodicContext:
                 brace_xy += m * e
         return hom_yx, brace_yx, hom_xy, brace_xy, dim, on_y, on_x
 
-    def _add_cones(self, y: ObjKey, x: ObjKey, dim: int, on_y: set, on_x: set, out: Dict[ObjKey, int]) -> None:
-        """Add the cones of the nonzero morphisms y[-1] -> x to ``out``,
-        each with its number of morphisms, in order of first appearance
-        over the lines of :func:`_lines`; ``dim``, ``on_y`` and ``on_x``
-        are dim Hom(y[-1], x) and the active parts of y and x, from
-        :meth:`_pair_walk`. The context's ``enum_cap`` bounds q**dim.
+    def _fiber(self, zero: ObjKey, y: ObjKey, x: ObjKey, dim: int, on_y: set, on_x: set) -> List[Tuple[ObjKey, int]]:
+        """The cones of the morphisms y[-1] -> x, each with its number of
+        morphisms, sorted by key: the zero morphism's cone ``zero``, the
+        key y + x, and the cones of the nonzero ones. ``dim``, ``on_y``
+        and ``on_x`` are dim Hom(y[-1], x) and the active parts of y and
+        x, from :meth:`_pair_walk`. The context's ``enum_cap``
+        bounds q**dim. :meth:`fiber_counts` and :meth:`product_terms`
+        both read this list, so their order is set here alone.
 
         The active sub-keys x' of y[-1] and m' of x are the parts with a
         nonzero Hom block to the other side, in key order; the inactive
@@ -594,10 +594,10 @@ class PeriodicContext:
         the inactive parts are added to them. The translation functor is
         a triangle autoequivalence, so cone(f'[s]) = cone(f')[s]: a pair
         whose least shift s0 is not 0 reads the cones of its translate
-        by -s0, shifted by s0. No part shift wraps on that translate, so
-        it keeps the order of the parts, of the Hom blocks and of the
-        lines; pairs related only by a translate that wraps keep their
-        own entries."""
+        by -s0, shifted by s0. Pairs related only by a translate that
+        wraps a shift keep their own entries."""
+        if not dim:
+            return [(zero, 1)]
         t = self.t
         self.check_budget(self.shift_key(y, -1), x, dim)
         xa = sorted([(cid, (s - 1) % t) for cid, s in y if (cid, s) in on_y])
@@ -605,20 +605,22 @@ class PeriodicContext:
         rest = [b for b in y if b not in on_y] + [a for a in x if a not in on_x]
         s0 = min(s for _, s in xa + ma)
         cones = self._active_cones(tuple((cid, s - s0) for cid, s in xa), tuple((cid, s - s0) for cid, s in ma))
+        out = {zero: 1}
         for cone, count in cones.items():
             ck = tuple(sorted([(cid, (s + s0) % t) for cid, s in cone] + rest))
             out[ck] = out.get(ck, 0) + count
+        return sorted(out.items())
 
     def fiber_counts(self, x: ObjKey, m: ObjKey) -> Dict[ObjKey, int]:
         """How many morphisms x -> m have each cone class.
 
         The returned dict maps the object key of the cone to the number
-        of morphisms producing it; values sum to q**hom_dim(x, m).
-        The zero morphism's cone x[1] + m is read off the keys. For c in
-        F_q^*, (id_x[1], c id_m) is a chain isomorphism cone(f) ->
-        cone(c f), so one morphism per line, first nonzero coordinate 1,
-        is classified and counts q - 1 times. The context's ``enum_cap``
-        bounds q**hom_dim(x, m).
+        of morphisms producing it, sorted by key; values sum to
+        q**hom_dim(x, m). The zero morphism's cone x[1] + m is read off
+        the keys. For c in F_q^*, (id_x[1], c id_m) is a chain
+        isomorphism cone(f) -> cone(c f), so one morphism per line, first
+        nonzero coordinate 1, is classified and counts q - 1 times. The
+        context's ``enum_cap`` bounds q**hom_dim(x, m).
 
         A line f is classified by its rank profile, never built: the
         ranks of Hom(T, f) for every test object T. Its cone C has the
@@ -629,9 +631,9 @@ class PeriodicContext:
         which fixes C by Auslander's theorem; :meth:`HomVectors.cone_key`
         decodes it. With y = x[1], this is the walk of
         :meth:`product_terms` over the part pairs of y and m
-        (:meth:`_pair_walk`) and the cones of its active parts
-        (:meth:`_add_cones`). Only quivers of type A are served (see
-        :meth:`hom_vectors`); :func:`perihall.checks.cone_key_literal`
+        (:meth:`_pair_walk`) and the fiber built from the cones of its
+        active parts (:meth:`_fiber`). Only quivers of type A are served
+        (see :meth:`hom_vectors`); :func:`perihall.checks.cone_key_literal`
         builds and reduces the cone instead.
 
         The engine never calls it: :meth:`product_terms` reads the same
@@ -642,10 +644,7 @@ class PeriodicContext:
         """
         y = self.shift_key(x, 1)
         *_, dim, on_y, on_m = self._pair_walk(y, m)
-        out = {self.direct_sum_key(y, m): 1}
-        if dim:
-            self._add_cones(y, m, dim, on_y, on_m, out)
-        return out
+        return dict(self._fiber(self.direct_sum_key(y, m), y, m, dim, on_y, on_m))
 
     def product_terms(
         self, x: ObjKey, y: ObjKey
@@ -653,38 +652,34 @@ class PeriodicContext:
         """Every scalar the structure constants of u_x * u_y read, from
         one walk over the part pairs of y and x (:meth:`_pair_walk`):
         hom(y, x), {y, x}, (|Aut x|, {x, x}), (|Aut y|, {y, y}), and per
-        cone l of the morphisms y[-1] -> x, in the order of
-        ``fiber_counts(y[-1], x)``, the tuple (l, count, |Aut l|, {l, l}).
+        cone l of the morphisms y[-1] -> x, sorted by key as
+        ``fiber_counts(y[-1], x)`` is (:meth:`_fiber`), the tuple
+        (l, count, |Aut l|, {l, l}).
 
         The operands and the cones read their (|Aut|, hom, brace) record
-        per key (:meth:`_record`). The zero morphism's cone y + x is
-        first, and a new one gets its record without a walk of its own:
-        hom and brace are bilinear, so they are the sums of the
-        operands' own and the walk's cross terms, and a product with
-        Hom(y[-1], x) = 0 walks no cone's part pairs. When x and y share
-        no part, End(y + x) is End(x) + End(y) plus the radical
-        Hom(x, y) + Hom(y, x), so |Aut(y + x)| is
-        |Aut x| |Aut y| q^(hom(x, y) + hom(y, x)); :meth:`_merge_units`
-        corrects that for the parts they share. Nothing per key pair is
+        per key (:meth:`_record`). The zero morphism's cone y + x gets
+        its record without a walk of its own: hom and brace are
+        bilinear, so they are the sums of the operands' own and the
+        walk's cross terms, and a product with Hom(y[-1], x) = 0 walks
+        no cone's part pairs. When x and y share no part, End(y + x) is
+        End(x) + End(y) plus the radical Hom(x, y) + Hom(y, x), so
+        |Aut(y + x)| is |Aut x| |Aut y| q^(hom(x, y) + hom(y, x));
+        :meth:`_merge_units` corrects that for the parts they share. Nothing per key pair is
         cached; :meth:`perihall.hall.HallEngine.multiply` memoizes the
         product."""
         hom_yx, brace_yx, hom_xy, brace_xy, dim, on_y, on_x = self._pair_walk(y, x)
         aut_x, hom_x, brace_x = self._record(x)
         aut_y, hom_y, brace_y = self._record(y)
         zero = tuple(sorted(y + x))
-        rec = self._records.get(zero)
-        if rec is None:
+        if zero not in self._records:
             aut = aut_x * aut_y * self.q ** (hom_xy + hom_yx)
             if not set(x).isdisjoint(y):
                 aut = self._merge_units(x, y, aut)
-            self._records[zero] = rec = (aut, hom_x + hom_y + hom_xy + hom_yx, brace_x + brace_y + brace_xy + brace_yx)
-        terms = [(zero, 1, rec[0], rec[2])]
-        if dim:
-            fiber = {zero: 1}
-            self._add_cones(y, x, dim, on_y, on_x, fiber)
-            for l, count in itertools.islice(fiber.items(), 1, None):
-                aut, _, brace = self._record(l)
-                terms.append((l, count, aut, brace))
+            self._records[zero] = (aut, hom_x + hom_y + hom_xy + hom_yx, brace_x + brace_y + brace_xy + brace_yx)
+        terms = []
+        for l, count in self._fiber(zero, y, x, dim, on_y, on_x):
+            aut, _, brace = self._record(l)
+            terms.append((l, count, aut, brace))
         return hom_yx, brace_yx, (aut_x, brace_x), (aut_y, brace_y), terms
 
     # -- automorphisms ------------------------------------------------

@@ -17,11 +17,13 @@ rather than raising, so the test suite and the command line can both
 run them and print one verdict per property.
 
 The harnesses are deterministic: instance selection walks objects in
-graded enumeration order and all caps are explicit parameters. Hom
-between two objects is the literal Hom space between their realized
+graded enumeration order and fibers in key order, and every cap is
+fixed, either a parameter or, for the orbit harness, a module constant.
+Hom between two objects is the literal Hom space between their realized
 complexes (:meth:`perihall.periodic.ChainModel.hom_space`), and every
 walk over morphism classes is :meth:`perihall.periodic.HomSpace.morphisms`,
-within the context's ``enum_cap``.
+within the context's ``enum_cap``; :func:`morphisms_by_cone` classifies
+them by their built cones.
 
 The module-level helpers only the harnesses need live here, not in the
 engine modules: the inverse of a matrix over F_p
@@ -146,10 +148,10 @@ def build_unguarded_engine(oracle, t: int) -> HallEngine:
 def multiply_by_scalars(engine: HallEngine, x: Key, y: Key) -> HallVector:
     """u_x * u_y composed from the oracle's scalars one at a time:
     ``brace_exponent``, ``hom_dim``, ``aut_order`` and ``fiber_counts``
-    of y[-1] -> x, in the fiber's order. The engine reads the same
-    scalars from one ``product_terms`` call
-    (:meth:`perihall.hall.HallEngine.multiply`); the tests pin the two
-    item for item, insertion order included. Nothing is memoized."""
+    of y[-1] -> x. The engine reads the same scalars from one
+    ``product_terms`` call (:meth:`perihall.hall.HallEngine.multiply`);
+    both list the cones sorted by key, and the tests pin the two item
+    for item. Nothing is memoized."""
     o = engine.oracle
     q = engine.q
     brace = o.brace_exponent
@@ -571,16 +573,24 @@ def _rational_inverse(matrix: Sequence[Sequence[int]]) -> List[List[Fraction]]:
     return [[Fraction(v) for v in row[n:]] for row in aug]
 
 
+def morphisms_by_cone(chains: ChainModel, x: ObjKey, m: ObjKey) -> Dict[ObjKey, List[Tuple[Tuple[int, ...], ChainMap]]]:
+    """Every morphism class x -> m, as (coordinates, representative) in
+    the order of :meth:`perihall.periodic.HomSpace.morphisms`, grouped
+    by the class of its built cone (:func:`cone_key_literal`), the
+    groups sorted by key. The one literal classification the reference
+    counts read."""
+    groups: Dict[ObjKey, List[Tuple[Tuple[int, ...], ChainMap]]] = {}
+    for coords, f in chains.hom_space(x, m).morphisms():
+        groups.setdefault(cone_key_literal(chains.pctx, f), []).append((coords, f))
+    return dict(sorted(groups.items()))
+
+
 def fiber_counts_literal(chains: ChainModel, x: ObjKey, m: ObjKey) -> Dict[ObjKey, int]:
     """Morphisms x -> m counted by cone class, one built cone per
-    morphism. The engine's :meth:`PeriodicContext.fiber_counts`
-    classifies one morphism per scalar line by its rank profile and
-    reads the zero morphism's cone off the keys."""
-    counts: Dict[ObjKey, int] = {}
-    for _, f in chains.hom_space(x, m).morphisms():
-        ck = cone_key_literal(chains.pctx, f)
-        counts[ck] = counts.get(ck, 0) + 1
-    return counts
+    morphism (:func:`morphisms_by_cone`), sorted by key as the engine's
+    :meth:`PeriodicContext.fiber_counts` is. The engine classifies one
+    morphism per scalar line by its rank profile."""
+    return {ck: len(group) for ck, group in morphisms_by_cone(chains, x, m).items()}
 
 
 def composition_by_chains(chains: ChainModel, t: Part, a: Part, b: Part) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
@@ -738,17 +748,12 @@ def check_decorated_symmetry(
 
     brace = engine.oracle.brace_exponent
 
-    @functools.cache
-    def by_cone(a: Key, b: Key) -> Dict[Key, List[ChainMap]]:
-        """The morphism classes a -> b grouped by cone class, each
-        representative built and classified once."""
-        groups: Dict[Key, List[ChainMap]] = {}
-        for _, f in chains.hom_space(a, b).morphisms():
-            groups.setdefault(cone_key_literal(pctx, f), []).append(f)
-        return groups
+    by_cone = functools.cache(functools.partial(morphisms_by_cone, chains))
 
     def survivors(a: Key, b: Key, want: Key) -> List[ChainMap]:
-        return by_cone(a, b).get(want, [])
+        """The morphism classes a -> b whose cone has class ``want``;
+        each Hom space is classified once (:func:`morphisms_by_cone`)."""
+        return [f for _, f in by_cone(a, b).get(want, ())]
 
     @functools.cache
     def sum_maps(m: Key, x: Key) -> Tuple[List[ChainMap], List[ChainMap]]:
@@ -914,15 +919,13 @@ def _compose_table(space: HomSpace, op: ChainMap, p: int, pre: bool):
 
 
 def _invertible_classes(
-    pctx: PeriodicContext, space: HomSpace
+    chains: ChainModel, key: ObjKey
 ) -> Tuple[List[Tuple[int, ...]], Dict[Tuple[int, ...], Tuple[int, ...]]]:
-    """Invertible classes of an endomorphism space and their inverses."""
-    isos = []
-    reps = {}
-    for coords, f in space.morphisms():
-        if cone_key_literal(pctx, f) == pctx.zero_key:
-            isos.append(coords)
-            reps[coords] = f
+    """Invertible classes of End(key) and their inverses: a morphism is
+    invertible exactly when its cone is zero (:func:`morphisms_by_cone`)."""
+    space = chains.hom_space(key, key)
+    reps = dict(morphisms_by_cone(chains, key, key).get(chains.pctx.zero_key, ()))
+    isos = list(reps)
     ident = space.class_coords(ChainMap.identity(space.source))
     inverse = {}
     for a in isos:
@@ -1004,8 +1007,8 @@ def _orbit_instance(
     end_z = chains.hom_space(z, z)
     end_l = chains.hom_space(l, l)
     end_z1 = chain_hom_space(ctx, Z1, Z1)
-    aut_z, inv_z = _invertible_classes(pctx, end_z)
-    aut_l, inv_l = _invertible_classes(pctx, end_l)
+    aut_z, inv_z = _invertible_classes(chains, z)
+    aut_l, inv_l = _invertible_classes(chains, l)
     where = (
         f"z={pctx.format_key(z)} l={pctx.format_key(l)} m={pctx.format_key(m)}"
     )

@@ -16,8 +16,8 @@ i from 1 to the period, signs starting at -1.
 The formula lives here, in :meth:`HallEngine.multiply`; the scalars it
 reads come from the oracle in one call per product,
 ``product_terms(x, y)``: hom(y, x), {y, x}, |Aut| and {.,.} of each
-operand, and per cone l its fiber count, |Aut l| and {l,l}, in the
-fiber's order. Each oracle answers from its own tables, in one walk
+operand, and per cone l its fiber count, |Aut l| and {l,l}, the cones
+sorted by key. Each oracle answers from its own tables, in one walk
 over the two keys (:meth:`perihall.category.PeriodicContext.product_terms`)
 or from closed forms (:class:`perihall.semisimple.SemisimplePeriodic`).
 The product computes the cone-free part of k and |Aut x| |Aut y| once
@@ -90,8 +90,8 @@ class CategoryOracle(Protocol):
         self, x: Key, y: Key
     ) -> Tuple[int, int, Tuple[int, int], Tuple[int, int], Sequence[Tuple[Key, int, int, int]]]:
         """hom(y, x), {y, x}, (|Aut x|, {x, x}), (|Aut y|, {y, y}), and
-        per cone l of the morphisms y[-1] -> x, zero morphism's cone
-        first, (l, number of morphisms, |Aut l|, {l, l})."""
+        per cone l of the morphisms y[-1] -> x, sorted by key,
+        (l, number of morphisms, |Aut l|, {l, l})."""
         ...
 
 

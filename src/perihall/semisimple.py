@@ -120,7 +120,8 @@ class SemisimplePeriodic:
         return out
 
     def fiber_counts(self, x: SsKey, m: SsKey) -> Dict[SsKey, int]:
-        """Morphism counts x -> m by cone class, from rank profiles.
+        """Morphism counts x -> m by cone class, from rank profiles,
+        sorted by key.
 
         A morphism is a tuple of matrices; its cone keeps the cokernel
         of each layer in place and pushes the kernel up one shift.
@@ -135,7 +136,7 @@ class SemisimplePeriodic:
                 for s in range(self.t)
             )
             out[cone] = out.get(cone, 0) + count
-        return out
+        return dict(sorted(out.items()))
 
     def product_terms(
         self, x: SsKey, y: SsKey

@@ -502,7 +502,7 @@ def test_products_over_a_square_q_are_rational(t, q):
 
 def _assert_products_match_the_scalar_recipe(engine, reference, keys):
     """Every product of the keys equals checks.multiply_by_scalars on a
-    second engine over an equal oracle, item for item, insertion order
+    second engine over an equal oracle, item for item, key order
     included; returns how many had more than one term."""
     several = 0
     for x in keys:
@@ -543,6 +543,36 @@ def test_multiply_matches_the_scalar_recipe_on_semisimple(t, q):
     cat = SemisimplePeriodic(t, q)
     keys = cat.enumerate_objects(2)[:20]
     assert _assert_products_match_the_scalar_recipe(HallEngine(cat), HallEngine(cat), keys) > len(keys)
+
+
+def _assert_key_order(oracle, engine, keys):
+    """Every fiber of ``oracle`` between two of ``keys``, the cones of
+    each ``product_terms`` and each product's coefficients are listed
+    sorted by key, and the three agree on every product."""
+    for x in keys:
+        for y in keys:
+            fiber = list(oracle.fiber_counts(x, y))
+            assert fiber == sorted(fiber), (x, y)
+            cones = list(oracle.fiber_counts(oracle.shift_key(y, -1), x))
+            assert cones == sorted(cones), (x, y)
+            *_, terms = oracle.product_terms(x, y)
+            assert [l for l, *_ in terms] == cones, (x, y)
+            assert list(engine.multiply(x, y).coeffs) == cones, (x, y)
+
+
+@pytest.mark.parametrize("n, p, t, count", [(2, 3, 3, 20), (3, 2, 3, 25), (2, 3, 5, 24)])
+def test_fibers_and_products_come_out_in_key_order_on_quivers(n, p, t, count):
+    # u_x * u_y is a function on iso classes and has no order of its
+    # own; the oracle sets one, key order, whatever order its walk meets
+    # the cones in
+    pctx, engine = build_quiver_engine(line_quiver(n), p, t=t)
+    _assert_key_order(pctx, engine, list(itertools.islice(pctx.objects((1,) * n), count)))
+
+
+@pytest.mark.parametrize("t, q", [(3, 4), (5, 9)])
+def test_fibers_and_products_come_out_in_key_order_on_semisimple(t, q):
+    cat = SemisimplePeriodic(t, q)
+    _assert_key_order(cat, HallEngine(cat), cat.enumerate_objects(2)[:20])
 
 
 def test_a_cold_product_asks_the_oracle_once(monkeypatch):

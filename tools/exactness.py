@@ -14,14 +14,18 @@ digest holds, on a fresh engine:
 - the object listing, in its order: the whole ``enumerate_objects``
   list at t = 3, and only the objects multiplied at t = 5 and 7, where
   the whole list has 3125 and 78125 objects;
-- every product, its coefficients in the vector's own order;
+- every product, its coefficients sorted by ``Canon`` key;
 - the cone-fiber dict behind each product, ``fiber_counts(y[-1], x)``,
-  in insertion order;
+  sorted by ``Canon`` key;
 - the automorphism order of every object and every product term.
 
+The tool exits nonzero, naming the pair, when a fiber's counts do not
+sum to q^hom_dim(y[-1], x).
+
 Each ``(class_id, shift)`` summand is written as ``dims@shift`` by the
-benchmark's ``Canon`` (``perfbench/workloads.py``), so two versions of
-the engine that number classes differently give the same file when
+benchmark's ``Canon`` (``perfbench/workloads.py``), and the file is
+written with sorted keys, so two versions of the engine that number
+classes differently or walk in another order give the same file when
 their results agree. On a quiver of type A an indecomposable is fixed by
 its dimension vector; ``Canon`` refuses a scope where two classes named
 in its keys share one. Comparing the digests of two commits
@@ -84,9 +88,13 @@ def digest_scope(
         for y in objects[:count]:
             vec = engine.multiply(x, y)
             label = f"{canon.key(x)} * {canon.key(y)}"
-            products.append([label, [[canon.key(l), "%s %s" % c.as_pair()] for l, c in vec.coeffs.items()]])
-            fiber = pctx.fiber_counts(pctx.shift_key(y, -1), x)
-            fibers.append([label, [[canon.key(l), k] for l, k in fiber.items()]])
+            products.append([label, sorted([canon.key(l), "%s %s" % c.as_pair()] for l, c in vec.coeffs.items())])
+            ys = pctx.shift_key(y, -1)
+            fiber = pctx.fiber_counts(ys, x)
+            mass, want = sum(fiber.values()), pctx.q ** pctx.hom_dim(ys, x)
+            if mass != want:
+                raise SystemExit(f"fiber of {label} has {mass} morphisms, not q^hom_dim(y[-1], x) = {want}")
+            fibers.append([label, sorted([canon.key(l), k] for l, k in fiber.items())])
             for l in vec.coeffs:
                 auts.setdefault(canon.key(l), pctx.aut_order(l))
     return {
@@ -112,7 +120,7 @@ def main(argv: Sequence[str]) -> int:
         print(f"{name}: {len(scope['products'])} products, {coeffs} coefficients, "
               f"sha256 {hashlib.sha256(blob).hexdigest()[:16]}")
     with open(argv[0], "w") as fh:
-        json.dump(out, fh, indent=0)
+        json.dump(out, fh, indent=0, sort_keys=True)
         fh.write("\n")
     total = sum(len(s["products"]) for s in out.values())
     print(f"{total} products in {time.perf_counter() - t0:.1f} s -> {argv[0]}")
