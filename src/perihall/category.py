@@ -147,7 +147,7 @@ import math
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gfp import gl_order, rank_rows, unit_group_order
-from .reps import BudgetExceeded, HomExt, RepContext
+from .reps import HomExt, RepContext
 
 if TYPE_CHECKING:
     from .periodic import HomSpace
@@ -397,15 +397,6 @@ class PeriodicContext:
         not cached."""
         return self._pair_walk(x, y)[1]
 
-    def check_budget(self, x: ObjKey, y: ObjKey, dim: int) -> None:
-        """Refuse to walk the q**dim morphism classes x -> y beyond the
-        context's ``enum_cap``, naming both objects."""
-        limit = self.ctx.enum_cap
-        if self.q**dim > limit:
-            raise BudgetExceeded(
-                f"{self.q**dim} morphism classes {self.format_key(x)} -> {self.format_key(y)} exceed cap {limit}"
-            )
-
     def hom_vectors(self) -> HomVectors:
         """The test objects and the decode of hom vectors, built once.
 
@@ -581,8 +572,11 @@ class PeriodicContext:
         morphisms, sorted by key: the zero morphism's cone ``zero``, the
         key y + x, and the cones of the nonzero ones. ``dim``, ``on_y``
         and ``on_x`` are dim Hom(y[-1], x) and the active parts of y and
-        x, from :meth:`_pair_walk`. The context's ``enum_cap``
-        bounds q**dim. :meth:`fiber_counts` and :meth:`product_terms`
+        x, from :meth:`_pair_walk`. q**dim is refused beyond the
+        context's ``enum_cap`` by one
+        :meth:`perihall.reps.RepContext.check_budget` call, whose message
+        names both objects and is built only on refusal.
+        :meth:`fiber_counts` and :meth:`product_terms`
         both read this list, so their order is set here alone.
 
         The active sub-keys x' of y[-1] and m' of x are the parts with a
@@ -599,7 +593,9 @@ class PeriodicContext:
         if not dim:
             return [(zero, 1)]
         t = self.t
-        self.check_budget(self.shift_key(y, -1), x, dim)
+        self.ctx.check_budget(
+            self.q**dim, "morphism classes", lambda: f"{self.format_key(self.shift_key(y, -1))} -> {self.format_key(x)}"
+        )
         xa = sorted([(cid, (s - 1) % t) for cid, s in y if (cid, s) in on_y])
         ma = [a for a in x if a in on_x]
         rest = [b for b in y if b not in on_y] + [a for a in x if a not in on_x]
@@ -620,7 +616,8 @@ class PeriodicContext:
         the keys. For c in F_q^*, (id_x[1], c id_m) is a chain
         isomorphism cone(f) -> cone(c f), so one morphism per line, first
         nonzero coordinate 1, is classified and counts q - 1 times. The
-        context's ``enum_cap`` bounds q**hom_dim(x, m).
+        context's ``enum_cap`` bounds q**hom_dim(x, m)
+        (:meth:`perihall.reps.RepContext.check_budget`).
 
         A line f is classified by its rank profile, never built: the
         ranks of Hom(T, f) for every test object T. Its cone C has the

@@ -16,14 +16,22 @@ can show that a harness notices. Each harness returns a CheckReport
 rather than raising, so the test suite and the command line can both
 run them and print one verdict per property.
 
-The harnesses are deterministic: instance selection walks objects in
-graded enumeration order and fibers in key order, and every cap is
-fixed, either a parameter or, for the orbit harness, a module constant.
+A harness takes only what it cannot work out for itself, in one of two
+shapes: (engine, keys) when it reads products, the oracle being
+``engine.oracle``, and (oracle, keys) when it reads the oracle's
+scalars alone; :func:`check_classical_comparison` takes a bound for
+its keys and lists the modules itself. The harnesses are
+deterministic: instance selection walks objects in graded enumeration
+order, pairs of keys in order and fibers in key order, and every cap is
+a module constant, set below; only the triple scopes of
+:func:`check_associativity` and :func:`check_symmetry` and the latter's
+``hom_cap`` are parameters, as two values of each are in use.
 Hom between two objects is the literal Hom space between their realized
 complexes (:meth:`perihall.periodic.ChainModel.hom_space`), and every
-walk over morphism classes is :meth:`perihall.periodic.HomSpace.morphisms`,
-within the context's ``enum_cap``; :func:`morphisms_by_cone` classifies
-them by their built cones.
+walk over morphism classes is :meth:`perihall.periodic.HomSpace.morphisms`;
+:func:`morphisms_by_cone` classifies them by their built cones. Every
+enumeration, here and in the engine modules, is refused past the
+context's ``enum_cap`` by :meth:`perihall.reps.RepContext.check_budget`.
 
 The module-level helpers only the harnesses need live here, not in the
 engine modules: the inverse of a matrix over F_p
@@ -40,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,10 +69,28 @@ from .periodic import (
     proj_resolution,
     summand_maps,
 )
-from .reps import BudgetExceeded, Rep, RepContext, RepMap
+from .reps import Rep, RepContext, RepMap
 from .sqrtq import HallValue
 
 Key = Tuple
+
+# the caps of the harnesses, one value each: a report keeps the labels
+# of its first failures; the orbit harness skips a triple past a cap on
+# Hom and End dimension, on |Aut|, or on triangles (fiber count times
+# |Aut| of the middle term), and stops after a number of triples; the
+# decorated-symmetry and stable-image harnesses skip an instance past a
+# cap on Hom dimension and stop after a number of instances; the cone
+# harness samples a number of morphisms
+_MAX_FAILURES = 8
+_ORBIT_HOM_CAP = 6
+_ORBIT_AUT_CAP = 50
+_ORBIT_W_CAP = 700
+_ORBIT_TARGET = 10
+_DECORATED_HOM_CAP = 5
+_DECORATED_TARGET = 30
+_STABLE_HOM_CAP = 4
+_STABLE_TARGET = 40
+_CONE_MORPHISMS = 40
 
 
 @dataclass
@@ -74,16 +101,15 @@ class CheckReport:
     checked: int = 0
     failures: List[str] = field(default_factory=list)
     details: Dict[str, int] = field(default_factory=dict)
-    max_failures: int = 8
 
     @property
     def passed(self) -> bool:
         return self.checked > 0 and not self.failures
 
     def fail(self, label: str) -> None:
-        if len(self.failures) < self.max_failures:
+        if len(self.failures) < _MAX_FAILURES:
             self.failures.append(label)
-        elif len(self.failures) == self.max_failures:
+        elif len(self.failures) == _MAX_FAILURES:
             self.failures.append("... more failures suppressed")
 
     def bump(self, key: str, by: int = 1) -> None:
@@ -318,12 +344,11 @@ def _find_split(ctx: RepContext, x: Rep) -> Optional[Tuple[Rep, RepMap, Rep, Rep
         split = _fitting_split(ctx, x, e)
         if split is not None:
             return split
-    total = ctx.field.p ** len(basis)
-    if total > ctx.enum_cap:
-        raise BudgetExceeded(
-            f"cannot certify indecomposability of the module of dimension vector {x.dims}:"
-            f" endomorphism space has {total} points, cap {ctx.enum_cap}"
-        )
+    ctx.check_budget(
+        ctx.field.p ** len(basis),
+        "endomorphisms",
+        lambda: f"certifying indecomposability of the module of dimension vector {x.dims}",
+    )
     for coeffs in itertools.product(range(ctx.field.p), repeat=len(basis)):
         split = _fitting_split(ctx, x, ctx.map_from_coeffs(basis, coeffs))
         if split is not None:
@@ -414,8 +439,7 @@ def enumerate_reps(ctx: RepContext, bound: Sequence[int]) -> List[Rep]:
     for dims in dimvecs:
         shapes = [(a.name, dims[q.vertex_index(a.source)], dims[q.vertex_index(a.target)]) for a in q.arrows]
         entries = sum(du * dw for _, du, dw in shapes)
-        if p**entries > ctx.enum_cap:
-            raise BudgetExceeded(f"representation enumeration at {dims} needs {p**entries} candidates")
+        ctx.check_budget(p**entries, "arrow matrix tuples", lambda: f"representations of dimension vector {dims}")
         for flat in itertools.product(range(p), repeat=entries):
             mats = {}
             pos = 0
@@ -722,17 +746,12 @@ def check_symmetry(
     return report
 
 
-def check_decorated_symmetry(
-    pctx: PeriodicContext,
-    engine: HallEngine,
-    keys: Sequence[Key],
-    target: int = 50,
-    exp_cap: int = 7,
-) -> CheckReport:
+def check_decorated_symmetry(engine: HallEngine, keys: Sequence[Key]) -> CheckReport:
     """The doubled counting identity: morphism pairs out of a two-object
     sum, filtered by the cones of both legs and of the combined map,
-    weighted by automorphisms and brace factors, counted from either end.
-    Instances whose two enumerated hom spaces together exceed ``exp_cap``
+    weighted by automorphisms and brace factors, counted from either end,
+    on the first ``_DECORATED_TARGET`` instances. Instances whose two
+    enumerated hom spaces together exceed ``_DECORATED_HOM_CAP``
     dimensions are skipped and counted as skipped_cap.
 
     Both sides are literal morphism counts; the engine is read only for
@@ -742,11 +761,12 @@ def check_decorated_symmetry(
     :func:`check_associativity` are the ones that compare coefficients.
     """
     report = CheckReport("decorated symmetry")
+    pctx = engine.oracle
     ctx = pctx.ctx
     chains = ChainModel(pctx)
     q = pctx.q
 
-    brace = engine.oracle.brace_exponent
+    brace = pctx.brace_exponent
 
     by_cone = functools.cache(functools.partial(morphisms_by_cone, chains))
 
@@ -766,7 +786,7 @@ def check_decorated_symmetry(
             prod = engine.multiply(x, y)
             for l in prod.support:
                 for m in keys:
-                    if pctx.hom_dim(m, l) + pctx.hom_dim(x, l) > exp_cap:
+                    if pctx.hom_dim(m, l) + pctx.hom_dim(x, l) > _DECORATED_HOM_CAP:
                         report.bump("skipped_cap")
                         continue
                     injs, projs = sum_maps(m, x)
@@ -786,7 +806,7 @@ def check_decorated_symmetry(
                         for lp in keys:
                             if lp in candidates:
                                 continue
-                            if pctx.hom_dim(lp, m) + pctx.hom_dim(lp, x) > exp_cap:
+                            if pctx.hom_dim(lp, m) + pctx.hom_dim(lp, x) > _DECORATED_HOM_CAP:
                                 report.bump("skipped_cap")
                                 continue
                             if pctx.fiber_counts(lp, m).get(y, 0) and pctx.fiber_counts(
@@ -794,7 +814,7 @@ def check_decorated_symmetry(
                             ).get(z1, 0):
                                 candidates[lp] = None
                         for lp in candidates:
-                            if pctx.hom_dim(lp, m) + pctx.hom_dim(lp, x) > exp_cap:
+                            if pctx.hom_dim(lp, m) + pctx.hom_dim(lp, x) > _DECORATED_HOM_CAP:
                                 report.bump("skipped_cap")
                                 continue
                             second_legs = [mp.then(injs[1]).scale(-1) for mp in survivors(lp, x, z1)]
@@ -821,7 +841,7 @@ def check_decorated_symmetry(
                                     f"z1={pctx.format_key(z1)} m={pctx.format_key(m)} "
                                     f"l={pctx.format_key(l)} l'={pctx.format_key(lp)}"
                                 )
-                            if report.checked >= target:
+                            if report.checked >= _DECORATED_TARGET:
                                 return report
     return report
 
@@ -831,34 +851,30 @@ def check_decorated_symmetry(
 # ----------------------------------------------------------------------
 
 
-def check_stable_images(
-    pctx: PeriodicContext,
-    engine: HallEngine,
-    keys: Sequence[Key],
-    target: int = 100,
-    exp_cap: int = 8,
-) -> CheckReport:
+def check_stable_images(pctx: PeriodicContext, keys: Sequence[Key]) -> CheckReport:
     """For each triangle with connecting map n, the sizes of the two
     composition images {n then s} and {s then n} equal square roots of
     alternating products of hom sizes, and the radicands are even powers
-    of q. The image sizes are found by enumerating every composition.
+    of q, on the first ``_STABLE_TARGET`` triangles whose two Hom spaces
+    have dimension at most ``_STABLE_HOM_CAP``. The image sizes are found
+    by enumerating every composition.
 
-    The engine is read only for its oracle's brace exponents, never for
-    a product coefficient, so the harness cannot see a wrong structure
-    constant and its test is PASS-only by design."""
+    No engine is involved: the context is read for its brace exponents,
+    never for a product coefficient, so the harness cannot see a wrong
+    structure constant and its test is PASS-only by design."""
     report = CheckReport("stable image sizes")
     ctx = pctx.ctx
     chains = ChainModel(pctx)
     q = pctx.q
 
-    brace = engine.oracle.brace_exponent
+    brace = pctx.brace_exponent
 
     for z in keys:
         for l in keys:
             lm1 = pctx.shift_key(l, -1)
-            if pctx.hom_dim(lm1, z) > exp_cap:
+            if pctx.hom_dim(lm1, z) > _STABLE_HOM_CAP:
                 continue
-            if pctx.hom_dim(pctx.shift_key(z, 1), l) > exp_cap:
+            if pctx.hom_dim(pctx.shift_key(z, 1), l) > _STABLE_HOM_CAP:
                 continue
             Ls = chains.realize(lm1).shift(1)
             Z1 = chains.realize(z).shift(1)
@@ -886,7 +902,7 @@ def check_stable_images(
                         report.fail(
                             f"image size {size} != q^{e // 2} on {tag}, {where}"
                         )
-                if report.checked >= target:
+                if report.checked >= _STABLE_TARGET:
                     return report
     return report
 
@@ -900,12 +916,13 @@ def _image_sizes(n_map: ChainMap, s_reps: Sequence[ChainMap], end_l: HomSpace, e
     return len(into_l), len(into_z)
 
 
-def _compose_table(space: HomSpace, op: ChainMap, p: int, pre: bool):
+def _compose_table(space: HomSpace, op: ChainMap, pre: bool):
     """The linear action on the class coordinates of ``space`` of
     composing with ``op``, before its maps when ``pre`` and after them
     otherwise, read off the unit classes once."""
     images = [space.class_coords(op.then(u) if pre else u.then(op)) for u in space.unit_maps]
     out_dim = space.dim
+    p = space.ctx.field.p
 
     def apply(coords: Tuple[int, ...]) -> Tuple[int, ...]:
         acc = [0] * out_dim
@@ -936,20 +953,10 @@ def _invertible_classes(
     return isos, inverse
 
 
-# the orbit harness skips a triple past a cap on Hom and End dimension,
-# on |Aut|, or on triangles (fiber count times |Aut| of the middle term)
-_ORBIT_HOM_CAP = 6
-_ORBIT_AUT_CAP = 50
-_ORBIT_W_CAP = 700
-
-
-def check_orbit_normal_form(
-    pctx: PeriodicContext,
-    keys: Sequence[Key],
-    target: int = 50,
-) -> CheckReport:
+def check_orbit_normal_form(pctx: PeriodicContext, keys: Sequence[Key]) -> CheckReport:
     """Enumerate all triangles on a fixed triple of vertices, partition
-    them into orbits of the two-sided automorphism action, and verify:
+    them into orbits of the two-sided automorphism action, and verify, on
+    the first ``_ORBIT_TARGET`` triples within the ``_ORBIT_*`` caps:
 
     * every orbit contains an element whose connecting map is block
       diagonal with an invertible block and a radical block, the first
@@ -981,23 +988,16 @@ def check_orbit_normal_form(
                     continue
                 if pctx.hom_dim(pctx.shift_key(z, 1), l) > _ORBIT_HOM_CAP:
                     continue
-                _orbit_instance(pctx, chains, report, z, l, m)
-                if report.checked >= target:
+                _orbit_instance(chains, report, z, l, m)
+                if report.checked >= _ORBIT_TARGET:
                     return report
     return report
 
 
-def _orbit_instance(
-    pctx: PeriodicContext,
-    chains: ChainModel,
-    report: CheckReport,
-    z: Key,
-    l: Key,
-    m: Key,
-) -> None:
+def _orbit_instance(chains: ChainModel, report: CheckReport, z: Key, l: Key, m: Key) -> None:
+    pctx = chains.pctx
     ctx = pctx.ctx
     q = pctx.q
-    p = q
     zero = pctx.zero_key
     Lm = chains.realize(l)
     Z1 = chains.realize(z).shift(1)
@@ -1065,11 +1065,11 @@ def _orbit_instance(
     for ac in aut_z:
         a_rep = end_z.rep_map(ac)
         a_inv1 = end_z.rep_map(inv_z[ac]).shift(1)
-        gens.append(("z", _compose_table(F, a_rep, p, pre=True), _compose_table(H, a_inv1, p, pre=False)))
+        gens.append(("z", _compose_table(F, a_rep, pre=True), _compose_table(H, a_inv1, pre=False)))
     for cc in aut_l:
         c_rep = end_l.rep_map(cc)
         c_inv = end_l.rep_map(inv_l[cc])
-        gens.append(("l", _compose_table(G, c_inv, p, pre=False), _compose_table(H, c_rep, p, pre=True)))
+        gens.append(("l", _compose_table(G, c_inv, pre=False), _compose_table(H, c_rep, pre=True)))
 
     unseen = set(elemset)
     orbits: List[List[Tuple]] = []
@@ -1125,18 +1125,7 @@ def _orbit_instance(
                 comp_iso[(qi, pj)] = cone_key_literal(pctx, comp) == zero
             f_from_zero = [space.is_null_homotopic(inj.then(f_rep)) for space, inj in zip(f_blocks, z_injs)]
             m_into_zero = [space.is_null_homotopic(m_rep.then(proj)) for space, proj in zip(m_blocks, l_projs)]
-            found = _find_block_partition(
-                pctx,
-                l_models,
-                z1_models,
-                l,
-                z,
-                comps,
-                comp_zero,
-                comp_iso,
-                f_from_zero,
-                m_into_zero,
-            )
+            found = _find_block_partition(chains, l, z, comps, comp_zero, comp_iso, f_from_zero, m_into_zero)
             if found is not None:
                 break
         if found is None:
@@ -1188,11 +1177,9 @@ def _orbit_instance(
 
 
 def _find_block_partition(
-    pctx: PeriodicContext,
-    l_models: Sequence[CycleComplex],
-    z1_models: Sequence[CycleComplex],
-    l_parts: Sequence[Tuple[int, int]],
-    z_parts: Sequence[Tuple[int, int]],
+    chains: ChainModel,
+    l_parts: Sequence[Part],
+    z_parts: Sequence[Part],
     comps: Dict[Tuple[int, int], ChainMap],
     comp_zero: Dict[Tuple[int, int], bool],
     comp_iso: Dict[Tuple[int, int], bool],
@@ -1201,8 +1188,11 @@ def _find_block_partition(
 ) -> Optional[Tuple[Key, Key]]:
     """A summand partition under which the connecting map is diagonal
     with invertible and radical blocks and the adjacent maps vanish on
-    the split summand, or None."""
-    nl, nz = len(l_models), len(z1_models)
+    the split summand, or None. ``comps`` are the blocks of the
+    connecting map between the wrapped parts of l and those of z,
+    shifted once (:meth:`perihall.periodic.ChainModel.wrap_part`)."""
+    pctx = chains.pctx
+    nl, nz = len(l_parts), len(z_parts)
     z1_parts = [(cid, (s + 1) % pctx.t) for cid, s in z_parts]
     for lmask in range(1 << nl):
         q1 = [qi for qi in range(nl) if lmask >> qi & 1]
@@ -1229,7 +1219,8 @@ def _find_block_partition(
             if (len(q1) == 0) != (len(p1) == 0):
                 continue
             if q1:
-                l_sub, z_sub = [l_models[qi] for qi in q1], [z1_models[pj] for pj in p1]
+                l_sub = [chains.wrap_part(l_parts[qi]) for qi in q1]
+                z_sub = [chains.wrap_part(z_parts[pj]).shift(1) for pj in p1]
                 sub_l, sub_z = (direct_sum_complexes(pctx.ctx, sub, t=pctx.t) for sub in (l_sub, z_sub))
                 s_projs, t_injs = summand_maps(sub_l, l_sub)[1], summand_maps(sub_z, z_sub)[0]
                 diag = ChainMap.zero(sub_l, sub_z)
@@ -1284,14 +1275,11 @@ def classical_hall_g(ctx: RepContext, x: Rep, y: Rep, l: Rep) -> int:
         return 0
     count = 0
     spaces = [list(_subspaces(ctx.field, l.dims[i], x.dims[i])) for i in range(len(l.dims))]
-    total = 1
-    for s in spaces:
-        total *= len(s)
-    if total > ctx.enum_cap:
-        raise BudgetExceeded(
-            f"subspace tuple enumeration of size {total} for submodules of dimension vector {x.dims}"
-            f" of the module of dimension vector {l.dims} exceeds cap {ctx.enum_cap}"
-        )
+    ctx.check_budget(
+        math.prod(map(len, spaces)),
+        "subspace tuples",
+        lambda: f"submodules of dimension vector {x.dims} of the module of dimension vector {l.dims}",
+    )
     zero = [Subspace(ctx.field, n, ()) for n in l.dims]
     whole = [Subspace(ctx.field, n, MatrixFp.identity(ctx.field, n).rows) for n in l.dims]
     for combo in itertools.product(*spaces):
@@ -1303,11 +1291,7 @@ def classical_hall_g(ctx: RepContext, x: Rep, y: Rep, l: Rep) -> int:
     return count
 
 
-def check_classical_comparison(
-    pctx: PeriodicContext,
-    engine: HallEngine,
-    bound: Sequence[int],
-) -> CheckReport:
+def check_classical_comparison(engine: HallEngine, bound: Sequence[int]) -> CheckReport:
     """On unshifted modules the periodic structure constants are the
     classical filtration counts times q to minus half the Euler form.
     For factors up to ``bound`` every coefficient of the product is
@@ -1315,6 +1299,7 @@ def check_classical_comparison(
     dimension; the filtration counts are recomputed here by enumerating
     subrepresentations."""
     report = CheckReport("classical comparison")
+    pctx = engine.oracle
     ctx = pctx.ctx
     q = pctx.q
     reps = enumerate_reps(ctx, bound)
@@ -1368,18 +1353,13 @@ def check_hom_dimensions(pctx: PeriodicContext, keys: Sequence[Key]) -> CheckRep
     return report
 
 
-def check_cone_well_defined(
-    pctx: PeriodicContext,
-    keys: Sequence[Key],
-    pairs: Sequence[Tuple[Key, Key]],
-    morphism_target: int = 100,
-) -> CheckReport:
+def check_cone_well_defined(pctx: PeriodicContext, keys: Sequence[Key]) -> CheckReport:
     """The cone construction is well defined on the homotopy category:
     normal forms round-trip, rotate by one slot per shift, and come back
-    after t shifts;
-    cone classes ignore the chain representative and contractible
-    padding; and the mod-2 dimension vector is additive on every
-    triangle the product scope produces.
+    after t shifts; cone classes ignore the chain representative and
+    contractible padding, on the first ``_CONE_MORPHISMS`` morphisms
+    sampled; and the mod-2 dimension vector is additive on every
+    triangle of every ordered pair of the keys.
 
     Rotation needs no check of its own: :func:`complex_key` tags piece s
     with shift s, so the round trip fixes the summand ids of every piece
@@ -1417,7 +1397,7 @@ def check_cone_well_defined(
             ((dims[i] + dims[j], i, j) for i in range(len(keys)) for j in range(len(keys)))
         )
         for _, i, j in order:
-            if sampled >= morphism_target:
+            if sampled >= _CONE_MORPHISMS:
                 break
             x, y = keys[i], keys[j]
             lit = chains.hom_space(x, y)
@@ -1426,7 +1406,7 @@ def check_cone_well_defined(
             into_padded = summand_maps(direct_sum_complexes(ctx, [lit.target, pad], t=pctx.t), [lit.target, pad])[0][0]
             out_of_padded = summand_maps(direct_sum_complexes(ctx, [lit.source, pad], t=pctx.t), [lit.source, pad])[1][0]
             for f in lit.unit_maps + [lit.rep_map((1,) * lit.dim)]:
-                if sampled >= morphism_target:
+                if sampled >= _CONE_MORPHISMS:
                     break
                 base_cone = cone_key_literal(pctx, f)
                 wobble = lit.random_boundary([1 + (sampled % 3), 2, 1])
@@ -1450,7 +1430,7 @@ def check_cone_well_defined(
     report.details["morphisms"] = sampled
 
     triangles = 0
-    for x, y in pairs:
+    for x, y in itertools.product(keys, repeat=2):
         dx = dvec_mod2(pctx, x)
         dy = dvec_mod2(pctx, y)
         for l in pctx.fiber_counts(pctx.shift_key(y, -1), x):
@@ -1472,7 +1452,7 @@ def check_cone_well_defined(
 # ----------------------------------------------------------------------
 
 
-def check_relations(engine: HallEngine, pctx: PeriodicContext, module_keys: Sequence[Key]) -> CheckReport:
+def check_relations(engine: HallEngine, module_keys: Sequence[Key]) -> CheckReport:
     """The defining relations between the shifted module generators: a
     same-layer family at each shift n, and a crossing family for the
     layers n and n + 1 at each n < t, the last wrapping round as a shift
@@ -1483,6 +1463,7 @@ def check_relations(engine: HallEngine, pctx: PeriodicContext, module_keys: Sequ
     deviating term is confirmed to deviate by exactly the split-product
     factor."""
     report = CheckReport("straightening relations")
+    pctx = engine.oracle
     q = pctx.q
     zero = pctx.zero_key
     shift = pctx.shift_key
@@ -1508,7 +1489,7 @@ def check_relations(engine: HallEngine, pctx: PeriodicContext, module_keys: Sequ
             if any(c != zero for c in rest):
                 report.fail(f"crossing support leaves layers 0 and 1 at {pctx.format_key(lk)}")
                 return
-            tw_exp = engine.oracle.brace_exponent(ker, cok)
+            tw_exp = pctx.brace_exponent(ker, cok)
             mini = engine.multiply(shift(ker, n + 1), shift(cok, n))
             merged = pctx.direct_sum_key(shift(ker, n + 1), shift(cok, n))
             if mini.support != (merged,) or mini.coeff(merged) != HallValue.sqrt_q_power(-tw_exp, q):

@@ -62,9 +62,9 @@ Key = Hashable
 
 class CategoryOracle(Protocol):
     """What the engine asks a category for to compute its Hall algebra:
-    the period, the field size, object keys with their zero, shifts and
-    direct sums, the per-shift layers that PBW straightening splits a
-    key into, and per product the scalars of one ``product_terms`` call.
+    the period, the field size, object keys with their zero and shifts,
+    the per-shift layers that PBW straightening splits a key into, and
+    per product the scalars of one ``product_terms`` call.
     The Riedtmann formula that combines those scalars lives in
     :meth:`HallEngine.multiply`, not in the oracle. The harnesses read
     further methods of the oracles (``hom_dim``, ``brace_exponent``,
@@ -79,8 +79,6 @@ class CategoryOracle(Protocol):
     def zero_key(self) -> Key: ...
 
     def shift_key(self, key: Key, n: int = 1) -> Key: ...
-
-    def direct_sum_key(self, *keys: Key) -> Key: ...
 
     def components(self, key: Key) -> Sequence[Key]:
         """Per-shift module layers, each as a key concentrated at shift 0."""

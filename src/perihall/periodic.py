@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequ
 from .category import ObjKey, Part
 from .gfp import MatrixFp, Subspace
 from .quiver import Arrow, Quiver
-from .reps import BudgetExceeded, Rep, RepContext, RepMap
+from .reps import Rep, RepContext, RepMap
 
 if TYPE_CHECKING:
     from .category import PeriodicContext
@@ -439,12 +439,10 @@ class HomSpace:
         """Every morphism class, coordinates in lexicographic order, with
         its representative :meth:`rep_map`. The context's ``enum_cap``
         bounds the number of classes."""
-        p, limit = self.ctx.field.p, self.ctx.enum_cap
-        if p**self.dim > limit:
-            raise BudgetExceeded(
-                f"class enumeration of size {p**self.dim} exceeds cap {limit}: slot dimension vectors"
-                f" {self.source.dims} -> {self.target.dims}"
-            )
+        p = self.ctx.field.p
+        self.ctx.check_budget(
+            p**self.dim, "morphism classes", lambda: f"slot dimension vectors {self.source.dims} -> {self.target.dims}"
+        )
         for coords in itertools.product(range(p), repeat=self.dim):
             yield coords, self.rep_map(coords)
 
@@ -624,12 +622,11 @@ def find_homotopy_iso(ctx: RepContext, a: CycleComplex, b: CycleComplex) -> Opti
     """
     fwd = chain_hom_space(ctx, a, b)
     bwd = chain_hom_space(ctx, b, a)
-    pairs = ctx.field.p ** (fwd.dim + bwd.dim)
-    if pairs > ctx.enum_cap:
-        raise BudgetExceeded(
-            f"{pairs} pairs of morphism classes exceed cap {ctx.enum_cap}: slot dimension vectors"
-            f" {a.dims} and {b.dims}"
-        )
+    ctx.check_budget(
+        ctx.field.p ** (fwd.dim + bwd.dim),
+        "pairs of morphism classes",
+        lambda: f"slot dimension vectors {a.dims} and {b.dims}",
+    )
     ends_a = chain_hom_space(ctx, a, a)
     ends_b = chain_hom_space(ctx, b, b)
     id_a = ends_a.class_coords(ChainMap.identity(a))

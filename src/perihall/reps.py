@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .gfp import FieldSpec, MatrixFp, Subspace
 from .quiver import Quiver
@@ -76,8 +76,9 @@ __all__ = [
 class BudgetExceeded(RuntimeError):
     """An enumeration would exceed its explicit cap.
 
-    Raised instead of silently truncating; callers that can afford more
-    should raise the cap, not catch this.
+    Raised instead of silently truncating, only by
+    :meth:`RepContext.check_budget`, which every enumeration calls;
+    callers that can afford more should raise the cap, not catch this.
     """
 
 
@@ -278,8 +279,10 @@ class HomExt:
 class RepContext:
     """Shared state for one (quiver, field) pair.
 
-    Holds the iso-class registry and every cache. All enumeration caps
-    live here and exceeding one raises :class:`BudgetExceeded`.
+    Holds the iso-class registry and every cache. The one enumeration
+    cap, ``enum_cap``, lives here: every enumeration is refused through
+    :meth:`check_budget`, the one place that raises
+    :class:`BudgetExceeded`.
     """
 
     def __init__(
@@ -296,6 +299,13 @@ class RepContext:
         self._class_of_type: Dict[Tuple[int, ...], int] = {}  # summand ids -> id of a listed zero or decomposable class
         self._paths = _paths(quiver)  # None unless the quiver is of type A
         self._indecomposables: Optional[Tuple[int, ...]] = None
+
+    def check_budget(self, size: int, what: str, where: Callable[[], str]) -> None:
+        """Refuse an enumeration of ``size`` items beyond ``enum_cap``:
+        the message is "{size} {what} exceed cap {enum_cap}: {where()}",
+        with ``where`` naming the objects, built only on refusal."""
+        if size > self.enum_cap:
+            raise BudgetExceeded(f"{size} {what} exceed cap {self.enum_cap}: {where()}")
 
     # -- elementary constructions ------------------------------------
 
@@ -474,11 +484,9 @@ class RepContext:
         d = len(basis)
         p = self.field.p
         total = p**d
-        if total > self.enum_cap:
-            raise BudgetExceeded(
-                f"endomorphism ring of the indecomposable of dimension vector {indec.dims} has {total} points,"
-                f" too many to profile: cap {self.enum_cap}"
-            )
+        self.check_budget(
+            total, "endomorphisms", lambda: f"residue field of the indecomposable of dimension vector {indec.dims}"
+        )
         units = 0
         for coeffs in itertools.product(range(p), repeat=d):
             if self.map_from_coeffs(basis, coeffs).is_iso():

@@ -86,9 +86,6 @@ class SemisimplePeriodic:
     def shift_key(self, key: SsKey, n: int = 1) -> SsKey:
         return tuple(key[(s - n) % self.t] for s in range(self.t))
 
-    def direct_sum_key(self, *keys: SsKey) -> SsKey:
-        return tuple(sum(k[s] for k in keys) for s in range(self.t))
-
     def components(self, key: SsKey) -> Tuple[SsKey, ...]:
         out = []
         for s in range(self.t):
@@ -96,9 +93,6 @@ class SemisimplePeriodic:
             layer[0] = key[s]
             out.append(tuple(layer))
         return tuple(out)
-
-    def total_dim(self, key: SsKey) -> int:
-        return sum(key)
 
     def hom_dim(self, x: SsKey, y: SsKey) -> int:
         return sum(a * b for a, b in zip(x, y))

@@ -3,6 +3,7 @@ import fractions
 import importlib
 import itertools
 import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -26,13 +27,16 @@ from perihall.checks import (
     enumerate_objects_by_product,
     enumerate_reps,
     fiber_counts_literal,
+    classical_hall_g,
+    decompose,
     is_indecomposable,
+    module_aut_order,
     module_key,
     summand_ids,
 )
 from perihall.gfp import FieldSpec, MatrixFp, Subspace
 from perihall.hall import HallEngine
-from perihall.periodic import ChainMap, ChainModel, CycleComplex, chain_hom_space
+from perihall.periodic import ChainMap, ChainModel, CycleComplex, chain_hom_space, find_homotopy_iso
 from perihall.quiver import Arrow, Quiver, line_quiver
 from perihall.reps import BudgetExceeded, Rep, RepContext, RepMap
 
@@ -745,6 +749,49 @@ def test_every_exported_name_exists():
         assert [name for name in module.__all__ if not hasattr(module, name)] == [], module.__name__
 
 
+def _unused_imports(path):
+    """The names a module imports and never uses, as (line, name). A
+    use is a bare name anywhere in the module, an entry of ``__all__``,
+    or a name inside a string annotation; ``from __future__`` imports
+    bind nothing. A name that only a docstring mentions is unused."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used, notes = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            notes.append(node.annotation)
+        elif isinstance(node, ast.FunctionDef) and node.returns is not None:
+            notes.append(node.returns)
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    for note in notes:
+        for sub in ast.walk(note):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(sub.value, mode="eval")) if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses(tmp_path):
+    # a simplification that drops the last use of a name must drop its
+    # import too; the scan itself sees a stale import planted in a copy
+    root = Path(category.__file__).resolve().parents[2]
+    paths = sorted((root / "src" / "perihall").glob("*.py")) + sorted((root / "tools").glob("*.py"))
+    assert len(paths) >= 12
+    assert {str(path.relative_to(root)): found for path in paths if (found := _unused_imports(path))} == {}
+    planted = tmp_path / "planted.py"
+    planted.write_text("from typing import TYPE_CHECKING, List\nimport os.path\nif TYPE_CHECKING:\n    import re\nx: 'List[re.Pattern]' = []\n")
+    assert _unused_imports(planted) == [(2, "os")]
+
+
 ENGINE_MODULES = ("gfp", "quiver", "reps", "category", "hall", "sqrtq", "semisimple", "__init__")
 CONTEXTS = ("RepContext", "PeriodicContext")
 # the protocol HallEngine multiplies over, which PeriodicContext implements
@@ -1096,6 +1143,41 @@ def test_budget_errors_name_their_objects(a2):
     assert f"{slots[0]} -> {slots[1]}" in str(err.value)
 
 
+def test_every_refusal_has_one_format(a2):
+    # every enumeration is refused through RepContext.check_budget, so
+    # each of the seven refusals reads "<size> <what> exceed cap <cap>:"
+    # followed by the objects it would have enumerated
+    s1 = module_key(a2, a2.ctx.simple("1"))
+    s2 = module_key(a2, a2.ctx.simple("2"))
+    x = a2.direct_sum_key(s1, a2.shift_key(s2, 1))
+    y = a2.direct_sum_key(s1, s2)
+    chains = ChainModel(a2)
+    space, a, b = chains.hom_space(x, y), chains.realize(x), chains.realize(y)
+    slots = [str([s.dims for s in c.slots]) for c in (a, b)]
+    f2 = FieldSpec(2)
+    # the Kronecker module (I, N), N nilpotent, has End = F_2[x]/(x^2):
+    # 4 endomorphisms, none of which splits it
+    kronecker = RepContext(KRONECKER, f2, enum_cap=2)
+    r = Rep(f2, KRONECKER, (2, 2), {"a": MatrixFp.identity(f2, 2), "b": MatrixFp(f2, [[0, 1], [0, 0]])})
+    top = Rep(f2, KRONECKER, (2, 1), {})
+    a2.ctx.enum_cap = 1
+    cases = [
+        (lambda: a2.fiber_counts(x, y), [f"{a2.format_key(x)} -> {a2.format_key(y)}"]),
+        (lambda: next(space.morphisms()), [f"{slots[0]} -> {slots[1]}"]),
+        (lambda: enumerate_reps(RepContext(line_quiver(2), f2, enum_cap=1), (1, 1)), ["(1, 1)"]),
+        (lambda: find_homotopy_iso(a2.ctx, a, b), [f"{slots[0]} and {slots[1]}"]),
+        (lambda: kronecker.residue_field_degree(r), ["(2, 2)"]),
+        (lambda: decompose(kronecker, r), ["(2, 2)"]),
+        (lambda: classical_hall_g(kronecker, kronecker.simple("2"), top, r), ["(0, 1)", "(2, 2)"]),
+    ]
+    for run, names in cases:
+        with pytest.raises(BudgetExceeded) as err:
+            run()
+        message = str(err.value)
+        assert re.fullmatch(r"\d+ [a-z ]+ exceed cap \d+: .+", message), message
+        assert all(name in message.split(": ", 1)[1] for name in names), message
+
+
 def test_aut_orders_against_enumeration(a1, a2):
     for pctx, bound in ((a1, (1,)), (a2, (1, 1))):
         chains = ChainModel(pctx)
@@ -1145,6 +1227,24 @@ def test_aut_order_reads_the_residue_degree():
     for other in (k, pctx.shift_key(k, 1), pctx.shift_key(s, 2)):
         key = pctx.direct_sum_key(k, other)
         assert pctx.aut_order(key) == aut_order_by_layers(pctx, key), key
+
+
+@pytest.mark.parametrize("p, aut, aut_twice", [(2, 2, 96), (3, 6, 3888)])
+def test_residue_degree_of_a_local_end_that_is_not_a_field(p, aut, aut_twice):
+    # the Kronecker module (I, N) with N = [[0, 1], [0, 0]] has
+    # End = F_q[x]/(x^2): a local ring with a nonzero radical, so the
+    # residue degree divides the radical out and is 1, |Aut| = q^2 - q,
+    # and |Aut| of the module twice is |GL_2(F_q)| q^4
+    fp = FieldSpec(p)
+    pctx = PeriodicContext(RepContext(KRONECKER, fp))
+    r = Rep(fp, KRONECKER, (2, 2), {"a": MatrixFp.identity(fp, 2), "b": MatrixFp(fp, [[0, 1], [0, 0]])})
+    assert len(pctx.ctx.hom_ext(r, r).hom) == 2
+    assert pctx.ctx.residue_field_degree(r) == 1
+    k = module_key(pctx, r)
+    assert pctx.aut_order(k) == aut == module_aut_order(pctx.ctx, r)
+    assert aut == aut_order_by_enumeration(ChainModel(pctx), k) == aut_order_by_layers(pctx, k)
+    kk = pctx.direct_sum_key(k, k)
+    assert pctx.aut_order(kk) == aut_twice == aut_order_by_layers(pctx, kk)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
