@@ -48,18 +48,21 @@ The scalars never build a module. Between a part of class a and a part
 of class b at shift residue r, the hom dimension and the brace share
 beta(r) are both linear in the (dim Hom, dim Ext^1) of the two classes,
 the lengths of their Ringel bases, with coefficients from two
-per-residue tables. One row per ordered pair of classes holds both at
-every residue, built from ``_class_pair`` and cached, so a quiver with
-c indecomposable classes has at most c^2 rows; the decode of cones
-(:class:`HomVectors`) reads the same rows. The runs of equal parts of
-each key are cached too and weigh the rows by multiplicity.
+per-residue tables. One row per ordered pair of classes holds, at
+every residue, both of them, the hom dimension one residue up and both
+of the reverse pair; it is built from ``_class_pair`` both ways and
+cached, so a quiver with c indecomposable classes has at most c^2 rows
+of t five-entry tuples. The decode of cones (:class:`HomVectors`) reads
+the same rows. The runs of equal parts of each key are cached too and
+weigh the rows by multiplicity.
 
 The engine asks for a product's scalars in one call,
 :meth:`PeriodicContext.product_terms`: one walk over the part pairs of
-the two operands reads each pair's row at three residues, and each
-operand and cone reads one record per key, (|Aut|, hom, brace) of the
-key with itself; nothing is cached per pair of keys. The harness
-surface ``hom_dim``, ``brace_exponent``, ``aut_order`` and
+the two operands reads one row entry per pair, which holds hom and
+brace of the pair, hom one residue up and hom and brace of the reverse
+pair, and each operand and cone reads one record per key, (|Aut|, hom,
+brace) of the key with itself; nothing is cached per pair of keys. The
+harness surface ``hom_dim``, ``brace_exponent``, ``aut_order`` and
 ``fiber_counts`` answers one scalar at a time from the same rows, walk
 and records. |Aut| is the unit count of End, read off its dimension
 and each class's residue degree, cached per class id: 1 for a brick
@@ -226,7 +229,7 @@ class PeriodicContext:
         self.ctx = ctx
         self.t = t
         self._records: Dict[ObjKey, Tuple[int, int, int]] = {}
-        self._class_pairs: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
+        self._class_pairs: Dict[Tuple[int, int], Tuple[Tuple[int, int, int, int, int], ...]] = {}
         self._cones: Dict[Tuple[ObjKey, ObjKey], Dict[ObjKey, int]] = {}
         self._runs_cache: Dict[ObjKey, List[Tuple[Part, int]]] = {}
         self._residue_cache: Dict[int, int] = {}
@@ -356,22 +359,32 @@ class PeriodicContext:
         he = self._hom_ext(a, b)
         return len(he.hom), he.ext_dim
 
-    def _class_row(self, a: int, b: int) -> Tuple[Tuple[int, int], ...]:
-        """Per shift residue r, (dim Hom, beta(r)) between a part of the
-        class with id a and a part of the class with id b at residue
-        r = (s_b - s_a) mod t: the covering table picks Hom, Ext^1 or 0
-        for the first and the brace table weighs them for the second
-        (module docstring), both from what :meth:`_class_pair` returns.
-        Cached per class pair: at most c^2 rows for c classes."""
-        hom, ext = self._class_pair(a, b)
+    def _class_row(self, a: int, b: int) -> Tuple[Tuple[int, int, int, int, int], ...]:
+        """Per shift residue r = (s_b - s_a) mod t between a part of the
+        class with id a and a part of the class with id b, the entry
+        (hom(r), beta(r), hom(r + 1), hom'(-r), beta'(-r)): dim Hom and
+        the brace share of the pair at r, dim Hom at r + 1, which is the
+        pair's block of Hom(y[-1], x) when a is a part of y and b one of
+        x, and dim Hom and the brace share of the reverse pair, from b to
+        a, at its residue -r. The covering table picks Hom, Ext^1 or 0
+        and the brace table weighs them (module docstring), from what
+        :meth:`_class_pair` returns both ways. So :meth:`_pair_walk`
+        reads one entry per pair of parts. Cached per class pair: at most
+        c^2 rows for c classes."""
+        t = self.t
+        tables = tuple(zip(_covering_table(t), _brace_table(t)))
+
+        def scalars(hom: int, ext: int) -> List[Tuple[int, int]]:
+            return [(h0 * hom + e0 * ext, h1 * hom + e1 * ext) for (h0, e0), (h1, e1) in tables]
+
+        fwd, rev = scalars(*self._class_pair(a, b)), scalars(*self._class_pair(b, a))
         self._class_pairs[(a, b)] = row = tuple(
-            (h0 * hom + e0 * ext, h1 * hom + e1 * ext)
-            for (h0, e0), (h1, e1) in zip(_covering_table(self.t), _brace_table(self.t))
+            (h, e, fwd[(r + 1) % t][0]) + rev[-r] for r, (h, e) in enumerate(fwd)
         )
         return row
 
     def _part_hom(self, a: Part, b: Part) -> int:
-        """dim Hom(a, b) between two parts, read off the class-pair table."""
+        """dim Hom(a, b) between two parts, entry 0 of the class-pair row."""
         row = self._class_pairs.get((a[0], b[0])) or self._class_row(a[0], b[0])
         return row[(b[1] - a[1]) % self.t][0]
 
@@ -534,14 +547,14 @@ class PeriodicContext:
 
     def _pair_walk(self, y: ObjKey, x: ObjKey) -> Tuple[int, int, int, int, int, set, set]:
         """One walk over the pairs of distinct parts b of y and a of x,
-        reading the class-pair table at three residues: the pair's own
-        r = (s_a - s_b) mod t for hom(y, x) and {y, x}, r + 1 for
-        Hom(y[-1], x), and -r, the reverse pair, for hom(x, y) and
-        {x, y}. Returns those four, dim Hom(y[-1], x), and the parts of y
-        and of x that have a nonzero block of Hom(y[-1], x), the active
-        parts of :meth:`_fiber`. Not cached. A product, a fiber, a
-        key's own record and each of ``hom_dim`` and ``brace_exponent``
-        is one call."""
+        reading one entry of the class-pair row (:meth:`_class_row`) per
+        pair, at its residue r = (s_a - s_b) mod t: hom(y, x) and {y, x},
+        Hom(y[-1], x), and hom(x, y) and {x, y} from the reverse pair.
+        Returns those four, dim Hom(y[-1], x), and the parts of y and of
+        x that have a nonzero block of Hom(y[-1], x), the active parts of
+        :meth:`_fiber`. Not cached. A product, a fiber, a key's own
+        record and each of ``hom_dim`` and ``brace_exponent`` is one
+        call."""
         rows, t = self._class_pairs, self.t
         xs = self._runs(x)
         hom_yx = brace_yx = hom_xy = brace_xy = dim = 0
@@ -551,20 +564,15 @@ class PeriodicContext:
             for a, ma in xs:
                 ca, sa = a
                 m = ma * mb
-                r = (sa - sb) % t
-                row = rows.get((cb, ca)) or self._class_row(cb, ca)
-                h, e = row[r]
+                h, e, d, h_xy, e_xy = (rows.get((cb, ca)) or self._class_row(cb, ca))[(sa - sb) % t]
                 hom_yx += m * h
                 brace_yx += m * e
-                # the residue r + 1, read with a nonpositive index
-                h = row[r + 1 - t][0]
-                if h:
-                    dim += m * h
+                hom_xy += m * h_xy
+                brace_xy += m * e_xy
+                if d:
+                    dim += m * d
                     on_y.add(b)
                     on_x.add(a)
-                h, e = (rows.get((ca, cb)) or self._class_row(ca, cb))[-r]
-                hom_xy += m * h
-                brace_xy += m * e
         return hom_yx, brace_yx, hom_xy, brace_xy, dim, on_y, on_x
 
     def _fiber(self, zero: ObjKey, y: ObjKey, x: ObjKey, dim: int, on_y: set, on_x: set) -> List[Tuple[ObjKey, int]]:
@@ -582,30 +590,50 @@ class PeriodicContext:
         The active sub-keys x' of y[-1] and m' of x are the parts with a
         nonzero Hom block to the other side, in key order; the inactive
         rest x'' and m'' only adds zero rows and columns to every
-        Hom(T, f). So f = f' + 0 with f': x' -> m', and
+        Hom(T, f). One pass over the parts of y and one over those of x
+        sorts them into the two. So f = f' + 0 with f': x' -> m', and
         cone(f) = cone(f') + x''[1] + m'': the cones of Hom(x', m') are
         read off :meth:`_active_cones`, decoded once per active pair, and
         the inactive parts are added to them. The translation functor is
         a triangle autoequivalence, so cone(f'[s]) = cone(f')[s]: a pair
         whose least shift s0 is not 0 reads the cones of its translate
         by -s0, shifted by s0. Pairs related only by a translate that
-        wraps a shift keep their own entries."""
+        wraps a shift keep their own entries. The sub-keys are translated
+        only when s0 is not 0; when s0 is 0 and no part is inactive, the
+        stored cones are the fiber's keys as they are, and no key is
+        rebuilt."""
         if not dim:
             return [(zero, 1)]
         t = self.t
         self.ctx.check_budget(
             self.q**dim, "morphism classes", lambda: f"{self.format_key(self.shift_key(y, -1))} -> {self.format_key(x)}"
         )
-        xa = sorted([(cid, (s - 1) % t) for cid, s in y if (cid, s) in on_y])
-        ma = [a for a in x if a in on_x]
-        rest = [b for b in y if b not in on_y] + [a for a in x if a not in on_x]
+        xa: List[Part] = []
+        ma: List[Part] = []
+        rest: List[Part] = []
+        for part in y:
+            if part in on_y:
+                xa.append((part[0], (part[1] - 1) % t))
+            else:
+                rest.append(part)
+        for part in x:
+            (ma if part in on_x else rest).append(part)
+        xa.sort()
         s0 = min(s for _, s in xa + ma)
-        cones = self._active_cones(tuple((cid, s - s0) for cid, s in xa), tuple((cid, s - s0) for cid, s in ma))
-        out = {zero: 1}
-        for cone, count in cones.items():
-            ck = tuple(sorted([(cid, (s + s0) % t) for cid, s in cone] + rest))
-            out[ck] = out.get(ck, 0) + count
-        return sorted(out.items())
+        if s0:
+            xa = [(cid, s - s0) for cid, s in xa]
+            ma = [(cid, s - s0) for cid, s in ma]
+        cones = self._active_cones(tuple(xa), tuple(ma))
+        # a nonzero morphism has a nonzero rank at some part of x', so no
+        # cone is the zero cone, and translating and adding the rest is
+        # injective on keys: the fiber's keys are distinct
+        if s0 or rest:
+            out = [(tuple(sorted([(cid, (s + s0) % t) for cid, s in cone] + rest)), count) for cone, count in cones.items()]
+        else:
+            out = list(cones.items())
+        out.append((zero, 1))
+        out.sort()
+        return out
 
     def fiber_counts(self, x: ObjKey, m: ObjKey) -> Dict[ObjKey, int]:
         """How many morphisms x -> m have each cone class.
@@ -654,29 +682,37 @@ class PeriodicContext:
         (l, count, |Aut l|, {l, l}).
 
         The operands and the cones read their (|Aut|, hom, brace) record
-        per key (:meth:`_record`). The zero morphism's cone y + x gets
-        its record without a walk of its own: hom and brace are
-        bilinear, so they are the sums of the operands' own and the
-        walk's cross terms, and a product with Hom(y[-1], x) = 0 walks
-        no cone's part pairs. When x and y share no part, End(y + x) is
-        End(x) + End(y) plus the radical Hom(x, y) + Hom(y, x), so
-        |Aut(y + x)| is |Aut x| |Aut y| q^(hom(x, y) + hom(y, x));
-        :meth:`_merge_units` corrects that for the parts they share. Nothing per key pair is
-        cached; :meth:`perihall.hall.HallEngine.multiply` memoizes the
+        per key (:meth:`_record`), one ``dict.get`` when it is stored.
+        The zero morphism's cone y + x gets its record without a walk of
+        its own: hom and brace are bilinear, so they are the sums of the
+        operands' own and the walk's cross terms. When x and y share no
+        part, End(y + x) is End(x) + End(y) plus the radical
+        Hom(x, y) + Hom(y, x), so |Aut(y + x)| is
+        |Aut x| |Aut y| q^(hom(x, y) + hom(y, x)); :meth:`_merge_units`
+        corrects that for the parts they share. A product with
+        Hom(y[-1], x) = 0 has the zero cone alone, with that record, and
+        makes no :meth:`_fiber` call. Nothing per key pair is cached;
+        :meth:`perihall.hall.HallEngine.multiply` memoizes the
         product."""
         hom_yx, brace_yx, hom_xy, brace_xy, dim, on_y, on_x = self._pair_walk(y, x)
-        aut_x, hom_x, brace_x = self._record(x)
-        aut_y, hom_y, brace_y = self._record(y)
+        records = self._records
+        aut_x, hom_x, brace_x = records.get(x) or self._record(x)
+        aut_y, hom_y, brace_y = records.get(y) or self._record(y)
         zero = tuple(sorted(y + x))
-        if zero not in self._records:
+        record = records.get(zero)
+        if record is None:
             aut = aut_x * aut_y * self.q ** (hom_xy + hom_yx)
             if not set(x).isdisjoint(y):
                 aut = self._merge_units(x, y, aut)
-            self._records[zero] = (aut, hom_x + hom_y + hom_xy + hom_yx, brace_x + brace_y + brace_xy + brace_yx)
-        terms = []
-        for l, count in self._fiber(zero, y, x, dim, on_y, on_x):
-            aut, _, brace = self._record(l)
-            terms.append((l, count, aut, brace))
+            records[zero] = record = (aut, hom_x + hom_y + hom_xy + hom_yx, brace_x + brace_y + brace_xy + brace_yx)
+        if not dim:
+            # the fiber is the zero cone alone (:meth:`_fiber`)
+            terms = [(zero, 1, record[0], record[2])]
+        else:
+            terms = []
+            for l, count in self._fiber(zero, y, x, dim, on_y, on_x):
+                aut, _, brace = records.get(l) or self._record(l)
+                terms.append((l, count, aut, brace))
         return hom_yx, brace_yx, (aut_x, brace_x), (aut_y, brace_y), terms
 
     # -- automorphisms ------------------------------------------------

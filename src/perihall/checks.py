@@ -964,14 +964,18 @@ def check_orbit_normal_form(pctx: PeriodicContext, keys: Sequence[Key]) -> Check
     * the fiber counts over automorphisms equal, on both sides, the sum
       over orbits of |End| / (image size * |Aut|) of the split summand.
 
+    A triple with z = 0 or m = 0 is skipped: its triangles are trivial,
+    and the triples go to those that have a connecting map to split.
+
     Only the context's fiber counts, automorphism orders and hom spaces
     are read, never a product coefficient, so the harness cannot see a
     wrong structure constant and its test is PASS-only by design.
     """
     report = CheckReport("triangle orbit normal form")
     chains = ChainModel(pctx)
-    for z in keys:
-        for m in keys:
+    nonzero = [key for key in keys if key != pctx.zero_key]
+    for z in nonzero:
+        for m in nonzero:
             if pctx.hom_dim(z, m) > _ORBIT_HOM_CAP:
                 continue
             if pctx.hom_dim(z, z) > _ORBIT_HOM_CAP or pctx.hom_dim(m, m) > _ORBIT_HOM_CAP:

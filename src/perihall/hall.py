@@ -89,7 +89,8 @@ class CategoryOracle(Protocol):
     ) -> Tuple[int, int, Tuple[int, int], Tuple[int, int], Sequence[Tuple[Key, int, int, int]]]:
         """hom(y, x), {y, x}, (|Aut x|, {x, x}), (|Aut y|, {y, y}), and
         per cone l of the morphisms y[-1] -> x, sorted by key,
-        (l, number of morphisms, |Aut l|, {l, l})."""
+        (l, number of morphisms, |Aut l|, {l, l}): each cone once, with
+        a positive count."""
         ...
 
 
@@ -232,7 +233,11 @@ class HallEngine:
         direct sum, so the product of nonzero classes is never zero.
         Every scalar comes from one ``product_terms`` call on a cold
         product; the part of the exponent and the denominator that do
-        not depend on the cone are computed once. Memoized per pair.
+        not depend on the cone are computed once. Each coefficient is a
+        nonzero monomial, count * |Aut l| / (|Aut x| |Aut y|) times a
+        power of sqrt(q), asserted so, and the cones are distinct, so
+        the vector takes the dict as built, with no zero to filter
+        (:func:`_vector`). Memoized per pair.
         """
         k = (x, y)
         hit = self._mult_cache.get(k)
@@ -247,7 +252,7 @@ class HallEngine:
                 if value.n and value.m:
                     raise AssertionError(f"structure constant {value} is not a monomial in sqrt(q)")
                 coeffs[l] = value
-            self._mult_cache[k] = hit = HallVector(q, coeffs)
+            self._mult_cache[k] = hit = _vector(q, coeffs)
         return hit
 
     def multiply_vectors(self, a: HallVector, b: HallVector) -> HallVector:
@@ -314,6 +319,18 @@ class HallEngine:
             return expr
         finally:
             self._pbw_active.discard(key)
+
+
+_alloc = object.__new__
+
+
+def _vector(q: int, coeffs: Dict[Key, HallValue]) -> HallVector:
+    """The vector with these coefficients, every one nonzero, taken as
+    they are: :class:`HallVector` itself drops zeros."""
+    v = _alloc(HallVector)
+    v.q = q
+    v.coeffs = coeffs
+    return v
 
 
 def _is_one(v: HallValue) -> bool:

@@ -1,6 +1,7 @@
 import ast
 import fractions
 import importlib
+import importlib.util
 import itertools
 import pkgutil
 import re
@@ -20,6 +21,7 @@ from perihall.checks import (
     _rational_inverse,
     aut_order_by_enumeration,
     aut_order_by_layers,
+    brace_exponent_by_shifts,
     complex_key,
     composition_by_chains,
     cone_key_literal,
@@ -532,6 +534,46 @@ def test_multi_block_fibers_match_the_literal_count_item_for_item(n, p, t):
         assert list(pctx.fiber_counts(x, m).items()) == list(fiber_counts_literal(chains, x, m).items()), (x, m)
 
 
+def active_split(pctx, x, m):
+    """(s0, inactive) for the fiber of x -> m: the least shift of the
+    parts of x and m that have a nonzero Hom block to the other side, and
+    whether some part has none."""
+    active = [a for a in x if any(pctx.hom_dim((a,), (b,)) for b in m)]
+    active += [b for b in m if any(pctx.hom_dim((a,), (b,)) for a in x)]
+    return min(s for _, s in active), len(active) < len(x) + len(m)
+
+
+@pytest.mark.parametrize("n, p", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("t", [3, 5])
+def test_translated_and_partly_inactive_fibers_match_the_literal_count_item_for_item(n, p, t):
+    # the fiber of a pair whose active parts have least shift s0 != 0 is
+    # read off their translate by -s0, and a pair with an inactive part
+    # adds it to every cone of its active parts; neither fiber reuses the
+    # cone keys as they are stored. Per kind (s0 != 0, all parts active),
+    # (s0 = 0, a part inactive) and (s0 != 0, a part inactive), the first
+    # 4 pairs at each Hom dimension from 1 to 3, among parts at shifts 0,
+    # 1 and 2 and their sums, agree item for item with the chain model's
+    # count; each kind has pairs at dimensions 1 and 2
+    pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)), t)
+    chains = ChainModel(pctx)
+    low = [(part,) for part in pctx.hom_vectors().parts if part[1] < 3]
+    keys = low + [pctx.direct_sum_key(a, b) for a, b in itertools.combinations_with_replacement(low, 2)]
+
+    kinds = {(True, False): {}, (False, True): {}, (True, True): {}}
+    for x, m in itertools.product(keys, keys):
+        d = pctx.hom_dim(x, m)
+        if d in (1, 2, 3):
+            s0, inactive = active_split(pctx, x, m)
+            pairs = kinds.get((s0 != 0, inactive), {}).setdefault(d, [])
+            if len(pairs) < 4:
+                pairs.append((x, m))
+    for kind, by_dim in kinds.items():
+        assert {1, 2} <= by_dim.keys(), kind
+        for pairs in by_dim.values():
+            for x, m in pairs:
+                assert list(pctx.fiber_counts(x, m).items()) == list(fiber_counts_literal(chains, x, m).items()), (x, m)
+
+
 def test_brace_table_rows():
     # t = 3: Ext^1 - Hom at r = 0, -(Hom + Ext^1) at r = 1, Hom - Ext^1 at r = 2,
     # as (Hom coefficient, Ext^1 coefficient) pairs
@@ -544,6 +586,33 @@ def test_brace_table_rows():
         homs = [hom, ext, 0, 0, 0]
         for r, (ch, ce) in enumerate(rows):
             assert ch * hom + ce * ext == sum((-1) ** i * homs[(r - i) % 5] for i in range(1, 6)), (r, hom, ext)
+
+
+@pytest.mark.parametrize("n, p", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("t", [3, 5])
+def test_class_rows_match_the_chain_model_and_the_alternating_sum(n, p, t):
+    # the row of a class pair (a, b) holds per residue r, a part of a at
+    # shift 0 and one of b at shift r: hom and brace of the pair, hom at
+    # r + 1, and hom and brace of the reverse pair, whose residue is -r.
+    # The engine and checks.multiply_by_scalars both read these rows, so
+    # they are pinned against Hom recounted at chain level and the brace
+    # exponent as the literal alternating sum, both ways
+    pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)), t)
+    chains = ChainModel(pctx)
+    classes = sorted({cid for cid, _ in pctx.hom_vectors().parts})
+    for a, b in itertools.product(classes, classes):
+        row = pctx._class_row(a, b)
+        assert len(row) == t
+        for r, entry in enumerate(row):
+            x, y, y_next = ((a, 0),), ((b, r),), ((b, (r + 1) % t),)
+            expected = (
+                chains.hom_space(x, y).dim,
+                brace_exponent_by_shifts(pctx, x, y),
+                chains.hom_space(x, y_next).dim,
+                chains.hom_space(y, x).dim,
+                brace_exponent_by_shifts(pctx, y, x),
+            )
+            assert entry == expected, (a, b, r)
 
 
 @pytest.mark.parametrize(
@@ -680,6 +749,38 @@ def test_the_names_kept_for_the_benchmark_are_off_the_op_path(monkeypatch):
     assert nonzero >= len(keys) ** 2
     assert all(pctx.aut_order(k) >= 1 for k in keys)
     assert all(engine.pbw_expand(k).evaluate(engine) == engine.vector(k) for k in keys)
+
+
+# the tracer's targets that name nothing in the engine today, as
+# ``perfbench/run.py --smoke`` reports them: a change that claims a gain
+# moves no trace target, and a benchmark change that re-aims the tracer
+# updates this list on purpose
+ABSENT_TRACE_TARGETS = [
+    "hall.HallEngine.hall_number_via",
+    "category.PeriodicContext.cone_key",
+    "category.PeriodicContext.normalize",
+    "category.PeriodicContext.block_space",
+    "category.PeriodicContext.realize",
+    "category.BlockHomSpace.rep_map",
+    "reps.RepContext.hom_basis",
+    "reps.RepContext.class_id",
+    "reps.RepContext.decompose",
+    "reps.RepContext.ext1_dim",
+    "reps.RepContext.proj_resolution",
+]
+
+
+def test_the_absent_trace_targets_are_pinned():
+    # every SPANS and COUNTERS target of perfbench/tracer.py is located
+    # as the tracer locates it, with the file loaded as it is and nothing
+    # patched; exactly the pinned targets are absent
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_pinned_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = list(tracer.SPANS) + [target for group in tracer.COUNTERS.values() for target in group]
+    absent = [f"{module}.{qualname}" for module, qualname in targets if tracer._locate(module, qualname)[0] is None]
+    assert absent == ABSENT_TRACE_TARGETS
 
 
 def test_the_type_a_setup_never_enumerates(monkeypatch):
