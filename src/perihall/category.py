@@ -259,10 +259,10 @@ class PeriodicContext:
     def components(self, key: ObjKey) -> Tuple[ObjKey, ...]:
         """Split an object into its t pure-shift module layers, each
         returned as an object key concentrated at shift 0."""
-        layers: List[List[Part]] = [[] for _ in range(self.t)]
+        layers: List[ObjKey] = [()] * self.t
         for cid, s in key:
-            layers[s].append((cid, 0))
-        return tuple(map(tuple, layers))
+            layers[s] += ((cid, 0),)
+        return tuple(layers)
 
     def total_dim(self, key: ObjKey) -> int:
         return sum(self.ctx.class_rep(cid).total_dim for cid, _ in key)

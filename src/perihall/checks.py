@@ -1544,7 +1544,7 @@ def check_pbw_round_trip(engine: HallEngine, keys: Sequence[Key]) -> CheckReport
     most = 0
     for key in keys:
         expr = engine.pbw_expand(key)
-        most = max(most, len(expr.items()))
+        most = max(most, len(expr.terms))
         report.checked += 1
         if expr.evaluate(engine) != engine.vector(key):
             report.fail(f"round trip at {_fmt(engine, key)}")

@@ -30,13 +30,17 @@ composes the same product from the oracle's one-at-a-time scalars
 sum literally. The dual counts, which fiber Hom(x, l) or Hom(l, y)
 instead, live in :mod:`perihall.checks` and are compared there.
 
-Sums of products are single-pass: ``multiply_vectors`` and
-``PBWExpression.evaluate`` add every scaled term into one dict, in the
-operands' insertion order, and build one vector at the end. Vector
-equality compares dicts and every printer sorts, so the order changes
-no value. The ordered product of a PBW term's layer generators is
-computed once per factor tuple (``HallEngine.layer_product``), and
-``pbw_expand`` and ``evaluate`` share it.
+Sums of products work on coefficient dicts: ``multiply_vectors``,
+``HallEngine.layer_product`` and ``PBWExpression.evaluate`` add every
+scaled term into one dict, in the operands' insertion order, and build
+one vector at the end. Vector equality compares dicts and every printer
+sorts, so the order changes no value. ``layer_product`` folds a PBW
+term's generator keys from the left, one ``multiply`` per accumulated
+term and next generator, with no vector in between; it is computed
+once per factor tuple, and ``pbw_expand`` and ``evaluate`` share it.
+``pbw_expand`` reads the product's dict once: an object with one
+nonzero layer is its own generator, a product of one term with
+coefficient 1, so it divides nothing and recurses nowhere.
 
 The engine is generic over the category: anything exposing the oracle
 surface (:class:`CategoryOracle`) can be multiplied; the period is the
@@ -80,8 +84,9 @@ class CategoryOracle(Protocol):
 
     def shift_key(self, key: Key, n: int = 1) -> Key: ...
 
-    def components(self, key: Key) -> Sequence[Key]:
-        """Per-shift module layers, each as a key concentrated at shift 0."""
+    def components(self, key: Key) -> Tuple[Key, ...]:
+        """The t per-shift module layers, layer s at index s, each as a
+        key concentrated at shift 0."""
         ...
 
     def product_terms(
@@ -270,20 +275,32 @@ class HallEngine:
     def layer_product(self, factors: Tuple[Key, ...]) -> HallVector:
         """The ordered product of the shifted layer generators of a PBW
         term, ``factors[i]`` at shift t - 1 - i, highest shift first.
-        Zero layers are skipped and the fold starts at the first
-        generator left, since u_0 is exactly the unit: u_0 * u_y and
-        u_y * u_0 have k = 0 and the fiber {y: 1}. Cached per factor
-        tuple, so ``pbw_expand`` and ``PBWExpression.evaluate`` share
-        each product."""
+
+        The generator keys are folded from the left into one coefficient
+        dict: it starts at {g_0: 1}, and each next generator g replaces
+        it by the sum of c * (u_k * u_g) over its terms (k, c), one
+        ``multiply`` per term, so no vector is built until the end. Zero
+        layers are skipped, since u_0 is exactly the unit (u_0 * u_y and
+        u_y * u_0 have k = 0 and the fiber {y: 1}), and a term with no
+        generator left is the unit. Every structure constant is a
+        positive monomial, so no term of the fold cancels. On the quiver
+        categories the top layers of a PBW term multiply to one object
+        and only the shift-0 generator spreads the sum, so a term costs
+        one ``multiply`` per generator after the first. Cached per
+        factor tuple, so ``pbw_expand`` and ``PBWExpression.evaluate``
+        share each product."""
         hit = self._layer_cache.get(factors)
         if hit is None:
             o = self.oracle
-            shifts = range(self.t - 1, -1, -1)
-            gens = [self.vector(o.shift_key(layer, s)) for s, layer in zip(shifts, factors) if layer != o.zero_key]
-            hit = gens[0] if gens else self.unit()
-            for gen in gens[1:]:
-                hit = self.multiply_vectors(hit, gen)
-            self._layer_cache[factors] = hit
+            zero = o.zero_key
+            gens = [o.shift_key(layer, s) for s, layer in zip(range(self.t - 1, -1, -1), factors) if layer != zero]
+            acc = {gens[0] if gens else zero: self._one}
+            for g in gens[1:]:
+                out: Dict[Key, HallValue] = {}
+                for k, c in acc.items():
+                    _add_scaled(out, self.multiply(k, g).coeffs, c)
+                acc = out
+            self._layer_cache[factors] = hit = HallVector(self.q, acc)
         return hit
 
     def pbw_expand(self, key: Key) -> PBWExpression:
@@ -293,32 +310,35 @@ class HallEngine:
         Products of the shifted layers reproduce u_key up to correction
         terms supported on strictly smaller objects (kernel and
         cokernel of a module map eat into the shift-0 and top layers),
-        so the expansion recurses and terminates.
+        so the expansion recurses, in key order, and terminates. A
+        product with one term, such as the single generator of an
+        object with one nonzero layer, is u_key itself and needs no
+        correction; only a key being corrected is marked, to catch a
+        cycle.
         """
         hit = self._pbw_cache.get(key)
-        if hit is not None:
-            return hit
-        if key in self._pbw_active:
-            raise RuntimeError(f"straightening cycled on {key!r}")
-        self._pbw_active.add(key)
-        try:
-            comps = self.oracle.components(key)
-            factors = tuple(comps[s] for s in range(self.t - 1, -1, -1))
-            prod = self.layer_product(factors)
-            lead = prod.coeff(key)
-            if lead.is_zero():
+        if hit is None:
+            factors = self.oracle.components(key)[::-1]
+            coeffs = self.layer_product(factors).coeffs
+            lead = coeffs.get(key)
+            if lead is None:
                 raise RuntimeError(f"straightening lost its leading term on {key!r}")
-            inv = self._one / lead
-            expr = PBWExpression(self.q)
-            expr.add_term(factors, inv)
-            for other, coeff in prod.items():
-                if other == key:
-                    continue
-                expr.combine(self.pbw_expand(other), -(coeff * inv))
-            self._pbw_cache[key] = expr
-            return expr
-        finally:
-            self._pbw_active.discard(key)
+            one = self._one
+            inv = one if _is_one(lead) else one / lead
+            hit = PBWExpression(self.q, {factors: inv})
+            if len(coeffs) > 1:
+                active = self._pbw_active
+                if key in active:
+                    raise RuntimeError(f"straightening cycled on {key!r}")
+                active.add(key)
+                try:
+                    for other in sorted(coeffs):
+                        if other != key:
+                            hit.combine(self.pbw_expand(other), -(coeffs[other] * inv))
+                finally:
+                    active.discard(key)
+            self._pbw_cache[key] = hit
+        return hit
 
 
 _alloc = object.__new__

@@ -1146,6 +1146,42 @@ def test_the_integer_decode_matches_the_fraction_inverse(n, p, t):
     assert hv.denominator == (1 if n == 1 else 2)
 
 
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("n, p, t", [(2, 2, 3), (2, 2, 7), (2, 3, 5), (3, 2, 3), (3, 2, 5), (4, 2, 3)])
+def test_the_decode_is_block_circulant(n, p, t):
+    # with A = dim Hom and B = dim Ext^1 between classes, H is the
+    # block-circulant A (x) I + B (x) P over the t shift residues; at an
+    # odd t, det H = det(A)^t det(I + M^t) for M = A^-1 B, and the block
+    # of H^-1 from shift s to shift s' is (-1)^k M^k (I + M^t)^-1 A^-1,
+    # k = (s' - s) mod t, over the same least denominator
+    pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)), t)
+    hv = pctx.hom_vectors()
+    classes = sorted({cid for cid, _ in hv.parts})
+    c = len(classes)
+    a = [[pctx._class_pair(x, y)[0] for y in classes] for x in classes]
+    b = [[pctx._class_pair(x, y)[1] for y in classes] for x in classes]
+    a_inv = _rational_inverse(a)
+    m = _matmul(a_inv, b)
+    powers = [[[int(i == j) for j in range(c)] for i in range(c)]]
+    for _ in range(t):
+        powers.append(_matmul(powers[-1], m))
+    core = _rational_inverse([[int(i == j) + v for j, v in enumerate(row)] for i, row in enumerate(powers[t])])
+    core = _matmul(core, a_inv)
+    blocks = [[[(-1) ** k * v for v in row] for row in _matmul(powers[k], core)] for k in range(t)]
+    assert hv.denominator == lcm(*(v.denominator for block in blocks for row in block for v in row))
+    for k in range(t):
+        entries = {}
+        for s in range(t):
+            for i, x in enumerate(classes):
+                for j, y in enumerate(classes):
+                    entry = hv.inverse[hv.index[(x, s)]][hv.index[(y, (s + k) % t)]]
+                    assert entries.setdefault((i, j), entry) == entry, (k, s, x, y)
+        assert entries == {(i, j): blocks[k][i][j] * hv.denominator for i in range(c) for j in range(c)}, k
+
+
 @pytest.mark.parametrize(
     "matrix",
     [[[-1]], [[0, 2], [3, 1]], [[2, 1], [1, -3]], [[1, 2, 0], [0, 1, 3], [4, 0, 1]], [[2, 0, 0], [0, 4, 0], [0, 0, 6]]],

@@ -1,6 +1,9 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,6 +74,22 @@ def test_a_fiber_of_the_wrong_mass_stops_the_digest(exactness, monkeypatch):
     monkeypatch.setattr(PeriodicContext, "fiber_counts", short)
     with pytest.raises(SystemExit, match=r"fiber of 1@0 \* 1@0 has 0 morphisms, not q\^hom_dim\(y\[-1\], x\) = 1$"):
         exactness.digest_scope(1, 2, (1,), 8)
+
+
+def test_the_tool_refuses_a_pythonpath_naming_another_engine(tmp_path):
+    # the tool loads the perihall of its own checkout; a PYTHONPATH that
+    # names another package is refused before any digest, naming both
+    stub = tmp_path / "other" / "src"
+    (stub / "perihall").mkdir(parents=True)
+    (stub / "perihall" / "__init__.py").write_text("")
+    out = tmp_path / "digest.json"
+    env = dict(os.environ, PYTHONPATH=str(stub))
+    run = subprocess.run([sys.executable, str(TOOL), str(out)], env=env, capture_output=True, text=True, timeout=60)
+    own = TOOL.resolve().parent.parent / "src" / "perihall"
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.splitlines()[0] == f"engine: {own / '__init__.py'}"
+    assert str((stub / "perihall").resolve()) in run.stderr and str(own) in run.stderr.splitlines()[1]
+    assert run.stdout == "" and not out.exists()
 
 
 def pbw_digest(exactness, n, p, bound, count):

@@ -486,6 +486,64 @@ def test_evaluate_reuses_the_expansions_layer_products(monkeypatch):
         assert prod == unit_fold(eng, fs), fs
 
 
+def test_layer_product_folds_generator_keys_into_one_dict(monkeypatch):
+    # one multiply per (accumulated term, next generator), in the fold's
+    # order, no vector built on the way, and the product item for item,
+    # insertion order included, as the pairwise unit fold gives it. On a
+    # PBW term the top layers multiply to one term and only the shift-0
+    # generator spreads the sum, so tuples whose first factor is an
+    # object of mixed shifts make the fold scale a sum of several terms
+    eng = a2_engine()
+    pctx = eng.oracle
+    objs = pctx.enumerate_objects((2, 2))
+    s1, s2 = (module_key(pctx, pctx.ctx.simple(v)) for v in "12")
+    tuples = [pctx.components(x)[::-1] for x in objs[:80]]
+    tuples += [(x, s1, s2) for x in objs[:160] if len({s for _, s in x}) > 1][:12]
+    honest = eng.multiply
+    calls = []
+    monkeypatch.setattr(eng, "multiply", lambda x, y: calls.append((x, y)) or honest(x, y))
+    for name in ("multiply_vectors", "vector"):
+        monkeypatch.setattr(eng, name, lambda *args, _name=name: pytest.fail(f"layer_product called {_name}"))
+    prods, widest = {}, 0
+    for fs in dict.fromkeys(tuples):
+        gens = [pctx.shift_key(layer, s) for s, layer in zip(range(eng.t - 1, -1, -1), fs) if layer != pctx.zero_key]
+        acc, expected = gens[:1] or [pctx.zero_key], []
+        for g in gens[1:]:
+            expected += [(k, g) for k in acc]
+            widest = max(widest, len(acc))
+            acc = list(dict.fromkeys(l for k in acc for l in honest(k, g).coeffs))
+        calls.clear()
+        prods[fs] = eng.layer_product(fs)
+        assert calls == expected, fs
+        assert list(prods[fs].coeffs) == acc, fs
+    monkeypatch.undo()
+    for fs, prod in prods.items():
+        assert list(prod.coeffs.items()) == list(unit_fold(eng, fs).coeffs.items()), fs
+    assert len(prods) > 30 and widest > 1
+
+
+def test_a_one_layer_object_expands_to_itself_and_multiplies_nothing(monkeypatch):
+    # the single generator of an object with one nonzero layer is u_x
+    # itself: its expansion is one term with coefficient 1, and neither
+    # the expansion nor its evaluation multiplies
+    eng = a2_engine()
+    pctx = eng.oracle
+    calls = []
+    for name in ("multiply", "multiply_vectors"):
+        honest = getattr(eng, name)
+        monkeypatch.setattr(eng, name, lambda *args, _name=name, _f=honest: calls.append(_name) or _f(*args))
+    one_layer = [x for x in pctx.enumerate_objects((2, 2))[1:] if len({s for _, s in x}) == 1]
+    assert {s for x in one_layer for _, s in x} == set(range(eng.t))
+    for x in one_layer:
+        fs = pctx.components(x)[::-1]
+        assert sum(layer != pctx.zero_key for layer in fs) == 1
+        expr = eng.pbw_expand(x)
+        assert expr.terms == {fs: HallValue.one(eng.q)}, x
+        assert expr.evaluate(eng) == eng.vector(x)
+    assert calls == []
+    assert not eng._pbw_active
+
+
 @pytest.mark.parametrize("t, q", [(3, 4), (5, 9)])
 def test_products_over_a_square_q_are_rational(t, q):
     # sqrt(q) is an integer, so every odd power of it folds into the

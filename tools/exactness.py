@@ -30,6 +30,13 @@ their results agree. On a quiver of type A an indecomposable is fixed by
 its dimension vector; ``Canon`` refuses a scope where two classes named
 in its keys share one. Comparing the digests of two commits
 (``cmp a.json b.json``) checks that a change kept every result.
+
+The tool digests the engine of the checkout it sits in: it loads
+``perihall`` from that checkout's src/, whatever ``PYTHONPATH`` says, so
+to digest another commit, copy the tool into that commit's tools/ and
+run it there. It prints the ``perihall`` it loaded on stderr, and exits
+nonzero, naming both, when ``PYTHONPATH`` names another ``perihall``
+package, which it would not digest.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -48,6 +56,7 @@ if str(PERFBENCH) not in sys.path:
 
 from workloads import Canon  # noqa: E402  (puts the repo's src/ on the path)
 
+import perihall  # noqa: E402
 from perihall.category import PERIOD, PeriodicContext  # noqa: E402
 from perihall.gfp import FieldSpec  # noqa: E402
 from perihall.hall import HallEngine  # noqa: E402
@@ -105,11 +114,27 @@ def digest_scope(
     }
 
 
+def pythonpath_package() -> Optional[Path]:
+    """The directory of the first ``perihall`` package on ``PYTHONPATH``,
+    or None when it names none."""
+    for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+        if entry and (Path(entry) / "perihall" / "__init__.py").is_file():
+            return (Path(entry) / "perihall").resolve()
+    return None
+
+
 def main(argv: Sequence[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print("usage: python3 tools/exactness.py OUT.json", file=sys.stderr)
         return 2
+    loaded = Path(perihall.__file__).resolve()
+    print(f"engine: {loaded}", file=sys.stderr)
+    named = pythonpath_package()
+    if named is not None and named != loaded.parent:
+        print(f"PYTHONPATH names the perihall package at {named}, but this tool digests the one at "
+              f"{loaded.parent}; copy the tool into that checkout's tools/ and run it there", file=sys.stderr)
+        return 1
     t0 = time.perf_counter()
     out = {}
     for name, *scope_args in SCOPES:
