@@ -22,6 +22,10 @@ The layers, bottom to top:
   type A (disjoint unions of paths); on other quivers
   :func:`perihall.checks.fiber_counts_literal` counts them.
 - :mod:`perihall.sqrtq` - exact arithmetic in Q(sqrt q).
+- :mod:`perihall.semisimple` - the semisimple periodic category (one
+  simple object, no extensions) at any odd period and prime power q: a
+  second oracle for the Hall engine, every scalar a closed form, which
+  the point quiver must match constant for constant.
 - :mod:`perihall.hall` - structure constants, products, straightening.
 
 The engine modules hold only what the engine calls, apart from the

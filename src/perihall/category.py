@@ -61,13 +61,15 @@ The engine asks for a product's scalars in one call,
 the two operands reads one row entry per pair, which holds hom and
 brace of the pair, hom one residue up and hom and brace of the reverse
 pair, and each operand and cone reads one record per key, (|Aut|, hom,
-brace) of the key with itself; nothing is cached per pair of keys. The
+brace) of the key with itself; nothing is cached per pair of keys but
+the cones of an active pair. The
 harness surface ``hom_dim``, ``brace_exponent``, ``aut_order`` and
 ``fiber_counts`` answers one scalar at a time from the same rows, walk
 and records. |Aut| is the unit count of End, read off its dimension
-and each class's residue degree, cached per class id: 1 for a brick
-(End one-dimensional, so End = F_q), which every indecomposable of a
-quiver of type A is, and only otherwise counted by enumerating End.
+and each class's residue degree
+(:meth:`perihall.reps.RepContext.residue_degree`): 1 for a brick (End
+one-dimensional, so End = F_q), which every indecomposable of a quiver
+of type A is, and only otherwise counted by enumerating End.
 :func:`perihall.checks.aut_order_by_layers` builds the layers.
 
 The brace exponent {x,y} = -hom(x[1], y) + hom(x[2], y) - ... - hom(x[t], y),
@@ -125,10 +127,10 @@ to the other side adds only zero rows and columns to every Hom(T, f):
 with x' and m' the active sub-keys, the parts that have such a block,
 and x'' and m'' the rest, a morphism is f' + 0 with f': x' -> m', and
 the cone of a direct sum of morphisms is the sum of their cones, so
-cone(f) = cone(f') + x''[1] + m''. One walk over the lines of
-Hom(x', m') counts its profiles, each decoded once into cone(f'); these
-cones are stored per (x', m') and every call adds its inactive parts to
-them. The translation functor is a triangle autoequivalence, so
+cone(f) = cone(f') + x''[1] + m''. The cones of Hom(x', m') come from
+one build, :meth:`PeriodicContext._active_cones`, which holds the walk
+over its lines, its cap and its cache, and every call adds its inactive
+parts to them. The translation functor is a triangle autoequivalence, so
 cone(f[k]) = cone(f)[k]: active sub-keys whose least shift s0 is not 0
 read the cones of their translate by -s0, shifted back by s0. A
 one-dimensional Hom has one active part on each side. Fibers and
@@ -147,7 +149,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gfp import gl_order, rank_rows, unit_group_order
 from .reps import HomExt, RepContext
@@ -232,7 +234,6 @@ class PeriodicContext:
         self._class_pairs: Dict[Tuple[int, int], Tuple[Tuple[int, int, int, int, int], ...]] = {}
         self._cones: Dict[Tuple[ObjKey, ObjKey], Dict[ObjKey, int]] = {}
         self._runs_cache: Dict[ObjKey, List[Tuple[Part, int]]] = {}
-        self._residue_cache: Dict[int, int] = {}
         self._compose_cache: Dict[Tuple[int, int, int, int, int], Tuple[Tuple[int, int, int, int], ...]] = {}
         self._hom_vectors: Optional[HomVectors] = None
 
@@ -471,21 +472,30 @@ class PeriodicContext:
             )
         return hit
 
-    def _profile_counts(self, x: ObjKey, m: ObjKey, hv: HomVectors) -> Dict[Tuple[Tuple[int, int], ...], int]:
-        """The rank profiles of the nonzero morphisms x -> m, each mapped
-        to its number of morphisms. A profile is the (index of T,
-        rk Hom(T, f)) pairs with nonzero rank, one per test object T; a
-        line of :func:`_lines` counts q - 1 times. Every part of x and m
-        must have a nonzero Hom block to the other side
-        (:meth:`fiber_counts`). Nothing is stored: :meth:`_active_cones`
-        decodes and stores the cones.
+    def _active_cones(self, x: ObjKey, m: ObjKey, where: Callable[[], str]) -> Dict[ObjKey, int]:
+        """The cones of the nonzero morphisms x -> m, each mapped to its
+        number of morphisms: the engine's one enumeration of morphisms,
+        with its cap and its cache. Every part of x and m must have a
+        nonzero Hom block to the other side, and their least shift must
+        be 0 (:meth:`_fiber`). The q**hom_dim(x, m) morphisms are refused
+        beyond the context's ``enum_cap`` by one
+        :meth:`perihall.reps.RepContext.check_budget` call before any form
+        is built, ``where()`` naming the objects of the fiber asked for.
+        The cones are stored per key pair, so a stored pair is never
+        checked again and walks no line; a build runs only at a nonzero
+        dimension, so a stored one is never empty.
 
-        Each Hom(T, f) is linear in the coordinates of f: its matrix is
-        built per line from the terms (row, column, coordinate of f,
-        coefficient) read off the cached nonzero entries of the
-        composition tensors. Rows run over a basis of Hom(T, x), columns
-        over one of Hom(T, m), both block by block; a T that sees no
-        nonzero block of both sides has no terms and is skipped."""
+        One morphism per line of :func:`_lines` is walked, counting q - 1
+        times, and classified by its rank profile, the (index of T,
+        rk Hom(T, f)) pairs with nonzero rank. Each Hom(T, f) is linear in
+        the coordinates of f: its matrix is built per line from the terms
+        (row, column, coordinate of f, coefficient) read off the cached
+        nonzero entries of the composition tensors. Rows run over a basis
+        of Hom(T, x), columns over one of Hom(T, m), both block by block;
+        a T that sees no nonzero block of both sides has no terms and is
+        skipped. Each profile is decoded once
+        (:meth:`HomVectors.cone_key`), against the zero cone x[1] + m."""
+        hv = self.hom_vectors()
         hm = hv.matrix
         xi = [hv.index[a] for a in x]
         mi = [hv.index[b] for b in m]
@@ -498,6 +508,8 @@ class PeriodicContext:
                     offsets.append((i, j, dim))
                     dim += hm[a][b]
                     seen |= hv.sees[a] & hv.sees[b]
+        p = self.q
+        self.ctx.check_budget(p**dim, "morphism classes", where)
         forms = []
         for t in sorted(seen):
             trow, part = hm[t], hv.parts[t]
@@ -511,7 +523,6 @@ class PeriodicContext:
                         terms.append((r0 + u, c0 + v, off + k, w))
             if terms:
                 forms.append((t, row_at[-1], col_at[-1], terms))
-        p = self.q
         counts: Dict[Tuple[Tuple[int, int], ...], int] = {}
         for coords in _lines(p, dim):
             profile = []
@@ -525,25 +536,13 @@ class PeriodicContext:
                     profile.append((t, rank))
             ranks = tuple(profile)
             counts[ranks] = counts.get(ranks, 0) + p - 1
-        return counts
-
-    def _active_cones(self, x: ObjKey, m: ObjKey) -> Dict[ObjKey, int]:
-        """The cones of the nonzero morphisms x -> m, each mapped to its
-        number of morphisms. Every part of x and m must have a nonzero Hom
-        block to the other side, and the least shift of their parts must
-        be 0 (:meth:`fiber_counts`). Each rank profile of
-        :meth:`_profile_counts` is decoded once, against the zero cone
-        x[1] + m. Stored per key pair."""
-        hit = self._cones.get((x, m))
-        if hit is None:
-            hv = self.hom_vectors()
-            zero = self.direct_sum_key(self.shift_key(x, 1), m)
-            hit = {}
-            for ranks, count in self._profile_counts(x, m, hv).items():
-                ck = hv.cone_key(zero, ranks)
-                hit[ck] = hit.get(ck, 0) + count
-            self._cones[(x, m)] = hit
-        return hit
+        zero = self.direct_sum_key(self.shift_key(x, 1), m)
+        cones: Dict[ObjKey, int] = {}
+        for ranks, count in counts.items():
+            ck = hv.cone_key(zero, ranks)
+            cones[ck] = cones.get(ck, 0) + count
+        self._cones[(x, m)] = cones
+        return cones
 
     def _pair_walk(self, y: ObjKey, x: ObjKey) -> Tuple[int, int, int, int, int, set, set]:
         """One walk over the pairs of distinct parts b of y and a of x,
@@ -580,34 +579,28 @@ class PeriodicContext:
         morphisms, sorted by key: the zero morphism's cone ``zero``, the
         key y + x, and the cones of the nonzero ones. ``dim``, ``on_y``
         and ``on_x`` are dim Hom(y[-1], x) and the active parts of y and
-        x, from :meth:`_pair_walk`. q**dim is refused beyond the
-        context's ``enum_cap`` by one
-        :meth:`perihall.reps.RepContext.check_budget` call, whose message
-        names both objects and is built only on refusal.
-        :meth:`fiber_counts` and :meth:`product_terms`
-        both read this list, so their order is set here alone.
+        x, from :meth:`_pair_walk`. :meth:`fiber_counts` and
+        :meth:`product_terms` both read this list, so their order is set
+        here alone.
 
         The active sub-keys x' of y[-1] and m' of x are the parts with a
         nonzero Hom block to the other side, in key order; the inactive
         rest x'' and m'' only adds zero rows and columns to every
         Hom(T, f). One pass over the parts of y and one over those of x
         sorts them into the two. So f = f' + 0 with f': x' -> m', and
-        cone(f) = cone(f') + x''[1] + m'': the cones of Hom(x', m') are
-        read off :meth:`_active_cones`, decoded once per active pair, and
-        the inactive parts are added to them. The translation functor is
-        a triangle autoequivalence, so cone(f'[s]) = cone(f')[s]: a pair
-        whose least shift s0 is not 0 reads the cones of its translate
-        by -s0, shifted by s0. Pairs related only by a translate that
-        wraps a shift keep their own entries. The sub-keys are translated
-        only when s0 is not 0; when s0 is 0 and no part is inactive, the
+        cone(f) = cone(f') + x''[1] + m'': the cones of Hom(x', m'), one
+        dict lookup once :meth:`_active_cones` has built them, plus the
+        inactive parts. The translation functor is a triangle
+        autoequivalence, so cone(f'[s]) = cone(f')[s]: a pair whose least
+        shift s0 is not 0 reads the cones of its translate by -s0,
+        shifted by s0. Pairs related only by a translate that wraps a
+        shift keep their own entries. The sub-keys are translated only
+        when s0 is not 0; when s0 is 0 and no part is inactive, the
         stored cones are the fiber's keys as they are, and no key is
         rebuilt."""
         if not dim:
             return [(zero, 1)]
         t = self.t
-        self.ctx.check_budget(
-            self.q**dim, "morphism classes", lambda: f"{self.format_key(self.shift_key(y, -1))} -> {self.format_key(x)}"
-        )
         xa: List[Part] = []
         ma: List[Part] = []
         rest: List[Part] = []
@@ -623,7 +616,10 @@ class PeriodicContext:
         if s0:
             xa = [(cid, s - s0) for cid, s in xa]
             ma = [(cid, s - s0) for cid, s in ma]
-        cones = self._active_cones(tuple(xa), tuple(ma))
+        key = (tuple(xa), tuple(ma))
+        cones = self._cones.get(key) or self._active_cones(
+            *key, lambda: f"{self.format_key(self.shift_key(y, -1))} -> {self.format_key(x)}"
+        )
         # a nonzero morphism has a nonzero rank at some part of x', so no
         # cone is the zero cone, and translating and adding the rest is
         # injective on keys: the fiber's keys are distinct
@@ -643,9 +639,7 @@ class PeriodicContext:
         q**hom_dim(x, m). The zero morphism's cone x[1] + m is read off
         the keys. For c in F_q^*, (id_x[1], c id_m) is a chain
         isomorphism cone(f) -> cone(c f), so one morphism per line, first
-        nonzero coordinate 1, is classified and counts q - 1 times. The
-        context's ``enum_cap`` bounds q**hom_dim(x, m)
-        (:meth:`perihall.reps.RepContext.check_budget`).
+        nonzero coordinate 1, is classified and counts q - 1 times.
 
         A line f is classified by its rank profile, never built: the
         ranks of Hom(T, f) for every test object T. Its cone C has the
@@ -663,9 +657,7 @@ class PeriodicContext:
 
         The engine never calls it: :meth:`product_terms` reads the same
         fiber. The harnesses, the exactness digest and the benchmark's
-        checks do. The dict is built afresh per call and not stored; a
-        repeated call only merges the cached active cones again, walking
-        no line.
+        checks do. The dict is built afresh per call and not stored.
         """
         y = self.shift_key(x, 1)
         *_, dim, on_y, on_m = self._pair_walk(y, m)
@@ -691,9 +683,8 @@ class PeriodicContext:
         |Aut x| |Aut y| q^(hom(x, y) + hom(y, x)); :meth:`_merge_units`
         corrects that for the parts they share. A product with
         Hom(y[-1], x) = 0 has the zero cone alone, with that record, and
-        makes no :meth:`_fiber` call. Nothing per key pair is cached;
-        :meth:`perihall.hall.HallEngine.multiply` memoizes the
-        product."""
+        makes no :meth:`_fiber` call.
+        :meth:`perihall.hall.HallEngine.multiply` memoizes the product."""
         hom_yx, brace_yx, hom_xy, brace_xy, dim, on_y, on_x = self._pair_walk(y, x)
         records = self._records
         aut_x, hom_x, brace_x = records.get(x) or self._record(x)
@@ -717,32 +708,17 @@ class PeriodicContext:
 
     # -- automorphisms ------------------------------------------------
 
-    def _residue_degree(self, cid: int) -> int:
-        """dim over F_q of End(I)/rad for the indecomposable class cid,
-        cached per class id. A brick, one whose End is one-dimensional
-        (``_hom_ext(cid, cid)`` has one Hom basis map), has degree 1: a
-        one-dimensional unital F_q-algebra is F_q itself. Only another
-        class has its End enumerated, by
-        :meth:`perihall.reps.RepContext.residue_field_degree`."""
-        hit = self._residue_cache.get(cid)
-        if hit is None:
-            if len(self._hom_ext(cid, cid).hom) == 1:
-                hit = 1
-            else:
-                hit = self.ctx.residue_field_degree(self.ctx.class_rep(cid))
-            self._residue_cache[cid] = hit
-        return hit
-
     def _units(self, key: ObjKey, dim: int) -> int:
         """|Aut key| as the unit count of the finite algebra End(key) of
         dimension ``dim`` (:func:`perihall.gfp.unit_group_order`): by
         Krull-Schmidt its semisimple quotient has one block GL_m over the
         residue field of each distinct (class, shift) part of
-        multiplicity m. Each residue degree is 1 for a brick, every
-        indecomposable of a quiver of type A, and enumerated otherwise
-        (:meth:`_residue_degree`)."""
-        blocks = [(len(list(run)), self._residue_degree(cid)) for (cid, _), run in itertools.groupby(key)]
-        return unit_group_order(self.q, dim, blocks)
+        multiplicity m, read off the key's cached runs (:meth:`_runs`).
+        Each residue degree is 1 for a brick, every indecomposable of a
+        quiver of type A, and enumerated otherwise
+        (:meth:`perihall.reps.RepContext.residue_degree`)."""
+        degree = self.ctx.residue_degree
+        return unit_group_order(self.q, dim, [(mult, degree(cid)) for (cid, _), mult in self._runs(key)])
 
     def _merge_units(self, x: ObjKey, y: ObjKey, disjoint: int) -> int:
         """|Aut(x + y)| from ``disjoint``, the count
@@ -758,7 +734,7 @@ class PeriodicContext:
         for part, b in self._runs(y):
             a = mult.get(part)
             if a:
-                big = q ** self._residue_degree(part[0])
+                big = q ** self.ctx.residue_degree(part[0])
                 num *= gl_order(a + b, big)
                 den *= gl_order(a, big) * gl_order(b, big) * big ** (2 * a * b)
         return num // den

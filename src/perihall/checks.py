@@ -263,10 +263,7 @@ def module_aut_order(ctx: RepContext, x: Rep) -> int:
     applies the same count to objects
     (:meth:`PeriodicContext.aut_order`); the tests cross-check this one
     against an enumeration of End(x)."""
-    blocks = [
-        (len(list(run)), ctx.residue_field_degree(ctx.class_rep(cid)))
-        for cid, run in itertools.groupby(summand_ids(ctx, x))
-    ]
+    blocks = [(len(list(run)), ctx.residue_degree(cid)) for cid, run in itertools.groupby(summand_ids(ctx, x))]
     return unit_group_order(ctx.field.p, len(ctx.hom_ext(x, x).hom), blocks)
 
 

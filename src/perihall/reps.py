@@ -9,9 +9,10 @@ The module provides what the engine calls: Hom and Ext^1 with their
 bases from Ringel's exact sequence (:class:`HomExt`), the one way to
 either, from :meth:`RepContext.hom_ext`, cached once per pair of modules;
 the iso-class registry; and the counting utilities the Hall layer sits
-on (residue field degrees of indecomposables, the modules of a dimension
-bound). The Euler-form count of dim Ext^1 is a reference recipe,
-:func:`perihall.checks.ext1_dim_by_euler_form`.
+on (the residue degree of each indecomposable class,
+:meth:`RepContext.residue_degree`, cached once per class; the modules of
+a dimension bound). The Euler-form count of dim Ext^1 is a reference
+recipe, :func:`perihall.checks.ext1_dim_by_euler_form`.
 
 Helpers that only the reference code calls live in the reference
 modules. The chain-level model, :mod:`perihall.periodic`, builds
@@ -279,9 +280,12 @@ class HomExt:
 class RepContext:
     """Shared state for one (quiver, field) pair.
 
-    Holds the iso-class registry and every cache. The one enumeration
-    cap, ``enum_cap``, lives here: every enumeration is refused through
-    :meth:`check_budget`, the one place that raises
+    Holds the iso-class registry and every cache shared by the periodic
+    contexts of every period over it: Hom and Ext^1 per module pair
+    (:meth:`hom_ext`) and the residue degree per class
+    (:meth:`residue_degree`, the brick rule or an End enumeration). The
+    one enumeration cap, ``enum_cap``, lives here: every enumeration is
+    refused through :meth:`check_budget`, the one place that raises
     :class:`BudgetExceeded`.
     """
 
@@ -299,6 +303,7 @@ class RepContext:
         self._class_of_type: Dict[Tuple[int, ...], int] = {}  # summand ids -> id of a listed zero or decomposable class
         self._paths = _paths(quiver)  # None unless the quiver is of type A
         self._indecomposables: Optional[Tuple[int, ...]] = None
+        self._residue_degrees: Dict[int, int] = {}  # class id -> residue field degree
 
     def check_budget(self, size: int, what: str, where: Callable[[], str]) -> None:
         """Refuse an enumeration of ``size`` items beyond ``enum_cap``:
@@ -477,6 +482,20 @@ class RepContext:
         return cok, RepMap(y, cok, proj, check=False)
 
     # -- automorphism counting ---------------------------------------
+
+    def residue_degree(self, cid: int) -> int:
+        """dim over F_p of End(I)/rad for the indecomposable class cid,
+        cached per class id, so, like :meth:`hom_ext`, shared by the
+        contexts of every period over this one. A brick, one whose End is
+        one-dimensional, has degree 1: a one-dimensional unital
+        F_p-algebra is F_p itself. Only another class has its End
+        enumerated, by :meth:`residue_field_degree`."""
+        hit = self._residue_degrees.get(cid)
+        if hit is None:
+            rep = self._classes[cid]
+            hit = 1 if len(self.hom_ext(rep, rep).hom) == 1 else self.residue_field_degree(rep)
+            self._residue_degrees[cid] = hit
+        return hit
 
     def residue_field_degree(self, indec: Rep) -> int:
         """dim over F_p of End(I)/rad for an indecomposable I."""

@@ -97,8 +97,8 @@ def profile_builds(monkeypatch):
     """The active sub-key pairs (x', m'), translated to least shift 0,
     whose rank profiles the engine builds from here on, in order."""
     builds = []
-    honest = PeriodicContext._profile_counts
-    monkeypatch.setattr(PeriodicContext, "_profile_counts", lambda pctx, x, m, hv: builds.append((x, m)) or honest(pctx, x, m, hv))
+    honest = PeriodicContext._active_cones
+    monkeypatch.setattr(PeriodicContext, "_active_cones", lambda pctx, x, m, where: builds.append((x, m)) or honest(pctx, x, m, where))
     return builds
 
 
@@ -354,7 +354,7 @@ def test_fiber_counts_are_cached_per_pair(a2, monkeypatch):
     # the fiber dict itself is not stored, but a repeated call reads the
     # cones cached for its active parts: it neither builds their rank
     # profiles nor walks a line, and gives the same dict item for item
-    monkeypatch.setattr(PeriodicContext, "_profile_counts", recount)
+    monkeypatch.setattr(PeriodicContext, "_active_cones", recount)
     monkeypatch.setattr(category, "_lines", recount)
     again = a2.fiber_counts(x, m)
     assert again is not first
@@ -1315,6 +1315,70 @@ def test_every_refusal_has_one_format(a2):
         assert all(name in message.split(": ", 1)[1] for name in names), message
 
 
+def test_a_stored_fiber_is_not_refused_again(a2):
+    # the cap is checked once, by the build of an active pair's cones:
+    # once the fiber of S1 + S2[1] -> S1 + S2 is stored, a cap that would
+    # refuse its 2 morphism classes lets the same call read it again,
+    # item for item, while a pair that is not stored is still refused
+    s1 = module_key(a2, a2.ctx.simple("1"))
+    s2 = module_key(a2, a2.ctx.simple("2"))
+    x = a2.direct_sum_key(s1, a2.shift_key(s2, 1))
+    y = a2.direct_sum_key(s1, s2)
+    first = a2.fiber_counts(x, y)
+    a2.ctx.enum_cap = 1
+    assert list(a2.fiber_counts(x, y).items()) == list(first.items())
+    with pytest.raises(BudgetExceeded, match=re.escape(f"2 morphism classes exceed cap 1: {a2.format_key(s2)} -> ")):
+        a2.fiber_counts(s2, s2)
+
+
+def test_every_cap_is_checked_where_its_enumeration_runs():
+    # each check_budget call sits in the one function that enumerates
+    # what it bounds, so a cap is checked once per enumeration and never
+    # on a call that reads a stored result
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "check_budget":
+                callers.append(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted(Path(category.__file__).resolve().parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), [path.stem])
+    assert sorted(callers) == [
+        "category.PeriodicContext._active_cones",
+        "checks._find_split",
+        "checks.classical_hall_g",
+        "checks.enumerate_reps",
+        "periodic.HomSpace.morphisms",
+        "periodic.find_homotopy_iso",
+        "reps.RepContext.residue_field_degree",
+    ]
+
+
+def test_cone_key_refuses_a_multiplicity_that_is_not_a_natural_number(a1, a2):
+    # on A1 the identity of S has rank 1 at T = S alone, and its cone,
+    # decoded against the zero cone S[1] + S, is 0. Against S[1] alone
+    # the same profile would take S away from nothing: the decode refuses
+    # the multiplicity -1 and does not drop the part. On A2, where the
+    # inverse hom matrix has denominator 2, a single rank against the
+    # zero object is refused the same way
+    hv = a1.hom_vectors()
+    s = module_key(a1, a1.ctx.simple("1"))
+    profile = [(hv.index[s[0]], 1)]
+    assert hv.cone_key(a1.direct_sum_key(a1.shift_key(s, 1), s), profile) == ()
+    with pytest.raises(AssertionError, match=re.escape(f"has multiplicity -1/1 of {s[0]}")):
+        hv.cone_key(a1.shift_key(s, 1), profile)
+    hv = a2.hom_vectors()
+    assert hv.denominator == 2
+    for t in range(len(hv.parts)):
+        with pytest.raises(AssertionError, match=r"has multiplicity -2/2 of \(\d, \d\)$"):
+            hv.cone_key((), [(t, 1)])
+
+
 def test_aut_orders_against_enumeration(a1, a2):
     for pctx, bound in ((a1, (1,)), (a2, (1, 1))):
         chains = ChainModel(pctx)
@@ -1384,6 +1448,23 @@ def test_residue_degree_of_a_local_end_that_is_not_a_field(p, aut, aut_twice):
     assert pctx.aut_order(kk) == aut_twice == aut_order_by_layers(pctx, kk)
 
 
+def test_contexts_of_two_periods_share_one_residue_degree_per_class(monkeypatch):
+    # the residue degree is cached per class by the RepContext, like
+    # Hom and Ext^1, so the Kronecker module (I, N), N nilpotent, whose End
+    # F_2[x]/(x^2) is not one-dimensional, has its End enumerated once for
+    # the contexts at t = 3 and 5 over one RepContext, and |Aut| = 2 at both
+    f2 = FieldSpec(2)
+    ctx = RepContext(KRONECKER, f2)
+    r = Rep(f2, KRONECKER, (2, 2), {"a": MatrixFp.identity(f2, 2), "b": MatrixFp(f2, [[0, 1], [0, 0]])})
+    contexts = [PeriodicContext(ctx, t) for t in (3, 5)]
+    keys = [module_key(pctx, r) for pctx in contexts]
+    honest = RepContext.residue_field_degree
+    enumerated = []
+    monkeypatch.setattr(RepContext, "residue_field_degree", lambda c, rep: enumerated.append(rep.dims) or honest(c, rep))
+    assert [pctx.aut_order(k) for pctx, k in zip(contexts, keys)] == [2, 2]
+    assert enumerated == [(2, 2)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("p", [2, 3])
 def test_type_a_indecomposables_are_bricks(n, p):
@@ -1393,7 +1474,7 @@ def test_type_a_indecomposables_are_bricks(n, p):
     ids = pctx.ctx.indecomposable_ids()
     assert len(ids) == n * (n + 1) // 2
     for cid in ids:
-        assert pctx._residue_degree(cid) == 1 == pctx.ctx.residue_field_degree(pctx.ctx.class_rep(cid)), cid
+        assert pctx.ctx.residue_degree(cid) == 1 == pctx.ctx.residue_field_degree(pctx.ctx.class_rep(cid)), cid
 
 
 def test_aut_order_frozen_values(a1, a2):

@@ -183,6 +183,45 @@ def test_pbw_single_term_on_the_point_quiver():
     assert expr.evaluate(eng) == eng.vector(m)
 
 
+def test_pbw_expand_refuses_a_product_without_its_leading_term(monkeypatch):
+    # the product of the layers of a key must hold the key itself; one
+    # that lost it cannot be straightened
+    eng = a1_engine()
+    pctx = eng.oracle
+    s = module_key(pctx, pctx.ctx.simple("1"))
+    m = pctx.direct_sum_key(s, pctx.shift_key(s, 1))
+    monkeypatch.setattr(eng, "layer_product", lambda factors: HallVector(eng.q, {s: HallValue.one(eng.q)}))
+    with pytest.raises(RuntimeError, match="lost its leading term"):
+        eng.pbw_expand(m)
+
+
+def test_pbw_expand_refuses_a_cycle_of_corrections(monkeypatch):
+    # corrections recurse on other keys; two keys whose layer products
+    # each correct by the other never terminate, and the second visit of
+    # a key being corrected is refused, leaving no key marked
+    eng = a1_engine()
+    pctx = eng.oracle
+    s = module_key(pctx, pctx.ctx.simple("1"))
+    a, b = s, pctx.shift_key(s, 1)
+    one = HallValue.one(eng.q)
+    monkeypatch.setattr(eng, "layer_product", lambda factors: HallVector(eng.q, {a: one, b: one}))
+    with pytest.raises(RuntimeError, match="cycled"):
+        eng.pbw_expand(a)
+    assert not eng._pbw_active
+
+
+def test_pbw_terms_that_cancel_are_dropped():
+    q = 2
+    one = HallValue.one(q)
+    factors = ((), (), ((0, 0),))
+    expr = PBWExpression(q, {factors: one})
+    expr.add_term(factors, -one)
+    assert expr.terms == {} and expr.items() == []
+    expr.add_term(factors, one + one)
+    expr.combine(PBWExpression(q, {factors: one}), HallValue.of(-2, q))
+    assert expr.terms == {}
+
+
 def test_pbw_round_trip_all_point_quiver_objects():
     eng = a1_engine()
     for key in eng.oracle.enumerate_objects((1,)):

@@ -431,6 +431,16 @@ def test_aut_order_of_zero():
     assert module_aut_order(ctx, ctx.zero_rep()) == 1
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_residue_field_degree_refuses_a_module_that_is_not_indecomposable(p):
+    # End(S1 + S1) is M_2(F_p), not a local ring: its p^4 - |GL_2(F_p)|
+    # nonunits are no subspace, their count no power of p
+    ctx = RepContext(line_quiver(2), FieldSpec(p))
+    s1 = ctx.simple("1")
+    with pytest.raises(AssertionError, match="ring is not local"):
+        ctx.residue_field_degree(ctx.block_sum([s1, s1]))
+
+
 def test_budget_errors_name_their_module():
     # the Kronecker module (I, A) with A irreducible over F_2 has
     # End = F_4: every basis candidate is a unit, so certifying it

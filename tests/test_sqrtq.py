@@ -111,6 +111,25 @@ def test_mixed_base_rejected():
         HallValue(1, 0, 2) + HallValue(1, 0, 3)
 
 
+@pytest.mark.parametrize(
+    "q, diff, quotient",
+    [
+        (2, HallValue(Fraction(2, 3), -1, 2), HallValue(Fraction(-6, 17), Fraction(18, 17), 2)),
+        (4, HallValue(Fraction(-4, 3), 0, 4), HallValue(Fraction(6, 7), 0, 4)),
+    ],
+)
+def test_reflected_operators_truth_and_foreign_operands(q, diff, quotient):
+    # an int on the left is coerced and meets the forward operator; at
+    # the square q = 4, v = 1/3 + sqrt(4) is the rational 7/3
+    v = HallValue(Fraction(1, 3), 1, q)
+    assert 1 - v == diff
+    assert 2 / v == quotient
+    assert quotient * v == 2
+    assert not HallValue.zero(q) and v
+    with pytest.raises(TypeError, match="cannot combine HallValue with str"):
+        v + "x"
+
+
 def test_str_forms():
     assert str(HallValue(0, 1, 2)) == "sqrt(2)"
     assert str(HallValue(1, -1, 2)) == "1 - sqrt(2)"

@@ -20,7 +20,9 @@ digest holds, on a fresh engine:
 - the automorphism order of every object and every product term.
 
 The tool exits nonzero, naming the pair, when a fiber's counts do not
-sum to q^hom_dim(y[-1], x).
+sum to q^hom_dim(y[-1], x). Each scope's line also prints the largest
+hom_dim(y[-1], x) among its fibers, read off that mass: how far the
+digest reaches into the line walk that builds the cones.
 
 Each ``(class_id, shift)`` summand is written as ``dims@shift`` by the
 benchmark's ``Canon`` (``perfbench/workloads.py``), and the file is
@@ -142,8 +144,11 @@ def main(argv: Sequence[str]) -> int:
         out[name] = scope
         blob = json.dumps(scope, sort_keys=True).encode()
         coeffs = sum(len(terms) for _, terms in scope["products"])
+        # every fiber's mass is a power of p, checked by digest_scope
+        p, mass = scope_args[1], max(sum(k for _, k in terms) for _, terms in scope["fibers"])
+        reach = next(d for d in itertools.count() if p**d >= mass)
         print(f"{name}: {len(scope['products'])} products, {coeffs} coefficients, "
-              f"sha256 {hashlib.sha256(blob).hexdigest()[:16]}")
+              f"max hom_dim(y[-1], x) {reach}, sha256 {hashlib.sha256(blob).hexdigest()[:16]}")
     with open(argv[0], "w") as fh:
         json.dump(out, fh, indent=0, sort_keys=True)
         fh.write("\n")
