@@ -11,7 +11,9 @@ The layers, bottom to top:
   and the chain-level model work on any of them.
 - :mod:`perihall.reps` - quiver representations: Hom and Ext^1 bases
   from Ringel's exact sequence, one cached record per pair of modules
-  (``RepContext.hom_ext``), the iso-class registry, and the modules of a
+  (``RepContext.hom_ext``), their Yoneda products, one cached table per
+  triple of classes and pair of degrees (``RepContext.yoneda_terms``),
+  both shared by every period, the iso-class registry, and the modules of a
   dimension bound, generated from the interval modules of a quiver of
   type A; other quivers are refused.
 - :mod:`perihall.category` - the periodic category itself: objects as

@@ -24,13 +24,13 @@ Morphisms are module data. By the covering formula,
 Hom((a, s_a), (b, s_b)) is Hom(a, b), Ext^1(a, b) or 0 at the shift
 residue r = (s_b - s_a) mod t of 0, 1 or any other
 (``_covering_table``), and Hom between two objects is the sum of these
-blocks over their pairs of parts. Bases and compositions come from
-Ringel's exact sequence for the two classes
-(:class:`perihall.reps.HomExt`, one record per module pair, cached by the
-:class:`perihall.reps.RepContext` and shared by the contexts of every
-period over it): Hom is ker delta and Ext^1 coker delta, maps compose,
-a map acts on an Ext^1 class from either side arrow by arrow, and Ext^1
-after Ext^1 lands in Ext^2 = 0. The context counts
+blocks over their pairs of parts. Bases and compositions are module
+data, cached by the :class:`perihall.reps.RepContext` and shared by the
+contexts of every period over it: the bases of Ringel's exact sequence
+for two classes (:class:`perihall.reps.HomExt`) and the Yoneda products
+of three (:meth:`perihall.reps.RepContext.yoneda_terms`). The covering
+formula, which maps a shift residue to a degree, is all that depends on
+t. The context counts
 morphisms by the class of their cone, and counts automorphisms as the
 units of the finite algebra End(x), the same Krull-Schmidt unit count
 :func:`perihall.checks.module_aut_order` applies to modules. No cycle
@@ -110,11 +110,10 @@ indecomposables, which factors through dimension vectors and is
 singular once there are more indecomposables than vertices (A2 on); an
 odd t has no root -1.
 
-The ranks come from the composition tensor
-Hom(T, a) x Hom(a, b) -> Hom(T, b), built from module bases, whose
-nonzero entries are cached once per triple of classes and pair of
-residues; :func:`perihall.checks.composition_by_chains` builds it from
-chain maps modulo homotopy. Listing every
+The ranks come from the composition Hom(T, a) x Hom(a, b) -> Hom(T, b)
+of three parts, a Yoneda product of their classes;
+:func:`perihall.checks.composition_by_chains` builds it from chain maps
+modulo homotopy. Listing every
 indecomposable needs a quiver of type A (a disjoint union of paths),
 where they are the interval modules
 (:meth:`perihall.reps.RepContext.indecomposable_ids`); any other quiver
@@ -152,7 +151,7 @@ import math
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .gfp import gl_order, rank_rows, unit_group_order
-from .reps import HomExt, RepContext
+from .reps import RepContext
 
 if TYPE_CHECKING:
     from .periodic import HomSpace
@@ -184,8 +183,6 @@ class HomVectors:
         n = len(self.parts)
         self.matrix = [[pctx._part_hom(t, u) for u in self.parts] for t in self.parts]
         self.inverse, self.denominator = _integer_inverse(self.matrix)
-        # the test objects T with Hom(T, U) != 0, per U
-        self.sees = [frozenset(t for t in range(n) if self.matrix[t][u]) for u in range(n)]
         # the numerators of the multiplicities lost when the hom vector
         # drops by one at T and at T[1]
         nxt = [self.index[(cid, (s + 1) % pctx.t)] for cid, s in self.parts]
@@ -234,7 +231,6 @@ class PeriodicContext:
         self._class_pairs: Dict[Tuple[int, int], Tuple[Tuple[int, int, int, int, int], ...]] = {}
         self._cones: Dict[Tuple[ObjKey, ObjKey], Dict[ObjKey, int]] = {}
         self._runs_cache: Dict[ObjKey, List[Tuple[Part, int]]] = {}
-        self._compose_cache: Dict[Tuple[int, int, int, int, int], Tuple[Tuple[int, int, int, int], ...]] = {}
         self._hom_vectors: Optional[HomVectors] = None
 
     @property
@@ -355,9 +351,11 @@ class PeriodicContext:
 
     def _class_pair(self, a: int, b: int) -> Tuple[int, int]:
         """(dim Hom, dim Ext^1) from the class with id a to the class
-        with id b: the lengths of the bases of :meth:`_hom_ext`, so the
-        rank forms and the composition tensors read one record."""
-        he = self._hom_ext(a, b)
+        with id b: the lengths of the bases of
+        :meth:`perihall.reps.RepContext.hom_ext` of their representatives,
+        the record the Yoneda products read."""
+        ctx = self.ctx
+        he = ctx.hom_ext(ctx.class_rep(a), ctx.class_rep(b))
         return len(he.hom), he.ext_dim
 
     def _class_row(self, a: int, b: int) -> Tuple[Tuple[int, int, int, int, int], ...]:
@@ -422,55 +420,20 @@ class PeriodicContext:
             self._hom_vectors = HomVectors(self, self.ctx.indecomposable_ids())
         return self._hom_vectors
 
-    def _hom_ext(self, a: int, b: int) -> HomExt:
-        """Hom and Ext^1 from the class with id a to the class with id b:
-        :meth:`perihall.reps.RepContext.hom_ext` of their representatives,
-        one record per module pair, shared by every context over ``ctx``."""
-        return self.ctx.hom_ext(self.ctx.class_rep(a), self.ctx.class_rep(b))
-
-    def _composition(self, t: Part, a: Part, b: Part) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-        """The composition Hom(t, a) x Hom(a, b) -> Hom(t, b) in module
-        coordinates: entry [u][k] is the coordinate vector of basis map u
-        of Hom(t, a) followed by basis map k of Hom(a, b).
-
-        By the covering formula a Hom space between parts is the module
-        Hom at shift residue 0, Ext^1 at residue 1 and 0 at any residue
-        other than 0 and 1, with the bases of
-        :class:`perihall.reps.HomExt`. The residues (r_ta, r_ab) pick the
-        composition: Hom after Hom composes the maps, a map followed by
-        an Ext^1 class pulls the class back along it, an Ext^1 class
-        followed by a map pushes it forward, and Ext^1 after Ext^1 lands
-        in Ext^2 = 0. Built afresh per call; the engine reads its
-        nonzero entries off :meth:`_composition_terms`."""
+    def _composition_terms(self, t: Part, a: Part, b: Part) -> Tuple[Tuple[int, int, int, int], ...]:
+        """The nonzero entries (u, k, v, value) of the composition
+        Hom(t, a) x Hom(a, b) -> Hom(t, b): coordinate v of basis map u of
+        Hom(t, a) followed by basis map k of Hom(a, b). By the covering
+        formula Hom between parts is Ext^r of their classes at residue
+        r = 0 or 1 and 0 at any other, so residues (0, 0), (0, 1) and
+        (1, 0) read :meth:`perihall.reps.RepContext.yoneda_terms`, and
+        any other pair has none: a space is 0, or the composite lands in
+        Ext^2 = 0."""
         (ct, st), (ca, sa), (cb, sb) = t, a, b
         r_ta, r_ab = (sa - st) % self.t, (sb - sa) % self.t
-        ta, ab, tb = self._hom_ext(ct, ca), self._hom_ext(ca, cb), self._hom_ext(ct, cb)
-        if (r_ta, r_ab) == (0, 0):
-            return tuple(tuple(tb.hom_coords(f.then(g)) for g in ab.hom) for f in ta.hom)
-        if (r_ta, r_ab) == (0, 1):
-            return tuple(tuple(tb.ext_coords(ab.pullback(f, k)) for k in range(ab.ext_dim)) for f in ta.hom)
-        if (r_ta, r_ab) == (1, 0):
-            return tuple(tuple(tb.ext_coords(ta.pushforward(u, g)) for g in ab.hom) for u in range(ta.ext_dim))
-        # Ext^1 after Ext^1 lands in Ext^2 = 0, and a space at any other
-        # residue is 0: every entry is the empty vector
-        return (((),) * self._part_hom(a, b),) * self._part_hom(t, a)
-
-    def _composition_terms(self, t: Part, a: Part, b: Part) -> Tuple[Tuple[int, int, int, int], ...]:
-        """The nonzero entries (u, k, v, value) of :meth:`_composition`:
-        coordinate v of basis map u of Hom(t, a) followed by basis map k
-        of Hom(a, b). Cached once per triple of classes and residues."""
-        (ct, st), (ca, sa), (cb, sb) = t, a, b
-        k5 = (ct, ca, cb, (sa - st) % self.t, (sb - sa) % self.t)
-        hit = self._compose_cache.get(k5)
-        if hit is None:
-            self._compose_cache[k5] = hit = tuple(
-                (u, k, v, w)
-                for u, row in enumerate(self._composition(t, a, b))
-                for k, vec in enumerate(row)
-                for v, w in enumerate(vec)
-                if w
-            )
-        return hit
+        if r_ta + r_ab > 1:
+            return ()
+        return self.ctx.yoneda_terms(ct, ca, cb, r_ta, r_ab)
 
     def _active_cones(self, x: ObjKey, m: ObjKey, where: Callable[[], str]) -> Dict[ObjKey, int]:
         """The cones of the nonzero morphisms x -> m, each mapped to its
@@ -489,30 +452,29 @@ class PeriodicContext:
         times, and classified by its rank profile, the (index of T,
         rk Hom(T, f)) pairs with nonzero rank. Each Hom(T, f) is linear in
         the coordinates of f: its matrix is built per line from the terms
-        (row, column, coordinate of f, coefficient) read off the cached
-        nonzero entries of the composition tensors. Rows run over a basis
-        of Hom(T, x), columns over one of Hom(T, m), both block by block;
-        a T that sees no nonzero block of both sides has no terms and is
-        skipped. Each profile is decoded once
-        (:meth:`HomVectors.cone_key`), against the zero cone x[1] + m."""
+        (row, column, coordinate of f, coefficient) read off the Yoneda
+        products of the module classes (:meth:`_composition_terms`). Rows
+        run over a basis of Hom(T, x), columns over one of Hom(T, m), both
+        block by block; every test object T is walked, and one that sees
+        no active block of both sides has no terms and is skipped. Each
+        profile is decoded once (:meth:`HomVectors.cone_key`), against
+        the zero cone x[1] + m."""
         hv = self.hom_vectors()
         hm = hv.matrix
         xi = [hv.index[a] for a in x]
         mi = [hv.index[b] for b in m]
         offsets: List[Tuple[int, int, int]] = []
-        seen = set()
         dim = 0
         for i, a in enumerate(xi):
             for j, b in enumerate(mi):
                 if hm[a][b]:
                     offsets.append((i, j, dim))
                     dim += hm[a][b]
-                    seen |= hv.sees[a] & hv.sees[b]
         p = self.q
         self.ctx.check_budget(p**dim, "morphism classes", where)
         forms = []
-        for t in sorted(seen):
-            trow, part = hm[t], hv.parts[t]
+        for t, part in enumerate(hv.parts):
+            trow = hm[t]
             row_at = list(itertools.accumulate([trow[a] for a in xi], initial=0))
             col_at = list(itertools.accumulate([trow[b] for b in mi], initial=0))
             terms = []

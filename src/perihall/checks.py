@@ -25,7 +25,9 @@ deterministic: instance selection walks objects in graded enumeration
 order, pairs of keys in order and fibers in key order, and every cap is
 a module constant, set below; only the triple scopes of
 :func:`check_associativity` and :func:`check_symmetry` and the latter's
-``hom_cap`` are parameters, as two values of each are in use.
+``hom_cap`` are parameters, as two values of each are in use. The
+associativity scope defaults to every triple of the keys; the symmetry
+scope, which every caller chooses, has no default.
 Hom between two objects is the literal Hom space between their realized
 complexes (:meth:`perihall.periodic.ChainModel.hom_space`), and every
 walk over morphism classes is :meth:`perihall.periodic.HomSpace.morphisms`;
@@ -619,9 +621,10 @@ def composition_by_chains(chains: ChainModel, t: Part, a: Part, b: Part) -> Tupl
     at chain level, in class coordinates of the one-part objects: entry
     [u][k] is the class of the representative of unit class u of
     Hom(t, a) followed by that of unit class k of Hom(a, b). The engine
-    reads the same tensor off module data
-    (:meth:`PeriodicContext._composition`); the two agree up to one
-    nonzero scalar per basis vector."""
+    reads the nonzero entries of the same tensor off module data
+    (:meth:`PeriodicContext._composition_terms`, the Yoneda products of
+    :meth:`perihall.reps.RepContext.yoneda_terms`); the two agree up to
+    one nonzero scalar per basis vector."""
     ta, ab, tb = chains.hom_space((t,), (a,)), chains.hom_space((a,), (b,)), chains.hom_space((t,), (b,))
     return tuple(tuple(tb.class_coords(left.then(right)) for right in ab.unit_maps) for left in ta.unit_maps)
 
@@ -713,18 +716,15 @@ def check_associativity(
 def check_symmetry(
     engine: HallEngine,
     keys: Sequence[Key],
-    triples: Optional[Sequence[Tuple[int, int, int]]] = None,
+    triples: Sequence[Tuple[int, int, int]],
     hom_cap: int = 8,
 ) -> CheckReport:
     """The product coefficient and both dual counting recipes agree on
-    every structure constant that the associativity scope touches.
-    Triples whose dual hom spaces Hom(x, l) or Hom(l, y) exceed
+    every structure constant that the associativity scope ``triples``
+    touches. Triples whose dual hom spaces Hom(x, l) or Hom(l, y) exceed
     ``hom_cap`` dimensions are skipped and counted as skipped_cap."""
     report = CheckReport("dual count symmetry")
     o = engine.oracle
-    if triples is None:
-        n = len(keys)
-        triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
     for a, b in collect_product_pairs(engine, keys, triples):
         prod = engine.multiply(a, b)
         for l in prod.support:

@@ -240,7 +240,8 @@ class HallEngine:
         product; the part of the exponent and the denominator that do
         not depend on the cone are computed once. Each coefficient is a
         nonzero monomial, count * |Aut l| / (|Aut x| |Aut y|) times a
-        power of sqrt(q), asserted so, and the cones are distinct, so
+        power of sqrt(q) (:meth:`perihall.sqrtq.HallValue.monomial`
+        returns one on every path), and the cones are distinct, so
         the vector takes the dict as built, with no zero to filter
         (:func:`_vector`). Memoized per pair.
         """
@@ -253,10 +254,7 @@ class HallEngine:
             den = aut_x * aut_y
             coeffs: Dict[Key, HallValue] = {}
             for l, count, aut, brace_l in cones:
-                value = HallValue.monomial(count * aut, den, base + brace_l, q)
-                if value.n and value.m:
-                    raise AssertionError(f"structure constant {value} is not a monomial in sqrt(q)")
-                coeffs[l] = value
+                coeffs[l] = HallValue.monomial(count * aut, den, base + brace_l, q)
             self._mult_cache[k] = hit = _vector(q, coeffs)
         return hit
 

@@ -7,12 +7,18 @@ dim(u) x dim(w) and acts on row vectors from the right.
 
 The module provides what the engine calls: Hom and Ext^1 with their
 bases from Ringel's exact sequence (:class:`HomExt`), the one way to
-either, from :meth:`RepContext.hom_ext`, cached once per pair of modules;
-the iso-class registry; and the counting utilities the Hall layer sits
-on (the residue degree of each indecomposable class,
-:meth:`RepContext.residue_degree`, cached once per class; the modules of
-a dimension bound). The Euler-form count of dim Ext^1 is a reference
-recipe, :func:`perihall.checks.ext1_dim_by_euler_form`.
+either, from :meth:`RepContext.hom_ext`, cached once per pair of
+modules; their Yoneda products, :meth:`RepContext.yoneda_terms`, cached
+once per triple of classes and pair of degrees i + j <= 1 (maps compose,
+a map pulls an Ext^1 class back or pushes it forward arrow by arrow on a
+cocycle, and Ext^1 after Ext^1 lands in Ext^2 = 0, the path algebra
+being hereditary), the terms of every rank form of the periodic category
+(:mod:`perihall.category`); the iso-class registry; and the counting
+utilities the Hall layer sits on (the residue degree of each
+indecomposable class, :meth:`RepContext.residue_degree`, cached once per
+class; the modules of a dimension bound). The Euler-form count of dim
+Ext^1 is a reference recipe,
+:func:`perihall.checks.ext1_dim_by_euler_form`.
 
 Helpers that only the reference code calls live in the reference
 modules. The chain-level model, :mod:`perihall.periodic`, builds
@@ -282,11 +288,12 @@ class RepContext:
 
     Holds the iso-class registry and every cache shared by the periodic
     contexts of every period over it: Hom and Ext^1 per module pair
-    (:meth:`hom_ext`) and the residue degree per class
-    (:meth:`residue_degree`, the brick rule or an End enumeration). The
-    one enumeration cap, ``enum_cap``, lives here: every enumeration is
-    refused through :meth:`check_budget`, the one place that raises
-    :class:`BudgetExceeded`.
+    (:meth:`hom_ext`), their Yoneda products per triple of classes and
+    pair of degrees (:meth:`yoneda_terms`) and the residue degree per
+    class (:meth:`residue_degree`, the brick rule or an End
+    enumeration). The one enumeration cap, ``enum_cap``, lives here:
+    every enumeration is refused through :meth:`check_budget`, the one
+    place that raises :class:`BudgetExceeded`.
     """
 
     def __init__(
@@ -304,6 +311,7 @@ class RepContext:
         self._paths = _paths(quiver)  # None unless the quiver is of type A
         self._indecomposables: Optional[Tuple[int, ...]] = None
         self._residue_degrees: Dict[int, int] = {}  # class id -> residue field degree
+        self._yoneda: Dict[Tuple[int, int, int, int, int], Tuple[Tuple[int, int, int, int], ...]] = {}  # (a, b, c, i, j) -> terms
 
     def check_budget(self, size: int, what: str, where: Callable[[], str]) -> None:
         """Refuse an enumeration of ``size`` items beyond ``enum_cap``:
@@ -397,6 +405,32 @@ class RepContext:
             span, image = MatrixFp._trusted(self.field, rows, ncols).kernel_and_image()
             hom = [self._unflatten_map(x, y, krow, offsets) for krow in span.basis.rows]
             self._hom_exts[ck] = hit = HomExt(x, y, hom, span, image)
+        return hit
+
+    def yoneda_terms(self, a: int, b: int, c: int, i: int, j: int) -> Tuple[Tuple[int, int, int, int], ...]:
+        """The nonzero entries (u, k, v, value) of the Yoneda product
+        Ext^i(a, b) x Ext^j(b, c) -> Ext^(i+j)(a, c) of the classes with
+        ids a, b and c, for i + j <= 1, in the bases of :meth:`hom_ext`
+        (Ext^0 is Hom): coordinate v of basis element u of Ext^i(a, b)
+        followed by basis element k of Ext^j(b, c). Maps compose at
+        (0, 0), and a map pulls back (0, 1) or pushes forward (1, 0) an
+        Ext^1 class. Cached per (a, b, c, i, j), so, like :meth:`hom_ext`,
+        shared by the contexts of every period over this one; any other
+        degrees raise ``ValueError``."""
+        hit = self._yoneda.get((a, b, c, i, j))
+        if hit is None:
+            ab, bc, ac = (self.hom_ext(self._classes[s], self._classes[e]) for s, e in ((a, b), (b, c), (a, c)))
+            if (i, j) == (0, 0):
+                rows = [[ac.hom_coords(f.then(g)) for g in bc.hom] for f in ab.hom]
+            elif (i, j) == (0, 1):
+                rows = [[ac.ext_coords(bc.pullback(f, k)) for k in range(bc.ext_dim)] for f in ab.hom]
+            elif (i, j) == (1, 0):
+                rows = [[ac.ext_coords(ab.pushforward(u, g)) for g in bc.hom] for u in range(ab.ext_dim)]
+            else:
+                raise ValueError(f"Yoneda products are tabled at degrees 0 and 1 with i + j <= 1, not at {i} and {j}")
+            self._yoneda[(a, b, c, i, j)] = hit = tuple(
+                (u, k, v, w) for u, row in enumerate(rows) for k, vec in enumerate(row) for v, w in enumerate(vec) if w
+            )
         return hit
 
     def _unflatten_map(self, x: Rep, y: Rep, flat: Sequence[int], offsets: Sequence[int]) -> RepMap:

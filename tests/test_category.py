@@ -40,7 +40,7 @@ from perihall.gfp import FieldSpec, MatrixFp, Subspace
 from perihall.hall import HallEngine
 from perihall.periodic import ChainMap, ChainModel, CycleComplex, chain_hom_space, find_homotopy_iso
 from perihall.quiver import Arrow, Quiver, line_quiver
-from perihall.reps import BudgetExceeded, Rep, RepContext, RepMap
+from perihall.reps import BudgetExceeded, HomExt, Rep, RepContext, RepMap
 
 KRONECKER = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "1", "2")])
 # orientations the line quivers never take: a sink, and a zigzag
@@ -389,8 +389,42 @@ def test_contexts_of_two_periods_share_one_hom_ext_per_module_pair(monkeypatch):
     for a in ids:
         for b in ids:
             he = ctx.hom_ext(ctx.class_rep(a), ctx.class_rep(b))
-            assert contexts[0]._hom_ext(a, b) is he and contexts[1]._hom_ext(a, b) is he
+            for pctx in contexts:
+                assert pctx.ctx.hom_ext(pctx.ctx.class_rep(a), pctx.ctx.class_rep(b)) is he
+                assert pctx._class_pair(a, b) == (len(he.hom), he.ext_dim)
     assert len(deltas) > 9 and set(deltas.values()) == {1}
+
+
+def test_contexts_of_two_periods_share_one_yoneda_product_per_class_triple(monkeypatch):
+    # the composites behind the rank forms are module data: every
+    # product of a scope at t = 3 and then at t = 5, over one RepContext,
+    # composes each pair of basis maps, pulls back each class along each
+    # map and pushes each class forward along each map at most once
+    ctx = RepContext(line_quiver(2), FieldSpec(3))
+    built = Counter()
+
+    def counting(name, key):
+        honest = getattr(RepMap if name == "then" else HomExt, name)
+
+        def counted(self, *args):
+            built[(name,) + key(self, *args)] += 1
+            return honest(self, *args)
+
+        monkeypatch.setattr(RepMap if name == "then" else HomExt, name, counted)
+
+    counting("then", lambda f, g: (f.source.key(), f.key(), g.target.key(), g.key()))
+    counting("pullback", lambda he, f, k: (he.x.key(), he.y.key(), f.source.key(), f.key(), k))
+    counting("pushforward", lambda he, k, g: (he.x.key(), he.y.key(), k, g.target.key(), g.key()))
+    for t in (3, 5):
+        pctx = PeriodicContext(ctx, t)
+        engine = HallEngine(pctx)
+        keys = list(itertools.islice(pctx.objects((2, 2)), 40))
+        for x in keys:
+            for y in keys:
+                engine.multiply(x, y)
+        assert pctx._cones
+        assert {name for name, *_ in built} == {"then", "pullback", "pushforward"}
+    assert set(built.values()) == {1}
 
 
 @pytest.mark.parametrize("n, bound", [(2, (2, 2)), (3, (1, 2, 1))])
@@ -822,7 +856,7 @@ def test_products_keep_no_record_per_key_pair():
     assert cones - set(keys)
     assert set(pctx._records) == set(keys) | cones
     caches = {name: cache for name, cache in vars(pctx).items() if isinstance(cache, dict)}
-    assert "_cones" in caches and len(caches) >= 5
+    assert "_cones" in caches and len(caches) >= 4
     for name, cache in caches.items():
         pairs = [k for k in cache if isinstance(k, tuple) and len(k) == 2 and is_key(k[0]) and is_key(k[1])]
         if name == "_cones":
@@ -1042,26 +1076,62 @@ def _signs_match(entries):
     return not any(system.reduce(rhs))
 
 
-def nonzero_entries(tensor):
-    return [(u, k, v, w) for u, row in enumerate(tensor) for k, vec in enumerate(row) for v, w in enumerate(vec) if w]
+def dense_composition(pctx, t, a, b):
+    """The composition Hom(t, a) x Hom(a, b) -> Hom(t, b) as a dense
+    tensor, entry [u][k] the coordinate vector of Hom(t, b), shaped by
+    the hom dimensions of the three parts and filled from the engine's
+    nonzero terms."""
+    out = [[[0] * pctx._part_hom(t, b) for _ in range(pctx._part_hom(a, b))] for _ in range(pctx._part_hom(t, a))]
+    for u, k, v, w in pctx._composition_terms(t, a, b):
+        out[u][k][v] = w
+    return out
 
 
 def test_composition_terms_index_wider_hom_spaces():
     # on type A every Hom space between parts has dimension at most one;
     # on the Kronecker quiver Hom(S2, P1) has dimension 2, so the terms
-    # must tell the basis map u of Hom(t, a) from the coordinate v
+    # must tell the basis map u of Hom(t, a) from the coordinate v. Each
+    # composite is built directly, a map or a cocycle arrow by arrow, and
+    # must equal the sum of the basis elements of Hom(t, b) its terms
+    # name, exactly for a map and modulo im delta for a cocycle
     pctx = PeriodicContext(RepContext(KRONECKER, FieldSpec(2)))
     ctx = pctx.ctx
+    p = ctx.field.p
+    ends = [(KRONECKER.vertex_index(arr.source), KRONECKER.vertex_index(arr.target)) for arr in KRONECKER.arrows]
     ids = sorted({cid for rep in enumerate_reps(ctx, (1, 2)) for cid in summand_ids(ctx, rep)})
     parts = [(cid, s) for cid in ids for s in (0, 1)]
-    wide = 0
+    wide = checked = 0
     for t in parts:
         for a in parts:
             for b in parts:
-                nonzero = nonzero_entries(pctx._composition(t, a, b))
-                assert list(pctx._composition_terms(t, a, b)) == nonzero, (t, a, b)
-                wide += any(u != v for u, _, v, _ in nonzero)
-    assert wide
+                ta, ab, tb = (ctx.hom_ext(ctx.class_rep(c), ctx.class_rep(d)) for (c, _), (d, _) in ((t, a), (a, b), (t, b)))
+                residues = ((a[1] - t[1]) % pctx.t, (b[1] - a[1]) % pctx.t)
+                terms = pctx._composition_terms(t, a, b)
+                wide += any(u != v for u, _, v, _ in terms)
+                tensor = dense_composition(pctx, t, a, b)
+                for u, row in enumerate(tensor):
+                    for k, coords in enumerate(row):
+                        checked += 1
+                        if residues == (0, 0):
+                            got = ta.hom[u].then(ab.hom[k]).flat()
+                            want = [0] * len(got)
+                            for v, w in enumerate(coords):
+                                want = [(x + w * y) % p for x, y in zip(want, tb.hom[v].flat())]
+                            assert got == want, (t, a, b, u, k)
+                            continue
+                        if residues == (0, 1):
+                            composite = [ta.hom[u].comps[s].mul(xi) for (s, _), xi in zip(ends, ab.ext_cocycle(k))]
+                        elif residues == (1, 0):
+                            composite = [xi.mul(ab.hom[k].comps[e]) for (_, e), xi in zip(ends, ta.ext_cocycle(u))]
+                        else:
+                            # Ext^1 after Ext^1 lands in Ext^2 = 0
+                            assert not terms and not any(map(any, row)), (t, a, b)
+                            continue
+                        diff = [x for m in composite for x in m.flat()]
+                        for v, w in enumerate(coords):
+                            diff = [(x - w * y) % p for x, y in zip(diff, [y for m in tb.ext_cocycle(v) for y in m.flat()])]
+                        assert not any(tb.image.reduce(diff)), (t, a, b, u, k)
+    assert wide and checked
 
 
 @pytest.mark.parametrize(
@@ -1086,9 +1156,8 @@ def test_module_composition_matches_the_chain_level_tensor(quiver, p):
         for t in parts if period == 3 else [part for part in parts if part[1] == 0]:
             for a in parts:
                 for b in parts:
-                    got = pctx._composition(t, a, b)
+                    got = dense_composition(pctx, t, a, b)
                     want = composition_by_chains(chains, t, a, b)
-                    assert list(pctx._composition_terms(t, a, b)) == nonzero_entries(got), (period, t, a, b)
                     assert [[len(v) for v in row] for row in got] == [[len(v) for v in row] for row in want], (period, t, a, b)
                     assert len(got) <= 1 and all(len(row) <= 1 and all(len(v) <= 1 for v in row) for row in got)
                     for g_row, w_row in zip(got, want):

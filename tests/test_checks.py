@@ -24,6 +24,7 @@ from perihall.checks import (
     module_key,
 )
 from perihall.gfp import FieldSpec
+from perihall.hall import HallVector
 from perihall.quiver import line_quiver
 from perihall.reps import RepContext
 from perihall.semisimple import SemisimplePeriodic
@@ -131,6 +132,45 @@ def test_relations_harness_catches_the_fault():
         report = check_relations(engine, modules)
         assert report.checked > 0
         assert report.passed is not fault_inject, report.summary()
+
+
+def _poison(monkeypatch, engine, pair, change):
+    """The engine answers ``change(product)`` for the one ordered pair,
+    every other product as it is."""
+    honest = engine.multiply
+
+    def poisoned(x, y):
+        out = honest(x, y)
+        return change(out) if (x, y) == pair else out
+
+    monkeypatch.setattr(engine, "multiply", poisoned)
+
+
+def test_relations_harness_sees_one_wrong_crossing_product(monkeypatch):
+    # u_x * u_{y[1]} doubled for two modules of A2: at shift 0 both sides
+    # of the crossing relation read that product and agree, and at shift
+    # 1 the relation expands it against the honest u_{x[1]} * u_{y[2]}
+    pctx, engine = build_quiver_engine(line_quiver(2), 2)
+    modules = [module_key(pctx, r) for r in enumerate_reps(pctx.ctx, (1, 1))]
+    x, y = modules[1], modules[2]
+    _poison(monkeypatch, engine, (x, pctx.shift_key(y, 1)), lambda vec: vec.scale(2))
+    report = check_relations(engine, modules)
+    assert not report.passed
+    where = f"{pctx.format_key(x)}, {pctx.format_key(y)}"
+    assert report.failures[0] == f"crossing relation (shift 1) at {where}", report.failures
+
+
+def test_classical_comparison_sees_a_product_leave_the_module_layer(monkeypatch):
+    # one product of two modules of A2 moved to shift 1, term by term
+    pctx, engine = build_quiver_engine(line_quiver(2), 2)
+    keys = [module_key(pctx, r) for r in enumerate_reps(pctx.ctx, (1, 1))]
+    x, y = keys[1], keys[2]
+    _poison(monkeypatch, engine, (x, y), lambda vec: HallVector(vec.q, {pctx.shift_key(l, 1): c for l, c in vec.coeffs.items()}))
+    report = check_classical_comparison(engine, (1, 1))
+    assert not report.passed
+    l = next(iter(engine.multiply(x, y).coeffs))
+    where = f"x={pctx.format_key(x)} y={pctx.format_key(y)} l={pctx.format_key(l)}"
+    assert report.failures[0] == f"product leaves the module layer at {where}", report.failures
 
 
 def _a2_scope():

@@ -61,6 +61,34 @@ def test_standard_scope_digests_are_pinned(exactness):
         assert hashlib.sha256(blob).hexdigest()[:16] == PINNED[name], name
 
 
+def test_hard_scope_reaches_the_largest_builds(exactness):
+    # every hard pair lies in A2 p=3 bound (2,2) at t = 3 and within the
+    # cap, hom_dim(y[-1], x) runs from 8 to 11 in order, and the pairs
+    # whose active parts repeat one part are at least two
+    name, n, p, t, pairs = exactness.HARD
+    pctx = PeriodicContext(RepContext(line_quiver(n), FieldSpec(p)), t)
+    canon = exactness.Canon(pctx)
+    listed = {canon.key(k): k for k in pctx.objects((2, 2))}
+    dims, repeated = [], 0
+    for x, y in pairs:
+        x, ys = listed[x], pctx.shift_key(listed[y], -1)
+        dims.append(pctx.hom_dim(ys, x))
+        on_y = [a for a in ys if any(pctx._part_hom(a, b) for b in x)]
+        on_x = [b for b in x if any(pctx._part_hom(a, b) for a in ys)]
+        repeated += any(side.count(part) > 1 for side in (on_y, on_x) for part in side)
+    assert dims == sorted(dims) and (dims[0], dims[-1]) == (8, 11)
+    assert p ** dims[-1] <= pctx.ctx.enum_cap
+    assert repeated >= 2
+
+
+def test_a_slice_of_the_hard_scope_is_pinned(exactness):
+    # the first five hard pairs, hom_dim 8 and 9; ``--hard`` prints the
+    # whole scope's hash, a7a3d79ad9fdd7bd at hom_dim up to 11
+    name, n, p, t, pairs = exactness.HARD
+    blob = json.dumps(exactness.digest_hard(n, p, t, pairs[:5]), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == "59495999ebb5b78f"
+
+
 def test_a_fiber_of_the_wrong_mass_stops_the_digest(exactness, monkeypatch):
     # one morphism dropped from one fiber: the tool refuses, naming the pair
     honest = PeriodicContext.fiber_counts

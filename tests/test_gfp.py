@@ -239,6 +239,26 @@ def test_public_constructor_reduces_and_checks():
         MatrixFp(F3, [[1, 2]], ncols=3)
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        # 9 and 32771 both reach the trial division; 32771 is a prime
+        (lambda: FieldSpec(9), ValueError, "field order must be prime, got 9"),
+        (lambda: FieldSpec(32771), ValueError, "field order 32771 too large"),
+        (lambda: F5.inv(10), ZeroDivisionError, "inverse of 0"),
+        (lambda: MatrixFp(F3, []), ValueError, "empty matrix needs explicit ncols"),
+        (lambda: MatrixFp.from_flat(F3, [1, 2, 3], 2, 2), ValueError, "flat length mismatch"),
+        (lambda: MatrixFp(F3, [[1, 2]]).mul(MatrixFp(F3, [[1, 2]])), ValueError, r"shape mismatch 1x2 \* 1x2"),
+        (lambda: MatrixFp(F3, [[1, 2]]).vstack(MatrixFp(F3, [[1]])), ValueError, "vstack col mismatch"),
+        (lambda: MatrixFp(F3, [[1, 2]]).add(MatrixFp(F3, [[1], [2]])), ValueError, "shape mismatch"),
+    ],
+    ids=["not-prime", "too-large", "inverse-of-0", "empty-no-ncols", "flat-length", "mul-shape", "vstack-shape", "add-shape"],
+)
+def test_field_and_matrix_inputs_are_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_unit_group_order_counts_units(q):
     assert unit_group_order(q, 4, [(2, 1)]) == gl_order(2, q)  # M_2(F_q)

@@ -339,6 +339,12 @@ def test_engine_rejects_even_period():
         SemisimplePeriodic(4, 2)
 
 
+@pytest.mark.parametrize("mults", [(1, 0), (1, -1, 0)], ids=["length", "negative"])
+def test_semisimple_objects_refuse_bad_multiplicities(mults):
+    with pytest.raises(ValueError, match="need one multiplicity per shift"):
+        SemisimplePeriodic(3, 2).object(mults)
+
+
 def _engine_over_period(t):
     pctx = PeriodicContext(RepContext(line_quiver(2), FieldSpec(2)))
     pctx.t = t

@@ -76,6 +76,38 @@ def test_complexes_refuse_mixed_periods():
     assert zero.t == 5 and all(s.is_zero() for s in zero.slots) and summand_maps(zero, []) == ([], [])
 
 
+def _slots_s1_s2_s1(ctx):
+    # zero differentials, the first from S1 into a slot holding S2
+    s1, s2, _ = a2_modules(ctx)
+    return CycleComplex(ctx, [s1, s2, s1], [RepMap.zero_map(s1, s1)] * 3)
+
+
+def _identities_on_s1(ctx):
+    s1, _, _ = a2_modules(ctx)
+    return CycleComplex(ctx, [s1] * 3, [RepMap.identity(s1)] * 3)
+
+
+def _rep_map_of_too_many_coordinates(ctx):
+    chains = ChainModel(PeriodicContext(ctx))
+    part = ((ctx.indecomposable_ids()[0], 0),)
+    space = chains.hom_space(part, part)
+    return space.rep_map([0] * (space.dim + 1))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (_slots_s1_s2_s1, "differential 0 connects the wrong slots"),
+        (_identities_on_s1, "composite of differentials 0, 1 is nonzero"),
+        (_rep_map_of_too_many_coordinates, "2 class coordinates for a Hom space of dimension 1"),
+    ],
+    ids=["wrong-slots", "nonzero-composite", "rep-map-coordinates"],
+)
+def test_complex_and_class_inputs_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(a2_ctx())
+
+
 def test_shift_moves_stalks_forward():
     ctx = a2_ctx()
     s1, _, _ = a2_modules(ctx)

@@ -22,6 +22,19 @@ def test_duplicate_names_rejected():
         Quiver(["x", "y"], [Arrow("f", "x", "y"), Arrow("f", "x", "y")])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Quiver(["x"], [Arrow("f", "x", "y")]), "arrow f touches unknown vertex"),
+        (lambda: line_quiver(0), "need at least one vertex"),
+    ],
+    ids=["unknown-vertex", "no-vertex"],
+)
+def test_quiver_inputs_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_paths_from():
     q = line_quiver(3)
     paths = paths_from(q, "1")

@@ -117,6 +117,28 @@ def test_hom_coords_refuse_a_map_that_is_not_a_morphism():
         ctx.hom_ext(s1(ctx), p1(ctx)).hom_coords(f)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda ctx: Rep(ctx.field, A2, (1,), {}), "dimension vector length mismatch"),
+        (lambda ctx: Rep(ctx.field, A2, (1, -1), {}), "negative dimension"),
+        (lambda ctx: Rep(ctx.field, A2, (1, 1), {"a1": MatrixFp.zeros(ctx.field, 2, 1)}), "arrow a1 matrix has shape 2x1, wanted 1x1"),
+        (lambda ctx: RepMap(s1(ctx), s1(ctx), [MatrixFp.identity(ctx.field, 1)]), "component count mismatch"),
+        (
+            lambda ctx: RepMap(s1(ctx), s1(ctx), [MatrixFp.zeros(ctx.field, 2, 1), MatrixFp.zeros(ctx.field, 0, 0)]),
+            "component 0 has shape 2x1",
+        ),
+        (lambda ctx: RepMap.identity(s1(ctx)).then(RepMap.identity(s2(ctx))), "composition mismatch"),
+        (lambda ctx: ctx.map_from_coeffs([], []), "empty basis"),
+        (lambda ctx: ctx.yoneda_terms(*ctx.indecomposable_ids(), 1, 1), r"not at 1 and 1"),
+    ],
+    ids=["dims-length", "negative-dim", "arrow-shape", "map-components", "map-shape", "compose", "empty-basis", "yoneda-degree"],
+)
+def test_module_and_map_inputs_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(ctx_a2())
+
+
 def test_one_hom_ext_miss_eliminates_delta_once(monkeypatch):
     # one elimination of delta gives its kernel and image; only a nonzero
     # kernel is reduced once more, and a delta with no unknowns needs none

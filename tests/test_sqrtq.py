@@ -188,6 +188,21 @@ def test_monomial_folds_and_matches_powers():
         HallValue.monomial(1, 1, 1, 1)
 
 
+@given(
+    st.integers(-10**6, 10**6),
+    st.integers(-10**6, 10**6).filter(bool),
+    st.integers(-12, 12),
+    st.sampled_from([2, 3, 4, 5, 7, 9]),
+)
+def test_monomial_is_a_monomial(num, den, k, q):
+    # a rational part or a sqrt(q) part, never both, on every path of
+    # monomial, q = 4 and 9 folding sqrt(q) into the rational part; the
+    # engine reads every structure constant off it unchecked
+    v = HallValue.monomial(num, den, k, q)
+    assert not (v.n and v.m)
+    assert v * v == HallValue.of(Fraction(num, den) ** 2, q) * HallValue.sqrt_q_power(2 * k, q)
+
+
 def test_equal_values_hash_equal():
     assert len({1, HallValue.one(2)}) == 1
     assert len({Fraction(1, 2), HallValue.of(Fraction(1, 2), 3)}) == 1
